@@ -237,7 +237,7 @@ pub fn generate_tests(
 /// flushing each phase's effort counters once. The deterministic phase
 /// aggregates its per-fault [`crate::SolveStats`] into phase totals
 /// (`attempts`, `backtracks`, `forward_evals`, `implication_conflicts`,
-/// `tests`, `untestable`, `aborted`) rather than emitting one span per
+/// `gate_evals`, `tests`, `untestable`, `aborted`) rather than emitting one span per
 /// fault, keeping reports bounded on large fault lists. The returned
 /// [`AtpgRun`] counters are unchanged, so the legacy view and the
 /// collector always agree.
@@ -313,6 +313,7 @@ pub fn generate_tests_observed(
     obs.count("backtracks", det.backtracks);
     obs.count("forward_evals", det.forward_evals);
     obs.count("implication_conflicts", det.implication_conflicts);
+    obs.count("gate_evals", det.gate_evals);
     obs.count("tests", det.tests);
     obs.count("untestable", det.untestable);
     obs.count("aborted", det.aborted);

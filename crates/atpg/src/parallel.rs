@@ -87,6 +87,9 @@ pub struct DetPhase {
     pub forward_evals: u64,
     /// Total implication-store conflicts.
     pub implication_conflicts: u64,
+    /// Total gate evaluations inside PODEM's forward implication
+    /// ([`SolveStats::gate_evals`]; 0 for the D-Algorithm).
+    pub gate_evals: u64,
     /// [`DetVerdict::Test`] count.
     pub tests: u64,
     /// [`DetVerdict::Untestable`] count.
@@ -267,6 +270,7 @@ impl DetDriver<'_> {
             backtracks: 0,
             forward_evals: 0,
             implication_conflicts: 0,
+            gate_evals: 0,
             tests: 0,
             untestable: 0,
             aborted: 0,
@@ -288,6 +292,7 @@ impl DetDriver<'_> {
                 phase.backtracks += u64::from(stats.backtracks);
                 phase.forward_evals += stats.forward_evals;
                 phase.implication_conflicts += u64::from(stats.implication_conflicts);
+                phase.gate_evals += stats.gate_evals;
                 phase.verdicts[batch[slot]] = match outcome {
                     GenOutcome::Test(cube) => {
                         batch_cubes.push(cube);
@@ -444,6 +449,7 @@ mod tests {
             assert_eq!(base.rows, other.rows, "rows differ at {t}");
             assert_eq!(base.backtracks, other.backtracks);
             assert_eq!(base.forward_evals, other.forward_evals);
+            assert_eq!(base.gate_evals, other.gate_evals);
         }
     }
 

@@ -1,7 +1,5 @@
 //! PODEM: path-oriented decision making over primary-input assignments.
 
-use std::collections::HashMap;
-
 use dft_fault::Fault;
 use dft_implic::{ImplicOptions, ImplicationEngine};
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin};
@@ -144,23 +142,249 @@ impl PodemConfig {
 pub struct SolveStats {
     /// Decisions reverted.
     pub backtracks: u32,
-    /// Full forward implications performed.
+    /// Forward implication steps performed (one per search step).
     pub forward_evals: u64,
     /// Dead ends called by the static implication store before the
     /// search had to discover them (each one prunes a whole subtree).
     pub implication_conflicts: u32,
+    /// Gates evaluated across all forward implication steps: every
+    /// non-input gate on the first step, then only the gates an event
+    /// reached. The work unit the event-driven forward cuts.
+    pub gate_evals: u64,
+}
+
+/// `pi_pos` entry of a gate that is not a primary input.
+const NOT_PI: u32 = u32::MAX;
+
+/// Per-search fault-site marks: the gate's output, or one of its input
+/// pins, carries a fault site.
+const OUTPUT_SITE: u8 = 1;
+const PIN_SITE: u8 = 2;
+
+/// The netlist lowered into flat, gate-indexed arrays: everything the
+/// search reads, with no per-access gate views, name building or
+/// hashing. Built once per solver.
+///
+/// `dft_sim::Kernel`'s op CSR is indexed by op and omits sources; the
+/// search reads fan-in by gate on every pin access, so it keeps a
+/// gate-indexed CSR of its own.
+#[derive(Debug)]
+struct Compiled {
+    kinds: Vec<GateKind>,
+    /// Gate `g` reads `fanin[fanin_start[g]..fanin_start[g + 1]]`.
+    fanin_start: Vec<u32>,
+    fanin: Vec<u32>,
+    /// Gate `g`'s combinational readers are
+    /// `fanout[fanout_start[g]..fanout_start[g + 1]]`. Storage readers
+    /// are left out: a `Dff` output is a constant `X` in the test view,
+    /// so no event or fault effect ever enters one.
+    fanout_start: Vec<u32>,
+    fanout: Vec<u32>,
+    /// Levelized evaluation order (the first forward pass of a search).
+    order: Vec<u32>,
+    level: Vec<u32>,
+    /// Level `l` owns the event-bucket slots
+    /// `level_start[l]..level_start[l + 1]`, one per gate at that level,
+    /// so a bucket can never overflow.
+    level_start: Vec<u32>,
+    /// Primary-input gates in netlist input order, and its inverse.
+    pi_gate: Vec<u32>,
+    pi_pos: Vec<u32>,
+    /// Primary-output drivers, in output order.
+    po_gate: Vec<u32>,
+    is_po: Vec<bool>,
+}
+
+impl Compiled {
+    fn new(netlist: &Netlist) -> Result<Self, LevelizeError> {
+        let lv = netlist.levelize()?;
+        let n = netlist.gate_count();
+        let mut kinds = Vec::with_capacity(n);
+        let mut fanin_start = Vec::with_capacity(n + 1);
+        let mut fanin = Vec::new();
+        fanin_start.push(0);
+        for (_, gate) in netlist.iter() {
+            kinds.push(gate.kind());
+            fanin.extend(gate.inputs().iter().map(|s| s.index() as u32));
+            fanin_start.push(fanin.len() as u32);
+        }
+
+        let mut fanout_start = Vec::with_capacity(n + 1);
+        let mut fanout = Vec::new();
+        fanout_start.push(0);
+        for readers in netlist.fanout_map() {
+            fanout.extend(
+                readers
+                    .iter()
+                    .filter(|(r, _)| !kinds[r.index()].is_storage())
+                    .map(|(r, _)| r.index() as u32),
+            );
+            fanout_start.push(fanout.len() as u32);
+        }
+
+        let level: Vec<u32> = netlist.ids().map(|id| lv.level(id)).collect();
+        let mut level_start = vec![0u32; lv.depth() as usize + 2];
+        for &l in &level {
+            level_start[l as usize + 1] += 1;
+        }
+        for l in 1..level_start.len() {
+            level_start[l] += level_start[l - 1];
+        }
+
+        let pi_gate: Vec<u32> = netlist
+            .primary_inputs()
+            .iter()
+            .map(|g| g.index() as u32)
+            .collect();
+        let mut pi_pos = vec![NOT_PI; n];
+        for (i, &g) in pi_gate.iter().enumerate() {
+            pi_pos[g as usize] = i as u32;
+        }
+        let po_gate: Vec<u32> = netlist
+            .primary_outputs()
+            .iter()
+            .map(|(g, _)| g.index() as u32)
+            .collect();
+        let mut is_po = vec![false; n];
+        for &g in &po_gate {
+            is_po[g as usize] = true;
+        }
+        Ok(Compiled {
+            kinds,
+            fanin_start,
+            fanin,
+            fanout_start,
+            fanout,
+            order: lv.order().iter().map(|g| g.index() as u32).collect(),
+            level,
+            level_start,
+            pi_gate,
+            pi_pos,
+            po_gate,
+            is_po,
+        })
+    }
+
+    fn gate_count(&self) -> usize {
+        self.kinds.len()
+    }
+
+    fn fanin(&self, g: u32) -> &[u32] {
+        let g = g as usize;
+        &self.fanin[self.fanin_start[g] as usize..self.fanin_start[g + 1] as usize]
+    }
+
+    fn readers(&self, g: u32) -> &[u32] {
+        let g = g as usize;
+        &self.fanout[self.fanout_start[g] as usize..self.fanout_start[g + 1] as usize]
+    }
+}
+
+/// One search's working state, allocated once per [`Podem::solve`] call
+/// so that no search step allocates.
+struct Scratch {
+    /// The decision assignment, one value per primary input.
+    assign: Vec<Logic>,
+    /// Good/faulty value of every net under `assign`.
+    vals: Vec<DVal>,
+    /// Decision stack: (primary-input position, both values tried).
+    decisions: Vec<(u32, bool)>,
+    /// `OUTPUT_SITE`/`PIN_SITE` marks per gate.
+    site: Vec<u8>,
+    /// The sites' combinational fanout cone, ascending. Outside it the
+    /// good and faulty machines agree, so the D-frontier lives here.
+    cone: Vec<u32>,
+    /// Whether the first (full) forward pass has run.
+    primed: bool,
+    /// Primary inputs reassigned since the last forward pass.
+    dirty: Vec<u32>,
+    /// Event buckets, partitioned by level (see `Compiled::level_start`).
+    bucket: Vec<u32>,
+    fill: Vec<u32>,
+    queued: Vec<bool>,
+    /// Epoch-stamped visit marks and the stack of the graph walks.
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(net: &Compiled, sites: &[Fault]) -> Self {
+        let n = net.gate_count();
+        let mut s = Scratch {
+            assign: vec![Logic::X; net.pi_gate.len()],
+            vals: vec![DVal::X; n],
+            decisions: Vec::with_capacity(net.pi_gate.len()),
+            site: vec![0; n],
+            cone: Vec::new(),
+            primed: false,
+            dirty: Vec::with_capacity(net.pi_gate.len()),
+            bucket: vec![0; n],
+            fill: vec![0; net.level_start.len() - 1],
+            queued: vec![false; n],
+            seen: vec![0; n],
+            epoch: 0,
+            stack: Vec::with_capacity(n),
+        };
+        let epoch = s.next_epoch();
+        for f in sites {
+            let g = f.site.gate.index();
+            s.site[g] |= match f.site.pin {
+                Pin::Output => OUTPUT_SITE,
+                Pin::Input(_) => PIN_SITE,
+            };
+            if s.seen[g] != epoch {
+                s.seen[g] = epoch;
+                s.stack.push(g as u32);
+            }
+        }
+        while let Some(g) = s.stack.pop() {
+            s.cone.push(g);
+            for &r in net.readers(g) {
+                if s.seen[r as usize] != epoch {
+                    s.seen[r as usize] = epoch;
+                    s.stack.push(r);
+                }
+            }
+        }
+        s.cone.sort_unstable();
+        s
+    }
+
+    /// A fresh visit-mark generation for `seen`.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+
+    /// Reassigns primary input `pi`; the next forward pass picks it up.
+    fn set(&mut self, pi: u32, v: Logic) {
+        self.assign[pi as usize] = v;
+        self.dirty.push(pi);
+    }
 }
 
 /// A reusable PODEM solver for one netlist (levelization and testability
 /// guidance are computed once).
+///
+/// The netlist is compiled into flat arrays at build time, and each
+/// search allocates its scratch once. Forward implication is
+/// event-driven: after the first full pass of a search, a step
+/// re-evaluates only the fanout cone of the primary inputs whose value
+/// changed, level by level. The search itself — decision order, cubes
+/// and [`SolveStats`] other than `gate_evals` — is the same as a full
+/// re-simulation per step would give.
+///
+/// The solver borrows its netlist only through its implication engine;
+/// [`Podem::from_owned`] builds one that owns everything it reads.
 #[derive(Debug)]
 pub struct Podem<'n> {
-    netlist: &'n Netlist,
-    order: Vec<GateId>,
-    fanout: Vec<Vec<(GateId, u8)>>,
+    net: Compiled,
     report: TestabilityReport,
-    pi_index: HashMap<GateId, usize>,
-    is_po: Vec<bool>,
     config: PodemConfig,
     implic: Option<ImplicationEngine<'n>>,
 }
@@ -188,12 +412,8 @@ impl<'n> Podem<'n> {
         obs: Option<&mut dyn Collector>,
     ) -> Result<Self, LevelizeError> {
         let mut obs = Obs::new(obs);
-        let lv = netlist.levelize()?;
+        let net = Compiled::new(netlist)?;
         let report = analyze(netlist)?;
-        let mut is_po = vec![false; netlist.gate_count()];
-        for &(g, _) in netlist.primary_outputs() {
-            is_po[g.index()] = true;
-        }
         let implic = config.use_implications.then(|| {
             ImplicationEngine::with_options_observed(
                 netlist,
@@ -202,20 +422,19 @@ impl<'n> Podem<'n> {
             )
         });
         Ok(Podem {
-            netlist,
-            order: lv.order().to_vec(),
-            fanout: netlist.fanout_map(),
+            net,
             report,
-            pi_index: netlist
-                .primary_inputs()
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (g, i))
-                .collect(),
-            is_po,
             config,
             implic,
         })
+    }
+
+    /// The static implication engine the solver consults, if
+    /// [`PodemConfig::use_implications`] is on — shareable with other
+    /// consumers (e.g. `dft_fault::prefilter_with`) so learning runs once.
+    #[must_use]
+    pub fn implications(&self) -> Option<&ImplicationEngine<'n>> {
+        self.implic.as_ref()
     }
 
     /// Necessary conditions of detection for a single-site fault, as
@@ -238,7 +457,9 @@ impl<'n> Podem<'n> {
         }
         let activation = match f.site.pin {
             Pin::Output => f.site.gate,
-            Pin::Input(p) => self.netlist.gate(f.site.gate).inputs()[p as usize],
+            Pin::Input(p) => {
+                GateId::from_index(self.net.fanin(f.site.gate.index() as u32)[p as usize] as usize)
+            }
         };
         let q = engine.query(activation, !f.stuck);
         Ok(q.implied.iter().map(|l| (l.net.index(), l.value)).collect())
@@ -280,9 +501,9 @@ impl<'n> Podem<'n> {
     ///
     /// Opens an `atpg.podem` span per attempt and flushes the
     /// [`SolveStats`] counters (`backtracks`, `forward_evals`,
-    /// `implication_conflicts`) plus one of `tests`/`untestable`/
-    /// `aborted` for the outcome; the returned stats are unchanged, so
-    /// the legacy view and the collector always agree.
+    /// `implication_conflicts`, `gate_evals`) plus one of
+    /// `tests`/`untestable`/`aborted` for the outcome; the returned stats
+    /// are unchanged, so the legacy view and the collector always agree.
     ///
     /// # Panics
     ///
@@ -295,7 +516,7 @@ impl<'n> Podem<'n> {
     ) -> (GenOutcome, SolveStats) {
         let mut obs = Obs::new(obs);
         obs.enter("atpg.podem");
-        let (outcome, stats) = self.search(sites);
+        let (outcome, stats) = self.search(sites, |_| {});
         obs.count("attempts", 1);
         obs.count("backtracks", u64::from(stats.backtracks));
         obs.count("forward_evals", stats.forward_evals);
@@ -303,6 +524,7 @@ impl<'n> Podem<'n> {
             "implication_conflicts",
             u64::from(stats.implication_conflicts),
         );
+        obs.count("gate_evals", stats.gate_evals);
         obs.count(
             match outcome {
                 GenOutcome::Test(_) => "tests",
@@ -315,25 +537,33 @@ impl<'n> Podem<'n> {
         (outcome, stats)
     }
 
-    fn search(&self, sites: &[Fault]) -> (GenOutcome, SolveStats) {
+    /// The search loop. `after_forward` sees the scratch after every
+    /// forward implication step (the test suite's oracle hook).
+    fn search(
+        &self,
+        sites: &[Fault],
+        mut after_forward: impl FnMut(&Scratch),
+    ) -> (GenOutcome, SolveStats) {
         assert!(!sites.is_empty(), "need at least one fault site");
         let mut stats = SolveStats::default();
         let Ok(necessity) = self.necessity(sites) else {
             // Statically proven untestable: no search at all.
             return (GenOutcome::Untestable, stats);
         };
-        let n_pi = self.netlist.primary_inputs().len();
-        let mut assign: Vec<Logic> = vec![Logic::X; n_pi];
-        let mut vals = vec![DVal::X; self.netlist.gate_count()];
-        // Decision stack: (pi index, tried_both).
-        let mut stack: Vec<(usize, bool)> = Vec::new();
+        let mut s = Scratch::new(&self.net, sites);
 
         loop {
-            self.forward(&assign, sites, &mut vals);
+            self.forward(&mut s, sites, &mut stats);
             stats.forward_evals += 1;
+            after_forward(&s);
 
-            if self.detected(&vals) {
-                return (GenOutcome::Test(TestCube { assignment: assign }), stats);
+            if self.detected(&s.vals) {
+                return (
+                    GenOutcome::Test(TestCube {
+                        assignment: s.assign,
+                    }),
+                    stats,
+                );
             }
 
             // A good-machine value contradicting a static necessity of
@@ -341,7 +571,7 @@ impl<'n> Podem<'n> {
             // the dead end now instead of searching into the subtree.
             let implication_conflict = necessity
                 .iter()
-                .any(|&(i, v)| vals[i].good.to_bool().is_some_and(|b| b != v));
+                .any(|&(i, v)| s.vals[i].good.to_bool().is_some_and(|b| b != v));
             if implication_conflict {
                 stats.implication_conflicts += 1;
             }
@@ -349,35 +579,33 @@ impl<'n> Podem<'n> {
             let next = if implication_conflict {
                 None
             } else {
-                self.objective(&vals, sites)
-                    .and_then(|(net, v)| self.backtrace(&vals, net, v))
+                self.objective(&mut s, sites)
+                    .and_then(|(net, v)| self.backtrace(&s.vals, net, v))
             };
 
             match next {
                 Some((pi, v)) => {
-                    assign[pi] = Logic::from(v);
-                    stack.push((pi, false));
+                    s.set(pi, Logic::from(v));
+                    s.decisions.push((pi, false));
                 }
                 None => {
                     // Backtrack.
                     loop {
-                        match stack.pop() {
+                        match s.decisions.pop() {
                             None => return (GenOutcome::Untestable, stats),
-                            Some((pi, true)) => {
-                                assign[pi] = Logic::X;
-                            }
+                            Some((pi, true)) => s.set(pi, Logic::X),
                             Some((pi, false)) => {
                                 stats.backtracks += 1;
                                 if stats.backtracks >= self.config.backtrack_limit {
                                     return (GenOutcome::Aborted, stats);
                                 }
-                                let flipped = match assign[pi] {
+                                let flipped = match s.assign[pi as usize] {
                                     Logic::Zero => Logic::One,
                                     Logic::One => Logic::Zero,
                                     Logic::X => unreachable!("decision PIs are assigned"),
                                 };
-                                assign[pi] = flipped;
-                                stack.push((pi, true));
+                                s.set(pi, flipped);
+                                s.decisions.push((pi, true));
                                 break;
                             }
                         }
@@ -387,87 +615,148 @@ impl<'n> Podem<'n> {
         }
     }
 
-    /// The effective value seen by `gate`'s input `pin`, applying the
-    /// fault if it sits on that pin.
-    fn pin_val(&self, vals: &[DVal], sites: &[Fault], gate: GateId, pin: usize) -> DVal {
-        let src = self.netlist.gate(gate).inputs()[pin];
-        let mut v = vals[src.index()];
-        for f in sites {
-            if f.site.gate == gate && f.site.pin == Pin::Input(pin as u8) {
-                v.faulty = Logic::from(f.stuck);
+    /// `v` with the faulty component forced by every output site on `g`
+    /// (the last matching site wins).
+    fn with_output_sites(s: &Scratch, sites: &[Fault], g: u32, mut v: DVal) -> DVal {
+        if s.site[g as usize] & OUTPUT_SITE != 0 {
+            for f in sites {
+                if f.site.pin == Pin::Output && f.site.gate.index() == g as usize {
+                    v.faulty = Logic::from(f.stuck);
+                }
             }
         }
         v
     }
 
-    /// Full forward implication of the current PI assignment.
-    fn forward(&self, assign: &[Logic], sites: &[Fault], vals: &mut [DVal]) {
-        for (i, &pi) in self.netlist.primary_inputs().iter().enumerate() {
-            let mut v = DVal::known(assign[i]);
+    /// The effective value seen by gate `g`'s input `pin`, applying the
+    /// fault if it sits on that pin.
+    fn pin_val(&self, s: &Scratch, sites: &[Fault], g: u32, pin: usize) -> DVal {
+        let mut v = s.vals[self.net.fanin(g)[pin] as usize];
+        if s.site[g as usize] & PIN_SITE != 0 {
             for f in sites {
-                if f.site == dft_netlist::PortRef::output(pi) {
+                if f.site.gate.index() == g as usize && f.site.pin == Pin::Input(pin as u8) {
                     v.faulty = Logic::from(f.stuck);
                 }
             }
-            vals[pi.index()] = v;
         }
-        for &id in &self.order {
-            let gate = self.netlist.gate(id);
-            let mut v = match gate.kind() {
-                GateKind::Input => continue,
-                GateKind::Const0 => DVal::ZERO,
-                GateKind::Const1 => DVal::ONE,
-                GateKind::Dff => DVal::X, // uncontrollable state
-                kind => {
-                    let mut goods = Vec::with_capacity(gate.fanin());
-                    let mut faults_ = Vec::with_capacity(gate.fanin());
-                    for pin in 0..gate.fanin() {
-                        let pv = self.pin_val(vals, sites, id, pin);
-                        goods.push(pv.good);
-                        faults_.push(pv.faulty);
-                    }
-                    DVal {
-                        good: Logic::eval_gate(kind, &goods),
-                        faulty: Logic::eval_gate(kind, &faults_),
-                    }
-                }
-            };
-            for f in sites {
-                if f.site == dft_netlist::PortRef::output(id) {
-                    v.faulty = Logic::from(f.stuck);
+        v
+    }
+
+    /// The value of primary input `i` under the current assignment.
+    fn pi_val(&self, s: &Scratch, sites: &[Fault], i: usize) -> DVal {
+        let v = DVal::known(s.assign[i]);
+        Self::with_output_sites(s, sites, self.net.pi_gate[i], v)
+    }
+
+    /// Evaluates non-input gate `g` from its drivers' current values.
+    fn eval(&self, s: &Scratch, sites: &[Fault], g: u32) -> DVal {
+        let v = match self.net.kinds[g as usize] {
+            GateKind::Input => unreachable!("primary inputs are assigned, not evaluated"),
+            GateKind::Const0 => DVal::ZERO,
+            GateKind::Const1 => DVal::ONE,
+            GateKind::Dff => DVal::X, // uncontrollable state
+            kind => {
+                let pins = (0..self.net.fanin(g).len()).map(|p| self.pin_val(s, sites, g, p));
+                DVal {
+                    good: Logic::eval_iter(kind, pins.clone().map(|v| v.good)),
+                    faulty: Logic::eval_iter(kind, pins.map(|v| v.faulty)),
                 }
             }
-            vals[id.index()] = v;
+        };
+        Self::with_output_sites(s, sites, g, v)
+    }
+
+    /// Forward implication of the current assignment. The first call of
+    /// a search evaluates every gate in level order; later calls start
+    /// from the reassigned primary inputs and re-evaluate a gate only
+    /// when one of its drivers changed, draining the event buckets in
+    /// ascending level order so each gate is evaluated at most once.
+    fn forward(&self, s: &mut Scratch, sites: &[Fault], stats: &mut SolveStats) {
+        let net = &self.net;
+        if !s.primed {
+            s.primed = true;
+            s.dirty.clear();
+            for i in 0..net.pi_gate.len() {
+                s.vals[net.pi_gate[i] as usize] = self.pi_val(s, sites, i);
+            }
+            for &g in &net.order {
+                if net.kinds[g as usize] != GateKind::Input {
+                    s.vals[g as usize] = self.eval(s, sites, g);
+                    stats.gate_evals += 1;
+                }
+            }
+            return;
+        }
+
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        while let Some(i) = s.dirty.pop() {
+            let g = net.pi_gate[i as usize];
+            let v = self.pi_val(s, sites, i as usize);
+            if v != s.vals[g as usize] {
+                s.vals[g as usize] = v;
+                self.schedule_readers(s, g, &mut lo, &mut hi);
+            }
+        }
+        let mut l = lo;
+        while l <= hi {
+            let base = net.level_start[l] as usize;
+            let mut k = 0;
+            while k < s.fill[l] as usize {
+                let g = s.bucket[base + k];
+                s.queued[g as usize] = false;
+                let v = self.eval(s, sites, g);
+                stats.gate_evals += 1;
+                if v != s.vals[g as usize] {
+                    s.vals[g as usize] = v;
+                    self.schedule_readers(s, g, &mut lo, &mut hi);
+                }
+                k += 1;
+            }
+            s.fill[l] = 0;
+            l += 1;
+        }
+    }
+
+    /// Queues `g`'s combinational readers in their level buckets,
+    /// widening the `lo..=hi` level window to cover them.
+    fn schedule_readers(&self, s: &mut Scratch, g: u32, lo: &mut usize, hi: &mut usize) {
+        for &r in self.net.readers(g) {
+            let ri = r as usize;
+            if s.queued[ri] {
+                continue;
+            }
+            s.queued[ri] = true;
+            let l = self.net.level[ri] as usize;
+            s.bucket[self.net.level_start[l] as usize + s.fill[l] as usize] = r;
+            s.fill[l] += 1;
+            *lo = (*lo).min(l);
+            *hi = (*hi).max(l);
         }
     }
 
     fn detected(&self, vals: &[DVal]) -> bool {
-        self.netlist
-            .primary_outputs()
-            .iter()
-            .any(|&(g, _)| vals[g.index()].is_d())
+        self.net.po_gate.iter().any(|&g| vals[g as usize].is_d())
     }
 
     /// The good-machine value at a fault's activation point, and the
     /// gate to backtrace from when exciting.
-    fn excitation(&self, vals: &[DVal], fault: Fault) -> (Logic, GateId) {
-        match fault.site.pin {
-            Pin::Output => (vals[fault.site.gate.index()].good, fault.site.gate),
-            Pin::Input(p) => {
-                let src = self.netlist.gate(fault.site.gate).inputs()[p as usize];
-                (vals[src.index()].good, src)
-            }
-        }
+    fn excitation(&self, vals: &[DVal], fault: Fault) -> (Logic, u32) {
+        let g = fault.site.gate.index() as u32;
+        let driver = match fault.site.pin {
+            Pin::Output => g,
+            Pin::Input(p) => self.net.fanin(g)[p as usize],
+        };
+        (vals[driver as usize].good, driver)
     }
 
     /// Next objective `(net, value)`, or `None` when the current partial
     /// assignment can no longer lead to a test.
-    fn objective(&self, vals: &[DVal], sites: &[Fault]) -> Option<(GateId, bool)> {
+    fn objective(&self, s: &mut Scratch, sites: &[Fault]) -> Option<(u32, bool)> {
         // Is any site excited (a fault effect exists somewhere)?
-        let mut excitable: Option<(GateId, bool)> = None;
+        let mut excitable: Option<(u32, bool)> = None;
         let mut any_excited = false;
         for &f in sites {
-            let (site_good, driver) = self.excitation(vals, f);
+            let (site_good, driver) = self.excitation(&s.vals, f);
             match site_good.to_bool() {
                 None => {
                     if excitable.is_none() {
@@ -481,75 +770,62 @@ impl<'n> Podem<'n> {
         if !any_excited {
             return excitable; // excite (or dead end if None)
         }
-        // Excited: advance the D-frontier.
-        let frontier = self.d_frontier(vals, sites);
-        let mut best: Option<(u32, GateId, usize)> = None;
-        for g in frontier {
-            if !self.x_path_to_po(vals, g) {
+        // Excited: advance the D-frontier — gates with a fault effect on
+        // an input and an undetermined output, in gate order. Of those
+        // with an X-path to an output, the first cheapest to observe
+        // wins; the checks run cheapest first, which changes no pick.
+        let mut best: Option<(u32, u32, usize)> = None;
+        for k in 0..s.cone.len() {
+            let g = s.cone[k];
+            if self.net.kinds[g as usize].is_source() || !s.vals[g as usize].has_x() {
                 continue;
             }
-            // Choose the frontier gate cheapest to observe.
-            let co = self.report.observability(g);
-            // Pick an X input pin to set to the noncontrolling value.
-            let gate = self.netlist.gate(g);
-            let pin = (0..gate.fanin()).find(|&p| self.pin_val(vals, sites, g, p).good == Logic::X);
-            if let Some(pin) = pin {
-                if best.is_none_or(|(c, _, _)| co < c) {
-                    best = Some((co, g, pin));
-                }
+            let fanin = self.net.fanin(g).len();
+            if !(0..fanin).any(|p| self.pin_val(s, sites, g, p).is_d()) {
+                continue;
+            }
+            let co = self.report.observability(GateId::from_index(g as usize));
+            if best.is_some_and(|(c, _, _)| co >= c) {
+                continue;
+            }
+            // An X input pin to set to the noncontrolling value.
+            let Some(pin) = (0..fanin).find(|&p| self.pin_val(s, sites, g, p).good == Logic::X)
+            else {
+                continue;
+            };
+            if self.x_path_to_po(s, g) {
+                best = Some((co, g, pin));
             }
         }
-        let best = match best {
-            Some(b) => b,
+        let Some((_, g, pin)) = best else {
             // No frontier progress possible: excite another site if one
             // remains, else dead end.
-            None => return excitable,
+            return excitable;
         };
-        let (_, g, pin) = best;
-        let gate = self.netlist.gate(g);
-        let noncontrolling = match gate.kind().controlling_value() {
+        let noncontrolling = match self.net.kinds[g as usize].controlling_value() {
             Some(c) => !c,
             // XOR family: any known value propagates; aim for 0.
             None => false,
         };
-        let src = gate.inputs()[pin];
-        Some((src, noncontrolling))
-    }
-
-    /// Gates with a fault effect on an input and an undetermined output.
-    fn d_frontier(&self, vals: &[DVal], sites: &[Fault]) -> Vec<GateId> {
-        let mut out = Vec::new();
-        for (id, gate) in self.netlist.iter() {
-            if gate.kind().is_source() || !vals[id.index()].has_x() {
-                continue;
-            }
-            let has_d = (0..gate.fanin()).any(|p| self.pin_val(vals, sites, id, p).is_d());
-            if has_d {
-                out.push(id);
-            }
-        }
-        out
+        Some((self.net.fanin(g)[pin], noncontrolling))
     }
 
     /// Whether an X-path (gates with undetermined outputs) connects `from`
     /// to some primary output.
-    fn x_path_to_po(&self, vals: &[DVal], from: GateId) -> bool {
-        let mut seen = vec![false; self.netlist.gate_count()];
-        let mut stack = vec![from];
-        while let Some(g) = stack.pop() {
-            if seen[g.index()] {
-                continue;
-            }
-            seen[g.index()] = true;
-            if self.is_po[g.index()] {
+    fn x_path_to_po(&self, s: &mut Scratch, from: u32) -> bool {
+        let epoch = s.next_epoch();
+        s.stack.clear();
+        s.stack.push(from);
+        s.seen[from as usize] = epoch;
+        while let Some(g) = s.stack.pop() {
+            if self.net.is_po[g as usize] {
                 return true;
             }
-            for &(reader, _) in &self.fanout[g.index()] {
-                if !seen[reader.index()]
-                    && !self.netlist.gate(reader).kind().is_storage()
-                    && vals[reader.index()].has_x()
-                {
-                    stack.push(reader);
+            for &r in self.net.readers(g) {
+                let ri = r as usize;
+                if s.seen[ri] != epoch && s.vals[ri].has_x() {
+                    s.seen[ri] = epoch;
+                    s.stack.push(r);
                 }
             }
         }
@@ -558,67 +834,88 @@ impl<'n> Podem<'n> {
 
     /// Maps an objective `(net, value)` to a primary-input assignment by
     /// walking X-paths toward inputs, guided by SCOAP costs.
-    fn backtrace(&self, vals: &[DVal], mut net: GateId, mut v: bool) -> Option<(usize, bool)> {
+    fn backtrace(&self, vals: &[DVal], mut net: u32, mut v: bool) -> Option<(u32, bool)> {
+        let control = |g: u32, value: bool| {
+            self.report
+                .measure(GateId::from_index(g as usize))
+                .control(value)
+        };
         loop {
-            let gate = self.netlist.gate(net);
-            match gate.kind() {
-                GateKind::Input => {
-                    return Some((self.pi_index[&net], v));
-                }
+            let kind = self.net.kinds[net as usize];
+            match kind {
+                GateKind::Input => return Some((self.net.pi_pos[net as usize], v)),
                 GateKind::Const0 | GateKind::Const1 | GateKind::Dff => return None,
-                GateKind::Buf => net = gate.inputs()[0],
+                GateKind::Buf => net = self.net.fanin(net)[0],
                 GateKind::Not => {
                     v = !v;
-                    net = gate.inputs()[0];
+                    net = self.net.fanin(net)[0];
                 }
                 GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                    let c = gate.kind().controlling_value().expect("AND/OR family");
-                    let v_target = v != gate.kind().inverts();
-                    let x_inputs: Vec<GateId> = gate
-                        .inputs()
-                        .iter()
-                        .copied()
-                        .filter(|&s| vals[s.index()].good == Logic::X)
-                        .collect();
-                    if x_inputs.is_empty() {
-                        return None;
+                    let c = kind.controlling_value().expect("AND/OR family");
+                    // One controlling input suffices: take the first
+                    // easiest. Otherwise all inputs must be
+                    // noncontrolling: take the last hardest.
+                    let easy = (v != kind.inverts()) == c;
+                    let mut pick: Option<(u32, u32)> = None;
+                    for &src in self.net.fanin(net) {
+                        if vals[src as usize].good != Logic::X {
+                            continue;
+                        }
+                        let cost = control(src, if easy { c } else { !c });
+                        let better =
+                            pick.is_none_or(|(b, _)| if easy { cost < b } else { cost >= b });
+                        if better {
+                            pick = Some((cost, src));
+                        }
                     }
-                    let pick = if v_target == c {
-                        // One controlling input suffices: easiest.
-                        x_inputs
-                            .into_iter()
-                            .min_by_key(|&s| self.report.measure(s).control(c))
-                    } else {
-                        // All inputs must be noncontrolling: hardest first.
-                        x_inputs
-                            .into_iter()
-                            .max_by_key(|&s| self.report.measure(s).control(!c))
-                    };
-                    net = pick.expect("nonempty");
-                    v = v_target == c;
-                    v = if v { c } else { !c };
+                    net = pick?.1;
+                    v = if easy { c } else { !c };
                 }
                 GateKind::Xor | GateKind::Xnor => {
-                    let mut parity = gate.kind() == GateKind::Xnor;
+                    let mut parity = kind == GateKind::Xnor;
                     let mut pick = None;
-                    for &s in gate.inputs() {
-                        match vals[s.index()].good.to_bool() {
+                    for &src in self.net.fanin(net) {
+                        match vals[src as usize].good.to_bool() {
                             Some(b) => parity ^= b,
                             None => {
                                 if pick.is_none() {
-                                    pick = Some(s);
+                                    pick = Some(src);
                                 }
                             }
                         }
                     }
-                    let s = pick?;
-                    // Remaining X inputs (other than `s`) are treated as 0
-                    // by this heuristic; forward implication corrects us.
-                    net = s;
+                    // Remaining X inputs (other than the pick) are
+                    // treated as 0 by this heuristic; forward
+                    // implication corrects us.
+                    net = pick?;
                     v = v != parity;
                 }
             }
         }
+    }
+}
+
+impl Podem<'static> {
+    /// [`Podem::new`] over a netlist the solver takes ownership of, so
+    /// the solver carries no borrow and can live beside the netlist it
+    /// was built from — e.g. one warm solver per design revision in a
+    /// long-lived session.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LevelizeError`] on combinational cycles.
+    pub fn from_owned(netlist: Netlist, config: PodemConfig) -> Result<Self, LevelizeError> {
+        let net = Compiled::new(&netlist)?;
+        let report = analyze(&netlist)?;
+        let implic = config
+            .use_implications
+            .then(|| ImplicationEngine::from_owned(netlist, ImplicOptions::default()));
+        Ok(Podem {
+            net,
+            report,
+            config,
+            implic,
+        })
     }
 }
 
@@ -657,9 +954,130 @@ pub fn podem_observed(
 mod tests {
     use super::*;
     use dft_fault::{simulate, universe};
-    use dft_netlist::circuits::{c17, comparator, full_adder, majority, parity_tree};
+    use dft_netlist::circuits::{
+        binary_counter, c17, comparator, full_adder, majority, parity_tree, random_combinational,
+        shift_register,
+    };
     use dft_netlist::{Netlist, PortRef};
     use dft_sim::PatternSet;
+    use proptest::prelude::*;
+
+    /// The full-pass forward implication the event-driven one replaced:
+    /// every gate re-evaluated in level order from the assignment alone.
+    /// Kept only as the oracle the incremental values are checked
+    /// against.
+    fn full_forward(solver: &Podem<'_>, assign: &[Logic], sites: &[Fault]) -> Vec<DVal> {
+        let net = &solver.net;
+        let id = |g: u32| GateId::from_index(g as usize);
+        let output_sites = |g: u32, v: &mut DVal| {
+            for f in sites {
+                if f.site == PortRef::output(id(g)) {
+                    v.faulty = Logic::from(f.stuck);
+                }
+            }
+        };
+        let mut vals = vec![DVal::X; net.gate_count()];
+        for (i, &pi) in net.pi_gate.iter().enumerate() {
+            let mut v = DVal::known(assign[i]);
+            output_sites(pi, &mut v);
+            vals[pi as usize] = v;
+        }
+        for &g in &net.order {
+            let mut v = match net.kinds[g as usize] {
+                GateKind::Input => continue,
+                GateKind::Const0 => DVal::ZERO,
+                GateKind::Const1 => DVal::ONE,
+                GateKind::Dff => DVal::X,
+                kind => {
+                    let mut goods = Vec::new();
+                    let mut faulties = Vec::new();
+                    for (p, &src) in net.fanin(g).iter().enumerate() {
+                        let mut pv = vals[src as usize];
+                        for f in sites {
+                            if f.site == PortRef::input(id(g), p as u8) {
+                                pv.faulty = Logic::from(f.stuck);
+                            }
+                        }
+                        goods.push(pv.good);
+                        faulties.push(pv.faulty);
+                    }
+                    DVal {
+                        good: Logic::eval_gate(kind, &goods),
+                        faulty: Logic::eval_gate(kind, &faulties),
+                    }
+                }
+            };
+            output_sites(g, &mut v);
+            vals[g as usize] = v;
+        }
+        vals
+    }
+
+    /// Runs one search with the oracle checked after every forward
+    /// step, and checks the hooked search answers like a plain one.
+    fn search_checked(solver: &Podem<'_>, sites: &[Fault]) {
+        let full_pass = solver
+            .net
+            .kinds
+            .iter()
+            .filter(|&&k| k != GateKind::Input)
+            .count() as u64;
+        let mut steps = 0u64;
+        let checked = solver.search(sites, |s| {
+            steps += 1;
+            assert_eq!(
+                s.vals,
+                full_forward(solver, &s.assign, sites),
+                "incremental values diverge at step {steps} for {sites:?}"
+            );
+        });
+        assert_eq!(checked, solver.solve_any_of(sites));
+        let stats = checked.1;
+        assert_eq!(stats.forward_evals, steps);
+        assert!(steps == 0 || stats.gate_evals >= full_pass);
+        assert!(stats.gate_evals <= full_pass * steps);
+    }
+
+    #[test]
+    fn incremental_forward_matches_full_pass_on_unrolled_machines() {
+        // Time-frame expansion: storage sources in frame 0 and one
+        // fault replicated into every frame (multi-site searches).
+        for n in [shift_register(3), binary_counter(3)] {
+            let unrolled = crate::Unrolled::build(&n, 3).unwrap();
+            let solver = Podem::new(unrolled.netlist(), PodemConfig::default()).unwrap();
+            for f in universe(&n) {
+                let sites = unrolled.replicate_fault(f);
+                if !sites.is_empty() {
+                    search_checked(&solver, &sites);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// After every search step, the event-driven values equal a full
+        /// re-simulation of the current assignment — for single faults
+        /// and for a two-site fault, with and without implications.
+        #[test]
+        fn incremental_forward_matches_full_pass(
+            seed in 0u64..1000,
+            pick in any::<u64>(),
+            use_implications: bool,
+        ) {
+            let n = random_combinational(8, 40, seed);
+            let faults = universe(&n);
+            let config = PodemConfig::new().with_use_implications(use_implications);
+            let solver = Podem::new(&n, config).unwrap();
+            let k = faults.len() as u64;
+            let a = faults[(pick % k) as usize];
+            let b = faults[(pick / k % k) as usize];
+            for sites in [vec![a], vec![b], vec![a, b]] {
+                search_checked(&solver, &sites);
+            }
+        }
+    }
 
     /// Every generated cube must actually detect its fault (independent
     /// check through the fault simulator).

@@ -27,6 +27,8 @@
 //! itself is *unsettable* — the root fact behind every static
 //! untestability verdict in [`crate::UntestableReason`].
 
+use std::borrow::Cow;
+
 use dft_netlist::{GateId, GateKind, Netlist};
 use dft_obs::{Collector, Obs};
 use dft_sim::justify::forced_inputs;
@@ -282,9 +284,13 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
 /// A static implication engine over one netlist: direct implications,
 /// learned indirect implications, implied constants, and unsettable
 /// literals. Build once per netlist, query per fault or per assignment.
+///
+/// The engine borrows its netlist ([`ImplicationEngine::new`]) or owns
+/// it ([`ImplicationEngine::from_owned`]); an owning engine can be stored
+/// beside the netlist it was built from, e.g. in a long-lived session.
 #[derive(Debug)]
 pub struct ImplicationEngine<'n> {
-    netlist: &'n Netlist,
+    netlist: Cow<'n, Netlist>,
     pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
     pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
@@ -292,6 +298,15 @@ pub struct ImplicationEngine<'n> {
     unsettable: Vec<bool>,
     learned: Vec<Vec<Literal>>,
     stats: LearnStats,
+}
+
+impl ImplicationEngine<'static> {
+    /// [`ImplicationEngine::with_options`] over a netlist the engine takes
+    /// ownership of, so the engine carries no borrow.
+    #[must_use]
+    pub fn from_owned(netlist: Netlist, options: ImplicOptions) -> Self {
+        Self::build(Cow::Owned(netlist), options)
+    }
 }
 
 impl<'n> ImplicationEngine<'n> {
@@ -325,7 +340,7 @@ impl<'n> ImplicationEngine<'n> {
     ) -> Self {
         let mut obs = Obs::new(obs);
         obs.enter("implic.learn");
-        let engine = Self::build(netlist, options);
+        let engine = Self::build(Cow::Borrowed(netlist), options);
         obs.count("gates", netlist.gate_count() as u64);
         obs.count("rounds", engine.stats.rounds as u64);
         obs.count("learned_edges", engine.stats.learned_edges as u64);
@@ -338,7 +353,7 @@ impl<'n> ImplicationEngine<'n> {
         engine
     }
 
-    fn build(netlist: &'n Netlist, options: ImplicOptions) -> Self {
+    fn build(netlist: Cow<'n, Netlist>, options: ImplicOptions) -> Self {
         let n = netlist.gate_count();
         let fanout = netlist.fanout_map();
         let mut is_po = vec![false; n];
@@ -381,7 +396,7 @@ impl<'n> ImplicationEngine<'n> {
         engine.seed_structural_constants(&mut prop);
 
         // Dff outputs are never settable in the combinational view.
-        for (id, gate) in netlist.iter() {
+        for (id, gate) in engine.netlist.iter() {
             if gate.kind().is_storage() {
                 engine.unsettable[id.index() * 2] = true;
                 engine.unsettable[id.index() * 2 + 1] = true;
@@ -402,7 +417,7 @@ impl<'n> ImplicationEngine<'n> {
 
     fn ctx(&self) -> Ctx<'_> {
         Ctx {
-            netlist: self.netlist,
+            netlist: &self.netlist,
             fanout: &self.fanout,
             fixed: &self.fixed,
             definite: &self.definite,
@@ -412,7 +427,7 @@ impl<'n> ImplicationEngine<'n> {
 
     fn seed_structural_constants(&mut self, prop: &mut Prop) {
         let ctx = Ctx {
-            netlist: self.netlist,
+            netlist: &self.netlist,
             fanout: &self.fanout,
             fixed: &self.fixed,
             definite: &self.definite,
@@ -440,7 +455,7 @@ impl<'n> ImplicationEngine<'n> {
             return;
         }
         let ctx = Ctx {
-            netlist: self.netlist,
+            netlist: &self.netlist,
             fanout: &self.fanout,
             fixed: &self.fixed,
             definite: &self.definite,
@@ -488,7 +503,7 @@ impl<'n> ImplicationEngine<'n> {
                     continue;
                 }
                 let ctx = Ctx {
-                    netlist: self.netlist,
+                    netlist: &self.netlist,
                     fanout: &self.fanout,
                     fixed: &self.fixed,
                     definite: &self.definite,
@@ -571,8 +586,8 @@ impl<'n> ImplicationEngine<'n> {
 
     /// The netlist this engine analyzes.
     #[must_use]
-    pub fn netlist(&self) -> &'n Netlist {
-        self.netlist
+    pub fn netlist(&self) -> &Netlist {
+        &self.netlist
     }
 
     /// Build/learning counters.

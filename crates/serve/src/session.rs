@@ -3,9 +3,11 @@
 //! A [`DesignSession`] owns the netlist (inside its
 //! [`AnalysisCache`]) plus every expensive product the daemon can
 //! reuse across requests: the lint report, the compiled simulation
-//! [`Kernel`], the stuck-at universe with its implication-engine
-//! [`Prefilter`], the latest fault-simulation figures and the latest
-//! [`FaultDictionary`] (both keyed by their `(patterns, seed)` recipe).
+//! [`Kernel`], the stuck-at universe, one warm [`Podem`] solver per
+//! revision with the [`Prefilter`] computed from that solver's own
+//! implication engine, the latest fault-simulation figures and the
+//! latest [`FaultDictionary`] (both keyed by their `(patterns, seed)`
+//! recipe).
 //!
 //! Every artifact has two access paths, mirroring the `RwLock` the
 //! workspace wraps sessions in:
@@ -26,7 +28,7 @@ use std::sync::Arc;
 
 use dft_analyze::{AnalysisCache, NetlistDelta, INFINITE};
 use dft_atpg::{GenOutcome, Podem, PodemConfig};
-use dft_fault::{prefilter_untestable, universe, Fault, FaultDictionary, Ppsfp, Prefilter};
+use dft_fault::{prefilter_with, universe, Fault, FaultDictionary, Ppsfp, Prefilter};
 use dft_lint::{lint, LintReport, Severity};
 use dft_netlist::{GateId, LevelizeError, Netlist, PortRef};
 use dft_sim::{Kernel, PatternSet};
@@ -80,7 +82,10 @@ pub struct DesignSession {
     lint: Option<(LintReport, Arc<dft_json::Value>)>,
     kernel: Option<Kernel>,
     faults: Option<Vec<Fault>>,
-    prefilter: Option<Prefilter>,
+    /// The revision's PODEM solver (owning a copy of the netlist, so it
+    /// outlives no borrow) and the prefilter computed from its
+    /// implication engine: implication learning runs once per revision.
+    podem: Option<(Podem<'static>, Prefilter)>,
     fault_sim: Vec<(SimKey, FaultSimFigures)>,
     dictionary: Option<(SimKey, FaultDictionary, DictionaryFigures)>,
 }
@@ -123,7 +128,7 @@ impl DesignSession {
             lint: None,
             kernel: None,
             faults: None,
-            prefilter: None,
+            podem: None,
             fault_sim: Vec::new(),
             dictionary: None,
         })
@@ -216,8 +221,9 @@ impl DesignSession {
     }
 
     /// Runs PODEM for one fault using only warm support artifacts
-    /// (universe + prefilter + kernel). `None` means cold — retry on
-    /// the write path after [`DesignSession::warm_podem_support`].
+    /// (universe + solver + prefilter + kernel). `None` means cold —
+    /// retry on the write path after
+    /// [`DesignSession::warm_podem_support`].
     ///
     /// # Errors
     ///
@@ -230,15 +236,15 @@ impl DesignSession {
         stuck: bool,
     ) -> Option<Result<PodemRun, String>> {
         let faults = self.faults.as_ref()?;
-        let prefilter = self.prefilter.as_ref()?;
+        let podem = self.podem.as_ref()?;
         let kernel = self.kernel.as_ref()?;
-        Some(self.podem_with(faults, prefilter, kernel, gate, pin, stuck))
+        Some(self.podem_with(faults, podem, kernel, gate, pin, stuck))
     }
 
     /// Whether the PODEM support artifacts are all warm.
     #[must_use]
     pub fn podem_support_ready(&self) -> bool {
-        self.faults.is_some() && self.prefilter.is_some() && self.kernel.is_some()
+        self.faults.is_some() && self.podem.is_some() && self.kernel.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -308,14 +314,20 @@ impl DesignSession {
         (figures, true)
     }
 
-    /// Warms the PODEM support artifacts (universe, prefilter, kernel).
-    /// Returns `true` if anything had to be built.
+    /// Warms the PODEM support artifacts (universe, solver, prefilter,
+    /// kernel). Returns `true` if anything had to be built — once per
+    /// revision.
     pub fn warm_podem_support(&mut self) -> bool {
         let mut built = self.ensure_faults();
-        if self.prefilter.is_none() {
-            let netlist = self.cache.netlist();
+        if self.podem.is_none() {
+            let solver = Podem::from_owned(self.cache.netlist().clone(), PodemConfig::default())
+                .expect("session frame is acyclic by invariant");
+            let engine = solver
+                .implications()
+                .expect("the default PODEM config consults implications");
             let faults = self.faults.as_ref().expect("just ensured");
-            self.prefilter = Some(prefilter_untestable(netlist, faults));
+            let prefilter = prefilter_with(engine, faults);
+            self.podem = Some((solver, prefilter));
             built = true;
         }
         if self.kernel.is_none() {
@@ -352,7 +364,7 @@ impl DesignSession {
             self.lint = None;
             self.kernel = None;
             self.faults = None;
-            self.prefilter = None;
+            self.podem = None;
             self.fault_sim.clear();
             self.dictionary = None;
         }
@@ -419,7 +431,7 @@ impl DesignSession {
     fn podem_with(
         &self,
         faults: &[Fault],
-        prefilter: &Prefilter,
+        (solver, prefilter): &(Podem<'static>, Prefilter),
         kernel: &Kernel,
         gate: usize,
         pin: Option<u32>,
@@ -466,9 +478,7 @@ impl DesignSession {
             }
         }
 
-        let podem = Podem::new(netlist, PodemConfig::default())
-            .expect("session frame is acyclic by invariant");
-        let (outcome, stats) = podem.solve(fault);
+        let (outcome, stats) = solver.solve(fault);
         let (verdict, cube, response) = match &outcome {
             GenOutcome::Test(cube) => {
                 let text: String = cube
@@ -641,6 +651,72 @@ mod tests {
         // Bad sites are structured errors, not panics.
         assert!(s.try_podem(9999, None, true).unwrap().is_err());
         assert!(s.try_podem(8, Some(77), true).unwrap().is_err());
+    }
+
+    /// Every PODEM answer the session gives for `s`'s current netlist:
+    /// each gate's output and input pins, both polarities.
+    fn all_podem_runs(s: &DesignSession) -> Vec<PodemRun> {
+        let mut runs = Vec::new();
+        for (id, gate) in s.netlist().iter() {
+            let pins = std::iter::once(None).chain((0..gate.fanin() as u32).map(Some));
+            for pin in pins {
+                for stuck in [false, true] {
+                    let run = s.try_podem(id.index(), pin, stuck).expect("warm");
+                    runs.push(run.expect("valid site"));
+                }
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn one_warm_solver_per_revision() {
+        let mut s = DesignSession::new(&circuits::redundant_fixture()).unwrap();
+        assert!(s.warm_podem_support(), "revision 0 builds the solver");
+        assert!(!s.warm_podem_support(), "and reuses it");
+        let before = all_podem_runs(&s);
+        assert!(before.iter().any(|r| r.prefiltered));
+        assert!(!s.warm_podem_support(), "requests never rebuild it");
+
+        // The reused solver answers exactly like a solver built per
+        // request (the pre-reuse behaviour).
+        let fresh = Podem::new(s.netlist(), PodemConfig::default()).unwrap();
+        for f in universe(s.netlist()) {
+            let run = s
+                .try_podem(f.site.gate.index(), pin_of(f), f.stuck)
+                .unwrap()
+                .unwrap();
+            if !run.prefiltered {
+                let (outcome, stats) = fresh.solve(f);
+                assert_eq!(run.backtracks, u64::from(stats.backtracks), "{f}");
+                assert_eq!(run.cube.is_some(), outcome.cube().is_some(), "{f}");
+            }
+        }
+
+        // An ECO drops the warm solver; the next revision builds one.
+        let outcome = s.apply_eco(&[EcoEdit::AddGate {
+            kind: "and".into(),
+            inputs: vec![0, 1],
+        }]);
+        assert_eq!(outcome.applied, 1);
+        assert!(!s.podem_support_ready());
+        assert!(s.try_podem(0, None, false).is_none());
+        assert!(s.warm_podem_support(), "revision 1 builds its own solver");
+        assert!(!s.warm_podem_support());
+
+        // Its answers equal a fresh session's on the edited netlist.
+        let mut reference = DesignSession::new(s.netlist()).unwrap();
+        assert!(reference.warm_podem_support());
+        let after = all_podem_runs(&s);
+        assert_eq!(after, all_podem_runs(&reference));
+        assert!(after.len() > before.len(), "the edit added fault sites");
+    }
+
+    fn pin_of(f: Fault) -> Option<u32> {
+        match f.site.pin {
+            dft_netlist::Pin::Output => None,
+            dft_netlist::Pin::Input(p) => Some(u32::from(p)),
+        }
     }
 
     #[test]

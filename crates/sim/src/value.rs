@@ -55,42 +55,36 @@ impl Logic {
     /// Panics if `inputs` is empty for a kind that requires fan-in.
     #[must_use]
     pub fn eval_gate(kind: GateKind, inputs: &[Logic]) -> Logic {
+        Logic::eval_iter(kind, inputs.iter().copied())
+    }
+
+    /// [`Logic::eval_gate`] over any input sequence, so a caller reading
+    /// pins out of a flat fan-in table (or through a per-pin override)
+    /// need not collect them into a slice first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty for a kind that requires fan-in.
+    #[must_use]
+    pub fn eval_iter(kind: GateKind, inputs: impl IntoIterator<Item = Logic>) -> Logic {
+        let mut inputs = inputs.into_iter();
+        let and = |acc: Logic, v: Logic| acc & v;
+        let or = |acc: Logic, v: Logic| acc | v;
+        let xor = |acc: Logic, v: Logic| acc ^ v;
         match kind {
             GateKind::Const0 => Logic::Zero,
             GateKind::Const1 => Logic::One,
-            GateKind::Input | GateKind::Buf | GateKind::Dff => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => Logic::fold_and(inputs),
-            GateKind::Nand => !Logic::fold_and(inputs),
-            GateKind::Or => Logic::fold_or(inputs),
-            GateKind::Nor => !Logic::fold_or(inputs),
-            GateKind::Xor => Logic::fold_xor(inputs),
-            GateKind::Xnor => !Logic::fold_xor(inputs),
+            GateKind::Input | GateKind::Buf | GateKind::Dff => {
+                inputs.next().expect("gate kind requires fan-in")
+            }
+            GateKind::Not => !inputs.next().expect("gate kind requires fan-in"),
+            GateKind::And => inputs.fold(Logic::One, and),
+            GateKind::Nand => !inputs.fold(Logic::One, and),
+            GateKind::Or => inputs.fold(Logic::Zero, or),
+            GateKind::Nor => !inputs.fold(Logic::Zero, or),
+            GateKind::Xor => inputs.fold(Logic::Zero, xor),
+            GateKind::Xnor => !inputs.fold(Logic::Zero, xor),
         }
-    }
-
-    fn fold_and(inputs: &[Logic]) -> Logic {
-        let mut acc = Logic::One;
-        for &v in inputs {
-            acc = acc & v;
-        }
-        acc
-    }
-
-    fn fold_or(inputs: &[Logic]) -> Logic {
-        let mut acc = Logic::Zero;
-        for &v in inputs {
-            acc = acc | v;
-        }
-        acc
-    }
-
-    fn fold_xor(inputs: &[Logic]) -> Logic {
-        let mut acc = Logic::Zero;
-        for &v in inputs {
-            acc = acc ^ v;
-        }
-        acc
     }
 }
 

@@ -60,12 +60,14 @@ fn podem_counters_match_solve_stats_on_c17() {
     let solver = Podem::new(&n, PodemConfig::default()).unwrap();
     let mut rec = Recorder::new();
     let (mut backtracks, mut forward_evals, mut conflicts) = (0u64, 0u64, 0u64);
+    let mut gate_evals = 0u64;
     let mut tests = 0u64;
     for &f in &faults {
         let (outcome, stats) = solver.solve_with(f, Some(&mut rec));
         backtracks += u64::from(stats.backtracks);
         forward_evals += stats.forward_evals;
         conflicts += u64::from(stats.implication_conflicts);
+        gate_evals += stats.gate_evals;
         if matches!(outcome, GenOutcome::Test(_)) {
             tests += 1;
         }
@@ -80,6 +82,12 @@ fn podem_counters_match_solve_stats_on_c17() {
     assert_eq!(root.counter_total("backtracks"), backtracks);
     assert_eq!(root.counter_total("forward_evals"), forward_evals);
     assert_eq!(root.counter_total("implication_conflicts"), conflicts);
+    assert_eq!(root.counter_total("gate_evals"), gate_evals);
+    // The event-driven forward's work, pinned: the first step of each
+    // search evaluates all 6 NAND gates, later steps only the gates the
+    // reassigned inputs' events reach — fewer than a full pass per step.
+    assert_eq!(gate_evals, 653);
+    assert!(gate_evals < 6 * forward_evals);
     assert_eq!(root.counter_total("tests"), tests);
     // c17 has no redundant logic and is tiny: every fault gets a test.
     assert_eq!(tests, faults.len() as u64);
