@@ -14,7 +14,7 @@
 use std::process::ExitCode;
 
 use dft_bench::cli::{envelope, Format, ToolExit};
-use dft_bench::{circuit_menu, print_table, resolve_circuit};
+use dft_bench::{circuit_menu, circuit_names, print_table, resolve_circuit};
 use dft_lint::LintConfig;
 use dft_netlist::{bench_format, Netlist};
 use dft_obs::Recorder;
@@ -26,8 +26,9 @@ tessera-fix: lint-driven testability repair autopilot
 USAGE:
     tessera-fix [OPTIONS] [CIRCUIT]...
 
-Each CIRCUIT is a built-in name (see --list-circuits) or a path to a
-.bench netlist file. Defaults to the full built-in set.
+Each CIRCUIT is a built-in or benchmark-roster name (see
+--list-circuits) or a path to a .bench netlist file. Defaults to the
+full built-in set.
 
 OPTIONS:
     --format <text|json>    summary format (default text)
@@ -45,7 +46,7 @@ OPTIONS:
     --co-limit <N>          hard-to-observe lint threshold (default 250)
     --require-improvement   exit 1 unless every target circuit ends with
                             strictly better coverage than its baseline
-    --list-circuits         print the built-in circuit names and exit
+    --list-circuits         print the loadable circuit names and exit
     -h, --help              print this help
 
 EXIT CODES: 0 done, 1 --require-improvement unmet, 2 usage error.
@@ -90,7 +91,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 return Ok(None);
             }
             "--list-circuits" => {
-                for (name, _) in circuit_menu() {
+                for name in circuit_names() {
                     println!("{name}");
                 }
                 return Ok(None);

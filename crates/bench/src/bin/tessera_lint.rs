@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 
 use dft_bench::cli::{envelope, Format, ToolExit};
-use dft_bench::{circuit_menu, resolve_circuit};
+use dft_bench::{circuit_menu, circuit_names, resolve_circuit};
 use dft_lint::{LintConfig, LintReport, Registry, SeverityOverrides};
 use dft_netlist::Netlist;
 use dft_scan::{insert_scan, lint_scan_design, RuleConfig, ScanConfig, ScanStyle};
@@ -23,13 +23,14 @@ tessera-lint: netlist-wide DFT design-rule checker
 USAGE:
     tessera-lint [OPTIONS] [CIRCUIT]...
 
-Each CIRCUIT is a built-in name (see --list-circuits) or a path to a
-.bench netlist file. Defaults to the full built-in set.
+Each CIRCUIT is a built-in or benchmark-roster name (see
+--list-circuits) or a path to a .bench netlist file. Defaults to the
+full built-in set.
 
 OPTIONS:
     --format <text|json>   output format (default text)
     --list-rules           print the rule set and exit
-    --list-circuits        print the built-in circuit names and exit
+    --list-circuits        print the loadable circuit names and exit
     --max-depth <N>        deep-logic bound (default 50)
     --max-fanout <N>       excessive-fanout bound (default 24)
     --cc-limit <N>         hard-to-control threshold (default 250)
@@ -93,7 +94,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 return Ok(None);
             }
             "--list-circuits" => {
-                for (name, _) in circuit_menu() {
+                for name in circuit_names() {
                     println!("{name}");
                 }
                 return Ok(None);

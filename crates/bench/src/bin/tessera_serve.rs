@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dft_bench::cli::ToolExit;
-use dft_bench::{circuit_menu, resolve_serve_circuit, SERVE_ROSTER};
+use dft_bench::{circuit_names, resolve_circuit};
 use dft_serve::{serve, LoadError, Request, Response, ServerConfig, Service};
 
 const USAGE: &str = "\
@@ -67,10 +67,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 return Ok(None);
             }
             "--list-circuits" => {
-                for (name, _) in circuit_menu() {
-                    println!("{name}");
-                }
-                for (name, ..) in SERVE_ROSTER {
+                for name in circuit_names() {
                     println!("{name}");
                 }
                 return Ok(None);
@@ -103,7 +100,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     };
 
     let service = Arc::new(Service::new(Box::new(|name: &str| {
-        resolve_serve_circuit(name).map_err(|e| LoadError {
+        resolve_circuit(name).map_err(|e| LoadError {
             message: e.message,
             available: e.available,
         })

@@ -46,6 +46,15 @@ pub fn circuit_menu() -> Vec<CircuitEntry> {
     ]
 }
 
+/// Every name [`resolve_circuit`] accepts without a file: the built-in
+/// menu, then the benchmark roster.
+pub fn circuit_names() -> impl Iterator<Item = &'static str> {
+    circuit_menu()
+        .into_iter()
+        .map(|(n, _)| n)
+        .chain(SERVE_ROSTER.iter().map(|(n, ..)| *n))
+}
+
 /// A failed circuit lookup, with enough structure for a tool (or the
 /// daemon's `/load` endpoint) to tell the caller what *would* have
 /// worked.
@@ -68,10 +77,7 @@ impl ResolveError {
             message: format!(
                 "unknown circuit '{name}' (not a built-in, not a file; try --list-circuits)"
             ),
-            available: circuit_menu()
-                .iter()
-                .map(|(n, _)| (*n).to_owned())
-                .collect(),
+            available: circuit_names().map(str::to_owned).collect(),
         }
     }
 
@@ -98,10 +104,17 @@ impl From<ResolveError> for String {
     }
 }
 
-/// Resolves a target circuit the way every `tessera-*` CLI does: a
-/// built-in menu name first, then a scaled-generator spec, then a path
-/// to a `.bench` or `.blif` netlist file (chosen by extension;
-/// anything that isn't `.blif` goes through the `.bench` parser).
+/// Resolves a target circuit the way every `tessera-*` tool and the
+/// daemon's `/load` endpoint do: a built-in menu name first, then a
+/// benchmark-roster name ([`SERVE_ROSTER`]), then a scaled-generator
+/// spec, then a path to a `.bench` or `.blif` netlist file (chosen by
+/// extension; anything that isn't `.blif` goes through the `.bench`
+/// parser).
+///
+/// A roster name such as `rand_15x140` builds the benchmark's random
+/// circuit with its fixed seed, named after the roster entry so
+/// follow-up requests can address the design by the name they loaded it
+/// under.
 ///
 /// A scaled-generator spec has the shape `layered_<inputs>x<gates>`
 /// with an optional `k`/`m` suffix on the gate count —
@@ -113,11 +126,16 @@ impl From<ResolveError> for String {
 /// # Errors
 ///
 /// [`ResolveError`] when `name` is none of the above or loading fails;
-/// for an unrecognized name the error carries the full menu in
-/// `available`.
+/// for an unrecognized name the error carries the menu and the roster
+/// in `available`.
 pub fn resolve_circuit(name: &str) -> Result<Netlist, ResolveError> {
     if let Some((_, build)) = circuit_menu().into_iter().find(|(n, _)| *n == name) {
         return Ok(build());
+    }
+    if let Some(&(_, inputs, gates, seed)) = SERVE_ROSTER.iter().find(|(n, ..)| *n == name) {
+        let mut netlist = circuits::random_combinational(inputs, gates, seed);
+        netlist.set_name(name);
+        return Ok(netlist);
     }
     if let Some(netlist) = resolve_layered_spec(name) {
         return Ok(netlist);
@@ -172,8 +190,8 @@ fn parse_scaled_count(s: &str) -> Option<usize> {
 }
 
 /// The benchmark-roster random circuits (`rand_<inputs>x<gates>`) with
-/// their fixed seeds — the names `tessera-bench` reports under, also
-/// loadable by name in the daemon so stress results line up with the
+/// their fixed seeds — the names `tessera-bench` reports under, loadable
+/// by name in every tool and the daemon so results line up with the
 /// offline benchmarks.
 pub const SERVE_ROSTER: [(&str, usize, usize, u64); 7] = [
     ("rand_12x80", 12, 80, 9),
@@ -184,32 +202,6 @@ pub const SERVE_ROSTER: [(&str, usize, usize, u64); 7] = [
     ("rand_24x2000", 24, 2000, 7),
     ("rand_28x6000", 28, 6000, 8),
 ];
-
-/// [`resolve_circuit`] extended with the benchmark-roster random
-/// circuits: the resolver behind `tessera-serve --preload` and the
-/// daemon's `/load` endpoint.
-///
-/// # Errors
-///
-/// [`ResolveError`] as for [`resolve_circuit`], with the roster names
-/// appended to `available` on an unknown name.
-pub fn resolve_serve_circuit(name: &str) -> Result<Netlist, ResolveError> {
-    if let Some(&(_, inputs, gates, seed)) = SERVE_ROSTER.iter().find(|(n, ..)| *n == name) {
-        let mut netlist = circuits::random_combinational(inputs, gates, seed);
-        // Serve the roster name, not the generator's parameter string,
-        // so follow-up requests can address the design by the name they
-        // loaded it under.
-        netlist.set_name(name);
-        return Ok(netlist);
-    }
-    resolve_circuit(name).map_err(|mut e| {
-        if !e.available.is_empty() {
-            e.available
-                .extend(SERVE_ROSTER.iter().map(|(n, ..)| (*n).to_owned()));
-        }
-        e
-    })
-}
 
 /// Prints an aligned text table (the format every experiment binary
 /// reports in).
@@ -282,15 +274,19 @@ mod tests {
         assert!(err.message.contains("no-such-circuit"));
         assert!(err.available.iter().any(|n| n == "c17"));
         assert!(err.available.iter().any(|n| n == "sn74181"));
-        let err = resolve_serve_circuit("no-such-circuit").unwrap_err();
         assert!(err.available.iter().any(|n| n == "rand_24x2000"));
     }
 
     #[test]
-    fn serve_resolver_builds_roster_circuits() {
-        let n = resolve_serve_circuit("rand_16x300").unwrap();
+    fn resolver_builds_roster_circuits() {
+        let n = resolve_circuit("rand_16x300").unwrap();
         assert_eq!(n.primary_inputs().len(), 16);
-        assert_eq!(resolve_serve_circuit("c17").unwrap().name(), "c17");
+        assert_eq!(n.name(), "rand_16x300");
+        let bench = resolve_circuit("rand_15x140").unwrap();
+        assert_eq!(
+            bench.gate_count(),
+            circuits::random_combinational(15, 140, 6).gate_count()
+        );
     }
 
     #[test]

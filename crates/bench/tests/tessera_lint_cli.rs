@@ -61,6 +61,21 @@ fn default_run_covers_the_library_without_errors() {
 }
 
 #[test]
+fn roster_circuits_resolve_by_name() {
+    let out = bin()
+        .args(["--format", "json", "rand_15x140"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let s = String::from_utf8(out.stdout).unwrap();
+    assert!(s.contains("\"design\": \"rand_15x140\""), "{s}");
+    let listed = bin().arg("--list-circuits").output().expect("binary runs");
+    let names = String::from_utf8(listed.stdout).unwrap();
+    assert!(names.lines().any(|l| l == "rand_15x140"), "{names}");
+    assert!(names.lines().any(|l| l == "c17"), "{names}");
+}
+
+#[test]
 fn unknown_circuit_is_a_usage_error() {
     let out = bin().arg("no-such-circuit").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));

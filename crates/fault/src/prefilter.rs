@@ -120,13 +120,16 @@ pub fn prefilter_untestable(netlist: &Netlist, faults: &[Fault]) -> Prefilter {
 }
 
 /// Like [`prefilter_untestable`], reusing an existing engine (learning is
-/// the expensive part; amortize it across consumers).
+/// the expensive part; amortize it across consumers). The verdicts come
+/// from one [`ImplicationEngine::faults_untestable`] batch: one
+/// propagation per distinct excitation literal, not one per fault.
 #[must_use]
 pub fn prefilter_with(engine: &ImplicationEngine<'_>, faults: &[Fault]) -> Prefilter {
-    let verdicts = faults
+    let sites: Vec<_> = faults
         .iter()
-        .map(|f| engine.fault_untestable(f.site.gate, f.site.pin, f.stuck))
+        .map(|f| (f.site.gate, f.site.pin, f.stuck))
         .collect();
+    let verdicts = engine.faults_untestable(&sites);
     Prefilter {
         faults: faults.to_vec(),
         verdicts,

@@ -14,7 +14,7 @@
 //!
 //! * forward gate evaluation ([`Logic::eval_gate`] — monotone in the
 //!   Kleene order, so known consequences of known premises are exact);
-//! * backward justification ([`forced_inputs`] — necessary conditions
+//! * backward justification ([`forced_inputs_into`] — necessary conditions
 //!   only, never choices);
 //! * learned edges, applied only when **both** endpoints are *definite*
 //!   nets (no storage element anywhere in the transitive fanin cone).
@@ -31,7 +31,7 @@ use std::borrow::Cow;
 
 use dft_netlist::{GateId, GateKind, Netlist};
 use dft_obs::{Collector, Obs};
-use dft_sim::justify::forced_inputs;
+use dft_sim::justify::forced_inputs_into;
 use dft_sim::Logic;
 
 /// One signed net: the assertion `net = value`.
@@ -118,6 +118,13 @@ pub struct LearnStats {
     pub unsettable_literals: usize,
     /// Nets fixed to a constant by the implication closure.
     pub implied_constants: usize,
+    /// Propagation fixpoints the build ran: one per literal per round
+    /// whose row could not be reused, plus one per implied-constant
+    /// closure.
+    pub propagations: usize,
+    /// Literal propagations skipped because the literal's previous row
+    /// provably repeats (see [`ImplicationEngine::with_options`]).
+    pub rows_reused: usize,
 }
 
 /// The result of propagating one seed literal to a fixpoint.
@@ -141,19 +148,20 @@ impl Implications {
 
 /// Reusable event-driven propagation scratch (epoch-stamped so repeated
 /// runs need no clearing).
-struct Prop {
+pub(crate) struct Prop {
     val: Vec<Logic>,
     stamp: Vec<u32>,
     queued: Vec<u32>,
-    epoch: u32,
+    pub(crate) epoch: u32,
     trail: Vec<u32>,
     gates: Vec<u32>,
     pending: Vec<(u32, bool)>,
     ins: Vec<Logic>,
+    forced: Vec<(usize, Logic)>,
 }
 
 impl Prop {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Prop {
             val: vec![Logic::X; n],
             stamp: vec![0; n],
@@ -163,10 +171,23 @@ impl Prop {
             gates: Vec::new(),
             pending: Vec::new(),
             ins: Vec::new(),
+            forced: Vec::new(),
         }
     }
 
-    fn get(&self, fixed: &[Logic], i: usize) -> Logic {
+    /// Test hook: every stamp at epoch 1 with a junk value, and the
+    /// odometer at the end of its lap.
+    #[cfg(test)]
+    pub(crate) fn stale_lap(&mut self) {
+        self.val.fill(Logic::One);
+        self.stamp.fill(1);
+        self.queued.fill(1);
+        self.epoch = u32::MAX;
+    }
+
+    /// The value of net `i` in the last propagation: its propagated
+    /// value, or the global default from `fixed`.
+    pub(crate) fn get(&self, fixed: &[Logic], i: usize) -> Logic {
         if self.stamp[i] == self.epoch {
             self.val[i]
         } else {
@@ -176,7 +197,7 @@ impl Prop {
 }
 
 /// Borrowed view of everything propagation reads.
-struct Ctx<'a> {
+pub(crate) struct Ctx<'a> {
     netlist: &'a Netlist,
     fanout: &'a [Vec<(GateId, u8)>],
     fixed: &'a [Logic],
@@ -187,7 +208,11 @@ struct Ctx<'a> {
 /// Propagates `seeds` to a fixpoint. `Err(net)` reports the net where a
 /// contradiction surfaced (the seed set is unsatisfiable); on `Ok` the
 /// consequences are on `prop.trail`.
-fn propagate(ctx: &Ctx<'_>, prop: &mut Prop, seeds: &[(u32, bool)]) -> Result<(), GateId> {
+pub(crate) fn propagate(
+    ctx: &Ctx<'_>,
+    prop: &mut Prop,
+    seeds: &[(u32, bool)],
+) -> Result<(), GateId> {
     begin_epoch(prop);
     prop.pending.extend_from_slice(seeds);
     drain(ctx, prop)
@@ -272,7 +297,8 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
             prop.pending.push((g, b));
         }
         if let Some(ob) = prop.get(ctx.fixed, gi).to_bool() {
-            for (pin, fv) in forced_inputs(kind, ob, &prop.ins) {
+            forced_inputs_into(kind, ob, &prop.ins, &mut prop.forced);
+            for &(pin, fv) in &prop.forced {
                 let src = gate.inputs()[pin];
                 let fb = fv.to_bool().expect("forced values are known");
                 prop.pending.push((src.index() as u32, fb));
@@ -294,7 +320,7 @@ pub struct ImplicationEngine<'n> {
     pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
     pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
-    fixed: Vec<Logic>,
+    pub(crate) fixed: Vec<Logic>,
     unsettable: Vec<bool>,
     learned: Vec<Vec<Literal>>,
     stats: LearnStats,
@@ -319,6 +345,13 @@ impl<'n> ImplicationEngine<'n> {
     /// Builds the engine: seeds global constants, then runs
     /// assign–propagate–contrapose learning rounds until no round adds
     /// an edge (or `options.learning_rounds` is exhausted).
+    ///
+    /// Rounds are incremental. A literal's propagation reads only the
+    /// global constants and the learned edges whose premises it assigns,
+    /// so it repeats its previous round exactly when no constant was
+    /// added since its row was computed and no literal on its previous
+    /// trail gained an edge in the round just finished. Such rows are
+    /// kept rather than propagated again ([`LearnStats::rows_reused`]).
     #[must_use]
     pub fn with_options(netlist: &'n Netlist, options: ImplicOptions) -> Self {
         Self::with_options_observed(netlist, options, None)
@@ -329,9 +362,9 @@ impl<'n> ImplicationEngine<'n> {
     ///
     /// Opens an `implic.learn` span and flushes the [`LearnStats`]
     /// counters once the build completes (`rounds`, `learned_edges`,
-    /// `unsettable_literals`, `implied_constants`, plus `gates` for
-    /// scale); the legacy [`ImplicationEngine::stats`] view is
-    /// unchanged.
+    /// `unsettable_literals`, `implied_constants`, `propagations`,
+    /// `rows_reused`, plus `gates` for scale); the legacy
+    /// [`ImplicationEngine::stats`] view is unchanged.
     #[must_use]
     pub fn with_options_observed(
         netlist: &'n Netlist,
@@ -349,11 +382,23 @@ impl<'n> ImplicationEngine<'n> {
             engine.stats.unsettable_literals as u64,
         );
         obs.count("implied_constants", engine.stats.implied_constants as u64);
+        obs.count("propagations", engine.stats.propagations as u64);
+        obs.count("rows_reused", engine.stats.rows_reused as u64);
         obs.exit();
         engine
     }
 
     fn build(netlist: Cow<'n, Netlist>, options: ImplicOptions) -> Self {
+        Self::build_using(netlist, options, Self::learn)
+    }
+
+    /// [`ImplicationEngine::build`] with the learning pass supplied, so
+    /// tests can build the same engine through a reference pass.
+    fn build_using(
+        netlist: Cow<'n, Netlist>,
+        options: ImplicOptions,
+        learn: fn(&mut Self, &mut Prop, usize),
+    ) -> Self {
         let n = netlist.gate_count();
         let fanout = netlist.fanout_map();
         let mut is_po = vec![false; n];
@@ -404,10 +449,10 @@ impl<'n> ImplicationEngine<'n> {
         }
 
         if n <= options.learn_gate_limit {
-            engine.learn(&mut prop, options.learning_rounds);
+            learn(&mut engine, &mut prop, options.learning_rounds);
         } else {
             // Still harvest unsettables/constants from one direct round.
-            engine.learn(&mut prop, 0);
+            learn(&mut engine, &mut prop, 0);
         }
 
         engine.stats.unsettable_literals = engine.unsettable.iter().filter(|&&u| u).count();
@@ -415,7 +460,7 @@ impl<'n> ImplicationEngine<'n> {
         engine
     }
 
-    fn ctx(&self) -> Ctx<'_> {
+    pub(crate) fn ctx(&self) -> Ctx<'_> {
         Ctx {
             netlist: &self.netlist,
             fanout: &self.fanout,
@@ -454,6 +499,7 @@ impl<'n> ImplicationEngine<'n> {
         if self.fixed[net].is_known() {
             return;
         }
+        self.stats.propagations += 1;
         let ctx = Ctx {
             netlist: &self.netlist,
             fanout: &self.fanout,
@@ -481,14 +527,22 @@ impl<'n> ImplicationEngine<'n> {
         // harvesting unsettables and implied constants. Rounds 1..:
         // additionally contrapose the implication rows into learned
         // edges and go again, now propagating *through* them.
-        for round in 0..=rounds {
-            let mut rows: Vec<u64> = if round < rounds {
-                vec![0; nlit * words]
-            } else {
-                Vec::new()
-            };
-            let mut row_valid = vec![false; nlit];
+        //
+        // The rows live across rounds. A row is valid while its literal
+        // propagates consistently; it stays current while no constant is
+        // added (`row_rev` against `fixed_rev`) and none of its trail
+        // literals is the premise of a freshly learned edge (`fresh`).
+        let mut rows: Vec<u64> = if rounds > 0 {
+            vec![0; nlit * words]
+        } else {
+            Vec::new()
+        };
+        let mut row_valid = vec![false; nlit];
+        let mut row_rev = vec![0usize; nlit];
+        let mut fixed_rev = 0usize;
+        let mut fresh = vec![0u64; words];
 
+        for round in 0..=rounds {
             for lit in 0..nlit {
                 let net = lit / 2;
                 let value = lit % 2 == 1;
@@ -500,16 +554,143 @@ impl<'n> ImplicationEngine<'n> {
                         self.unsettable[lit] = true;
                     }
                     // Constant literals imply nothing worth learning.
+                    row_valid[lit] = false;
                     continue;
                 }
-                let ctx = Ctx {
-                    netlist: &self.netlist,
-                    fanout: &self.fanout,
-                    fixed: &self.fixed,
-                    definite: &self.definite,
-                    learned: &self.learned,
-                };
-                match propagate(&ctx, prop, &[(net as u32, value)]) {
+                if row_valid[lit] && row_rev[lit] == fixed_rev {
+                    let row = &rows[lit * words..(lit + 1) * words];
+                    if row.iter().zip(&fresh).all(|(r, f)| r & f == 0) {
+                        self.stats.rows_reused += 1;
+                        continue;
+                    }
+                }
+                self.stats.propagations += 1;
+                let outcome = propagate(&self.ctx(), prop, &[(net as u32, value)]);
+                match outcome {
+                    Err(_) => {
+                        self.unsettable[lit] = true;
+                        row_valid[lit] = false;
+                        if self.definite[net] {
+                            self.add_constant(prop, net, !value);
+                            fixed_rev += 1;
+                        }
+                    }
+                    Ok(()) => {
+                        if rounds > 0 {
+                            row_valid[lit] = true;
+                            row_rev[lit] = fixed_rev;
+                            let row = &mut rows[lit * words..(lit + 1) * words];
+                            row.fill(0);
+                            for &i in &prop.trail {
+                                let t = i as usize * 2
+                                    + usize::from(prop.val[i as usize] == Logic::One);
+                                row[t / 64] |= 1 << (t % 64);
+                            }
+                        }
+                    }
+                }
+            }
+            if round == rounds {
+                break;
+            }
+
+            fresh.fill(0);
+            let added = self.contrapose(&rows, &row_valid, |premise| {
+                fresh[premise / 64] |= 1 << (premise % 64);
+            });
+            self.stats.rounds = round + 1;
+            self.stats.learned_edges += added;
+            if added == 0 {
+                break;
+            }
+        }
+    }
+
+    /// Contraposes the implication rows: L → M learns ¬M → ¬L, kept only
+    /// when it is *indirect* (¬M's own row does not already contain ¬L)
+    /// and both endpoints are definite nets (see the module docs for why
+    /// the contrapositive needs that). Reports each new edge's premise
+    /// to `learned_on` and returns the number of edges added.
+    fn contrapose(
+        &mut self,
+        rows: &[u64],
+        row_valid: &[bool],
+        mut learned_on: impl FnMut(usize),
+    ) -> usize {
+        let words = row_valid.len().div_ceil(64);
+        let mut added = 0usize;
+        for lit in 0..row_valid.len() {
+            if !row_valid[lit] {
+                continue;
+            }
+            let src = Literal::from_index(lit);
+            if !self.definite[src.net.index()] {
+                continue;
+            }
+            for w in 0..words {
+                let mut bits = rows[lit * words + w];
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let m = w * 64 + b;
+                    if m == lit {
+                        continue;
+                    }
+                    let tgt = Literal::from_index(m);
+                    if !self.definite[tgt.net.index()] {
+                        continue;
+                    }
+                    let not_m = m ^ 1;
+                    let not_l = lit ^ 1;
+                    if !row_valid[not_m] {
+                        continue; // premise unsettable or constant
+                    }
+                    if rows[not_m * words + not_l / 64] & (1 << (not_l % 64)) != 0 {
+                        continue; // already directly derivable
+                    }
+                    let edge = Literal::from_index(not_l);
+                    if self.learned[not_m].contains(&edge) {
+                        continue;
+                    }
+                    self.learned[not_m].push(edge);
+                    learned_on(not_m);
+                    added += 1;
+                }
+            }
+        }
+        added
+    }
+
+    /// The learning pass before rows were reused: every literal is
+    /// propagated again in every round, into a freshly allocated matrix.
+    /// Kept as the oracle the incremental pass is checked against.
+    #[cfg(test)]
+    fn learn_full_rounds(&mut self, prop: &mut Prop, rounds: usize) {
+        let n = self.netlist.gate_count();
+        let nlit = 2 * n;
+        let words = nlit.div_ceil(64);
+        for round in 0..=rounds {
+            let mut rows: Vec<u64> = if round < rounds {
+                vec![0; nlit * words]
+            } else {
+                Vec::new()
+            };
+            let mut row_valid = vec![false; nlit];
+            for lit in 0..nlit {
+                let net = lit / 2;
+                let value = lit % 2 == 1;
+                if self.unsettable[lit] {
+                    continue;
+                }
+                if let Some(c) = self.fixed[net].to_bool() {
+                    if c != value {
+                        self.unsettable[lit] = true;
+                    }
+                    continue;
+                }
+                self.stats.propagations += 1;
+                let outcome = propagate(&self.ctx(), prop, &[(net as u32, value)]);
+                match outcome {
                     Err(_) => {
                         self.unsettable[lit] = true;
                         if self.definite[net] {
@@ -532,50 +713,7 @@ impl<'n> ImplicationEngine<'n> {
             if round == rounds {
                 break;
             }
-
-            // Contrapose: L → M learns ¬M → ¬L, kept only when it is
-            // *indirect* (¬M's own row does not already contain ¬L) and
-            // both endpoints are definite nets (see the module docs for
-            // why the contrapositive needs that).
-            let mut added = 0usize;
-            for lit in 0..nlit {
-                if !row_valid[lit] {
-                    continue;
-                }
-                let src = Literal::from_index(lit);
-                if !self.definite[src.net.index()] {
-                    continue;
-                }
-                for w in 0..words {
-                    let mut bits = rows[lit * words + w];
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let m = w * 64 + b;
-                        if m == lit {
-                            continue;
-                        }
-                        let tgt = Literal::from_index(m);
-                        if !self.definite[tgt.net.index()] {
-                            continue;
-                        }
-                        let not_m = m ^ 1;
-                        let not_l = lit ^ 1;
-                        if !row_valid[not_m] {
-                            continue; // premise unsettable or constant
-                        }
-                        if rows[not_m * words + not_l / 64] & (1 << (not_l % 64)) != 0 {
-                            continue; // already directly derivable
-                        }
-                        let edge = Literal::from_index(not_l);
-                        if self.learned[not_m].contains(&edge) {
-                            continue;
-                        }
-                        self.learned[not_m].push(edge);
-                        added += 1;
-                    }
-                }
-            }
+            let added = self.contrapose(&rows, &row_valid, |_| {});
             self.stats.rounds = round + 1;
             self.stats.learned_edges += added;
             if added == 0 {
@@ -654,7 +792,8 @@ impl<'n> ImplicationEngine<'n> {
 
     /// Like [`ImplicationEngine::query`], but returns the full
     /// per-net value map (globally-constant nets included) — the form
-    /// the observability analysis consumes.
+    /// the per-fault verdict oracle consumes.
+    #[cfg(test)]
     pub(crate) fn query_values(&self, net: GateId, value: bool) -> Result<Vec<Logic>, GateId> {
         let mut prop = Prop::new(self.netlist.gate_count());
         let ctx = self.ctx();
@@ -670,7 +809,69 @@ impl<'n> ImplicationEngine<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_netlist::circuits::{random_combinational, random_sequential};
     use dft_netlist::Netlist;
+    use proptest::prelude::*;
+
+    /// Everything learning produces, for comparing two passes.
+    fn learned_state(
+        e: &ImplicationEngine<'_>,
+    ) -> (Vec<Vec<Literal>>, Vec<bool>, Vec<Logic>, [usize; 4]) {
+        let s = e.stats;
+        (
+            e.learned.clone(),
+            e.unsettable.clone(),
+            e.fixed.clone(),
+            [
+                s.rounds,
+                s.learned_edges,
+                s.unsettable_literals,
+                s.implied_constants,
+            ],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn incremental_learning_equals_full_rounds(
+            seed in any::<u64>(),
+            inputs in 2usize..=10,
+            gates in 4usize..=120,
+            rounds in 0usize..=5,
+            sequential in any::<bool>(),
+        ) {
+            let n = if sequential {
+                random_sequential(inputs.min(4), 3, gates / 8 + 1, 2, seed)
+            } else {
+                random_combinational(inputs, gates, seed)
+            };
+            let options = ImplicOptions::new().with_learning_rounds(rounds);
+            let fast = ImplicationEngine::with_options(&n, options);
+            let full = ImplicationEngine::build_using(
+                Cow::Borrowed(&n),
+                options,
+                ImplicationEngine::learn_full_rounds,
+            );
+            prop_assert_eq!(learned_state(&fast), learned_state(&full));
+            // Every literal the full pass propagated was either
+            // propagated again or reused.
+            prop_assert_eq!(
+                fast.stats.propagations + fast.stats.rows_reused,
+                full.stats.propagations
+            );
+            prop_assert_eq!(full.stats.rows_reused, 0);
+        }
+    }
+
+    #[test]
+    fn later_rounds_reuse_rows() {
+        let n = random_combinational(15, 140, 6);
+        let e = ImplicationEngine::new(&n);
+        assert!(e.stats().rounds >= 2, "{:?}", e.stats());
+        assert!(e.stats().rows_reused > 0, "{:?}", e.stats());
+    }
 
     #[test]
     fn direct_implications_flow_both_ways() {

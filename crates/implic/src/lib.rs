@@ -22,7 +22,8 @@
 //! * **Unsettable literals** — assertions whose propagation hits a
 //!   contradiction — prove stuck-at faults *unexcitable*; implied side
 //!   values that block every path to an output prove faults
-//!   *unobservable* ([`ImplicationEngine::fault_untestable`]).
+//!   *unobservable* ([`ImplicationEngine::fault_untestable`]; a whole
+//!   fault list at once with [`ImplicationEngine::faults_untestable`]).
 //!
 //! The engine is the shared static-analysis substrate behind three
 //! consumers:

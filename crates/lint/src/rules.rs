@@ -648,28 +648,42 @@ impl Rule for RedundantLogic {
         let Some(engine) = ctx.implications() else {
             return;
         };
-        for (id, gate) in ctx.netlist().iter() {
-            if gate.kind().is_source() {
+        let netlist = ctx.netlist();
+        // Every fault of a gate, in pin order: the output, then each
+        // input, each stuck-at-0 then stuck-at-1.
+        let faults_of = |id: GateId| {
+            let pins = std::iter::once(Pin::Output)
+                .chain((0..netlist.gate(id).fanin()).map(|p| Pin::Input(p as u8)));
+            pins.flat_map(move |pin| [(id, pin, false), (id, pin, true)])
+        };
+        // Almost every gate is testable on its first fault, so one batch
+        // screens each gate's output stuck-at-0 and a second decides the
+        // remaining faults of the gates that survive the screen.
+        let logic: Vec<GateId> = netlist
+            .iter()
+            .filter(|(_, g)| !g.kind().is_source())
+            .map(|(id, _)| id)
+            .collect();
+        let screen: Vec<_> = logic.iter().map(|&id| (id, Pin::Output, false)).collect();
+        let suspects: Vec<GateId> = logic
+            .iter()
+            .zip(engine.faults_untestable(&screen))
+            .filter_map(|(&id, v)| v.map(|_| id))
+            .collect();
+        let rest: Vec<_> = suspects
+            .iter()
+            .flat_map(|&id| faults_of(id).skip(1))
+            .collect();
+        let mut verdicts = engine.faults_untestable(&rest).into_iter();
+        for id in suspects {
+            let gate = netlist.gate(id);
+            let gate_verdicts: Vec<_> = verdicts.by_ref().take(2 * gate.fanin() + 1).collect();
+            // Redundant only if every fault is untestable; the witness is
+            // the last one (the last pin, stuck-at-1).
+            let Some(reasons) = gate_verdicts.into_iter().collect::<Option<Vec<_>>>() else {
                 continue;
-            }
-            let mut pins: Vec<Pin> = vec![Pin::Output];
-            pins.extend((0..gate.fanin()).map(|p| Pin::Input(p as u8)));
-            let mut witness = None;
-            let all_untestable = pins.iter().all(|&pin| {
-                [false, true]
-                    .iter()
-                    .all(|&stuck| match engine.fault_untestable(id, pin, stuck) {
-                        Some(reason) => {
-                            witness = Some(reason);
-                            true
-                        }
-                        None => false,
-                    })
-            });
-            if !all_untestable {
-                continue;
-            }
-            let reason = witness.expect("a gate has at least the two output faults");
+            };
+            let reason = reasons[reasons.len() - 1];
             // Both output stuck-at faults are untestable, so folding to
             // either value preserves function (§I-B); prefer the value
             // the closure proves the net holds, if it proves one.
@@ -1435,6 +1449,49 @@ mod tests {
     #[test]
     fn redundant_logic_silent_on_c17() {
         assert_eq!(count(&lint(&c17()), "redundant-logic"), 0);
+    }
+
+    #[test]
+    fn redundant_logic_matches_the_per_fault_reading() {
+        // The batched rule must report exactly what asking the engine
+        // fault by fault reports: same gates, witnesses and fold values.
+        let circuits = [
+            redundant_fixture(),
+            shift_register(4),
+            dft_netlist::circuits::random_combinational(15, 140, 6),
+            dft_netlist::circuits::random_combinational(10, 90, 21),
+        ];
+        let mut flagged = 0;
+        for n in circuits {
+            let engine = dft_implic::ImplicationEngine::new(&n);
+            let mut want = Vec::new();
+            for (id, gate) in n.iter().filter(|(_, g)| !g.kind().is_source()) {
+                let mut pins = vec![Pin::Output];
+                pins.extend((0..gate.fanin()).map(|p| Pin::Input(p as u8)));
+                let verdicts: Option<Vec<_>> = pins
+                    .iter()
+                    .flat_map(|&pin| [false, true].map(|s| engine.fault_untestable(id, pin, s)))
+                    .collect();
+                if let Some(reasons) = verdicts {
+                    let value = engine.implied_constant(id).unwrap_or(false);
+                    want.push((id, reasons.last().unwrap().to_string(), value));
+                }
+            }
+            let report = lint(&n);
+            let got: Vec<_> = report
+                .by_rule("redundant-logic")
+                .map(|d| {
+                    let Some(FixHint::RemoveRedundant { gate, value }) = d.fix else {
+                        panic!("redundant-logic carries a removal hint");
+                    };
+                    let witness = d.message.split("(e.g. ").nth(1).unwrap();
+                    (gate, witness.trim_end_matches(')').to_owned(), value)
+                })
+                .collect();
+            assert_eq!(got, want, "{}", n.name());
+            flagged += got.len();
+        }
+        assert!(flagged > 1, "the circuits exercise the rule");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use dft_adhoc::{add_reset, apply_test_points, insert_degating, ResetKind, TestPointPlan};
 use dft_lint::{Diagnostic, FixHint};
 use dft_netlist::cones::exclusive_fanin_region;
-use dft_netlist::{GateId, LevelizeError, Netlist};
+use dft_netlist::{GateId, LevelizeError, Netlist, NetlistError};
 use dft_scan::{insert_scan, ScanConfig, ScanStyle};
 
 /// One concrete, applicable netlist edit.
@@ -119,6 +119,40 @@ pub struct Edited {
     pub extra_pins: i64,
 }
 
+/// Why a candidate edit could not be applied.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EditError {
+    /// The netlist has combinational cycles (no transform in the
+    /// workspace accepts those).
+    Cyclic(LevelizeError),
+    /// The edit targets a net it cannot change: a fold of a primary
+    /// input, constant, storage element or foreign gate id.
+    Target(NetlistError),
+}
+
+impl std::fmt::Display for EditError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EditError::Cyclic(e) => write!(f, "{e}"),
+            EditError::Target(e) => write!(f, "cannot apply edit: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for EditError {}
+
+impl From<LevelizeError> for EditError {
+    fn from(e: LevelizeError) -> Self {
+        EditError::Cyclic(e)
+    }
+}
+
+impl From<NetlistError> for EditError {
+    fn from(e: NetlistError) -> Self {
+        EditError::Target(e)
+    }
+}
+
 /// Expands every hinted diagnostic in `diagnostics` into candidates,
 /// skipping edits whose [`CandidateEdit::key`] is in `exclude` (already
 /// applied in an earlier round) and deduplicating within the batch.
@@ -167,9 +201,11 @@ pub fn expand_hints(diagnostics: &[Diagnostic], exclude: &[String]) -> Vec<Candi
 ///
 /// # Errors
 ///
-/// Returns [`LevelizeError`] if the netlist has combinational cycles
-/// (no transform in the workspace accepts those).
-pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, LevelizeError> {
+/// Returns [`EditError::Cyclic`] if the netlist has combinational cycles
+/// (no transform in the workspace accepts those), and
+/// [`EditError::Target`] for a fold whose target is not a plain logic
+/// gate of `netlist`.
+pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, EditError> {
     let pins_before = port_count(netlist);
     let gates_before = netlist.logic_gate_count() as i64;
     let out = match edit {
@@ -193,20 +229,19 @@ pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, Leve
             .netlist()
             .clone(),
         CandidateEdit::Fold { net, value } => {
+            // The target is checked first: only a plain logic gate of
+            // this netlist has a fanin region to compute.
+            let mut out = netlist.clone();
+            out.set_name(format!("{}_fold", netlist.name()));
+            out.replace_with_const(net, value)?;
             // Recompute the private region against the *current* netlist:
             // earlier repairs may have grown new readers into what used to
             // be an exclusive cone.
-            let region = exclusive_fanin_region(netlist, net);
-            let mut out = netlist.clone();
-            out.set_name(format!("{}_fold", netlist.name()));
-            out.replace_with_const(net, value)
-                .expect("fold targets are plain logic gates");
-            for g in region {
+            for g in exclusive_fanin_region(netlist, net) {
                 // Dead feeders become constants too: `universe()` skips
                 // Const gates, so their (untestable) fault sites leave
                 // the universe instead of lingering as dead logic.
-                out.replace_with_const(g, false)
-                    .expect("exclusive regions contain only plain logic gates");
+                out.replace_with_const(g, false)?;
             }
             out
         }
@@ -313,6 +348,64 @@ mod tests {
         let edited = apply_edit(&n, CandidateEdit::Observe { net: g }).unwrap();
         assert_eq!(edited.extra_pins, 1);
         assert_eq!(edited.extra_gates, 0);
+    }
+
+    #[test]
+    fn fold_of_a_primary_input_is_an_error() {
+        let n = redundant_fixture();
+        let net = n.primary_inputs()[0];
+        let err = apply_edit(&n, CandidateEdit::Fold { net, value: false }).unwrap_err();
+        assert!(
+            matches!(err, EditError::Target(NetlistError::NotALogicGate { gate, .. }) if gate == net),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn fold_of_a_constant_is_an_error() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let c = n.add_const(true);
+        let g = n.add_gate(GateKind::And, &[a, c]).unwrap();
+        n.mark_output(g, "y").unwrap();
+        let err = apply_edit(
+            &n,
+            CandidateEdit::Fold {
+                net: c,
+                value: true,
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, EditError::Target(NetlistError::NotALogicGate { gate, .. }) if gate == c),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn fold_of_a_flip_flop_is_an_error() {
+        let n = dft_netlist::circuits::shift_register(3);
+        let dff = n.storage_elements()[0];
+        let err = apply_edit(
+            &n,
+            CandidateEdit::Fold {
+                net: dff,
+                value: false,
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, EditError::Target(NetlistError::NotALogicGate { gate, .. }) if gate == dff),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn fold_of_a_foreign_gate_is_an_error() {
+        let n = redundant_fixture();
+        let net = GateId::from_index(n.gate_count() + 5);
+        let err = apply_edit(&n, CandidateEdit::Fold { net, value: true }).unwrap_err();
+        assert_eq!(err, EditError::Target(NetlistError::UnknownGate(net)));
     }
 
     #[test]

@@ -45,9 +45,9 @@ pub mod plan;
 pub mod rank;
 pub mod verify;
 
-pub use candidate::{apply_edit, expand_hints, Candidate, CandidateEdit, Edited};
+pub use candidate::{apply_edit, expand_hints, Candidate, CandidateEdit, EditError, Edited};
 pub use plan::{PlanCounters, RepairPlan, RepairRecord};
-pub use rank::{rank_candidates, RankedCandidate, StaticBaseline};
+pub use rank::{rank_candidates, RankedCandidate, Ranking, StaticBaseline};
 pub use verify::{judge, measure_coverage, CoverageStat, RepairEconomics, Verdict};
 
 use dft_lint::{lint_with, LintConfig};
@@ -174,7 +174,8 @@ pub fn repair(netlist: &Netlist, options: &RepairOptions) -> Result<RepairOutcom
 /// [`repair`] with telemetry: spans `repair.autopilot` >
 /// `repair.round` > (`repair.lint`, `repair.expand`, `repair.rank`,
 /// `repair.verify`), counters `repair.candidates.{expanded,ranked,
-/// pruned,verified}` and `repair.accepted`, gauges
+/// pruned,verified}`, `repair.rank.{propagations,rows_reused}` (the
+/// ranking's implication-learning work) and `repair.accepted`, gauges
 /// `repair.coverage.{baseline,final}`.
 ///
 /// # Errors
@@ -196,6 +197,9 @@ pub fn repair_observed(
     let mut applied_keys: Vec<String> = Vec::new();
     let mut records: Vec<RepairRecord> = Vec::new();
     let mut counters = PlanCounters::default();
+    // The current netlist's static measures: measured by round 1's
+    // ranking, then carried over from each round's winner.
+    let mut static_baseline = None;
 
     for round in 1..=options.max_rounds {
         obs.enter("repair.round");
@@ -217,17 +221,17 @@ pub fn repair_observed(
         }
 
         obs.enter("repair.rank");
-        let static_baseline =
-            StaticBaseline::measure(&current).expect("current netlist levelized at baseline");
         counters.ranked += candidates.len();
-        let (ranked, pruned) =
-            rank_candidates(&current, static_baseline, candidates, options.top_k);
+        let ranking = rank_candidates(&current, static_baseline, candidates, options.top_k);
+        let (ranked, pruned) = (ranking.kept, ranking.pruned);
         counters.pruned += pruned;
         obs.count(
             "repair.candidates.ranked",
             ranked.len() as u64 + pruned as u64,
         );
         obs.count("repair.candidates.pruned", pruned as u64);
+        obs.count("repair.rank.propagations", ranking.propagations as u64);
+        obs.count("repair.rank.rows_reused", ranking.rows_reused as u64);
         obs.exit();
 
         obs.enter("repair.verify");
@@ -235,7 +239,7 @@ pub fn repair_observed(
         obs.count("repair.candidates.verified", ranked.len() as u64);
         // Verify in rank order; the accepted candidate with the best
         // measured coverage wins the round (first in rank order on ties).
-        let mut round_records: Vec<(RepairRecord, Netlist)> = Vec::new();
+        let mut round_records: Vec<(RepairRecord, Netlist, StaticBaseline)> = Vec::new();
         for rc in ranked {
             let after = measure_coverage(
                 &rc.edited.netlist,
@@ -266,6 +270,7 @@ pub fn repair_observed(
                     accepted: verdict.accepted,
                 },
                 rc.edited.netlist,
+                rc.after,
             ));
         }
         obs.exit();
@@ -273,8 +278,8 @@ pub fn repair_observed(
         let winner = round_records
             .iter()
             .enumerate()
-            .filter(|(_, (r, _))| r.accepted)
-            .max_by(|(ia, (a, _)), (ib, (b, _))| {
+            .filter(|(_, (r, ..))| r.accepted)
+            .max_by(|(ia, (a, ..)), (ib, (b, ..))| {
                 a.after
                     .coverage
                     .partial_cmp(&b.after.coverage)
@@ -285,7 +290,7 @@ pub fn repair_observed(
 
         match winner {
             Some(i) => {
-                for (j, (mut record, netlist)) in round_records.into_iter().enumerate() {
+                for (j, (mut record, netlist, after)) in round_records.into_iter().enumerate() {
                     // Only the applied repair counts as accepted in the
                     // plan; a passing runner-up is re-considered next
                     // round against the new baseline.
@@ -294,6 +299,7 @@ pub fn repair_observed(
                         applied_keys.push(record.edit.key());
                         current = netlist;
                         current_coverage = record.after;
+                        static_baseline = Some(after);
                     }
                     records.push(record);
                 }
@@ -301,7 +307,7 @@ pub fn repair_observed(
                 obs.count("repair.accepted", 1);
             }
             None => {
-                records.extend(round_records.into_iter().map(|(r, _)| r));
+                records.extend(round_records.into_iter().map(|(r, ..)| r));
                 obs.exit();
                 break;
             }

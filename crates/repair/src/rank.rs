@@ -14,10 +14,18 @@
 //!
 //! Both are integers, the score is integer arithmetic, and ties break on
 //! the candidate key — the ranking is bit-for-bit deterministic.
+//!
+//! Where the time goes: SCOAP is rebased incrementally per candidate (a
+//! warmed cache clone re-solves only the edit's dirty cone), but the
+//! untestable count is measured over the whole edited netlist — one
+//! implication-learning pass plus one verdict batch per candidate. That
+//! measurement is the bulk of a round's ranking time, which is why the
+//! learning rounds reuse unchanged rows and the verdicts share one
+//! propagation per excitation literal.
 
 use dft_analyze::AnalysisCache;
 use dft_fault::{prefilter_with, universe};
-use dft_implic::ImplicationEngine;
+use dft_implic::{ImplicationEngine, LearnStats};
 use dft_netlist::{GateId, GateKind, Netlist};
 
 use crate::candidate::{apply_edit, Candidate, Edited};
@@ -38,6 +46,9 @@ pub struct StaticBaseline {
     pub untestable: usize,
     /// Total faults in the universe.
     pub fault_count: usize,
+    /// What the measurement's implication engine did while learning —
+    /// work counters for the trace, not part of the score.
+    pub learn: LearnStats,
 }
 
 impl StaticBaseline {
@@ -56,8 +67,8 @@ impl StaticBaseline {
     /// Measures through a warmed [`AnalysisCache`] — the same numbers as
     /// [`StaticBaseline::measure`] (the framework SCOAP port is
     /// bit-exact), but the ranking loop can rebase one cached clone per
-    /// candidate so only each edit's dirty cone is recomputed instead of
-    /// the whole netlist.
+    /// candidate so SCOAP re-solves only each edit's dirty cone. The
+    /// untestable count is still measured over the whole netlist.
     #[must_use]
     pub fn measure_cached(cache: &mut AnalysisCache) -> Self {
         let const_mask: Vec<bool> = cache
@@ -77,6 +88,7 @@ impl StaticBaseline {
             difficulty,
             untestable,
             fault_count: faults.len(),
+            learn: engine.stats(),
         }
     }
 }
@@ -89,6 +101,9 @@ pub struct RankedCandidate {
     /// The edit, already applied (reused by the verifier — edits are
     /// applied exactly once per round).
     pub edited: Edited,
+    /// The static measures of the edited netlist — the next round's
+    /// baseline if this candidate is accepted.
+    pub after: StaticBaseline,
     /// SCOAP difficulty drop (positive = easier to test).
     pub difficulty_delta: i128,
     /// Statically-untestable faults removed (positive = fewer).
@@ -97,30 +112,73 @@ pub struct RankedCandidate {
     pub score: i128,
 }
 
+/// One round's static ranking.
+#[derive(Clone, Debug)]
+pub struct Ranking {
+    /// The best `top_k` candidates, best first.
+    pub kept: Vec<RankedCandidate>,
+    /// Candidates dropped: not applicable, not measurable, or ranked
+    /// below `top_k`.
+    pub pruned: usize,
+    /// Implication propagations the round's learning passes ran, summed
+    /// over every measurement (the baseline's included, if measured).
+    pub propagations: usize,
+    /// Literal propagations those passes skipped by reusing rows.
+    pub rows_reused: usize,
+}
+
+impl Ranking {
+    fn tally(&mut self, measured: &StaticBaseline) {
+        self.propagations += measured.learn.propagations;
+        self.rows_reused += measured.learn.rows_reused;
+    }
+}
+
 /// Applies and scores every candidate against `baseline`, sorts best
-/// first (score, then key for determinism), and splits at `top_k`:
-/// returns `(kept, pruned_count)`. Candidates that fail to apply
-/// (cyclic result — cannot happen with the current transforms, but the
-/// signature allows it) are dropped and counted as pruned.
+/// first (score, then key for determinism), and keeps the first `top_k`.
+///
+/// `baseline` is the netlist's own measurement when the caller has it
+/// (the previous round's winner carries it as
+/// [`RankedCandidate::after`]); `None` measures it from the warmed cache
+/// the candidates are scored through. Candidates that fail to apply (a
+/// fold of a non-logic net, or a cyclic result) or to measure are
+/// dropped and counted as pruned — as is everything when `netlist`
+/// itself cannot be measured and no baseline is given.
 #[must_use]
 pub fn rank_candidates(
     netlist: &Netlist,
-    baseline: StaticBaseline,
+    baseline: Option<StaticBaseline>,
     candidates: Vec<Candidate>,
     top_k: usize,
-) -> (Vec<RankedCandidate>, usize) {
-    let mut ranked: Vec<RankedCandidate> = Vec::with_capacity(candidates.len());
-    let mut dropped = 0usize;
+) -> Ranking {
+    let mut ranking = Ranking {
+        kept: Vec::with_capacity(candidates.len()),
+        pruned: 0,
+        propagations: 0,
+        rows_reused: 0,
+    };
     // One warmed cache for the round; each candidate rebases a clone so
-    // scoring only re-solves the edit's dirty cone.
-    let base_cache = AnalysisCache::new(netlist).ok().map(|mut c| {
+    // SCOAP only re-solves the edit's dirty cone.
+    let mut base_cache = AnalysisCache::new(netlist).ok().map(|mut c| {
         c.scoap();
         c.constants();
         c
     });
+    let baseline = match (baseline, &mut base_cache) {
+        (Some(baseline), _) => baseline,
+        (None, Some(cache)) => {
+            let baseline = StaticBaseline::measure_cached(cache);
+            ranking.tally(&baseline);
+            baseline
+        }
+        (None, None) => {
+            ranking.pruned = candidates.len();
+            return ranking;
+        }
+    };
     for candidate in candidates {
         let Ok(edited) = apply_edit(netlist, candidate.edit) else {
-            dropped += 1;
+            ranking.pruned += 1;
             continue;
         };
         let after = match &base_cache {
@@ -134,9 +192,10 @@ pub fn rank_candidates(
             None => StaticBaseline::measure(&edited.netlist),
         };
         let Some(after) = after else {
-            dropped += 1;
+            ranking.pruned += 1;
             continue;
         };
+        ranking.tally(&after);
         let difficulty_delta = i128::from(baseline.difficulty) - i128::from(after.difficulty);
         let untestable_delta = baseline.untestable as i128 - after.untestable as i128;
         // Benefit per unit of hardware: pins are the scarce resource
@@ -144,22 +203,23 @@ pub fn rank_candidates(
         let hardware = edited.extra_gates.max(0) as i128 + 2 * edited.extra_pins.max(0) as i128;
         let score =
             (difficulty_delta + UNTESTABLE_WEIGHT * untestable_delta) * 1000 / (hardware + 1);
-        ranked.push(RankedCandidate {
+        ranking.kept.push(RankedCandidate {
             candidate,
             edited,
+            after,
             difficulty_delta,
             untestable_delta,
             score,
         });
     }
-    ranked.sort_by(|a, b| {
+    ranking.kept.sort_by(|a, b| {
         b.score
             .cmp(&a.score)
             .then_with(|| a.candidate.edit.key().cmp(&b.candidate.edit.key()))
     });
-    let pruned = dropped + ranked.len().saturating_sub(top_k);
-    ranked.truncate(top_k);
-    (ranked, pruned)
+    ranking.pruned += ranking.kept.len().saturating_sub(top_k);
+    ranking.kept.truncate(top_k);
+    ranking
 }
 
 #[cfg(test)]
@@ -182,10 +242,14 @@ mod tests {
         let n = redundant_fixture();
         let report = lint(&n);
         let cands = expand_hints(report.diagnostics(), &[]);
-        let baseline = StaticBaseline::measure(&n).unwrap();
         let total = cands.len();
-        let (ranked, pruned) = rank_candidates(&n, baseline, cands, 2);
-        assert_eq!(ranked.len() + pruned, total, "pruning is accounted for");
+        let ranking = rank_candidates(&n, None, cands, 2);
+        let ranked = ranking.kept;
+        assert_eq!(
+            ranked.len() + ranking.pruned,
+            total,
+            "pruning is accounted for"
+        );
         // Removing provable redundancy dominates the static score.
         assert_eq!(ranked[0].candidate.edit.kind(), "fold");
         assert!(ranked[0].untestable_delta > 0);
@@ -202,7 +266,7 @@ mod tests {
         let report = lint(&n);
         let baseline = StaticBaseline::measure(&n).unwrap();
         let cands = expand_hints(report.diagnostics(), &[]);
-        let (ranked, _) = rank_candidates(&n, baseline, cands.clone(), usize::MAX);
+        let ranked = rank_candidates(&n, None, cands.clone(), usize::MAX).kept;
         // Reference path: the pre-rewire from-scratch scorer.
         let mut reference: Vec<(String, i128, i128, i128)> = Vec::new();
         for candidate in cands {
@@ -246,14 +310,78 @@ mod tests {
     }
 
     #[test]
+    fn given_and_measured_baselines_rank_alike() {
+        let n = redundant_fixture();
+        let report = lint(&n);
+        let cands = expand_hints(report.diagnostics(), &[]);
+        let keyed = |r: Ranking| {
+            r.kept
+                .iter()
+                .map(|c| (c.candidate.edit.key(), c.score))
+                .collect::<Vec<_>>()
+        };
+        let measured = rank_candidates(&n, None, cands.clone(), usize::MAX);
+        let given = rank_candidates(&n, StaticBaseline::measure(&n), cands, usize::MAX);
+        // Only the measured call pays for the baseline's learning pass.
+        assert!(measured.propagations > given.propagations);
+        assert_eq!(keyed(measured), keyed(given));
+    }
+
+    #[test]
+    fn winner_measurement_equals_a_fresh_baseline() {
+        // The accepted candidate's `after` becomes the next round's
+        // baseline: it must equal measuring the edited netlist afresh.
+        let n = redundant_fixture();
+        let report = lint(&n);
+        let cands = expand_hints(report.diagnostics(), &[]);
+        for rc in rank_candidates(&n, None, cands, usize::MAX).kept {
+            let fresh = StaticBaseline::measure(&rc.edited.netlist).unwrap();
+            assert_eq!(
+                (
+                    rc.after.difficulty,
+                    rc.after.untestable,
+                    rc.after.fault_count
+                ),
+                (fresh.difficulty, fresh.untestable, fresh.fault_count),
+                "{}",
+                rc.candidate.edit.key()
+            );
+        }
+    }
+
+    #[test]
+    fn unappliable_folds_are_pruned() {
+        let n = redundant_fixture();
+        let input = n.primary_inputs()[0];
+        let bad = |edit| Candidate {
+            edit,
+            rule: "test",
+            code: "DFT-000",
+        };
+        let cands = vec![
+            bad(crate::CandidateEdit::Fold {
+                net: input,
+                value: false,
+            }),
+            bad(crate::CandidateEdit::Fold {
+                net: GateId::from_index(n.gate_count()),
+                value: true,
+            }),
+        ];
+        let ranking = rank_candidates(&n, None, cands, usize::MAX);
+        assert!(ranking.kept.is_empty());
+        assert_eq!(ranking.pruned, 2);
+    }
+
+    #[test]
     fn ranking_is_deterministic() {
         let n = redundant_fixture();
         let report = lint(&n);
         let baseline = StaticBaseline::measure(&n).unwrap();
         let run = || {
             let cands = expand_hints(report.diagnostics(), &[]);
-            let (ranked, _) = rank_candidates(&n, baseline, cands, 8);
-            ranked
+            rank_candidates(&n, Some(baseline), cands, 8)
+                .kept
                 .iter()
                 .map(|r| (r.candidate.edit.key(), r.score))
                 .collect::<Vec<_>>()

@@ -35,6 +35,21 @@ use crate::value::Logic;
 #[must_use]
 pub fn forced_inputs(kind: GateKind, out: bool, ins: &[Logic]) -> Vec<(usize, Logic)> {
     let mut forced = Vec::new();
+    forced_inputs_into(kind, out, ins, &mut forced);
+    forced
+}
+
+/// [`forced_inputs`] into a caller-owned buffer: `forced` is cleared,
+/// then filled in the same order. Allocation-free once the buffer has
+/// grown to the widest gate, which is what the implication engine's
+/// propagation loop needs.
+pub fn forced_inputs_into(
+    kind: GateKind,
+    out: bool,
+    ins: &[Logic],
+    forced: &mut Vec<(usize, Logic)>,
+) {
+    forced.clear();
     match kind {
         GateKind::Buf => forced.push((0, Logic::from(out))),
         GateKind::Not => forced.push((0, Logic::from(!out))),
@@ -43,43 +58,34 @@ pub fn forced_inputs(kind: GateKind, out: bool, ins: &[Logic]) -> Vec<(usize, Lo
             let controlled_out = c != kind.inverts();
             if out != controlled_out {
                 // Only the all-noncontrolling row produces this output.
-                for pin in 0..ins.len() {
-                    forced.push((pin, Logic::from(!c)));
-                }
-            } else {
+                forced.extend((0..ins.len()).map(|pin| (pin, Logic::from(!c))));
+            } else if !ins.contains(&Logic::from(c)) {
                 // Some input must be controlling; forced only when all
                 // other inputs are known noncontrolling and exactly one
                 // pin remains unknown.
-                let has_c = ins.iter().any(|&v| v == Logic::from(c));
-                if !has_c {
-                    let unknown: Vec<usize> = ins
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| !v.is_known())
-                        .map(|(p, _)| p)
-                        .collect();
-                    if unknown.len() == 1 {
-                        forced.push((unknown[0], Logic::from(c)));
-                    }
+                if let Some(pin) = sole_unknown(ins) {
+                    forced.push((pin, Logic::from(c)));
                 }
             }
         }
         GateKind::Xor | GateKind::Xnor => {
-            let mut parity = out != (kind == GateKind::Xnor);
-            let mut unknown = Vec::new();
-            for (p, v) in ins.iter().enumerate() {
-                match v.to_bool() {
-                    Some(b) => parity ^= b,
-                    None => unknown.push(p),
-                }
-            }
-            if unknown.len() == 1 {
-                forced.push((unknown[0], Logic::from(parity)));
+            if let Some(pin) = sole_unknown(ins) {
+                let parity = ins
+                    .iter()
+                    .filter_map(|v| v.to_bool())
+                    .fold(out != (kind == GateKind::Xnor), |p, b| p ^ b);
+                forced.push((pin, Logic::from(parity)));
             }
         }
         GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {}
     }
-    forced
+}
+
+/// The only unknown pin of `ins`, if exactly one is unknown.
+fn sole_unknown(ins: &[Logic]) -> Option<usize> {
+    let mut unknown = ins.iter().enumerate().filter(|(_, v)| !v.is_known());
+    let (pin, _) = unknown.next()?;
+    unknown.next().is_none().then_some(pin)
 }
 
 #[cfg(test)]
@@ -132,6 +138,20 @@ mod tests {
             forced_inputs(GateKind::Buf, false, &[Logic::X]),
             vec![(0, Logic::Zero)]
         );
+    }
+
+    #[test]
+    fn buffer_form_matches_and_is_cleared_first() {
+        let mut buf = vec![(7, Logic::X)];
+        forced_inputs_into(GateKind::Or, false, &[Logic::X, Logic::X], &mut buf);
+        assert_eq!(
+            buf,
+            forced_inputs(GateKind::Or, false, &[Logic::X, Logic::X])
+        );
+        forced_inputs_into(GateKind::Nand, true, &[Logic::One, Logic::X], &mut buf);
+        assert_eq!(buf, vec![(1, Logic::Zero)]);
+        forced_inputs_into(GateKind::Input, true, &[], &mut buf);
+        assert!(buf.is_empty());
     }
 
     #[test]
