@@ -32,7 +32,7 @@ pub fn merge_cubes(cubes: &[TestCube]) -> Vec<TestCube> {
 }
 
 /// Patterns graded per reverse-drop window: 4 blocks of 64, the point
-/// where [`Ppsfp`]'s `LaneWidth::Auto` switches to 256-lane wide words,
+/// where [`Ppsfp`] switches to 256-lane wide words,
 /// so one baseline sweep and one event propagation per fault grade the
 /// whole window. The greedy result is window-size-invariant (see
 /// [`reverse_order_drop`]).

@@ -178,7 +178,7 @@ impl<'n> DetDriver<'n> {
                 )
             });
         // The inter-batch sets are at most one 64-pattern block (one
-        // batch of merged cubes), so the engine's `LaneWidth::Auto`
+        // batch of merged cubes), so the engine's block-count width rule
         // keeps the narrow 64-lane path here — wide blocks would only
         // pad empty tail words. The wide paths engage where the ATPG
         // flow has real pattern volume: the random phase's 256-pattern

@@ -52,9 +52,9 @@ pub fn random_atpg(
 }
 
 /// Patterns graded per engine call during random generation: 4 blocks
-/// of 64, exactly the point where [`Ppsfp`]'s `LaneWidth::Auto` switches
-/// to 256-lane wide words — one levelized baseline sweep and one event
-/// propagation per fault then cover the whole chunk. First detections
+/// of 64, exactly the point where [`Ppsfp`] switches to 256-lane wide
+/// words — one levelized baseline sweep and one event propagation per
+/// fault then cover the whole chunk. First detections
 /// are independent of the chunk size (the engine reports the global
 /// first within the set); only the coverage-target check granularity
 /// changes.

@@ -29,9 +29,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let patterns = PatternSet::random(16, 256, &mut rng);
     // Single-threaded: thread scheduling jitter would swamp a 3% bound.
     let engine = PpsfpEngine {
-        options: PpsfpOptions::new()
-            .with_threads(1)
-            .with_fault_dropping(true),
+        options: PpsfpOptions::new().with_threads(1),
     };
 
     let mut group = c.benchmark_group("obs_overhead");

@@ -61,9 +61,10 @@ use dft_atpg::{
 use dft_bench::cli::{envelope, Format, ToolExit};
 use dft_bench::{eng, exhaustive_patterns, print_table};
 use dft_fault::{
-    dominance_collapse, prefilter_untestable, universe, DeductiveEngine, DetectionResult,
-    FaultSimEngine, ParallelFaultEngine, PpsfpEngine, PpsfpOptions, SerialEngine, SerialOptions,
+    dominance_collapse, prefilter_untestable, universe, DetectionResult, FaultSimEngine,
+    PpsfpEngine, PpsfpOptions, SerialEngine, SerialOptions,
 };
+use dft_json::Value;
 use dft_netlist::circuits::{c17, random_combinational, redundant_fixture};
 use dft_netlist::{GateId, GateKind, Netlist};
 use dft_obs::{Recorder, RunReport};
@@ -189,13 +190,10 @@ struct Workload {
     name: &'static str,
     netlist: Netlist,
     patterns: PatternSet,
-    /// Deductive simulation is O(patterns × gates × fanin × list size)
-    /// with no dropping; it is skipped where it would dominate runtime.
-    run_deductive: bool,
-    /// Run the full-work baselines (`serial_nodrop`, `parallel_fault`)
-    /// too. Off for the largest rung, where each would add tens of
-    /// seconds of O(faults × patterns × gates) measurement without
-    /// informing the headline serial-vs-PPSFP comparison.
+    /// Run the full-work `serial_nodrop` baseline too. Off for the
+    /// largest rung, where it would add minutes of O(faults × patterns
+    /// × gates) measurement without informing the headline
+    /// serial-vs-PPSFP comparison.
     run_slow_baselines: bool,
 }
 
@@ -205,14 +203,12 @@ fn roster(quick: bool) -> Vec<Workload> {
             name: "c17",
             netlist: c17(),
             patterns: exhaustive_patterns(5),
-            run_deductive: true,
             run_slow_baselines: true,
         },
         Workload {
             name: "rand_16x300",
             netlist: random_combinational(16, 300, 5),
             patterns: random_patterns(16, 256, 3),
-            run_deductive: true,
             run_slow_baselines: true,
         },
     ];
@@ -221,21 +217,18 @@ fn roster(quick: bool) -> Vec<Workload> {
             name: "rand_20x800",
             netlist: random_combinational(20, 800, 6),
             patterns: random_patterns(20, 512, 4),
-            run_deductive: false,
             run_slow_baselines: true,
         });
         r.push(Workload {
             name: "rand_24x2000",
             netlist: random_combinational(24, 2000, 7),
             patterns: random_patterns(24, 1024, 5),
-            run_deductive: false,
             run_slow_baselines: true,
         });
         r.push(Workload {
             name: "rand_28x6000",
             netlist: random_combinational(28, 6000, 8),
             patterns: random_patterns(28, 1024, 6),
-            run_deductive: false,
             run_slow_baselines: false,
         });
     }
@@ -342,13 +335,9 @@ fn scale_bench(cfg: &Config, records: &mut Vec<Record>) -> Vec<ScaleRecord> {
         let collapsed = CollapsedUniverse::new(&netlist);
         let enumerate_seconds = t.elapsed().as_secs_f64().max(1e-9);
         let patterns = random_patterns(netlist.primary_inputs().len(), 256, 12);
-        let engine = dft_fault::Ppsfp::with_options(
-            &netlist,
-            PpsfpOptions::new()
-                .with_threads(cfg.threads)
-                .with_fault_dropping(true),
-        )
-        .expect("scale circuits are combinational");
+        let engine =
+            dft_fault::Ppsfp::with_options(&netlist, PpsfpOptions::new().with_threads(cfg.threads))
+                .expect("scale circuits are combinational");
         let t = Instant::now();
         let streamed = engine.run_streamed(&patterns, collapsed.representatives(), 1 << 16);
         let sim_seconds = t.elapsed().as_secs_f64().max(1e-9);
@@ -412,9 +401,7 @@ fn main() -> ExitCode {
     };
     let text = cfg.format == Format::Text;
     let ppsfp = PpsfpEngine {
-        options: PpsfpOptions::new()
-            .with_threads(cfg.threads)
-            .with_fault_dropping(true),
+        options: PpsfpOptions::new().with_threads(cfg.threads),
     };
     let serial = SerialEngine::default();
     let serial_nodrop = SerialEngine {
@@ -430,10 +417,6 @@ fn main() -> ExitCode {
         let mut engines: Vec<&dyn FaultSimEngine> = vec![&serial];
         if w.run_slow_baselines {
             engines.push(&serial_nodrop);
-            engines.push(&ParallelFaultEngine);
-        }
-        if w.run_deductive {
-            engines.push(&DeductiveEngine);
         }
         engines.push(&ppsfp);
 
@@ -749,35 +732,36 @@ fn main() -> ExitCode {
 /// the numbers are timer noise. Records absent from the baseline (new
 /// rungs, `--quick` subsets) are skipped.
 fn check_fault_sim_baseline(path: &str, records: &[Record], all_agree: bool) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read fault-sim baseline {path}: {e}"));
+    let baseline = read_baseline(path);
+    let base_records = baseline
+        .get("records")
+        .and_then(Value::as_array)
+        .expect("fault-sim baseline has a records array");
     let mut failed = false;
     if !all_agree {
         eprintln!("BASELINE REGRESSION: detected fault sets disagree across engines");
         failed = true;
     }
     for r in records {
-        let needle = format!(
-            "\"circuit\": \"{}\", \"engine\": \"{}\"",
-            r.circuit, r.engine
-        );
-        let Some(at) = text.find(&needle) else {
+        let Some(base) = base_records.iter().find(|b| {
+            b.get("circuit").and_then(Value::as_str) == Some(r.circuit)
+                && b.get("engine").and_then(Value::as_str) == Some(r.engine)
+        }) else {
             eprintln!(
                 "fault-sim baseline gate: {}/{} not in baseline, skipped",
                 r.circuit, r.engine
             );
             continue;
         };
-        let base_detected: usize = extract_after(&text, at, "\"detected\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has detected");
-        let base_seconds: f64 = extract_after(&text, at, "\"seconds\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has seconds");
-        let base_fps: f64 = extract_after(&text, at, "\"fault_patterns_per_sec\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline record has fault_patterns_per_sec");
-        if r.detected != base_detected {
+        let field = |key: &str| {
+            base.get(key)
+                .and_then(Value::as_f64)
+                .unwrap_or_else(|| panic!("baseline record has {key}"))
+        };
+        let base_detected = field("detected");
+        let base_seconds = field("seconds");
+        let base_fps = field("fault_patterns_per_sec");
+        if r.detected as f64 != base_detected {
             eprintln!(
                 "BASELINE REGRESSION: {}/{} detected {} != baseline {}",
                 r.circuit, r.engine, r.detected, base_detected
@@ -799,6 +783,13 @@ fn check_fault_sim_baseline(path: &str, records: &[Record], all_agree: bool) {
         std::process::exit(1);
     }
     eprintln!("fault-sim baseline gate passed against {path}");
+}
+
+/// Reads and parses a committed `BENCH_*.json` baseline.
+fn read_baseline(path: &str) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
+    dft_json::parse(&text).unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"))
 }
 
 /// One circuit's incremental-analysis (ECO) measurement: mean seconds
@@ -1150,38 +1141,33 @@ fn flow_scaling_bench(quick: bool) -> FlowScaling {
     }
 }
 
-/// Extracts the number following `key` in `text`, searching from
-/// `from`. Returns the value slice trimmed of JSON punctuation.
-fn extract_after<'t>(text: &'t str, from: usize, key: &str) -> Option<&'t str> {
-    let at = text[from..].find(key)? + from + key.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
 /// Fails the run (exit 1) if any roster circuit's ATPG flow needs more
 /// patterns or reaches lower coverage than the committed baseline, with
 /// a small tolerance (+2 patterns, -0.001 coverage) so timing-neutral
 /// churn does not trip it. Circuits absent from the baseline (e.g. a
 /// full-roster circuit vs a `--quick` baseline) are skipped.
 fn check_atpg_baseline(path: &str, scaling: &FlowScaling) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read ATPG baseline {path}: {e}"));
-    let flow_at = text
-        .find("\"flow_records\"")
+    let baseline = read_baseline(path);
+    let flow_records = baseline
+        .get("flow_records")
+        .and_then(Value::as_array)
         .expect("baseline has no flow_records section");
     let mut failed = false;
     for r in &scaling.records {
-        let needle = format!("\"circuit\": \"{}\"", r.circuit);
-        let Some(at) = text[flow_at..].find(&needle).map(|i| i + flow_at) else {
+        let Some(base) = flow_records
+            .iter()
+            .find(|b| b.get("circuit").and_then(Value::as_str) == Some(r.circuit))
+        else {
             eprintln!("baseline gate: {} not in baseline, skipped", r.circuit);
             continue;
         };
-        let base_patterns: usize = extract_after(&text, at, "\"patterns\":")
-            .and_then(|v| v.parse().ok())
-            .expect("baseline flow record has patterns");
-        let base_coverage: f64 = extract_after(&text, at, "\"coverage\":")
-            .and_then(|v| v.parse().ok())
+        let base_patterns = base
+            .get("patterns")
+            .and_then(Value::as_u64)
+            .expect("baseline flow record has patterns") as usize;
+        let base_coverage = base
+            .get("coverage")
+            .and_then(Value::as_f64)
             .expect("baseline flow record has coverage");
         if r.patterns > base_patterns + 2 {
             eprintln!(
@@ -1223,9 +1209,7 @@ fn observed_run(cfg: &Config) -> RunReport {
     let patterns = exhaustive_patterns(5);
     let serial = SerialEngine::default();
     let ppsfp = PpsfpEngine {
-        options: PpsfpOptions::new()
-            .with_threads(cfg.threads)
-            .with_fault_dropping(true),
+        options: PpsfpOptions::new().with_threads(cfg.threads),
     };
 
     let mut rec = Recorder::new();

@@ -12,8 +12,7 @@
 //!
 //! The payload bytes are the tool's pre-envelope JSON, embedded
 //! *verbatim* (modulo the trailing newline) — existing payload schemas
-//! (`tessera-fix/1` plans, lint reports, `BENCH_*.json`) are unchanged
-//! and still parse with the same substring extractors.
+//! (`tessera-fix/1` plans, lint reports, `BENCH_*.json`) are unchanged.
 
 use std::process::ExitCode;
 

@@ -11,10 +11,15 @@
 //! * inverter/buffer equivalence — the input fault maps through the gate;
 //! * fanout-free stems — a driver's output fault is equivalent to the
 //!   sole reader's input fault.
+//!
+//! The rules are written once, in [`for_each_equivalence`]; the
+//! materialized [`collapse`] and the streaming
+//! [`CollapsedUniverse`](crate::stream::CollapsedUniverse) both run them
+//! through the same [`UnionFind`].
 
 use std::collections::HashMap;
 
-use dft_netlist::{GateKind, LevelizeError, Netlist, Pin, PortRef};
+use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin, PortRef};
 use dft_sim::PatternSet;
 
 use crate::Fault;
@@ -92,29 +97,129 @@ impl Collapse {
     }
 }
 
-struct UnionFind {
-    parent: Vec<usize>,
+/// A flat union-find over fault indices. Each union keeps the smaller
+/// root, so every class root is the class's minimum index whatever the
+/// union order.
+pub(crate) struct UnionFind {
+    parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    /// `n` singleton classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the `u32` index space.
+    pub(crate) fn new(n: usize) -> Self {
+        let n = u32::try_from(n).expect("fault universe exceeds u32 index space");
         UnionFind {
             parent: (0..n).collect(),
         }
     }
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
+
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
+            x = self.parent[x as usize];
         }
         x
     }
-    fn union(&mut self, a: usize, b: usize) {
+
+    pub(crate) fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            // Keep the smaller index as representative for determinism.
             let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
+            self.parent[hi as usize] = lo;
+        }
+    }
+}
+
+/// The per-gate structural facts the equivalence rules read, from one
+/// flat pass over the fan-in lists: fan-out edge count, the sole
+/// `(reader, pin)` edge of a single-fanout driver, and primary-output
+/// membership.
+pub(crate) struct Census {
+    fan_count: Vec<u32>,
+    sole_reader: Vec<(GateId, u8)>,
+    is_po: Vec<bool>,
+}
+
+impl Census {
+    pub(crate) fn new(netlist: &Netlist) -> Self {
+        let mut fan_count = vec![0u32; netlist.gate_count()];
+        let mut sole_reader = vec![(GateId::from_index(0), 0u8); netlist.gate_count()];
+        for (id, gate) in netlist.iter() {
+            for (pin, &src) in gate.inputs().iter().enumerate() {
+                fan_count[src.index()] += 1;
+                sole_reader[src.index()] = (id, u8::try_from(pin).expect("pin fits u8"));
+            }
+        }
+        let mut is_po = vec![false; netlist.gate_count()];
+        for &(g, _) in netlist.primary_outputs() {
+            is_po[g.index()] = true;
+        }
+        Census {
+            fan_count,
+            sole_reader,
+            is_po,
+        }
+    }
+}
+
+/// Calls `merge(a, b)` for every pair of faults the three structural
+/// equivalence rules declare equivalent. Pairs are named whether or not
+/// the caller's universe holds both faults; the caller skips the rest.
+pub(crate) fn for_each_equivalence(
+    netlist: &Netlist,
+    census: &Census,
+    mut merge: impl FnMut(Fault, Fault),
+) {
+    for (id, gate) in netlist.iter() {
+        // Rule 1: controlling-value equivalence through the gate.
+        if let Some(c) = gate.kind().controlling_value() {
+            let out = Fault {
+                site: PortRef::output(id),
+                stuck: c != gate.kind().inverts(),
+            };
+            for pin in 0..gate.fanin() {
+                let input = Fault {
+                    site: PortRef::input(id, pin as u8),
+                    stuck: c,
+                };
+                merge(input, out);
+            }
+        }
+        // Rule 2: single-input gates map both polarities through.
+        if matches!(gate.kind(), GateKind::Buf | GateKind::Not) {
+            let flip = gate.kind() == GateKind::Not;
+            for v in [false, true] {
+                let input = Fault {
+                    site: PortRef::input(id, 0),
+                    stuck: v,
+                };
+                let out = Fault {
+                    site: PortRef::output(id),
+                    stuck: v != flip,
+                };
+                merge(input, out);
+            }
+        }
+        // Rule 3: fanout-free stem — driver output fault ≡ sole reader's
+        // input fault (unless the stem is also observed as a primary
+        // output, where the faults differ in observability).
+        if census.fan_count[id.index()] == 1 && !census.is_po[id.index()] {
+            let (reader, pin) = census.sole_reader[id.index()];
+            for v in [false, true] {
+                let stem = Fault {
+                    site: PortRef::output(id),
+                    stuck: v,
+                };
+                let branch = Fault {
+                    site: PortRef::input(reader, pin),
+                    stuck: v,
+                };
+                merge(stem, branch);
+            }
         }
     }
 }
@@ -126,90 +231,21 @@ impl UnionFind {
 /// universe index per class).
 #[must_use]
 pub fn collapse(netlist: &Netlist, faults: &[Fault]) -> Collapse {
-    let index: HashMap<Fault, usize> = faults.iter().enumerate().map(|(i, &f)| (f, i)).collect();
+    collapse_with(netlist, faults, &Census::new(netlist))
+}
+
+fn collapse_with(netlist: &Netlist, faults: &[Fault], census: &Census) -> Collapse {
     let mut uf = UnionFind::new(faults.len());
-    let merge = |uf: &mut UnionFind, a: Fault, b: Fault| {
+    let index: HashMap<Fault, u32> = faults.iter().zip(0u32..).map(|(&f, i)| (f, i)).collect();
+    for_each_equivalence(netlist, census, |a, b| {
         if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
             uf.union(ia, ib);
         }
-    };
+    });
 
-    let fanout = netlist.fanout_map();
-    for (id, gate) in netlist.iter() {
-        // Rule 1: controlling-value equivalence through the gate.
-        if let Some(c) = gate.kind().controlling_value() {
-            let out_val = c != gate.kind().inverts();
-            for pin in 0..gate.fanin() {
-                merge(
-                    &mut uf,
-                    Fault {
-                        site: PortRef::input(id, pin as u8),
-                        stuck: c,
-                    },
-                    Fault {
-                        site: PortRef::output(id),
-                        stuck: out_val,
-                    },
-                );
-            }
-        }
-        // Rule 2: single-input gates map both polarities through.
-        match gate.kind() {
-            GateKind::Buf => {
-                for v in [false, true] {
-                    merge(
-                        &mut uf,
-                        Fault {
-                            site: PortRef::input(id, 0),
-                            stuck: v,
-                        },
-                        Fault {
-                            site: PortRef::output(id),
-                            stuck: v,
-                        },
-                    );
-                }
-            }
-            GateKind::Not => {
-                for v in [false, true] {
-                    merge(
-                        &mut uf,
-                        Fault {
-                            site: PortRef::input(id, 0),
-                            stuck: v,
-                        },
-                        Fault {
-                            site: PortRef::output(id),
-                            stuck: !v,
-                        },
-                    );
-                }
-            }
-            _ => {}
-        }
-        // Rule 3: fanout-free stem — driver output fault ≡ sole reader's
-        // input fault (unless the stem is also observed as a primary
-        // output, where the faults differ in observability).
-        let is_po = netlist.primary_outputs().iter().any(|&(g, _)| g == id);
-        if fanout[id.index()].len() == 1 && !is_po {
-            let (reader, pin) = fanout[id.index()][0];
-            for v in [false, true] {
-                merge(
-                    &mut uf,
-                    Fault {
-                        site: PortRef::output(id),
-                        stuck: v,
-                    },
-                    Fault {
-                        site: PortRef::input(reader, pin),
-                        stuck: v,
-                    },
-                );
-            }
-        }
-    }
-
-    let rep_of: Vec<usize> = (0..faults.len()).map(|i| uf.find(i)).collect();
+    let rep_of: Vec<usize> = (0..faults.len())
+        .map(|i| uf.find(i as u32) as usize)
+        .collect();
     let mut reps: Vec<usize> = rep_of.clone();
     reps.sort_unstable();
     reps.dedup();
@@ -385,7 +421,8 @@ impl DominanceCollapse {
 /// [`DominanceCollapse`].
 #[must_use]
 pub fn dominance_collapse(netlist: &Netlist, faults: &[Fault]) -> DominanceCollapse {
-    let eq = collapse(netlist, faults);
+    let census = Census::new(netlist);
+    let eq = collapse_with(netlist, faults, &census);
     let dropped = |f: Fault| -> bool {
         // Drop gate-output faults that dominate their input faults: for
         // an AND gate, output s-a-1 is detected whenever any input
@@ -398,11 +435,7 @@ pub fn dominance_collapse(netlist: &Netlist, faults: &[Fault]) -> DominanceColla
             return false;
         };
         let dominated_by_inputs = f.stuck == (c == gate.kind().inverts());
-        let is_po = netlist
-            .primary_outputs()
-            .iter()
-            .any(|&(g, _)| g == f.site.gate);
-        dominated_by_inputs && !is_po && gate.fanin() > 0
+        dominated_by_inputs && !census.is_po[f.site.gate.index()] && gate.fanin() > 0
     };
 
     let mut targets: Vec<Fault> = Vec::new();

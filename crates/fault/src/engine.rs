@@ -1,31 +1,21 @@
-//! A unified interface over every fault-simulation engine.
+//! A unified interface over the fault-simulation engines.
 //!
-//! Six independently implemented engines compute fault detection in this
-//! crate; [`FaultSimEngine`] puts them behind one call signature so
-//! benches, equivalence tests and fault-grading consumers can iterate
-//! over the whole roster (see [`engines`]). The engines and their
-//! trade-offs:
+//! Three engines compute fault detection in this crate, one per job;
+//! [`FaultSimEngine`] puts them behind one call signature so benches,
+//! equivalence tests and fault-grading consumers can iterate over the
+//! whole roster (see [`engines`]):
 //!
-//! | engine | algorithm | word packing | lane width | dropping | threads |
+//! | engine | job | algorithm | word packing | dropping | threads |
 //! |---|---|---|---|---|---|
-//! | [`SerialEngine`] | fault-serial, pattern-parallel full re-evaluation | wide pattern words | 64 (default) / 256 / 512 via [`SerialOptions::lane_width`] | optional | 1 |
-//! | [`ParallelFaultEngine`] | good machine + 63 faulty machines per word | 63 faults/word | 64 | yes | 1 |
-//! | [`DeductiveEngine`] | fault-list propagation (Armstrong) | none (set algebra) | n/a | n/a | 1 |
-//! | [`SequentialEngine`] | 3-valued cycle-serial, fault-serial | none | n/a | yes | 1 |
-//! | [`ConcurrentEngine`] | diverged-machine-only re-simulation | none | n/a | yes | 1 |
-//! | [`PpsfpEngine`] | cone-restricted event diff vs. compiled baseline | wide pattern words | auto (default) / 64 / 256 / 512 via [`PpsfpOptions::lane_width`] | optional | N |
+//! | [`SerialEngine`] | combinational reference | fault-serial, pattern-parallel full re-evaluation | 64 patterns/word | optional | 1 |
+//! | [`SequentialEngine`] | 3-valued cycle semantics | cycle-serial, fault-serial | none | yes | 1 |
+//! | [`PpsfpEngine`] | fast fault grading | cone-restricted event diff vs. compiled baseline | 64 or 256 patterns/block, picked from the block count | yes | N |
 //!
-//! The two wide engines share [`dft_sim::LaneWidth`]: a wide block
-//! `[u64; W]` carries `64 × W` pattern lanes through one levelized walk
-//! (or one event propagation), and every width produces bit-identical
-//! detection results — the knob trades per-op dispatch overhead against
-//! wasted tail-lane work.
-//!
-//! The two sequential engines interpret the pattern set as a cycle
+//! The sequential engine interprets the pattern set as a cycle
 //! *sequence* from an all-X start; on purely combinational netlists (no
 //! storage) this coincides exactly with the combinational engines —
 //! which is the common ground the cross-engine equivalence tests stand
-//! on. On sequential netlists their detections are a conservative subset
+//! on. On sequential netlists its detections are a conservative subset
 //! (an X-masked output never counts as detected).
 
 use dft_netlist::{LevelizeError, Netlist};
@@ -33,10 +23,7 @@ use dft_obs::Collector;
 use dft_sim::{Logic, PatternSet};
 
 use crate::serial::SerialOptions;
-use crate::{
-    deductive_observed, parallel_fault_observed, ppsfp_observed, sequential_concurrent_observed,
-    sequential_observed, simulate_observed, DetectionResult, Fault, PpsfpOptions,
-};
+use crate::{sequential_observed, simulate_observed, DetectionResult, Fault, Ppsfp, PpsfpOptions};
 
 /// A fault-simulation engine: patterns × faults → per-fault first
 /// detection.
@@ -130,46 +117,6 @@ impl FaultSimEngine for SerialEngine {
     }
 }
 
-/// Classic 63-faulty-machines-per-word simulation ([`crate::parallel_fault`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ParallelFaultEngine;
-
-impl FaultSimEngine for ParallelFaultEngine {
-    fn name(&self) -> &'static str {
-        "parallel_fault"
-    }
-
-    fn run_with(
-        &self,
-        netlist: &Netlist,
-        patterns: &PatternSet,
-        faults: &[Fault],
-        obs: Option<&mut dyn Collector>,
-    ) -> Result<DetectionResult, LevelizeError> {
-        parallel_fault_observed(netlist, patterns, faults, obs)
-    }
-}
-
-/// Deductive fault-list propagation ([`crate::deductive`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeductiveEngine;
-
-impl FaultSimEngine for DeductiveEngine {
-    fn name(&self) -> &'static str {
-        "deductive"
-    }
-
-    fn run_with(
-        &self,
-        netlist: &Netlist,
-        patterns: &PatternSet,
-        faults: &[Fault],
-        obs: Option<&mut dyn Collector>,
-    ) -> Result<DetectionResult, LevelizeError> {
-        deductive_observed(netlist, patterns, faults, obs)
-    }
-}
-
 /// Three-valued cycle-serial simulation ([`crate::sequential`]) applied to
 /// the pattern set as a cycle sequence. Exact on combinational netlists.
 #[derive(Clone, Copy, Debug, Default)]
@@ -206,41 +153,10 @@ impl FaultSimEngine for SequentialEngine {
     }
 }
 
-/// Concurrent-style diverged-machine simulation
-/// ([`crate::sequential_concurrent`]) applied to the pattern set as a
-/// cycle sequence. Exact on combinational netlists.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConcurrentEngine;
-
-impl FaultSimEngine for ConcurrentEngine {
-    fn name(&self) -> &'static str {
-        "concurrent"
-    }
-
-    fn run_with(
-        &self,
-        netlist: &Netlist,
-        patterns: &PatternSet,
-        faults: &[Fault],
-        obs: Option<&mut dyn Collector>,
-    ) -> Result<DetectionResult, LevelizeError> {
-        let (d, _stats) =
-            sequential_concurrent_observed(netlist, &as_sequence(patterns), faults, obs)?;
-        Ok(DetectionResult {
-            first_detected: d
-                .first_detected
-                .iter()
-                .map(|o| o.map(|(cycle, _)| cycle))
-                .collect(),
-            pattern_count: patterns.len(),
-        })
-    }
-}
-
 /// The PPSFP engine ([`crate::ppsfp`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PpsfpEngine {
-    /// Engine options (auto threads + dropping by default).
+    /// Engine options (auto threads by default).
     pub options: PpsfpOptions,
 }
 
@@ -256,20 +172,17 @@ impl FaultSimEngine for PpsfpEngine {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> Result<DetectionResult, LevelizeError> {
-        ppsfp_observed(netlist, patterns, faults, self.options, obs)
+        Ok(Ppsfp::with_options(netlist, self.options)?.run_with(patterns, faults, obs))
     }
 }
 
-/// The full engine roster, one instance of each of the six engines with
-/// default options.
+/// The full engine roster, one instance of each of the three engines
+/// with default options.
 #[must_use]
 pub fn engines() -> Vec<Box<dyn FaultSimEngine>> {
     vec![
         Box::new(SerialEngine::default()),
-        Box::new(ParallelFaultEngine),
-        Box::new(DeductiveEngine),
         Box::new(SequentialEngine),
-        Box::new(ConcurrentEngine),
         Box::new(PpsfpEngine::default()),
     ]
 }
@@ -281,7 +194,7 @@ mod tests {
     use dft_netlist::circuits::c17;
 
     #[test]
-    fn all_six_engines_agree_on_c17() {
+    fn all_engines_agree_on_c17() {
         let n = c17();
         let faults = universe(&n);
         let rows: Vec<Vec<bool>> = (0..32u8)
@@ -306,6 +219,6 @@ mod tests {
         let mut names: Vec<&str> = engines().iter().map(|e| e.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 3);
     }
 }

@@ -1,7 +1,6 @@
 //! Fault injection during levelized evaluation.
 
 use dft_netlist::{GateKind, Levelization, LevelizeError, Netlist, Pin};
-use dft_sim::word::{fold_wide, stuck_wide};
 use dft_sim::Logic;
 
 use crate::Fault;
@@ -102,71 +101,6 @@ impl<'n> FaultyView<'n> {
             vals[id.index()] = match fault {
                 Some(f) if f.site.gate == id && f.site.pin == Pin::Output => Self::force(f.stuck),
                 _ => word,
-            };
-        }
-        vals
-    }
-
-    /// Wide variant of [`FaultyView::eval_block`]: one levelized walk
-    /// evaluates `64 × W` pattern lanes packed as `[u64; W]` wide words,
-    /// with the same inline injection semantics (cross-checked by test
-    /// against per-block [`FaultyView::eval_block`] columns). The gather
-    /// closure and fold are shared with the narrow path via
-    /// [`fold_wide`], so the layouts cannot drift.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_wide`/`state_wide` have the wrong length.
-    #[must_use]
-    pub fn eval_wide<const W: usize>(
-        &self,
-        pi_wide: &[[u64; W]],
-        state_wide: &[[u64; W]],
-        fault: Option<Fault>,
-    ) -> Vec<[u64; W]> {
-        assert_eq!(pi_wide.len(), self.netlist.primary_inputs().len());
-        assert_eq!(state_wide.len(), self.storage.len());
-        let mut vals = vec![[0u64; W]; self.netlist.gate_count()];
-        for (i, &pi) in self.netlist.primary_inputs().iter().enumerate() {
-            vals[pi.index()] = pi_wide[i];
-        }
-        for (i, &s) in self.storage.iter().enumerate() {
-            vals[s.index()] = state_wide[i];
-        }
-        for (id, gate) in self.netlist.iter() {
-            if gate.kind() == GateKind::Const1 {
-                vals[id.index()] = [u64::MAX; W];
-            }
-        }
-        // A stuck fault on a *source's* output (PI or DFF output) must be
-        // applied before anything reads it.
-        if let Some(f) = fault {
-            if f.site.pin == Pin::Output && self.netlist.gate(f.site.gate).kind().is_source() {
-                vals[f.site.gate.index()] = stuck_wide::<W>(f.stuck);
-            }
-        }
-        for &id in self.lv.order() {
-            let gate = self.netlist.gate(id);
-            if gate.kind().is_source() {
-                continue;
-            }
-            let wide = {
-                // Operand gather with the one faulted pin substituted.
-                let operand = |(pin, src): (usize, &dft_netlist::GateId)| -> [u64; W] {
-                    match fault {
-                        Some(f) if f.site.gate == id && f.site.pin == Pin::Input(pin as u8) => {
-                            stuck_wide::<W>(f.stuck)
-                        }
-                        _ => vals[src.index()],
-                    }
-                };
-                fold_wide(gate.kind(), gate.inputs().iter().enumerate().map(operand))
-            };
-            vals[id.index()] = match fault {
-                Some(f) if f.site.gate == id && f.site.pin == Pin::Output => {
-                    stuck_wide::<W>(f.stuck)
-                }
-                _ => wide,
             };
         }
         vals
@@ -375,43 +309,6 @@ mod tests {
         assert_eq!(w[y.index()], u64::MAX, "const-1 must drive the AND");
         let l = view.eval_logic(&[Logic::One], &[], None);
         assert_eq!(l[y.index()], Logic::One);
-    }
-
-    #[test]
-    fn wide_eval_columns_match_per_block_eval() {
-        let n = dft_netlist::circuits::c17();
-        let view = FaultyView::new(&n).unwrap();
-        let faults = crate::universe(&n);
-        // Four distinct 64-lane input blocks, packed into one 256-lane
-        // wide block.
-        let blocks: [[u64; 5]; 4] = [
-            [
-                0x0123_4567_89AB_CDEF,
-                0xFEDC_BA98_7654_3210,
-                0,
-                u64::MAX,
-                0xAAAA,
-            ],
-            [u64::MAX, 0, 0x5555, 0xFFFF_0000, 1],
-            [7, 1 << 63, 0x00FF_00FF, 0xF0F0, 0xDEAD_BEEF],
-            [0, 0, 0, 0, 0],
-        ];
-        let pi_wide: Vec<[u64; 4]> = (0..5)
-            .map(|i| [blocks[0][i], blocks[1][i], blocks[2][i], blocks[3][i]])
-            .collect();
-        for fault in faults.iter().copied().map(Some).chain([None]) {
-            let wide = view.eval_wide::<4>(&pi_wide, &[], fault);
-            for (w, block) in blocks.iter().enumerate() {
-                let narrow = view.eval_block(block, &[], fault);
-                for id in n.ids() {
-                    assert_eq!(
-                        wide[id.index()][w],
-                        narrow[id.index()],
-                        "gate {id} word {w} fault {fault:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -13,22 +13,20 @@
 //! * [`collapse`] — structural equivalence collapsing (the paper's
 //!   fault-equivalencing reference \[36\]-\[47\]) cutting the universe
 //!   roughly in half.
-//! * [`simulate`] / [`simulate_with_dropping`] — pattern-parallel single-
-//!   fault simulation (64 patterns per word).
-//! * [`parallel_fault`] — classic parallel-fault simulation (63 faulty
-//!   machines share each word with the good machine).
-//! * [`deductive`] — deductive fault simulation (the paper's reference
-//!   \[100\]): one pass per pattern propagating fault *lists*.
+//! * [`simulate`] — pattern-parallel single-fault simulation (64
+//!   patterns per word), the combinational reference engine.
 //! * [`sequential`] — three-valued serial fault simulation across clock
 //!   cycles for un-scanned sequential machines.
-//! * [`ppsfp`] — parallel-pattern single-fault propagation: 64 patterns
-//!   per word per fault over a compiled kernel, with cone-restricted
+//! * [`ppsfp`] — parallel-pattern single-fault propagation: wide pattern
+//!   blocks per fault over a compiled kernel, with cone-restricted
 //!   event propagation, fault dropping, and multi-threaded fault
 //!   partitioning. The fast engine for large fault-grading workloads.
 //!
-//! The [`FaultSimEngine`] trait ([`engines`] returns the full roster)
-//! puts all of them behind one interface; the engines are cross-checked
-//! against each other in this crate's tests (they must agree exactly on
+//! The [`FaultSimEngine`] trait ([`engines`] returns the roster) puts
+//! the three engines behind one interface, one engine per job: serial
+//! is the combinational reference, sequential the 3-valued cycle
+//! semantics, PPSFP the fast path. They are cross-checked against each
+//! other in this crate's tests (they must agree exactly on
 //! combinational circuits).
 //!
 //! ```
@@ -51,14 +49,11 @@
 #![forbid(unsafe_code)]
 
 mod collapse;
-mod concurrent;
-mod deductive;
 mod dictionary;
 mod engine;
 #[allow(clippy::module_inception)]
 mod fault;
 mod inject;
-mod parallel;
 mod ppsfp;
 mod prefilter;
 mod sequential;
@@ -67,23 +62,14 @@ pub mod stream;
 mod stuck_open;
 
 pub use collapse::{collapse, dominance_collapse, Collapse, DominanceCollapse};
-pub use concurrent::{sequential_concurrent, sequential_concurrent_observed, ConcurrentStats};
-pub use deductive::{deductive, deductive_observed};
 pub use dictionary::FaultDictionary;
-pub use engine::{
-    engines, ConcurrentEngine, DeductiveEngine, FaultSimEngine, ParallelFaultEngine, PpsfpEngine,
-    SequentialEngine, SerialEngine,
-};
+pub use engine::{engines, FaultSimEngine, PpsfpEngine, SequentialEngine, SerialEngine};
 pub use fault::{output_faults, universe, Fault};
 pub use inject::FaultyView;
-pub use parallel::{parallel_fault, parallel_fault_observed};
-pub use ppsfp::{ppsfp, ppsfp_observed, ppsfp_with_options, Ppsfp, PpsfpOptions};
+pub use ppsfp::{ppsfp, Ppsfp, PpsfpOptions};
 pub use prefilter::{prefilter_untestable, prefilter_with, Prefilter};
 pub use sequential::{sequential, sequential_observed, SequentialDetection};
-pub use serial::{
-    simulate, simulate_observed, simulate_with_dropping, simulate_with_options, DetectionResult,
-    SerialOptions,
-};
+pub use serial::{simulate, simulate_observed, DetectionResult, SerialOptions};
 pub use stuck_open::{
     simulate_stuck_open, stuck_open_universe, OpenKind, StuckOpenDetection, StuckOpenFault,
 };

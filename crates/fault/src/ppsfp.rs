@@ -1,20 +1,22 @@
 //! PPSFP: parallel-pattern single-fault propagation.
 //!
 //! The high-throughput fault-grading engine. Where the classic parallel
-//! method ([`crate::parallel_fault`]) packs 63 faulty *machines* per word
-//! under one pattern, PPSFP packs **many patterns per wide block under
-//! one fault** — the dual layout — and then refuses to do almost all of
-//! the work a naive engine would:
+//! method packs 63 faulty *machines* per word under one pattern, PPSFP
+//! packs **many patterns per wide block under one fault** — the dual
+//! layout — and then refuses to do almost all of the work a naive engine
+//! would:
 //!
 //! * **Compiled kernel.** Good-machine responses come from the flat
 //!   SoA/CSR [`Kernel`](dft_sim::Kernel) shared with
 //!   [`CompiledSim`](dft_sim::CompiledSim), evaluated once per pattern
 //!   block and cached for every gate (not just the outputs).
 //! * **Wide words.** Blocks are `[u64; W]` wide words carrying `64 × W`
-//!   patterns (`W` = 1/4/8 → 64/256/512 lanes, the [`LaneWidth`] knob;
-//!   default picks per workload). One op dispatch — kind match, CSR
-//!   operand walk, event scheduling — is amortized over the whole wide
-//!   block, and the unrolled `W`-word loops vectorize.
+//!   patterns. The engine picks `W` from the workload's 64-pattern block
+//!   count: 256 lanes (`W = 4`) from 4 blocks up, plain 64-lane words
+//!   below that, where wide blocks would only fold empty tail words.
+//!   One op dispatch — kind match, CSR operand walk, event scheduling —
+//!   is amortized over the whole wide block, and the unrolled `W`-word
+//!   loops vectorize.
 //! * **Cache-blocked baseline sweep.** The good-machine pass partitions
 //!   the op stream into level bands whose slot working sets fit in L1
 //!   (see [`Kernel::level_bands`]) and sweeps each band across all
@@ -42,15 +44,16 @@
 //!
 //! Detection semantics are identical to [`crate::simulate`] and
 //! independent of lane width (first detecting pattern per fault;
-//! cross-checked by tests and proptests — tail lanes of a ragged final
-//! block are masked at detection only).
+//! cross-checked against serial by tests and proptests on both sides of
+//! the width switch — tail lanes of a ragged final block are masked at
+//! detection only).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dft_netlist::{GateId, LevelizeError, Netlist, Pin};
 use dft_obs::{Collector, Obs};
-use dft_sim::word::{fold_wide, stuck_wide, LaneWidth};
+use dft_sim::word::{fold_wide, stuck_wide};
 use dft_sim::{Kernel, PatternSet};
 
 use crate::{DetectionResult, Fault};
@@ -60,31 +63,12 @@ use crate::{DetectionResult, Fault};
 /// `#[non_exhaustive]`: construct via [`Default`] and the `with_*`
 /// builders so new knobs can be added without breaking downstream
 /// crates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct PpsfpOptions {
     /// Worker threads. `0` (the default) uses the machine's available
     /// parallelism, capped by the number of fault-site groups.
     pub threads: usize,
-    /// Stop simulating a fault once one pattern detects it (default
-    /// `true`). Turning it off does not change the result — first
-    /// detection is recorded either way — only the work performed, which
-    /// makes it the honest baseline for work-avoidance measurements.
-    pub fault_dropping: bool,
-    /// Patterns per wide block (default [`LaneWidth::Auto`]: 256 lanes
-    /// for workloads of ≥ 4 blocks, else 64). Never changes the result,
-    /// only the block shape the engine runs over.
-    pub lane_width: LaneWidth,
-}
-
-impl Default for PpsfpOptions {
-    fn default() -> Self {
-        PpsfpOptions {
-            threads: 0,
-            fault_dropping: true,
-            lane_width: LaneWidth::Auto,
-        }
-    }
 }
 
 impl PpsfpOptions {
@@ -100,19 +84,19 @@ impl PpsfpOptions {
         self.threads = threads;
         self
     }
+}
 
-    /// Sets [`PpsfpOptions::fault_dropping`].
-    #[must_use]
-    pub fn with_fault_dropping(mut self, fault_dropping: bool) -> Self {
-        self.fault_dropping = fault_dropping;
-        self
-    }
-
-    /// Sets [`PpsfpOptions::lane_width`].
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: LaneWidth) -> Self {
-        self.lane_width = lane_width;
-        self
+/// Words per wide block for a workload of `block_count` 64-pattern
+/// blocks: 4 (256 lanes) from 4 blocks up, else 1. Narrow workloads
+/// would waste folds on empty tail words; 512 lanes does not pay on the
+/// event-propagation path, where the fold *count* barely drops with
+/// width (disturbances are dense across blocks) while the word work per
+/// fold scales with `W`.
+fn lane_words(block_count: usize) -> usize {
+    if block_count >= 4 {
+        4
+    } else {
+        1
     }
 }
 
@@ -261,12 +245,6 @@ impl<'n> Ppsfp<'n> {
         self.netlist
     }
 
-    /// The options this engine was built with.
-    #[must_use]
-    pub fn options(&self) -> PpsfpOptions {
-        self.options
-    }
-
     /// Fault-simulates `faults` against `patterns`, producing the same
     /// [`DetectionResult`] as [`crate::simulate`].
     ///
@@ -282,13 +260,13 @@ impl<'n> Ppsfp<'n> {
     ///
     /// Opens a `fault_sim.ppsfp` span with counters `faults`,
     /// `patterns`, `good_evals` (baseline 64-lane block equivalents),
-    /// `lane_words` (resolved lane width in words), `cones_loaded`,
-    /// `block_scans`, `excited_blocks`, `words_folded` (disturbed-gate
-    /// evaluations × lane width — the engine's unit of hot-loop work),
-    /// `detected`, `dropped`, plus a `coverage` gauge. Workers count
-    /// into private integers merged after the join, so the hot loop
-    /// never crosses a `dyn` boundary and `None` costs nothing
-    /// measurable.
+    /// `lane_words` (words per wide block: 1 below 4 blocks, else 4),
+    /// `cones_loaded`, `block_scans`, `excited_blocks`, `words_folded`
+    /// (disturbed-gate evaluations × lane width — the engine's unit of
+    /// hot-loop work), `detected`, `dropped`, plus a `coverage` gauge.
+    /// Workers count into private integers merged after the join, so
+    /// the hot loop never crosses a `dyn` boundary and `None` costs
+    /// nothing measurable.
     ///
     /// # Panics
     ///
@@ -300,39 +278,13 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> DetectionResult {
-        match self
-            .options
-            .lane_width
-            .resolve_words(patterns.block_count())
-        {
-            8 => self.run_width::<8>(patterns, faults, obs),
-            4 => self.run_width::<4>(patterns, faults, obs),
-            _ => self.run_width::<1>(patterns, faults, obs),
-        }
-    }
-
-    /// [`Ppsfp::run_with`] monomorphized for one wide-block width.
-    fn run_width<const W: usize>(
-        &self,
-        patterns: &PatternSet,
-        faults: &[Fault],
-        obs: Option<&mut dyn Collector>,
-    ) -> DetectionResult {
         let mut obs = Obs::new(obs);
         obs.enter("fault_sim.ppsfp");
-        let baseline = self.baseline::<W>(patterns);
-        let dropping = self.options.fault_dropping;
-        let (first_detected, work) = self.run_partitioned::<W, _, _>(faults, |worker, fault| {
-            worker.detect(fault, &baseline, dropping)
-        });
-        let result = DetectionResult {
-            first_detected,
-            pattern_count: patterns.len(),
-        };
+        let (result, work) = self.detect_chunks(patterns, |grade| grade(faults));
         let detected = result.detected_count() as u64;
-        self.flush::<W>(&mut obs, faults.len(), patterns, &work);
+        self.flush(&mut obs, faults.len(), patterns, &work);
         obs.count("detected", detected);
-        obs.count("dropped", if dropping { detected } else { 0 });
+        obs.count("dropped", detected);
         obs.gauge("coverage", result.coverage());
         obs.exit();
         result
@@ -363,44 +315,60 @@ impl<'n> Ppsfp<'n> {
         chunk_faults: usize,
     ) -> DetectionResult {
         assert!(chunk_faults > 0, "chunk size must be positive");
-        match self
-            .options
-            .lane_width
-            .resolve_words(patterns.block_count())
-        {
-            8 => self.run_streamed_width::<8>(patterns, faults, chunk_faults),
-            4 => self.run_streamed_width::<4>(patterns, faults, chunk_faults),
-            _ => self.run_streamed_width::<1>(patterns, faults, chunk_faults),
-        }
-    }
-
-    /// [`Ppsfp::run_streamed`] monomorphized for one wide-block width.
-    fn run_streamed_width<const W: usize>(
-        &self,
-        patterns: &PatternSet,
-        faults: impl IntoIterator<Item = Fault>,
-        chunk_faults: usize,
-    ) -> DetectionResult {
-        let baseline = self.baseline::<W>(patterns);
-        let dropping = self.options.fault_dropping;
         let mut faults = faults.into_iter();
-        let mut first_detected: Vec<Option<usize>> = Vec::new();
         let mut chunk: Vec<Fault> = Vec::with_capacity(chunk_faults);
-        loop {
+        let (result, _) = self.detect_chunks(patterns, |grade| loop {
             chunk.clear();
             chunk.extend(faults.by_ref().take(chunk_faults));
             if chunk.is_empty() {
                 break;
             }
-            let (detected, _) = self.run_partitioned::<W, _, _>(&chunk, |worker, fault| {
-                worker.detect(fault, &baseline, dropping)
-            });
-            first_detected.extend(detected);
+            grade(&chunk);
+        });
+        result
+    }
+
+    /// The one detection driver behind [`Ppsfp::run_with`] and
+    /// [`Ppsfp::run_streamed`], dispatched on the lane width.
+    /// `feed` hands each fault chunk in order to the grading callback.
+    fn detect_chunks(
+        &self,
+        patterns: &PatternSet,
+        feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
+    ) -> (DetectionResult, WorkCounters) {
+        match lane_words(patterns.block_count()) {
+            4 => self.detect_chunks_width::<4>(patterns, feed),
+            _ => self.detect_chunks_width::<1>(patterns, feed),
         }
-        DetectionResult {
+    }
+
+    /// [`Ppsfp::detect_chunks`] monomorphized for one wide-block width:
+    /// builds the baseline once, then partitions each chunk across the
+    /// workers and concatenates the results in chunk order.
+    fn detect_chunks_width<const W: usize>(
+        &self,
+        patterns: &PatternSet,
+        feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
+    ) -> (DetectionResult, WorkCounters) {
+        let baseline = self.baseline::<W>(patterns);
+        let mut first_detected: Vec<Option<usize>> = Vec::new();
+        let mut work = WorkCounters::default();
+        feed(&mut |chunk| {
+            let (detected, counters) = self
+                .run_partitioned::<W, _, _>(chunk, |worker, fault| worker.detect(fault, &baseline));
+            work.merge(counters);
+            // A single chunk (the slice path) moves in without a copy.
+            if first_detected.is_empty() {
+                first_detected = detected;
+            } else {
+                first_detected.extend(detected);
+            }
+        });
+        let result = DetectionResult {
             first_detected,
             pattern_count: patterns.len(),
-        }
+        };
+        (result, work)
     }
 
     /// Full-syndrome fault simulation: for every fault, the complete set
@@ -435,30 +403,13 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> Vec<BTreeSet<(u32, u16)>> {
-        match self
-            .options
-            .lane_width
-            .resolve_words(patterns.block_count())
-        {
-            8 => self.run_syndromes_width::<8>(patterns, faults, obs),
-            4 => self.run_syndromes_width::<4>(patterns, faults, obs),
-            _ => self.run_syndromes_width::<1>(patterns, faults, obs),
-        }
-    }
-
-    /// [`Ppsfp::run_syndromes_with`] monomorphized for one width.
-    fn run_syndromes_width<const W: usize>(
-        &self,
-        patterns: &PatternSet,
-        faults: &[Fault],
-        obs: Option<&mut dyn Collector>,
-    ) -> Vec<BTreeSet<(u32, u16)>> {
         let mut obs = Obs::new(obs);
         obs.enter("fault_sim.ppsfp");
-        let baseline = self.baseline::<W>(patterns);
-        let (syndromes, work) = self
-            .run_partitioned::<W, _, _>(faults, |worker, fault| worker.syndromes(fault, &baseline));
-        self.flush::<W>(&mut obs, faults.len(), patterns, &work);
+        let (syndromes, work) = match lane_words(patterns.block_count()) {
+            4 => self.syndromes_width::<4>(patterns, faults),
+            _ => self.syndromes_width::<1>(patterns, faults),
+        };
+        self.flush(&mut obs, faults.len(), patterns, &work);
         obs.count(
             "syndrome_bits",
             syndromes.iter().map(|s| s.len() as u64).sum(),
@@ -467,8 +418,18 @@ impl<'n> Ppsfp<'n> {
         syndromes
     }
 
+    /// [`Ppsfp::run_syndromes_with`] monomorphized for one width.
+    fn syndromes_width<const W: usize>(
+        &self,
+        patterns: &PatternSet,
+        faults: &[Fault],
+    ) -> (Vec<BTreeSet<(u32, u16)>>, WorkCounters) {
+        let baseline = self.baseline::<W>(patterns);
+        self.run_partitioned::<W, _, _>(faults, |worker, fault| worker.syndromes(fault, &baseline))
+    }
+
     /// Flushes the merged worker counters into a collector.
-    fn flush<const W: usize>(
+    fn flush(
         &self,
         obs: &mut Obs<'_>,
         fault_count: usize,
@@ -478,7 +439,7 @@ impl<'n> Ppsfp<'n> {
         obs.count("faults", fault_count as u64);
         obs.count("patterns", patterns.len() as u64);
         obs.count("good_evals", patterns.block_count() as u64);
-        obs.count("lane_words", W as u64);
+        obs.count("lane_words", lane_words(patterns.block_count()) as u64);
         obs.count("cones_loaded", w.cones_loaded);
         obs.count("block_scans", w.block_scans);
         obs.count("excited_blocks", w.excited_blocks);
@@ -851,7 +812,7 @@ impl<'a, const W: usize> Worker<'a, W> {
     /// AND-input stuck-at-0 collapses to the output stuck-at-0 in every
     /// lane that excites it), and the memo turns those repeat
     /// propagations into one wide-word compare.
-    fn detect(&mut self, fault: Fault, baseline: &Baseline<W>, dropping: bool) -> Option<usize> {
+    fn detect(&mut self, fault: Fault, baseline: &Baseline<W>) -> Option<usize> {
         if !self.eng.reaches_output[self.root as usize] {
             return None; // no structural path to any output
         }
@@ -885,17 +846,15 @@ impl<'a, const W: usize> Worker<'a, W> {
                 }
             };
             let mask = &baseline.lane_masks[wb];
-            if first.is_none() {
-                for w in 0..W {
-                    let d = diff[w] & mask[w];
-                    if d != 0 {
-                        first = Some((wb * W + w) * 64 + d.trailing_zeros() as usize);
-                        break;
-                    }
-                }
-                if first.is_some() && dropping {
+            for w in 0..W {
+                let d = diff[w] & mask[w];
+                if d != 0 {
+                    first = Some((wb * W + w) * 64 + d.trailing_zeros() as usize);
                     break;
                 }
+            }
+            if first.is_some() {
+                break; // dropped: later blocks are never simulated
             }
         }
         self.work = blocks;
@@ -951,45 +910,7 @@ pub fn ppsfp(
     patterns: &PatternSet,
     faults: &[Fault],
 ) -> Result<DetectionResult, LevelizeError> {
-    ppsfp_with_options(netlist, patterns, faults, PpsfpOptions::default())
-}
-
-/// [`ppsfp`] with explicit [`PpsfpOptions`].
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if the pattern width disagrees with the netlist.
-pub fn ppsfp_with_options(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-    options: PpsfpOptions,
-) -> Result<DetectionResult, LevelizeError> {
-    ppsfp_observed(netlist, patterns, faults, options, None)
-}
-
-/// [`ppsfp_with_options`] feeding telemetry to an optional collector
-/// (see [`Ppsfp::run_with`] for the span and counter set).
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if the pattern width disagrees with the netlist.
-pub fn ppsfp_observed(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-    options: PpsfpOptions,
-    obs: Option<&mut dyn Collector>,
-) -> Result<DetectionResult, LevelizeError> {
-    Ok(Ppsfp::with_options(netlist, options)?.run_with(patterns, faults, obs))
+    Ok(Ppsfp::new(netlist)?.run(patterns, faults))
 }
 
 #[cfg(test)]
@@ -1028,44 +949,30 @@ mod tests {
             let p = PatternSet::random(12, 150, &mut rng); // 3 blocks, ragged tail
             let reference = simulate(&n, &p, &faults).unwrap();
             for threads in [1, 2, 5] {
-                for fault_dropping in [true, false] {
-                    let opts = PpsfpOptions::new()
-                        .with_threads(threads)
-                        .with_fault_dropping(fault_dropping);
-                    let r = ppsfp_with_options(&n, &p, &faults, opts).unwrap();
-                    assert_eq!(
-                        r, reference,
-                        "seed {seed} threads {threads} dropping {fault_dropping}"
-                    );
-                }
+                let r = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(threads))
+                    .unwrap()
+                    .run(&p, &faults);
+                assert_eq!(r, reference, "seed {seed} threads {threads}");
             }
         }
     }
 
     #[test]
-    fn all_lane_widths_agree_with_serial() {
-        // Enough patterns for Auto to pick the 512-lane path, with a
-        // ragged tail block and a partial wide group (10 blocks = one
-        // 8-block group + 2 tail blocks at W = 8).
+    fn lane_width_switches_at_four_blocks() {
+        // 192 patterns fill 3 blocks and stay on 64-lane words; 193
+        // spill into a 4th block and switch to 256-lane wide blocks.
         let n = random_combinational(12, 220, 5);
         let faults = universe(&n);
-        let mut rng = StdRng::seed_from_u64(0xBEEF);
-        let p = PatternSet::random(12, 10 * 64 - 17, &mut rng);
-        let reference = simulate(&n, &p, &faults).unwrap();
-        for lane_width in [
-            LaneWidth::Auto,
-            LaneWidth::W64,
-            LaneWidth::W256,
-            LaneWidth::W512,
-        ] {
-            for fault_dropping in [true, false] {
-                let opts = PpsfpOptions::new()
-                    .with_threads(1)
-                    .with_fault_dropping(fault_dropping)
-                    .with_lane_width(lane_width);
-                let r = ppsfp_with_options(&n, &p, &faults, opts).unwrap();
-                assert_eq!(r, reference, "{lane_width:?} dropping {fault_dropping}");
-            }
+        let eng = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(1)).unwrap();
+        for (count, words) in [(192, 1), (193, 4)] {
+            let mut rng = StdRng::seed_from_u64(0xBEEF);
+            let p = PatternSet::random(12, count, &mut rng);
+            let mut rec = dft_obs::Recorder::new();
+            let r = eng.run_with(&p, &faults, Some(&mut rec));
+            let report = rec.finish("width");
+            let span = report.find("fault_sim.ppsfp").expect("span must exist");
+            assert_eq!(span.counter("lane_words"), words, "{count} patterns");
+            assert_eq!(r, simulate(&n, &p, &faults).unwrap(), "{count} patterns");
         }
     }
 
@@ -1140,19 +1047,32 @@ mod tests {
     }
 
     #[test]
-    fn syndromes_agree_across_lane_widths() {
+    fn wide_syndromes_match_brute_force() {
+        // 9 full blocks plus a 5-lane tail: the 256-lane path, with a
+        // ragged final wide block.
         let n = random_combinational(10, 120, 13);
         let faults = universe(&n);
         let mut rng = StdRng::seed_from_u64(2);
         let p = PatternSet::random(10, 9 * 64 + 5, &mut rng);
-        let reference =
-            Ppsfp::with_options(&n, PpsfpOptions::new().with_lane_width(LaneWidth::W64))
-                .unwrap()
-                .run_syndromes(&p, &faults);
-        for lane_width in [LaneWidth::W256, LaneWidth::W512, LaneWidth::Auto] {
-            let eng =
-                Ppsfp::with_options(&n, PpsfpOptions::new().with_lane_width(lane_width)).unwrap();
-            assert_eq!(eng.run_syndromes(&p, &faults), reference, "{lane_width:?}");
+        let syn = Ppsfp::new(&n).unwrap().run_syndromes(&p, &faults);
+        let view = crate::FaultyView::new(&n).unwrap();
+        let outputs: Vec<_> = n.primary_outputs().iter().map(|&(g, _)| g).collect();
+        let good: Vec<Vec<u64>> = (0..p.block_count())
+            .map(|b| view.eval_block(p.block(b), &[], None))
+            .collect();
+        for (fi, &f) in faults.iter().enumerate() {
+            let mut expect = BTreeSet::new();
+            for (b, good) in good.iter().enumerate() {
+                let bad = view.eval_block(p.block(b), &[], Some(f));
+                for lane in 0..p.lanes_in_block(b) {
+                    for (oi, &g) in outputs.iter().enumerate() {
+                        if (good[g.index()] ^ bad[g.index()]) >> lane & 1 != 0 {
+                            expect.insert(((b * 64 + lane) as u32, oi as u16));
+                        }
+                    }
+                }
+            }
+            assert_eq!(syn[fi], expect, "fault {f}");
         }
     }
 

@@ -11,16 +11,13 @@
 //!   never look at later patterns (dropping is optional here, see
 //!   [`SerialOptions`] — the result is identical either way, only the
 //!   work changes);
-//! * [`crate::deductive`] computes the *complete* per-pattern detection
-//!   relation as a by-product of its fault-list algebra and then reduces
-//!   it to first detection (see the note in `deductive.rs`);
 //! * [`crate::FaultDictionary`] is the consumer that genuinely needs
 //!   **all** detections — every `(pattern, output)` mismatch — so it is
 //!   built from [`crate::Ppsfp::run_syndromes`], which never drops.
 
 use dft_netlist::{LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
-use dft_sim::{LaneWidth, PatternSet};
+use dft_sim::PatternSet;
 
 use crate::{Fault, FaultyView};
 
@@ -37,23 +34,14 @@ pub struct SerialOptions {
     /// detection is recorded regardless — but with dropping off the
     /// engine performs the full faults × blocks work, which makes it the
     /// honest baseline when measuring what dropping and cone restriction
-    /// save (the same knob PPSFP exposes in
-    /// [`crate::PpsfpOptions::fault_dropping`]).
+    /// save.
     pub fault_dropping: bool,
-    /// Patterns per faulty-machine walk (default [`LaneWidth::W64`] —
-    /// unlike PPSFP this engine is the *reference*, so it defaults to
-    /// the classic narrow walk rather than auto-widening; `Auto`,
-    /// `W256` and `W512` opt into the wide scratch path, which
-    /// evaluates several 64-pattern blocks per levelized walk with
-    /// identical results).
-    pub lane_width: LaneWidth,
 }
 
 impl Default for SerialOptions {
     fn default() -> Self {
         SerialOptions {
             fault_dropping: true,
-            lane_width: LaneWidth::W64,
         }
     }
 }
@@ -69,13 +57,6 @@ impl SerialOptions {
     #[must_use]
     pub fn with_fault_dropping(mut self, fault_dropping: bool) -> Self {
         self.fault_dropping = fault_dropping;
-        self
-    }
-
-    /// Sets [`SerialOptions::lane_width`].
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: LaneWidth) -> Self {
-        self.lane_width = lane_width;
         self
     }
 }
@@ -164,49 +145,12 @@ pub fn simulate(
     patterns: &PatternSet,
     faults: &[Fault],
 ) -> Result<DetectionResult, LevelizeError> {
-    simulate_with_dropping(netlist, patterns, faults)
+    simulate_observed(netlist, patterns, faults, SerialOptions::default(), None)
 }
 
-/// Same as [`simulate`]; the name documents that faults are dropped from
-/// further simulation as soon as one pattern detects them (the standard
-/// run-time optimization).
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if the pattern width disagrees with the netlist.
-pub fn simulate_with_dropping(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-) -> Result<DetectionResult, LevelizeError> {
-    simulate_with_options(netlist, patterns, faults, SerialOptions::default())
-}
-
-/// [`simulate`] with explicit [`SerialOptions`] (see the module docs for
-/// when turning dropping off is useful).
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if the pattern width disagrees with the netlist.
-pub fn simulate_with_options(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-    options: SerialOptions,
-) -> Result<DetectionResult, LevelizeError> {
-    simulate_observed(netlist, patterns, faults, options, None)
-}
-
-/// [`simulate_with_options`] feeding telemetry to an optional collector —
-/// the uniform observed entry point every engine in this crate exposes.
+/// [`simulate`] with explicit [`SerialOptions`], feeding telemetry to an
+/// optional collector — the uniform observed entry point every engine in
+/// this crate exposes.
 ///
 /// Opens a `fault_sim.serial` span and flushes effort counters once per
 /// run (`faults`, `patterns`, `good_evals`, `faulty_evals`, `detected`,
@@ -227,62 +171,17 @@ pub fn simulate_observed(
     options: SerialOptions,
     obs: Option<&mut dyn Collector>,
 ) -> Result<DetectionResult, LevelizeError> {
-    match options.lane_width.resolve_words(patterns.block_count()) {
-        8 => simulate_width::<8>(netlist, patterns, faults, options, obs),
-        4 => simulate_width::<4>(netlist, patterns, faults, options, obs),
-        _ => simulate_width::<1>(netlist, patterns, faults, options, obs),
-    }
-}
-
-/// [`simulate_observed`] monomorphized for one wide-block width: each
-/// levelized faulty-machine walk covers `64 × W` patterns. Results are
-/// bit-identical across widths (the wide pattern index decomposes as
-/// `(group × W + word) × 64 + lane`, scanned in that order).
-fn simulate_width<const W: usize>(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-    options: SerialOptions,
-    obs: Option<&mut dyn Collector>,
-) -> Result<DetectionResult, LevelizeError> {
     let mut obs = Obs::new(obs);
     obs.enter("fault_sim.serial");
     let view = FaultyView::new(netlist)?;
-    let state = vec![[0u64; W]; view.storage().len()];
+    let state = vec![0u64; view.storage().len()];
     let outputs: Vec<_> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
 
     let nb = patterns.block_count();
-    let groups = nb.div_ceil(W);
-    // Primary inputs packed per wide group (tail words zero-padded) and
-    // the per-word valid-lane masks.
-    let mut pi_wide: Vec<Vec<[u64; W]>> = Vec::with_capacity(groups);
-    let mut lane_masks: Vec<[u64; W]> = Vec::with_capacity(groups);
-    for g in 0..groups {
-        let mut pis = vec![[0u64; W]; patterns.input_count()];
-        let mut mask = [0u64; W];
-        for w in 0..W {
-            let b = g * W + w;
-            if b < nb {
-                for (i, &word) in patterns.block(b).iter().enumerate() {
-                    pis[i][w] = word;
-                }
-                let lanes = patterns.lanes_in_block(b);
-                mask[w] = if lanes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes) - 1
-                };
-            }
-        }
-        pi_wide.push(pis);
-        lane_masks.push(mask);
-    }
-
-    // Good-machine responses per wide group, only at the primary outputs.
-    let good: Vec<Vec<[u64; W]>> = pi_wide
-        .iter()
-        .map(|pis| {
-            let vals = view.eval_wide::<W>(pis, &state, None);
+    // Good-machine responses per block, only at the primary outputs.
+    let good: Vec<Vec<u64>> = (0..nb)
+        .map(|b| {
+            let vals = view.eval_block(patterns.block(b), &state, None);
             outputs.iter().map(|&g| vals[g.index()]).collect()
         })
         .collect();
@@ -291,30 +190,28 @@ fn simulate_width<const W: usize>(
     let mut dropped = 0u64;
     let mut first_detected = vec![None; faults.len()];
     let mut live: Vec<usize> = (0..faults.len()).collect();
-    for g in 0..groups {
+    for (b, good) in good.iter().enumerate() {
         if live.is_empty() {
             break;
         }
-        // Narrow-block equivalents this walk covers (ragged tail group
-        // counts only the real blocks), keeping `faulty_evals`
-        // comparable across lane widths.
-        let blocks_covered = (nb - g * W).min(W) as u64;
-        let mask = &lane_masks[g];
+        let lanes = patterns.lanes_in_block(b);
+        let mask = if lanes == 64 {
+            u64::MAX
+        } else {
+            (1u64 << lanes) - 1
+        };
         live.retain(|&fi| {
-            let vals = view.eval_wide::<W>(&pi_wide[g], &state, Some(faults[fi]));
-            faulty_evals += blocks_covered;
-            let mut diff = [0u64; W];
-            for (oi, &gate) in outputs.iter().enumerate() {
-                for w in 0..W {
-                    diff[w] |= (vals[gate.index()][w] ^ good[g][oi][w]) & mask[w];
-                }
-            }
-            let Some(w) = diff.iter().position(|&d| d != 0) else {
+            let vals = view.eval_block(patterns.block(b), &state, Some(faults[fi]));
+            faulty_evals += 1;
+            let diff = outputs
+                .iter()
+                .zip(good)
+                .fold(0u64, |d, (&gate, &g)| d | ((vals[gate.index()] ^ g) & mask));
+            if diff == 0 {
                 return true;
-            };
+            }
             if first_detected[fi].is_none() {
-                let lane = diff[w].trailing_zeros() as usize;
-                first_detected[fi] = Some((g * W + w) * 64 + lane);
+                first_detected[fi] = Some(b * 64 + diff.trailing_zeros() as usize);
             }
             if options.fault_dropping {
                 dropped += 1;
@@ -332,7 +229,6 @@ fn simulate_width<const W: usize>(
     obs.count("faults", faults.len() as u64);
     obs.count("patterns", patterns.len() as u64);
     obs.count("good_evals", nb as u64);
-    obs.count("lane_words", W as u64);
     obs.count("faulty_evals", faulty_evals);
     obs.count("detected", result.detected_count() as u64);
     obs.count("dropped", dropped);
@@ -393,45 +289,15 @@ mod tests {
         let faults = universe(&n);
         let p = exhaustive_patterns(5);
         let a = simulate(&n, &p, &faults).unwrap();
-        let b = simulate_with_options(
+        let b = simulate_observed(
             &n,
             &p,
             &faults,
             SerialOptions::new().with_fault_dropping(false),
+            None,
         )
         .unwrap();
         assert_eq!(a, b, "dropping is a work optimization, not a semantic");
-    }
-
-    #[test]
-    fn wide_serial_agrees_with_narrow_serial() {
-        // The wide scratch path must be bit-identical to the classic
-        // narrow walk — detected sets AND first-detecting patterns —
-        // including a pattern count that leaves a ragged tail at every
-        // width (150 patterns = 2 full blocks + 22 lanes; 3 blocks is
-        // not divisible by W=4 or W=8).
-        let n = dft_netlist::circuits::random_combinational(10, 120, 11);
-        let faults = universe(&n);
-        let mut rng = StdRng::seed_from_u64(9);
-        let p = PatternSet::random(10, 150, &mut rng);
-        let narrow = simulate_with_options(&n, &p, &faults, SerialOptions::new()).unwrap();
-        for (width, dropping) in [
-            (LaneWidth::Auto, true),
-            (LaneWidth::W256, true),
-            (LaneWidth::W256, false),
-            (LaneWidth::W512, true),
-        ] {
-            let wide = simulate_with_options(
-                &n,
-                &p,
-                &faults,
-                SerialOptions::new()
-                    .with_lane_width(width)
-                    .with_fault_dropping(dropping),
-            )
-            .unwrap();
-            assert_eq!(narrow, wide, "{width:?} dropping={dropping}");
-        }
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 use dft_netlist::{GateId, GateKind, Netlist, Pin, PortRef};
 
+use crate::collapse::{for_each_equivalence, Census, UnionFind};
 use crate::Fault;
 
 /// A constant-space view of the single-stuck-at fault universe.
@@ -167,10 +168,10 @@ impl<'n> FaultUniverse<'n> {
 ///
 /// Applies exactly the three rules of [`collapse`](crate::collapse) —
 /// controlling-value equivalence, inverter/buffer mapping, fanout-free
-/// stems — over fault *indices*, so the whole computation is one `u32`
-/// union-find plus two flat fan-out arrays. Representatives are the
-/// smallest universe index per class, identical to
-/// [`Collapse::representatives`](crate::Collapse::representatives).
+/// stems, written once and shared — over fault *indices*, so the whole
+/// computation is one `u32` union-find plus a flat fan-out census.
+/// Representatives are the smallest universe index per class, identical
+/// to [`Collapse::representatives`](crate::Collapse::representatives).
 #[derive(Clone, Debug)]
 pub struct CollapsedUniverse<'n> {
     universe: FaultUniverse<'n>,
@@ -185,102 +186,17 @@ impl<'n> CollapsedUniverse<'n> {
     pub fn new(netlist: &'n Netlist) -> Self {
         let universe = FaultUniverse::new(netlist);
         let n = universe.len();
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
+        let mut uf = UnionFind::new(n);
+        for_each_equivalence(netlist, &Census::new(netlist), |a, b| {
+            if let (Some(a), Some(b)) = (universe.index_of(a), universe.index_of(b)) {
+                uf.union(a as u32, b as u32);
             }
-            x
-        }
-        fn union(parent: &mut [u32], a: u32, b: u32) {
-            let (ra, rb) = (find(parent, a), find(parent, b));
-            if ra != rb {
-                // Smaller index stays representative, as in `collapse`.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi as usize] = lo;
-            }
-        }
-
-        // Flat single-pass fan-out census: per driver, the edge count and
-        // (for count == 1) the unique (reader, pin) edge.
-        let mut fan_count = vec![0u32; netlist.gate_count()];
-        let mut sole_reader = vec![(GateId::from_index(0), 0u8); netlist.gate_count()];
-        for (id, gate) in netlist.iter() {
-            for (pin, &src) in gate.inputs().iter().enumerate() {
-                fan_count[src.index()] += 1;
-                sole_reader[src.index()] = (id, u8::try_from(pin).expect("pin fits u8"));
-            }
-        }
-        let mut is_po = vec![false; netlist.gate_count()];
-        for &(g, _) in netlist.primary_outputs() {
-            is_po[g.index()] = true;
-        }
-
-        let index_of = |f: Fault| universe.index_of(f);
-        for (id, gate) in netlist.iter() {
-            // Rule 1: controlling-value equivalence through the gate.
-            if let Some(c) = gate.kind().controlling_value() {
-                let out_val = c != gate.kind().inverts();
-                let out = index_of(Fault {
-                    site: PortRef::output(id),
-                    stuck: out_val,
-                });
-                for pin in 0..gate.fanin() {
-                    let inp = index_of(Fault {
-                        site: PortRef::input(id, pin as u8),
-                        stuck: c,
-                    });
-                    if let (Some(a), Some(b)) = (inp, out) {
-                        union(&mut parent, a as u32, b as u32);
-                    }
-                }
-            }
-            // Rule 2: single-input gates map both polarities through.
-            match gate.kind() {
-                GateKind::Buf | GateKind::Not => {
-                    let flip = gate.kind() == GateKind::Not;
-                    for v in [false, true] {
-                        let a = index_of(Fault {
-                            site: PortRef::input(id, 0),
-                            stuck: v,
-                        });
-                        let b = index_of(Fault {
-                            site: PortRef::output(id),
-                            stuck: v != flip,
-                        });
-                        if let (Some(a), Some(b)) = (a, b) {
-                            union(&mut parent, a as u32, b as u32);
-                        }
-                    }
-                }
-                _ => {}
-            }
-            // Rule 3: fanout-free stem — driver output fault ≡ sole
-            // reader's input fault, unless the stem is also a PO.
-            if fan_count[id.index()] == 1 && !is_po[id.index()] {
-                let (reader, pin) = sole_reader[id.index()];
-                for v in [false, true] {
-                    let a = index_of(Fault {
-                        site: PortRef::output(id),
-                        stuck: v,
-                    });
-                    let b = index_of(Fault {
-                        site: PortRef::input(reader, pin),
-                        stuck: v,
-                    });
-                    if let (Some(a), Some(b)) = (a, b) {
-                        union(&mut parent, a as u32, b as u32);
-                    }
-                }
-            }
-        }
+        });
 
         let mut class_count = 0usize;
         let mut rep_of = vec![0u32; n];
         for i in 0..n as u32 {
-            let r = find(&mut parent, i);
+            let r = uf.find(i);
             rep_of[i as usize] = r;
             if r == i {
                 class_count += 1;

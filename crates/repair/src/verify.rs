@@ -7,7 +7,7 @@
 //! only if the expected-escape-cost saving pays for its hardware.
 
 use dft_core::CostModel;
-use dft_fault::{ppsfp_with_options, universe, PpsfpOptions};
+use dft_fault::{universe, Ppsfp, PpsfpOptions};
 use dft_netlist::{LevelizeError, Netlist};
 use dft_sim::PatternSet;
 use rand::rngs::StdRng;
@@ -41,12 +41,8 @@ pub fn measure_coverage(
     let faults = universe(netlist);
     let mut rng = StdRng::seed_from_u64(seed);
     let set = PatternSet::random(netlist.primary_inputs().len(), patterns, &mut rng);
-    let result = ppsfp_with_options(
-        netlist,
-        &set,
-        &faults,
-        PpsfpOptions::new().with_threads(threads),
-    )?;
+    let result =
+        Ppsfp::with_options(netlist, PpsfpOptions::new().with_threads(threads))?.run(&set, &faults);
     Ok(CoverageStat {
         fault_count: faults.len(),
         detected: result.detected_count(),

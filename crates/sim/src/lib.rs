@@ -61,4 +61,3 @@ pub use pattern::PatternSet;
 pub use sequential::SequentialSim;
 pub use threeval::ThreeValueSim;
 pub use value::Logic;
-pub use word::LaneWidth;

@@ -4,8 +4,8 @@
 //! the compiled [`Kernel`](crate::Kernel), and the fault simulators in
 //! `dft-fault` — evaluates gates over `u64` words where each bit lane is an
 //! independent pattern (or machine). This module is the single home for
-//! that per-gate fold and for the stuck-value masking the fault engines
-//! layer on top, so the word semantics cannot drift between engines.
+//! that per-gate fold and for the stuck-value words the fault engines
+//! inject, so the word semantics cannot drift between engines.
 //!
 //! The fold is lane-width-parametric: a *wide word* `[u64; W]` carries
 //! `64 × W` pattern lanes (`W = 4` → 256 lanes, `W = 8` → 512 lanes) and
@@ -13,66 +13,11 @@
 //! fixed-`W` array loops compile to straight-line vector code (SSE2/AVX2/
 //! AVX-512 as the target allows), so one op dispatch — kind match, CSR
 //! operand walk, destination write — is amortized over `W` words instead
-//! of one. [`LaneWidth`] is the run-time knob engines expose for picking
-//! `W`; the 64-lane [`fold_word`] is the `W = 1` instantiation, so the
-//! two can never disagree.
+//! of one. Callers pick `W` at compile time (PPSFP picks it per run from
+//! the workload's block count); the 64-lane [`fold_word`] is the `W = 1`
+//! instantiation, so the two can never disagree.
 
 use dft_netlist::GateKind;
-
-/// Lane width of a packed simulation run: how many 64-pattern `u64`
-/// words ride in one wide block.
-///
-/// This is the run-time dispatch knob for the wide kernels (engines
-/// monomorphize per width and `match` on the resolved word count), wired
-/// into `PpsfpOptions`/`SerialOptions` in `dft-fault`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum LaneWidth {
-    /// Pick per run from the workload's 64-pattern block count: 256
-    /// lanes when at least 4 blocks are queued, plain 64-lane words
-    /// below that (narrow workloads would waste folds on empty tail
-    /// words). 512 lanes is opt-in: on the event-propagation path the
-    /// fold *count* barely drops with width (disturbances are dense
-    /// across blocks) while the word work per fold scales with `W`, and
-    /// measurement puts the dense-sweep savings break-even near `W = 4`.
-    #[default]
-    Auto,
-    /// Classic 64 patterns per word (`W = 1`).
-    W64,
-    /// 256 patterns per wide block (`W = 4`, `u64x4`).
-    W256,
-    /// 512 patterns per wide block (`W = 8`, `u64x8`).
-    W512,
-}
-
-impl LaneWidth {
-    /// The fixed word count `W`, or `None` for [`LaneWidth::Auto`].
-    #[must_use]
-    pub fn words(self) -> Option<usize> {
-        match self {
-            LaneWidth::Auto => None,
-            LaneWidth::W64 => Some(1),
-            LaneWidth::W256 => Some(4),
-            LaneWidth::W512 => Some(8),
-        }
-    }
-
-    /// Pattern lanes per wide block (`64 × W`), or `None` for `Auto`.
-    #[must_use]
-    pub fn lanes(self) -> Option<usize> {
-        self.words().map(|w| w * 64)
-    }
-
-    /// Resolves the word count for a workload of `block_count`
-    /// 64-pattern blocks (the run-time dispatch point).
-    #[must_use]
-    pub fn resolve_words(self, block_count: usize) -> usize {
-        match self.words() {
-            Some(w) => w,
-            None if block_count >= 4 => 4,
-            None => 1,
-        }
-    }
-}
 
 /// The packed word a stuck-at value forces: all-ones for s-a-1, all-zeros
 /// for s-a-0.
@@ -89,18 +34,6 @@ pub fn stuck_word(stuck: bool) -> u64 {
 #[must_use]
 pub fn stuck_wide<const W: usize>(stuck: bool) -> [u64; W] {
     [stuck_word(stuck); W]
-}
-
-/// Forces `stuck` onto the lanes selected by `mask`, leaving the other
-/// lanes of `word` untouched — the per-lane injection primitive of
-/// parallel-fault simulation (one faulty machine per lane).
-#[must_use]
-pub fn apply_stuck_mask(word: u64, mask: u64, stuck: bool) -> u64 {
-    if stuck {
-        word | mask
-    } else {
-        word & !mask
-    }
 }
 
 /// Element-wise binary op over wide blocks; the fixed-`W` loop unrolls
@@ -211,9 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn stuck_masking() {
-        assert_eq!(apply_stuck_mask(0b0000, 0b0110, true), 0b0110);
-        assert_eq!(apply_stuck_mask(0b1111, 0b0110, false), 0b1001);
+    fn stuck_words_force_every_lane() {
         assert_eq!(stuck_word(true), u64::MAX);
         assert_eq!(stuck_word(false), 0);
         assert_eq!(stuck_wide::<4>(true), [u64::MAX; 4]);
@@ -250,19 +181,5 @@ mod tests {
                 assert_eq!(wide[w], narrow, "{kind:?} word {w}");
             }
         }
-    }
-
-    #[test]
-    fn lane_width_resolution() {
-        assert_eq!(LaneWidth::W64.resolve_words(100), 1);
-        assert_eq!(LaneWidth::W256.resolve_words(1), 4);
-        assert_eq!(LaneWidth::W512.resolve_words(1), 8);
-        assert_eq!(LaneWidth::Auto.resolve_words(16), 4);
-        assert_eq!(LaneWidth::Auto.resolve_words(8), 4);
-        assert_eq!(LaneWidth::Auto.resolve_words(4), 4);
-        assert_eq!(LaneWidth::Auto.resolve_words(3), 1);
-        assert_eq!(LaneWidth::Auto.resolve_words(0), 1);
-        assert_eq!(LaneWidth::W512.lanes(), Some(512));
-        assert_eq!(LaneWidth::Auto.words(), None);
     }
 }

@@ -131,30 +131,6 @@ proptest! {
         prop_assert_eq!(lfsr.period(), (1u64 << degree) - 1);
     }
 
-    /// The concurrent sequential fault simulator is an optimization, not
-    /// a different semantics: it must match the serial engine exactly on
-    /// random machines and random stimulus.
-    #[test]
-    fn concurrent_fault_sim_matches_serial(
-        state_bits in 2usize..6,
-        gates in 6usize..20,
-        seed: u64,
-        stim_seed: u64,
-    ) {
-        use design_for_testability::fault::{sequential, sequential_concurrent};
-        use design_for_testability::sim::Logic;
-        let n = random_sequential(3, state_bits, gates, 2, seed);
-        let faults = universe(&n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(stim_seed);
-        let seq: Vec<Vec<Logic>> = (0..16)
-            .map(|_| (0..3).map(|_| Logic::from(rand::Rng::gen_bool(&mut rng, 0.5))).collect())
-            .collect();
-        let serial = sequential(&n, &seq, &faults).unwrap();
-        let (conc, stats) = sequential_concurrent(&n, &seq, &faults).unwrap();
-        prop_assert_eq!(serial, conc);
-        prop_assert!(stats.faulty_evals <= stats.serial_evals);
-    }
-
     /// Compiled straight-line simulation agrees with the graph walker on
     /// every output of every pattern.
     #[test]
