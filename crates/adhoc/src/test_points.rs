@@ -202,14 +202,14 @@ mod tests {
 
     #[test]
     fn functional_behaviour_is_preserved_with_enable_low() {
-        use dft_sim::{ParallelSim, PatternSet};
+        use dft_sim::{CompiledSim, PatternSet};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let n = random_combinational(6, 40, 29);
         let plan = select_test_points(&n, 2, 2).unwrap();
         let improved = apply_test_points(&n, &plan).unwrap();
-        let sim_old = ParallelSim::new(&n).unwrap();
-        let sim_new = ParallelSim::new(&improved).unwrap();
+        let sim_old = CompiledSim::new(&n).unwrap();
+        let sim_new = CompiledSim::new(&improved).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let p_old = PatternSet::random(6, 64, &mut rng);
         let extra = improved.primary_inputs().len() - 6;

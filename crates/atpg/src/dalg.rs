@@ -10,19 +10,19 @@
 //!
 //! The implementation searches on good-machine line values with full
 //! forward/backward implication; faulty-machine values are derived
-//! forward (with the fault injected). Every test it returns is verified
-//! by forward simulation before being reported.
+//! forward from the assigned primary inputs by [`FaultyView`], the
+//! serial fault simulator's faulty-frame evaluator. Every test it
+//! returns is verified by the same evaluator before being reported.
 
-use dft_fault::Fault;
+use dft_fault::{Fault, FaultyView};
 use dft_implic::ImplicationEngine;
-use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin, PortRef};
-use dft_obs::{Collector, Obs};
+use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin};
 use dft_sim::justify::forced_inputs;
 use dft_sim::Logic;
 
-use crate::podem::{GenOutcome, PodemConfig, SolveStats, TestCube};
+use crate::podem::{GenOutcome, PodemConfig, TestCube};
 
-/// Tuning knobs for [`dalg`]/[`dalg_with`].
+/// Tuning knobs for [`dalg`].
 ///
 /// `#[non_exhaustive]`: construct via [`Default`] and the `with_*`
 /// builders so new knobs can be added without breaking downstream
@@ -88,8 +88,11 @@ impl From<PodemConfig> for DalgConfig {
 /// verdicts on exhaustively-checkable circuits).
 ///
 /// When `config.use_implications` is set, a static implication engine
-/// is built for the call; to amortize that over many faults, build one
-/// [`ImplicationEngine`] and use [`dalg_with`].
+/// is built for the call. It contributes two prunes: faults it proves
+/// untestable return immediately with zero search, and every
+/// implication fixpoint cross-checks the assigned line values against
+/// the learned store and the static necessities of detection, failing
+/// branches early.
 ///
 /// # Errors
 ///
@@ -102,67 +105,7 @@ pub fn dalg(
     let engine = config
         .use_implications
         .then(|| ImplicationEngine::new(netlist));
-    dalg_with(netlist, fault, config, engine.as_ref()).map(|(outcome, _)| outcome)
-}
-
-/// [`dalg`] with a caller-supplied implication engine (or `None` for a
-/// pure search) and the search-effort counters surfaced.
-///
-/// The engine contributes two prunes: faults it proves untestable
-/// return immediately with zero search, and every implication fixpoint
-/// cross-checks the assigned line values against the learned store and
-/// the static necessities of detection, failing branches early.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-pub fn dalg_with<'n>(
-    netlist: &'n Netlist,
-    fault: Fault,
-    config: &DalgConfig,
-    implic: Option<&ImplicationEngine<'n>>,
-) -> Result<(GenOutcome, SolveStats), LevelizeError> {
-    dalg_observed(netlist, fault, config, implic, None)
-}
-
-/// [`dalg_with`] feeding telemetry to an optional collector.
-///
-/// Opens an `atpg.dalg` span per attempt and flushes the [`SolveStats`]
-/// counters (`backtracks`, `forward_evals`, `implication_conflicts`)
-/// plus one of `tests`/`untestable`/`aborted` for the outcome; the
-/// returned stats are unchanged, so the legacy view and the collector
-/// always agree.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-pub fn dalg_observed<'n>(
-    netlist: &'n Netlist,
-    fault: Fault,
-    config: &DalgConfig,
-    implic: Option<&ImplicationEngine<'n>>,
-    obs: Option<&mut dyn Collector>,
-) -> Result<(GenOutcome, SolveStats), LevelizeError> {
-    let mut obs = Obs::new(obs);
-    obs.enter("atpg.dalg");
-    let (outcome, stats) = dalg_search(netlist, fault, config, implic)?;
-    obs.count("attempts", 1);
-    obs.count("backtracks", u64::from(stats.backtracks));
-    obs.count("forward_evals", stats.forward_evals);
-    obs.count(
-        "implication_conflicts",
-        u64::from(stats.implication_conflicts),
-    );
-    obs.count(
-        match outcome {
-            GenOutcome::Test(_) => "tests",
-            GenOutcome::Untestable => "untestable",
-            GenOutcome::Aborted => "aborted",
-        },
-        1,
-    );
-    obs.exit();
-    Ok((outcome, stats))
+    dalg_search(netlist, fault, config, engine.as_ref())
 }
 
 fn dalg_search<'n>(
@@ -170,9 +113,9 @@ fn dalg_search<'n>(
     fault: Fault,
     config: &DalgConfig,
     implic: Option<&ImplicationEngine<'n>>,
-) -> Result<(GenOutcome, SolveStats), LevelizeError> {
+) -> Result<GenOutcome, LevelizeError> {
     let lv = netlist.levelize()?;
-    let stats = SolveStats::default();
+    let view = FaultyView::new(netlist)?;
 
     // Excite: the activation net's good value must be the complement of
     // the stuck value.
@@ -187,7 +130,7 @@ fn dalg_search<'n>(
             .fault_untestable(fault.site.gate, fault.site.pin, fault.stuck)
             .is_some()
         {
-            return Ok((GenOutcome::Untestable, stats));
+            return Ok(GenOutcome::Untestable);
         }
         necessity = engine
             .query(activation, !fault.stuck)
@@ -200,9 +143,10 @@ fn dalg_search<'n>(
     let mut solver = DalgSolver {
         netlist,
         order: lv.order().to_vec(),
+        unknown_state: vec![Logic::X; view.storage().len()],
+        view,
         fault,
         budget: i64::from(config.backtrack_limit) * 8,
-        stats,
         implic,
         necessity,
     };
@@ -212,20 +156,24 @@ fn dalg_search<'n>(
 
     let found = solver.search(&mut good);
     if solver.budget <= 0 {
-        return Ok((GenOutcome::Aborted, solver.stats));
+        return Ok(GenOutcome::Aborted);
     }
-    match found {
-        Some(cube) => Ok((GenOutcome::Test(cube), solver.stats)),
-        None => Ok((GenOutcome::Untestable, solver.stats)),
-    }
+    Ok(match found {
+        Some(cube) => GenOutcome::Test(cube),
+        None => GenOutcome::Untestable,
+    })
 }
 
 struct DalgSolver<'a, 'n> {
     netlist: &'n Netlist,
     order: Vec<GateId>,
+    /// Faulty-frame evaluator for [`DalgSolver::faulty_values`] and
+    /// [`DalgSolver::verify`].
+    view: FaultyView<'n>,
+    /// All-X present state (storage is uncontrollable here).
+    unknown_state: Vec<Logic>,
     fault: Fault,
     budget: i64,
-    stats: SolveStats,
     implic: Option<&'a ImplicationEngine<'n>>,
     /// `(net index, good value)` pairs every detecting assignment must
     /// satisfy (the excitation literal's static implication closure).
@@ -233,54 +181,23 @@ struct DalgSolver<'a, 'n> {
 }
 
 impl DalgSolver<'_, '_> {
-    /// Forward-computes faulty-machine values from good-machine values
-    /// (X where good is X and the fault effect hasn't fixed them).
+    /// Forward-computes faulty-machine values from the good machine's
+    /// primary-input values (X where an input is still unassigned and
+    /// the fault effect hasn't fixed them).
     fn faulty_values(&self, good: &[Logic]) -> Vec<Logic> {
-        let mut faulty = vec![Logic::X; self.netlist.gate_count()];
-        for &pi in self.netlist.primary_inputs() {
-            faulty[pi.index()] = good[pi.index()];
-        }
-        if self.fault.site.pin == Pin::Output
-            && self.netlist.gate(self.fault.site.gate).kind().is_source()
-        {
-            faulty[self.fault.site.gate.index()] = Logic::from(self.fault.stuck);
-        }
-        for &id in &self.order {
-            let gate = self.netlist.gate(id);
-            match gate.kind() {
-                GateKind::Input => continue,
-                GateKind::Dff => continue, // stays X (uncontrollable)
-                GateKind::Const0 => faulty[id.index()] = Logic::Zero,
-                GateKind::Const1 => faulty[id.index()] = Logic::One,
-                kind => {
-                    let ins: Vec<Logic> = gate
-                        .inputs()
-                        .iter()
-                        .enumerate()
-                        .map(|(p, &s)| {
-                            if self.fault.site.gate == id
-                                && self.fault.site.pin == Pin::Input(p as u8)
-                            {
-                                Logic::from(self.fault.stuck)
-                            } else {
-                                faulty[s.index()]
-                            }
-                        })
-                        .collect();
-                    faulty[id.index()] = Logic::eval_gate(kind, &ins);
-                }
-            }
-            if self.fault.site == PortRef::output(id) {
-                faulty[id.index()] = Logic::from(self.fault.stuck);
-            }
-        }
-        faulty
+        let pis: Vec<Logic> = self
+            .netlist
+            .primary_inputs()
+            .iter()
+            .map(|&pi| good[pi.index()])
+            .collect();
+        self.view
+            .eval_logic(&pis, &self.unknown_state, Some(self.fault))
     }
 
     /// Forward + backward implication on good-machine values.
     /// Returns `false` on contradiction.
-    fn imply(&mut self, good: &mut [Logic]) -> bool {
-        self.stats.forward_evals += 1;
+    fn imply(&self, good: &mut [Logic]) -> bool {
         loop {
             let mut changed = false;
             // Forward.
@@ -349,10 +266,9 @@ impl DalgSolver<'_, '_> {
     /// store: a known line value contradicting a learned implication of
     /// another known value (or a necessary condition of detection)
     /// means no completion of this state detects the fault.
-    fn implication_consistent(&mut self, good: &[Logic]) -> bool {
+    fn implication_consistent(&self, good: &[Logic]) -> bool {
         for &(i, v) in &self.necessity {
             if good[i].to_bool().is_some_and(|b| b != v) {
-                self.stats.implication_conflicts += 1;
                 return false;
             }
         }
@@ -363,7 +279,6 @@ impl DalgSolver<'_, '_> {
             let Some(b) = g.to_bool() else { continue };
             for l in engine.learned_edges(GateId::from_index(i), b) {
                 if good[l.net.index()].to_bool().is_some_and(|x| x != l.value) {
-                    self.stats.implication_conflicts += 1;
                     return false;
                 }
             }
@@ -444,7 +359,6 @@ impl DalgSolver<'_, '_> {
                 if let Some(t) = self.search(&mut trial) {
                     return Some(t);
                 }
-                self.stats.backtracks += 1;
             }
             return None;
         }
@@ -565,7 +479,6 @@ impl DalgSolver<'_, '_> {
                 if let Some(t) = self.search(&mut trial) {
                     return Some(t);
                 }
-                self.stats.backtracks += 1;
             }
         }
         // Internal-line decisions are exhausted without success. That
@@ -598,31 +511,18 @@ impl DalgSolver<'_, '_> {
             if let Some(t) = self.search(&mut trial) {
                 return Some(t);
             }
-            self.stats.backtracks += 1;
         }
         None
     }
 
     /// Independent forward verification of a candidate cube.
     fn verify(&self, cube: &TestCube) -> bool {
-        let mut good = vec![Logic::X; self.netlist.gate_count()];
-        for (i, &pi) in self.netlist.primary_inputs().iter().enumerate() {
-            good[pi.index()] = cube.assignment[i];
-        }
-        for &id in &self.order {
-            let gate = self.netlist.gate(id);
-            if gate.kind().is_source() {
-                match gate.kind() {
-                    GateKind::Const0 => good[id.index()] = Logic::Zero,
-                    GateKind::Const1 => good[id.index()] = Logic::One,
-                    _ => {}
-                }
-                continue;
-            }
-            let ins: Vec<Logic> = gate.inputs().iter().map(|&s| good[s.index()]).collect();
-            good[id.index()] = Logic::eval_gate(gate.kind(), &ins);
-        }
-        let faulty = self.faulty_values(&good);
+        let good = self
+            .view
+            .eval_logic(&cube.assignment, &self.unknown_state, None);
+        let faulty = self
+            .view
+            .eval_logic(&cube.assignment, &self.unknown_state, Some(self.fault));
         self.netlist.primary_outputs().iter().any(|&(g, _)| {
             matches!(
                 (good[g.index()].to_bool(), faulty[g.index()].to_bool()),

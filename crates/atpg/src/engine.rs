@@ -10,16 +10,6 @@ use crate::compact::reverse_order_drop;
 use crate::parallel::{deterministic_phase, DetVerdict};
 use crate::random::random_atpg;
 
-/// Which deterministic engine tops off the random phase.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeterministicEngine {
-    /// PI-decision PODEM (default; fastest here).
-    #[default]
-    Podem,
-    /// Roth's D-Algorithm.
-    DAlgorithm,
-}
-
 /// Configuration for [`generate_tests`].
 ///
 /// `#[non_exhaustive]`: construct via [`Default`] and the `with_*`
@@ -33,16 +23,10 @@ pub struct AtpgConfig {
     pub random_budget: usize,
     /// Random-phase seed.
     pub seed: u64,
-    /// Deterministic engine for the top-off phase.
-    pub engine: DeterministicEngine,
-    /// Backtrack limit per fault.
+    /// PODEM backtrack limit per fault.
     pub backtrack_limit: u32,
     /// Run compaction on the final set.
     pub compact: bool,
-    /// Build a static implication engine (`dft-implic`) for the
-    /// deterministic phase: statically-untestable faults skip search
-    /// and learned implications prune dead branches early.
-    pub use_implications: bool,
     /// Worker threads for the deterministic phase (0 = all cores). The
     /// result is identical for every value — see [`crate::parallel`].
     pub threads: usize,
@@ -57,10 +41,8 @@ impl Default for AtpgConfig {
         AtpgConfig {
             random_budget: 256,
             seed: 0,
-            engine: DeterministicEngine::Podem,
             backtrack_limit: 10_000,
             compact: true,
-            use_implications: true,
             threads: 0,
             collateral_dropping: true,
         }
@@ -88,13 +70,6 @@ impl AtpgConfig {
         self
     }
 
-    /// Sets [`AtpgConfig::engine`].
-    #[must_use]
-    pub fn with_engine(mut self, engine: DeterministicEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Sets [`AtpgConfig::backtrack_limit`].
     #[must_use]
     pub fn with_backtrack_limit(mut self, backtrack_limit: u32) -> Self {
@@ -106,13 +81,6 @@ impl AtpgConfig {
     #[must_use]
     pub fn with_compact(mut self, compact: bool) -> Self {
         self.compact = compact;
-        self
-    }
-
-    /// Sets [`AtpgConfig::use_implications`].
-    #[must_use]
-    pub fn with_use_implications(mut self, use_implications: bool) -> Self {
-        self.use_implications = use_implications;
         self
     }
 
@@ -214,7 +182,8 @@ impl AtpgRun {
 /// combinational test view extracted by `dft-scan`).
 ///
 /// 1. Random phase: up to `random_budget` patterns with fault dropping.
-/// 2. Deterministic phase: PODEM or the D-Algorithm per surviving fault.
+/// 2. Deterministic phase: PODEM, with its static implication store, per
+///    surviving fault.
 /// 3. Optional compaction (cube merge + reverse-order drop), re-verified
 ///    by fault simulation.
 ///
@@ -233,8 +202,8 @@ pub fn generate_tests(
 ///
 /// Opens an `atpg.generate` span with one child span per flow phase —
 /// `atpg.random`, `atpg.deterministic` (which also nests the solver's
-/// `implic.learn` build when implications are on), `atpg.compact` —
-/// flushing each phase's effort counters once. The deterministic phase
+/// `implic.learn` build), `atpg.compact` — flushing each phase's effort
+/// counters once. The deterministic phase
 /// aggregates its per-fault [`crate::SolveStats`] into phase totals
 /// (`attempts`, `backtracks`, `forward_evals`, `implication_conflicts`,
 /// `gate_evals`, `tests`, `untestable`, `aborted`) rather than emitting one span per
@@ -392,19 +361,6 @@ mod tests {
             .status
             .iter()
             .all(|s| !matches!(s, FaultStatus::DetectedRandom)));
-    }
-
-    #[test]
-    fn dalg_engine_flow() {
-        let n = c17();
-        let faults = universe(&n);
-        let cfg = AtpgConfig {
-            engine: DeterministicEngine::DAlgorithm,
-            random_budget: 0,
-            ..AtpgConfig::default()
-        };
-        let run = generate_tests(&n, &faults, &cfg).unwrap();
-        assert_eq!(run.coverage(), 1.0);
     }
 
     #[test]

@@ -10,18 +10,20 @@
 //! implements those generators:
 //!
 //! * [`podem`] — PI-decision based deterministic ATPG (complete for
-//!   combinational logic).
+//!   combinational logic); the flow's deterministic engine.
 //! * [`dalg`] — the D-Algorithm (Roth, the paper's reference \[93\]):
-//!   internal-line decisions with a J-frontier, cross-checked against
-//!   PODEM.
+//!   internal-line decisions with a J-frontier. It is PODEM's
+//!   independent reference, cross-checked against it by test; the flow
+//!   does not run it.
 //! * [`random_atpg`] / [`weighted_random_atpg`] — random-pattern
 //!   generation with fault dropping (references \[87\], \[95\], \[98\]).
-//! * [`exhaustive_atpg`] — all-2ⁿ application for small cones.
+//! * [`exhaustive_atpg`] — all-2ⁿ application for small cones, graded
+//!   by PPSFP.
 //! * [`compact`] — static cube merging plus reverse-order pattern
 //!   dropping.
-//! * [`generate_tests`] — the production flow: random phase, then
-//!   deterministic top-off, then compaction; returns patterns, per-fault
-//!   status and effort counters (used by the Eq. (1) scaling experiment).
+//! * [`generate_tests`] — the production flow: random phase, then PODEM
+//!   top-off, then compaction; returns patterns, per-fault status and
+//!   effort counters (used by the Eq. (1) scaling experiment).
 //!
 //! ```
 //! use dft_netlist::circuits::c17;
@@ -50,10 +52,8 @@ mod timeframe;
 mod v5;
 
 pub use compact::{compact, merge_cubes, reverse_order_drop};
-pub use dalg::{dalg, dalg_observed, dalg_with, DalgConfig};
-pub use engine::{
-    generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, DeterministicEngine, FaultStatus,
-};
+pub use dalg::{dalg, DalgConfig};
+pub use engine::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, FaultStatus};
 pub use parallel::{deterministic_phase, DetDriver, DetPhase, DetVerdict, WorkerStats};
 pub use podem::{podem, podem_observed, GenOutcome, Podem, PodemConfig, SolveStats, TestCube};
 pub use random::{

@@ -5,12 +5,11 @@
 //! that explodes with gate count; this driver attacks it on two axes at
 //! once. *Parallelism*: the surviving fault queue is solved in fixed
 //! 64-fault batches whose slots are strided across scoped worker
-//! threads, each running PODEM (or the D-Algorithm) against shared
-//! read-only solver state. *Work avoidance*: after every batch the
-//! freshly generated cubes are merged, zero-filled, and fault-simulated
-//! with [`Ppsfp`] over the not-yet-attempted tail of the queue, so
-//! faults the new tests already cover are dropped before any worker
-//! wastes a search on them.
+//! threads, each running PODEM against one shared read-only solver.
+//! *Work avoidance*: after every batch the freshly generated cubes are
+//! merged, zero-filled, and fault-simulated with [`Ppsfp`] over the
+//! not-yet-attempted tail of the queue, so faults the new tests already
+//! cover are dropped before any worker wastes a search on them.
 //!
 //! The merge is deterministic by construction. Batch boundaries depend
 //! only on the queue (`BATCH` is fixed, not derived from the thread
@@ -21,14 +20,12 @@
 //! `threads` setting.
 
 use dft_fault::{Fault, Ppsfp};
-use dft_implic::{ImplicOptions, ImplicationEngine};
 use dft_netlist::{LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
 use dft_sim::PatternSet;
 
 use crate::compact::merge_cubes;
-use crate::dalg::{dalg_with, DalgConfig};
-use crate::engine::{AtpgConfig, DeterministicEngine};
+use crate::engine::AtpgConfig;
 use crate::podem::{GenOutcome, Podem, PodemConfig, SolveStats, TestCube};
 
 /// Faults per batch. Fixed (and equal to the [`Ppsfp`] word width) so
@@ -88,7 +85,7 @@ pub struct DetPhase {
     /// Total implication-store conflicts.
     pub implication_conflicts: u64,
     /// Total gate evaluations inside PODEM's forward implication
-    /// ([`SolveStats::gate_evals`]; 0 for the D-Algorithm).
+    /// ([`SolveStats::gate_evals`]).
     pub gate_evals: u64,
     /// [`DetVerdict::Test`] count.
     pub tests: u64,
@@ -117,17 +114,14 @@ fn resolve_workers(threads: usize) -> usize {
 }
 
 /// Compiled, shareable state for the threaded deterministic phase: the
-/// solver (with its implication store), the inter-batch [`Ppsfp`]
+/// PODEM solver (with its implication store), the inter-batch [`Ppsfp`]
 /// dropper, and the resolved worker count. Build once with
 /// [`DetDriver::new`], then [`DetDriver::run`] any number of queues —
 /// the split lets callers (and the bench) separate the one-time compile
 /// cost from the phase itself.
 pub struct DetDriver<'n> {
     netlist: &'n Netlist,
-    engine: DeterministicEngine,
-    solver: Option<Podem<'n>>,
-    dalg_cfg: DalgConfig,
-    implic: Option<ImplicationEngine<'n>>,
+    solver: Podem<'n>,
     dropper: Option<Ppsfp<'n>>,
     workers: usize,
 }
@@ -144,8 +138,7 @@ impl<'n> DetDriver<'n> {
     }
 
     /// [`DetDriver::new`] with the solver build feeding `obs` (the
-    /// `implic.learn` span nests under the caller's current span when
-    /// implications are on).
+    /// `implic.learn` span nests under the caller's current span).
     ///
     /// # Errors
     ///
@@ -156,27 +149,10 @@ impl<'n> DetDriver<'n> {
         obs: Option<&mut dyn Collector>,
     ) -> Result<Self, LevelizeError> {
         let mut obs = Obs::new(obs);
-        let podem_cfg = PodemConfig::new()
-            .with_backtrack_limit(config.backtrack_limit)
-            .with_use_implications(config.use_implications);
-        let dalg_cfg = DalgConfig::from(podem_cfg);
-        // Shared read-only solver state: PODEM compiles once (including
-        // its implication store), the D-Algorithm gets a separate shared
-        // store.
-        let solver = match config.engine {
-            DeterministicEngine::Podem => {
-                Some(Podem::new_observed(netlist, podem_cfg, obs.as_option())?)
-            }
-            DeterministicEngine::DAlgorithm => None,
-        };
-        let implic = (config.use_implications && config.engine == DeterministicEngine::DAlgorithm)
-            .then(|| {
-                ImplicationEngine::with_options_observed(
-                    netlist,
-                    ImplicOptions::default(),
-                    obs.as_option(),
-                )
-            });
+        // Shared read-only solver state: PODEM compiles once, including
+        // its implication store.
+        let podem_cfg = PodemConfig::new().with_backtrack_limit(config.backtrack_limit);
+        let solver = Podem::new_observed(netlist, podem_cfg, obs.as_option())?;
         // The inter-batch sets are at most one 64-pattern block (one
         // batch of merged cubes), so the engine's block-count width rule
         // keeps the narrow 64-lane path here — wide blocks would only
@@ -190,10 +166,7 @@ impl<'n> DetDriver<'n> {
         };
         Ok(DetDriver {
             netlist,
-            engine: config.engine,
             solver,
-            dalg_cfg,
-            implic,
             dropper,
             workers: resolve_workers(config.threads),
         })
@@ -211,20 +184,16 @@ impl<'n> DetDriver<'n> {
     /// The output is identical for every `threads` value; see the
     /// module docs for the argument.
     ///
-    /// # Errors
-    ///
-    /// Returns [`LevelizeError`] on combinational cycles (D-Algorithm
-    /// engine only; PODEM levelizes at build time).
-    ///
     /// # Panics
     ///
     /// Panics if a queue index is out of range for `faults`.
+    #[must_use]
     pub fn run(
         &self,
         faults: &[Fault],
         queue: &[usize],
         obs: Option<&mut dyn Collector>,
-    ) -> Result<DetPhase, LevelizeError> {
+    ) -> DetPhase {
         self.run_inner(faults, queue, Obs::new(obs))
     }
 }
@@ -249,16 +218,11 @@ pub fn deterministic_phase(
 ) -> Result<DetPhase, LevelizeError> {
     let mut obs = Obs::new(obs);
     let driver = DetDriver::new_observed(netlist, config, obs.as_option())?;
-    driver.run_inner(faults, queue, obs)
+    Ok(driver.run_inner(faults, queue, obs))
 }
 
 impl DetDriver<'_> {
-    fn run_inner(
-        &self,
-        faults: &[Fault],
-        queue: &[usize],
-        mut obs: Obs<'_>,
-    ) -> Result<DetPhase, LevelizeError> {
+    fn run_inner(&self, faults: &[Fault], queue: &[usize], mut obs: Obs<'_>) -> DetPhase {
         let n_pi = self.netlist.primary_inputs().len();
         let mut phase = DetPhase {
             verdicts: vec![DetVerdict::Aborted; queue.len()],
@@ -283,7 +247,7 @@ impl DetDriver<'_> {
         while !pending.is_empty() {
             let take = pending.len().min(BATCH);
             let batch: Vec<usize> = pending.drain(..take).collect();
-            let results = self.solve_batch(faults, queue, &batch, &mut phase.worker_stats)?;
+            let results = self.solve_batch(faults, queue, &batch, &mut phase.worker_stats);
             // Deterministic reduction: slot order, regardless of which
             // worker finished when.
             let mut batch_cubes: Vec<TestCube> = Vec::new();
@@ -349,7 +313,7 @@ impl DetDriver<'_> {
         obs.count("dropped", phase.collateral);
         obs.count("rows", phase.rows.len() as u64);
         obs.exit();
-        Ok(phase)
+        phase
     }
 
     /// Solves one batch: slot `s` goes to worker `s % workers`, every
@@ -362,25 +326,13 @@ impl DetDriver<'_> {
         queue: &[usize],
         batch: &[usize],
         worker_stats: &mut [WorkerStats],
-    ) -> Result<Vec<(GenOutcome, SolveStats)>, LevelizeError> {
-        let solve = |slot: usize| -> Result<(GenOutcome, SolveStats), LevelizeError> {
-            let fault = faults[queue[batch[slot]]];
-            match self.engine {
-                DeterministicEngine::Podem => Ok(self
-                    .solver
-                    .as_ref()
-                    .expect("PODEM solver built for this engine")
-                    .solve(fault)),
-                DeterministicEngine::DAlgorithm => {
-                    dalg_with(self.netlist, fault, &self.dalg_cfg, self.implic.as_ref())
-                }
-            }
-        };
+    ) -> Vec<(GenOutcome, SolveStats)> {
+        let solve = |slot: usize| self.solver.solve(faults[queue[batch[slot]]]);
         let active = self.workers.min(batch.len());
         let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; batch.len()];
         if active <= 1 {
             for (slot, out) in results.iter_mut().enumerate() {
-                let (outcome, stats) = solve(slot)?;
+                let (outcome, stats) = solve(slot);
                 tally(&mut worker_stats[0], &stats);
                 *out = Some((outcome, stats));
             }
@@ -393,11 +345,11 @@ impl DetDriver<'_> {
                             let mut out: Vec<(usize, GenOutcome, SolveStats)> = Vec::new();
                             let mut slot = w;
                             while slot < batch.len() {
-                                let (outcome, stats) = solve(slot)?;
+                                let (outcome, stats) = solve(slot);
                                 out.push((slot, outcome, stats));
                                 slot += active;
                             }
-                            Ok::<_, LevelizeError>(out)
+                            out
                         })
                     })
                     .collect();
@@ -407,16 +359,16 @@ impl DetDriver<'_> {
                     .collect::<Vec<_>>()
             });
             for (w, shard) in shards.into_iter().enumerate() {
-                for (slot, outcome, stats) in shard? {
+                for (slot, outcome, stats) in shard {
                     tally(&mut worker_stats[w], &stats);
                     results[slot] = Some((outcome, stats));
                 }
             }
         }
-        Ok(results
+        results
             .into_iter()
             .map(|r| r.expect("every slot solved"))
-            .collect())
+            .collect()
     }
 }
 

@@ -91,16 +91,14 @@ pub fn weighted_random_atpg(
         let chunk = RANDOM_CHUNK.min(budget - applied.len());
         let base = applied.len();
         let batch = PatternSet::weighted_random(weights, chunk, &mut rng);
-        let live_faults: Vec<Fault> = live.iter().map(|&i| faults[i]).collect();
-        let r = engine.run(&batch, &live_faults);
-        let mut still = Vec::with_capacity(live.len());
-        for (k, &fi) in live.iter().enumerate() {
-            match r.first_detected[k] {
-                Some(p) => first_detected[fi] = Some(base + p),
-                None => still.push(fi),
-            }
-        }
-        live = still;
+        grade_and_drop(
+            &engine,
+            &batch,
+            base,
+            faults,
+            &mut live,
+            &mut first_detected,
+        );
         applied.extend_from(&batch);
         let covered = (faults.len() - live.len()) as f64 / faults.len().max(1) as f64;
         if covered >= target_coverage {
@@ -126,6 +124,29 @@ pub fn weighted_random_atpg(
         },
         patterns: applied,
     })
+}
+
+/// Grades `batch` — patterns `base..base + batch.len()` of a campaign —
+/// against the still-undetected faults `live` (indices into `faults`),
+/// records their first detections and drops the detected ones.
+fn grade_and_drop(
+    engine: &Ppsfp<'_>,
+    batch: &PatternSet,
+    base: usize,
+    faults: &[Fault],
+    live: &mut Vec<usize>,
+    first_detected: &mut [Option<usize>],
+) {
+    let live_faults: Vec<Fault> = live.iter().map(|&i| faults[i]).collect();
+    let r = engine.run(batch, &live_faults);
+    let mut detections = r.first_detected.into_iter();
+    live.retain(|&fi| match detections.next().flatten() {
+        Some(p) => {
+            first_detected[fi] = Some(base + p);
+            false
+        }
+        None => true,
+    });
 }
 
 /// Derives per-input weights from SCOAP controllabilities: inputs that
@@ -158,8 +179,16 @@ pub fn scoap_weights(netlist: &Netlist) -> Result<Vec<f64>, LevelizeError> {
         .collect())
 }
 
+/// Exhaustive patterns graded per [`Ppsfp`] call: 64 blocks, so the
+/// engine runs its 256-lane path and a fault detected early stops
+/// costing work at the next chunk boundary.
+const EXHAUSTIVE_CHUNK: usize = 4096;
+
 /// Applies every one of the 2ⁿ input patterns (n ≤ 30) with fault
-/// dropping — "exhaustive" functional testing, §I-B.
+/// dropping — "exhaustive" functional testing, §I-B. Pattern *p* drives
+/// input *i* to bit *i* of *p*; the sequence is graded by [`Ppsfp`] in
+/// consecutive chunks, dropping detected faults between chunks, so the
+/// result equals [`dft_fault::simulate`] over the explicit sequence.
 ///
 /// # Errors
 ///
@@ -174,42 +203,31 @@ pub fn exhaustive_atpg(
     faults: &[Fault],
 ) -> Result<DetectionResult, LevelizeError> {
     let n = netlist.primary_inputs().len();
-    let blocks = dft_sim::exhaustive::block_count(n);
-    let lanes = dft_sim::exhaustive::lanes(n) as usize;
-    let view = dft_fault::FaultyView::new(netlist)?;
-    let state = vec![0u64; view.storage().len()];
-    let outputs: Vec<_> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
-    let lane_mask = if lanes == 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    };
-
+    let total =
+        dft_sim::exhaustive::block_count(n) as usize * dft_sim::exhaustive::lanes(n) as usize;
+    let engine = Ppsfp::new(netlist)?;
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     let mut live: Vec<usize> = (0..faults.len()).collect();
-    for b in 0..blocks {
+    for base in (0..total).step_by(EXHAUSTIVE_CHUNK) {
         if live.is_empty() {
             break;
         }
-        let words = dft_sim::exhaustive::input_words(n, b);
-        let good = view.eval_block(&words, &state, None);
-        live.retain(|&fi| {
-            let vals = view.eval_block(&words, &state, Some(faults[fi]));
-            let mut diff = 0u64;
-            for &g in &outputs {
-                diff |= (vals[g.index()] ^ good[g.index()]) & lane_mask;
-            }
-            if diff != 0 {
-                first_detected[fi] = Some(b as usize * 64 + diff.trailing_zeros() as usize);
-                false
-            } else {
-                true
-            }
-        });
+        let rows: Vec<Vec<bool>> = (base..total.min(base + EXHAUSTIVE_CHUNK))
+            .map(|p| (0..n).map(|i| p >> i & 1 == 1).collect())
+            .collect();
+        let batch = PatternSet::from_rows(n, &rows);
+        grade_and_drop(
+            &engine,
+            &batch,
+            base,
+            faults,
+            &mut live,
+            &mut first_detected,
+        );
     }
     Ok(DetectionResult {
         first_detected,
-        pattern_count: (blocks as usize) * lanes,
+        pattern_count: total,
     })
 }
 
@@ -260,6 +278,34 @@ mod tests {
         let ex = exhaustive_atpg(&n, &faults).unwrap();
         assert_eq!(ex.coverage(), 1.0);
         assert_eq!(ex.pattern_count, 8);
+    }
+
+    /// Pattern p of the exhaustive sequence is the bits of p, so the
+    /// serial reference over that explicit set must report the same
+    /// first detections: with tail lanes (3 inputs), one full block
+    /// (6 inputs) and a space that spans several chunks (14 inputs).
+    #[test]
+    fn exhaustive_matches_serial_over_the_explicit_sequence() {
+        for n in [
+            majority(),
+            random_combinational(6, 40, 3),
+            random_combinational(14, 120, 5),
+        ] {
+            let k = n.primary_inputs().len();
+            let rows: Vec<Vec<bool>> = (0..1usize << k)
+                .map(|p| (0..k).map(|i| p >> i & 1 == 1).collect())
+                .collect();
+            let patterns = PatternSet::from_rows(k, &rows);
+            let faults = universe(&n);
+            let reference = dft_fault::simulate(&n, &patterns, &faults).unwrap();
+            assert!(reference.detected_count() > 0, "{}", n.name());
+            assert_eq!(
+                exhaustive_atpg(&n, &faults).unwrap(),
+                reference,
+                "{}",
+                n.name()
+            );
+        }
     }
 
     #[test]

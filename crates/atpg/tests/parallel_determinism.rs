@@ -4,7 +4,7 @@
 //! every `threads` setting, and full compaction must never cost patterns
 //! or coverage.
 
-use dft_atpg::{generate_tests, AtpgConfig, DeterministicEngine};
+use dft_atpg::{generate_tests, AtpgConfig};
 use dft_fault::{simulate, universe};
 use dft_netlist::circuits::{c17, random_combinational, redundant_fixture};
 use dft_netlist::Netlist;
@@ -22,32 +22,21 @@ fn roster() -> Vec<Netlist> {
 fn test_set_is_identical_for_any_thread_count() {
     for n in roster() {
         let faults = universe(&n);
-        for engine in [DeterministicEngine::Podem, DeterministicEngine::DAlgorithm] {
-            // The D-Algorithm is orders slower per fault; its determinism
-            // is engine-independent (the driver is the same code path),
-            // so exercise it on the small circuits only.
-            if engine == DeterministicEngine::DAlgorithm && n.gate_count() > 20 {
-                continue;
-            }
-            // random_budget 0: every fault reaches the threaded phase.
-            let cfg = AtpgConfig::new()
-                .with_random_budget(0)
-                .with_engine(engine)
-                .with_threads(1);
-            let base = generate_tests(&n, &faults, &cfg).unwrap();
-            for t in [2, 8] {
-                let run = generate_tests(&n, &faults, &cfg.clone().with_threads(t)).unwrap();
-                assert_eq!(
-                    base.patterns,
-                    run.patterns,
-                    "patterns differ at {t} threads on {} ({engine:?})",
-                    n.name()
-                );
-                assert_eq!(base.status, run.status, "statuses differ at {t} threads");
-                assert_eq!(base.backtracks, run.backtracks);
-                assert_eq!(base.forward_evals, run.forward_evals);
-                assert!((base.coverage() - run.coverage()).abs() < 1e-12);
-            }
+        // random_budget 0: every fault reaches the threaded phase.
+        let cfg = AtpgConfig::new().with_random_budget(0).with_threads(1);
+        let base = generate_tests(&n, &faults, &cfg).unwrap();
+        for t in [2, 8] {
+            let run = generate_tests(&n, &faults, &cfg.clone().with_threads(t)).unwrap();
+            assert_eq!(
+                base.patterns,
+                run.patterns,
+                "patterns differ at {t} threads on {}",
+                n.name()
+            );
+            assert_eq!(base.status, run.status, "statuses differ at {t} threads");
+            assert_eq!(base.backtracks, run.backtracks);
+            assert_eq!(base.forward_evals, run.forward_evals);
+            assert!((base.coverage() - run.coverage()).abs() < 1e-12);
         }
     }
 }

@@ -57,7 +57,7 @@ fn sweep<const W: usize>(
         kernel.eval_blocks_banded(&kernel.level_bands_for_width(W), &mut blocks);
     } else {
         for vals in &mut blocks {
-            kernel.eval_into_wide(vals);
+            kernel.eval_range_wide(0..kernel.op_count(), vals);
         }
     }
     blocks

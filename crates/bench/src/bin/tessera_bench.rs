@@ -1103,9 +1103,7 @@ fn flow_scaling_bench(quick: bool) -> FlowScaling {
             // deterministic phase itself — the thing that scales.
             let driver = DetDriver::new(n, &atpg_cfg).expect("roster circuits levelize");
             let t = Instant::now();
-            let det = driver
-                .run(&faults, &queue, None)
-                .expect("roster circuits levelize");
+            let det = driver.run(&faults, &queue, None);
             seconds += t.elapsed().as_secs_f64();
             attempts += det.attempts;
             // The user-facing artifacts come from the full flow (untimed).

@@ -425,8 +425,8 @@ mod tests {
         // 3 gates per cut plus the select inverter.
         assert_eq!(part.overhead_gates(), 3 * cuts.len() + 1);
         // Functional mode (sel = 0) preserves behaviour.
-        let sim_old = dft_sim::ParallelSim::new(&n).unwrap();
-        let sim_new = dft_sim::ParallelSim::new(pn).unwrap();
+        let sim_old = dft_sim::CompiledSim::new(&n).unwrap();
+        let sim_new = dft_sim::CompiledSim::new(pn).unwrap();
         for v in 0..32u8 {
             let row5: Vec<bool> = (0..5).map(|i| v >> i & 1 == 1).collect();
             let r_old = sim_old.run(&PatternSet::from_rows(5, std::slice::from_ref(&row5)));

@@ -4,6 +4,7 @@
 use dft_fault::{Fault, FaultyView};
 use dft_lfsr::{Misr, Polynomial, Prpg};
 use dft_netlist::{LevelizeError, Netlist};
+use dft_sim::PatternSet;
 
 /// The four operating modes selected by the B₁B₂ control lines
 /// (Fig. 19).
@@ -217,6 +218,11 @@ impl<'n> SelfTestSession<'n> {
     /// clocks. Fault coverage is measured against `faults` (sites in
     /// `cln1`) by running each faulty machine through the same session.
     ///
+    /// Every machine sees the same PRPG sequence, so it is packed once,
+    /// 64 consecutive patterns per evaluated block; the MISR is then
+    /// clocked lane by lane in pattern order, exactly as the hardware
+    /// would see the responses.
+    ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] on combinational cycles.
@@ -237,49 +243,48 @@ impl<'n> SelfTestSession<'n> {
             .map(|&(g, _)| g)
             .collect();
 
-        let run = |fault: Option<Fault>| -> (u64, bool) {
-            // Returns (final signature, any-output-differed-from-good).
-            let mut prpg = Prpg::new(n_in, seed).expect("width validated");
+        let mut prpg = Prpg::new(n_in, seed).expect("width validated");
+        let applied = PatternSet::from_rows(n_in, &prpg.patterns(patterns as usize));
+        let lane_mask = |b: usize| u64::MAX >> (64 - applied.lanes_in_block(b));
+        // Packed output words of one machine, `[block][output]`.
+        let responses = |fault: Option<Fault>| -> Vec<Vec<u64>> {
+            (0..applied.block_count())
+                .map(|b| {
+                    let vals = view.eval_block(applied.block(b), &[], fault);
+                    outputs.iter().map(|g| vals[g.index()]).collect()
+                })
+                .collect()
+        };
+        let signature = |words: &[Vec<u64>]| -> u64 {
             let mut misr = Misr::new(Polynomial::primitive(misr_width).expect("width validated"));
-            let mut any_diff = false;
-            for _ in 0..patterns {
-                let pattern = prpg.next_pattern();
-                let pi_words: Vec<u64> = pattern
-                    .iter()
-                    .map(|&b| if b { u64::MAX } else { 0 })
-                    .collect();
-                let vals = view.eval_block(&pi_words, &[], fault);
-                // Fold wide output buses into the MISR stages.
-                let mut word = 0u64;
-                for (o, &g) in outputs.iter().enumerate() {
-                    if vals[g.index()] & 1 == 1 {
-                        word ^= 1 << (o as u32 % misr_width);
-                    }
-                }
-                if fault.is_some() {
-                    let good_vals = view.eval_block(&pi_words, &[], None);
-                    let mut good_diff = false;
-                    for &g in &outputs {
-                        if (vals[g.index()] ^ good_vals[g.index()]) & 1 == 1 {
-                            good_diff = true;
-                            break;
+            for (b, block) in words.iter().enumerate() {
+                for lane in 0..applied.lanes_in_block(b) {
+                    // Fold wide output buses into the MISR stages.
+                    let mut word = 0u64;
+                    for (o, &w) in block.iter().enumerate() {
+                        if w >> lane & 1 == 1 {
+                            word ^= 1 << (o as u32 % misr_width);
                         }
                     }
-                    any_diff |= good_diff;
+                    misr.clock_word(word);
                 }
-                misr.clock_word(word);
             }
-            (misr.signature(), any_diff)
+            misr.signature()
         };
 
-        let (good_signature, _) = run(None);
+        let good = responses(None);
+        let good_signature = signature(&good);
         let mut sig_detected = 0usize;
         let mut resp_detected = 0usize;
         for &f in faults {
-            let (sig, any_diff) = run(Some(f));
-            if sig != good_signature {
+            let faulty = responses(Some(f));
+            if signature(&faulty) != good_signature {
                 sig_detected += 1;
             }
+            let any_diff =
+                faulty.iter().zip(&good).enumerate().any(|(b, (fw, gw))| {
+                    fw.iter().zip(gw).any(|(x, y)| (x ^ y) & lane_mask(b) != 0)
+                });
             if any_diff {
                 resp_detected += 1;
             }
@@ -425,6 +430,29 @@ mod tests {
             "wide AND terms must defeat PN patterns (got {})",
             report.response_coverage
         );
+    }
+
+    /// Signatures and detection counts recorded with one pattern per
+    /// evaluation: packing 64 patterns per block must not change what
+    /// the MISR sees (one pattern, a ragged second block, four blocks).
+    #[test]
+    fn packed_phase_reproduces_pattern_at_a_time_results() {
+        let cln1 = random_combinational(10, 80, 21);
+        let cln2 = random_combinational(10, 80, 22);
+        let session = SelfTestSession::new(&cln1, &cln2);
+        let faults = universe(&cln1);
+        assert_eq!(faults.len(), 644);
+        let count = |coverage: f64| (coverage * 644.0).round() as usize;
+        for (patterns, signature, detected) in [
+            (1u64, 141_326, 213),
+            (100, 1_703_521, 523),
+            (200, 752_073, 528),
+        ] {
+            let r = session.run_phase(patterns, 5, &faults).unwrap();
+            assert_eq!(r.good_signature, signature, "{patterns} patterns");
+            assert_eq!(count(r.signature_coverage), detected);
+            assert_eq!(count(r.response_coverage), detected);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! * NOR is the dual; NOT degenerates to both.
 
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist};
-use dft_sim::Logic;
+use dft_sim::{Logic, ThreeValueSim};
 
 /// Which transistor network the open sits in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -242,11 +242,11 @@ pub fn simulate_stuck_open(
         netlist.is_combinational(),
         "stuck-open simulation expects a combinational network"
     );
-    let lv = netlist.levelize()?;
-    let order: Vec<GateId> = lv.order().to_vec();
+    let sim = ThreeValueSim::new(netlist)?;
+    let order: Vec<GateId> = netlist.levelize()?.order().to_vec();
     let outputs: Vec<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
 
-    // Good responses.
+    // Good responses: the good machine has no memory.
     let rows: Vec<Vec<Logic>> = sequence
         .iter()
         .map(|r| {
@@ -254,36 +254,7 @@ pub fn simulate_stuck_open(
             r.iter().map(|&b| Logic::from(b)).collect()
         })
         .collect();
-    let good: Vec<Vec<Logic>> = {
-        // The good machine has no memory: use the same evaluator with a
-        // never-floating dummy fault on a nonexistent pin.
-        rows.iter()
-            .map(|r| {
-                let mut vals = vec![Logic::X; netlist.gate_count()];
-                for (i, &pi) in netlist.primary_inputs().iter().enumerate() {
-                    vals[pi.index()] = r[i];
-                }
-                for (id, gate) in netlist.iter() {
-                    match gate.kind() {
-                        GateKind::Const0 => vals[id.index()] = Logic::Zero,
-                        GateKind::Const1 => vals[id.index()] = Logic::One,
-                        _ => {}
-                    }
-                }
-                let mut buf = Vec::with_capacity(8);
-                for &id in &order {
-                    let gate = netlist.gate(id);
-                    if gate.kind().is_source() {
-                        continue;
-                    }
-                    buf.clear();
-                    buf.extend(gate.inputs().iter().map(|&s| vals[s.index()]));
-                    vals[id.index()] = Logic::eval_gate(gate.kind(), &buf);
-                }
-                vals
-            })
-            .collect()
-    };
+    let good: Vec<Vec<Logic>> = rows.iter().map(|r| sim.eval(r, &[])).collect();
 
     let mut first_detected = vec![None; faults.len()];
     for (fi, fault) in faults.iter().enumerate() {

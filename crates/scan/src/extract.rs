@@ -237,9 +237,9 @@ impl TestView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_fault::{simulate, universe};
+    use dft_fault::{simulate, universe, FaultyView};
     use dft_netlist::circuits::{binary_counter, random_sequential, shift_register};
-    use dft_sim::{ParallelSim, PatternSet};
+    use dft_sim::PatternSet;
 
     #[test]
     fn view_is_combinational_and_complete() {
@@ -258,38 +258,33 @@ mod tests {
         // next-state equals the ppo values.
         let n = binary_counter(4);
         let view = extract_test_view(&n).unwrap();
-        let orig_sim = ParallelSim::new(&n).unwrap();
-        let view_sim = ParallelSim::new(view.netlist()).unwrap();
+        let orig = FaultyView::new(&n).unwrap();
+        let vnet = view.netlist();
+        let vframe = FaultyView::new(vnet).unwrap();
+        let word = |b: bool| if b { u64::MAX } else { 0 };
 
         for state in 0..16u64 {
             for en in [false, true] {
-                let pi = PatternSet::from_rows(1, &[vec![en]]);
-                let st = vec![(0..4)
-                    .map(|i| if state >> i & 1 == 1 { u64::MAX } else { 0 })
-                    .collect::<Vec<u64>>()];
-                let r_orig = orig_sim.run_with_state(&pi, &st);
+                let st: Vec<u64> = (0..4).map(|i| word(state >> i & 1 == 1)).collect();
+                let vals = orig.eval_block(&[word(en)], &st, None);
+                let next = orig.next_state_words(&vals, None);
 
-                let mut row = vec![en];
-                row.extend((0..4).map(|i| state >> i & 1 == 1));
-                let pv = PatternSet::from_rows(5, &[row]);
-                let r_view = view_sim.run(&pv);
+                let mut row = vec![word(en)];
+                row.extend(st.iter().copied());
+                let vvals = vframe.eval_block(&row, &[], None);
+                let view_out = |o: usize| vvals[vnet.primary_outputs()[o].0.index()] & 1;
 
                 // POs (q0..q3) match.
-                for o in 0..4 {
+                for (o, &(g, _)) in n.primary_outputs().iter().enumerate() {
                     assert_eq!(
-                        r_orig.output_bit(o, 0),
-                        r_view.output_bit(o, 0),
+                        vals[g.index()] & 1,
+                        view_out(o),
                         "PO {o} at state {state} en {en}"
                     );
                 }
                 // Next state matches ppo outputs (outputs 4..8).
-                for k in 0..4 {
-                    let ns = r_orig.next_state_word(&n, k, 0) & 1 == 1;
-                    assert_eq!(
-                        r_view.output_bit(4 + k, 0),
-                        ns,
-                        "ppo{k} at state {state} en {en}"
-                    );
+                for (k, &ns) in next.iter().enumerate() {
+                    assert_eq!(view_out(4 + k), ns & 1, "ppo{k} at state {state} en {en}");
                 }
             }
         }

@@ -109,7 +109,7 @@ impl ScanTestProgram {
     ) -> Result<Self, dft_netlist::LevelizeError> {
         let vnet = view.netlist();
         assert_eq!(view_patterns.input_count(), vnet.primary_inputs().len());
-        let sim = dft_sim::ParallelSim::new(vnet)?;
+        let sim = dft_sim::CompiledSim::new(vnet)?;
         let resp = sim.run(view_patterns);
         let n_pi = view.original_pi_count();
         let n_state = view.pseudo_ports().len();

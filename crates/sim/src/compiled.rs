@@ -6,14 +6,15 @@
 //! operations over a value array — no per-gate graph traversal, no
 //! fan-in vector rebuilding — trading compile time for per-pattern
 //! speed. The flattening itself lives in [`Kernel`]; this type pairs a
-//! kernel with its netlist for whole-pattern-set runs. Same 64-lane
-//! semantics as [`ParallelSim`](crate::ParallelSim), cross-checked by
-//! test; the bench suite measures the speedup.
+//! kernel with its netlist for whole-pattern-set runs. Cross-checked by
+//! test against the per-gate three-valued walk of
+//! [`ThreeValueSim`](crate::ThreeValueSim); the bench suite measures the
+//! speedup over a levelized graph walk.
 
-use dft_netlist::{LevelizeError, Netlist};
+use dft_netlist::{GateId, LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
 
-use crate::{Kernel, PatternSet, Response};
+use crate::{Kernel, PatternSet};
 
 /// A netlist compiled to a linear op program (64 patterns per word).
 ///
@@ -61,8 +62,8 @@ impl<'n> CompiledSim<'n> {
         &self.kernel
     }
 
-    /// Runs all patterns (storage held at 0), producing the same
-    /// [`Response`] as [`ParallelSim::run`](crate::ParallelSim::run).
+    /// Runs all patterns with every storage element's present state
+    /// held at 0.
     ///
     /// # Panics
     ///
@@ -112,7 +113,17 @@ impl<'n> CompiledSim<'n> {
             self.kernel.op_count() as u64 * patterns.block_count() as u64,
         );
         obs.exit();
-        Response::assemble(self.netlist, patterns.len(), values)
+        Response {
+            pattern_count: patterns.len(),
+            gate_count: self.netlist.gate_count(),
+            outputs: self
+                .netlist
+                .primary_outputs()
+                .iter()
+                .map(|&(g, _)| g)
+                .collect(),
+            values,
+        }
     }
 
     /// Evaluates one packed 64-lane block.
@@ -160,29 +171,99 @@ impl<'n> CompiledSim<'n> {
     }
 }
 
+/// The response of a [`CompiledSim`] run: per-gate packed values for
+/// every 64-pattern block.
+#[derive(Clone, Debug)]
+pub struct Response {
+    pattern_count: usize,
+    gate_count: usize,
+    outputs: Vec<GateId>,
+    /// `values[block][gate]`
+    values: Vec<Vec<u64>>,
+}
+
+impl Response {
+    /// Number of patterns simulated.
+    #[must_use]
+    pub fn pattern_count(&self) -> usize {
+        self.pattern_count
+    }
+
+    /// Packed values of one gate in one block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    #[must_use]
+    pub fn word(&self, gate: GateId, block: usize) -> u64 {
+        self.values[block][gate.index()]
+    }
+
+    /// The value of `gate` under pattern `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    #[must_use]
+    pub fn gate_bit(&self, gate: GateId, pattern: usize) -> bool {
+        assert!(pattern < self.pattern_count, "pattern out of range");
+        self.values[pattern / 64][gate.index()] >> (pattern % 64) & 1 == 1
+    }
+
+    /// The value of primary output `output` (by position) under `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if indices are out of range.
+    #[must_use]
+    pub fn output_bit(&self, output: usize, pattern: usize) -> bool {
+        self.gate_bit(self.outputs[output], pattern)
+    }
+
+    /// Extracts the primary output row for one pattern.
+    #[must_use]
+    pub fn output_row(&self, pattern: usize) -> Vec<bool> {
+        (0..self.outputs.len())
+            .map(|o| self.output_bit(o, pattern))
+            .collect()
+    }
+
+    /// Number of gates in the simulated netlist.
+    #[must_use]
+    pub fn gate_count(&self) -> usize {
+        self.gate_count
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelSim;
-    use dft_netlist::circuits::{c17, random_combinational, wallace_multiplier};
+    use crate::{Logic, ThreeValueSim};
+    use dft_netlist::circuits::{
+        c17, full_adder, parity_tree, random_combinational, wallace_multiplier,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every output of every pattern agrees with the per-gate
+    /// three-valued walk (all inputs known, so no X survives).
     fn agree(n: &Netlist, patterns: &PatternSet) {
-        let a = ParallelSim::new(n).unwrap().run(patterns);
-        let b = CompiledSim::new(n).unwrap().run(patterns);
+        let reference = ThreeValueSim::new(n).unwrap();
+        let r = CompiledSim::new(n).unwrap().run(patterns);
         for p in 0..patterns.len() {
-            assert_eq!(
-                a.output_row(p),
-                b.output_row(p),
-                "pattern {p} on {}",
-                n.name()
-            );
+            let row: Vec<Logic> = patterns.get(p).into_iter().map(Logic::from).collect();
+            let vals = reference.eval(&row, &[]);
+            let want: Vec<bool> = n
+                .primary_outputs()
+                .iter()
+                .map(|&(g, _)| vals[g.index()].to_bool().expect("inputs are known"))
+                .collect();
+            assert_eq!(r.output_row(p), want, "pattern {p} on {}", n.name());
         }
     }
 
     #[test]
-    fn matches_parallel_sim_on_c17() {
+    fn matches_three_value_sim_on_c17() {
         let n = c17();
         let rows: Vec<Vec<bool>> = (0..32u8)
             .map(|v| (0..5).map(|i| v >> i & 1 == 1).collect())
@@ -191,7 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_parallel_sim_on_random_logic() {
+    fn matches_three_value_sim_on_random_logic() {
         for seed in 0..4 {
             let n = random_combinational(12, 200, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 99);
@@ -211,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_path_matches_parallel_sim() {
+    fn wide_path_matches_three_value_sim() {
         // 9 blocks: one full 512-lane group plus a scalar remainder, so
         // both paths and the seam between them are exercised.
         let n = random_combinational(14, 250, 21);
@@ -228,5 +309,75 @@ mod tests {
         let n = c17();
         let sim = CompiledSim::new(&n).unwrap();
         assert_eq!(sim.op_count(), 6);
+    }
+
+    #[test]
+    fn full_adder_all_eight_rows() {
+        let fa = full_adder();
+        let sim = CompiledSim::new(&fa).unwrap();
+        let mut rows = Vec::new();
+        for bits in 0..8u8 {
+            rows.push(vec![bits & 1 == 1, bits & 2 == 2, bits & 4 == 4]);
+        }
+        let p = PatternSet::from_rows(3, &rows);
+        let r = sim.run(&p);
+        for bits in 0..8usize {
+            let ones = (bits & 1) + (bits >> 1 & 1) + (bits >> 2 & 1);
+            assert_eq!(r.output_bit(0, bits), ones % 2 == 1, "sum {bits}");
+            assert_eq!(r.output_bit(1, bits), ones >= 2, "cout {bits}");
+        }
+    }
+
+    #[test]
+    fn parity_tree_matches_popcount() {
+        let n = parity_tree(8);
+        let sim = CompiledSim::new(&n).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let p = PatternSet::random(8, 200, &mut rng);
+        let r = sim.run(&p);
+        for i in 0..p.len() {
+            let ones = p.get(i).iter().filter(|&&b| b).count();
+            assert_eq!(r.output_bit(0, i), ones % 2 == 1);
+        }
+    }
+
+    #[test]
+    fn c17_all_32_patterns() {
+        let n = c17();
+        let sim = CompiledSim::new(&n).unwrap();
+        let mut rows = Vec::new();
+        for v in 0..32u8 {
+            rows.push((0..5).map(|i| v >> i & 1 == 1).collect());
+        }
+        let p = PatternSet::from_rows(5, &rows);
+        let r = sim.run(&p);
+        // Reference: direct formula. c17 outputs:
+        // g22 = NAND(NAND(x1,x3), NAND(x2, NAND(x3,x6)))
+        // g23 = NAND(NAND(x2, NAND(x3,x6)), NAND(NAND(x3,x6), x7))
+        for v in 0..32usize {
+            let x = |i: usize| v >> i & 1 == 1;
+            let n11 = !(x(2) && x(3));
+            let n10 = !(x(0) && x(2));
+            let n16 = !(x(1) && n11);
+            let n19 = !(n11 && x(4));
+            let g22 = !(n10 && n16);
+            let g23 = !(n16 && n19);
+            assert_eq!(r.output_bit(0, v), g22, "g22 at {v:05b}");
+            assert_eq!(r.output_bit(1, v), g23, "g23 at {v:05b}");
+        }
+    }
+
+    #[test]
+    fn multi_block_runs() {
+        let n = parity_tree(4);
+        let sim = CompiledSim::new(&n).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let p = PatternSet::random(4, 130, &mut rng); // 3 blocks
+        let r = sim.run(&p);
+        assert_eq!(r.pattern_count(), 130);
+        for i in [0, 63, 64, 127, 128, 129] {
+            let ones = p.get(i).iter().filter(|&&b| b).count();
+            assert_eq!(r.output_bit(0, i), ones % 2 == 1, "pattern {i}");
+        }
     }
 }

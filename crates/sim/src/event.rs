@@ -190,18 +190,18 @@ impl<'n> EventSim<'n> {
 mod tests {
     use super::*;
     use dft_netlist::circuits::{c17, full_adder, shift_register};
-    use dft_sim_test_support::assert_agrees_with_parallel;
+    use dft_sim_test_support::assert_agrees_with_compiled;
 
     mod dft_sim_test_support {
         use super::super::*;
-        use crate::{ParallelSim, PatternSet};
+        use crate::{CompiledSim, PatternSet};
 
-        /// Event simulation and parallel simulation must agree on every
+        /// Event simulation and compiled simulation must agree on every
         /// output for every pattern.
-        pub fn assert_agrees_with_parallel(netlist: &Netlist, patterns: &[Vec<bool>]) {
-            let psim = ParallelSim::new(netlist).unwrap();
+        pub fn assert_agrees_with_compiled(netlist: &Netlist, patterns: &[Vec<bool>]) {
+            let csim = CompiledSim::new(netlist).unwrap();
             let set = PatternSet::from_rows(netlist.primary_inputs().len(), patterns);
-            let presp = psim.run(&set);
+            let cresp = csim.run(&set);
             let mut esim = EventSim::new(netlist).unwrap();
             for (pi, pattern) in patterns.iter().enumerate() {
                 let logic: Vec<Logic> = pattern.iter().map(|&b| Logic::from(b)).collect();
@@ -211,7 +211,7 @@ mod tests {
                 for (o, &v) in eout.iter().enumerate() {
                     assert_eq!(
                         v.to_bool(),
-                        Some(presp.output_bit(o, pi)),
+                        Some(cresp.output_bit(o, pi)),
                         "output {o} pattern {pi}"
                     );
                 }
@@ -220,21 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_parallel_on_c17() {
+    fn agrees_with_compiled_on_c17() {
         let n = c17();
         let patterns: Vec<Vec<bool>> = (0..32u8)
             .map(|v| (0..5).map(|i| v >> i & 1 == 1).collect())
             .collect();
-        assert_agrees_with_parallel(&n, &patterns);
+        assert_agrees_with_compiled(&n, &patterns);
     }
 
     #[test]
-    fn agrees_with_parallel_on_full_adder() {
+    fn agrees_with_compiled_on_full_adder() {
         let n = full_adder();
         let patterns: Vec<Vec<bool>> = (0..8u8)
             .map(|v| (0..3).map(|i| v >> i & 1 == 1).collect())
             .collect();
-        assert_agrees_with_parallel(&n, &patterns);
+        assert_agrees_with_compiled(&n, &patterns);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use dft_netlist::{GateId, Netlist};
 
-use crate::ParallelSim;
+use crate::Kernel;
 
 /// Practical ceiling on exhaustive input width (2³⁰ block-evaluations
 /// would already take minutes on large circuits; the paper's point is
@@ -75,7 +75,8 @@ pub fn lanes(n: usize) -> u32 {
 }
 
 /// Visits every exhaustive block of `netlist`, passing the block index
-/// and the packed per-gate values to `visit`.
+/// and the packed per-gate values to `visit`. Each block is one
+/// [`Kernel::eval_block`] sweep of the compiled op program.
 ///
 /// Storage elements are held at 0 (exhaustive testing is a combinational
 /// technique; scan provides the state access).
@@ -91,12 +92,10 @@ pub fn for_each_block<F>(netlist: &Netlist, mut visit: F) -> Result<(), dft_netl
 where
     F: FnMut(u64, &[u64]),
 {
-    let sim = ParallelSim::new(netlist)?;
+    let kernel = Kernel::new(netlist)?;
     let n = netlist.primary_inputs().len();
-    let state = vec![0u64; netlist.storage_elements().len()];
     for block in 0..block_count(n) {
-        let words = input_words(n, block);
-        let vals = sim.eval_block(&words, &state);
+        let vals = kernel.eval_block(&input_words(n, block));
         visit(block, &vals);
     }
     Ok(())
@@ -130,25 +129,6 @@ pub fn minterm_counts(
         }
     })?;
     Ok(counts)
-}
-
-/// Collects the full truth table of one gate as packed 64-bit rows
-/// (pattern *p* is bit `p % 64` of row `p / 64`).
-///
-/// # Errors
-///
-/// Returns [`dft_netlist::LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if the input count exceeds [`MAX_EXHAUSTIVE_INPUTS`].
-pub fn truth_table(
-    netlist: &Netlist,
-    gate: GateId,
-) -> Result<Vec<u64>, dft_netlist::LevelizeError> {
-    let mut rows = Vec::new();
-    for_each_block(netlist, |_, vals| rows.push(vals[gate.index()]))?;
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -207,15 +187,5 @@ mod tests {
         let cout = fa.find_output("cout").unwrap();
         let counts = minterm_counts(&fa, &[sum, cout]).unwrap();
         assert_eq!(counts, vec![4, 4]);
-    }
-
-    #[test]
-    fn truth_table_matches_minterms() {
-        let n = majority();
-        let out = n.find_output("maj").unwrap();
-        let tt = truth_table(&n, out).unwrap();
-        assert_eq!(tt.len(), 1);
-        let mask = (1u64 << 8) - 1;
-        assert_eq!((tt[0] & mask).count_ones(), 4);
     }
 }

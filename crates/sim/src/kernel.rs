@@ -40,8 +40,6 @@ pub struct Kernel {
     op_of_gate: Vec<u32>,
     /// Primary-input slots, in `Netlist::primary_inputs` order.
     pi_slots: Vec<u32>,
-    /// Storage-element slots, in `Netlist::storage_elements` order.
-    storage_slots: Vec<u32>,
     /// Slots of `Const1` gates (sources whose word is all-ones).
     const1_slots: Vec<u32>,
 }
@@ -80,11 +78,6 @@ impl Kernel {
             op_of_gate,
             pi_slots: netlist
                 .primary_inputs()
-                .iter()
-                .map(|g| g.index() as u32)
-                .collect(),
-            storage_slots: netlist
-                .storage_elements()
                 .iter()
                 .map(|g| g.index() as u32)
                 .collect(),
@@ -140,12 +133,6 @@ impl Kernel {
     #[must_use]
     pub fn pi_slots(&self) -> &[u32] {
         &self.pi_slots
-    }
-
-    /// Storage-element slots, in `Netlist::storage_elements` order.
-    #[must_use]
-    pub fn storage_slots(&self) -> &[u32] {
-        &self.storage_slots
     }
 
     /// Evaluates op `i` with operands supplied by `read` (slot → word).
@@ -230,10 +217,11 @@ impl Kernel {
 
     /// Runs ops `range` over wide-block `vals` in place, assuming every
     /// slot an in-range op reads is already valid — either a source slot
-    /// or the destination of an earlier op. Calling this with consecutive
-    /// ranges covering `0..op_count` is equivalent to one
-    /// [`Kernel::eval_into_wide`] sweep; the cache-blocked drivers use
-    /// exactly that decomposition (see [`Kernel::level_bands`]).
+    /// or the destination of an earlier op. `0..op_count` is one full
+    /// sweep (the `[u64; W]` twin of [`Kernel::eval_into`]); calling this
+    /// with consecutive ranges covering `0..op_count` is equivalent, and
+    /// the cache-blocked drivers use exactly that decomposition (see
+    /// [`Kernel::level_bands`]).
     ///
     /// # Panics
     ///
@@ -245,40 +233,6 @@ impl Kernel {
             let block = self.eval_op_wide_with(i, |a| vals[a as usize]);
             vals[self.dst[i] as usize] = block;
         }
-    }
-
-    /// Runs the whole program over wide-block `vals` in place: the
-    /// `[u64; W]` twin of [`Kernel::eval_into`]. Source slots must
-    /// already hold their blocks; every other slot is overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals.len() != gate_count`.
-    pub fn eval_into_wide<const W: usize>(&self, vals: &mut [[u64; W]]) {
-        self.eval_range_wide(0..self.kinds.len(), vals);
-    }
-
-    /// Evaluates one packed wide block (`64 × W` patterns) with storage
-    /// held at 0, returning a freshly allocated value array. The `W = 1`
-    /// instantiation matches [`Kernel::eval_block`] word-for-word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi_blocks.len()` disagrees with the primary input count.
-    #[must_use]
-    pub fn eval_block_wide<const W: usize>(&self, pi_blocks: &[[u64; W]]) -> Vec<[u64; W]> {
-        assert_eq!(
-            pi_blocks.len(),
-            self.pi_slots.len(),
-            "pattern width must match primary input count"
-        );
-        let mut vals = vec![[0u64; W]; self.gate_count];
-        self.init_constants_wide(&mut vals);
-        for (&slot, &b) in self.pi_slots.iter().zip(pi_blocks) {
-            vals[slot as usize] = b;
-        }
-        self.eval_into_wide(&mut vals);
-        vals
     }
 
     /// Default per-band working-set budget in bytes, sized to leave a
@@ -353,8 +307,8 @@ impl Kernel {
     /// (see [`Kernel::level_bands`]), sweep that band across *all* blocks
     /// before moving on. Each entry of `blocks` is a full value array
     /// (`gate_count` wide slots) with sources already loaded; on return it
-    /// holds the fully evaluated values, identical to calling
-    /// [`Kernel::eval_into_wide`] per block.
+    /// holds the fully evaluated values, identical to one
+    /// `eval_range_wide(0..op_count)` sweep per block.
     ///
     /// `bands` must come from [`Kernel::level_bands`] on this kernel (or
     /// otherwise tile `0..op_count` in order).
@@ -380,6 +334,17 @@ mod tests {
     use super::*;
     use dft_netlist::circuits::{c17, random_combinational};
     use dft_netlist::GateKind;
+
+    /// One full wide sweep over `pi_blocks` with storage held at 0.
+    fn eval_wide<const W: usize>(k: &Kernel, pi_blocks: &[[u64; W]]) -> Vec<[u64; W]> {
+        let mut vals = vec![[0u64; W]; k.gate_count()];
+        k.init_constants_wide(&mut vals);
+        for (&slot, &b) in k.pi_slots().iter().zip(pi_blocks) {
+            vals[slot as usize] = b;
+        }
+        k.eval_range_wide(0..k.op_count(), &mut vals);
+        vals
+    }
 
     #[test]
     fn ops_are_in_ascending_topological_order() {
@@ -447,7 +412,7 @@ mod tests {
                 ]
             })
             .collect();
-        let wide = k.eval_block_wide::<4>(&pi_blocks);
+        let wide = eval_wide(&k, &pi_blocks);
         for w in 0..4 {
             let pi: Vec<u64> = pi_blocks.iter().map(|b| b[w]).collect();
             let narrow = k.eval_block(&pi);
@@ -464,7 +429,7 @@ mod tests {
         let pi_blocks: Vec<[u64; 4]> = (0..12u32)
             .map(|i| [u64::from(i) * 3, !(u64::from(i) << 7), 0xAAAA, u64::MAX])
             .collect();
-        let reference = k.eval_block_wide::<4>(&pi_blocks);
+        let reference = eval_wide(&k, &pi_blocks);
         // Absurdly small budget forces many bands; results must not change.
         for budget in [1, 7, 64, 100_000] {
             let bands = k.level_bands(budget);

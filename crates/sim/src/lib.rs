@@ -6,13 +6,12 @@
 //! good-machine response. This crate provides several engines, each tuned
 //! to a different consumer:
 //!
-//! * [`ParallelSim`] — 64 patterns per machine word, levelized evaluation.
-//!   The workhorse behind parallel fault simulation (`dft-fault`) and
-//!   random-pattern coverage measurement (`dft-bist`).
-//! * [`CompiledSim`] / [`Kernel`] — the same 64-lane semantics lowered to
-//!   a flat structure-of-arrays op program ("compiled code Boolean
-//!   simulation", §IV-A). The kernel is the shared execution core of the
-//!   PPSFP fault simulator in `dft-fault`.
+//! * [`CompiledSim`] / [`Kernel`] — 64 patterns per machine word, with
+//!   the levelized netlist lowered to a flat structure-of-arrays op
+//!   program ("compiled code Boolean simulation", §IV-A). Every 64-lane
+//!   good-machine run goes through it: whole pattern sets, exhaustive
+//!   enumeration, scan-program expectations, and the PPSFP fault
+//!   simulator in `dft-fault`, whose shared execution core the kernel is.
 //! * [`ThreeValueSim`] — 0/1/X simulation for initialization reasoning
 //!   (the paper's "predictability" concern: a machine whose latches power
 //!   up unknown).
@@ -26,11 +25,11 @@
 //!
 //! ```
 //! use dft_netlist::circuits::c17;
-//! use dft_sim::{PatternSet, ParallelSim};
+//! use dft_sim::{CompiledSim, PatternSet};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let c17 = c17();
-//! let sim = ParallelSim::new(&c17)?;
+//! let sim = CompiledSim::new(&c17)?;
 //! let patterns = PatternSet::all_inputs_low(5, 1); // one all-zero pattern
 //! let resp = sim.run(&patterns);
 //! // First-level NANDs all rise, so the second level falls.
@@ -46,17 +45,15 @@ mod event;
 pub mod exhaustive;
 pub mod justify;
 mod kernel;
-mod parallel;
 mod pattern;
 mod sequential;
 mod threeval;
 mod value;
 pub mod word;
 
-pub use compiled::CompiledSim;
+pub use compiled::{CompiledSim, Response};
 pub use event::EventSim;
 pub use kernel::Kernel;
-pub use parallel::{ParallelSim, Response};
 pub use pattern::PatternSet;
 pub use sequential::SequentialSim;
 pub use threeval::ThreeValueSim;

@@ -6,7 +6,7 @@ use rand::Rng;
 /// there is one `u64` per block of 64 patterns, bit *j* holding pattern
 /// *j*'s value.
 ///
-/// This layout lets [`ParallelSim`](crate::ParallelSim) evaluate 64
+/// This layout lets [`CompiledSim`](crate::CompiledSim) evaluate 64
 /// patterns per gate visit — the same trick classic parallel fault
 /// simulators use (§I-B of the paper discusses why fault simulation cost
 /// dominates; packing is the first-line mitigation).

@@ -1,9 +1,9 @@
 //! Shared word-evaluation primitives: 64-lane words and wide blocks.
 //!
-//! Every packed simulator in the workspace — [`ParallelSim`](crate::ParallelSim),
-//! the compiled [`Kernel`](crate::Kernel), and the fault simulators in
-//! `dft-fault` — evaluates gates over `u64` words where each bit lane is an
-//! independent pattern (or machine). This module is the single home for
+//! Every packed simulator in the workspace — the compiled
+//! [`Kernel`](crate::Kernel) and the fault simulators in `dft-fault` —
+//! evaluates gates over `u64` words where each bit lane is an independent
+//! pattern (or machine). This module is the single home for
 //! that per-gate fold and for the stuck-value words the fault engines
 //! inject, so the word semantics cannot drift between engines.
 //!

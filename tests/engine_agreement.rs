@@ -6,7 +6,7 @@
 use design_for_testability::atpg::{dalg, podem, DalgConfig, GenOutcome, PodemConfig};
 use design_for_testability::fault::{engines, simulate, universe};
 use design_for_testability::netlist::circuits::{random_combinational, sn74181};
-use design_for_testability::sim::{EventSim, Logic, ParallelSim, PatternSet};
+use design_for_testability::sim::{CompiledSim, EventSim, Logic, PatternSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,16 +25,16 @@ fn fault_sim_engines_agree_on_the_alu() {
     }
 }
 
-/// Event-driven and compiled parallel simulation agree on random logic.
+/// Event-driven and compiled 64-lane simulation agree on random logic.
 #[test]
 fn event_sim_agrees_with_parallel_sim() {
     for seed in 0..3 {
         let n = random_combinational(10, 120, seed);
-        let psim = ParallelSim::new(&n).expect("combinational");
+        let csim = CompiledSim::new(&n).expect("combinational");
         let mut esim = EventSim::new(&n).expect("combinational");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x55);
         let patterns = PatternSet::random(10, 32, &mut rng);
-        let resp = psim.run(&patterns);
+        let resp = csim.run(&patterns);
         for p in 0..patterns.len() {
             let row: Vec<Logic> = patterns.get(p).iter().map(|&b| Logic::from(b)).collect();
             esim.set_inputs(&row);

@@ -1,11 +1,11 @@
 //! Property-based tests (proptest) over the toolkit's core invariants.
 
-use design_for_testability::fault::{collapse, simulate, universe};
+use design_for_testability::fault::{collapse, simulate, universe, FaultyView};
 use design_for_testability::lfsr::{Lfsr, Polynomial, SignatureRegister};
 use design_for_testability::netlist::circuits::{random_combinational, random_sequential};
 use design_for_testability::netlist::{bench_format, Netlist};
 use design_for_testability::scan::extract_test_view;
-use design_for_testability::sim::{ParallelSim, PatternSet};
+use design_for_testability::sim::{CompiledSim, PatternSet};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -28,8 +28,8 @@ proptest! {
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(pat_seed);
         let patterns = PatternSet::random(n.primary_inputs().len(), 16, &mut rng);
-        let r1 = ParallelSim::new(&n).unwrap().run(&patterns);
-        let r2 = ParallelSim::new(&back).unwrap().run(&patterns);
+        let r1 = CompiledSim::new(&n).unwrap().run(&patterns);
+        let r2 = CompiledSim::new(&back).unwrap().run(&patterns);
         for p in 0..patterns.len() {
             prop_assert_eq!(r1.output_row(p), r2.output_row(p));
         }
@@ -66,38 +66,30 @@ proptest! {
     ) {
         let n = random_sequential(3, state_bits, gates, 2, seed);
         let view = extract_test_view(&n).expect("levelizes");
-        let orig = ParallelSim::new(&n).unwrap();
-        let vsim = ParallelSim::new(view.netlist()).unwrap();
+        let vnet = view.netlist();
+        let orig = FaultyView::new(&n).unwrap();
+        let vframe = FaultyView::new(vnet).unwrap();
 
+        // Eight frames, one per lane: random inputs and present states.
         let mut rng = rand::rngs::StdRng::seed_from_u64(frame_seed);
         let pi = PatternSet::random(3, 8, &mut rng);
-        let state_rows = PatternSet::random(state_bits, 8, &mut rng);
-        for p in 0..8 {
-            let pi_row = pi.get(p);
-            let st_row = state_rows.get(p);
-            // Original: run one frame with explicit state.
-            let one = PatternSet::from_rows(3, std::slice::from_ref(&pi_row));
-            let st_words = vec![st_row
-                .iter()
-                .map(|&b| if b { u64::MAX } else { 0 })
-                .collect::<Vec<u64>>()];
-            let r_orig = orig.run_with_state(&one, &st_words);
-            // View: PIs followed by pseudo-PIs.
-            let mut row = pi_row.clone();
-            row.extend(st_row.iter().copied());
-            let r_view = vsim.run(&PatternSet::from_rows(3 + state_bits, &[row]));
-            // POs agree.
-            for o in 0..n.primary_outputs().len() {
-                prop_assert_eq!(r_orig.output_bit(o, 0), r_view.output_bit(o, 0));
-            }
-            // Next state agrees with the pseudo-POs.
-            for k in 0..state_bits {
-                let ns = r_orig.next_state_word(&n, k, 0) & 1 == 1;
-                prop_assert_eq!(
-                    r_view.output_bit(n.primary_outputs().len() + k, 0),
-                    ns
-                );
-            }
+        let state = PatternSet::random(state_bits, 8, &mut rng);
+        // Original: one frame with explicit state words.
+        let vals = orig.eval_block(pi.block(0), state.block(0), None);
+        let next = orig.next_state_words(&vals, None);
+        // View: PIs followed by pseudo-PIs.
+        let mut view_pis = pi.block(0).to_vec();
+        view_pis.extend_from_slice(state.block(0));
+        let view_vals = vframe.eval_block(&view_pis, &[], None);
+        let view_out = |o: usize| view_vals[vnet.primary_outputs()[o].0.index()] & 0xFF;
+        // POs agree.
+        let n_po = n.primary_outputs().len();
+        for (o, &(g, _)) in n.primary_outputs().iter().enumerate() {
+            prop_assert_eq!(vals[g.index()] & 0xFF, view_out(o));
+        }
+        // Next state agrees with the pseudo-POs.
+        for (k, &ns) in next.iter().enumerate() {
+            prop_assert_eq!(ns & 0xFF, view_out(n_po + k));
         }
     }
 
@@ -131,17 +123,31 @@ proptest! {
         prop_assert_eq!(lfsr.period(), (1u64 << degree) - 1);
     }
 
-    /// Compiled straight-line simulation agrees with the graph walker on
-    /// every output of every pattern.
+    /// Compiled straight-line simulation agrees with the levelized graph
+    /// walk of the serial fault simulator's frame evaluator (no fault
+    /// injected) on every gate of every block: on combinational
+    /// netlists, and on sequential ones with storage held at 0.
     #[test]
-    fn compiled_sim_matches_parallel(n in arb_combinational(), pat_seed: u64) {
-        use design_for_testability::sim::CompiledSim;
+    fn compiled_sim_matches_parallel(
+        n in arb_combinational(),
+        state_bits in 1usize..6,
+        gates in 4usize..25,
+        seq_seed: u64,
+        pat_seed: u64,
+    ) {
+        let seq = random_sequential(3, state_bits, gates, 2, seq_seed);
         let mut rng = rand::rngs::StdRng::seed_from_u64(pat_seed);
-        let patterns = PatternSet::random(n.primary_inputs().len(), 40, &mut rng);
-        let a = ParallelSim::new(&n).unwrap().run(&patterns);
-        let b = CompiledSim::new(&n).unwrap().run(&patterns);
-        for p in 0..patterns.len() {
-            prop_assert_eq!(a.output_row(p), b.output_row(p));
+        for net in [&n, &seq] {
+            let patterns = PatternSet::random(net.primary_inputs().len(), 100, &mut rng);
+            let r = CompiledSim::new(net).unwrap().run(&patterns);
+            let walk = FaultyView::new(net).unwrap();
+            let zeros = vec![0u64; walk.storage().len()];
+            for b in 0..patterns.block_count() {
+                let vals = walk.eval_block(patterns.block(b), &zeros, None);
+                for g in net.ids() {
+                    prop_assert_eq!(r.word(g, b), vals[g.index()], "gate {} block {}", g, b);
+                }
+            }
         }
     }
 
