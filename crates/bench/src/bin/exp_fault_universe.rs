@@ -3,7 +3,8 @@
 //! ~3000 by equivalence collapsing.
 
 use dft_bench::print_table;
-use dft_fault::{collapse, dominance_collapse, prefilter_untestable, universe};
+use dft_fault::stream::CollapsedUniverse;
+use dft_fault::{dominance_collapse, prefilter_untestable, universe};
 use dft_netlist::{GateKind, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,8 +44,8 @@ fn main() {
         .iter()
         .filter(|f| !matches!(n.gate(f.site.gate).kind(), GateKind::Input))
         .count();
-    let col = collapse(&n, &faults);
-    let dom = dominance_collapse(&n, &faults);
+    let col = CollapsedUniverse::new(&n);
+    let targets = dominance_collapse(&n);
     let pf = prefilter_untestable(&n, &faults);
 
     let nets = n.gate_count() as f64;
@@ -72,7 +73,7 @@ fn main() {
             vec!["collapse ratio".into(), format!("{:.2}", col.ratio())],
             vec![
                 "after dominance reduction (ATPG targets)".into(),
-                dom.target_count().to_string(),
+                targets.len().to_string(),
             ],
             vec![
                 "statically proven untestable (dft-implic)".into(),

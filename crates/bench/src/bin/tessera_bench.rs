@@ -1300,8 +1300,8 @@ fn atpg_bench(quick: bool) -> Vec<AtpgRecord> {
         .into_iter()
         .map(|(name, n)| {
             let faults = universe(&n);
-            let dom = dominance_collapse(&n, &faults);
-            let static_untestable = prefilter_untestable(&n, dom.targets()).untestable_count();
+            let targets = dominance_collapse(&n);
+            let static_untestable = prefilter_untestable(&n, &targets).untestable_count();
             let run = |use_implications: bool| {
                 let podem = Podem::new(
                     &n,
@@ -1310,7 +1310,7 @@ fn atpg_bench(quick: bool) -> Vec<AtpgRecord> {
                 .expect("roster circuits levelize");
                 let mut acc = AtpgRun::default();
                 let t = Instant::now();
-                for &fault in dom.targets() {
+                for &fault in &targets {
                     let (outcome, stats) = podem.solve(fault);
                     match outcome {
                         dft_atpg::GenOutcome::Test(_) => acc.tested += 1,
@@ -1327,7 +1327,7 @@ fn atpg_bench(quick: bool) -> Vec<AtpgRecord> {
                 circuit: name,
                 gates: n.gate_count(),
                 faults: faults.len(),
-                targets: dom.target_count(),
+                targets: targets.len(),
                 static_untestable,
                 without: run(false),
                 with: run(true),

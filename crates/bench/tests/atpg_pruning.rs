@@ -4,7 +4,7 @@
 //! exact same verdict on every target (pruning may never flip a result).
 
 use dft_atpg::{GenOutcome, Podem, PodemConfig};
-use dft_fault::{dominance_collapse, universe};
+use dft_fault::dominance_collapse;
 use dft_netlist::circuits::{c17, random_combinational, redundant_fixture};
 use dft_netlist::Netlist;
 
@@ -20,8 +20,7 @@ fn roster() -> Vec<(&'static str, Netlist)> {
 fn implication_pruning_strictly_reduces_backtracks_without_changing_verdicts() {
     let mut total = [0u64; 2];
     for (name, n) in roster() {
-        let faults = universe(&n);
-        let dom = dominance_collapse(&n, &faults);
+        let targets = dominance_collapse(&n);
         let solvers: Vec<Podem<'_>> = [false, true]
             .iter()
             .map(|&use_implications| {
@@ -32,7 +31,7 @@ fn implication_pruning_strictly_reduces_backtracks_without_changing_verdicts() {
                 .expect("roster circuits levelize")
             })
             .collect();
-        for &fault in dom.targets() {
+        for &fault in &targets {
             let (without, wo_stats) = solvers[0].solve(fault);
             let (with, wi_stats) = solvers[1].solve(fault);
             assert!(

@@ -12,90 +12,16 @@
 //! * fanout-free stems — a driver's output fault is equivalent to the
 //!   sole reader's input fault.
 //!
-//! The rules are written once, in [`for_each_equivalence`]; the
-//! materialized [`collapse`] and the streaming
-//! [`CollapsedUniverse`](crate::stream::CollapsedUniverse) both run them
-//! through the same [`UnionFind`].
+//! The rules are written once, in [`for_each_equivalence`], and run
+//! through one flat union-find by
+//! [`CollapsedUniverse`](crate::stream::CollapsedUniverse).
+//! [`dominance_collapse`] reduces its representatives further to the ATPG
+//! target list.
 
-use std::collections::HashMap;
+use dft_netlist::{GateId, GateKind, Netlist, Pin, PortRef};
 
-use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin, PortRef};
-use dft_sim::PatternSet;
-
+use crate::stream::CollapsedUniverse;
 use crate::Fault;
-
-/// The result of collapsing a fault universe.
-#[derive(Clone, Debug)]
-pub struct Collapse {
-    faults: Vec<Fault>,
-    /// For each fault index, the index of its class representative.
-    rep_of: Vec<usize>,
-    /// Indices of the representatives, in universe order.
-    reps: Vec<usize>,
-}
-
-impl Collapse {
-    /// The original universe this collapse was computed over.
-    #[must_use]
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
-    /// The representative fault of `fault_index`'s equivalence class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fault_index` is out of range.
-    #[must_use]
-    pub fn representative(&self, fault_index: usize) -> Fault {
-        self.faults[self.rep_of[fault_index]]
-    }
-
-    /// One fault per equivalence class, in universe order.
-    #[must_use]
-    pub fn representatives(&self) -> Vec<Fault> {
-        self.reps.iter().map(|&i| self.faults[i]).collect()
-    }
-
-    /// Number of equivalence classes.
-    #[must_use]
-    pub fn class_count(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// The collapse ratio `classes / universe` (the paper's 1000-gate
-    /// example lands near 0.5).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.faults.is_empty() {
-            1.0
-        } else {
-            self.reps.len() as f64 / self.faults.len() as f64
-        }
-    }
-
-    /// Expands per-representative detection flags back over the whole
-    /// universe: a fault is detected iff its representative is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detected.len()` differs from
-    /// [`Collapse::class_count`].
-    #[must_use]
-    pub fn expand_detection(&self, detected: &[bool]) -> Vec<bool> {
-        assert_eq!(detected.len(), self.reps.len());
-        let class_index: HashMap<usize, usize> = self
-            .reps
-            .iter()
-            .enumerate()
-            .map(|(k, &rep)| (rep, k))
-            .collect();
-        self.rep_of
-            .iter()
-            .map(|&rep| detected[class_index[&rep]])
-            .collect()
-    }
-}
 
 /// A flat union-find over fault indices. Each union keeps the smaller
 /// root, so every class root is the class's minimum index whatever the
@@ -224,295 +150,35 @@ pub(crate) fn for_each_equivalence(
     }
 }
 
-/// Collapses `faults` over `netlist` by structural equivalence.
-///
-/// Faults not present in the list are ignored (you may collapse a
-/// sub-universe). Representatives are chosen deterministically (smallest
-/// universe index per class).
-#[must_use]
-pub fn collapse(netlist: &Netlist, faults: &[Fault]) -> Collapse {
-    collapse_with(netlist, faults, &Census::new(netlist))
-}
-
-fn collapse_with(netlist: &Netlist, faults: &[Fault], census: &Census) -> Collapse {
-    let mut uf = UnionFind::new(faults.len());
-    let index: HashMap<Fault, u32> = faults.iter().zip(0u32..).map(|(&f, i)| (f, i)).collect();
-    for_each_equivalence(netlist, census, |a, b| {
-        if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-            uf.union(ia, ib);
-        }
-    });
-
-    let rep_of: Vec<usize> = (0..faults.len())
-        .map(|i| uf.find(i as u32) as usize)
-        .collect();
-    let mut reps: Vec<usize> = rep_of.clone();
-    reps.sort_unstable();
-    reps.dedup();
-    Collapse {
-        faults: faults.to_vec(),
-        rep_of,
-        reps,
-    }
-}
-
-/// The result of dominance reduction on top of equivalence collapsing,
-/// mirroring [`Collapse`]: the reduced target list plus a per-fault
-/// mapping back onto it.
+/// The dominance-reduced ATPG target list of `netlist`: one
+/// representative per equivalence class of the full universe
+/// ([`CollapsedUniverse::representatives`], in universe order), minus the
+/// gate-output faults that dominate their own input faults.
 ///
 /// For an AND/NAND (resp. OR/NOR) gate, the output
 /// s-a-noncontrolled-response fault dominates every input
 /// s-a-noncontrolling fault — any test for the input fault also detects
-/// it — so it is dropped from the target list. Unlike equivalence,
-/// dominance is one-directional: the dominator can also be detected by
-/// patterns that miss every dominated *witness* (e.g. two controlling
-/// inputs at once), so per-fault detection equality is not preserved.
-#[derive(Clone, Debug)]
-pub struct DominanceCollapse {
-    eq: Collapse,
-    targets: Vec<Fault>,
-    /// Universe index → target index, resolved through equivalence and
-    /// then (for dropped dominators) recursively through a dominated
-    /// witness; `None` when no witness exists in the universe.
-    target_of: Vec<Option<usize>>,
-}
-
-impl DominanceCollapse {
-    /// The original universe the reduction was computed over.
-    #[must_use]
-    pub fn faults(&self) -> &[Fault] {
-        self.eq.faults()
-    }
-
-    /// The reduced test-generation target list, in universe order.
-    #[must_use]
-    pub fn targets(&self) -> &[Fault] {
-        &self.targets
-    }
-
-    /// Number of targets after equivalence + dominance.
-    #[must_use]
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
-    /// `targets / universe` (compare [`Collapse::ratio`]).
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.eq.faults().is_empty() {
-            1.0
-        } else {
-            self.targets.len() as f64 / self.eq.faults().len() as f64
-        }
-    }
-
-    /// The target standing in for `fault_index`: its equivalence
-    /// representative if that survived, otherwise a dominated witness
-    /// whose detection implies the dominator's (resolved recursively).
-    /// `None` when the dropped dominator has no witness in the universe —
-    /// such a fault is *not* accounted for by this reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fault_index` is out of range.
-    #[must_use]
-    pub fn target_of(&self, fault_index: usize) -> Option<Fault> {
-        self.target_of[fault_index].map(|t| self.targets[t])
-    }
-
-    /// Expands per-target detection flags over the whole universe.
-    ///
-    /// Crediting through a witness is sound — dominance guarantees any
-    /// pattern detecting the witness also detects its dominator — so
-    /// every fault this marks `true` really is detected. The `false`
-    /// verdicts on dominator classes, however, are *approximate*: a
-    /// dominator detected only by patterns that miss every witness (two
-    /// controlling inputs at once), or one whose witnesses are all
-    /// redundant (`None` mapping), is reported `false` here even when
-    /// the pattern set detects it. Use
-    /// [`DominanceCollapse::expand_detection_exact`] when the exact
-    /// universe figure matters — it rechecks exactly those uncertain
-    /// verdicts with targeted single-fault simulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detected.len()` differs from
-    /// [`DominanceCollapse::target_count`].
-    #[must_use]
-    pub fn expand_detection(&self, detected: &[bool]) -> Vec<bool> {
-        assert_eq!(detected.len(), self.targets.len());
-        self.target_of
-            .iter()
-            .map(|t| t.is_some_and(|k| detected[k]))
-            .collect()
-    }
-
-    /// [`DominanceCollapse::expand_detection`] with every uncertain
-    /// verdict resolved by a targeted recheck: the *exact* per-fault
-    /// detection of `patterns` over the whole universe.
-    ///
-    /// `detected` must be the per-target detection of
-    /// [`DominanceCollapse::targets`] under the same `patterns`
-    /// (`first_detected[k].is_some()` from any engine — the engines are
-    /// cross-checked to agree).
-    ///
-    /// Three kinds of verdicts come out of the witness expansion:
-    ///
-    /// * the fault's equivalence representative survived as a target —
-    ///   exact either way (equivalent faults are detected by exactly the
-    ///   same patterns);
-    /// * witness-credited `true` — sound by the dominance theorem, so
-    ///   exact;
-    /// * a dominator class reported `false` (witness undetected, or no
-    ///   witness in the universe) — *uncertain*: the dominator can be
-    ///   detected by patterns that miss every witness.
-    ///
-    /// Only the third kind is rechecked, one fault simulation per
-    /// uncertain equivalence class, so the cost is proportional to the
-    /// coverage gap rather than the universe size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LevelizeError`] on combinational cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detected.len()` differs from
-    /// [`DominanceCollapse::target_count`] or the pattern width
-    /// disagrees with the netlist.
-    pub fn expand_detection_exact(
-        &self,
-        netlist: &Netlist,
-        patterns: &PatternSet,
-        detected: &[bool],
-    ) -> Result<Vec<bool>, LevelizeError> {
-        let mut out = self.expand_detection(detected);
-        let target_set: std::collections::HashSet<Fault> = self.targets.iter().copied().collect();
-        // One recheck per uncertain equivalence class, keyed by its
-        // representative.
-        let mut recheck_of: HashMap<Fault, usize> = HashMap::new();
-        let mut recheck: Vec<Fault> = Vec::new();
-        let mut members: Vec<(usize, usize)> = Vec::new(); // (universe idx, recheck idx)
-        for (i, credited) in out.iter().enumerate() {
-            if *credited {
-                continue; // sound by dominance (or exact via the target)
-            }
-            let rep = self.eq.representative(i);
-            if target_set.contains(&rep) {
-                continue; // exact: the class was simulated directly
-            }
-            let k = *recheck_of.entry(rep).or_insert_with(|| {
-                recheck.push(rep);
-                recheck.len() - 1
-            });
-            members.push((i, k));
-        }
-        if !recheck.is_empty() {
-            let r = crate::ppsfp(netlist, patterns, &recheck)?;
-            for (i, k) in members {
-                out[i] = r.first_detected[k].is_some();
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Dominance-based reduction on top of equivalence; see
-/// [`DominanceCollapse`].
+/// it — so it is dropped. Unlike equivalence, dominance is
+/// one-directional: the dominator can also be detected by patterns that
+/// miss every dominated input fault (two controlling inputs at once), so
+/// coverage of the targets is not per-fault coverage of the universe.
+/// Primary-output drivers keep their output faults, which differ from the
+/// input faults in observability.
 #[must_use]
-pub fn dominance_collapse(netlist: &Netlist, faults: &[Fault]) -> DominanceCollapse {
-    let census = Census::new(netlist);
-    let eq = collapse_with(netlist, faults, &census);
-    let dropped = |f: Fault| -> bool {
-        // Drop gate-output faults that dominate their input faults: for
-        // an AND gate, output s-a-1 is detected whenever any input
-        // s-a-1 is.
-        let gate = netlist.gate(f.site.gate);
-        if f.site.pin != Pin::Output {
-            return false;
-        }
-        let Some(c) = gate.kind().controlling_value() else {
-            return false;
-        };
-        let dominated_by_inputs = f.stuck == (c == gate.kind().inverts());
-        dominated_by_inputs && !census.is_po[f.site.gate.index()] && gate.fanin() > 0
+pub fn dominance_collapse(netlist: &Netlist) -> Vec<Fault> {
+    let is_po = Census::new(netlist).is_po;
+    let dominates_inputs = |f: &Fault| {
+        let kind = netlist.gate(f.site.gate).kind();
+        f.site.pin == Pin::Output
+            && !is_po[f.site.gate.index()]
+            && kind
+                .controlling_value()
+                .is_some_and(|c| f.stuck == (c == kind.inverts()))
     };
-
-    let mut targets: Vec<Fault> = Vec::new();
-    let mut target_index: HashMap<Fault, usize> = HashMap::new();
-    for f in eq.representatives() {
-        if !dropped(f) {
-            target_index.insert(f, targets.len());
-            targets.push(f);
-        }
-    }
-
-    // Witness resolution for dropped dominators: an input-pin fault at
-    // the non-controlling stuck value whose detection implies the
-    // dominator's. The witness's own representative may itself be a
-    // dropped dominator of an earlier gate (fanout-free stems merge a
-    // driver's output fault into the reader's input fault), so resolve
-    // recursively — strictly toward the primary inputs, hence finite.
-    let universe_index: HashMap<Fault, usize> =
-        faults.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let mut memo: HashMap<Fault, Option<usize>> = HashMap::new();
-    fn resolve(
-        rep: Fault,
-        netlist: &Netlist,
-        eq: &Collapse,
-        universe_index: &HashMap<Fault, usize>,
-        target_index: &HashMap<Fault, usize>,
-        memo: &mut HashMap<Fault, Option<usize>>,
-    ) -> Option<usize> {
-        if let Some(&t) = target_index.get(&rep) {
-            return Some(t);
-        }
-        if let Some(&t) = memo.get(&rep) {
-            return t;
-        }
-        memo.insert(rep, None); // cycle guard; overwritten on success
-        let gate = netlist.gate(rep.site.gate);
-        let c = gate
-            .kind()
-            .controlling_value()
-            .expect("only controlled-gate output faults are dropped");
-        let mut found = None;
-        for pin in 0..gate.fanin() {
-            let witness = Fault {
-                site: PortRef::input(rep.site.gate, pin as u8),
-                stuck: !c,
-            };
-            let Some(&wi) = universe_index.get(&witness) else {
-                continue;
-            };
-            let wrep = eq.representative(wi);
-            if let Some(t) = resolve(wrep, netlist, eq, universe_index, target_index, memo) {
-                found = Some(t);
-                break;
-            }
-        }
-        memo.insert(rep, found);
-        found
-    }
-
-    let target_of: Vec<Option<usize>> = (0..faults.len())
-        .map(|i| {
-            resolve(
-                eq.representative(i),
-                netlist,
-                &eq,
-                &universe_index,
-                &target_index,
-                &mut memo,
-            )
-        })
-        .collect();
-
-    DominanceCollapse {
-        eq,
-        targets,
-        target_of,
-    }
+    CollapsedUniverse::new(netlist)
+        .representatives()
+        .filter(|f| !dominates_inputs(f))
+        .collect()
 }
 
 #[cfg(test)]
@@ -529,8 +195,7 @@ mod tests {
         let b = n.add_input("b");
         let g = n.add_gate(GateKind::And, &[a, b]).unwrap();
         n.mark_output(g, "y").unwrap();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         // Universe: a.out×2, b.out×2, g.in0×2, g.in1×2, g.out×2 = 10.
         // Equivalences: {g.in0/0, g.in1/0, g.out/0} merge;
         // a.out/v ≡ g.in0/v (fanout-free stem), b.out/v ≡ g.in1/v.
@@ -548,10 +213,8 @@ mod tests {
         let g1 = n.add_gate(GateKind::Not, &[a]).unwrap();
         let g2 = n.add_gate(GateKind::Not, &[g1]).unwrap();
         n.mark_output(g2, "y").unwrap();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
         // Everything chains through: a/v ≡ g1.in/v ≡ g1.out/!v ≡ g2.in/!v ≡ g2.out/v
-        assert_eq!(col.class_count(), 2);
+        assert_eq!(CollapsedUniverse::new(&n).class_count(), 2);
     }
 
     #[test]
@@ -561,19 +224,16 @@ mod tests {
         let b = n.add_input("b");
         let g = n.add_gate(GateKind::Xor, &[a, b]).unwrap();
         n.mark_output(g, "y").unwrap();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
         // Only stem equivalences apply: a↔in0, b↔in1 → classes:
         // in0/0, in0/1, in1/0, in1/1, out/0, out/1 = 6.
-        assert_eq!(col.class_count(), 6);
+        assert_eq!(CollapsedUniverse::new(&n).class_count(), 6);
     }
 
     #[test]
     fn c17_collapse_is_roughly_half() {
         let n = c17();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
-        assert!(col.class_count() < faults.len());
+        let col = CollapsedUniverse::new(&n);
+        assert!(col.class_count() < col.universe().len());
         // Known value for c17 under these rules.
         assert!(
             col.ratio() > 0.3 && col.ratio() < 0.7,
@@ -586,118 +246,51 @@ mod tests {
     fn representative_is_stable_and_in_class() {
         let n = c17();
         let faults = universe(&n);
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         for i in 0..faults.len() {
             let rep = col.representative(i);
-            assert!(faults.contains(&rep));
+            let r = faults.iter().position(|&f| f == rep).unwrap();
+            assert!(r <= i, "the representative is the class's first fault");
+            assert_eq!(col.representative(r), rep);
         }
-        let reps = col.representatives();
-        assert_eq!(reps.len(), col.class_count());
-    }
-
-    #[test]
-    fn expand_detection_round_trips() {
-        let n = c17();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
-        let detected = vec![true; col.class_count()];
-        let full = col.expand_detection(&detected);
-        assert_eq!(full.len(), faults.len());
-        assert!(full.iter().all(|&d| d));
+        assert_eq!(col.representatives().count(), col.class_count());
     }
 
     #[test]
     fn dominance_reduces_further() {
         let n = c17();
-        let faults = universe(&n);
-        let eq = collapse(&n, &faults).class_count();
-        let dom = dominance_collapse(&n, &faults).target_count();
+        let eq = CollapsedUniverse::new(&n).class_count();
+        let dom = dominance_collapse(&n).len();
         assert!(dom < eq, "dominance must drop some targets ({dom} vs {eq})");
     }
 
     #[test]
-    fn dominance_maps_every_fault_on_c17() {
-        // c17 has no redundancy: every fault resolves to some target, and
-        // a dropped dominator's target is a genuine universe fault.
+    fn a_test_set_for_the_targets_covers_c17() {
+        // c17 has no redundancy, so by dominance any pattern set that
+        // detects every target detects every universe fault. Take, per
+        // target, the first exhaustive pattern that detects it.
         let n = c17();
-        let faults = universe(&n);
-        let dom = dominance_collapse(&n, &faults);
-        for i in 0..faults.len() {
-            let t = dom.target_of(i).expect("every c17 fault has a target");
-            assert!(dom.targets().contains(&t));
-        }
-        let all = dom.expand_detection(&vec![true; dom.target_count()]);
-        assert!(
-            all.iter().all(|&d| d),
-            "all targets detected ⇒ all credited"
-        );
-    }
-
-    #[test]
-    fn dominance_expansion_never_overestimates() {
-        // expand_detection contract, both directions. The cheap witness
-        // expansion must never credit an undetected fault (soundness),
-        // and expand_detection_exact must agree with full-universe
-        // simulation bit for bit — including on truncated pattern sets
-        // where a dominator is detected by patterns that miss every
-        // witness, and on a redundant circuit where witnesses can be
-        // missing entirely (`None` mapping).
-        use dft_netlist::circuits::redundant_fixture;
-        let mut cases: Vec<(Netlist, dft_sim::PatternSet)> = Vec::new();
         let rows: Vec<Vec<bool>> = (0..32u8)
             .map(|v| (0..5).map(|i| v >> i & 1 == 1).collect())
             .collect();
-        // Exhaustive c17 plus short prefixes: small sets are where the
-        // witness expansion underestimates.
-        for take in [32usize, 11, 5, 2, 1] {
-            cases.push((c17(), dft_sim::PatternSet::from_rows(5, &rows[..take])));
-        }
-        let fixture = redundant_fixture();
-        let width = fixture.primary_inputs().len();
-        let fix_rows: Vec<Vec<bool>> = (0..1u32 << width)
-            .step_by(3)
-            .map(|v| (0..width).map(|i| v >> i & 1 == 1).collect())
+        let all = dft_sim::PatternSet::from_rows(5, &rows);
+        let on_targets = crate::simulate(&n, &all, &dominance_collapse(&n)).unwrap();
+        let mut picked: Vec<usize> = on_targets
+            .first_detected
+            .iter()
+            .map(|d| d.expect("every c17 target is testable"))
             .collect();
-        cases.push((fixture, dft_sim::PatternSet::from_rows(width, &fix_rows)));
-        let mut underestimates = 0usize;
-        for (n, patterns) in &cases {
-            let faults = universe(n);
-            let dom = dominance_collapse(n, &faults);
-            let on_targets = crate::simulate(n, patterns, dom.targets()).unwrap();
-            let detected: Vec<bool> = on_targets
-                .first_detected
-                .iter()
-                .map(Option::is_some)
-                .collect();
-            let truth = crate::simulate(n, patterns, &faults).unwrap();
-            let expanded = dom.expand_detection(&detected);
-            let exact = dom.expand_detection_exact(n, patterns, &detected).unwrap();
-            for (i, &credited) in expanded.iter().enumerate() {
-                let really = truth.first_detected[i].is_some();
-                assert!(
-                    !credited || really,
-                    "fault {i} credited but not actually detected on {}",
-                    n.name()
-                );
-                assert_eq!(
-                    exact[i],
-                    really,
-                    "exact expansion wrong for fault {i} on {}",
-                    n.name()
-                );
-                if really && !credited {
-                    underestimates += 1;
-                }
-            }
-        }
-        assert!(
-            underestimates > 0,
-            "cases must exercise the witness-expansion gap the exact path closes"
-        );
+        picked.sort_unstable();
+        picked.dedup();
+        let picked_rows: Vec<Vec<bool>> = picked.iter().map(|&p| rows[p].clone()).collect();
+        assert!(picked.len() < rows.len(), "a strict subset of the 32");
+        let subset = dft_sim::PatternSet::from_rows(5, &picked_rows);
+        let r = crate::simulate(&n, &subset, &universe(&n)).unwrap();
+        assert_eq!(r.coverage(), 1.0);
     }
 
     #[test]
-    fn and_output_sa1_is_dropped_but_credited_through_its_inputs() {
+    fn and_output_sa1_is_dropped_but_its_inputs_stay() {
         let mut n = Netlist::new("t");
         let a = n.add_input("a");
         let b = n.add_input("b");
@@ -705,68 +298,19 @@ mod tests {
         let inv = n.add_gate(GateKind::Not, &[g]).unwrap();
         n.mark_output(inv, "y").unwrap();
         let faults = universe(&n);
-        let dom = dominance_collapse(&n, &faults);
-        let out_sa1 = faults
-            .iter()
-            .position(|f| f.site == PortRef::output(g) && f.stuck)
-            .unwrap();
-        let target = dom.target_of(out_sa1).expect("witness exists");
-        assert_ne!(
-            target.site,
-            PortRef::output(g),
-            "the dominator itself must not be a target"
-        );
-        assert!(target.stuck, "witness is an input s-a-1 class member");
-    }
-
-    #[test]
-    fn expand_detection_empty_universe() {
-        let n = c17();
-        let col = collapse(&n, &[]);
-        assert_eq!(col.class_count(), 0);
-        assert!(col.expand_detection(&[]).is_empty());
-        let dom = dominance_collapse(&n, &[]);
-        assert_eq!(dom.target_count(), 0);
-        assert!(dom.expand_detection(&[]).is_empty());
-        assert!((dom.ratio() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn expand_detection_none_detected() {
-        let n = c17();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
-        let full = col.expand_detection(&vec![false; col.class_count()]);
-        assert_eq!(full.len(), faults.len());
-        assert!(full.iter().all(|&d| !d));
-    }
-
-    #[test]
-    fn expand_detection_over_a_sub_universe() {
-        // Collapsing a sub-universe: merges with absent faults are
-        // ignored, and expansion stays aligned with the sublist.
-        let n = c17();
-        let all = universe(&n);
-        let sub: Vec<Fault> = all.iter().step_by(3).copied().collect();
-        let col = collapse(&n, &sub);
-        let mut detected = vec![false; col.class_count()];
-        detected[0] = true;
-        let full = col.expand_detection(&detected);
-        assert_eq!(full.len(), sub.len());
-        for i in 0..sub.len() {
-            let rep = col.representative(i);
-            let rep_idx = sub.iter().position(|&f| f == rep).unwrap();
-            assert_eq!(full[i], full[rep_idx], "flag must follow the class rep");
+        let col = CollapsedUniverse::new(&n);
+        let targets = dominance_collapse(&n);
+        let class_of = |site, stuck| {
+            let i = faults.iter().position(|&f| f == Fault { site, stuck });
+            col.representative(i.unwrap())
+        };
+        let out_sa1 = class_of(PortRef::output(g), true);
+        assert_eq!(out_sa1.site, PortRef::output(g), "it heads its class");
+        assert!(!targets.contains(&out_sa1), "the dominator is no target");
+        for pin in 0..2 {
+            let witness = class_of(PortRef::input(g, pin), true);
+            assert!(targets.contains(&witness), "input {pin} s-a-1 stays");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "assertion")]
-    fn expand_detection_rejects_misaligned_flags() {
-        let n = c17();
-        let faults = universe(&n);
-        let col = collapse(&n, &faults);
-        let _ = col.expand_detection(&vec![true; col.class_count() + 1]);
     }
 
     #[test]
@@ -778,7 +322,7 @@ mod tests {
         n.mark_output(g1, "tap").unwrap(); // g1 is both a stem and a PO
         n.mark_output(g2, "y").unwrap();
         let faults = universe(&n);
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         // g1.out faults must stay distinct from g2.in faults.
         let i_out = faults
             .iter()

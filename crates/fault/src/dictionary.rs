@@ -12,67 +12,7 @@ use std::collections::BTreeSet;
 use dft_netlist::{LevelizeError, Netlist};
 use dft_sim::PatternSet;
 
-use crate::{Fault, FaultyView, Ppsfp};
-
-/// Crossover below which [`FaultDictionary::build`] extracts syndromes
-/// with the plain serial walk instead of the PPSFP event engine, in
-/// units of `faults × pattern-blocks × gates` (the serial walk's exact
-/// work, in gate-fold words).
-///
-/// PPSFP pays fixed costs the serial walk doesn't — kernel compilation,
-/// the reader CSR, and a per-block baseline sweep — and its per-fault
-/// event machinery only wins once cone restriction has enough circuit
-/// to bite on. Measured on the syndrome (no-dropping) path: on c17
-/// (≈500 fold words) PPSFP runs ~1.7× *slower* than the reference walk,
-/// and it is already ~1.2× faster at 1.25×10⁵ fold words, pulling ahead
-/// further as the workload grows. The threshold sits at the bottom of
-/// that band so the fast path only claims workloads the serial walk
-/// wins outright.
-const SERIAL_SYNDROME_WORK_LIMIT: u64 = 100_000;
-
-/// Syndrome extraction via the serial reference walk: every fault fully
-/// re-evaluated against every block, mismatches recorded per
-/// `(pattern, output)`. No dropping — the dictionary needs *all*
-/// detections. Only used below [`SERIAL_SYNDROME_WORK_LIMIT`].
-fn serial_syndromes(
-    netlist: &Netlist,
-    patterns: &PatternSet,
-    faults: &[Fault],
-) -> Result<Vec<BTreeSet<(u32, u16)>>, LevelizeError> {
-    let view = FaultyView::new(netlist)?;
-    let state = vec![0u64; view.storage().len()];
-    let outputs: Vec<_> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
-    let good: Vec<Vec<u64>> = (0..patterns.block_count())
-        .map(|b| {
-            let vals = view.eval_block(patterns.block(b), &state, None);
-            outputs.iter().map(|&g| vals[g.index()]).collect()
-        })
-        .collect();
-    Ok(faults
-        .iter()
-        .map(|&fault| {
-            let mut syn = BTreeSet::new();
-            for (b, good_b) in good.iter().enumerate() {
-                let lanes = patterns.lanes_in_block(b);
-                let mask = if lanes == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                let vals = view.eval_block(patterns.block(b), &state, Some(fault));
-                for (oi, &g) in outputs.iter().enumerate() {
-                    let mut diff = (vals[g.index()] ^ good_b[oi]) & mask;
-                    while diff != 0 {
-                        let lane = diff.trailing_zeros();
-                        syn.insert(((b * 64) as u32 + lane, oi as u16));
-                        diff &= diff - 1;
-                    }
-                }
-            }
-            syn
-        })
-        .collect())
-}
+use crate::{Fault, Ppsfp};
 
 /// A fault dictionary over a fixed pattern set.
 #[derive(Clone, Debug)]
@@ -85,13 +25,9 @@ pub struct FaultDictionary {
 
 impl FaultDictionary {
     /// Builds the dictionary by fault-simulating every fault against
-    /// `patterns` (no dropping — the full syndrome is recorded). Large
-    /// dictionaries are built on [`Ppsfp::run_syndromes`], so they get
-    /// the fast engine's cone restriction and threading for free; tiny
-    /// workloads (below 100 000 gate-fold words)
-    /// skip PPSFP's fixed setup and use the serial reference walk, which
-    /// outruns the event engine there. The two paths produce identical
-    /// syndromes — the crossover is purely a speed decision.
+    /// `patterns` (no dropping — the full syndrome is recorded) with
+    /// [`Ppsfp::run_syndromes`], so it gets the fast engine's cone
+    /// restriction and threading.
     ///
     /// Before any simulation runs, the static implication engine
     /// ([`crate::prefilter_untestable`]) drops faults it can prove
@@ -111,33 +47,19 @@ impl FaultDictionary {
         patterns: &PatternSet,
         faults: &[Fault],
     ) -> Result<Self, LevelizeError> {
-        let run = |fl: &[Fault]| -> Result<Vec<BTreeSet<(u32, u16)>>, LevelizeError> {
-            let work =
-                fl.len() as u64 * patterns.block_count() as u64 * netlist.gate_count() as u64;
-            if work < SERIAL_SYNDROME_WORK_LIMIT {
-                serial_syndromes(netlist, patterns, fl)
-            } else {
-                Ok(Ppsfp::new(netlist)?.run_syndromes(patterns, fl))
-            }
-        };
         let pf = crate::prefilter_untestable(netlist, faults);
-        let syndromes = if pf.untestable_count() == 0 {
-            run(faults)?
-        } else {
-            // Simulate the survivors only; proven-untestable faults keep
-            // the empty syndrome they provably have.
-            let survivors = pf.testable_faults();
-            let mut computed = run(&survivors)?.into_iter();
-            (0..faults.len())
-                .map(|i| {
-                    if pf.is_untestable(i) {
-                        BTreeSet::new()
-                    } else {
-                        computed.next().expect("one syndrome per survivor")
-                    }
-                })
-                .collect()
-        };
+        let mut computed = Ppsfp::new(netlist)?
+            .run_syndromes(patterns, &pf.testable_faults())
+            .into_iter();
+        let syndromes = (0..faults.len())
+            .map(|i| {
+                if pf.is_untestable(i) {
+                    BTreeSet::new()
+                } else {
+                    computed.next().expect("one syndrome per survivor")
+                }
+            })
+            .collect();
         Ok(FaultDictionary {
             faults: faults.to_vec(),
             syndromes,
@@ -222,9 +144,9 @@ impl FaultDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collapse, universe};
+    use crate::stream::CollapsedUniverse;
+    use crate::universe;
     use dft_netlist::circuits::c17;
-    use rand::SeedableRng;
 
     fn exhaustive() -> PatternSet {
         let rows: Vec<Vec<bool>> = (0..32u8)
@@ -238,7 +160,7 @@ mod tests {
         let n = c17();
         let faults = universe(&n);
         let dict = FaultDictionary::build(&n, &exhaustive(), &faults).unwrap();
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         for (fi, _) in faults.iter().enumerate().step_by(5) {
             let observed = dict.syndrome(fi).clone();
             let candidates = dict.diagnose_exact(&observed);
@@ -284,7 +206,7 @@ mod tests {
         let n = c17();
         let faults = universe(&n);
         let dict = FaultDictionary::build(&n, &exhaustive(), &faults).unwrap();
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         // Distinct syndromes can't exceed the number of classes…
         let res = dict.resolution();
         assert!(res <= 1.0);
@@ -319,31 +241,6 @@ mod tests {
         for (i, expected) in brute.iter().enumerate() {
             assert_eq!(dict.syndrome(i), expected, "fault {i} syndrome differs");
         }
-    }
-
-    #[test]
-    fn serial_and_ppsfp_syndrome_paths_agree() {
-        // The build crossover is a speed decision only: both extraction
-        // paths must produce identical syndromes. c17 × exhaustive sits
-        // below the crossover (the build takes the serial walk), so
-        // compare it against an explicit PPSFP run; and check the serial
-        // helper against PPSFP on a circuit with a ragged tail block.
-        let n = c17();
-        let faults = universe(&n);
-        let p = exhaustive();
-        let dict = FaultDictionary::build(&n, &p, &faults).unwrap();
-        let ppsfp = crate::Ppsfp::new(&n).unwrap().run_syndromes(&p, &faults);
-        for (i, expected) in ppsfp.iter().enumerate() {
-            assert_eq!(dict.syndrome(i), expected, "fault {i}");
-        }
-
-        let n = dft_netlist::circuits::random_combinational(8, 90, 3);
-        let faults = universe(&n);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let p = dft_sim::PatternSet::random(8, 100, &mut rng);
-        let serial = serial_syndromes(&n, &p, &faults).unwrap();
-        let ppsfp = crate::Ppsfp::new(&n).unwrap().run_syndromes(&p, &faults);
-        assert_eq!(serial, ppsfp);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use dft_netlist::{GateKind, Netlist, Pin, PortRef};
+use dft_netlist::{Netlist, PortRef};
+
+use crate::stream::FaultUniverse;
 
 /// A single stuck-at fault: one gate pin fixed at 0 or 1 (paper §I-A,
 /// Fig. 1).
@@ -50,49 +52,17 @@ impl fmt::Display for Fault {
 /// (a stuck constant is either benign or equivalent to the consuming-pin
 /// fault). A 1000-gate two-input network yields the paper's "maximum
 /// number of single stuck-at faults … 6000".
+///
+/// This is [`FaultUniverse::iter`] collected: the order, and every index
+/// into the list, is the [`FaultUniverse`] order.
 #[must_use]
 pub fn universe(netlist: &Netlist) -> Vec<Fault> {
-    let mut faults = Vec::new();
-    for (id, gate) in netlist.iter() {
-        match gate.kind() {
-            GateKind::Const0 | GateKind::Const1 => continue,
-            GateKind::Input => {
-                for stuck in [false, true] {
-                    faults.push(Fault {
-                        site: PortRef::output(id),
-                        stuck,
-                    });
-                }
-            }
-            _ => {
-                for pin in 0..gate.fanin() {
-                    for stuck in [false, true] {
-                        faults.push(Fault {
-                            site: PortRef::input(id, pin as u8),
-                            stuck,
-                        });
-                    }
-                }
-                for stuck in [false, true] {
-                    faults.push(Fault {
-                        site: PortRef::output(id),
-                        stuck,
-                    });
-                }
-            }
-        }
-    }
+    let u = FaultUniverse::new(netlist);
+    let mut faults = Vec::with_capacity(u.len());
+    // Internal iteration runs each gate's pins as one tight loop, where
+    // `collect` would pay the nested iterator's bookkeeping per fault.
+    u.iter().for_each(|f| faults.push(f));
     faults
-}
-
-/// Enumerates only the output-pin faults (both polarities per gate) —
-/// the "checkpoint-lite" universe some experiments sweep for speed.
-#[must_use]
-pub fn output_faults(netlist: &Netlist) -> Vec<Fault> {
-    universe(netlist)
-        .into_iter()
-        .filter(|f| f.site.pin == Pin::Output)
-        .collect()
 }
 
 #[cfg(test)]
@@ -146,11 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn output_faults_subset() {
-        let n = c17();
-        let of = output_faults(&n);
-        assert_eq!(of.len(), (6 + 5) * 2);
-        assert!(of.iter().all(|f| f.site.pin == Pin::Output));
+    fn widest_gate_gives_every_pin_its_own_faults() {
+        // 256 inputs is the fan-in cap: pins 0..=255 fit `Pin::Input(u8)`,
+        // and a 257th pin is refused rather than aliased onto pin 0.
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let g = n.add_gate(GateKind::And, &[a; 256]).unwrap();
+        assert!(n.add_gate(GateKind::And, &[a; 257]).is_err());
+        let faults = universe(&n);
+        let distinct: std::collections::BTreeSet<Fault> = faults.iter().copied().collect();
+        assert_eq!(distinct.len(), faults.len());
+        let on_g = faults.iter().filter(|f| f.site.gate == g).count();
+        assert_eq!(on_g, 2 * 256 + 2);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! too many — so "all faults taken two at a time are not assumed").
 //!
 //! * [`universe`] — enumerates every pin fault (a 1000-gate two-input
-//!   network yields the paper's 6000 faults).
-//! * [`collapse`] — structural equivalence collapsing (the paper's
-//!   fault-equivalencing reference \[36\]-\[47\]) cutting the universe
-//!   roughly in half.
+//!   network yields the paper's 6000 faults). It collects the one
+//!   enumerator, [`stream::FaultUniverse`].
+//! * [`stream::CollapsedUniverse`] — the one structural equivalence
+//!   collapse (the paper's fault-equivalencing reference \[36\]-\[47\]),
+//!   cutting the universe roughly in half; [`dominance_collapse`] reduces
+//!   its representatives to the ATPG target list.
 //! * [`simulate`] — pattern-parallel single-fault simulation (64
 //!   patterns per word), the combinational reference engine.
 //! * [`sequential`] — three-valued serial fault simulation across clock
@@ -61,10 +63,10 @@ mod serial;
 pub mod stream;
 mod stuck_open;
 
-pub use collapse::{collapse, dominance_collapse, Collapse, DominanceCollapse};
+pub use collapse::dominance_collapse;
 pub use dictionary::FaultDictionary;
 pub use engine::{engines, FaultSimEngine, PpsfpEngine, SequentialEngine, SerialEngine};
-pub use fault::{output_faults, universe, Fault};
+pub use fault::{universe, Fault};
 pub use inject::FaultyView;
 pub use ppsfp::{ppsfp, Ppsfp, PpsfpOptions};
 pub use prefilter::{prefilter_untestable, prefilter_with, Prefilter};

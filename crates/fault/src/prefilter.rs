@@ -31,12 +31,6 @@ pub struct Prefilter {
 }
 
 impl Prefilter {
-    /// The fault list the filter was run over.
-    #[must_use]
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
-    }
-
     /// The static verdict for `fault_index` — `Some` iff proven
     /// untestable, with the witness explaining why.
     ///
@@ -70,41 +64,10 @@ impl Prefilter {
             .collect()
     }
 
-    /// The faults proven untestable, with their witnesses.
-    #[must_use]
-    pub fn untestable_faults(&self) -> Vec<(Fault, UntestableReason)> {
-        self.faults
-            .iter()
-            .zip(&self.verdicts)
-            .filter_map(|(&f, v)| v.map(|r| (f, r)))
-            .collect()
-    }
-
     /// Number of faults proven untestable.
     #[must_use]
     pub fn untestable_count(&self) -> usize {
         self.verdicts.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// Expands detection flags computed over [`Prefilter::testable_faults`]
-    /// back over the full list (filtered-out faults are undetectable, so
-    /// they expand to `false`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `detected.len()` differs from the surviving-fault count.
-    #[must_use]
-    pub fn expand_detection(&self, detected: &[bool]) -> Vec<bool> {
-        assert_eq!(
-            detected.len(),
-            self.faults.len() - self.untestable_count(),
-            "detection vector must align with testable_faults()"
-        );
-        let mut it = detected.iter();
-        self.verdicts
-            .iter()
-            .map(|v| v.is_none() && *it.next().unwrap())
-            .collect()
     }
 }
 
@@ -182,30 +145,15 @@ mod tests {
     }
 
     #[test]
-    fn expand_detection_restores_universe_alignment() {
-        let n = redundant_fixture();
-        let faults = universe(&n);
-        let pf = prefilter_untestable(&n, &faults);
-        let survivors = pf.testable_faults();
-        let r = simulate(&n, &exhaustive(n.primary_inputs().len()), &survivors).unwrap();
-        let detected: Vec<bool> = r.first_detected.iter().map(Option::is_some).collect();
-        let full = pf.expand_detection(&detected);
-        assert_eq!(full.len(), faults.len());
-        // Cross-check against simulating the full universe directly.
-        let r_full = simulate(&n, &exhaustive(n.primary_inputs().len()), &faults).unwrap();
-        for (i, d) in full.iter().enumerate() {
-            assert_eq!(*d, r_full.first_detected[i].is_some(), "fault {i}");
-        }
-    }
-
-    #[test]
     fn witnesses_are_reported() {
         let n = redundant_fixture();
         let faults = universe(&n);
         let pf = prefilter_untestable(&n, &faults);
-        for (f, reason) in pf.untestable_faults() {
-            // Displayable witness for diagnostics.
-            assert!(!format!("{f}: {reason}").is_empty());
+        for (i, f) in faults.iter().enumerate() {
+            if let Some(reason) = pf.verdict(i) {
+                // Displayable witness for diagnostics.
+                assert!(!format!("{f}: {reason}").is_empty());
+            }
         }
     }
 }

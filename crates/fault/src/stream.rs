@@ -1,21 +1,16 @@
-//! Streaming fault enumeration for industrial-scale netlists.
-//!
-//! [`universe`](crate::universe) materializes a `Vec<Fault>` — fine at
-//! ISCAS scale, but at 10⁶ gates the universe runs to ~10⁷ faults, and
-//! [`collapse`](crate::collapse) on top of it builds a
-//! `HashMap<Fault, usize>` whose per-entry overhead dwarfs the netlist
-//! itself. This module provides the same two enumerations as *views*
-//! over the netlist's CSR storage:
+//! The fault list: one enumerator and one collapse, both views over the
+//! netlist's CSR storage.
 //!
 //! * [`FaultUniverse`] — a constant-space index: `fault(i)` decodes the
 //!   `i`-th fault of the universe on demand, and [`FaultUniverse::iter`]
-//!   streams the whole universe in exactly
-//!   [`universe`](crate::universe) order without allocating per fault.
-//! * [`CollapsedUniverse`] — structural equivalence collapsing
-//!   ([`collapse`](crate::collapse)'s three rules) computed over fault
-//!   *indices* with a flat `u32` union-find: 4 bytes per fault instead
-//!   of hash-map nodes, same classes, same smallest-index
-//!   representatives.
+//!   streams the whole universe without allocating per fault.
+//!   [`universe`](crate::universe) is that stream collected.
+//! * [`CollapsedUniverse`] — structural equivalence collapsing computed
+//!   over fault *indices* with a flat `u32` union-find: 4 bytes per fault
+//!   and no per-fault hashing, so a 10⁶-gate netlist (~10⁷ faults)
+//!   collapses without a per-fault map.
+//!   [`dominance_collapse`](crate::dominance_collapse) builds the ATPG
+//!   target list from its representatives.
 //!
 //! Both plug straight into PPSFP via [`Ppsfp::run_streamed`](crate::Ppsfp::run_streamed)
 //! (chunked, bit-identical to the materialized run):
@@ -46,8 +41,8 @@ use crate::Fault;
 
 /// A constant-space view of the single-stuck-at fault universe.
 ///
-/// Faults are indexed `0..len()` in [`universe`](crate::universe)
-/// order: gates in arena order, each contributing its input-pin faults
+/// Faults are indexed `0..len()` in the one order every fault list in
+/// the crate shares: gates in arena order, each contributing its input-pin faults
 /// (pin-major, s-a-0 before s-a-1) followed by its output faults.
 /// `Input` gates contribute only output faults; constants contribute
 /// none. The only allocation is one `u32` prefix-sum per gate.
@@ -115,7 +110,12 @@ impl<'n> FaultUniverse<'n> {
         );
         // First gate whose span ends beyond i.
         let g = self.offset.partition_point(|&o| o <= i) - 1;
-        self.decode(GateId::from_index(g), i - self.offset[g])
+        let within = i - self.offset[g];
+        let pins = (self.offset[g + 1] - self.offset[g]) / 2;
+        Fault {
+            site: site(GateId::from_index(g), within / 2, pins),
+            stuck: within % 2 == 1,
+        }
     }
 
     /// The universe index of `fault`, if the fault exists (its site gate
@@ -142,36 +142,34 @@ impl<'n> FaultUniverse<'n> {
 
     /// Streams every fault in universe order, allocation-free.
     pub fn iter(&self) -> impl Iterator<Item = Fault> + '_ {
-        self.netlist.ids().flat_map(move |id| {
-            let g = id.index();
-            let span = self.offset[g + 1] - self.offset[g];
-            (0..span).map(move |w| self.decode(id, w))
+        self.offset.windows(2).enumerate().flat_map(|(g, w)| {
+            let id = GateId::from_index(g);
+            let pins = (w[1] - w[0]) / 2;
+            (0..pins).flat_map(move |p| {
+                let site = site(id, p, pins);
+                [false, true].map(|stuck| Fault { site, stuck })
+            })
         })
     }
+}
 
-    /// Decodes fault `within` of gate `id`'s span.
-    fn decode(&self, id: GateId, within: u32) -> Fault {
-        let span = self.offset[id.index() + 1] - self.offset[id.index()];
-        debug_assert!(within < span);
-        let stuck = within % 2 == 1;
-        let site = if within >= span - 2 {
-            PortRef::output(id)
-        } else {
-            PortRef::input(id, u8::try_from(within / 2).expect("pin fits u8"))
-        };
-        Fault { site, stuck }
+/// Pin `p` of a gate with `pins` enumerated pins: its input pins in
+/// order, then its output.
+fn site(id: GateId, p: u32, pins: u32) -> PortRef {
+    if p + 1 == pins {
+        PortRef::output(id)
+    } else {
+        PortRef::input(id, u8::try_from(p).expect("fan-in is capped at 256"))
     }
 }
 
 /// Structural equivalence collapsing over a [`FaultUniverse`], flat and
 /// hash-free.
 ///
-/// Applies exactly the three rules of [`collapse`](crate::collapse) —
-/// controlling-value equivalence, inverter/buffer mapping, fanout-free
-/// stems, written once and shared — over fault *indices*, so the whole
-/// computation is one `u32` union-find plus a flat fan-out census.
-/// Representatives are the smallest universe index per class, identical
-/// to [`Collapse::representatives`](crate::Collapse::representatives).
+/// Applies the three structural rules — controlling-value equivalence,
+/// inverter/buffer mapping, fanout-free stems — over fault *indices*, so
+/// the whole computation is one `u32` union-find plus a flat fan-out
+/// census. Each class is represented by its smallest universe index.
 #[derive(Clone, Debug)]
 pub struct CollapsedUniverse<'n> {
     universe: FaultUniverse<'n>,
@@ -241,10 +239,8 @@ impl<'n> CollapsedUniverse<'n> {
         self.universe.fault(self.rep_of[i] as usize)
     }
 
-    /// Streams one representative fault per class, in universe order —
-    /// the same faults, in the same order, as
-    /// [`Collapse::representatives`](crate::Collapse::representatives),
-    /// without materializing either list.
+    /// Streams one representative fault per class, in universe order,
+    /// without materializing the list.
     pub fn representatives(&self) -> impl Iterator<Item = Fault> + '_ {
         self.rep_of
             .iter()
@@ -257,11 +253,11 @@ impl<'n> CollapsedUniverse<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collapse, universe};
+    use crate::{dominance_collapse, universe};
     use dft_netlist::circuits::{self, c17};
 
     #[test]
-    fn streams_exact_universe_order() {
+    fn random_access_matches_the_stream() {
         for n in [
             c17(),
             circuits::full_adder(),
@@ -269,12 +265,9 @@ mod tests {
             circuits::random_combinational(8, 300, 7),
             circuits::layered_random(32, 2_000, 3),
         ] {
-            let want = universe(&n);
             let u = FaultUniverse::new(&n);
-            assert_eq!(u.len(), want.len());
-            let got: Vec<Fault> = u.iter().collect();
-            assert_eq!(got, want, "order mismatch on {}", n.name());
-            for (i, &f) in want.iter().enumerate() {
+            assert_eq!(u.iter().count(), u.len());
+            for (i, f) in u.iter().enumerate() {
                 assert_eq!(u.fault(i), f);
                 assert_eq!(u.index_of(f), Some(i));
             }
@@ -290,7 +283,6 @@ mod tests {
         n.mark_output(g, "y").unwrap();
         let u = FaultUniverse::new(&n);
         assert_eq!(u.len(), 8, "const contributes nothing, PI 2, AND 6");
-        assert_eq!(u.iter().collect::<Vec<_>>(), universe(&n));
         assert_eq!(
             u.index_of(Fault {
                 site: PortRef::output(c),
@@ -321,38 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn collapse_matches_materialized_classes() {
-        for n in [
-            c17(),
-            circuits::full_adder(),
-            circuits::binary_counter(5),
-            circuits::random_combinational(8, 300, 7),
-            circuits::layered_random(32, 2_000, 3),
-        ] {
-            let faults = universe(&n);
-            let reference = collapse(&n, &faults);
-            let streamed = CollapsedUniverse::new(&n);
-            assert_eq!(
-                streamed.class_count(),
-                reference.class_count(),
-                "class count on {}",
-                n.name()
-            );
-            assert!((streamed.ratio() - reference.ratio()).abs() < 1e-12);
-            for i in 0..faults.len() {
-                assert_eq!(
-                    streamed.representative(i),
-                    reference.representative(i),
-                    "representative of fault {i} on {}",
-                    n.name()
-                );
-            }
-            let reps: Vec<Fault> = streamed.representatives().collect();
-            assert_eq!(reps, reference.representatives(), "reps on {}", n.name());
-        }
-    }
-
-    #[test]
     fn streamed_ppsfp_is_bit_identical_to_materialized() {
         use dft_sim::PatternSet;
         use rand::SeedableRng;
@@ -380,7 +340,7 @@ mod tests {
             }
             // Collapsed stream vs materialized representatives.
             let col = CollapsedUniverse::new(&n);
-            let reps: Vec<Fault> = collapse(&n, &faults).representatives();
+            let reps: Vec<Fault> = col.representatives().collect();
             let streamed = engine.run_streamed(&patterns, col.representatives(), 256);
             let reference = engine.run(&patterns, &reps);
             assert_eq!(streamed.first_detected, reference.first_detected);
@@ -395,5 +355,6 @@ mod tests {
         assert!(col.universe().is_empty());
         assert!((col.ratio() - 1.0).abs() < 1e-12);
         assert_eq!(col.representatives().count(), 0);
+        assert!(dominance_collapse(&n).is_empty());
     }
 }

@@ -326,6 +326,15 @@ cout = OR(c1, c2)
     }
 
     #[test]
+    fn over_wide_gate_is_a_line_numbered_error() {
+        let args = vec!["a"; 257].join(", ");
+        let text = format!("INPUT(a)\nOUTPUT(y)\ny = AND({args})\n");
+        let err = parse(&text, "t").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("got 257"), "{}", err.message);
+    }
+
+    #[test]
     fn gate_before_first_input_leaves_no_phantom() {
         // Regression: pass 1 used to add a placeholder Const0 when a gate
         // definition preceded the first INPUT line, and never removed it.

@@ -50,14 +50,10 @@ impl fmt::Display for NetlistError {
         match self {
             NetlistError::BadFanin { kind, got } => {
                 let (min, max) = kind.fanin_range();
-                if max == usize::MAX {
-                    write!(f, "gate kind {kind} requires fan-in >= {min}, got {got}")
-                } else {
-                    write!(
-                        f,
-                        "gate kind {kind} requires fan-in {min}..={max}, got {got}"
-                    )
-                }
+                write!(
+                    f,
+                    "gate kind {kind} requires fan-in {min}..={max}, got {got}"
+                )
             }
             NetlistError::UnknownGate(id) => write!(f, "gate {id} does not exist"),
             NetlistError::InvalidPin { gate, pin, fanin } => {
@@ -148,7 +144,10 @@ mod tests {
             kind: GateKind::And,
             got: 1,
         };
-        assert_eq!(e.to_string(), "gate kind AND requires fan-in >= 2, got 1");
+        assert_eq!(
+            e.to_string(),
+            "gate kind AND requires fan-in 2..=256, got 1"
+        );
         let e = NetlistError::InvalidPin {
             gate: GateId::from_index(4),
             pin: 3,

@@ -14,7 +14,7 @@ use crate::GateId;
 /// |------|--------|
 /// | `Input`, `Const0`, `Const1` | 0 |
 /// | `Buf`, `Not`, `Dff` | 1 |
-/// | `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` | ≥ 2 |
+/// | `And`, `Or`, `Nand`, `Nor`, `Xor`, `Xnor` | 2 ..= 256 |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// A primary input (no fan-in; value supplied by the environment).
@@ -66,13 +66,15 @@ impl GateKind {
 
     /// Returns the valid fan-in range `(min, max)` for this kind.
     ///
-    /// `max` is `usize::MAX` for gates with unbounded fan-in.
+    /// Multi-input gates take at most 256 inputs: an input pin is named
+    /// by a `u8` ([`Pin::Input`](crate::Pin::Input)), so a wider gate
+    /// could not give every pin its own fault site.
     #[must_use]
     pub fn fanin_range(self) -> (usize, usize) {
         match self {
             GateKind::Input | GateKind::Const0 | GateKind::Const1 => (0, 0),
             GateKind::Buf | GateKind::Not | GateKind::Dff => (1, 1),
-            _ => (2, usize::MAX),
+            _ => (2, 256),
         }
     }
 

@@ -755,6 +755,26 @@ mod tests {
     }
 
     #[test]
+    fn fanin_is_capped_at_256_pins() {
+        // Input pins are `u8`: a 257th pin would alias pin 0.
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        assert!(n.add_gate(GateKind::And, &[a; 256]).is_ok());
+        assert_eq!(
+            n.add_gate(GateKind::And, &[a; 257]),
+            Err(NetlistError::BadFanin {
+                kind: GateKind::And,
+                got: 257
+            })
+        );
+        let g = n.add_gate(GateKind::Or, &[a, a]).unwrap();
+        assert!(matches!(
+            n.replace_gate(g, GateKind::Xor, &[a; 257]),
+            Err(NetlistError::BadFanin { got: 257, .. })
+        ));
+    }
+
+    #[test]
     fn unknown_gate_rejected() {
         let mut n = Netlist::new("t");
         let a = n.add_input("a");

@@ -6,7 +6,8 @@
 //! ```
 
 use design_for_testability::atpg::{generate_tests, AtpgConfig};
-use design_for_testability::fault::{collapse, simulate, universe};
+use design_for_testability::fault::stream::CollapsedUniverse;
+use design_for_testability::fault::{simulate, universe};
 use design_for_testability::netlist::{GateKind, Netlist};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The single-stuck-at fault universe and its collapse.
     let faults = universe(&n);
-    let col = collapse(&n, &faults);
+    let col = CollapsedUniverse::new(&n);
     println!(
         "faults: {} raw, {} after equivalence collapsing ({:.0}%)",
         faults.len(),

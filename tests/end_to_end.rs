@@ -4,7 +4,8 @@
 use design_for_testability::atpg::{generate_tests, AtpgConfig};
 use design_for_testability::core::planner::{DftPlanner, Technique};
 use design_for_testability::core::{compare_scan_payoff, full_scan_flow};
-use design_for_testability::fault::{collapse, simulate, universe};
+use design_for_testability::fault::stream::CollapsedUniverse;
+use design_for_testability::fault::{simulate, universe};
 use design_for_testability::netlist::circuits::{binary_counter, random_sequential, sn74181};
 use design_for_testability::scan::{extract_test_view, ScanConfig, ScanStyle};
 use design_for_testability::sim::PatternSet;
@@ -49,14 +50,14 @@ fn view_faults_round_trip_through_atpg() {
 }
 
 /// Collapse + detection consistency: simulating only the class
-/// representatives and expanding must match simulating the full
-/// universe.
+/// representatives and giving each fault its representative's verdict
+/// must match simulating the full universe.
 #[test]
 fn collapse_preserves_detection() {
     let (alu, _) = sn74181();
     let faults = universe(&alu);
-    let col = collapse(&alu, &faults);
-    let reps = col.representatives();
+    let col = CollapsedUniverse::new(&alu);
+    let reps: Vec<_> = col.representatives().collect();
 
     let mut rows = Vec::new();
     let mut state = 1u64;
@@ -71,15 +72,14 @@ fn collapse_preserves_detection() {
 
     let full = simulate(&alu, &patterns, &faults).expect("combinational");
     let rep_result = simulate(&alu, &patterns, &reps).expect("combinational");
-    let rep_detected: Vec<bool> = rep_result
-        .first_detected
-        .iter()
-        .map(|d| d.is_some())
-        .collect();
-    let expanded = col.expand_detection(&rep_detected);
-    for (i, (&exp, full_d)) in expanded.iter().zip(&full.first_detected).enumerate() {
+    for (i, full_d) in full.first_detected.iter().enumerate() {
+        let rep = col.representative(i);
+        let class = reps
+            .iter()
+            .position(|&r| r == rep)
+            .expect("a representative");
         assert_eq!(
-            exp,
+            rep_result.first_detected[class].is_some(),
             full_d.is_some(),
             "fault {} ({}): representative disagrees",
             i,

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) over the toolkit's core invariants.
 
-use design_for_testability::fault::{collapse, simulate, universe, FaultyView};
+use design_for_testability::fault::stream::CollapsedUniverse;
+use design_for_testability::fault::{simulate, universe, FaultyView};
 use design_for_testability::lfsr::{Lfsr, Polynomial, SignatureRegister};
 use design_for_testability::netlist::circuits::{random_combinational, random_sequential};
 use design_for_testability::netlist::{bench_format, Netlist};
@@ -40,7 +41,7 @@ proptest! {
     #[test]
     fn collapse_classes_share_detection(n in arb_combinational(), pat_seed: u64) {
         let faults = universe(&n);
-        let col = collapse(&n, &faults);
+        let col = CollapsedUniverse::new(&n);
         let mut rng = rand::rngs::StdRng::seed_from_u64(pat_seed);
         let patterns = PatternSet::random(n.primary_inputs().len(), 24, &mut rng);
         let full = simulate(&n, &patterns, &faults).unwrap();
