@@ -182,8 +182,10 @@ impl AtpgRun {
 /// combinational test view extracted by `dft-scan`).
 ///
 /// 1. Random phase: up to `random_budget` patterns with fault dropping.
-/// 2. Deterministic phase: PODEM, with its static implication store, per
-///    surviving fault.
+/// 2. Deterministic phase: per surviving fault, PODEM with its static
+///    implication store under a gate-evaluation budget, then a CDCL
+///    redundancy proof ([`crate::Podem::settle`]); untestable verdicts
+///    are reused across each fault's equivalence class.
 /// 3. Optional compaction (cube merge + reverse-order drop), re-verified
 ///    by fault simulation.
 ///
@@ -205,9 +207,14 @@ pub fn generate_tests(
 /// `implic.learn` build), `atpg.compact` — flushing each phase's effort
 /// counters once. The deterministic phase
 /// aggregates its per-fault [`crate::SolveStats`] into phase totals
-/// (`attempts`, `backtracks`, `forward_evals`, `implication_conflicts`,
-/// `gate_evals`, `tests`, `untestable`, `aborted`) rather than emitting one span per
-/// fault, keeping reports bounded on large fault lists. The returned
+/// (`attempts`, `reused`, `backtracks`, `forward_evals`,
+/// `implication_conflicts`, `gate_evals`, `tests`, `untestable`,
+/// `proved_static`, `proved_search`, `proved_cdcl`, `cdcl_calls`,
+/// `cdcl_conflicts`, `aborted`, `collateral_drops`) rather than emitting
+/// one span per fault, keeping reports bounded on large fault lists.
+/// `attempts + reused + collateral_drops` is the deterministic queue's
+/// length, and `reused` plus the three `proved_*` counts is
+/// `untestable`. The returned
 /// [`AtpgRun`] counters are unchanged, so the legacy view and the
 /// collector always agree.
 ///
@@ -279,12 +286,18 @@ pub fn generate_tests_observed(
     backtracks += det.backtracks;
     forward_evals += det.forward_evals;
     obs.count("attempts", det.attempts);
+    obs.count("reused", det.reused);
     obs.count("backtracks", det.backtracks);
     obs.count("forward_evals", det.forward_evals);
     obs.count("implication_conflicts", det.implication_conflicts);
     obs.count("gate_evals", det.gate_evals);
     obs.count("tests", det.tests);
     obs.count("untestable", det.untestable);
+    obs.count("proved_static", det.proved_static);
+    obs.count("proved_search", det.proved_search);
+    obs.count("proved_cdcl", det.proved_cdcl);
+    obs.count("cdcl_calls", det.cdcl_calls);
+    obs.count("cdcl_conflicts", det.cdcl_conflicts);
     obs.count("aborted", det.aborted);
     obs.count("collateral_drops", det.collateral);
     obs.exit();

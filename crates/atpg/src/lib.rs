@@ -11,6 +11,10 @@
 //!
 //! * [`podem`] — PI-decision based deterministic ATPG (complete for
 //!   combinational logic); the flow's deterministic engine.
+//!   [`Podem::settle`] stops the search at a gate-evaluation budget and
+//!   hands the fault to a from-scratch CDCL solver on its good/faulty
+//!   miter, which can only prove it untestable; every test cube stays
+//!   PODEM's.
 //! * [`dalg`] — the D-Algorithm (Roth, the paper's reference \[93\]):
 //!   internal-line decisions with a J-frontier. It is PODEM's
 //!   independent reference, cross-checked against it by test; the flow
@@ -42,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 
+mod cdcl;
 mod compact;
 mod dalg;
 mod engine;
@@ -55,7 +60,9 @@ pub use compact::{compact, merge_cubes, reverse_order_drop};
 pub use dalg::{dalg, DalgConfig};
 pub use engine::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, FaultStatus};
 pub use parallel::{deterministic_phase, DetDriver, DetPhase, DetVerdict, WorkerStats};
-pub use podem::{podem, podem_observed, GenOutcome, Podem, PodemConfig, SolveStats, TestCube};
+pub use podem::{
+    podem, podem_observed, GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube,
+};
 pub use random::{
     exhaustive_atpg, random_atpg, scoap_weights, weighted_random_atpg, RandomAtpgOutcome,
 };

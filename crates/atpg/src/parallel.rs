@@ -11,14 +11,26 @@
 //! not-yet-attempted tail of the queue, so faults the new tests already
 //! cover are dropped before any worker wastes a search on them.
 //!
+//! *Verdict reuse*: every queued fault belongs to a structural
+//! equivalence class ([`CollapsedUniverse`]), and equivalent faults share
+//! their tests — so once one member is proven untestable, every later
+//! member is settled `Untestable` without a solve. Each batch is solved
+//! in two rounds: round one solves the first slot of every class not
+//! yet known untestable, round two the followers whose leader did not
+//! come back untestable. Each solve is [`Podem::settle`]: the PODEM
+//! search under a gate-evaluation budget, then a CDCL proof, then the
+//! search resumed. An untestable fault yields no cube, so neither reuse
+//! nor the prover changes a row.
+//!
 //! The merge is deterministic by construction. Batch boundaries depend
 //! only on the queue (`BATCH` is fixed, not derived from the thread
-//! count), each slot's solver call is a pure function of its fault, and
-//! results are reduced in slot order after the batch joins — so the
-//! thread count changes *who* computes a slot, never *what* is
-//! computed, and the final [`DetPhase`] is byte-identical for any
-//! `threads` setting.
+//! count), each slot's solver call is a pure function of its fault, the
+//! rounds are fixed by the batch and the verdicts before it, and results
+//! are reduced in slot order after the batch joins — so the thread count
+//! changes *who* computes a slot, never *what* is computed, and the
+//! final [`DetPhase`] is byte-identical for any `threads` setting.
 
+use dft_fault::stream::CollapsedUniverse;
 use dft_fault::{Fault, Ppsfp};
 use dft_netlist::{LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
@@ -26,7 +38,7 @@ use dft_sim::PatternSet;
 
 use crate::compact::merge_cubes;
 use crate::engine::AtpgConfig;
-use crate::podem::{GenOutcome, Podem, PodemConfig, SolveStats, TestCube};
+use crate::podem::{GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube};
 
 /// Faults per batch. Fixed (and equal to the [`Ppsfp`] word width) so
 /// batch boundaries — and therefore the drop cadence and the final test
@@ -41,7 +53,8 @@ pub enum DetVerdict {
     /// Dropped before its turn: a cube generated for an earlier batch
     /// already detects it (found by the inter-batch [`Ppsfp`] pass).
     Collateral,
-    /// Proven redundant by the solver.
+    /// Proven redundant by the solver, or by an earlier member of its
+    /// equivalence class.
     Untestable,
     /// Search hit the backtrack limit.
     Aborted,
@@ -76,8 +89,12 @@ pub struct DetPhase {
     pub workers: usize,
     /// Per-worker effort, indexed by worker id.
     pub worker_stats: Vec<WorkerStats>,
-    /// Solver attempts (queue length minus collateral drops).
+    /// Solver attempts: the queue length minus collateral drops and
+    /// reused verdicts.
     pub attempts: u64,
+    /// Faults settled `Untestable` without a solve, because an earlier
+    /// member of their equivalence class was proven untestable.
+    pub reused: u64,
     /// Total backtracks (sum over workers).
     pub backtracks: u64,
     /// Total forward implications.
@@ -89,8 +106,19 @@ pub struct DetPhase {
     pub gate_evals: u64,
     /// [`DetVerdict::Test`] count.
     pub tests: u64,
-    /// [`DetVerdict::Untestable`] count.
+    /// [`DetVerdict::Untestable`] count: `reused` plus the three
+    /// `proved_*` counts.
     pub untestable: u64,
+    /// Untestable verdicts the static implication engine proved.
+    pub proved_static: u64,
+    /// Untestable verdicts the PODEM search proved.
+    pub proved_search: u64,
+    /// Untestable verdicts the CDCL prover proved.
+    pub proved_cdcl: u64,
+    /// CDCL proofs attempted ([`SolveStats::cdcl_calls`]).
+    pub cdcl_calls: u64,
+    /// Conflicts across those proofs.
+    pub cdcl_conflicts: u64,
     /// [`DetVerdict::Aborted`] count.
     pub aborted: u64,
     /// [`DetVerdict::Collateral`] count.
@@ -122,6 +150,7 @@ fn resolve_workers(threads: usize) -> usize {
 pub struct DetDriver<'n> {
     netlist: &'n Netlist,
     solver: Podem<'n>,
+    classes: CollapsedUniverse<'n>,
     dropper: Option<Ppsfp<'n>>,
     workers: usize,
 }
@@ -167,6 +196,7 @@ impl<'n> DetDriver<'n> {
         Ok(DetDriver {
             netlist,
             solver,
+            classes: CollapsedUniverse::new(netlist),
             dropper,
             workers: resolve_workers(config.threads),
         })
@@ -231,32 +261,91 @@ impl DetDriver<'_> {
             workers: self.workers,
             worker_stats: vec![WorkerStats::default(); self.workers],
             attempts: 0,
+            reused: 0,
             backtracks: 0,
             forward_evals: 0,
             implication_conflicts: 0,
             gate_evals: 0,
             tests: 0,
             untestable: 0,
+            proved_static: 0,
+            proved_search: 0,
+            proved_cdcl: 0,
+            cdcl_calls: 0,
+            cdcl_conflicts: 0,
             aborted: 0,
             collateral: 0,
             batches: 0,
             drop_sims: 0,
         };
+        // Each queued fault's equivalence class; a fault outside the
+        // netlist's universe is a class of its own (`None`: no reuse).
+        let universe = self.classes.universe();
+        let class: Vec<Option<usize>> = queue
+            .iter()
+            .map(|&fi| {
+                universe
+                    .index_of(faults[fi])
+                    .map(|i| self.classes.class_of(i))
+            })
+            .collect();
+        let mut untestable_class = vec![false; universe.len()];
+        let known_untestable = |marks: &[bool], qp: usize| class[qp].is_some_and(|c| marks[c]);
+
         // Queue positions still awaiting a solver, in queue order.
         let mut pending: Vec<usize> = (0..queue.len()).collect();
         while !pending.is_empty() {
             let take = pending.len().min(BATCH);
             let batch: Vec<usize> = pending.drain(..take).collect();
-            let results = self.solve_batch(faults, queue, &batch, &mut phase.worker_stats);
+            let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; batch.len()];
+            // Round one: the first slot of each class not yet known
+            // untestable. Round two: the followers whose leader did not
+            // come back untestable.
+            let mut leaders: Vec<usize> = Vec::new();
+            let mut followers: Vec<usize> = Vec::new();
+            for (slot, &qp) in batch.iter().enumerate() {
+                if known_untestable(&untestable_class, qp) {
+                    continue;
+                }
+                let led =
+                    class[qp].is_some() && leaders.iter().any(|&l| class[batch[l]] == class[qp]);
+                if led {
+                    followers.push(slot);
+                } else {
+                    leaders.push(slot);
+                }
+            }
+            for round in [leaders, followers] {
+                let round: Vec<usize> = round
+                    .into_iter()
+                    .filter(|&slot| !known_untestable(&untestable_class, batch[slot]))
+                    .collect();
+                let solved =
+                    self.solve_slots(faults, queue, &batch, &round, &mut phase.worker_stats);
+                for (slot, result) in round.into_iter().zip(solved) {
+                    if let (GenOutcome::Untestable, Some(c)) = (&result.0, class[batch[slot]]) {
+                        untestable_class[c] = true;
+                    }
+                    results[slot] = Some(result);
+                }
+            }
             // Deterministic reduction: slot order, regardless of which
             // worker finished when.
             let mut batch_cubes: Vec<TestCube> = Vec::new();
-            for (slot, (outcome, stats)) in results.into_iter().enumerate() {
+            for (slot, result) in results.into_iter().enumerate() {
+                let Some((outcome, stats)) = result else {
+                    phase.reused += 1;
+                    phase.untestable += 1;
+                    phase.verdicts[batch[slot]] = DetVerdict::Untestable;
+                    continue;
+                };
                 phase.attempts += 1;
                 phase.backtracks += u64::from(stats.backtracks);
                 phase.forward_evals += stats.forward_evals;
                 phase.implication_conflicts += u64::from(stats.implication_conflicts);
                 phase.gate_evals += stats.gate_evals;
+                phase.cdcl_calls += u64::from(stats.cdcl_calls);
+                phase.cdcl_conflicts += stats.cdcl_conflicts;
                 phase.verdicts[batch[slot]] = match outcome {
                     GenOutcome::Test(cube) => {
                         batch_cubes.push(cube);
@@ -265,6 +354,11 @@ impl DetDriver<'_> {
                     }
                     GenOutcome::Untestable => {
                         phase.untestable += 1;
+                        *match stats.prover {
+                            Prover::Static => &mut phase.proved_static,
+                            Prover::Search => &mut phase.proved_search,
+                            Prover::Cdcl => &mut phase.proved_cdcl,
+                        } += 1;
                         DetVerdict::Untestable
                     }
                     GenOutcome::Aborted => {
@@ -316,23 +410,24 @@ impl DetDriver<'_> {
         phase
     }
 
-    /// Solves one batch: slot `s` goes to worker `s % workers`, every
-    /// worker walks its strided slots in order, and the per-slot results
-    /// come back indexed by slot. With one worker the batch is solved
-    /// inline (no spawn).
-    fn solve_batch(
+    /// Settles the batch slots listed in `slots`: the `k`-th listed slot
+    /// goes to worker `k % workers`, every worker walks its strided
+    /// share in order, and the results come back in `slots` order. With
+    /// one worker the slots are solved inline (no spawn).
+    fn solve_slots(
         &self,
         faults: &[Fault],
         queue: &[usize],
         batch: &[usize],
+        slots: &[usize],
         worker_stats: &mut [WorkerStats],
     ) -> Vec<(GenOutcome, SolveStats)> {
-        let solve = |slot: usize| self.solver.solve(faults[queue[batch[slot]]]);
-        let active = self.workers.min(batch.len());
-        let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; batch.len()];
+        let solve = |k: usize| self.solver.settle(faults[queue[batch[slots[k]]]]);
+        let active = self.workers.min(slots.len());
+        let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; slots.len()];
         if active <= 1 {
-            for (slot, out) in results.iter_mut().enumerate() {
-                let (outcome, stats) = solve(slot);
+            for (k, out) in results.iter_mut().enumerate() {
+                let (outcome, stats) = solve(k);
                 tally(&mut worker_stats[0], &stats);
                 *out = Some((outcome, stats));
             }
@@ -343,11 +438,11 @@ impl DetDriver<'_> {
                         let solve = &solve;
                         s.spawn(move || {
                             let mut out: Vec<(usize, GenOutcome, SolveStats)> = Vec::new();
-                            let mut slot = w;
-                            while slot < batch.len() {
-                                let (outcome, stats) = solve(slot);
-                                out.push((slot, outcome, stats));
-                                slot += active;
+                            let mut k = w;
+                            while k < slots.len() {
+                                let (outcome, stats) = solve(k);
+                                out.push((k, outcome, stats));
+                                k += active;
                             }
                             out
                         })
@@ -359,9 +454,9 @@ impl DetDriver<'_> {
                     .collect::<Vec<_>>()
             });
             for (w, shard) in shards.into_iter().enumerate() {
-                for (slot, outcome, stats) in shard {
+                for (k, outcome, stats) in shard {
                     tally(&mut worker_stats[w], &stats);
-                    results[slot] = Some((outcome, stats));
+                    results[k] = Some((outcome, stats));
                 }
             }
         }

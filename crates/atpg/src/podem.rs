@@ -7,6 +7,7 @@ use dft_obs::{Collector, Obs};
 use dft_sim::Logic;
 use dft_testability::{analyze, TestabilityReport};
 
+use crate::cdcl::{Lit, Solver, Verdict};
 use crate::DVal;
 
 /// A (possibly partial) test pattern: one value per primary input, `X`
@@ -136,8 +137,23 @@ impl PodemConfig {
     }
 }
 
-/// Search-effort counters for one [`Podem::solve`] call — the raw data
-/// behind the paper's Eq. (1) runtime-scaling experiment.
+/// The prover that settled a verdict.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Prover {
+    /// The PODEM search: every test, every abort, and the untestable
+    /// verdicts it reached by exhausting its decision tree.
+    #[default]
+    Search,
+    /// The static implication engine, before any search.
+    Static,
+    /// The CDCL prover on the fault's good/faulty miter
+    /// ([`Podem::settle`] only).
+    Cdcl,
+}
+
+/// Search-effort counters for one [`Podem::solve`] or [`Podem::settle`]
+/// call — the raw data behind the paper's Eq. (1) runtime-scaling
+/// experiment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Decisions reverted.
@@ -149,9 +165,30 @@ pub struct SolveStats {
     pub implication_conflicts: u32,
     /// Gates evaluated across all forward implication steps: every
     /// non-input gate on the first step, then only the gates an event
-    /// reached. The work unit the event-driven forward cuts.
+    /// reached. The work unit the event-driven forward cuts, and the
+    /// unit of [`Podem::settle`]'s search budget.
     pub gate_evals: u64,
+    /// CDCL proofs attempted: 0, or 1 once [`Podem::settle`]'s search
+    /// spent its budget or hit its backtrack limit.
+    pub cdcl_calls: u32,
+    /// Conflicts the CDCL prover met.
+    pub cdcl_conflicts: u64,
+    /// The prover that settled the verdict.
+    pub prover: Prover,
 }
+
+/// [`Podem::settle`] searches this many gate evaluations per logic gate
+/// before it asks the CDCL prover. On rand_15x140 (seed 6) the testable
+/// faults need at most 34 per gate and the redundant tail 300–1,100.
+/// Of 8, 16, 24, 32, 48 and 64 per gate, the flow on rand_12x80,
+/// rand_14x120, rand_15x140 and rand_16x300 searched least at 8 and 16;
+/// 16 hands the prover fewer testable faults (10 against 15 on
+/// rand_16x300), which it cannot refute and the search then finishes.
+const GATE_EVALS_PER_GATE: u64 = 16;
+
+/// Conflicts the CDCL prover may spend on one fault before it gives the
+/// fault back to the search.
+const CDCL_CONFLICT_LIMIT: u64 = 10_000;
 
 /// `pi_pos` entry of a gate that is not a primary input.
 const NOT_PI: u32 = u32::MAX;
@@ -193,6 +230,8 @@ struct Compiled {
     /// Primary-output drivers, in output order.
     po_gate: Vec<u32>,
     is_po: Vec<bool>,
+    /// [`Podem::settle`]'s search budget in gate evaluations.
+    budget: u64,
 }
 
 impl Compiled {
@@ -249,6 +288,7 @@ impl Compiled {
         for &g in &po_gate {
             is_po[g as usize] = true;
         }
+        let logic = kinds.iter().filter(|k| !k.is_source()).count() as u64;
         Ok(Compiled {
             kinds,
             fanin_start,
@@ -262,6 +302,7 @@ impl Compiled {
             pi_pos,
             po_gate,
             is_po,
+            budget: GATE_EVALS_PER_GATE * logic,
         })
     }
 
@@ -365,6 +406,76 @@ impl Scratch {
     fn set(&mut self, pi: u32, v: Logic) {
         self.assign[pi as usize] = v;
         self.dirty.push(pi);
+    }
+}
+
+/// One search in flight: its scratch, its counters, and the necessity
+/// literals it prunes with — everything [`Podem::advance`] needs to
+/// pause a search and resume it later.
+struct Search<'f> {
+    sites: &'f [Fault],
+    necessity: Vec<(usize, bool)>,
+    s: Scratch,
+    stats: SolveStats,
+}
+
+/// The stats of a fault the implication engine proves untestable with
+/// no search.
+const STATIC_PROOF: SolveStats = SolveStats {
+    backtracks: 0,
+    forward_evals: 0,
+    implication_conflicts: 0,
+    gate_evals: 0,
+    cdcl_calls: 0,
+    cdcl_conflicts: 0,
+    prover: Prover::Static,
+};
+
+/// Tseitin-encodes one gate of `kind` over its input literals and
+/// returns its output literal. Buffers and inverters alias their input;
+/// `Input` and `Dff` outputs are fresh free variables; `one` is the
+/// constant-true literal.
+fn encode_gate(sat: &mut Solver, one: Lit, kind: GateKind, ins: &[Lit]) -> Lit {
+    match kind {
+        GateKind::Input | GateKind::Dff => sat.new_lit(),
+        GateKind::Const0 => !one,
+        GateKind::Const1 => one,
+        GateKind::Buf => ins[0],
+        GateKind::Not => !ins[0],
+        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+            // OR is the complement of AND over complemented inputs.
+            let or = matches!(kind, GateKind::Or | GateKind::Nor);
+            let y = match ins {
+                [] => one,
+                [x] => x.is(!or),
+                _ => {
+                    let y = sat.new_lit();
+                    for &x in ins {
+                        sat.add_clause(&[!y, x.is(!or)]);
+                    }
+                    let mut all: Vec<Lit> = ins.iter().map(|&x| x.is(or)).collect();
+                    all.push(y);
+                    sat.add_clause(&all);
+                    y
+                }
+            };
+            y.is(kind.inverts() == or)
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            let Some((&first, rest)) = ins.split_first() else {
+                return one.is(kind == GateKind::Xnor);
+            };
+            let mut acc = first;
+            for &x in rest {
+                let y = sat.new_lit();
+                sat.add_clause(&[!y, acc, x]);
+                sat.add_clause(&[!y, !acc, !x]);
+                sat.add_clause(&[y, !acc, x]);
+                sat.add_clause(&[y, acc, !x]);
+                acc = y;
+            }
+            acc.is(kind == GateKind::Xor)
+        }
     }
 }
 
@@ -537,33 +648,111 @@ impl<'n> Podem<'n> {
         (outcome, stats)
     }
 
+    /// Attempts to generate a test for `fault`, proving the hard
+    /// redundant ones with a complete SAT prover instead of an
+    /// exhaustive search. Three rungs:
+    ///
+    /// 1. the static implication engine, as in [`Podem::solve`];
+    /// 2. the PODEM search, until its gate evaluations
+    ///    ([`SolveStats::gate_evals`]) pass a budget proportional to the
+    ///    netlist's logic gates, or its backtrack limit comes first;
+    /// 3. one CDCL proof on the fault's good/faulty miter (Larrabee,
+    ///    "Test pattern generation using Boolean satisfiability", IEEE
+    ///    TCAD 1992), seeded with the fault's necessity literals and the
+    ///    implication engine's learned edges, under a fixed conflict
+    ///    limit.
+    ///
+    /// An unsatisfiable miter settles the fault as `Untestable`
+    /// ([`Prover::Cdcl`]). Otherwise the paused search resumes from the
+    /// state it stopped in, with its full backtrack limit, so a
+    /// testable fault gets exactly the cube and search counters
+    /// `solve` gives, and `Aborted` comes back only once the prover has
+    /// failed too. The budget and the conflict limit count work, not
+    /// time, so every verdict and counter replays bit-identically.
+    #[must_use]
+    pub fn settle(&self, fault: Fault) -> (GenOutcome, SolveStats) {
+        let sites = [fault];
+        let Some(mut run) = self.begin(&sites) else {
+            return (GenOutcome::Untestable, STATIC_PROOF);
+        };
+        let first = self.advance(&mut run, self.net.budget, |_| {});
+        if let Some(outcome @ (GenOutcome::Test(_) | GenOutcome::Untestable)) = first {
+            return (outcome, run.stats);
+        }
+        let (mut sat, _) = self.miter(fault, &run.necessity);
+        let verdict = sat.solve(CDCL_CONFLICT_LIMIT);
+        run.stats.cdcl_calls = 1;
+        run.stats.cdcl_conflicts = sat.conflicts();
+        if verdict == Verdict::Unsat {
+            run.stats.prover = Prover::Cdcl;
+            return (GenOutcome::Untestable, run.stats);
+        }
+        let outcome = match first {
+            Some(aborted) => aborted,
+            None => self
+                .advance(&mut run, u64::MAX, |_| {})
+                .expect("an unbudgeted search reaches a verdict"),
+        };
+        (outcome, run.stats)
+    }
+
     /// The search loop. `after_forward` sees the scratch after every
     /// forward implication step (the test suite's oracle hook).
     fn search(
         &self,
         sites: &[Fault],
-        mut after_forward: impl FnMut(&Scratch),
+        after_forward: impl FnMut(&Scratch),
     ) -> (GenOutcome, SolveStats) {
-        assert!(!sites.is_empty(), "need at least one fault site");
-        let mut stats = SolveStats::default();
-        let Ok(necessity) = self.necessity(sites) else {
-            // Statically proven untestable: no search at all.
-            return (GenOutcome::Untestable, stats);
+        let Some(mut run) = self.begin(sites) else {
+            return (GenOutcome::Untestable, STATIC_PROOF);
         };
-        let mut s = Scratch::new(&self.net, sites);
+        let outcome = self
+            .advance(&mut run, u64::MAX, after_forward)
+            .expect("an unbudgeted search reaches a verdict");
+        (outcome, run.stats)
+    }
 
+    /// A fresh search over `sites`, or `None` when the implication
+    /// engine proves the fault untestable with no search at all.
+    fn begin<'f>(&self, sites: &'f [Fault]) -> Option<Search<'f>> {
+        assert!(!sites.is_empty(), "need at least one fault site");
+        let necessity = self.necessity(sites).ok()?;
+        Some(Search {
+            sites,
+            necessity,
+            s: Scratch::new(&self.net, sites),
+            stats: SolveStats::default(),
+        })
+    }
+
+    /// Runs `run` to a verdict, or pauses it (returning `None`) at the
+    /// top of a step once its gate evaluations exceed `budget`. A paused
+    /// search resumes exactly where it stopped: the next call makes the
+    /// same steps an unpaused one would have.
+    fn advance(
+        &self,
+        run: &mut Search<'_>,
+        budget: u64,
+        mut after_forward: impl FnMut(&Scratch),
+    ) -> Option<GenOutcome> {
+        let Search {
+            sites,
+            necessity,
+            s,
+            stats,
+        } = run;
         loop {
-            self.forward(&mut s, sites, &mut stats);
+            if stats.gate_evals > budget {
+                return None;
+            }
+            self.forward(s, sites, stats);
             stats.forward_evals += 1;
-            after_forward(&s);
+            after_forward(s);
 
             if self.detected(&s.vals) {
-                return (
-                    GenOutcome::Test(TestCube {
-                        assignment: s.assign,
-                    }),
-                    stats,
-                );
+                return Some(GenOutcome::Test(TestCube {
+                    assignment: s.assign.clone(),
+                }));
             }
 
             // A good-machine value contradicting a static necessity of
@@ -579,7 +768,7 @@ impl<'n> Podem<'n> {
             let next = if implication_conflict {
                 None
             } else {
-                self.objective(&mut s, sites)
+                self.objective(s, sites)
                     .and_then(|(net, v)| self.backtrace(&s.vals, net, v))
             };
 
@@ -592,12 +781,12 @@ impl<'n> Podem<'n> {
                     // Backtrack.
                     loop {
                         match s.decisions.pop() {
-                            None => return (GenOutcome::Untestable, stats),
+                            None => return Some(GenOutcome::Untestable),
                             Some((pi, true)) => s.set(pi, Logic::X),
                             Some((pi, false)) => {
                                 stats.backtracks += 1;
                                 if stats.backtracks >= self.config.backtrack_limit {
-                                    return (GenOutcome::Aborted, stats);
+                                    return Some(GenOutcome::Aborted);
                                 }
                                 let flipped = match s.assign[pi as usize] {
                                     Logic::Zero => Logic::One,
@@ -613,6 +802,162 @@ impl<'n> Podem<'n> {
                 }
             }
         }
+    }
+
+    /// `fault`'s good/faulty miter as CNF, with each net's good-machine
+    /// literal (`None` outside the encoded support).
+    ///
+    /// The faulty machine is encoded over the fault's cone (the site and
+    /// its combinational fanout), the good machine over the cone's
+    /// transitive fan-in, Tseitin per gate kind. `Dff` outputs are free
+    /// variables, shared by both machines: a fault effect never passes
+    /// storage in the test view. A difference variable per cone gate
+    /// implies the machines disagree there; the site must differ, some
+    /// cone output must differ (the PO-difference clause), and Larrabee's
+    /// active-path clauses tie each difference to a differing reader
+    /// (unless it is an output) and to a differing cone fan-in. The
+    /// fault's necessity literals become unit clauses, the implication
+    /// engine's learned edges binary clauses.
+    ///
+    /// Every clause holds under any search test with any `Dff` values,
+    /// so an unsatisfiable miter proves the fault untestable.
+    fn miter(&self, fault: Fault, necessity: &[(usize, bool)]) -> (Solver, Vec<Option<Lit>>) {
+        let net = &self.net;
+        let n = net.gate_count();
+        let site = fault.site.gate.index() as u32;
+        let faulty_pin = match fault.site.pin {
+            Pin::Output => None,
+            Pin::Input(p) => Some(usize::from(p)),
+        };
+
+        let mut in_cone = vec![false; n];
+        let mut stack = vec![site];
+        in_cone[site as usize] = true;
+        while let Some(g) = stack.pop() {
+            for &r in net.readers(g) {
+                if !in_cone[r as usize] {
+                    in_cone[r as usize] = true;
+                    stack.push(r);
+                }
+            }
+        }
+        let cone: Vec<u32> = (0..n as u32).filter(|&g| in_cone[g as usize]).collect();
+        let mut in_support = in_cone.clone();
+        stack.extend_from_slice(&cone);
+        while let Some(g) = stack.pop() {
+            if net.kinds[g as usize].is_source() {
+                continue;
+            }
+            for &d in net.fanin(g) {
+                if !in_support[d as usize] {
+                    in_support[d as usize] = true;
+                    stack.push(d);
+                }
+            }
+        }
+
+        let mut sat = Solver::new();
+        let one = sat.new_lit();
+        sat.add_clause(&[one]);
+        let mut good: Vec<Option<Lit>> = vec![None; n];
+        let mut faulty: Vec<Option<Lit>> = vec![None; n];
+        let site_output = |g: u32| (g == site && faulty_pin.is_none()).then(|| one.is(fault.stuck));
+        // Sources first: the levelized order places a `Dff` after its data
+        // driver, which may come after the `Dff`'s own readers.
+        let support = || {
+            net.order
+                .iter()
+                .copied()
+                .filter(|&g| in_support[g as usize])
+        };
+        for g in support().filter(|&g| net.kinds[g as usize].is_source()) {
+            let good_lit = encode_gate(&mut sat, one, net.kinds[g as usize], &[]);
+            good[g as usize] = Some(good_lit);
+            if in_cone[g as usize] {
+                faulty[g as usize] = Some(site_output(g).unwrap_or(good_lit));
+            }
+        }
+        let mut ins: Vec<Lit> = Vec::new();
+        for g in support().filter(|&g| !net.kinds[g as usize].is_source()) {
+            let (gi, kind) = (g as usize, net.kinds[g as usize]);
+            ins.clear();
+            ins.extend(
+                net.fanin(g)
+                    .iter()
+                    .map(|&d| good[d as usize].expect("fan-in first")),
+            );
+            good[gi] = Some(encode_gate(&mut sat, one, kind, &ins));
+            if !in_cone[gi] {
+                continue;
+            }
+            faulty[gi] = Some(match site_output(g) {
+                Some(stuck) => stuck,
+                None => {
+                    ins.clear();
+                    for (p, &d) in net.fanin(g).iter().enumerate() {
+                        ins.push(if g == site && faulty_pin == Some(p) {
+                            one.is(fault.stuck)
+                        } else {
+                            faulty[d as usize]
+                                .or(good[d as usize])
+                                .expect("fan-in first")
+                        });
+                    }
+                    encode_gate(&mut sat, one, kind, &ins)
+                }
+            });
+        }
+
+        let mut diff: Vec<Option<Lit>> = vec![None; n];
+        let mut outputs = Vec::new();
+        for &g in &cone {
+            let gl = good[g as usize].expect("cone is encoded");
+            let fl = faulty[g as usize].expect("cone is encoded");
+            let d = sat.new_lit();
+            sat.add_clause(&[!d, gl, fl]);
+            sat.add_clause(&[!d, !gl, !fl]);
+            diff[g as usize] = Some(d);
+            if net.is_po[g as usize] {
+                outputs.push(d);
+            }
+        }
+        let diff_of = |g: u32| diff[g as usize].expect("cone gate");
+        sat.add_clause(&outputs);
+        sat.add_clause(&[diff_of(site)]);
+        let mut path = Vec::new();
+        for &g in &cone {
+            if !net.is_po[g as usize] {
+                path.clear();
+                path.push(!diff_of(g));
+                path.extend(net.readers(g).iter().map(|&r| diff_of(r)));
+                sat.add_clause(&path);
+            }
+            if g != site {
+                path.clear();
+                path.push(!diff_of(g));
+                path.extend(net.fanin(g).iter().filter_map(|&d| diff[d as usize]));
+                sat.add_clause(&path);
+            }
+        }
+
+        for &(i, v) in necessity {
+            if let Some(l) = good[i] {
+                sat.add_clause(&[l.is(v)]);
+            }
+        }
+        if let Some(engine) = &self.implic {
+            for (g, premise) in good.iter().enumerate() {
+                let Some(premise) = *premise else { continue };
+                for v in [false, true] {
+                    for l in engine.learned_edges(GateId::from_index(g), v) {
+                        if let Some(m) = good[l.net.index()] {
+                            sat.add_clause(&[!premise.is(v), m.is(l.value)]);
+                        }
+                    }
+                }
+            }
+        }
+        (sat, good)
     }
 
     /// `v` with the faulty component forced by every output site on `g`
@@ -1148,6 +1493,75 @@ mod tests {
     fn complete_and_sound_on_random_logic() {
         let n = dft_netlist::circuits::random_combinational(9, 40, 77);
         verify_all(&n);
+    }
+
+    /// Runs the CDCL prover alone (no search, no conflict limit) on
+    /// `f`, seeded as [`Podem::settle`] seeds it. A statically proven
+    /// fault gets the bare miter.
+    fn cdcl_alone(solver: &Podem<'_>, f: Fault) -> (Verdict, Solver, Vec<Option<Lit>>) {
+        let necessity = solver.necessity(&[f]).unwrap_or_default();
+        let (mut sat, good) = solver.miter(f, &necessity);
+        (sat.solve(u64::MAX), sat, good)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The CDCL prover on every fault of a random circuit of up to
+        /// 16 inputs, against exhaustive simulation: the miter is
+        /// unsatisfiable exactly when no pattern detects the fault, and
+        /// every model's input assignment is a test.
+        #[test]
+        fn cdcl_verdicts_match_exhaustive_simulation(
+            inputs in 2usize..17,
+            gates in 8usize..60,
+            seed in 0u64..1000,
+            use_implications: bool,
+        ) {
+            let n = random_combinational(inputs, gates, seed);
+            let config = PodemConfig::new().with_use_implications(use_implications);
+            let solver = Podem::new(&n, config).unwrap();
+            let faults = universe(&n);
+            let k = n.primary_inputs().len();
+            let rows: Vec<Vec<bool>> = (0..1usize << k)
+                .map(|v| (0..k).map(|i| v >> i & 1 == 1).collect())
+                .collect();
+            let all = PatternSet::from_rows(k, &rows);
+            let exhaustive = dft_fault::Ppsfp::new(&n).unwrap().run(&all, &faults);
+            for (i, &f) in faults.iter().enumerate() {
+                let (verdict, sat, good) = cdcl_alone(&solver, f);
+                let testable = exhaustive.first_detected[i].is_some();
+                prop_assert_eq!(verdict == Verdict::Unsat, !testable, "{} on {}", f, n.name());
+                if verdict == Verdict::Sat {
+                    let row: Vec<bool> = solver
+                        .net
+                        .pi_gate
+                        .iter()
+                        .map(|&g| good[g as usize].is_some_and(|l| sat.model(l)))
+                        .collect();
+                    let p = PatternSet::from_rows(k, &[row]);
+                    let r = simulate(&n, &p, &[f]).unwrap();
+                    prop_assert!(r.first_detected[0].is_some(), "model misses {}", f);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cdcl_never_refutes_a_search_test_behind_storage() {
+        // Dff outputs are free in the miter and X in the search: an
+        // unsatisfiable miter must still mean the search finds no test.
+        for n in [shift_register(3), binary_counter(3)] {
+            let solver = Podem::new(&n, PodemConfig::default()).unwrap();
+            for f in universe(&n) {
+                let (verdict, _, _) = cdcl_alone(&solver, f);
+                if verdict == Verdict::Unsat {
+                    let (outcome, _) = solver.solve(f);
+                    assert!(outcome.cube().is_none(), "{f} refuted but tested");
+                }
+                assert_eq!(solver.settle(f).0.cube(), solver.solve(f).0.cube());
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@ fn roster() -> Vec<Netlist> {
         redundant_fixture(),
         // Multi-batch queue so inter-batch dropping is exercised.
         random_combinational(12, 80, 9),
+        // A redundant tail: CDCL proofs and two-round class reuse (the
+        // g110 class falls in one batch).
+        random_combinational(15, 140, 6),
     ]
 }
 

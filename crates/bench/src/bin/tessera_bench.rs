@@ -43,7 +43,9 @@
 //! engines' legacy stats before it is written. `--atpg-baseline PATH`
 //! compares this run's per-circuit ATPG flow results against a committed
 //! `BENCH_atpg.json` and exits nonzero if any circuit's pattern count
-//! rose or coverage dropped beyond a small tolerance.
+//! rose or coverage dropped beyond a small tolerance, or — when both runs
+//! are `--quick` — if any `flow_scaling` row's test set (`patterns`,
+//! `pattern_hash`) differs from the committed row of the same `config`.
 //! `--fault-sim-baseline PATH` does the same for the fault-sim table
 //! against a committed `BENCH_fault_sim.json`: exit 1 if any engine's
 //! detected count changed on a shared (circuit, engine) record, if the
@@ -707,7 +709,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cfg.atpg_baseline {
-        check_atpg_baseline(path, &scaling);
+        check_atpg_baseline(path, &scaling, cfg.quick);
     }
 
     if let Some(path) = &cfg.fault_sim_baseline {
@@ -1144,7 +1146,12 @@ fn flow_scaling_bench(quick: bool) -> FlowScaling {
 /// a small tolerance (+2 patterns, -0.001 coverage) so timing-neutral
 /// churn does not trip it. Circuits absent from the baseline (e.g. a
 /// full-roster circuit vs a `--quick` baseline) are skipped.
-fn check_atpg_baseline(path: &str, scaling: &FlowScaling) {
+///
+/// When this run and the baseline are both `--quick` (the same roster),
+/// the test sets themselves are pinned too: every `flow_scaling` row
+/// must match the baseline row of the same `config` exactly in
+/// `patterns` and `pattern_hash`.
+fn check_atpg_baseline(path: &str, scaling: &FlowScaling, quick: bool) {
     let baseline = read_baseline(path);
     let flow_records = baseline
         .get("flow_records")
@@ -1185,6 +1192,32 @@ fn check_atpg_baseline(path: &str, scaling: &FlowScaling) {
     if !scaling.identical {
         eprintln!("BASELINE REGRESSION: pattern sets differ across thread counts");
         failed = true;
+    }
+    if quick && baseline.get("quick").and_then(Value::as_bool) == Some(true) {
+        let rows = baseline
+            .get("flow_scaling")
+            .and_then(Value::as_array)
+            .expect("baseline has no flow_scaling section");
+        for r in &scaling.rows {
+            let base = rows
+                .iter()
+                .find(|b| b.get("config").and_then(Value::as_str) == Some(r.config));
+            let pinned = base.map(|b| {
+                (
+                    b.get("patterns").and_then(Value::as_u64),
+                    b.get("pattern_hash").and_then(Value::as_str),
+                )
+            });
+            let hash = format!("{:#018x}", r.hash);
+            if pinned != Some((Some(r.patterns as u64), Some(hash.as_str()))) {
+                eprintln!(
+                    "BASELINE REGRESSION: flow_scaling {} test set {} patterns, hash {hash} \
+                     != baseline {pinned:?}",
+                    r.config, r.patterns
+                );
+                failed = true;
+            }
+        }
     }
     if failed {
         std::process::exit(1);

@@ -229,6 +229,17 @@ impl<'n> CollapsedUniverse<'n> {
         }
     }
 
+    /// The class of fault index `i`, named by its representative's
+    /// universe index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn class_of(&self, i: usize) -> usize {
+        self.rep_of[i] as usize
+    }
+
     /// The representative fault of fault index `i`'s class.
     ///
     /// # Panics

@@ -51,7 +51,7 @@ pub enum Request {
     FaultSim {
         /// Design name or content key.
         design: String,
-        /// Number of random patterns.
+        /// Number of random patterns, at most [`MAX_PATTERNS`].
         patterns: usize,
         /// Pattern RNG seed.
         seed: u64,
@@ -260,6 +260,13 @@ impl PodemOutcome {
         })
     }
 }
+
+/// The largest `patterns` count a `fault-sim` or `dictionary` request
+/// may ask for: 65,536 patterns, 1,024 64-bit words per net. Pattern
+/// generation and simulation grow with the count under the session's
+/// write lock, so a larger count is rejected with
+/// [`ErrorCode::BadRequest`] before any session is touched.
+pub const MAX_PATTERNS: usize = 65_536;
 
 /// Stable machine-readable error classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

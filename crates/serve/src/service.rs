@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::api::{ErrorCode, Request, Response};
+use crate::api::{ErrorCode, Request, Response, MAX_PATTERNS};
 use crate::session::DesignSession;
 use crate::stats::{Endpoint, ServeStats};
 use crate::workspace::{LoadError, Resolver, SessionHandle, Workspace};
@@ -80,6 +80,15 @@ impl Service {
                 message: "server is draining".into(),
                 available: Vec::new(),
             };
+        }
+        if let Request::FaultSim { patterns, .. } | Request::Dictionary { patterns, .. } = req {
+            if *patterns > MAX_PATTERNS {
+                return Response::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!("patterns {patterns} exceeds the cap of {MAX_PATTERNS}"),
+                    available: Vec::new(),
+                };
+            }
         }
         match req {
             Request::Load { circuit } => match self.workspace.load(circuit) {
@@ -355,6 +364,9 @@ fn podem_response(
             if run.prefiltered {
                 ServeStats::hit(&stats.artifacts.podem_prefiltered);
             }
+            if run.cdcl {
+                ServeStats::hit(&stats.artifacts.podem_cdcl);
+            }
             Response::Podem {
                 design: s.name().to_owned(),
                 revision: s.revision(),
@@ -384,6 +396,7 @@ mod tests {
     fn test_service() -> Service {
         Service::new(Box::new(|name| match name {
             "c17" => Ok(circuits::c17()),
+            "rand_15x140" => Ok(circuits::random_combinational(15, 140, 6)),
             other => Err(LoadError {
                 message: format!("unknown circuit '{other}'"),
                 available: vec!["c17".into()],
@@ -498,6 +511,31 @@ mod tests {
                 ..
             }
         ));
+
+        // A redundant fault the search cannot exhaust within its budget:
+        // the CDCL prover settles it, and /stats counts it.
+        assert_eq!(artifact(&svc, "podem_cdcl"), 0);
+        let Response::Loaded(info) = svc.handle(&Request::Load {
+            circuit: "rand_15x140".into(),
+        }) else {
+            panic!("load failed")
+        };
+        let Response::Podem {
+            outcome,
+            prefiltered,
+            ..
+        } = svc.handle(&Request::Podem {
+            design: info.design,
+            gate: 110,
+            pin: Some(0),
+            stuck: true,
+        })
+        else {
+            panic!("podem failed")
+        };
+        assert_eq!(outcome, crate::api::PodemOutcome::Untestable);
+        assert!(!prefiltered);
+        assert_eq!(artifact(&svc, "podem_cdcl"), 1);
     }
 
     #[test]
@@ -527,6 +565,43 @@ mod tests {
         };
         assert_eq!(code, ErrorCode::UnknownDesign);
         assert_eq!(available, vec!["c17".to_string()]);
+    }
+
+    #[test]
+    fn pattern_counts_over_the_cap_are_rejected() {
+        let svc = test_service();
+        assert!(!svc
+            .handle(&Request::Load {
+                circuit: "c17".into()
+            })
+            .is_error());
+        let fault_sim = |patterns| Request::FaultSim {
+            design: "c17".into(),
+            patterns,
+            seed: 1,
+        };
+        let over = [
+            fault_sim(usize::MAX / 2),
+            fault_sim(MAX_PATTERNS + 1),
+            Request::Dictionary {
+                design: "c17".into(),
+                patterns: usize::MAX / 2,
+                seed: 1,
+            },
+        ];
+        for req in &over {
+            let Response::Error { code, .. } = svc.handle(req) else {
+                panic!("{req:?} must be rejected")
+            };
+            assert_eq!(code, ErrorCode::BadRequest);
+        }
+        assert_eq!(artifact(&svc, "fault_sim_runs"), 0, "nothing simulated");
+        // The session is not pinned: the next request answers normally.
+        let Response::FaultSim { detected, .. } = svc.handle(&fault_sim(64)) else {
+            panic!("fault-sim after a rejected request must answer")
+        };
+        assert!(detected > 0);
+        assert!(!svc.handle(&fault_sim(MAX_PATTERNS)).is_error());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use dft_analyze::{AnalysisCache, NetlistDelta, INFINITE};
-use dft_atpg::{GenOutcome, Podem, PodemConfig};
+use dft_atpg::{GenOutcome, Podem, PodemConfig, Prover};
 use dft_fault::{prefilter_with, universe, Fault, FaultDictionary, Ppsfp, Prefilter};
 use dft_lint::{lint, LintReport, Severity};
 use dft_netlist::{GateId, LevelizeError, Netlist, PortRef};
@@ -53,10 +53,14 @@ pub struct PodemRun {
     pub fault: String,
     /// Verdict.
     pub outcome: PodemOutcome,
-    /// Search backtracks (0 when prefiltered).
+    /// PODEM search backtracks (0 when prefiltered): those before the
+    /// CDCL proof when the CDCL prover settled the fault.
     pub backtracks: u64,
     /// The implication prefilter answered without any search.
     pub prefiltered: bool,
+    /// The CDCL prover settled the fault after the search spent its
+    /// budget ([`Podem::settle`]).
+    pub cdcl: bool,
     /// Test cube over the primary inputs (`01X`), if a test exists.
     pub cube: Option<String>,
     /// Expected good-machine primary-output response under the cube
@@ -472,13 +476,14 @@ impl DesignSession {
                     outcome: PodemOutcome::Untestable,
                     backtracks: 0,
                     prefiltered: true,
+                    cdcl: false,
                     cube: None,
                     response: None,
                 });
             }
         }
 
-        let (outcome, stats) = solver.solve(fault);
+        let (outcome, stats) = solver.settle(fault);
         let (verdict, cube, response) = match &outcome {
             GenOutcome::Test(cube) => {
                 let text: String = cube
@@ -501,6 +506,7 @@ impl DesignSession {
             outcome: verdict,
             backtracks: u64::from(stats.backtracks),
             prefiltered: false,
+            cdcl: stats.prover == Prover::Cdcl,
             cube,
             response,
         })

@@ -143,6 +143,9 @@ pub struct ArtifactCounters {
     pub podem_warmups: AtomicU64,
     /// PODEM verdicts the implication prefilter answered searchlessly.
     pub podem_prefiltered: AtomicU64,
+    /// PODEM verdicts the CDCL prover settled after the search spent its
+    /// budget.
+    pub podem_cdcl: AtomicU64,
     /// ECO edits applied through `AnalysisCache::apply` — every one of
     /// them incremental (the session has no full-rebuild path).
     pub eco_incremental: AtomicU64,
@@ -307,6 +310,7 @@ impl ServeStats {
                     ("podem_warm".into(), num(&a.podem_warm)),
                     ("podem_warmups".into(), num(&a.podem_warmups)),
                     ("podem_prefiltered".into(), num(&a.podem_prefiltered)),
+                    ("podem_cdcl".into(), num(&a.podem_cdcl)),
                     ("eco_incremental".into(), num(&a.eco_incremental)),
                     ("eco_rejected".into(), num(&a.eco_rejected)),
                     ("sessions_loaded".into(), num(&a.sessions_loaded)),

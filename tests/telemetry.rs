@@ -7,7 +7,9 @@
 //! by property test across the whole engine roster, the second by exact
 //! counter assertions on c17, whose telemetry is fully predictable.
 
-use design_for_testability::atpg::{GenOutcome, Podem, PodemConfig};
+use design_for_testability::atpg::{
+    deterministic_phase, generate_tests_observed, AtpgConfig, GenOutcome, Podem, PodemConfig,
+};
 use design_for_testability::fault::{
     engines, simulate_observed, universe, FaultSimEngine, SerialEngine, SerialOptions,
 };
@@ -93,6 +95,53 @@ fn podem_counters_match_solve_stats_on_c17() {
     assert_eq!(tests, faults.len() as u64);
     assert_eq!(root.counter_total("untestable"), 0);
     assert_eq!(root.counter_total("aborted"), 0);
+}
+
+#[test]
+fn deterministic_phase_counters_add_up_on_rand_15x140() {
+    // random_budget 0: the whole universe is the deterministic queue.
+    let n = random_combinational(15, 140, 6);
+    let faults = universe(&n);
+    let cfg = AtpgConfig::new().with_random_budget(0).with_threads(1);
+    let mut rec = Recorder::new();
+    generate_tests_observed(&n, &faults, &cfg, Some(&mut rec)).unwrap();
+    let report = rec.finish("flow_rand_15x140");
+    let span = report.find("atpg.deterministic").expect("span must exist");
+    let queue: Vec<usize> = (0..faults.len()).collect();
+    let det = deterministic_phase(&n, &faults, &queue, &cfg, None).unwrap();
+
+    for (name, field) in [
+        ("attempts", det.attempts),
+        ("reused", det.reused),
+        ("backtracks", det.backtracks),
+        ("forward_evals", det.forward_evals),
+        ("implication_conflicts", det.implication_conflicts),
+        ("gate_evals", det.gate_evals),
+        ("tests", det.tests),
+        ("untestable", det.untestable),
+        ("proved_static", det.proved_static),
+        ("proved_search", det.proved_search),
+        ("proved_cdcl", det.proved_cdcl),
+        ("cdcl_calls", det.cdcl_calls),
+        ("cdcl_conflicts", det.cdcl_conflicts),
+        ("aborted", det.aborted),
+        ("collateral_drops", det.collateral),
+    ] {
+        assert_eq!(span.counter(name), field, "counter {name}");
+    }
+    let c = |name| span.counter(name);
+    assert_eq!(
+        c("attempts") + c("reused") + c("collateral_drops"),
+        queue.len() as u64
+    );
+    assert_eq!(
+        c("proved_static") + c("proved_search") + c("proved_cdcl") + c("reused"),
+        c("untestable")
+    );
+    // The circuit's redundant tail exercises every rung.
+    assert!(c("reused") > 0 && c("proved_cdcl") > 0 && c("proved_static") > 0);
+    assert!(c("cdcl_calls") >= c("proved_cdcl"));
+    assert_eq!(c("aborted"), 0);
 }
 
 #[test]
