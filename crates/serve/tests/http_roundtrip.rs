@@ -119,6 +119,70 @@ fn typed_requests_survive_the_socket() {
     // sees the five completed round trips above.
     assert!(requests >= 5, "all round trips counted, got {requests}");
 
+    // Both counter groups keep their keys in document order, and the
+    // transport totals fold the completed round trips' span trees.
+    let keys = |group: &str| -> Vec<String> {
+        stats
+            .get(group)
+            .and_then(dft_json::Value::as_object)
+            .unwrap_or_else(|| panic!("stats carries a {group} object"))
+            .iter()
+            .map(|(key, _)| key.clone())
+            .collect()
+    };
+    assert_eq!(
+        keys("artifacts"),
+        [
+            "lint_hits",
+            "lint_builds",
+            "scoap_hits",
+            "scoap_refreshes",
+            "fault_sim_hits",
+            "fault_sim_runs",
+            "dictionary_hits",
+            "dictionary_builds",
+            "podem_warm",
+            "podem_warmups",
+            "podem_prefiltered",
+            "podem_cdcl",
+            "eco_incremental",
+            "eco_rejected",
+            "sessions_loaded",
+            "sessions_reused",
+            "sessions_dropped",
+        ]
+    );
+    assert_eq!(
+        keys("transport"),
+        [
+            "connections",
+            "bytes_in",
+            "bytes_out",
+            "parse_ns",
+            "dispatch_ns",
+            "respond_ns",
+            "transport_errors",
+        ]
+    );
+    let transport = stats.get("transport").expect("transport object");
+    for key in [
+        "connections",
+        "bytes_in",
+        "bytes_out",
+        "parse_ns",
+        "dispatch_ns",
+        "respond_ns",
+    ] {
+        let value = transport
+            .get(key)
+            .and_then(dft_json::Value::as_u64)
+            .unwrap_or(0);
+        assert!(
+            value > 0,
+            "transport {key} is {value} after five round trips"
+        );
+    }
+
     let resp = client
         .request(&Request::Shutdown)
         .expect("shutdown round-trips");
