@@ -4,10 +4,13 @@
 //! Deliberately minimal — the daemon speaks exactly the subset its own
 //! [`crate::client::Client`] and `curl` need: `Content-Length` bodies
 //! (no chunked encoding), keep-alive, one request at a time per
-//! connection. Every request is instrumented with dft-obs spans
-//! (`serve.request` > `serve.parse` / `serve.dispatch` /
-//! `serve.respond`) whose durations fold into the `/stats` transport
-//! phase totals.
+//! connection. Every request records one dft-obs span tree
+//! (`serve.request` > `serve.parse` / `serve.dispatch` >
+//! `<kind>` / `serve.respond`) with its `connections`, `bytes_in`,
+//! `bytes_out` and `transport_errors` counts; once the response is
+//! written the tree folds into `/stats` ([`crate::ServeStats::absorb`]).
+//! A request that panics closes only its own connection: the worker
+//! catches the unwind and takes the next connection.
 //!
 //! ## Routes
 //!
@@ -29,7 +32,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -41,7 +44,6 @@ use dft_obs::{Obs, Recorder};
 use crate::api::{ErrorCode, Request, Response};
 use crate::codec::{decode_request, decode_request_body, encode_response};
 use crate::service::Service;
-use crate::stats::ServeStats;
 
 /// Maximum bytes of request line + headers.
 const MAX_HEAD: usize = 16 * 1024;
@@ -115,7 +117,12 @@ pub fn serve(service: Arc<Service>, config: &ServerConfig) -> io::Result<ServerH
             thread::spawn(move || loop {
                 let next = rx.lock().expect("worker queue poisoned").recv();
                 match next {
-                    Ok(stream) => handle_connection(&service, stream, &cfg),
+                    // A panicking request closes only its own connection.
+                    Ok(stream) => {
+                        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(&service, stream, &cfg);
+                        }));
+                    }
                     Err(_) => break, // accept loop gone: drain complete
                 }
             })
@@ -130,7 +137,6 @@ pub fn serve(service: Arc<Service>, config: &ServerConfig) -> io::Result<ServerH
             }
             match listener.accept() {
                 Ok((stream, _)) => {
-                    ServeStats::hit(&accept_service.stats().phases.connections);
                     if tx.send(stream).is_err() {
                         break;
                     }
@@ -331,78 +337,68 @@ fn transport_error_body(message: &str) -> String {
     })
 }
 
-fn handle_connection(service: &Arc<Service>, stream: TcpStream, cfg: &ServerConfig) {
+fn handle_connection(service: &Service, stream: TcpStream, cfg: &ServerConfig) {
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_nodelay(true);
-    let stats = Arc::clone(service.stats());
     let mut conn = Conn {
         stream,
         buf: Vec::new(),
         bytes_in: 0,
     };
+    let mut connections = 1;
     loop {
         let mut rec = Recorder::new();
         let mut obs = Obs::new(Some(&mut rec));
-        obs.enter("serve.request");
-        obs.enter("serve.parse");
-        let outcome = conn.read_request(cfg.max_body);
-        let routed = match &outcome {
-            Ok(ReadOutcome::Request(http)) => Some(route(http)),
-            _ => None,
-        };
-        obs.exit();
-
-        let bytes_in = std::mem::take(&mut conn.bytes_in);
-        ServeStats::add(&stats.phases.bytes_in, bytes_in);
-
-        let (status, body, keep_alive) = match (outcome, routed) {
-            (Err(_) | Ok(ReadOutcome::Eof), _) => break,
-            (Ok(ReadOutcome::Bad(status, message)), _) => {
-                ServeStats::hit(&stats.phases.transport_errors);
-                (status, transport_error_body(&message), false)
-            }
-            (Ok(ReadOutcome::Request(_)), Some(Err((status, message)))) => {
-                ServeStats::hit(&stats.phases.transport_errors);
-                (status, transport_error_body(&message), false)
-            }
-            (Ok(ReadOutcome::Request(http)), Some(Ok(req))) => {
-                obs.enter("serve.dispatch");
-                let resp = service.handle(&req);
-                obs.exit();
-                let status = status_of(&resp);
-                // A shutdown response is the connection's last.
-                let keep = http.keep_alive && !matches!(resp, Response::Shutdown);
-                (status, encode_response(&resp), keep)
-            }
-            (Ok(ReadOutcome::Request(_)), None) => unreachable!("routed above"),
-        };
-
-        obs.enter("serve.respond");
-        let written = write_response(&mut conn.stream, status, &body, keep_alive);
-        obs.exit();
-        obs.close_all();
+        // The connection counts once, on its first request's tree.
+        obs.count("connections", std::mem::take(&mut connections));
+        let keep_open = serve_request(service, &mut conn, cfg, &mut obs);
         drop(obs);
-
-        // Fold the request's span durations into the phase totals.
-        let report = rec.finish("serve.connection");
-        if let Some(span) = report.find("serve.request") {
-            for (name, slot) in [
-                ("serve.parse", &stats.phases.parse_ns),
-                ("serve.dispatch", &stats.phases.dispatch_ns),
-                ("serve.respond", &stats.phases.respond_ns),
-            ] {
-                if let Some(child) = span.find(name) {
-                    slot.fetch_add(child.duration_ns, Ordering::Relaxed);
-                }
-            }
-        }
-
-        match written {
-            Ok(n) => ServeStats::add(&stats.phases.bytes_out, n),
-            Err(_) => break,
-        }
-        if !keep_alive {
+        service.stats().absorb(&rec.finish("serve.connection").root);
+        if !keep_open {
             break;
         }
+    }
+}
+
+/// Reads, dispatches and answers one request on `conn`, recording it on
+/// `obs`. Returns whether the connection stays open.
+fn serve_request(service: &Service, conn: &mut Conn, cfg: &ServerConfig, obs: &mut Obs) -> bool {
+    obs.enter("serve.request");
+    obs.enter("serve.parse");
+    let outcome = conn.read_request(cfg.max_body);
+    let routed = match &outcome {
+        Ok(ReadOutcome::Request(http)) => Some(route(http)),
+        _ => None,
+    };
+    obs.exit();
+    obs.count("bytes_in", std::mem::take(&mut conn.bytes_in));
+
+    let (status, body, keep_alive) = match (outcome, routed) {
+        (Err(_) | Ok(ReadOutcome::Eof), _) => return false,
+        (Ok(ReadOutcome::Bad(status, message)), _)
+        | (Ok(ReadOutcome::Request(_)), Some(Err((status, message)))) => {
+            obs.count("transport_errors", 1);
+            (status, transport_error_body(&message), false)
+        }
+        (Ok(ReadOutcome::Request(http)), Some(Ok(req))) => {
+            obs.enter("serve.dispatch");
+            let resp = service.handle_with(&req, obs);
+            obs.exit();
+            // A shutdown response is the connection's last.
+            let keep = http.keep_alive && !matches!(resp, Response::Shutdown);
+            (status_of(&resp), encode_response(&resp), keep)
+        }
+        (Ok(ReadOutcome::Request(_)), None) => unreachable!("routed above"),
+    };
+
+    obs.enter("serve.respond");
+    let written = write_response(&mut conn.stream, status, &body, keep_alive);
+    obs.exit();
+    match written {
+        Ok(n) => {
+            obs.count("bytes_out", n);
+            keep_alive
+        }
+        Err(_) => false,
     }
 }

@@ -20,11 +20,13 @@
 //!   rebuild.
 //! * **Transport** ([`http`], [`client`]): a minimal HTTP/1.1 server on
 //!   `std::net::TcpListener` with a worker pool, request size/time
-//!   limits, `/stats` telemetry (per-endpoint latency, dft-obs
-//!   span-derived phase totals) and graceful shutdown via `/shutdown`.
-//!   The daemon holds no durable state, so external termination
-//!   (SIGTERM) is always safe; in-process shutdown drains in-flight
-//!   requests first.
+//!   limits and graceful shutdown via `/shutdown`. The daemon holds no
+//!   durable state, so external termination (SIGTERM) is always safe;
+//!   in-process shutdown drains in-flight requests first.
+//!
+//! Telemetry has one mechanism, dft-obs: each request records a span
+//! tree (transport phases, the endpoint span, artifact hit/build
+//! counts) and `/stats` is the fold of those trees ([`ServeStats`]).
 //!
 //! The wire format is the hand-rolled, versioned `tessera-serve/1`
 //! JSON codec on `dft-json` — no serde anywhere in the workspace.
@@ -46,5 +48,5 @@ pub use codec::{decode_request, decode_response, encode_request, encode_response
 pub use http::{serve, ServerConfig, ServerHandle};
 pub use service::Service;
 pub use session::DesignSession;
-pub use stats::{Endpoint, ServeStats};
+pub use stats::ServeStats;
 pub use workspace::{LoadError, Resolver, Workspace};

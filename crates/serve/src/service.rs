@@ -1,35 +1,44 @@
 //! Request dispatch: the transport-independent service core.
 //!
-//! [`Service::handle`] maps one [`Request`] to one [`Response`] against
-//! the shared [`Workspace`], taking the cheapest lock that can answer:
+//! [`Service::handle_with`] maps one [`Request`] to one [`Response`]
+//! against the shared [`Workspace`] and records the request as one
+//! dft-obs span named after its kind, carrying a `requests` count, an
+//! `errors` count and the artifact events it caused (`lint_hits`,
+//! `scoap_refreshes`, `eco_incremental`, ...). `/stats` is the fold of
+//! those spans ([`ServeStats::absorb`]), so it is the observable proof
+//! of reuse (`*_hits` vs `*_builds`) and of the incremental ECO path.
 //!
-//! 1. **Read pass** — under the session's read lock, answer from warm
-//!    artifacts only ([`DesignSession`]'s `try_*` path). Concurrent
+//! The five cached-artifact requests (lint, SCOAP, fault-sim,
+//! dictionary, PODEM) share one read-then-warm path, taking the
+//! cheapest lock that can answer:
+//!
+//! 1. **Read** — under the session's read lock, answer from warm
+//!    artifacts only ([`DesignSession`]'s `&self` methods). Concurrent
 //!    queries on the same design all run here simultaneously.
-//! 2. **Write pass** — only if the read pass came back cold, retake the
-//!    session's write lock, build the missing artifact, answer. (The
-//!    build is re-checked under the write lock: a racing writer may
-//!    have warmed it already.)
+//! 2. **Warm** — only if the read came back cold, take the session's
+//!    write lock and call the artifact's warm-up (`ensure_*` or
+//!    [`DesignSession::warm_podem_support`]), which builds what is
+//!    missing and says whether it built anything: a racing writer may
+//!    have warmed it already. That verdict counts a build or a hit,
+//!    and the answer is read again under the same lock.
 //!
-//! ECO requests go straight to the write pass. Every pass bumps the
-//! matching [`ServeStats`] artifact counter, so `/stats` is the
-//! observable proof of reuse (`*_hits` vs `*_builds`) and of the
-//! incremental ECO path (`eco_incremental`).
+//! ECO requests go straight to the write lock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+
+use dft_obs::{Obs, Recorder};
 
 use crate::api::{ErrorCode, Request, Response, MAX_PATTERNS};
-use crate::session::DesignSession;
-use crate::stats::{Endpoint, ServeStats};
+use crate::session::{DesignSession, PodemRun};
+use crate::stats::ServeStats;
 use crate::workspace::{LoadError, Resolver, SessionHandle, Workspace};
 
 /// The service core: workspace + telemetry + lifecycle flag.
 #[derive(Debug)]
 pub struct Service {
     workspace: Workspace,
-    stats: Arc<ServeStats>,
+    stats: ServeStats,
     shutting_down: AtomicBool,
 }
 
@@ -39,14 +48,14 @@ impl Service {
     pub fn new(resolver: Resolver) -> Self {
         Service {
             workspace: Workspace::new(resolver),
-            stats: Arc::new(ServeStats::new()),
+            stats: ServeStats::default(),
             shutting_down: AtomicBool::new(false),
         }
     }
 
-    /// The telemetry sink (shared with the transport layer).
+    /// The telemetry every request's span tree folds into.
     #[must_use]
-    pub fn stats(&self) -> &Arc<ServeStats> {
+    pub fn stats(&self) -> &ServeStats {
         &self.stats
     }
 
@@ -62,18 +71,28 @@ impl Service {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Dispatches one request, recording per-endpoint latency and the
-    /// error flag in the stats.
+    /// Dispatches one request, recording it in a span tree of its own
+    /// that the stats then absorb.
     pub fn handle(&self, req: &Request) -> Response {
-        let endpoint = Endpoint::of(req);
-        let start = Instant::now();
-        let resp = self.dispatch(req);
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.stats.record(endpoint, elapsed, resp.is_error());
+        let mut rec = Recorder::new();
+        let resp = self.handle_with(req, &mut Obs::new(Some(&mut rec)));
+        self.stats.absorb(&rec.finish("serve.handle").root);
         resp
     }
 
-    fn dispatch(&self, req: &Request) -> Response {
+    /// Dispatches one request inside a span named after its kind,
+    /// counting `requests`, `errors` and the artifact events on `obs`.
+    /// The caller absorbs the finished tree into [`Service::stats`].
+    pub fn handle_with(&self, req: &Request, obs: &mut Obs) -> Response {
+        obs.enter(req.kind());
+        let resp = self.dispatch(req, obs);
+        obs.count("requests", 1);
+        obs.count("errors", u64::from(resp.is_error()));
+        obs.exit();
+        resp
+    }
+
+    fn dispatch(&self, req: &Request, obs: &mut Obs) -> Response {
         if self.shutting_down() && !matches!(req, Request::Stats | Request::Shutdown) {
             return Response::Error {
                 code: ErrorCode::ShuttingDown,
@@ -91,16 +110,10 @@ impl Service {
             }
         }
         match req {
-            Request::Load { circuit } => match self.workspace.load(circuit) {
-                Ok((handle, reused)) => self.loaded(&handle, reused),
-                Err(e) => load_error(&e),
-            },
+            Request::Load { circuit } => self.loaded(self.workspace.load(circuit), obs),
             Request::LoadBench { name, text } => {
                 match dft_netlist::bench_format::parse(text, name.as_str()) {
-                    Ok(netlist) => match self.workspace.adopt(&netlist) {
-                        Ok((handle, reused)) => self.loaded(&handle, reused),
-                        Err(e) => load_error(&e),
-                    },
+                    Ok(netlist) => self.loaded(self.workspace.adopt(&netlist), obs),
                     Err(e) => Response::Error {
                         code: ErrorCode::LoadFailed,
                         message: format!("cannot parse '{name}': {e}"),
@@ -110,7 +123,7 @@ impl Service {
             }
             Request::Drop { design } => match self.workspace.drop_design(design) {
                 Some(name) => {
-                    ServeStats::hit(&self.stats.artifacts.sessions_dropped);
+                    obs.count("sessions_dropped", 1);
                     Response::Dropped { design: name }
                 }
                 None => self.unknown_design(design),
@@ -118,35 +131,88 @@ impl Service {
             Request::Designs => Response::Designs {
                 designs: self.workspace.infos(),
             },
-            Request::Lint { design } => self.with_session(design, |s| self.lint(s)),
-            Request::Scoap { design } => self.with_session(design, |s| self.scoap(s)),
-            Request::FaultSim {
-                design,
+            Request::Lint { design } => self.with_session(design, |h| {
+                let counters = ("lint_hits", "lint_builds");
+                read_then_warm(h, obs, counters, DesignSession::ensure_lint, |s, _| {
+                    let (report, doc) = s.lint_ready()?;
+                    let (errors, warnings, infos) = DesignSession::severity_counts(report);
+                    Some(Response::Lint {
+                        design: s.name().to_owned(),
+                        revision: s.revision(),
+                        clean: report.is_clean(),
+                        errors,
+                        warnings,
+                        infos,
+                        report: Arc::clone(doc),
+                    })
+                })
+            }),
+            Request::Scoap { design } => self.with_session(design, |h| {
+                let counters = ("scoap_hits", "scoap_refreshes");
+                read_then_warm(h, obs, counters, DesignSession::ensure_scoap, |s, _| {
+                    Some(Response::Scoap {
+                        design: s.name().to_owned(),
+                        revision: s.revision(),
+                        gates: s.netlist().gate_count(),
+                        summary: s.try_scoap_summary()?,
+                    })
+                })
+            }),
+            &Request::FaultSim {
+                ref design,
                 patterns,
                 seed,
-            } => self.with_session(design, |s| self.fault_sim(s, *patterns, *seed)),
-            Request::Dictionary {
-                design,
+            } => self.with_session(design, |h| {
+                let warm = |s: &mut DesignSession| s.ensure_fault_sim(patterns, seed);
+                let counters = ("fault_sim_hits", "fault_sim_runs");
+                read_then_warm(h, obs, counters, warm, |s, _| {
+                    let (faults, detected, coverage) = s.try_fault_sim(patterns, seed)?;
+                    Some(Response::FaultSim {
+                        design: s.name().to_owned(),
+                        revision: s.revision(),
+                        faults,
+                        detected,
+                        coverage,
+                    })
+                })
+            }),
+            &Request::Dictionary {
+                ref design,
                 patterns,
                 seed,
-            } => self.with_session(design, |s| self.dictionary(s, *patterns, *seed)),
-            Request::Podem {
-                design,
+            } => self.with_session(design, |h| {
+                let warm = |s: &mut DesignSession| s.ensure_dictionary(patterns, seed);
+                let counters = ("dictionary_hits", "dictionary_builds");
+                read_then_warm(h, obs, counters, warm, |s, _| {
+                    let (faults, patterns, resolution) = s.try_dictionary(patterns, seed)?;
+                    Some(Response::Dictionary {
+                        design: s.name().to_owned(),
+                        revision: s.revision(),
+                        faults,
+                        patterns,
+                        resolution,
+                    })
+                })
+            }),
+            &Request::Podem {
+                ref design,
                 gate,
                 pin,
                 stuck,
-            } => self.with_session(design, |s| self.podem(s, *gate, *pin, *stuck)),
-            Request::Eco { design, edits } => self.with_session(design, |s| {
-                let mut session = s.write().expect("session lock poisoned");
+            } => self.with_session(design, |h| {
+                read_then_warm(
+                    h,
+                    obs,
+                    ("podem_warm", "podem_warmups"),
+                    DesignSession::warm_podem_support,
+                    |s, obs| Some(podem_response(s, s.try_podem(gate, pin, stuck)?, obs)),
+                )
+            }),
+            Request::Eco { design, edits } => self.with_session(design, |h| {
+                let mut session = h.write().expect("session lock poisoned");
                 let outcome = session.apply_eco(edits);
-                ServeStats::add(
-                    &self.stats.artifacts.eco_incremental,
-                    outcome.applied as u64,
-                );
-                ServeStats::add(
-                    &self.stats.artifacts.eco_rejected,
-                    outcome.rejected.len() as u64,
-                );
+                obs.count("eco_incremental", outcome.applied as u64);
+                obs.count("eco_rejected", outcome.rejected.len() as u64);
                 Response::Eco {
                     design: session.name().to_owned(),
                     revision: session.revision(),
@@ -165,13 +231,27 @@ impl Service {
         }
     }
 
-    fn loaded(&self, handle: &SessionHandle, reused: bool) -> Response {
-        ServeStats::hit(if reused {
-            &self.stats.artifacts.sessions_reused
-        } else {
-            &self.stats.artifacts.sessions_loaded
-        });
-        Response::Loaded(handle.read().expect("session lock poisoned").info())
+    fn loaded(&self, loaded: Result<(SessionHandle, bool), LoadError>, obs: &mut Obs) -> Response {
+        match loaded {
+            Ok((handle, reused)) => {
+                let key = if reused {
+                    "sessions_reused"
+                } else {
+                    "sessions_loaded"
+                };
+                obs.count(key, 1);
+                Response::Loaded(handle.read().expect("session lock poisoned").info())
+            }
+            Err(e) => Response::Error {
+                code: if e.available.is_empty() {
+                    ErrorCode::LoadFailed
+                } else {
+                    ErrorCode::UnknownCircuit
+                },
+                message: e.message,
+                available: e.available,
+            },
+        }
     }
 
     fn unknown_design(&self, design: &str) -> Response {
@@ -188,185 +268,33 @@ impl Service {
             None => self.unknown_design(design),
         }
     }
-
-    fn lint(&self, handle: &SessionHandle) -> Response {
-        {
-            let s = handle.read().expect("session lock poisoned");
-            if let Some((report, doc)) = s.lint_ready() {
-                ServeStats::hit(&self.stats.artifacts.lint_hits);
-                let doc = Arc::clone(doc);
-                return lint_response(&s, report, doc);
-            }
-        }
-        let mut s = handle.write().expect("session lock poisoned");
-        let (report, doc, built) = s.ensure_lint();
-        ServeStats::hit(if built {
-            &self.stats.artifacts.lint_builds
-        } else {
-            // A racing writer warmed it between our locks.
-            &self.stats.artifacts.lint_hits
-        });
-        let (report, doc) = (report.clone(), Arc::clone(doc));
-        lint_response(&s, &report, doc)
-    }
-
-    fn scoap(&self, handle: &SessionHandle) -> Response {
-        {
-            let s = handle.read().expect("session lock poisoned");
-            if let Some(summary) = s.try_scoap_summary() {
-                ServeStats::hit(&self.stats.artifacts.scoap_hits);
-                return Response::Scoap {
-                    design: s.name().to_owned(),
-                    revision: s.revision(),
-                    gates: s.netlist().gate_count(),
-                    summary,
-                };
-            }
-        }
-        let mut s = handle.write().expect("session lock poisoned");
-        let (summary, refreshed) = s.scoap_summary();
-        ServeStats::hit(if refreshed {
-            &self.stats.artifacts.scoap_refreshes
-        } else {
-            &self.stats.artifacts.scoap_hits
-        });
-        Response::Scoap {
-            design: s.name().to_owned(),
-            revision: s.revision(),
-            gates: s.netlist().gate_count(),
-            summary,
-        }
-    }
-
-    fn fault_sim(&self, handle: &SessionHandle, patterns: usize, seed: u64) -> Response {
-        {
-            let s = handle.read().expect("session lock poisoned");
-            if let Some(figures) = s.try_fault_sim(patterns, seed) {
-                ServeStats::hit(&self.stats.artifacts.fault_sim_hits);
-                return fault_sim_response(&s, figures);
-            }
-        }
-        let mut s = handle.write().expect("session lock poisoned");
-        let (figures, computed) = s.run_fault_sim(patterns, seed);
-        ServeStats::hit(if computed {
-            &self.stats.artifacts.fault_sim_runs
-        } else {
-            &self.stats.artifacts.fault_sim_hits
-        });
-        fault_sim_response(&s, figures)
-    }
-
-    fn dictionary(&self, handle: &SessionHandle, patterns: usize, seed: u64) -> Response {
-        {
-            let s = handle.read().expect("session lock poisoned");
-            if let Some(figures) = s.try_dictionary(patterns, seed) {
-                ServeStats::hit(&self.stats.artifacts.dictionary_hits);
-                return dictionary_response(&s, figures);
-            }
-        }
-        let mut s = handle.write().expect("session lock poisoned");
-        let (figures, built) = s.run_dictionary(patterns, seed);
-        ServeStats::hit(if built {
-            &self.stats.artifacts.dictionary_builds
-        } else {
-            &self.stats.artifacts.dictionary_hits
-        });
-        dictionary_response(&s, figures)
-    }
-
-    fn podem(
-        &self,
-        handle: &SessionHandle,
-        gate: usize,
-        pin: Option<u32>,
-        stuck: bool,
-    ) -> Response {
-        {
-            let s = handle.read().expect("session lock poisoned");
-            if let Some(run) = s.try_podem(gate, pin, stuck) {
-                ServeStats::hit(&self.stats.artifacts.podem_warm);
-                return podem_response(&self.stats, &s, run);
-            }
-        }
-        let mut s = handle.write().expect("session lock poisoned");
-        if s.warm_podem_support() {
-            ServeStats::hit(&self.stats.artifacts.podem_warmups);
-        } else {
-            ServeStats::hit(&self.stats.artifacts.podem_warm);
-        }
-        let run = s.try_podem(gate, pin, stuck).expect("support just warmed");
-        podem_response(&self.stats, &s, run)
-    }
 }
 
-fn load_error(e: &LoadError) -> Response {
-    Response::Error {
-        code: if e.available.is_empty() {
-            ErrorCode::LoadFailed
-        } else {
-            ErrorCode::UnknownCircuit
-        },
-        message: e.message.clone(),
-        available: e.available.clone(),
-    }
-}
-
-fn lint_response(
-    s: &DesignSession,
-    report: &dft_lint::LintReport,
-    doc: Arc<dft_json::Value>,
+/// Answers from warm state under the read lock; on a miss, takes the
+/// write lock, calls `warm` (which reports whether it built anything)
+/// and answers from the now-warm state. Counts one of the `(hit,
+/// build)` counters.
+fn read_then_warm(
+    handle: &SessionHandle,
+    obs: &mut Obs,
+    (hit, build): (&'static str, &'static str),
+    warm: impl FnOnce(&mut DesignSession) -> bool,
+    answer: impl Fn(&DesignSession, &mut Obs) -> Option<Response>,
 ) -> Response {
-    let (errors, warnings, infos) = DesignSession::severity_counts(report);
-    Response::Lint {
-        design: s.name().to_owned(),
-        revision: s.revision(),
-        clean: report.is_clean(),
-        errors,
-        warnings,
-        infos,
-        report: doc,
+    if let Some(resp) = answer(&handle.read().expect("session lock poisoned"), obs) {
+        obs.count(hit, 1);
+        return resp;
     }
+    let mut session = handle.write().expect("session lock poisoned");
+    obs.count(if warm(&mut session) { build } else { hit }, 1);
+    answer(&session, obs).expect("the warm-up leaves the artifact warm")
 }
 
-fn fault_sim_response(
-    s: &DesignSession,
-    (faults, detected, coverage): (usize, usize, f64),
-) -> Response {
-    Response::FaultSim {
-        design: s.name().to_owned(),
-        revision: s.revision(),
-        faults,
-        detected,
-        coverage,
-    }
-}
-
-fn dictionary_response(
-    s: &DesignSession,
-    (faults, patterns, resolution): (usize, usize, f64),
-) -> Response {
-    Response::Dictionary {
-        design: s.name().to_owned(),
-        revision: s.revision(),
-        faults,
-        patterns,
-        resolution,
-    }
-}
-
-fn podem_response(
-    stats: &ServeStats,
-    s: &DesignSession,
-    run: Result<crate::session::PodemRun, String>,
-) -> Response {
+fn podem_response(s: &DesignSession, run: Result<PodemRun, String>, obs: &mut Obs) -> Response {
     match run {
         Ok(run) => {
-            if run.prefiltered {
-                ServeStats::hit(&stats.artifacts.podem_prefiltered);
-            }
-            if run.cdcl {
-                ServeStats::hit(&stats.artifacts.podem_cdcl);
-            }
+            obs.count("podem_prefiltered", u64::from(run.prefiltered));
+            obs.count("podem_cdcl", u64::from(run.cdcl));
             Response::Podem {
                 design: s.name().to_owned(),
                 revision: s.revision(),

@@ -15,8 +15,10 @@
 //! * `try_*` / `*_ready` take `&self` and answer only from warm state —
 //!   the concurrent read path. `None` means "cold, take the write
 //!   lock".
-//! * `ensure_*` / `run_*` take `&mut self`, build what is missing, and
-//!   always answer — the single-writer path.
+//! * `ensure_*` / [`DesignSession::warm_podem_support`] take
+//!   `&mut self`, build what is missing and return only whether they
+//!   built anything — the single-writer path. The caller then answers
+//!   through the read path under the same lock.
 //!
 //! ECO edits go through [`DesignSession::apply_eco`]: each edit runs
 //! the incremental [`AnalysisCache::apply`] path (cycle check,
@@ -252,39 +254,37 @@ impl DesignSession {
     }
 
     // ------------------------------------------------------------------
-    // Write path (&mut self): build on demand, then answer
+    // Write path (&mut self): build what is missing
     // ------------------------------------------------------------------
 
-    /// The lint report (with its parsed document), built if cold.
-    /// Returns `(report, document, was_built)`.
-    pub fn ensure_lint(&mut self) -> (&LintReport, &Arc<dft_json::Value>, bool) {
-        let built = self.lint.is_none();
-        if built {
-            let report = lint(self.netlist());
-            let doc =
-                dft_json::parse(&report.to_json()).expect("LintReport::to_json emits valid JSON");
-            self.lint = Some((report, Arc::new(doc)));
+    /// Builds the lint report (with its parsed document) if cold.
+    /// Returns whether it was built.
+    pub fn ensure_lint(&mut self) -> bool {
+        if self.lint.is_some() {
+            return false;
         }
-        let (report, doc) = self.lint.as_ref().expect("just ensured");
-        (report, doc, built)
+        let report = lint(self.netlist());
+        let doc = dft_json::parse(&report.to_json()).expect("LintReport::to_json emits valid JSON");
+        self.lint = Some((report, Arc::new(doc)));
+        true
     }
 
-    /// The SCOAP summary, refreshing the cache incrementally if stale.
-    /// Returns `(summary, was_refreshed)`.
-    pub fn scoap_summary(&mut self) -> (ScoapSummary, bool) {
-        let refreshed = self.cache.scoap_ready().is_none();
-        if refreshed {
+    /// Refreshes the cache's SCOAP pass (incrementally after an ECO) if
+    /// stale. Returns whether it was refreshed.
+    pub fn ensure_scoap(&mut self) -> bool {
+        let stale = self.cache.scoap_ready().is_none();
+        if stale {
             let _ = self.cache.scoap();
         }
-        let summary = self.try_scoap_summary().expect("scoap just ensured clean");
-        (summary, refreshed)
+        stale
     }
 
     /// Fault-simulates the full universe under `patterns` seeded random
-    /// vectors, filling the slot. Returns `(figures, was_computed)`.
-    pub fn run_fault_sim(&mut self, patterns: usize, seed: u64) -> (FaultSimFigures, bool) {
-        if let Some(figures) = self.try_fault_sim(patterns, seed) {
-            return (figures, false);
+    /// vectors into a recipe slot, unless that recipe is warm. Returns
+    /// whether it simulated.
+    pub fn ensure_fault_sim(&mut self, patterns: usize, seed: u64) -> bool {
+        if self.try_fault_sim(patterns, seed).is_some() {
+            return false;
         }
         self.ensure_faults();
         let netlist = self.cache.netlist();
@@ -298,14 +298,14 @@ impl DesignSession {
             self.fault_sim.remove(0);
         }
         self.fault_sim.push(((patterns, seed), figures));
-        (figures, true)
+        true
     }
 
-    /// Builds (or reuses) the fault dictionary for `(patterns, seed)`.
-    /// Returns `(figures, was_built)`.
-    pub fn run_dictionary(&mut self, patterns: usize, seed: u64) -> (DictionaryFigures, bool) {
-        if let Some(figures) = self.try_dictionary(patterns, seed) {
-            return (figures, false);
+    /// Builds the fault dictionary for `(patterns, seed)` unless it is
+    /// the one in the slot. Returns whether it was built.
+    pub fn ensure_dictionary(&mut self, patterns: usize, seed: u64) -> bool {
+        if self.try_dictionary(patterns, seed).is_some() {
+            return false;
         }
         self.ensure_faults();
         let netlist = self.cache.netlist();
@@ -315,7 +315,7 @@ impl DesignSession {
             .expect("session frame is acyclic by invariant");
         let figures = (dict.faults().len(), dict.pattern_count(), dict.resolution());
         self.dictionary = Some(((patterns, seed), dict, figures));
-        (figures, true)
+        true
     }
 
     /// Warms the PODEM support artifacts (universe, solver, prefilter,
@@ -590,21 +590,19 @@ mod tests {
         assert!(s.lint_ready().is_none());
         assert!(s.try_scoap_summary().is_none());
 
-        let (_, _, built) = s.ensure_lint();
-        assert!(built);
-        let (_, _, built_again) = s.ensure_lint();
-        assert!(!built_again);
+        assert!(s.ensure_lint());
+        assert!(!s.ensure_lint());
         assert!(s.lint_ready().is_some());
 
-        let (summary, refreshed) = s.scoap_summary();
-        assert!(refreshed);
-        assert!(summary.max_co > 0);
-        assert!(s.try_scoap_summary().is_some());
+        assert!(s.ensure_scoap());
+        assert!(!s.ensure_scoap());
+        assert!(s.try_scoap_summary().unwrap().max_co > 0);
 
-        let ((faults, detected, coverage), computed) = s.run_fault_sim(64, 7);
-        assert!(computed);
+        assert!(s.try_fault_sim(64, 7).is_none());
+        assert!(s.ensure_fault_sim(64, 7));
+        assert!(!s.ensure_fault_sim(64, 7));
+        let (faults, detected, coverage) = s.try_fault_sim(64, 7).unwrap();
         assert!(faults > 0 && detected <= faults && coverage <= 1.0);
-        assert_eq!(s.try_fault_sim(64, 7), Some((faults, detected, coverage)));
         assert_eq!(s.try_fault_sim(64, 8), None);
 
         // An applied ECO invalidates everything and bumps the revision.
@@ -728,17 +726,13 @@ mod tests {
     #[test]
     fn dictionary_slot_keyed_by_recipe() {
         let mut s = DesignSession::new(&circuits::c17()).unwrap();
-        let ((faults, patterns, resolution), built) = s.run_dictionary(32, 3);
-        assert!(built);
+        assert!(s.try_dictionary(32, 3).is_none());
+        assert!(s.ensure_dictionary(32, 3));
+        let (faults, patterns, resolution) = s.try_dictionary(32, 3).unwrap();
         assert_eq!(patterns, 32);
         assert!(faults > 0);
         assert!((0.0..=1.0).contains(&resolution));
-        let (_, rebuilt) = s.run_dictionary(32, 3);
-        assert!(!rebuilt);
-        assert_eq!(
-            s.try_dictionary(32, 3),
-            Some((faults, patterns, resolution))
-        );
+        assert!(!s.ensure_dictionary(32, 3), "the slot is reused");
         assert!(s.try_dictionary(16, 3).is_none());
     }
 

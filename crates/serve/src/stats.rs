@@ -1,335 +1,192 @@
-//! Server telemetry: per-endpoint latency, artifact hit/build counters
-//! and request-phase timings, snapshotted as the `/stats` document.
+//! Server telemetry: the `/stats` document is a fold over the dft-obs
+//! span trees that requests record.
 //!
-//! Everything is lock-free atomics except the latency reservoirs (one
-//! short `Mutex<Vec<u64>>` per endpoint, appended once per request).
+//! Each request records one tree (see [`crate::http`] and
+//! [`crate::Service::handle_with`]); [`ServeStats::absorb`] adds a
+//! finished tree to the running totals under one short `Mutex`, and
+//! [`ServeStats::snapshot`] renders them. The fold knows three rules:
+//!
+//! * every counter in a tree adds to the total of the same name;
+//! * a span carrying a `requests` count is one endpoint sample, keyed by
+//!   the span's name, with its `errors` count and its duration;
+//! * the durations of `serve.parse`, `serve.dispatch` and
+//!   `serve.respond` add to `parse_ns`, `dispatch_ns` and `respond_ns`.
+//!
 //! The snapshot is a plain `dft-json` [`Value`] so the codec can embed
 //! it verbatim and clients can navigate it without a schema of its own
 //! beyond the `tessera-serve-stats/1` tag.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 use dft_json::Value;
-
-use crate::api::Request;
+use dft_obs::SpanNode;
 
 /// Latency samples kept per endpoint; older samples are dropped
 /// reservoir-style (overwrite modulo capacity) so the percentiles track
 /// recent behaviour without unbounded memory.
 const LATENCY_CAPACITY: usize = 65_536;
 
-/// The dispatch endpoints, in stats order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `load`
-    Load,
-    /// `load-bench`
-    LoadBench,
-    /// `drop`
-    Drop,
-    /// `designs`
-    Designs,
-    /// `lint`
-    Lint,
-    /// `scoap`
-    Scoap,
-    /// `fault-sim`
-    FaultSim,
-    /// `dictionary`
-    Dictionary,
-    /// `podem`
-    Podem,
-    /// `eco`
-    Eco,
-    /// `stats`
-    Stats,
-    /// `shutdown`
-    Shutdown,
+/// The artifact hit/build counters, in document order — the observable
+/// proof that the daemon reuses warm state instead of recomputing, and
+/// that ECO edits ride the incremental path.
+const ARTIFACT_KEYS: [&str; 17] = [
+    "lint_hits",
+    "lint_builds",
+    "scoap_hits",
+    "scoap_refreshes",
+    "fault_sim_hits",
+    "fault_sim_runs",
+    "dictionary_hits",
+    "dictionary_builds",
+    "podem_warm",
+    "podem_warmups",
+    "podem_prefiltered",
+    "podem_cdcl",
+    "eco_incremental",
+    "eco_rejected",
+    "sessions_loaded",
+    "sessions_reused",
+    "sessions_dropped",
+];
+
+/// The transport totals, in document order.
+const TRANSPORT_KEYS: [&str; 7] = [
+    "connections",
+    "bytes_in",
+    "bytes_out",
+    "parse_ns",
+    "dispatch_ns",
+    "respond_ns",
+    "transport_errors",
+];
+
+/// The request phases whose span durations add to a transport total.
+const PHASES: [(&str, &str); 3] = [
+    ("serve.parse", "parse_ns"),
+    ("serve.dispatch", "dispatch_ns"),
+    ("serve.respond", "respond_ns"),
+];
+
+/// One endpoint's request samples.
+#[derive(Debug, Default)]
+struct Latencies {
+    count: u64,
+    errors: u64,
+    total_ns: u64,
+    samples: Vec<u64>,
 }
 
-impl Endpoint {
-    /// All endpoints, in stats order.
-    pub const ALL: [Endpoint; 12] = [
-        Endpoint::Load,
-        Endpoint::LoadBench,
-        Endpoint::Drop,
-        Endpoint::Designs,
-        Endpoint::Lint,
-        Endpoint::Scoap,
-        Endpoint::FaultSim,
-        Endpoint::Dictionary,
-        Endpoint::Podem,
-        Endpoint::Eco,
-        Endpoint::Stats,
-        Endpoint::Shutdown,
-    ];
+#[derive(Debug, Default)]
+struct Totals {
+    counters: HashMap<String, u64>,
+    /// Endpoints in first-use order.
+    endpoints: Vec<(String, Latencies)>,
+}
 
-    /// The wire name (same as the request type).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Endpoint::Load => "load",
-            Endpoint::LoadBench => "load-bench",
-            Endpoint::Drop => "drop",
-            Endpoint::Designs => "designs",
-            Endpoint::Lint => "lint",
-            Endpoint::Scoap => "scoap",
-            Endpoint::FaultSim => "fault-sim",
-            Endpoint::Dictionary => "dictionary",
-            Endpoint::Podem => "podem",
-            Endpoint::Eco => "eco",
-            Endpoint::Stats => "stats",
-            Endpoint::Shutdown => "shutdown",
+impl Totals {
+    fn add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(total) => *total = total.saturating_add(delta),
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
         }
     }
 
-    /// The endpoint a request dispatches to.
-    #[must_use]
-    pub fn of(req: &Request) -> Endpoint {
-        match req {
-            Request::Load { .. } => Endpoint::Load,
-            Request::LoadBench { .. } => Endpoint::LoadBench,
-            Request::Drop { .. } => Endpoint::Drop,
-            Request::Designs => Endpoint::Designs,
-            Request::Lint { .. } => Endpoint::Lint,
-            Request::Scoap { .. } => Endpoint::Scoap,
-            Request::FaultSim { .. } => Endpoint::FaultSim,
-            Request::Dictionary { .. } => Endpoint::Dictionary,
-            Request::Podem { .. } => Endpoint::Podem,
-            Request::Eco { .. } => Endpoint::Eco,
-            Request::Stats => Endpoint::Stats,
-            Request::Shutdown => Endpoint::Shutdown,
+    fn get(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    fn fold(&mut self, span: &SpanNode) {
+        for (name, &delta) in &span.counters {
+            self.add(name, delta);
+        }
+        if let Some(&(_, total)) = PHASES.iter().find(|(phase, _)| *phase == span.name) {
+            self.add(total, span.duration_ns);
+        }
+        let requests = span.counter("requests");
+        if requests > 0 {
+            let e = match self.endpoints.iter().position(|(n, _)| *n == span.name) {
+                Some(i) => &mut self.endpoints[i].1,
+                None => {
+                    self.endpoints
+                        .push((span.name.clone(), Latencies::default()));
+                    &mut self.endpoints.last_mut().expect("just pushed").1
+                }
+            };
+            #[allow(clippy::cast_possible_truncation)]
+            let slot = e.count as usize % LATENCY_CAPACITY;
+            e.count += requests;
+            e.errors += span.counter("errors");
+            e.total_ns += span.duration_ns;
+            if e.samples.len() < LATENCY_CAPACITY {
+                e.samples.push(span.duration_ns);
+            } else {
+                e.samples[slot] = span.duration_ns;
+            }
+        }
+        for child in &span.children {
+            self.fold(child);
         }
     }
-
-    fn index(self) -> usize {
-        self as usize
-    }
 }
 
+/// All server telemetry: running totals over every absorbed request,
+/// all zero by default.
 #[derive(Debug, Default)]
-struct EndpointStats {
-    count: AtomicU64,
-    errors: AtomicU64,
-    total_ns: AtomicU64,
-    samples: Mutex<Vec<u64>>,
-}
-
-/// The artifact hit/build counters — the observable proof that the
-/// daemon reuses warm state instead of recomputing, and that ECO edits
-/// ride the incremental path.
-#[derive(Debug, Default)]
-pub struct ArtifactCounters {
-    /// Lint reports served from the warm cache.
-    pub lint_hits: AtomicU64,
-    /// Lint reports built.
-    pub lint_builds: AtomicU64,
-    /// SCOAP summaries served from a clean cache.
-    pub scoap_hits: AtomicU64,
-    /// SCOAP refreshes (full on first touch, incremental after ECO).
-    pub scoap_refreshes: AtomicU64,
-    /// Fault-sim figures served from the slot.
-    pub fault_sim_hits: AtomicU64,
-    /// Fault-sim runs computed.
-    pub fault_sim_runs: AtomicU64,
-    /// Dictionaries served from the slot.
-    pub dictionary_hits: AtomicU64,
-    /// Dictionaries built.
-    pub dictionary_builds: AtomicU64,
-    /// PODEM queries answered with all support artifacts already warm.
-    pub podem_warm: AtomicU64,
-    /// PODEM support warm-ups (universe/prefilter/kernel builds).
-    pub podem_warmups: AtomicU64,
-    /// PODEM verdicts the implication prefilter answered searchlessly.
-    pub podem_prefiltered: AtomicU64,
-    /// PODEM verdicts the CDCL prover settled after the search spent its
-    /// budget.
-    pub podem_cdcl: AtomicU64,
-    /// ECO edits applied through `AnalysisCache::apply` — every one of
-    /// them incremental (the session has no full-rebuild path).
-    pub eco_incremental: AtomicU64,
-    /// ECO edits rejected by validation.
-    pub eco_rejected: AtomicU64,
-    /// Sessions loaded.
-    pub sessions_loaded: AtomicU64,
-    /// Load requests that found the design already resident.
-    pub sessions_reused: AtomicU64,
-    /// Sessions dropped.
-    pub sessions_dropped: AtomicU64,
-}
-
-/// Request-phase totals in nanoseconds (`serve.request` =
-/// parse + dispatch + respond), fed by the HTTP layer's span recorder.
-#[derive(Debug, Default)]
-pub struct PhaseTotals {
-    /// Bytes read off sockets.
-    pub bytes_in: AtomicU64,
-    /// Bytes written to sockets.
-    pub bytes_out: AtomicU64,
-    /// Time parsing requests.
-    pub parse_ns: AtomicU64,
-    /// Time dispatching into the service core.
-    pub dispatch_ns: AtomicU64,
-    /// Time serializing and writing responses.
-    pub respond_ns: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Requests rejected before dispatch (oversize, malformed HTTP).
-    pub transport_errors: AtomicU64,
-}
-
-/// All server telemetry.
-#[derive(Debug)]
 pub struct ServeStats {
-    endpoints: Vec<EndpointStats>,
-    /// Artifact reuse counters.
-    pub artifacts: ArtifactCounters,
-    /// Transport phase totals.
-    pub phases: PhaseTotals,
-}
-
-impl Default for ServeStats {
-    fn default() -> Self {
-        ServeStats::new()
-    }
-}
-
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+    totals: Mutex<Totals>,
 }
 
 impl ServeStats {
-    /// Fresh, all-zero telemetry.
-    #[must_use]
-    pub fn new() -> Self {
-        ServeStats {
-            endpoints: Endpoint::ALL
-                .iter()
-                .map(|_| EndpointStats::default())
-                .collect(),
-            artifacts: ArtifactCounters::default(),
-            phases: PhaseTotals::default(),
-        }
-    }
-
-    /// Records one dispatched request.
-    pub fn record(&self, endpoint: Endpoint, latency_ns: u64, is_error: bool) {
-        let e = &self.endpoints[endpoint.index()];
-        let n = e.count.fetch_add(1, Ordering::Relaxed);
-        if is_error {
-            bump(&e.errors);
-        }
-        e.total_ns.fetch_add(latency_ns, Ordering::Relaxed);
-        let mut samples = e.samples.lock().expect("stats mutex poisoned");
-        #[allow(clippy::cast_possible_truncation)]
-        if samples.len() < LATENCY_CAPACITY {
-            samples.push(latency_ns);
-        } else {
-            samples[(n as usize) % LATENCY_CAPACITY] = latency_ns;
-        }
-    }
-
-    /// Increments a counter by reference — sugar for call sites outside
-    /// this module.
-    pub fn hit(counter: &AtomicU64) {
-        bump(counter);
-    }
-
-    /// Adds `delta` to a counter.
-    pub fn add(counter: &AtomicU64, delta: u64) {
-        counter.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Total dispatched requests across all endpoints.
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.endpoints
-            .iter()
-            .map(|e| e.count.load(Ordering::Relaxed))
-            .sum()
+    /// Adds one finished request's span tree to the totals.
+    pub fn absorb(&self, tree: &SpanNode) {
+        self.totals.lock().expect("stats mutex poisoned").fold(tree);
     }
 
     /// The `/stats` document (`tessera-serve-stats/1`).
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
     pub fn snapshot(&self) -> Value {
-        let mut endpoints = Vec::new();
-        for (endpoint, e) in Endpoint::ALL.iter().zip(&self.endpoints) {
-            let count = e.count.load(Ordering::Relaxed);
-            if count == 0 {
-                continue;
-            }
-            let mut samples = e.samples.lock().expect("stats mutex poisoned").clone();
-            samples.sort_unstable();
-            let pct = |q: f64| -> f64 {
-                if samples.is_empty() {
-                    return 0.0;
-                }
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-                samples[idx] as f64 / 1_000.0
-            };
-            let total_ns = e.total_ns.load(Ordering::Relaxed);
-            endpoints.push((
-                endpoint.as_str().to_owned(),
-                Value::Obj(vec![
-                    ("count".into(), Value::Num(count as f64)),
-                    (
-                        "errors".into(),
-                        Value::Num(e.errors.load(Ordering::Relaxed) as f64),
-                    ),
+        let totals = self.totals.lock().expect("stats mutex poisoned");
+        let endpoints = totals
+            .endpoints
+            .iter()
+            .map(|(name, e)| {
+                let mut samples = e.samples.clone();
+                samples.sort_unstable();
+                let pct = |q: f64| -> f64 {
+                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                    let idx = ((samples.len() - 1) as f64 * q).round() as usize;
+                    samples[idx] as f64 / 1_000.0
+                };
+                let fields = vec![
+                    ("count".into(), Value::Num(e.count as f64)),
+                    ("errors".into(), Value::Num(e.errors as f64)),
                     (
                         "mean_us".into(),
-                        Value::Num(total_ns as f64 / count as f64 / 1_000.0),
+                        Value::Num(e.total_ns as f64 / e.count as f64 / 1_000.0),
                     ),
                     ("p50_us".into(), Value::Num(pct(0.50))),
                     ("p99_us".into(), Value::Num(pct(0.99))),
-                ]),
-            ));
-        }
-
-        let a = &self.artifacts;
-        let p = &self.phases;
-        let num = |c: &AtomicU64| Value::Num(c.load(Ordering::Relaxed) as f64);
+                ];
+                (name.clone(), Value::Obj(fields))
+            })
+            .collect();
+        let group = |keys: &[&str]| {
+            Value::Obj(
+                keys.iter()
+                    .map(|&key| (key.to_owned(), Value::Num(totals.get(key) as f64)))
+                    .collect(),
+            )
+        };
         Value::Obj(vec![
             ("schema".into(), Value::Str("tessera-serve-stats/1".into())),
-            ("requests".into(), Value::Num(self.total_requests() as f64)),
+            ("requests".into(), Value::Num(totals.get("requests") as f64)),
             ("endpoints".into(), Value::Obj(endpoints)),
-            (
-                "artifacts".into(),
-                Value::Obj(vec![
-                    ("lint_hits".into(), num(&a.lint_hits)),
-                    ("lint_builds".into(), num(&a.lint_builds)),
-                    ("scoap_hits".into(), num(&a.scoap_hits)),
-                    ("scoap_refreshes".into(), num(&a.scoap_refreshes)),
-                    ("fault_sim_hits".into(), num(&a.fault_sim_hits)),
-                    ("fault_sim_runs".into(), num(&a.fault_sim_runs)),
-                    ("dictionary_hits".into(), num(&a.dictionary_hits)),
-                    ("dictionary_builds".into(), num(&a.dictionary_builds)),
-                    ("podem_warm".into(), num(&a.podem_warm)),
-                    ("podem_warmups".into(), num(&a.podem_warmups)),
-                    ("podem_prefiltered".into(), num(&a.podem_prefiltered)),
-                    ("podem_cdcl".into(), num(&a.podem_cdcl)),
-                    ("eco_incremental".into(), num(&a.eco_incremental)),
-                    ("eco_rejected".into(), num(&a.eco_rejected)),
-                    ("sessions_loaded".into(), num(&a.sessions_loaded)),
-                    ("sessions_reused".into(), num(&a.sessions_reused)),
-                    ("sessions_dropped".into(), num(&a.sessions_dropped)),
-                ]),
-            ),
-            (
-                "transport".into(),
-                Value::Obj(vec![
-                    ("connections".into(), num(&p.connections)),
-                    ("bytes_in".into(), num(&p.bytes_in)),
-                    ("bytes_out".into(), num(&p.bytes_out)),
-                    ("parse_ns".into(), num(&p.parse_ns)),
-                    ("dispatch_ns".into(), num(&p.dispatch_ns)),
-                    ("respond_ns".into(), num(&p.respond_ns)),
-                    ("transport_errors".into(), num(&p.transport_errors)),
-                ]),
-            ),
+            ("artifacts".into(), group(&ARTIFACT_KEYS)),
+            ("transport".into(), group(&TRANSPORT_KEYS)),
         ])
     }
 }
@@ -337,16 +194,32 @@ impl ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dft_obs::{Obs, Recorder};
+
+    /// One request tree: an endpoint span with its counters inside the
+    /// transport's phase spans.
+    fn request(kind: &'static str, error: bool, counters: &[(&'static str, u64)]) -> SpanNode {
+        let mut rec = Recorder::new();
+        let mut obs = Obs::new(Some(&mut rec));
+        obs.count("bytes_in", 10);
+        obs.enter("serve.request");
+        obs.enter("serve.dispatch");
+        obs.enter(kind);
+        obs.count("requests", 1);
+        obs.count("errors", u64::from(error));
+        for &(name, delta) in counters {
+            obs.count(name, delta);
+        }
+        drop(obs);
+        rec.finish("serve.connection").root
+    }
 
     #[test]
-    fn records_and_snapshots() {
-        let s = ServeStats::new();
-        s.record(Endpoint::Lint, 2_000, false);
-        s.record(Endpoint::Lint, 4_000, false);
-        s.record(Endpoint::Eco, 1_000, true);
-        ServeStats::hit(&s.artifacts.lint_builds);
-        ServeStats::add(&s.artifacts.eco_incremental, 3);
-        assert_eq!(s.total_requests(), 3);
+    fn absorbs_and_snapshots() {
+        let s = ServeStats::default();
+        s.absorb(&request("lint", false, &[("lint_builds", 1)]));
+        s.absorb(&request("eco", true, &[("eco_incremental", 3)]));
+        s.absorb(&request("lint", false, &[("lint_hits", 1)]));
 
         let snap = s.snapshot();
         assert_eq!(
@@ -354,21 +227,34 @@ mod tests {
             Some("tessera-serve-stats/1")
         );
         assert_eq!(snap.get("requests").and_then(Value::as_u64), Some(3));
-        let lint = snap
-            .get("endpoints")
-            .and_then(|e| e.get("lint"))
-            .expect("lint endpoint present");
+        let endpoints = snap.get("endpoints").unwrap();
+        let kinds: Vec<&str> = endpoints
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(kinds, ["lint", "eco"], "first-use order");
+        let lint = endpoints.get("lint").unwrap();
         assert_eq!(lint.get("count").and_then(Value::as_u64), Some(2));
         assert_eq!(lint.get("errors").and_then(Value::as_u64), Some(0));
-        assert!(lint.get("p99_us").and_then(Value::as_f64).unwrap() >= 2.0);
-        let eco = snap.get("endpoints").and_then(|e| e.get("eco")).unwrap();
+        assert!(lint.get("p99_us").and_then(Value::as_f64).unwrap() > 0.0);
+        let eco = endpoints.get("eco").unwrap();
         assert_eq!(eco.get("errors").and_then(Value::as_u64), Some(1));
         // Untouched endpoints are omitted.
-        assert!(snap.get("endpoints").unwrap().get("podem").is_none());
-        let artifacts = snap.get("artifacts").unwrap();
-        assert_eq!(
-            artifacts.get("eco_incremental").and_then(Value::as_u64),
-            Some(3)
-        );
+        assert!(endpoints.get("podem").is_none());
+
+        let count = |group: &str, key: &str| {
+            snap.get(group)
+                .and_then(|g| g.get(key))
+                .and_then(Value::as_u64)
+        };
+        assert_eq!(count("artifacts", "lint_builds"), Some(1));
+        assert_eq!(count("artifacts", "lint_hits"), Some(1));
+        assert_eq!(count("artifacts", "eco_incremental"), Some(3));
+        assert_eq!(count("artifacts", "podem_cdcl"), Some(0));
+        assert_eq!(count("transport", "bytes_in"), Some(30));
+        assert!(count("transport", "dispatch_ns").unwrap() > 0);
+        assert_eq!(count("transport", "parse_ns"), Some(0));
     }
 }
