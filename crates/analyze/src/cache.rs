@@ -240,43 +240,31 @@ impl AnalysisCache {
     /// Returns [`LevelizeError`] if the new frame is cyclic; the cache
     /// is untouched in that case.
     pub fn rebase(&mut self, new_netlist: &Netlist) -> Result<(), LevelizeError> {
-        if new_netlist.gate_count() < self.netlist.gate_count() {
+        let Some(diff) = self.netlist.arena_diff(new_netlist) else {
             // Not an append-only evolution of this arena: start over.
             *self = AnalysisCache::new(new_netlist)?;
             return Ok(());
-        }
+        };
         let lv = new_netlist.levelize()?;
-        let old_count = self.netlist.gate_count();
         let n = new_netlist.gate_count();
         let mut fwd = Vec::new();
         let mut bwd = Vec::new();
-        for i in 0..old_count {
-            let id = GateId::from_index(i);
-            let og = self.netlist.gate(id);
-            let ng = new_netlist.gate(id);
-            if og.kind() != ng.kind() || og.inputs() != ng.inputs() {
-                fwd.push(id);
-                bwd.push(id);
-                bwd.extend_from_slice(og.inputs());
-                bwd.extend_from_slice(ng.inputs());
-            }
+        for &id in &diff.rewritten {
+            fwd.push(id);
+            bwd.push(id);
+            bwd.extend_from_slice(self.netlist.gate(id).inputs());
+            bwd.extend_from_slice(new_netlist.gate(id).inputs());
         }
-        for i in old_count..n {
-            let id = GateId::from_index(i);
+        for &id in &diff.appended {
             fwd.push(id);
             bwd.push(id);
             bwd.extend_from_slice(new_netlist.gate(id).inputs());
         }
-        let new_mask = output_mask(new_netlist);
-        for (i, &out) in new_mask.iter().enumerate() {
-            if self.is_output.get(i).copied().unwrap_or(false) != out {
-                bwd.push(GateId::from_index(i));
-            }
-        }
+        bwd.extend_from_slice(&diff.outputs);
         self.netlist = new_netlist.clone();
         self.level = (0..n).map(|i| lv.level(GateId::from_index(i))).collect();
         self.fanout = new_netlist.fanout_map();
-        self.is_output = new_mask;
+        self.is_output = output_mask(new_netlist);
         self.has_storage = !new_netlist.storage_elements().is_empty();
         self.invalidate(&fwd, &bwd);
         Ok(())

@@ -28,6 +28,8 @@
 //! untestability verdict in [`crate::UntestableReason`].
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use dft_netlist::{GateId, GateKind, Netlist};
 use dft_obs::{Collector, Obs};
@@ -125,6 +127,12 @@ pub struct LearnStats {
     /// Literal propagations skipped because the literal's previous row
     /// provably repeats (see [`ImplicationEngine::with_options`]).
     pub rows_reused: usize,
+    /// Literal propagations skipped because the prior engine's outcome
+    /// for the same literal and round provably repeats on the edited
+    /// netlist (see [`ImplicationEngine::rebase`]). A rebased build's
+    /// `propagations + rows_rebased` equals a from-scratch build's
+    /// `propagations`; a from-scratch build reports 0.
+    pub rows_rebased: usize,
 }
 
 /// The result of propagating one seed literal to a fixpoint.
@@ -183,6 +191,25 @@ impl Prop {
         self.stamp.fill(1);
         self.queued.fill(1);
         self.epoch = u32::MAX;
+    }
+
+    /// Starts a propagation with nothing assigned.
+    pub(crate) fn begin(&mut self) {
+        begin_epoch(self);
+    }
+
+    /// Assigns `net = value` in the current propagation.
+    pub(crate) fn assign(&mut self, net: usize, value: bool) {
+        self.val[net] = Logic::from(value);
+        self.stamp[net] = self.epoch;
+        self.trail.push(net as u32);
+    }
+
+    /// The literals the last propagation assigned, in trail order.
+    pub(crate) fn trail_lits(&self) -> impl Iterator<Item = u32> + '_ {
+        self.trail
+            .iter()
+            .map(|&i| i * 2 + u32::from(self.val[i as usize] == Logic::One))
     }
 
     /// The value of net `i` in the last propagation: its propagated
@@ -317,6 +344,7 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
 #[derive(Debug)]
 pub struct ImplicationEngine<'n> {
     netlist: Cow<'n, Netlist>,
+    options: ImplicOptions,
     pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
     pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
@@ -324,7 +352,19 @@ pub struct ImplicationEngine<'n> {
     unsettable: Vec<bool>,
     learned: Vec<Vec<Literal>>,
     stats: LearnStats,
+    /// Names this engine to the verdict records it makes.
+    pub(crate) serial: u64,
+    /// What learning read, kept for [`ImplicationEngine::rebase`]; `None`
+    /// when the build ran no learning round.
+    record: Option<LearnRecord>,
+    /// For a rebased engine: what the edit changed against its prior.
+    pub(crate) rebased: Option<RebaseDiff>,
+    /// Learned-edge premises by target net, built on first rebase.
+    premises: OnceLock<Premises>,
 }
+
+/// Serial numbers of built engines.
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
 
 impl ImplicationEngine<'static> {
     /// [`ImplicationEngine::with_options`] over a netlist the engine takes
@@ -363,7 +403,7 @@ impl<'n> ImplicationEngine<'n> {
     /// Opens an `implic.learn` span and flushes the [`LearnStats`]
     /// counters once the build completes (`rounds`, `learned_edges`,
     /// `unsettable_literals`, `implied_constants`, `propagations`,
-    /// `rows_reused`, plus `gates` for scale); the legacy
+    /// `rows_reused`, `rows_rebased`, plus `gates` for scale); the legacy
     /// [`ImplicationEngine::stats`] view is unchanged.
     #[must_use]
     pub fn with_options_observed(
@@ -384,20 +424,148 @@ impl<'n> ImplicationEngine<'n> {
         obs.count("implied_constants", engine.stats.implied_constants as u64);
         obs.count("propagations", engine.stats.propagations as u64);
         obs.count("rows_reused", engine.stats.rows_reused as u64);
+        obs.count("rows_rebased", engine.stats.rows_rebased as u64);
         obs.exit();
         engine
     }
 
-    fn build(netlist: Cow<'n, Netlist>, options: ImplicOptions) -> Self {
-        Self::build_using(netlist, options, Self::learn)
+    /// Builds the engine [`ImplicationEngine::with_options`] would build
+    /// over `edited` with this engine's options, copying from this
+    /// engine whatever the edit cannot reach.
+    ///
+    /// `edited` is this engine's netlist after in-place rewrites and
+    /// appended gates (an append-only evolution of the arena, as every
+    /// `dft-repair` edit is). The build runs the same rounds as a
+    /// from-scratch one, in the same literal order, but before it
+    /// propagates a literal it offers the prior's outcome for that
+    /// literal and round. The outcome is copied when the prior
+    /// propagation read nothing the edit changed: no gate record it
+    /// queued, no reader list of a net it assigned, no implied constant
+    /// or definiteness it read at that point of the replay, and no
+    /// learned-edge list of a literal it assigned
+    /// ([`LearnStats::rows_rebased`] counts the copies). A fold that
+    /// turns a net the prior already proved constant into a `Const` gate
+    /// leaves its readers reading the same value, so only propagations
+    /// that evaluate the folded gate or its dead fan-in must run again.
+    ///
+    /// A rebased engine also copies untestability verdicts from a batch
+    /// this engine recorded
+    /// ([`ImplicationEngine::faults_untestable_rebased`]). When `edited`
+    /// has fewer gates, or this engine ran no learning round, the build
+    /// is a plain from-scratch one.
+    #[must_use]
+    pub fn rebase<'e>(&self, edited: &'e Netlist) -> ImplicationEngine<'e> {
+        let Some(mut replay) = Replay::new(self, edited) else {
+            return ImplicationEngine::build(Cow::Borrowed(edited), self.options);
+        };
+        let mut engine = ImplicationEngine::build_using(
+            Cow::Borrowed(edited),
+            self.options,
+            |e, prop, rounds| {
+                e.learn(prop, rounds, Some(&mut replay));
+            },
+        );
+        engine.rebased = Some(replay.finish(&engine));
+        engine
     }
 
-    /// [`ImplicationEngine::build`] with the learning pass supplied, so
-    /// tests can build the same engine through a reference pass.
+    /// Whether a consistent propagation recorded by the prior engine,
+    /// which assigned `lits` while the nets of `known` were unknown,
+    /// reaches the same fixpoint here, where their constants are known.
+    ///
+    /// Knowing more can only add consequences, so the fixpoint is the
+    /// same exactly when no gate the propagation queued that reads or
+    /// drives a net of `known` derives anything new from the trace's
+    /// values and this engine's constants: no forward value it lacks, no
+    /// backward-forced input it lacks, no contradiction.
+    pub(crate) fn closes(&self, known: &[u32], lits: &[u32], scratch: &mut TraceValues) -> bool {
+        scratch.load(self.netlist.gate_count(), lits);
+        for &x in known {
+            let x = x as usize;
+            if scratch.on_trace(x) {
+                return false;
+            }
+            let around = std::iter::once(x).chain(self.fanout[x].iter().map(|(r, _)| r.index()));
+            for q in around {
+                let gate = self.netlist.gate(GateId::from_index(q));
+                let queued = scratch.on_trace(q)
+                    || gate.inputs().iter().any(|s| scratch.on_trace(s.index()));
+                if queued && !self.closed_at(q, scratch) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether gate `q`'s forward and backward rules derive nothing new
+    /// under `scratch`'s trace values over this engine's constants.
+    fn closed_at(&self, q: usize, scratch: &mut TraceValues) -> bool {
+        let gate = self.netlist.gate(GateId::from_index(q));
+        let kind = gate.kind();
+        if kind.is_source() {
+            return true;
+        }
+        let value = |i: usize| {
+            if scratch.stamp[i] == scratch.epoch {
+                scratch.val[i]
+            } else {
+                self.fixed[i]
+            }
+        };
+        let mut ins = std::mem::take(&mut scratch.ins);
+        ins.clear();
+        ins.extend(gate.inputs().iter().map(|s| value(s.index())));
+        let out = Logic::eval_gate(kind, &ins);
+        let own = value(q);
+        let mut closed = !out.is_known() || out == own;
+        if let (true, Some(b)) = (closed, own.to_bool()) {
+            forced_inputs_into(kind, b, &ins, &mut scratch.forced);
+            closed = scratch.forced.iter().all(|&(pin, v)| ins[pin] == v);
+        }
+        scratch.ins = ins;
+        closed
+    }
+
+    /// Learned-edge premises by target net (over the final store).
+    fn premises(&self) -> &Premises {
+        self.premises.get_or_init(|| {
+            let n = self.netlist.gate_count();
+            let mut start = vec![0u32; n + 1];
+            for list in &self.learned {
+                for t in list {
+                    start[t.net.index() + 1] += 1;
+                }
+            }
+            for i in 0..n {
+                start[i + 1] += start[i];
+            }
+            let mut fill = start.clone();
+            let mut lits = vec![0u32; start[n] as usize];
+            for (premise, list) in self.learned.iter().enumerate() {
+                for t in list {
+                    let slot = &mut fill[t.net.index()];
+                    lits[*slot as usize] = premise as u32;
+                    *slot += 1;
+                }
+            }
+            Premises { start, lits }
+        })
+    }
+
+    fn build(netlist: Cow<'n, Netlist>, options: ImplicOptions) -> Self {
+        Self::build_using(netlist, options, |e, prop, rounds| {
+            e.learn(prop, rounds, None)
+        })
+    }
+
+    /// [`ImplicationEngine::build`] with the learning pass supplied: the
+    /// from-scratch pass, the same pass replaying a prior engine, or (in
+    /// tests) a reference pass.
     fn build_using(
         netlist: Cow<'n, Netlist>,
         options: ImplicOptions,
-        learn: fn(&mut Self, &mut Prop, usize),
+        learn: impl FnOnce(&mut Self, &mut Prop, usize),
     ) -> Self {
         let n = netlist.gate_count();
         let fanout = netlist.fanout_map();
@@ -426,6 +594,7 @@ impl<'n> ImplicationEngine<'n> {
 
         let mut engine = ImplicationEngine {
             netlist,
+            options,
             fanout,
             is_po,
             definite,
@@ -433,6 +602,10 @@ impl<'n> ImplicationEngine<'n> {
             unsettable: vec![false; 2 * n],
             learned: vec![Vec::new(); 2 * n],
             stats: LearnStats::default(),
+            serial: NEXT_SERIAL.fetch_add(1, Ordering::Relaxed),
+            record: None,
+            rebased: None,
+            premises: OnceLock::new(),
         };
         let mut prop = Prop::new(n);
 
@@ -448,12 +621,14 @@ impl<'n> ImplicationEngine<'n> {
             }
         }
 
-        if n <= options.learn_gate_limit {
-            learn(&mut engine, &mut prop, options.learning_rounds);
+        // Over the gate limit, still harvest unsettables/constants from
+        // one direct round.
+        let rounds = if n <= options.learn_gate_limit {
+            options.learning_rounds
         } else {
-            // Still harvest unsettables/constants from one direct round.
-            learn(&mut engine, &mut prop, 0);
-        }
+            0
+        };
+        learn(&mut engine, &mut prop, rounds);
 
         engine.stats.unsettable_literals = engine.unsettable.iter().filter(|&&u| u).count();
         engine.stats.implied_constants = engine.fixed.iter().filter(|v| v.is_known()).count();
@@ -494,8 +669,14 @@ impl<'n> ImplicationEngine<'n> {
 
     /// Records a freshly-proven constant `net = value` and folds its
     /// full implication closure (forward *and* backward) into the
-    /// defaults.
-    fn add_constant(&mut self, prop: &mut Prop, net: usize, value: bool) {
+    /// defaults, appending every net it fixes to `fixes`.
+    fn add_constant(
+        &mut self,
+        prop: &mut Prop,
+        net: usize,
+        value: bool,
+        fixes: &mut Vec<(u32, Logic)>,
+    ) {
         if self.fixed[net].is_known() {
             return;
         }
@@ -510,15 +691,21 @@ impl<'n> ImplicationEngine<'n> {
         if propagate(&ctx, prop, &[(net as u32, value)]).is_ok() {
             for &i in &prop.trail {
                 self.fixed[i as usize] = prop.val[i as usize];
+                fixes.push((i, prop.val[i as usize]));
             }
         } else {
             // Both polarities contradict — only reachable on degenerate
             // inputs; record the single fact and move on.
             self.fixed[net] = Logic::from(value);
+            fixes.push((net as u32, Logic::from(value)));
         }
     }
 
-    fn learn(&mut self, prop: &mut Prop, rounds: usize) {
+    /// The learning rounds. With a `replay`, every literal propagation
+    /// is first offered the prior engine's outcome for the same literal
+    /// and round, which is copied when the edit cannot reach anything
+    /// the prior propagation read ([`ImplicationEngine::rebase`]).
+    fn learn(&mut self, prop: &mut Prop, rounds: usize, replay: Option<&mut Replay<'_>>) {
         let n = self.netlist.gate_count();
         let nlit = 2 * n;
         let words = nlit.div_ceil(64);
@@ -541,9 +728,24 @@ impl<'n> ImplicationEngine<'n> {
         let mut row_rev = vec![0usize; nlit];
         let mut fixed_rev = 0usize;
         let mut fresh = vec![0u64; words];
+        // A learning build records what it read, so that a build over an
+        // edited netlist can copy what the edit cannot reach.
+        let mut record = (rounds > 0).then(|| LearnRecord::new(&self.fixed));
+        let mut replay = replay.filter(|_| rounds > 0);
+        if let Some(replay) = replay.as_deref_mut() {
+            replay.start(self);
+        }
+        let mut trace: Vec<u32> = Vec::new();
+        let mut fixes: Vec<(u32, Logic)> = Vec::new();
 
         for round in 0..=rounds {
+            if let Some(record) = &mut record {
+                record.at.push(vec![0; nlit]);
+            }
             for lit in 0..nlit {
+                if let Some(replay) = replay.as_deref_mut() {
+                    replay.advance(round, lit, &self.fixed);
+                }
                 let net = lit / 2;
                 let value = lit % 2 == 1;
                 if self.unsettable[lit] {
@@ -561,18 +763,48 @@ impl<'n> ImplicationEngine<'n> {
                     let row = &rows[lit * words..(lit + 1) * words];
                     if row.iter().zip(&fresh).all(|(r, f)| r & f == 0) {
                         self.stats.rows_reused += 1;
+                        if let Some(record) = &mut record {
+                            record.at[round][lit] = record.at[round - 1][lit];
+                        }
                         continue;
                     }
                 }
-                self.stats.propagations += 1;
-                let outcome = propagate(&self.ctx(), prop, &[(net as u32, value)]);
+                trace.clear();
+                let copied = replay
+                    .as_deref_mut()
+                    .and_then(|r| r.copyable(round, lit, self));
+                let outcome = match copied {
+                    Some((lits, conflict)) => {
+                        self.stats.rows_rebased += 1;
+                        trace.extend_from_slice(lits);
+                        conflict.map_or(Ok(()), Err)
+                    }
+                    None => {
+                        self.stats.propagations += 1;
+                        let outcome = propagate(&self.ctx(), prop, &[(net as u32, value)]);
+                        if rounds > 0 {
+                            trace.extend(prop.trail_lits());
+                        }
+                        outcome
+                    }
+                };
+                if let Some(record) = &mut record {
+                    record.at[round][lit] = record.push_trace(&trace, outcome.err());
+                }
                 match outcome {
                     Err(_) => {
                         self.unsettable[lit] = true;
                         row_valid[lit] = false;
                         if self.definite[net] {
-                            self.add_constant(prop, net, !value);
+                            fixes.clear();
+                            self.add_constant(prop, net, !value, &mut fixes);
                             fixed_rev += 1;
+                            if let Some(record) = &mut record {
+                                record.push_event(round, lit, &fixes);
+                            }
+                            if let Some(replay) = replay.as_deref_mut() {
+                                replay.fixed_changed(&fixes, &self.fixed);
+                            }
                         }
                     }
                     Ok(()) => {
@@ -581,10 +813,8 @@ impl<'n> ImplicationEngine<'n> {
                             row_rev[lit] = fixed_rev;
                             let row = &mut rows[lit * words..(lit + 1) * words];
                             row.fill(0);
-                            for &i in &prop.trail {
-                                let t = i as usize * 2
-                                    + usize::from(prop.val[i as usize] == Logic::One);
-                                row[t / 64] |= 1 << (t % 64);
+                            for &t in &trace {
+                                row[t as usize / 64] |= 1 << (t % 64);
                             }
                         }
                     }
@@ -600,10 +830,19 @@ impl<'n> ImplicationEngine<'n> {
             });
             self.stats.rounds = round + 1;
             self.stats.learned_edges += added;
+            if let Some(record) = &mut record {
+                record
+                    .lens
+                    .push(self.learned.iter().map(|l| l.len() as u32).collect());
+            }
             if added == 0 {
                 break;
             }
+            if let Some(replay) = replay.as_deref_mut() {
+                replay.learned_changed(round, &self.learned);
+            }
         }
+        self.record = record;
     }
 
     /// Contraposes the implication rows: L → M learns ¬M → ¬L, kept only
@@ -694,7 +933,7 @@ impl<'n> ImplicationEngine<'n> {
                     Err(_) => {
                         self.unsettable[lit] = true;
                         if self.definite[net] {
-                            self.add_constant(prop, net, !value);
+                            self.add_constant(prop, net, !value, &mut Vec::new());
                         }
                     }
                     Ok(()) => {
@@ -803,6 +1042,477 @@ impl<'n> ImplicationEngine<'n> {
             vals[i as usize] = prop.val[i as usize];
         }
         Ok(vals)
+    }
+}
+
+/// Marks `lit` in a literal bit mask.
+fn set_lit(mask: &mut [u64], lit: usize) {
+    mask[lit / 64] |= 1 << (lit % 64);
+}
+
+/// Marks both literals of `net`.
+fn set_net(mask: &mut [u64], net: usize) {
+    set_lit(mask, 2 * net);
+    set_lit(mask, 2 * net + 1);
+}
+
+/// Whether a recorded propagation of `seed` reads something `mask`
+/// marks. A propagation reads the gate records and reader lists around
+/// the literals it assigned (`lits`), the values of their neighbours,
+/// the learned lists of `lits`, and the net it contradicted at, so a
+/// mask built by [`Replay`] marks every literal whose presence in
+/// `lits` means one of those reads changed.
+pub(crate) fn reaches(mask: &[u64], seed: usize, lits: &[u32], conflict: Option<GateId>) -> bool {
+    let hit = |l: usize| mask[l / 64] >> (l % 64) & 1 != 0;
+    hit(seed)
+        || lits.iter().any(|&l| hit(l as usize))
+        || conflict.is_some_and(|c| hit(2 * c.index()))
+}
+
+/// A trace's values, epoch-stamped, for [`ImplicationEngine::closes`].
+pub(crate) struct TraceValues {
+    stamp: Vec<u32>,
+    val: Vec<Logic>,
+    epoch: u32,
+    ins: Vec<Logic>,
+    forced: Vec<(usize, Logic)>,
+}
+
+impl TraceValues {
+    /// Empty scratch; it grows to the netlist on first use, so batches
+    /// that never check a trace allocate nothing.
+    pub(crate) fn new() -> Self {
+        TraceValues {
+            stamp: Vec::new(),
+            val: Vec::new(),
+            epoch: 0,
+            ins: Vec::new(),
+            forced: Vec::new(),
+        }
+    }
+
+    fn on_trace(&self, i: usize) -> bool {
+        self.stamp[i] == self.epoch
+    }
+
+    fn load(&mut self, n: usize, lits: &[u32]) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.val.resize(n, Logic::X);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        for &l in lits {
+            let i = l as usize / 2;
+            self.stamp[i] = self.epoch;
+            self.val[i] = Logic::from(l % 2 == 1);
+        }
+    }
+}
+
+/// No conflict (a consistent propagation).
+const NO_CONFLICT: u32 = u32::MAX;
+
+/// One recorded literal propagation.
+#[derive(Clone, Copy, Debug)]
+struct Trace {
+    /// `LearnRecord::lits[start..end]`: the literals it assigned.
+    start: u32,
+    end: u32,
+    /// The net where it contradicted itself, or [`NO_CONFLICT`].
+    conflict: u32,
+}
+
+/// An implied-constant event: after literal `lit` of round `round`, the
+/// nets of `LearnRecord::fixes` up to `end` took their constants.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    round: u32,
+    lit: u32,
+    end: u32,
+}
+
+/// What a learning build read and produced, kept so that a build over
+/// an edited netlist can replay it ([`ImplicationEngine::rebase`]).
+#[derive(Debug)]
+struct LearnRecord {
+    /// Implied constants after structural seeding, before round 0.
+    seeded: Vec<Logic>,
+    /// `at[round][lit]`: 1 + the index of the trace the round used for
+    /// `lit` (propagated, copied or reused), 0 if it skipped `lit`.
+    at: Vec<Vec<u32>>,
+    traces: Vec<Trace>,
+    /// The literals of every trace, back to back.
+    lits: Vec<u32>,
+    /// `lens[round][lit]`: the length of `lit`'s learned list that
+    /// round `round + 1` read.
+    lens: Vec<Vec<u32>>,
+    /// Implied-constant events in build order.
+    events: Vec<Event>,
+    /// The nets the events fixed, back to back, with their constants.
+    fixes: Vec<(u32, Logic)>,
+}
+
+impl LearnRecord {
+    fn new(seeded: &[Logic]) -> Self {
+        LearnRecord {
+            seeded: seeded.to_vec(),
+            at: Vec::new(),
+            traces: Vec::new(),
+            lits: Vec::new(),
+            lens: Vec::new(),
+            events: Vec::new(),
+            fixes: Vec::new(),
+        }
+    }
+
+    /// Appends a trace and returns its `at` entry.
+    fn push_trace(&mut self, lits: &[u32], conflict: Option<GateId>) -> u32 {
+        let start = self.lits.len() as u32;
+        self.lits.extend_from_slice(lits);
+        self.traces.push(Trace {
+            start,
+            end: self.lits.len() as u32,
+            conflict: conflict.map_or(NO_CONFLICT, |c| c.index() as u32),
+        });
+        self.traces.len() as u32
+    }
+
+    fn push_event(&mut self, round: usize, lit: usize, fixes: &[(u32, Logic)]) {
+        self.fixes.extend_from_slice(fixes);
+        self.events.push(Event {
+            round: round as u32,
+            lit: lit as u32,
+            end: self.fixes.len() as u32,
+        });
+    }
+}
+
+/// Learned-edge premises by target net: `lits[start[net]..start[net + 1]]`.
+#[derive(Debug)]
+struct Premises {
+    start: Vec<u32>,
+    lits: Vec<u32>,
+}
+
+/// What an edit changed against a rebased engine's prior, kept for
+/// verdict reuse ([`ImplicationEngine::faults_untestable_rebased`]).
+#[derive(Debug)]
+pub(crate) struct RebaseDiff {
+    /// The prior's serial.
+    pub(crate) prior: u64,
+    /// A prior propagation over the final stores repeats if [`reaches`]
+    /// finds nothing in this mask, and, when it finds something in
+    /// `closure`, the propagation was consistent and
+    /// [`ImplicationEngine::closes`] holds for `known`.
+    pub(crate) traces: Vec<u64>,
+    pub(crate) closure: Vec<u64>,
+    pub(crate) known: Vec<u32>,
+    /// Nets whose gate record, reader list or output flag changed
+    /// (appended nets included): what a walk reads of a net it stands
+    /// on or passes.
+    pub(crate) walks: Vec<bool>,
+    /// Nets whose implied constant or storage flag changed: what a walk
+    /// reads of a side input.
+    pub(crate) sides: Vec<bool>,
+}
+
+/// A prior engine's [`LearnRecord`], replayed beside a build over an
+/// edited netlist. It keeps the literal mask of everything the edit
+/// changed that a prior propagation could have read at the current
+/// point of the build:
+///
+/// * S: gates whose kind or inputs changed, with their prior inputs
+///   (a propagation queues a gate when it assigns the gate or an
+///   input), and F: nets whose reader list changed;
+/// * V: nets whose implied constant or definiteness differs between
+///   the prior and the edited build at this point, expanded to
+///   `{x} ∪ inputs(x) ∪ readers(x) ∪ inputs(readers(x))` on the prior
+///   netlist plus the premises of learned edges into `x`;
+/// * L: literals whose learned list differs this round.
+///
+/// Gates rewritten into constants are *dead*: a prior propagation that
+/// queued one without assigning it, while the prior did not know its
+/// value, derived nothing there, so only the dead net itself is masked
+/// and its lost readers are not a reader-list change. Nets of V whose
+/// constant only the edited build knows go to `closure` instead of the
+/// mask; a trace that reaches them is checked by
+/// [`ImplicationEngine::closes`].
+struct Replay<'p> {
+    prior: &'p ImplicationEngine<'p>,
+    record: &'p LearnRecord,
+    /// Prior gate count: only prior nets can appear in a prior trace.
+    prior_n: usize,
+    structure: Vec<u64>,
+    learned: Vec<u64>,
+    values: Vec<u64>,
+    /// `structure | learned | values`.
+    mask: Vec<u64>,
+    /// S, F and the changed output flags, net by net.
+    walks: Vec<bool>,
+    /// Nets whose storage flag changed.
+    storage: Vec<bool>,
+    /// Dead gates: rewritten into constants.
+    dead: Vec<bool>,
+    /// The prior's implied constants at this point of the replay.
+    fixed: Vec<Logic>,
+    /// The prior's next event to apply.
+    next: usize,
+    /// Definiteness differs, net by net.
+    definite_differs: Vec<bool>,
+    /// V, net by net.
+    differ: Vec<bool>,
+    /// The nets of V whose constant only the edited build knows, and
+    /// their list.
+    known: Vec<bool>,
+    known_nets: Vec<u32>,
+    /// Literals whose presence in a trace means the propagation queued a
+    /// gate that reads or drives a net of `known_nets`.
+    closure: Vec<u64>,
+    /// Scratch for [`ImplicationEngine::closes`].
+    trace_values: TraceValues,
+    /// `values` no longer matches `differ`.
+    stale: bool,
+}
+
+impl<'p> Replay<'p> {
+    /// Diffs the prior against `edited`; `None` when there is nothing to
+    /// replay (no record, a shrunken arena, or no learning on `edited`).
+    fn new(prior: &'p ImplicationEngine<'p>, edited: &Netlist) -> Option<Self> {
+        let record = prior.record.as_ref()?;
+        if edited.gate_count() > prior.options.learn_gate_limit {
+            return None;
+        }
+        let diff = prior.netlist.arena_diff(edited)?;
+        let n = edited.gate_count();
+        let words = (2 * n).div_ceil(64);
+        let mut structure = vec![0u64; words];
+        let mut walks = vec![false; n];
+        let mut storage = vec![false; n];
+        let mut dead = vec![false; n];
+        for &g in &diff.rewritten {
+            walks[g.index()] = true;
+            storage[g.index()] =
+                prior.netlist.gate(g).kind().is_storage() != edited.gate(g).kind().is_storage();
+            set_net(&mut structure, g.index());
+            dead[g.index()] = matches!(edited.gate(g).kind(), GateKind::Const0 | GateKind::Const1);
+            if !dead[g.index()] {
+                for &s in prior.netlist.gate(g).inputs() {
+                    set_net(&mut structure, s.index());
+                }
+            }
+        }
+        for &g in diff.appended.iter().chain(&diff.outputs) {
+            walks[g.index()] = true;
+        }
+        let prior_n = prior.netlist.gate_count();
+        Some(Replay {
+            prior,
+            record,
+            prior_n,
+            structure,
+            learned: vec![0; words],
+            values: vec![0; words],
+            mask: vec![0; words],
+            walks,
+            storage,
+            dead,
+            fixed: record.seeded.clone(),
+            next: 0,
+            definite_differs: vec![false; prior_n],
+            differ: vec![false; prior_n],
+            known: vec![false; prior_n],
+            known_nets: Vec::new(),
+            closure: vec![0; words],
+            trace_values: TraceValues::new(),
+            stale: true,
+        })
+    }
+
+    /// Finishes the structural diff against the edited build's fanout
+    /// and definiteness, and seeds V from its structural constants.
+    fn start(&mut self, edited: &ImplicationEngine<'_>) {
+        for x in 0..self.prior_n {
+            let live = self.prior.fanout[x]
+                .iter()
+                .filter(|(r, _)| !self.dead[r.index()]);
+            if !live.eq(&edited.fanout[x]) {
+                self.walks[x] = true;
+                set_net(&mut self.structure, x);
+            }
+            self.definite_differs[x] = self.prior.definite[x] != edited.definite[x];
+            self.refresh(x, &edited.fixed);
+        }
+        self.rebuild();
+    }
+
+    /// Re-derives whether net `x` is in V, and whether only the edited
+    /// build knows its constant.
+    fn refresh(&mut self, x: usize, fixed: &[Logic]) {
+        let d = self.definite_differs[x] || self.fixed[x] != fixed[x];
+        let k = !self.definite_differs[x] && !self.fixed[x].is_known() && fixed[x].is_known();
+        if d != self.differ[x] || k != self.known[x] {
+            self.differ[x] = d;
+            self.known[x] = k;
+            self.stale = true;
+        }
+    }
+
+    /// Brings the prior's constants to the point just before literal
+    /// `lit` of round `round`.
+    fn advance(&mut self, round: usize, lit: usize, fixed: &[Logic]) {
+        let record = self.record;
+        while let Some(e) = record.events.get(self.next) {
+            if (e.round as usize, e.lit as usize) >= (round, lit) {
+                break;
+            }
+            let from = match self.next {
+                0 => 0,
+                k => record.events[k - 1].end as usize,
+            };
+            for &(net, v) in &record.fixes[from..e.end as usize] {
+                self.fixed[net as usize] = v;
+                self.refresh(net as usize, fixed);
+                // A dead gate the prior knows the value of is no longer
+                // inert where the prior evaluates it.
+                self.stale |= self.dead[net as usize];
+            }
+            self.next += 1;
+        }
+        if self.stale {
+            self.rebuild();
+        }
+    }
+
+    /// The edited build fixed `fixes`.
+    fn fixed_changed(&mut self, fixes: &[(u32, Logic)], fixed: &[Logic]) {
+        for &(net, _) in fixes {
+            if (net as usize) < self.prior_n {
+                self.refresh(net as usize, fixed);
+            }
+        }
+    }
+
+    /// The edited build finished round `round`'s contrapose: mark the
+    /// literals whose learned list differs from the one the prior's
+    /// round `round + 1` read.
+    fn learned_changed(&mut self, round: usize, learned: &[Vec<Literal>]) {
+        self.learned.fill(0);
+        if let Some(lens) = self.record.lens.get(round) {
+            for (lit, &len) in lens.iter().enumerate() {
+                if self.prior.learned[lit][..len as usize] != learned[lit][..] {
+                    set_lit(&mut self.learned, lit);
+                }
+            }
+        }
+        self.combine();
+    }
+
+    /// Rebuilds the V part of the mask from `differ`.
+    fn rebuild(&mut self) {
+        let netlist: &Netlist = &self.prior.netlist;
+        let fanout = &self.prior.fanout;
+        let premises = self.prior.premises();
+        self.values.fill(0);
+        self.closure.fill(0);
+        self.known_nets.clear();
+        for (x, readers) in fanout.iter().enumerate().take(self.prior_n) {
+            let inputs = netlist.gate(GateId::from_index(x)).inputs();
+            if self.dead[x] && self.fixed[x].is_known() {
+                // Where the prior evaluates a dead gate it knows the value
+                // of, backward implication can force its inputs.
+                for &s in inputs {
+                    set_net(&mut self.values, s.index());
+                }
+            }
+            if !self.differ[x] {
+                continue;
+            }
+            set_net(&mut self.values, x);
+            // A net only the edited build knows the constant of is read
+            // by the gates around it; whether those reads change the
+            // outcome is decided per trace ([`ImplicationEngine::closes`]).
+            let reads = if self.known[x] {
+                self.known_nets.push(x as u32);
+                &mut self.closure
+            } else {
+                let (a, b) = (premises.start[x] as usize, premises.start[x + 1] as usize);
+                for &p in &premises.lits[a..b] {
+                    set_lit(&mut self.values, p as usize);
+                }
+                &mut self.values
+            };
+            if !self.dead[x] {
+                for &s in inputs {
+                    set_net(reads, s.index());
+                }
+            }
+            for &(r, _) in readers.iter().filter(|(r, _)| !self.dead[r.index()]) {
+                set_net(reads, r.index());
+                for &s in netlist.gate(r).inputs() {
+                    set_net(reads, s.index());
+                }
+            }
+        }
+        self.stale = false;
+        self.combine();
+    }
+
+    fn combine(&mut self) {
+        for (w, m) in self.mask.iter_mut().enumerate() {
+            *m = self.structure[w] | self.learned[w] | self.values[w];
+        }
+    }
+
+    /// The prior's outcome for `lit` in `round` — the literals it
+    /// assigned and its conflict — if it provably repeats in `edited`.
+    fn copyable(
+        &mut self,
+        round: usize,
+        lit: usize,
+        edited: &ImplicationEngine<'_>,
+    ) -> Option<(&'p [u32], Option<GateId>)> {
+        let record = self.record;
+        let k = *record.at.get(round)?.get(lit)?;
+        let t = record.traces.get((k as usize).checked_sub(1)?)?;
+        let lits = &record.lits[t.start as usize..t.end as usize];
+        let conflict = (t.conflict != NO_CONFLICT).then(|| GateId::from_index(t.conflict as usize));
+        let repeats = !reaches(&self.mask, lit, lits, conflict)
+            && (!reaches(&self.closure, lit, lits, conflict)
+                || conflict.is_none()
+                    && edited.closes(&self.known_nets, lits, &mut self.trace_values));
+        repeats.then_some((lits, conflict))
+    }
+
+    /// The diff between the two finished engines, for verdict reuse.
+    fn finish(mut self, edited: &ImplicationEngine<'_>) -> RebaseDiff {
+        let prior = self.prior;
+        self.fixed.copy_from_slice(&prior.fixed);
+        for x in 0..self.prior_n {
+            self.refresh(x, &edited.fixed);
+        }
+        self.learned.fill(0);
+        for lit in 0..2 * self.prior_n {
+            if prior.learned[lit] != edited.learned[lit] {
+                set_lit(&mut self.learned, lit);
+            }
+        }
+        self.rebuild();
+        let mut sides = self.storage;
+        for (x, side) in sides.iter_mut().enumerate().take(self.prior_n) {
+            *side |= self.fixed[x] != edited.fixed[x];
+        }
+        RebaseDiff {
+            prior: prior.serial,
+            traces: self.mask,
+            closure: self.closure,
+            known: self.known_nets,
+            walks: self.walks,
+            sides,
+        }
     }
 }
 

@@ -64,4 +64,4 @@ mod engine;
 mod untestable;
 
 pub use engine::{ImplicOptions, ImplicationEngine, Implications, LearnStats, Literal};
-pub use untestable::UntestableReason;
+pub use untestable::{UntestableReason, VerdictRecord};

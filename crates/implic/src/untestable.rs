@@ -23,10 +23,12 @@
 //! is complete: search still proves redundancies that need case splits
 //! rather than implication chains.
 
+use std::ops::Range;
+
 use dft_netlist::{GateId, GateKind, Pin};
 use dft_sim::Logic;
 
-use crate::engine::{propagate, ImplicationEngine, Prop};
+use crate::engine::{propagate, reaches, ImplicationEngine, Prop, RebaseDiff, TraceValues};
 
 /// Why a fault is statically untestable (the diagnostic witness carried
 /// into lint findings and prefilter reports).
@@ -126,6 +128,7 @@ impl Marks {
 pub(crate) struct VerdictScratch {
     pub(crate) prop: Prop,
     pub(crate) marks: Marks,
+    values: TraceValues,
 }
 
 impl VerdictScratch {
@@ -133,7 +136,287 @@ impl VerdictScratch {
         VerdictScratch {
             prop: Prop::new(n),
             marks: Marks::new(n),
+            values: TraceValues::new(),
         }
+    }
+}
+
+/// Where an observation walk reports what it read. A walk reads nets
+/// in two ways:
+///
+/// * a *node* — a net the walk stands on or a gate it considers
+///   passing: its reader list, output flag and gate record;
+/// * a *side* — a side input that may block: only whether it is a
+///   storage element and its implied value.
+///
+/// The split matters for folds: a net the prior already proved
+/// constant becomes a `Const` gate, so its gate record changes, but as a
+/// side input it reads the same as before.
+trait Footprint {
+    /// Starts the footprint of the next fault.
+    fn begin(&mut self);
+    fn node(&mut self, net: GateId);
+    fn side(&mut self, net: GateId);
+    /// The walk queued `to` as a reader of `from`.
+    fn step(&mut self, from: GateId, to: GateId);
+    /// The walk from `origin` reached the output `po`: narrow the
+    /// footprint to the witness path if that proves observability alone.
+    fn observed(
+        &mut self,
+        engine: &ImplicationEngine<'_>,
+        origin: GateId,
+        pin: Pin,
+        po: GateId,
+        value: &dyn Fn(usize) -> Logic,
+    );
+    /// Appends the fault's footprint to `record`'s pools; returns
+    /// whether it is a witness path.
+    fn flush(&self, record: &mut VerdictRecord) -> bool;
+}
+
+/// The plain batch keeps no footprint.
+impl Footprint for () {
+    fn begin(&mut self) {}
+
+    #[inline(always)]
+    fn node(&mut self, _: GateId) {}
+
+    #[inline(always)]
+    fn side(&mut self, _: GateId) {}
+
+    #[inline(always)]
+    fn step(&mut self, _: GateId, _: GateId) {}
+
+    fn observed(
+        &mut self,
+        _: &ImplicationEngine<'_>,
+        _: GateId,
+        _: Pin,
+        _: GateId,
+        _: &dyn Fn(usize) -> Logic,
+    ) {
+    }
+
+    fn flush(&self, _: &mut VerdictRecord) -> bool {
+        false
+    }
+}
+
+/// A deduplicated net set, epoch-stamped like [`Marks`].
+struct NetSet {
+    seen: Vec<u32>,
+    nets: Vec<u32>,
+}
+
+impl NetSet {
+    fn insert(&mut self, net: GateId, epoch: u32) {
+        let i = net.index();
+        if self.seen[i] != epoch {
+            self.seen[i] = epoch;
+            self.nets.push(i as u32);
+        }
+    }
+}
+
+/// The node and side footprints of one fault, plus the walk's parent
+/// links for witness paths.
+struct Footprints {
+    epoch: u32,
+    nodes: NetSet,
+    sides: NetSet,
+    parent: Vec<GateId>,
+    /// `nodes` holds a witness path rather than a walk's reads.
+    witness: bool,
+}
+
+impl Footprints {
+    fn new(n: usize) -> Self {
+        let set = || NetSet {
+            seen: vec![0; n],
+            nets: Vec::new(),
+        };
+        Footprints {
+            epoch: 0,
+            nodes: set(),
+            sides: set(),
+            parent: vec![GateId::from_index(0); n],
+            witness: false,
+        }
+    }
+}
+
+impl Footprint for Footprints {
+    fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.nodes.seen.fill(0);
+            self.sides.seen.fill(0);
+            self.epoch = 1;
+        }
+        self.nodes.nets.clear();
+        self.sides.nets.clear();
+        self.witness = false;
+    }
+
+    fn node(&mut self, net: GateId) {
+        self.nodes.insert(net, self.epoch);
+    }
+
+    fn side(&mut self, net: GateId) {
+        self.sides.insert(net, self.epoch);
+    }
+
+    fn step(&mut self, from: GateId, to: GateId) {
+        self.parent[to.index()] = from;
+    }
+
+    /// A path origin → … → `po` on which every gate passed because none
+    /// of its off-path side inputs blocks proves the fault observable by
+    /// itself, whatever else the walk read. It is kept as the footprint:
+    /// the path's gates after the origin, in order (the origin alone when
+    /// it is an output), and the side inputs it passed. A later batch
+    /// copies the verdict when those sides read as before, or checks the
+    /// path again under its own values
+    /// ([`ImplicationEngine::witness_holds`]). When some gate passed only
+    /// because a blocking side input lies in the origin's cone, the
+    /// walk's reads stay the footprint.
+    fn observed(
+        &mut self,
+        engine: &ImplicationEngine<'_>,
+        origin: GateId,
+        pin: Pin,
+        po: GateId,
+        value: &dyn Fn(usize) -> Logic,
+    ) {
+        let mut path = vec![po];
+        while let Some(&x) = path.last().filter(|&&x| x != origin) {
+            path.push(self.parent[x.index()]);
+        }
+        path.reverse();
+        if path.len() > 1 {
+            path.remove(0);
+        }
+        if engine.witness_holds(origin, pin, path.iter().copied(), value) {
+            self.begin();
+            for &x in &path {
+                self.node(x);
+            }
+            engine.witness_sides(origin, pin, path.iter().copied(), |_, s| self.side(s));
+            self.witness = true;
+        }
+    }
+
+    fn flush(&self, record: &mut VerdictRecord) -> bool {
+        record.nodes.extend_from_slice(&self.nodes.nets);
+        record.sides.extend_from_slice(&self.sides.nets);
+        self.witness
+    }
+}
+
+/// A verdict batch kept for rebasing
+/// ([`ImplicationEngine::faults_untestable_recorded`]): every fault's
+/// verdict and the footprint of its observation walk, and per
+/// excitation literal the literals its propagation assigned and its
+/// outcome.
+#[derive(Clone, Debug, Default)]
+pub struct VerdictRecord {
+    /// The serial of the engine that ran the batch.
+    engine: u64,
+    verdicts: Vec<Option<UntestableReason>>,
+    /// One per excitation literal, in literal order.
+    groups: Vec<Group>,
+    /// 1 + the group index of each literal, 0 for none.
+    by_lit: Vec<u32>,
+    /// Each group's faults, back to back.
+    faults: Vec<FaultRecord>,
+    /// Each group's assigned literals, back to back.
+    lits: Vec<u32>,
+    /// Each fault's node footprint, back to back.
+    nodes: Vec<u32>,
+    /// Each fault's side footprint, back to back.
+    sides: Vec<u32>,
+}
+
+/// One excitation literal of a [`VerdictRecord`]. The `*_end` fields
+/// close its spans of the record's pools; each span opens where the
+/// previous group's closed.
+#[derive(Clone, Copy, Debug)]
+struct Group {
+    lit: u32,
+    unsettable: bool,
+    excited: Result<(), UntestableReason>,
+    lits_end: u32,
+    faults_end: u32,
+}
+
+/// One fault of a [`VerdictRecord`], closing its footprint spans.
+#[derive(Clone, Copy, Debug)]
+struct FaultRecord {
+    site: (GateId, Pin, bool),
+    verdict: Option<UntestableReason>,
+    /// The node footprint is a witness path (see [`Footprints`]).
+    witness: bool,
+    nodes_end: u32,
+    sides_end: u32,
+}
+
+impl VerdictRecord {
+    /// The verdicts, aligned with the faults the batch was given.
+    #[must_use]
+    pub fn verdicts(&self) -> &[Option<UntestableReason>] {
+        &self.verdicts
+    }
+
+    /// The group of excitation literal `lit`, with its spans of `lits`
+    /// and `faults`.
+    fn group(&self, lit: usize) -> Option<(Group, Range<usize>, Range<usize>)> {
+        let k = (*self.by_lit.get(lit)? as usize).checked_sub(1)?;
+        let g = self.groups[k];
+        let (lits, faults) = k.checked_sub(1).map_or((0, 0), |j| {
+            let p = &self.groups[j];
+            (p.lits_end as usize, p.faults_end as usize)
+        });
+        Some((g, lits..g.lits_end as usize, faults..g.faults_end as usize))
+    }
+
+    /// The node and side footprints of `faults[k]`.
+    fn footprint(&self, k: usize) -> (&[u32], &[u32]) {
+        let (nodes, sides) = k.checked_sub(1).map_or((0, 0), |j| {
+            let p = &self.faults[j];
+            (p.nodes_end as usize, p.sides_end as usize)
+        });
+        let f = &self.faults[k];
+        (
+            &self.nodes[nodes..f.nodes_end as usize],
+            &self.sides[sides..f.sides_end as usize],
+        )
+    }
+}
+
+/// `0..keys.len()` ordered by key (stably), keys below `bound`: a
+/// counting sort, as every key is a literal of the netlist.
+fn order_by_key(keys: &[usize], bound: usize) -> Vec<usize> {
+    let mut start = vec![0u32; bound + 1];
+    for &k in keys {
+        start[k + 1] += 1;
+    }
+    for k in 0..bound {
+        start[k + 1] += start[k];
+    }
+    let mut order = vec![0; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        order[start[k] as usize] = i;
+        start[k] += 1;
+    }
+    order
+}
+
+/// Leaves `lits` — a recorded excitation's assigned literals — in `prop`
+/// as if the excitation had just propagated.
+fn restore(prop: &mut Prop, lits: &[u32]) {
+    prop.begin();
+    for &l in lits {
+        prop.assign(l as usize / 2, l % 2 == 1);
     }
 }
 
@@ -177,30 +460,271 @@ impl ImplicationEngine<'_> {
         self.verdicts_with(faults, &mut scratch)
     }
 
+    /// [`ImplicationEngine::faults_untestable`], keeping the record a
+    /// rebased engine copies verdicts from
+    /// ([`ImplicationEngine::faults_untestable_rebased`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`ImplicationEngine::faults_untestable`].
+    #[must_use]
+    pub fn faults_untestable_recorded(&self, faults: &[(GateId, Pin, bool)]) -> VerdictRecord {
+        let n = self.netlist().gate_count();
+        let mut scratch = VerdictScratch::new(n);
+        let mut footprint = Footprints::new(n);
+        let mut record = VerdictRecord {
+            engine: self.serial,
+            ..VerdictRecord::default()
+        };
+        let (verdicts, _) = self.batch(
+            faults,
+            &mut scratch,
+            &mut footprint,
+            Some(&mut record),
+            None,
+        );
+        record.verdicts = verdicts;
+        record.by_lit = vec![0; 2 * n];
+        for (k, g) in record.groups.iter().enumerate() {
+            record.by_lit[g.lit as usize] = k as u32 + 1;
+        }
+        record
+    }
+
+    /// [`ImplicationEngine::faults_untestable`] on an engine built by
+    /// [`ImplicationEngine::rebase`], copying from `base` — a batch
+    /// recorded by the engine this one was rebased from — every verdict
+    /// the edit cannot reach. Returns the verdicts, aligned with
+    /// `faults`, and how many were copied.
+    ///
+    /// A fault copies its prior verdict, witness included, when its
+    /// gate is unchanged and either
+    ///
+    /// * its excitation propagation read nothing the edit changed, and
+    ///   its observation walk read no changed gate record, reader list or
+    ///   output flag of a net it stood on or passed, and no changed
+    ///   implied value or storage flag of a side input; or
+    /// * its prior verdict was observable along a witness path whose gates
+    ///   and output are unchanged and whose side inputs still do not block
+    ///   under this engine's excitation values.
+    ///
+    /// An excitation that repeats restores its implied values from the
+    /// record instead of propagating. Without a matching rebase every
+    /// verdict is computed afresh.
+    ///
+    /// # Panics
+    ///
+    /// As [`ImplicationEngine::faults_untestable`].
+    #[must_use]
+    pub fn faults_untestable_rebased(
+        &self,
+        base: &VerdictRecord,
+        faults: &[(GateId, Pin, bool)],
+    ) -> (Vec<Option<UntestableReason>>, usize) {
+        let mut scratch = VerdictScratch::new(self.netlist().gate_count());
+        let reuse = self
+            .rebased
+            .as_ref()
+            .filter(|diff| diff.prior == base.engine)
+            .map(|diff| (base, diff));
+        self.batch(faults, &mut scratch, &mut (), None, reuse)
+    }
+
     pub(crate) fn verdicts_with(
         &self,
         faults: &[(GateId, Pin, bool)],
         scratch: &mut VerdictScratch,
     ) -> Vec<Option<UntestableReason>> {
+        self.batch(faults, scratch, &mut (), None, None).0
+    }
+
+    /// The verdict batch: one excitation per distinct literal, then one
+    /// observation walk per fault. With `record`, each group's
+    /// excitation and each fault's walk footprint are kept; with
+    /// `reuse`, each fault first tries the prior record. Returns the
+    /// verdicts and how many were copied.
+    fn batch<F: Footprint>(
+        &self,
+        faults: &[(GateId, Pin, bool)],
+        scratch: &mut VerdictScratch,
+        footprint: &mut F,
+        mut record: Option<&mut VerdictRecord>,
+        reuse: Option<(&VerdictRecord, &RebaseDiff)>,
+    ) -> (Vec<Option<UntestableReason>>, usize) {
         let lits: Vec<usize> = faults
             .iter()
             .map(|&(gate, pin, stuck)| self.activation(gate, pin).index() * 2 + usize::from(!stuck))
             .collect();
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(|&i| lits[i]);
+        let order = order_by_key(&lits, 2 * self.netlist().gate_count());
         let mut verdicts = vec![None; faults.len()];
+        let mut copied = 0usize;
         for group in order.chunk_by(|&a, &b| lits[a] == lits[b]) {
             let lit = lits[group[0]];
-            let excited = self.excite(GateId::from_index(lit / 2), lit % 2 == 1, &mut scratch.prop);
+            let (net, required) = (GateId::from_index(lit / 2), lit % 2 == 1);
+            // The prior group, and whether its excitation provably repeats.
+            let prior = reuse.and_then(|(base, diff)| {
+                let (g, lits, faults) = base.group(lit)?;
+                let conflict = match g.excited {
+                    Err(UntestableReason::Unexcitable { conflict, .. }) => Some(conflict),
+                    _ => None,
+                };
+                let trace = &base.lits[lits];
+                let repeats = g.unsettable == self.is_unsettable(net, required)
+                    && !reaches(&diff.traces, lit, trace, conflict)
+                    && (!reaches(&diff.closure, lit, trace, conflict)
+                        || conflict.is_none()
+                            && self.closes(&diff.known, trace, &mut scratch.values));
+                Some((base, diff, g, trace, faults, repeats))
+            });
+            // The excitation's outcome, its implied values left in
+            // `scratch.prop` once a fault needs them.
+            let mut excited: Option<Result<(), UntestableReason>> = None;
             for &i in group {
                 let (gate, pin, _) = faults[i];
-                verdicts[i] = match excited {
-                    Err(reason) => Some(reason),
-                    Ok(()) => self.observation_verdict(gate, pin, scratch),
+                let mut walk = true;
+                let verdict = match &prior {
+                    &Some((base, diff, g, trace, ref span, repeats)) => {
+                        let k = span
+                            .clone()
+                            .find(|&k| base.faults[k].site == faults[i])
+                            .filter(|_| !diff.walks[gate.index()]);
+                        if repeats && g.excited.is_err() {
+                            walk = false;
+                            g.excited.err()
+                        } else if let Some(k) = k {
+                            let f = &base.faults[k];
+                            let (nodes, sides) = base.footprint(k);
+                            let nodes_clean = nodes.iter().all(|&x| !diff.walks[x as usize]);
+                            let sides_clean = sides.iter().all(|&x| !diff.sides[x as usize]);
+                            walk = !(repeats && nodes_clean && sides_clean);
+                            if walk && f.witness && nodes_clean {
+                                // An observable verdict holds while its
+                                // witness path does, under today's values.
+                                let ex = *excited.get_or_insert_with(|| {
+                                    self.excite_or_restore(
+                                        net,
+                                        required,
+                                        repeats.then_some(trace),
+                                        scratch,
+                                    )
+                                });
+                                let value = |i: usize| scratch.prop.get(&self.fixed, i);
+                                let path = nodes.iter().map(|&x| GateId::from_index(x as usize));
+                                walk = !(ex.is_ok() && self.witness_holds(gate, pin, path, &value));
+                            }
+                            f.verdict
+                        } else {
+                            None
+                        }
+                    }
+                    None => None,
                 };
+                footprint.begin();
+                verdicts[i] = if walk {
+                    let ex = *excited.get_or_insert_with(|| {
+                        let trace = prior.as_ref().filter(|p| p.5).map(|p| p.3);
+                        self.excite_or_restore(net, required, trace, scratch)
+                    });
+                    match ex {
+                        Err(reason) => Some(reason),
+                        Ok(()) => self.observation_verdict(gate, pin, scratch, footprint),
+                    }
+                } else {
+                    copied += 1;
+                    verdict
+                };
+                if let Some(record) = record.as_deref_mut() {
+                    let witness = footprint.flush(record);
+                    record.faults.push(FaultRecord {
+                        site: faults[i],
+                        verdict: verdicts[i],
+                        witness,
+                        nodes_end: record.nodes.len() as u32,
+                        sides_end: record.sides.len() as u32,
+                    });
+                }
+            }
+            if let Some(record) = record.as_deref_mut() {
+                record.lits.extend(scratch.prop.trail_lits());
+                record.groups.push(Group {
+                    lit: lit as u32,
+                    unsettable: self.is_unsettable(net, required),
+                    excited: excited.expect("a recorded group walks every fault"),
+                    lits_end: record.lits.len() as u32,
+                    faults_end: record.faults.len() as u32,
+                });
             }
         }
-        verdicts
+        (verdicts, copied)
+    }
+
+    /// The excitation of `net = required`: restored from a prior trace
+    /// known to repeat, or propagated.
+    fn excite_or_restore(
+        &self,
+        net: GateId,
+        required: bool,
+        repeated: Option<&[u32]>,
+        scratch: &mut VerdictScratch,
+    ) -> Result<(), UntestableReason> {
+        match repeated {
+            Some(trace) => {
+                restore(&mut scratch.prop, trace);
+                Ok(())
+            }
+            None => self.excite(net, required, &mut scratch.prop),
+        }
+    }
+
+    /// Whether `path` — the gates after `origin` on a way to an output,
+    /// in order, or `origin` alone when it is an output — still carries
+    /// the effect of the fault at `(origin, pin)`: no side input of the
+    /// faulted pin's gate and no off-path side input along the path
+    /// blocks under `value`. The caller vouches that the path's gate
+    /// records and its end's output flag are unchanged.
+    fn witness_holds(
+        &self,
+        origin: GateId,
+        pin: Pin,
+        path: impl Iterator<Item = GateId>,
+        value: &dyn Fn(usize) -> Logic,
+    ) -> bool {
+        let mut open = true;
+        self.witness_sides(origin, pin, path, |kind, s| {
+            open = open && !self.side_blocks(kind, s, value, &mut ());
+        });
+        open
+    }
+
+    /// The side inputs a witness path passes, each with the kind of the
+    /// gate it feeds: the faulted pin's siblings, then every off-path
+    /// input along the path.
+    fn witness_sides(
+        &self,
+        origin: GateId,
+        pin: Pin,
+        path: impl Iterator<Item = GateId>,
+        mut side: impl FnMut(GateKind, GateId),
+    ) {
+        let netlist = self.netlist();
+        if let Pin::Input(p) = pin {
+            let gate = netlist.gate(origin);
+            for (q, &s) in gate.inputs().iter().enumerate() {
+                if q != p as usize {
+                    side(gate.kind(), s);
+                }
+            }
+        }
+        let mut prev = origin;
+        for cur in path.filter(|&x| x != origin) {
+            let gate = netlist.gate(cur);
+            for &s in gate.inputs() {
+                if s != prev {
+                    side(gate.kind(), s);
+                }
+            }
+            prev = cur;
+        }
     }
 
     /// The net a fault at `(gate, pin)` needs driven to excite it.
@@ -232,16 +756,18 @@ impl ImplicationEngine<'_> {
 
     /// The observation half of a verdict, under the implied values the
     /// excitation propagation left in `scratch.prop`.
-    fn observation_verdict(
+    fn observation_verdict<F: Footprint>(
         &self,
         gate: GateId,
         pin: Pin,
         scratch: &mut VerdictScratch,
+        footprint: &mut F,
     ) -> Option<UntestableReason> {
         let value = |i: usize| scratch.prop.get(&self.fixed, i);
         let blocked_at_pin = match pin {
             Pin::Output => false,
             Pin::Input(p) => {
+                footprint.node(gate);
                 // The effect lives on one pin wire: it must first pass
                 // `gate` itself. Side pins read the *unfaulted* nets, so
                 // they are "outside the cone" by construction (the
@@ -249,14 +775,21 @@ impl ImplicationEngine<'_> {
                 // activation net.
                 let reader = self.netlist().gate(gate);
                 reader.kind().is_storage()
-                    || (0..reader.fanin())
-                        .filter(|&q| q != p as usize)
-                        .any(|q| self.side_blocks(reader.kind(), reader.inputs()[q], value))
+                    || (0..reader.fanin()).filter(|&q| q != p as usize).any(|q| {
+                        self.side_blocks(reader.kind(), reader.inputs()[q], value, footprint)
+                    })
             }
         };
-        let unobservable =
-            blocked_at_pin || self.unobservable_from(gate, &scratch.prop, &mut scratch.marks);
-        unobservable.then_some(UntestableReason::Unobservable { origin: gate })
+        if blocked_at_pin {
+            return Some(UntestableReason::Unobservable { origin: gate });
+        }
+        match self.unobservable_from(gate, &scratch.prop, &mut scratch.marks, footprint) {
+            Some(po) => {
+                footprint.observed(self, gate, pin, po, &value);
+                None
+            }
+            None => Some(UntestableReason::Unobservable { origin: gate }),
+        }
     }
 
     /// Whether a side input provably kills fault-effect passage through
@@ -264,7 +797,14 @@ impl ImplicationEngine<'_> {
     /// in both machines), or an uncontrollable storage output (`X` in
     /// both machines — no *known* difference can emerge, and the
     /// combinational test view requires one).
-    fn side_blocks(&self, kind: GateKind, side: GateId, value: impl Fn(usize) -> Logic) -> bool {
+    fn side_blocks(
+        &self,
+        kind: GateKind,
+        side: GateId,
+        value: impl Fn(usize) -> Logic,
+        footprint: &mut impl Footprint,
+    ) -> bool {
+        footprint.side(side);
         if self.netlist().gate(side).kind().is_storage() {
             return true;
         }
@@ -276,9 +816,16 @@ impl ImplicationEngine<'_> {
 
     /// Walks the fanout cone of `origin`: can the fault effect possibly
     /// reach a primary output, given the values implied by the
-    /// excitation assumption? Conservative in the sound direction —
-    /// `true` only when every path is provably cut.
-    fn unobservable_from(&self, origin: GateId, prop: &Prop, marks: &mut Marks) -> bool {
+    /// excitation assumption? Returns the output it reached, if any.
+    /// Conservative in the sound direction — `None` only when every path
+    /// is provably cut.
+    fn unobservable_from<F: Footprint>(
+        &self,
+        origin: GateId,
+        prop: &Prop,
+        marks: &mut Marks,
+        footprint: &mut F,
+    ) -> Option<GateId> {
         let value = |i: usize| prop.get(&self.fixed, i);
         marks.begin();
         let epoch = marks.epoch;
@@ -288,30 +835,33 @@ impl ImplicationEngine<'_> {
         marks.reach[origin.index()] = epoch;
         marks.stack.push(origin);
         while let Some(g) = marks.stack.pop() {
+            footprint.node(g);
             if self.is_po[g.index()] {
-                return false;
+                return Some(g);
             }
             for &(reader, _) in &self.fanout[g.index()] {
                 let r = reader.index();
                 if marks.reach[r] == epoch {
                     continue;
                 }
+                footprint.node(reader);
                 let gate = self.netlist().gate(reader);
                 if gate.kind().is_storage() {
                     continue;
                 }
                 let blocked = gate.inputs().iter().any(|&s| {
-                    self.side_blocks(gate.kind(), s, value)
-                        && !self.in_cone(origin, s, marks, &mut cone_built)
+                    self.side_blocks(gate.kind(), s, value, footprint)
+                        && !self.in_cone(origin, s, marks, &mut cone_built, footprint)
                 });
                 if blocked {
                     continue;
                 }
                 marks.reach[r] = epoch;
                 marks.stack.push(reader);
+                footprint.step(g, reader);
             }
         }
-        true
+        None
     }
 
     /// Whether `net` lies in the structural fanout cone of `origin`
@@ -320,14 +870,23 @@ impl ImplicationEngine<'_> {
     /// so only out-of-cone side values can block. The cone is stamped
     /// into `marks` under the current epoch the first time it is asked
     /// for.
-    fn in_cone(&self, origin: GateId, net: GateId, marks: &mut Marks, built: &mut bool) -> bool {
+    fn in_cone(
+        &self,
+        origin: GateId,
+        net: GateId,
+        marks: &mut Marks,
+        built: &mut bool,
+        footprint: &mut impl Footprint,
+    ) -> bool {
         let epoch = marks.epoch;
         if !*built {
             *built = true;
             marks.cone[origin.index()] = epoch;
             marks.cone_stack.push(origin);
             while let Some(g) = marks.cone_stack.pop() {
+                footprint.node(g);
                 for &(reader, _) in &self.fanout[g.index()] {
+                    footprint.node(reader);
                     let r = reader.index();
                     if marks.cone[r] != epoch && !self.netlist().gate(reader).kind().is_storage() {
                         marks.cone[r] = epoch;
@@ -373,9 +932,9 @@ impl ImplicationEngine<'_> {
         if let Pin::Input(p) = pin {
             let reader = self.netlist().gate(gate);
             if reader.kind().is_storage()
-                || (0..reader.fanin())
-                    .filter(|&q| q != p as usize)
-                    .any(|q| self.side_blocks(reader.kind(), reader.inputs()[q], |i| vals[i]))
+                || (0..reader.fanin()).filter(|&q| q != p as usize).any(|q| {
+                    self.side_blocks(reader.kind(), reader.inputs()[q], |i| vals[i], &mut ())
+                })
             {
                 return Some(UntestableReason::Unobservable { origin: gate });
             }
@@ -409,11 +968,9 @@ impl ImplicationEngine<'_> {
                 if rg.kind().is_storage() {
                     continue;
                 }
-                if rg
-                    .inputs()
-                    .iter()
-                    .any(|&s| !cone[s.index()] && self.side_blocks(rg.kind(), s, |i| vals[i]))
-                {
+                if rg.inputs().iter().any(|&s| {
+                    !cone[s.index()] && self.side_blocks(rg.kind(), s, |i| vals[i], &mut ())
+                }) {
                     continue;
                 }
                 reach[r] = true;

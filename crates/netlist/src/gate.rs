@@ -218,11 +218,23 @@ impl fmt::Display for GateKind {
 /// so a view obtained from a temporary expression like
 /// `netlist.gate(id).inputs()` stays usable for as long as the netlist
 /// is borrowed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Gate<'n> {
     pub(crate) kind: GateKind,
     pub(crate) inputs: &'n [GateId],
-    pub(crate) name: Option<&'n str>,
+    /// The name's UTF-8 bytes, decoded only when asked for: most
+    /// accesses read the kind and inputs alone.
+    pub(crate) name: Option<&'n [u8]>,
+}
+
+impl std::fmt::Debug for Gate<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gate")
+            .field("kind", &self.kind)
+            .field("inputs", &self.inputs)
+            .field("name", &self.name())
+            .finish()
+    }
 }
 
 impl<'n> Gate<'n> {
@@ -247,7 +259,10 @@ impl<'n> Gate<'n> {
     /// Optional instance name (always present for primary inputs).
     #[must_use]
     pub fn name(&self) -> Option<&'n str> {
+        // Spans are only ever created from whole `&str`s, so they sit on
+        // UTF-8 boundaries by construction.
         self.name
+            .map(|bytes| std::str::from_utf8(bytes).expect("name arena corrupted"))
     }
 }
 

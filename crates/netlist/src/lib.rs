@@ -60,4 +60,4 @@ pub use error::{NetlistError, ParseBenchError, ParseBlifError};
 pub use gate::{Gate, GateKind};
 pub use id::{GateId, Pin, PortRef};
 pub use level::{Levelization, LevelizeError};
-pub use netlist::{MemoryFootprint, Netlist, NetlistStats};
+pub use netlist::{ArenaDiff, MemoryFootprint, Netlist, NetlistStats};

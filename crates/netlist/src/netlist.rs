@@ -301,10 +301,12 @@ impl Netlist {
         if i >= self.kinds.len() {
             return Err(NetlistError::UnknownGate(id));
         }
+        let off = self.name_off[i];
         Ok(Gate {
             kind: self.kinds[i],
             inputs: self.gate_inputs(i),
-            name: self.gate_name(i),
+            name: (off != NO_NAME)
+                .then(|| &self.name_bytes[off as usize..(off + self.name_len[i]) as usize]),
         })
     }
 
@@ -533,6 +535,41 @@ impl Netlist {
         map
     }
 
+    /// Diffs `edited` against `self`, an earlier snapshot of the same
+    /// append-only arena: gate ids are stable, gates may be rewritten in
+    /// place or appended. Runs in O(gates + pins).
+    ///
+    /// Returns `None` when `edited` has fewer gates than `self`, i.e. it
+    /// is not an append-only evolution of this arena.
+    #[must_use]
+    pub fn arena_diff(&self, edited: &Netlist) -> Option<ArenaDiff> {
+        let (old, new) = (self.kinds.len(), edited.kinds.len());
+        if new < old {
+            return None;
+        }
+        let rewritten = (0..old)
+            .filter(|&i| {
+                self.kinds[i] != edited.kinds[i] || self.gate_inputs(i) != edited.gate_inputs(i)
+            })
+            .map(GateId::from_index)
+            .collect();
+        let mut flags = vec![0u8; new];
+        for &(g, _) in &self.outputs {
+            flags[g.index()] |= 1;
+        }
+        for &(g, _) in &edited.outputs {
+            flags[g.index()] |= 2;
+        }
+        Some(ArenaDiff {
+            rewritten,
+            appended: (old..new).map(GateId::from_index).collect(),
+            outputs: (0..new)
+                .filter(|&i| matches!(flags[i], 1 | 2))
+                .map(GateId::from_index)
+                .collect(),
+        })
+    }
+
     /// Levelizes the combinational frame of the netlist.
     ///
     /// # Errors
@@ -626,6 +663,19 @@ impl fmt::Display for Netlist {
             self.outputs.len()
         )
     }
+}
+
+/// How an edited netlist differs from an earlier snapshot of the same
+/// arena, as reported by [`Netlist::arena_diff`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ArenaDiff {
+    /// Gates of the earlier arena whose kind or inputs changed, in id
+    /// order.
+    pub rewritten: Vec<GateId>,
+    /// Gates appended after the earlier arena's end, in id order.
+    pub appended: Vec<GateId>,
+    /// Nets that became, or stopped being, primary outputs, in id order.
+    pub outputs: Vec<GateId>,
 }
 
 /// Heap-byte breakdown of a [`Netlist`], as reported by
@@ -1020,5 +1070,32 @@ mod tests {
             n.add_pending_gate(GateKind::Not, 2, None),
             Err(NetlistError::BadFanin { .. })
         ));
+    }
+
+    #[test]
+    fn arena_diff_lists_rewrites_appends_and_output_flips() {
+        let mut n = Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g = n.add_gate(GateKind::And, &[a, b]).unwrap();
+        let h = n.add_gate(GateKind::Or, &[a, g]).unwrap();
+        n.mark_output(h, "y").unwrap();
+        assert_eq!(n.arena_diff(&n), Some(ArenaDiff::default()));
+
+        let mut e = n.clone();
+        e.replace_with_const(g, false).unwrap();
+        let k = e.add_gate(GateKind::Not, &[b]).unwrap();
+        e.mark_output(k, "z").unwrap();
+        e.mark_output(b, "b_obs").unwrap();
+        assert_eq!(
+            n.arena_diff(&e),
+            Some(ArenaDiff {
+                rewritten: vec![g],
+                appended: vec![k],
+                outputs: vec![b, k],
+            })
+        );
+        // A shrunken arena is not an evolution of this one.
+        assert_eq!(e.arena_diff(&n), None);
     }
 }

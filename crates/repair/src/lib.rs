@@ -174,9 +174,19 @@ pub fn repair(netlist: &Netlist, options: &RepairOptions) -> Result<RepairOutcom
 /// [`repair`] with telemetry: spans `repair.autopilot` >
 /// `repair.round` > (`repair.lint`, `repair.expand`, `repair.rank`,
 /// `repair.verify`), counters `repair.candidates.{expanded,ranked,
-/// pruned,verified}`, `repair.rank.{propagations,rows_reused}` (the
-/// ranking's implication-learning work) and `repair.accepted`, gauges
-/// `repair.coverage.{baseline,final}`.
+/// pruned,verified}`, the ranking's implication work on `repair.rank`,
+/// and `repair.accepted`, gauges `repair.coverage.{baseline,final}`.
+///
+/// The `repair.rank` work counters sum over the round's base engine and
+/// every candidate's rebase of it:
+///
+/// * `repair.rank.propagations` — learning propagations run;
+/// * `repair.rank.rows_reused` — propagations skipped because a
+///   literal's row from the previous round repeats;
+/// * `repair.rank.rows_rebased` — propagations copied from the base
+///   engine because the candidate's edit cannot reach them;
+/// * `repair.rank.verdicts_reused` — untestability verdicts copied from
+///   the base engine's recorded batch.
 ///
 /// # Errors
 ///
@@ -232,6 +242,11 @@ pub fn repair_observed(
         obs.count("repair.candidates.pruned", pruned as u64);
         obs.count("repair.rank.propagations", ranking.propagations as u64);
         obs.count("repair.rank.rows_reused", ranking.rows_reused as u64);
+        obs.count("repair.rank.rows_rebased", ranking.rows_rebased as u64);
+        obs.count(
+            "repair.rank.verdicts_reused",
+            ranking.verdicts_reused as u64,
+        );
         obs.exit();
 
         obs.enter("repair.verify");

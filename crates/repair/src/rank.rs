@@ -15,18 +15,22 @@
 //! Both are integers, the score is integer arithmetic, and ties break on
 //! the candidate key — the ranking is bit-for-bit deterministic.
 //!
-//! Where the time goes: SCOAP is rebased incrementally per candidate (a
-//! warmed cache clone re-solves only the edit's dirty cone), but the
-//! untestable count is measured over the whole edited netlist — one
-//! implication-learning pass plus one verdict batch per candidate. That
-//! measurement is the bulk of a round's ranking time, which is why the
-//! learning rounds reuse unchanged rows and the verdicts share one
-//! propagation per excitation literal.
+//! Where the time goes: each round builds one base — a warmed SCOAP
+//! cache and an implication engine with a recorded verdict batch over
+//! the round's netlist — and every candidate rebases the cache and the
+//! engine. A warmed cache clone re-solves SCOAP only in the edit's dirty
+//! cone;
+//! [`ImplicationEngine::rebase`] copies every learning propagation the
+//! edit cannot reach, and
+//! [`ImplicationEngine::faults_untestable_rebased`] copies every verdict
+//! whose excitation and observation walks read nothing the edit
+//! changed. What remains per candidate is the work around the edit plus
+//! each build's setup and contrapose passes.
 
 use dft_analyze::AnalysisCache;
-use dft_fault::{prefilter_with, universe};
-use dft_implic::{ImplicationEngine, LearnStats};
-use dft_netlist::{GateId, GateKind, Netlist};
+use dft_fault::{prefilter_with, universe, Fault};
+use dft_implic::{ImplicationEngine, LearnStats, VerdictRecord};
+use dft_netlist::{GateId, GateKind, Netlist, Pin};
 
 use crate::candidate::{apply_edit, Candidate, Edited};
 
@@ -49,6 +53,9 @@ pub struct StaticBaseline {
     /// What the measurement's implication engine did while learning —
     /// work counters for the trace, not part of the score.
     pub learn: LearnStats,
+    /// Verdicts the measurement copied from the round's base batch
+    /// instead of deciding afresh (0 for a from-scratch measurement).
+    pub verdicts_reused: usize,
 }
 
 impl StaticBaseline {
@@ -61,35 +68,90 @@ impl StaticBaseline {
     #[must_use]
     pub fn measure(netlist: &Netlist) -> Option<Self> {
         let mut cache = AnalysisCache::new(netlist).ok()?;
-        Some(Self::measure_cached(&mut cache))
-    }
-
-    /// Measures through a warmed [`AnalysisCache`] — the same numbers as
-    /// [`StaticBaseline::measure`] (the framework SCOAP port is
-    /// bit-exact), but the ranking loop can rebase one cached clone per
-    /// candidate so SCOAP re-solves only each edit's dirty cone. The
-    /// untestable count is still measured over the whole netlist.
-    #[must_use]
-    pub fn measure_cached(cache: &mut AnalysisCache) -> Self {
-        let const_mask: Vec<bool> = cache
-            .netlist()
-            .iter()
-            .map(|(_, g)| matches!(g.kind(), GateKind::Const0 | GateKind::Const1))
-            .collect();
-        let scoap = cache.scoap();
-        let difficulty = (0..const_mask.len())
-            .filter(|&i| !const_mask[i])
-            .map(|i| u64::from(scoap.difficulty(GateId::from_index(i))))
-            .sum();
-        let faults = universe(cache.netlist());
-        let engine = ImplicationEngine::new(cache.netlist());
-        let untestable = prefilter_with(&engine, &faults).untestable_count();
-        StaticBaseline {
-            difficulty,
-            untestable,
+        let faults = universe(netlist);
+        let engine = ImplicationEngine::new(netlist);
+        Some(StaticBaseline {
+            difficulty: difficulty(&mut cache),
+            untestable: prefilter_with(&engine, &faults).untestable_count(),
             fault_count: faults.len(),
             learn: engine.stats(),
+            verdicts_reused: 0,
+        })
+    }
+}
+
+/// SCOAP total difficulty over the non-constant gates of the cache's
+/// netlist.
+fn difficulty(cache: &mut AnalysisCache) -> u64 {
+    let const_mask: Vec<bool> = cache
+        .netlist()
+        .iter()
+        .map(|(_, g)| matches!(g.kind(), GateKind::Const0 | GateKind::Const1))
+        .collect();
+    let scoap = cache.scoap();
+    (0..const_mask.len())
+        .filter(|&i| !const_mask[i])
+        .map(|i| u64::from(scoap.difficulty(GateId::from_index(i))))
+        .sum()
+}
+
+fn sites(faults: &[Fault]) -> Vec<(GateId, Pin, bool)> {
+    faults
+        .iter()
+        .map(|f| (f.site.gate, f.site.pin, f.stuck))
+        .collect()
+}
+
+/// One round's base: a warmed cache and an implication engine with a
+/// recorded verdict batch over the round's netlist. Every candidate is
+/// measured by rebasing the cache and the engine, and by copying from
+/// the batch.
+struct Base<'n> {
+    cache: AnalysisCache,
+    engine: ImplicationEngine<'n>,
+    verdicts: VerdictRecord,
+}
+
+impl<'n> Base<'n> {
+    fn new(netlist: &'n Netlist) -> Option<Self> {
+        let mut cache = AnalysisCache::new(netlist).ok()?;
+        cache.scoap();
+        cache.constants();
+        let engine = ImplicationEngine::new(netlist);
+        let verdicts = engine.faults_untestable_recorded(&sites(&universe(netlist)));
+        Some(Base {
+            cache,
+            engine,
+            verdicts,
+        })
+    }
+
+    /// The round's netlist's own measures.
+    fn baseline(&mut self) -> StaticBaseline {
+        StaticBaseline {
+            difficulty: difficulty(&mut self.cache),
+            untestable: self.verdicts.verdicts().iter().flatten().count(),
+            fault_count: self.verdicts.verdicts().len(),
+            learn: self.engine.stats(),
+            verdicts_reused: 0,
         }
+    }
+
+    /// Measures `edited` — an edit of the base netlist — by rebasing;
+    /// `None` if it is cyclic.
+    fn measure(&self, edited: &Netlist) -> Option<StaticBaseline> {
+        let mut cache = self.cache.clone();
+        cache.rebase(edited).ok()?;
+        let faults = sites(&universe(edited));
+        let engine = self.engine.rebase(edited);
+        let (verdicts, verdicts_reused) = engine.faults_untestable_rebased(&self.verdicts, &faults);
+        Some(StaticBaseline {
+            difficulty: difficulty(&mut cache),
+            untestable: verdicts.iter().flatten().count(),
+            fault_count: faults.len(),
+            learn: engine.stats(),
+            verdicts_reused,
+        })
     }
 }
 
@@ -121,29 +183,40 @@ pub struct Ranking {
     /// below `top_k`.
     pub pruned: usize,
     /// Implication propagations the round's learning passes ran, summed
-    /// over every measurement (the baseline's included, if measured).
+    /// over the round's base engine and every candidate's rebase.
     pub propagations: usize,
     /// Literal propagations those passes skipped by reusing rows.
     pub rows_reused: usize,
+    /// Literal propagations the candidates' rebases copied from the
+    /// round's base engine.
+    pub rows_rebased: usize,
+    /// Untestability verdicts the candidates copied from the base
+    /// engine's recorded batch.
+    pub verdicts_reused: usize,
 }
 
 impl Ranking {
     fn tally(&mut self, measured: &StaticBaseline) {
         self.propagations += measured.learn.propagations;
         self.rows_reused += measured.learn.rows_reused;
+        self.rows_rebased += measured.learn.rows_rebased;
+        self.verdicts_reused += measured.verdicts_reused;
     }
 }
 
 /// Applies and scores every candidate against `baseline`, sorts best
 /// first (score, then key for determinism), and keeps the first `top_k`.
 ///
+/// Each candidate is measured by rebasing the round's base — a warmed
+/// SCOAP cache and an implication engine with a recorded verdict batch,
+/// built once on `netlist` — onto the edited netlist.
+///
 /// `baseline` is the netlist's own measurement when the caller has it
 /// (the previous round's winner carries it as
-/// [`RankedCandidate::after`]); `None` measures it from the warmed cache
-/// the candidates are scored through. Candidates that fail to apply (a
-/// fold of a non-logic net, or a cyclic result) or to measure are
-/// dropped and counted as pruned — as is everything when `netlist`
-/// itself cannot be measured and no baseline is given.
+/// [`RankedCandidate::after`]); `None` reads it off the base. Candidates
+/// that fail to apply (a fold of a non-logic net, or a cyclic result)
+/// or to measure are dropped and counted as pruned — as is everything
+/// when `netlist` itself cannot be measured and no baseline is given.
 #[must_use]
 pub fn rank_candidates(
     netlist: &Netlist,
@@ -156,21 +229,16 @@ pub fn rank_candidates(
         pruned: 0,
         propagations: 0,
         rows_reused: 0,
+        rows_rebased: 0,
+        verdicts_reused: 0,
     };
-    // One warmed cache for the round; each candidate rebases a clone so
-    // SCOAP only re-solves the edit's dirty cone.
-    let mut base_cache = AnalysisCache::new(netlist).ok().map(|mut c| {
-        c.scoap();
-        c.constants();
-        c
-    });
-    let baseline = match (baseline, &mut base_cache) {
+    let mut base = Base::new(netlist);
+    if let Some(base) = &mut base {
+        ranking.tally(&base.baseline());
+    }
+    let baseline = match (baseline, &mut base) {
         (Some(baseline), _) => baseline,
-        (None, Some(cache)) => {
-            let baseline = StaticBaseline::measure_cached(cache);
-            ranking.tally(&baseline);
-            baseline
-        }
+        (None, Some(base)) => base.baseline(),
         (None, None) => {
             ranking.pruned = candidates.len();
             return ranking;
@@ -181,14 +249,8 @@ pub fn rank_candidates(
             ranking.pruned += 1;
             continue;
         };
-        let after = match &base_cache {
-            Some(base) => {
-                let mut cache = base.clone();
-                match cache.rebase(&edited.netlist) {
-                    Ok(()) => Some(StaticBaseline::measure_cached(&mut cache)),
-                    Err(_) => None,
-                }
-            }
+        let after = match &base {
+            Some(base) => base.measure(&edited.netlist),
             None => StaticBaseline::measure(&edited.netlist),
         };
         let Some(after) = after else {
@@ -227,7 +289,7 @@ mod tests {
     use super::*;
     use crate::candidate::expand_hints;
     use dft_lint::lint;
-    use dft_netlist::circuits::redundant_fixture;
+    use dft_netlist::circuits::{random_combinational, redundant_fixture};
 
     #[test]
     fn baseline_measures_the_fixture() {
@@ -258,55 +320,68 @@ mod tests {
 
     #[test]
     fn rebased_scoring_matches_from_scratch_measurement() {
-        // The rewire onto AnalysisCache must not move a single number:
-        // score every candidate both ways — rebasing a warmed cache
-        // clone, and measuring the edited netlist from scratch — and
-        // demand byte-identical ranking output.
-        let n = redundant_fixture();
-        let report = lint(&n);
-        let baseline = StaticBaseline::measure(&n).unwrap();
-        let cands = expand_hints(report.diagnostics(), &[]);
-        let ranked = rank_candidates(&n, None, cands.clone(), usize::MAX).kept;
-        // Reference path: the pre-rewire from-scratch scorer.
-        let mut reference: Vec<(String, i128, i128, i128)> = Vec::new();
-        for candidate in cands {
-            let Ok(edited) = apply_edit(&n, candidate.edit) else {
-                continue;
-            };
-            let report = dft_testability::analyze(&edited.netlist).unwrap();
-            let difficulty: u64 = edited
-                .netlist
-                .ids()
-                .filter(|&id| {
-                    !matches!(
-                        edited.netlist.gate(id).kind(),
-                        GateKind::Const0 | GateKind::Const1
+        // Rebasing must not move a single number: score every candidate
+        // both ways — rebasing the round's warmed cache and implication
+        // engine, and measuring the edited netlist from scratch with a
+        // fresh engine and prefilter — and demand identical deltas and
+        // scores, candidate by candidate. rand_15x140's first round has
+        // 43 candidates: 39 folds and 4 observe points.
+        for (n, kinds) in [
+            (redundant_fixture(), None),
+            (random_combinational(15, 140, 6), Some((39, 4))),
+        ] {
+            let report = lint(&n);
+            let baseline = StaticBaseline::measure(&n).unwrap();
+            let cands = expand_hints(report.diagnostics(), &[]);
+            if let Some((folds, observes)) = kinds {
+                let count = |kind| cands.iter().filter(|c| c.edit.kind() == kind).count();
+                assert_eq!(
+                    (cands.len(), count("fold"), count("observe")),
+                    (folds + observes, folds, observes)
+                );
+            }
+            let ranked = rank_candidates(&n, None, cands.clone(), usize::MAX).kept;
+            let mut reference: Vec<(String, i128, i128, i128)> = Vec::new();
+            for candidate in cands {
+                let Ok(edited) = apply_edit(&n, candidate.edit) else {
+                    continue;
+                };
+                let report = dft_testability::analyze(&edited.netlist).unwrap();
+                let difficulty: u64 = edited
+                    .netlist
+                    .ids()
+                    .filter(|&id| {
+                        !matches!(
+                            edited.netlist.gate(id).kind(),
+                            GateKind::Const0 | GateKind::Const1
+                        )
+                    })
+                    .map(|id| u64::from(report.measure(id).difficulty()))
+                    .sum();
+                let faults = universe(&edited.netlist);
+                let engine = ImplicationEngine::new(&edited.netlist);
+                let untestable = prefilter_with(&engine, &faults).untestable_count();
+                let dd = i128::from(baseline.difficulty) - i128::from(difficulty);
+                let ud = baseline.untestable as i128 - untestable as i128;
+                let hardware =
+                    edited.extra_gates.max(0) as i128 + 2 * edited.extra_pins.max(0) as i128;
+                let score = (dd + UNTESTABLE_WEIGHT * ud) * 1000 / (hardware + 1);
+                reference.push((candidate.edit.key(), dd, ud, score));
+            }
+            reference.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
+            let got: Vec<(String, i128, i128, i128)> = ranked
+                .iter()
+                .map(|r| {
+                    (
+                        r.candidate.edit.key(),
+                        r.difficulty_delta,
+                        r.untestable_delta,
+                        r.score,
                     )
                 })
-                .map(|id| u64::from(report.measure(id).difficulty()))
-                .sum();
-            let faults = universe(&edited.netlist);
-            let engine = ImplicationEngine::new(&edited.netlist);
-            let untestable = prefilter_with(&engine, &faults).untestable_count();
-            let dd = i128::from(baseline.difficulty) - i128::from(difficulty);
-            let ud = baseline.untestable as i128 - untestable as i128;
-            let hardware = edited.extra_gates.max(0) as i128 + 2 * edited.extra_pins.max(0) as i128;
-            let score = (dd + UNTESTABLE_WEIGHT * ud) * 1000 / (hardware + 1);
-            reference.push((candidate.edit.key(), dd, ud, score));
+                .collect();
+            assert_eq!(got, reference, "{}: rebased ranking diverged", n.name());
         }
-        reference.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
-        let got: Vec<(String, i128, i128, i128)> = ranked
-            .iter()
-            .map(|r| {
-                (
-                    r.candidate.edit.key(),
-                    r.difficulty_delta,
-                    r.untestable_delta,
-                    r.score,
-                )
-            })
-            .collect();
-        assert_eq!(got, reference, "cache-rebased ranking diverged");
     }
 
     #[test]
@@ -322,8 +397,9 @@ mod tests {
         };
         let measured = rank_candidates(&n, None, cands.clone(), usize::MAX);
         let given = rank_candidates(&n, StaticBaseline::measure(&n), cands, usize::MAX);
-        // Only the measured call pays for the baseline's learning pass.
-        assert!(measured.propagations > given.propagations);
+        // Both calls build the round's base engine once, and the measured
+        // call reads its baseline off that engine: no extra learning pass.
+        assert_eq!(measured.propagations, given.propagations);
         assert_eq!(keyed(measured), keyed(given));
     }
 

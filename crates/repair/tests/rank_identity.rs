@@ -10,7 +10,9 @@
 //! full-round learning and per-fault verdicts.
 
 use dft_lint::lint_with;
-use dft_netlist::circuits::{random_combinational, redundant_fixture};
+use dft_netlist::circuits::{
+    binary_counter, johnson_counter, random_combinational, redundant_fixture,
+};
 use dft_netlist::Netlist;
 use dft_repair::{expand_hints, rank_candidates, repair, Ranking, RepairOptions, StaticBaseline};
 
@@ -120,5 +122,26 @@ fn redundant_fixture_is_pinned() {
     assert_eq!(
         digests(&redundant_fixture(), 0),
         [9_777_388_916_763_569_791, 12_764_818_584_236_664_928]
+    );
+}
+
+// The sequential cases below were recorded before ranking rebased the
+// implication engine per candidate. They reach what the combinational
+// cases never do: add-reset and scan-convert edits, folds behind
+// flip-flops, and nets whose value is not definite.
+
+#[test]
+fn ctr8_is_pinned() {
+    assert_eq!(
+        digests(&binary_counter(8), 0),
+        [14_652_990_491_685_255_044, 6_107_323_168_098_003_453]
+    );
+}
+
+#[test]
+fn johnson8_is_pinned() {
+    assert_eq!(
+        digests(&johnson_counter(8), 0),
+        [10_202_336_999_759_234_061, 10_820_548_037_219_778_537]
     );
 }
