@@ -8,32 +8,48 @@
 //! artifact counters the replay leaves behind are pinned too: they are
 //! the observable proof of which requests hit warm state and which
 //! built it.
+//!
+//! The same lines, mutated, check that the decoders and the service
+//! survive malformed and unexpected input without panicking.
 
 use dft_bench::resolve_circuit;
 use dft_json::Value;
-use dft_serve::{decode_request, encode_response, LoadError, Request, Response, Service};
+use dft_serve::{
+    decode_request, decode_response, encode_response, LoadError, Request, Response, Service,
+};
 
 const CORPUS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/corpus");
 
-#[test]
-fn corpus_replays_byte_identically_with_pinned_artifact_counts() {
-    let service = Service::new(Box::new(|name: &str| {
+/// A fresh service on the daemon's own resolver.
+fn service() -> Service {
+    Service::new(Box::new(|name: &str| {
         resolve_circuit(name).map_err(|e| LoadError {
             message: e.message,
             available: e.available,
         })
-    }));
-    let read = |file: &str| {
-        std::fs::read_to_string(format!("{CORPUS}/{file}"))
-            .unwrap_or_else(|e| panic!("cannot read {file}: {e}"))
-    };
+    }))
+}
+
+fn read(file: &str) -> String {
+    std::fs::read_to_string(format!("{CORPUS}/{file}"))
+        .unwrap_or_else(|e| panic!("cannot read {file}: {e}"))
+}
+
+/// The request lines of the corpus, comments and blank lines skipped.
+fn request_lines(requests: &str) -> Vec<&str> {
+    requests
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
+        .collect()
+}
+
+#[test]
+fn corpus_replays_byte_identically_with_pinned_artifact_counts() {
+    let service = service();
     let requests = read("requests.jsonl");
     let golden = read("responses.golden.jsonl");
 
-    let lines: Vec<&str> = requests
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
-        .collect();
+    let lines = request_lines(&requests);
     let expected: Vec<&str> = golden.lines().collect();
     assert_eq!(lines.len(), expected.len(), "one golden line per request");
     for (i, (line, want)) in lines.iter().zip(&expected).enumerate() {
@@ -74,4 +90,59 @@ fn corpus_replays_byte_identically_with_pinned_artifact_counts() {
             ("sessions_dropped", 3),
         ]
     );
+}
+
+/// The bytes a substitution writes: JSON's structural characters, a
+/// digit and a space.
+const SUBSTITUTES: [u8; 10] = [b'"', b'\\', b'{', b'}', b'[', b']', b',', b':', b'0', b' '];
+
+/// Every truncation of `line`, then every single-byte substitution with
+/// one of [`SUBSTITUTES`] that changes it. Mutants that are not UTF-8
+/// (a cut or a substitution inside a multi-byte character) are skipped:
+/// the decoders take `&str`.
+fn mutants(line: &str) -> impl Iterator<Item = String> + '_ {
+    let truncations = (0..line.len())
+        .filter(|&end| line.is_char_boundary(end))
+        .map(|end| line[..end].to_owned());
+    let substitutions = (0..line.len()).flat_map(move |i| {
+        SUBSTITUTES
+            .iter()
+            .filter(move |&&b| line.as_bytes()[i] != b)
+            .filter_map(move |&b| {
+                let mut bytes = line.as_bytes().to_vec();
+                bytes[i] = b;
+                String::from_utf8(bytes).ok()
+            })
+    });
+    truncations.chain(substitutions)
+}
+
+#[test]
+fn mutated_corpus_lines_never_panic_the_decoders_or_the_service() {
+    let service = service();
+    let requests = read("requests.jsonl");
+    let (mut mutants_seen, mut answered) = (0, 0);
+    for line in request_lines(&requests) {
+        for mutant in mutants(line) {
+            mutants_seen += 1;
+            if let Ok(req) = decode_request(&mutant) {
+                let _ = encode_response(&service.handle(&req));
+                answered += 1;
+            }
+        }
+        // The clean line moves the session state on as the replay does,
+        // so the next line's mutants meet the designs it loaded.
+        let req = decode_request(line).expect("corpus lines decode");
+        let _ = service.handle(&req);
+    }
+    assert!(
+        answered > 0 && answered < mutants_seen,
+        "{answered} of {mutants_seen} mutated requests decoded"
+    );
+
+    for line in read("responses.golden.jsonl").lines() {
+        for mutant in mutants(line) {
+            let _ = decode_response(&mutant);
+        }
+    }
 }

@@ -20,6 +20,19 @@
 //! * [`Value`] + [`parse`] — a document tree and a recursive-descent
 //!   parser (depth-capped, full `\uXXXX` handling including surrogate
 //!   pairs) for code that consumes JSON.
+//!
+//! The serve codec sends a ~120 KB lint report through this crate on
+//! every lint request, so the hot paths are lean. None of them changes
+//! an emitted byte, an accepted document or an error and its offset:
+//!
+//! * [`parse`] slices a string's escape-free runs straight from the
+//!   input `&str` (no per-run UTF-8 check), and reads a plain integer of
+//!   up to 15 digits exactly without the `f64` parser.
+//! * [`escape_into`] copies each escape-free run with one `push_str`.
+//! * [`write_f64`] prints an integral value below 2^53 through the
+//!   integer formatter (`-0.0` excepted).
+//! * [`JsonWriter::value`] writes a [`Value`] tree straight into the
+//!   writer's output, with no intermediate string.
 
 #![forbid(unsafe_code)]
 

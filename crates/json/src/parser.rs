@@ -1,10 +1,17 @@
 //! A recursive-descent JSON parser (RFC 8259).
 //!
-//! Small by design: the serve codec and the CLI replay tools parse
-//! documents they (or a sibling tool) emitted, so the parser favors
-//! precise errors and bounded recursion over raw speed. Full string
-//! unescaping including `\uXXXX` surrogate pairs; numbers through
-//! Rust's `f64` parser; nesting capped at [`MAX_DEPTH`].
+//! Full string unescaping including `\uXXXX` surrogate pairs, nesting
+//! capped at [`MAX_DEPTH`], and every error reported with the byte
+//! offset it happened at. The serve client parses a lint report of
+//! ~120 KB per request, so the two common token kinds take fast paths
+//! that change no accepted document, value or error offset:
+//!
+//! * a string's escape-free runs are sliced straight from the input
+//!   `&str` — the input is valid UTF-8 and every run ends at an ASCII
+//!   byte, so no run needs re-validating;
+//! * a plain integer of at most 15 digits (no fraction, no exponent) is
+//!   accumulated exactly in a `u64`, since every such value lies below
+//!   2^53; every other number goes through Rust's `f64` parser.
 
 use std::error::Error;
 use std::fmt;
@@ -41,6 +48,7 @@ impl Error for JsonError {}
 /// nesting beyond [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -54,9 +62,14 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'t> {
+    text: &'t str,
     bytes: &'t [u8],
     pos: usize,
 }
+
+/// Digits of the longest plain integer the parser accumulates itself:
+/// 10^15 - 1 is below 2^53, so the `u64` converts to `f64` exactly.
+const EXACT_DIGITS: usize = 15;
 
 impl Parser<'_> {
     fn err(&self, message: impl Into<String>) -> JsonError {
@@ -162,30 +175,42 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+    fn skip_digits(&mut self) {
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
+    }
+
+    fn number(&mut self) -> Result<Value, JsonError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let digits_start = self.pos;
+        self.skip_digits();
+        let digits = &self.bytes[digits_start..self.pos];
+        if (1..=EXACT_DIGITS).contains(&digits.len())
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let n = digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            let v = n as f64; // exact: n < 10^15 < 2^53
+            return Ok(Value::Num(if negative { -v } else { v }));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -195,18 +220,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // A run of plain bytes. It ends at an ASCII byte (or the end
+            // of the input), so both ends are char boundaries of `text`.
             let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' || c < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            self.pos = start + run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -329,6 +351,15 @@ mod tests {
             "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "1 2", "\"", "{]", "nul", "+1", "01a",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_raw_controls_in_strings() {
+        for c in (0u8..0x20).map(char::from) {
+            let e = parse(&format!("[\"ab{c}\"]")).unwrap_err();
+            assert_eq!(e.message, "raw control character in string", "{c:?}");
+            assert_eq!(e.offset, 4, "{c:?}");
         }
     }
 

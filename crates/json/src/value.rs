@@ -2,6 +2,10 @@
 
 use crate::writer::{escape_into, write_f64};
 
+/// 2^53: every integer of smaller magnitude is exact in an `f64`, and
+/// 2^53 itself is not exact input (`9007199254740993` parses to it).
+pub(crate) const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
 /// A parsed JSON document.
 ///
 /// Objects keep their members in document order (a `Vec`, not a map):
@@ -66,13 +70,14 @@ impl Value {
     }
 
     /// The numeric payload as an exact unsigned integer. `None` when
-    /// not a number, negative, fractional, or beyond the 53-bit exact
-    /// range.
+    /// not a number, negative, fractional, or not below 2^53 — the
+    /// first magnitude at which distinct JSON integers parse to the same
+    /// `f64`.
     #[must_use]
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        if (0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0 {
+        if (0.0..EXACT_INT_LIMIT).contains(&n) && n.fract() == 0.0 {
             Some(n as u64)
         } else {
             None
@@ -85,7 +90,7 @@ impl Value {
     #[allow(clippy::cast_possible_truncation)]
     pub fn as_i64(&self) -> Option<i64> {
         let n = self.as_f64()?;
-        if n.abs() <= 9_007_199_254_740_992.0 && n.fract() == 0.0 {
+        if n.abs() < EXACT_INT_LIMIT && n.fract() == 0.0 {
             Some(n as i64)
         } else {
             None
@@ -179,6 +184,28 @@ mod tests {
         assert_eq!(Value::Num(-2.0).as_u64(), None);
         assert_eq!(Value::Num(-2.0).as_i64(), Some(-2));
         assert_eq!(Value::Null.as_str(), None);
+    }
+
+    #[test]
+    fn integers_must_lie_below_two_to_the_53() {
+        let below = crate::parse("9007199254740991").unwrap();
+        assert_eq!(below.as_u64(), Some(9_007_199_254_740_991));
+        assert_eq!(below.as_i64(), Some(9_007_199_254_740_991));
+        assert_eq!(
+            crate::parse("-9007199254740991").unwrap().as_i64(),
+            Some(-9_007_199_254_740_991)
+        );
+        // 2^53 + 1 parses to 2^53, so neither may pass as exact.
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740992",
+            "-9007199254740993",
+        ] {
+            let v = crate::parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert_eq!(v.as_i64(), None, "{text}");
+        }
     }
 
     #[test]

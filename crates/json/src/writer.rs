@@ -2,26 +2,36 @@
 
 use std::fmt::Write as _;
 
+use crate::value::{Value, EXACT_INT_LIMIT};
+
 /// Appends the RFC 8259 escape of `s` (no surrounding quotes) to `out`.
 ///
 /// This is byte-for-byte the escaping every tessera emitter has always
 /// used: `"` `\` and the C0 controls are escaped (`\n` `\r` `\t` get
 /// their short forms, the rest `\u00xx`), everything else passes
-/// through verbatim.
+/// through verbatim. Each escape-free run is copied with one
+/// `push_str`: every byte that needs an escape is ASCII, so the runs
+/// between them split `s` at char boundaries.
 pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run_start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
+            }
+        }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
 }
 
 /// `s` as a complete JSON string literal, quotes included.
@@ -37,12 +47,17 @@ pub fn escaped(s: &str) -> String {
 /// Appends `v` as a JSON number. JSON has no NaN/Infinity, so
 /// non-finite values render as `null` (the convention the obs reports
 /// established). Finite values use Rust's shortest round-trip `{}`
-/// formatting.
+/// formatting. An integral value of magnitude below 2^53, `-0.0`
+/// excepted, prints through the integer formatter instead: the
+/// shortest round-trip digits of such a value are the integer's own.
 pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
+    let negative_zero = v == 0.0 && v.is_sign_negative();
+    if !v.is_finite() {
         out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() < EXACT_INT_LIMIT && !negative_zero {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -62,8 +77,7 @@ pub enum Style {
 /// The writer tracks the container stack and inserts commas (and, in
 /// [`Style::Pretty`], newlines and indentation) automatically; callers
 /// just alternate `key`/value calls inside objects and value calls
-/// inside arrays. [`JsonWriter::raw`] escapes to the next layer down for
-/// the rare pre-rendered fragment.
+/// inside arrays. [`JsonWriter::value`] embeds a whole [`Value`] tree.
 #[derive(Debug)]
 pub struct JsonWriter {
     out: String,
@@ -227,12 +241,11 @@ impl JsonWriter {
         self.out.push_str("null");
     }
 
-    /// Writes a pre-rendered JSON fragment verbatim as the next value.
-    /// The fragment must itself be valid JSON; the writer only handles
-    /// the surrounding punctuation.
-    pub fn raw(&mut self, fragment: &str) {
+    /// Writes a document tree as the next value, in compact form (on
+    /// one line in [`Style::Pretty`] too), straight into the output.
+    pub fn value(&mut self, v: &Value) {
         self.pre_value();
-        self.out.push_str(fragment);
+        v.write_compact(&mut self.out);
     }
 }
 
@@ -328,13 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn raw_injects_prerendered_fragments() {
+    fn value_embeds_a_document_tree() {
+        let doc = crate::parse("{\"pre\": [1, \"x\"]}").unwrap();
         let mut w = JsonWriter::new(Style::Compact);
         w.begin_object();
         w.key("frag");
-        w.raw("{\"pre\":1}");
+        w.value(&doc);
+        w.kv_bool("after", true);
         w.end_object();
-        assert_eq!(w.finish(), "{\"frag\":{\"pre\":1}}");
+        assert_eq!(w.finish(), "{\"frag\":{\"pre\":[1,\"x\"]},\"after\":true}");
     }
 
     #[test]

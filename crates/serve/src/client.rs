@@ -150,18 +150,26 @@ fn read_http_response(stream: &mut TcpStream) -> Result<String, ClientError> {
     }
     let content_length = content_length
         .ok_or_else(|| ClientError::Protocol("response without Content-Length".into()))?;
-    let body_start = head_end + 4;
-    while buf.len() < body_start + content_length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
+    // The body leaves the read buffer without a copy: whatever arrived
+    // with the head stays in place, the rest is read straight into the
+    // same allocation. The length comes from the peer, so it is reserved
+    // (an impossible one is an error, not an abort) and filled only with
+    // bytes that actually arrive.
+    let mut body = buf;
+    body.drain(..head_end + 4);
+    if body.len() < content_length {
+        let missing = content_length - body.len();
+        body.try_reserve_exact(missing).map_err(|_| {
+            ClientError::Protocol(format!("Content-Length {content_length} is too large"))
+        })?;
+        stream.take(missing as u64).read_to_end(&mut body)?;
+        if body.len() < content_length {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-body",
             )));
         }
-        buf.extend_from_slice(&chunk[..n]);
     }
-    String::from_utf8(buf[body_start..body_start + content_length].to_vec())
-        .map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))
+    body.truncate(content_length);
+    String::from_utf8(body).map_err(|_| ClientError::Protocol("response body is not UTF-8".into()))
 }

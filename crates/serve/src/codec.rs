@@ -12,7 +12,10 @@
 //! same bytes — the property the golden replay corpus pins); decoding
 //! goes through the `dft-json` parser and rejects unknown schemas,
 //! unknown types and missing or mistyped fields with a [`CodecError`]
-//! naming the offending field.
+//! naming the offending field. Decoding moves the large members — the
+//! `body`, a lint `report`, the `/stats` document, a `load-bench`
+//! netlist `text` — out of the parsed tree instead of cloning them, so
+//! a message costs one parse.
 
 use std::error::Error;
 use std::fmt;
@@ -198,7 +201,7 @@ pub fn encode_response(resp: &Response) -> String {
             w.kv_u64("warnings", *warnings as u64);
             w.kv_u64("infos", *infos as u64);
             w.key("report");
-            w.raw(&report.to_compact());
+            w.value(report);
         }
         Response::Scoap {
             design,
@@ -299,7 +302,7 @@ pub fn encode_response(resp: &Response) -> String {
         }
         Response::Stats { stats } => {
             w.key("stats");
-            w.raw(&stats.to_compact());
+            w.value(stats);
         }
         Response::Shutdown => {}
         Response::Error {
@@ -326,6 +329,29 @@ pub fn encode_response(resp: &Response) -> String {
 fn field<'v>(body: &'v Value, key: &str) -> Result<&'v Value, CodecError> {
     body.get(key)
         .ok_or_else(|| CodecError::new(format!("missing field '{key}'")))
+}
+
+/// Moves member `key` (its first occurrence, as [`Value::get`] finds)
+/// out of an object, leaving `null` in its place.
+fn take(body: &mut Value, key: &str) -> Option<Value> {
+    match body {
+        Value::Obj(members) => members
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Value::Null)),
+        _ => None,
+    }
+}
+
+fn take_field(body: &mut Value, key: &str) -> Result<Value, CodecError> {
+    take(body, key).ok_or_else(|| CodecError::new(format!("missing field '{key}'")))
+}
+
+fn take_str_field(body: &mut Value, key: &str) -> Result<String, CodecError> {
+    match take_field(body, key)? {
+        Value::Str(s) => Ok(s),
+        _ => Err(CodecError::new(format!("field '{key}' must be a string"))),
+    }
 }
 
 fn str_field(body: &Value, key: &str) -> Result<String, CodecError> {
@@ -396,7 +422,7 @@ fn usize_list(body: &Value, key: &str) -> Result<Vec<usize>, CodecError> {
 
 /// Splits a parsed envelope into `(type, body)` after schema check.
 fn open_envelope(text: &str) -> Result<(String, Value), CodecError> {
-    let doc = parse(text).map_err(|e| CodecError::new(format!("invalid JSON: {e}")))?;
+    let mut doc = parse(text).map_err(|e| CodecError::new(format!("invalid JSON: {e}")))?;
     let schema = doc
         .get("schema")
         .and_then(Value::as_str)
@@ -411,7 +437,7 @@ fn open_envelope(text: &str) -> Result<(String, Value), CodecError> {
         .and_then(Value::as_str)
         .ok_or_else(|| CodecError::new("missing 'type'"))?
         .to_owned();
-    let body = doc.get("body").cloned().unwrap_or(Value::Obj(Vec::new()));
+    let body = take(&mut doc, "body").unwrap_or(Value::Obj(Vec::new()));
     if body.as_object().is_none() {
         return Err(CodecError::new("'body' must be an object"));
     }
@@ -451,23 +477,25 @@ fn decode_edit(v: &Value) -> Result<EcoEdit, CodecError> {
 /// missing/mistyped body field.
 pub fn decode_request(text: &str) -> Result<Request, CodecError> {
     let (kind, body) = open_envelope(text)?;
-    decode_request_body(&kind, &body)
+    decode_request_body(&kind, body)
 }
 
 /// Decodes a request from an already-split `(type, body)` pair — the
 /// path HTTP per-endpoint routes use, where the type comes from the URL.
+/// The body is consumed: a `load-bench` netlist moves into the request.
 ///
 /// # Errors
 ///
 /// [`CodecError`] on an unknown type or a missing/mistyped body field.
-pub fn decode_request_body(kind: &str, body: &Value) -> Result<Request, CodecError> {
+pub fn decode_request_body(kind: &str, mut body: Value) -> Result<Request, CodecError> {
+    let body = &mut body;
     Ok(match kind {
         "load" => Request::Load {
             circuit: str_field(body, "circuit")?,
         },
         "load-bench" => Request::LoadBench {
             name: str_field(body, "name")?,
-            text: str_field(body, "text")?,
+            text: take_str_field(body, "text")?,
         },
         "drop" => Request::Drop {
             design: str_field(body, "design")?,
@@ -537,7 +565,7 @@ fn decode_info(body: &Value) -> Result<DesignInfo, CodecError> {
 /// [`CodecError`] on malformed JSON, wrong schema, unknown type, or a
 /// missing/mistyped body field.
 pub fn decode_response(text: &str) -> Result<Response, CodecError> {
-    let (kind, body) = open_envelope(text)?;
+    let (kind, mut body) = open_envelope(text)?;
     Ok(match kind.as_str() {
         "loaded" => Response::Loaded(decode_info(&body)?),
         "dropped" => Response::Dropped {
@@ -558,7 +586,7 @@ pub fn decode_response(text: &str) -> Result<Response, CodecError> {
             errors: usize_field(&body, "errors")?,
             warnings: usize_field(&body, "warnings")?,
             infos: usize_field(&body, "infos")?,
-            report: std::sync::Arc::new(field(&body, "report")?.clone()),
+            report: std::sync::Arc::new(take_field(&mut body, "report")?),
         },
         "scoap" => {
             let summary = field(&body, "summary")?;
@@ -616,7 +644,7 @@ pub fn decode_response(text: &str) -> Result<Response, CodecError> {
             incremental: bool_field(&body, "incremental")?,
         },
         "stats" => Response::Stats {
-            stats: field(&body, "stats")?.clone(),
+            stats: take_field(&mut body, "stats")?,
         },
         "shutdown" => Response::Shutdown,
         "error" => Response::Error {

@@ -242,15 +242,25 @@ impl Conn {
             ));
         }
 
-        let body_start = head_end + 4;
-        while self.buf.len() < body_start + content_length {
-            if self.fill()? == 0 {
-                return Ok(ReadOutcome::Bad(400, "truncated request body".into()));
+        // The body leaves the read buffer without a copy: whatever
+        // arrived with the head stays in place, the rest is read into
+        // the same allocation in one `read_exact`.
+        let mut body = std::mem::take(&mut self.buf);
+        body.drain(..head_end + 4);
+        if body.len() > content_length {
+            // Keep any pipelined bytes for the next request.
+            self.buf = body.split_off(content_length);
+        } else {
+            let arrived = body.len();
+            body.resize(content_length, 0);
+            match self.stream.read_exact(&mut body[arrived..]) {
+                Ok(()) => self.bytes_in += (content_length - arrived) as u64,
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                    return Ok(ReadOutcome::Bad(400, "truncated request body".into()));
+                }
+                Err(e) => return Err(e),
             }
         }
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        // Keep any pipelined bytes for the next request.
-        self.buf.drain(..body_start + content_length);
         Ok(ReadOutcome::Request(HttpRequest {
             method,
             path,
@@ -280,7 +290,7 @@ fn route(http: &HttpRequest) -> Result<Request, (u16, String)> {
             } else {
                 parse(body_text).map_err(|e| (400, format!("invalid JSON body: {e}")))?
             };
-            decode_request_body(kind, &body).map_err(|e| (404, e.to_string()))
+            decode_request_body(kind, body).map_err(|e| (404, e.to_string()))
         }
         (method, path) => Err((404, format!("no route for {method} {path}"))),
     }
