@@ -1,7 +1,7 @@
 //! PODEM: path-oriented decision making over primary-input assignments.
 
 use dft_fault::Fault;
-use dft_implic::{ImplicOptions, ImplicationEngine};
+use dft_implic::ImplicationEngine;
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin};
 use dft_obs::{Collector, Obs};
 use dft_sim::Logic;
@@ -525,13 +525,9 @@ impl<'n> Podem<'n> {
         let mut obs = Obs::new(obs);
         let net = Compiled::new(netlist)?;
         let report = analyze(netlist)?;
-        let implic = config.use_implications.then(|| {
-            ImplicationEngine::with_options_observed(
-                netlist,
-                ImplicOptions::default(),
-                obs.as_option(),
-            )
-        });
+        let implic = config
+            .use_implications
+            .then(|| ImplicationEngine::new_observed(netlist, obs.as_option()));
         Ok(Podem {
             net,
             report,
@@ -1254,7 +1250,7 @@ impl Podem<'static> {
         let report = analyze(&netlist)?;
         let implic = config
             .use_implications
-            .then(|| ImplicationEngine::from_owned(netlist, ImplicOptions::default()));
+            .then(|| ImplicationEngine::from_owned(netlist));
         Ok(Podem {
             net,
             report,

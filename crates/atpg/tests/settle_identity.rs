@@ -10,7 +10,7 @@
 //! proofs.
 
 use dft_atpg::{GenOutcome, Podem, PodemConfig, Prover, SolveStats};
-use dft_fault::universe;
+use dft_fault::{prefilter_with, universe};
 use dft_netlist::circuits::{c17, random_combinational};
 use dft_netlist::Netlist;
 
@@ -91,4 +91,30 @@ fn a_tight_backtrack_limit_hands_aborts_to_the_prover() {
     assert!(solve_aborts > 0, "the limit must bite");
     assert!(settle_aborts < solve_aborts);
     assert!(proofs > 0);
+}
+
+/// `settle`'s first rung is the static implication check that
+/// `prefilter_with` runs as one batch: a fault gets `Prover::Static`
+/// exactly when the prefilter proves it untestable. tessera-serve reads
+/// a request's `prefiltered` flag off the settle alone because of this.
+#[test]
+fn static_proofs_are_exactly_the_prefilter_verdicts() {
+    let mut proofs = 0;
+    for n in roster() {
+        let solver = Podem::new(&n, PodemConfig::default()).unwrap();
+        let faults = universe(&n);
+        let engine = solver.implications().expect("the default config learns");
+        let prefilter = prefilter_with(engine, &faults);
+        for (i, &f) in faults.iter().enumerate() {
+            let (outcome, stats) = solver.settle(f);
+            let is_static = stats.prover == Prover::Static;
+            assert_eq!(is_static, prefilter.is_untestable(i), "{f} on {}", n.name());
+            if is_static {
+                assert_eq!(outcome, GenOutcome::Untestable, "{f}");
+                assert_eq!(stats.backtracks, 0, "{f}");
+                proofs += 1;
+            }
+        }
+    }
+    assert!(proofs > 0, "rand_15x140 has statically redundant faults");
 }

@@ -1,10 +1,35 @@
-//! End-to-end tests of the `tessera-lint` binary: output formats and
-//! the severity-driven exit-code contract.
+//! End-to-end tests of the `tessera-lint` binary: output formats, the
+//! severity-driven exit-code contract, and byte-for-byte goldens of the
+//! rule list, the library report and a scan groundrule report.
 
+use std::path::Path;
 use std::process::Command;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tessera-lint"))
+}
+
+/// Asserts `stdout` equals `crates/bench/golden/<name>` byte for byte,
+/// naming the first line that differs.
+fn assert_matches_golden(name: &str, stdout: Vec<u8>) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(name);
+    let want = std::fs::read_to_string(&path).expect("golden is committed");
+    let got = String::from_utf8(stdout).unwrap();
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(g, w)| g != w)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "output drifted from {name} at line {} ({} bytes, golden {} bytes)",
+            line + 1,
+            got.len(),
+            want.len()
+        );
+    }
 }
 
 #[test]
@@ -100,19 +125,40 @@ fn error_severity_findings_drive_exit_code_one() {
 fn list_rules_names_the_documented_set() {
     let out = bin().arg("--list-rules").output().expect("binary runs");
     assert!(out.status.success());
-    let s = String::from_utf8(out.stdout).unwrap();
-    for id in [
-        "comb-feedback",
-        "dead-logic",
-        "constant-output",
-        "reconvergent-fanout",
-        "uninitializable-storage",
-        "hard-to-control",
-        "hard-to-observe",
-        "latch-race",
-    ] {
-        assert!(s.contains(id), "--list-rules misses {id}");
-    }
+    assert_matches_golden("tessera_lint_list_rules.out", out.stdout);
+}
+
+#[test]
+fn library_report_matches_its_golden() {
+    let out = bin()
+        .args(["--format", "json"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    assert_matches_golden("tessera_lint_library.json", out.stdout);
+}
+
+#[test]
+fn scan_groundrule_report_matches_its_golden() {
+    // Fires scan-coverage, scan-depth and scan-latch-race alongside the
+    // netlist rules, merged into one sorted report per design.
+    let out = bin()
+        .args([
+            "--scan",
+            "scan-set",
+            "--scan-width",
+            "3",
+            "--max-depth",
+            "2",
+            "counter8",
+            "shift8",
+            "--format",
+            "json",
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "scan-coverage is an error");
+    assert_matches_golden("tessera_lint_scan_set.json", out.stdout);
 }
 
 #[test]

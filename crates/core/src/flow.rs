@@ -8,10 +8,11 @@
 
 use dft_atpg::{generate_tests, AtpgConfig};
 use dft_fault::{sequential, universe, Fault};
+use dft_lint::Diagnostic;
 use dft_netlist::{LevelizeError, Netlist};
 use dft_scan::{
-    check_rules, extract_test_view, insert_scan, OverheadReport, RuleConfig, RuleViolation,
-    ScanConfig, ScanSchedule, ScanTestProgram,
+    extract_test_view, insert_scan, lint_scan_design, OverheadReport, RuleConfig, ScanConfig,
+    ScanSchedule, ScanTestProgram,
 };
 use dft_sim::Logic;
 
@@ -31,8 +32,9 @@ pub struct ScanFlowReport {
     pub data_volume_bits: u64,
     /// Hardware cost of the scan style.
     pub overhead: OverheadReport,
-    /// Design-rule violations found before the flow ran.
-    pub rule_violations: Vec<RuleViolation>,
+    /// Scan groundrule findings on the scanned design, found before the
+    /// flow ran.
+    pub rule_violations: Vec<Diagnostic>,
     /// Mismatches when the assembled program ran on the good functional
     /// machine (must be 0: the view's predictions hold end-to-end).
     pub good_machine_mismatches: usize,
@@ -51,7 +53,9 @@ pub fn full_scan_flow(
     atpg_config: &AtpgConfig,
 ) -> Result<ScanFlowReport, LevelizeError> {
     let design = insert_scan(netlist, scan_config)?;
-    let rule_violations = check_rules(&design, RuleConfig { max_depth: 64 });
+    let rule_violations = lint_scan_design(&design, &RuleConfig { max_depth: 64 })
+        .diagnostics()
+        .to_vec();
     let view = extract_test_view(netlist)?;
 
     let faults: Vec<Fault> = universe(netlist)

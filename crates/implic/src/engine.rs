@@ -60,54 +60,13 @@ impl std::fmt::Display for Literal {
     }
 }
 
-/// Tuning knobs for [`ImplicationEngine::with_options`].
-///
-/// `#[non_exhaustive]`: construct via [`Default`] and the `with_*`
-/// builders so new knobs can be added without breaking downstream
-/// crates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ImplicOptions {
-    /// Maximum assign–propagate–contrapose rounds. Learning stops early
-    /// once a round adds no edge; 0 disables learning entirely (direct
-    /// implications only).
-    pub learning_rounds: usize,
-    /// Skip learning on netlists with more gates than this (the learning
-    /// pass keeps a dense implication matrix of `(2·gates)²` bits while
-    /// it runs).
-    pub learn_gate_limit: usize,
-}
+/// Assign–propagate–contrapose rounds a build runs at most. Learning
+/// stops early once a round adds no edge.
+const LEARNING_ROUNDS: usize = 4;
 
-impl Default for ImplicOptions {
-    fn default() -> Self {
-        ImplicOptions {
-            learning_rounds: 4,
-            learn_gate_limit: 4096,
-        }
-    }
-}
-
-impl ImplicOptions {
-    /// Defaults (same as [`Default`], spelled for builder chains).
-    #[must_use]
-    pub fn new() -> Self {
-        ImplicOptions::default()
-    }
-
-    /// Sets [`ImplicOptions::learning_rounds`].
-    #[must_use]
-    pub fn with_learning_rounds(mut self, learning_rounds: usize) -> Self {
-        self.learning_rounds = learning_rounds;
-        self
-    }
-
-    /// Sets [`ImplicOptions::learn_gate_limit`].
-    #[must_use]
-    pub fn with_learn_gate_limit(mut self, learn_gate_limit: usize) -> Self {
-        self.learn_gate_limit = learn_gate_limit;
-        self
-    }
-}
+/// Netlists with more gates than this skip learning (the learning pass
+/// keeps a dense implication matrix of `(2·gates)²` bits while it runs).
+const LEARN_GATE_LIMIT: usize = 4096;
 
 /// Counters from the build/learning phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -125,7 +84,7 @@ pub struct LearnStats {
     /// closure.
     pub propagations: usize,
     /// Literal propagations skipped because the literal's previous row
-    /// provably repeats (see [`ImplicationEngine::with_options`]).
+    /// provably repeats (see [`ImplicationEngine::new`]).
     pub rows_reused: usize,
     /// Literal propagations skipped because the prior engine's outcome
     /// for the same literal and round provably repeats on the edited
@@ -344,7 +303,6 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
 #[derive(Debug)]
 pub struct ImplicationEngine<'n> {
     netlist: Cow<'n, Netlist>,
-    options: ImplicOptions,
     pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
     pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
@@ -367,24 +325,19 @@ pub struct ImplicationEngine<'n> {
 static NEXT_SERIAL: AtomicU64 = AtomicU64::new(1);
 
 impl ImplicationEngine<'static> {
-    /// [`ImplicationEngine::with_options`] over a netlist the engine takes
+    /// [`ImplicationEngine::new`] over a netlist the engine takes
     /// ownership of, so the engine carries no borrow.
     #[must_use]
-    pub fn from_owned(netlist: Netlist, options: ImplicOptions) -> Self {
-        Self::build(Cow::Owned(netlist), options)
+    pub fn from_owned(netlist: Netlist) -> Self {
+        Self::build(Cow::Owned(netlist))
     }
 }
 
 impl<'n> ImplicationEngine<'n> {
-    /// Builds the engine with default options (see [`ImplicOptions`]).
-    #[must_use]
-    pub fn new(netlist: &'n Netlist) -> Self {
-        Self::with_options(netlist, ImplicOptions::default())
-    }
-
-    /// Builds the engine: seeds global constants, then runs
-    /// assign–propagate–contrapose learning rounds until no round adds
-    /// an edge (or `options.learning_rounds` is exhausted).
+    /// Builds the engine: seeds global constants, then runs up to four
+    /// assign–propagate–contrapose learning rounds, stopping early once
+    /// a round adds no edge. Netlists over 4,096 gates get the direct
+    /// implications only.
     ///
     /// Rounds are incremental. A literal's propagation reads only the
     /// global constants and the learned edges whose premises it assigns,
@@ -393,12 +346,12 @@ impl<'n> ImplicationEngine<'n> {
     /// trail gained an edge in the round just finished. Such rows are
     /// kept rather than propagated again ([`LearnStats::rows_reused`]).
     #[must_use]
-    pub fn with_options(netlist: &'n Netlist, options: ImplicOptions) -> Self {
-        Self::with_options_observed(netlist, options, None)
+    pub fn new(netlist: &'n Netlist) -> Self {
+        Self::new_observed(netlist, None)
     }
 
-    /// [`ImplicationEngine::with_options`] feeding telemetry to an
-    /// optional collector — the uniform observed entry point.
+    /// [`ImplicationEngine::new`] feeding telemetry to an optional
+    /// collector — the uniform observed entry point.
     ///
     /// Opens an `implic.learn` span and flushes the [`LearnStats`]
     /// counters once the build completes (`rounds`, `learned_edges`,
@@ -406,14 +359,10 @@ impl<'n> ImplicationEngine<'n> {
     /// `rows_reused`, `rows_rebased`, plus `gates` for scale); the legacy
     /// [`ImplicationEngine::stats`] view is unchanged.
     #[must_use]
-    pub fn with_options_observed(
-        netlist: &'n Netlist,
-        options: ImplicOptions,
-        obs: Option<&mut dyn Collector>,
-    ) -> Self {
+    pub fn new_observed(netlist: &'n Netlist, obs: Option<&mut dyn Collector>) -> Self {
         let mut obs = Obs::new(obs);
         obs.enter("implic.learn");
-        let engine = Self::build(Cow::Borrowed(netlist), options);
+        let engine = Self::build(Cow::Borrowed(netlist));
         obs.count("gates", netlist.gate_count() as u64);
         obs.count("rounds", engine.stats.rounds as u64);
         obs.count("learned_edges", engine.stats.learned_edges as u64);
@@ -429,9 +378,9 @@ impl<'n> ImplicationEngine<'n> {
         engine
     }
 
-    /// Builds the engine [`ImplicationEngine::with_options`] would build
-    /// over `edited` with this engine's options, copying from this
-    /// engine whatever the edit cannot reach.
+    /// Builds the engine [`ImplicationEngine::new`] would build over
+    /// `edited`, copying from this engine whatever the edit cannot
+    /// reach.
     ///
     /// `edited` is this engine's netlist after in-place rewrites and
     /// appended gates (an append-only evolution of the arena, as every
@@ -456,11 +405,11 @@ impl<'n> ImplicationEngine<'n> {
     #[must_use]
     pub fn rebase<'e>(&self, edited: &'e Netlist) -> ImplicationEngine<'e> {
         let Some(mut replay) = Replay::new(self, edited) else {
-            return ImplicationEngine::build(Cow::Borrowed(edited), self.options);
+            return ImplicationEngine::build(Cow::Borrowed(edited));
         };
         let mut engine = ImplicationEngine::build_using(
             Cow::Borrowed(edited),
-            self.options,
+            LEARNING_ROUNDS,
             |e, prop, rounds| {
                 e.learn(prop, rounds, Some(&mut replay));
             },
@@ -553,18 +502,18 @@ impl<'n> ImplicationEngine<'n> {
         })
     }
 
-    fn build(netlist: Cow<'n, Netlist>, options: ImplicOptions) -> Self {
-        Self::build_using(netlist, options, |e, prop, rounds| {
+    fn build(netlist: Cow<'n, Netlist>) -> Self {
+        Self::build_using(netlist, LEARNING_ROUNDS, |e, prop, rounds| {
             e.learn(prop, rounds, None)
         })
     }
 
-    /// [`ImplicationEngine::build`] with the learning pass supplied: the
-    /// from-scratch pass, the same pass replaying a prior engine, or (in
-    /// tests) a reference pass.
+    /// [`ImplicationEngine::build`] with the round limit and the learning
+    /// pass supplied: the from-scratch pass, the same pass replaying a
+    /// prior engine, or (in tests) a reference pass or another limit.
     fn build_using(
         netlist: Cow<'n, Netlist>,
-        options: ImplicOptions,
+        rounds: usize,
         learn: impl FnOnce(&mut Self, &mut Prop, usize),
     ) -> Self {
         let n = netlist.gate_count();
@@ -594,7 +543,6 @@ impl<'n> ImplicationEngine<'n> {
 
         let mut engine = ImplicationEngine {
             netlist,
-            options,
             fanout,
             is_po,
             definite,
@@ -623,11 +571,7 @@ impl<'n> ImplicationEngine<'n> {
 
         // Over the gate limit, still harvest unsettables/constants from
         // one direct round.
-        let rounds = if n <= options.learn_gate_limit {
-            options.learning_rounds
-        } else {
-            0
-        };
+        let rounds = if n <= LEARN_GATE_LIMIT { rounds } else { 0 };
         learn(&mut engine, &mut prop, rounds);
 
         engine.stats.unsettable_literals = engine.unsettable.iter().filter(|&&u| u).count();
@@ -1283,7 +1227,7 @@ impl<'p> Replay<'p> {
     /// replay (no record, a shrunken arena, or no learning on `edited`).
     fn new(prior: &'p ImplicationEngine<'p>, edited: &Netlist) -> Option<Self> {
         let record = prior.record.as_ref()?;
-        if edited.gate_count() > prior.options.learn_gate_limit {
+        if edited.gate_count() > LEARN_GATE_LIMIT {
             return None;
         }
         let diff = prior.netlist.arena_diff(edited)?;
@@ -1523,6 +1467,13 @@ mod tests {
     use dft_netlist::Netlist;
     use proptest::prelude::*;
 
+    /// The production build with `rounds` learning rounds at most.
+    fn with_rounds(n: &Netlist, rounds: usize) -> ImplicationEngine<'_> {
+        ImplicationEngine::build_using(Cow::Borrowed(n), rounds, |e, prop, r| {
+            e.learn(prop, r, None)
+        })
+    }
+
     /// Everything learning produces, for comparing two passes.
     fn learned_state(
         e: &ImplicationEngine<'_>,
@@ -1557,11 +1508,10 @@ mod tests {
             } else {
                 random_combinational(inputs, gates, seed)
             };
-            let options = ImplicOptions::new().with_learning_rounds(rounds);
-            let fast = ImplicationEngine::with_options(&n, options);
+            let fast = with_rounds(&n, rounds);
             let full = ImplicationEngine::build_using(
                 Cow::Borrowed(&n),
-                options,
+                rounds,
                 ImplicationEngine::learn_full_rounds,
             );
             prop_assert_eq!(learned_state(&fast), learned_state(&full));
@@ -1651,13 +1601,7 @@ mod tests {
             q.implied
         );
         // Direct-only engine misses it (this is what makes it indirect).
-        let direct = ImplicationEngine::with_options(
-            &n,
-            ImplicOptions {
-                learning_rounds: 0,
-                ..ImplicOptions::default()
-            },
-        );
+        let direct = with_rounds(&n, 0);
         let q = direct.query(y, true);
         assert!(!q.implied.contains(&Literal {
             net: a,

@@ -63,5 +63,5 @@
 mod engine;
 mod untestable;
 
-pub use engine::{ImplicOptions, ImplicationEngine, Implications, LearnStats, Literal};
+pub use engine::{ImplicationEngine, Implications, LearnStats, Literal};
 pub use untestable::{UntestableReason, VerdictRecord};

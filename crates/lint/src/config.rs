@@ -23,7 +23,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::diag::{LintReport, Severity};
-use crate::fix::resolve_rule_name;
+use crate::registry::resolve_rule_name;
 
 /// One parsed override: silence the rule, or re-rank its findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -4,6 +4,7 @@ use std::cell::OnceCell;
 
 use dft_analyze::{Dominators, GraphView, XProp, XWitness};
 use dft_implic::ImplicationEngine;
+use dft_netlist::cones::{reconvergent_fanouts, Reconvergence};
 use dft_netlist::{GateId, Levelization, LevelizeError, Netlist};
 use dft_sim::Logic;
 use dft_testability::TestabilityReport;
@@ -64,10 +65,11 @@ impl Default for LintConfig {
 /// Rules read, never compute — but the expensive analyses are computed
 /// *lazily*, on the first rule that asks. Levelization and the fanout
 /// map are cheap and eager; SCOAP, constant propagation, the
-/// X-propagation/dominator framework passes and the implication engine
-/// each materialize once on first access and are shared by every later
-/// rule. A run whose rule set never touches the implication engine
-/// (quadratic in gate count: one learning propagation per literal)
+/// X-propagation/dominator framework passes, the reconvergence walk and
+/// the implication engine each materialize once on first access and are
+/// shared by every later rule. A run whose rule set never touches the
+/// implication engine (quadratic in gate count: one learning propagation
+/// per literal) or the reconvergence walk (one DFS per fanout stem)
 /// never pays for it — which is what keeps linting 10⁵–10⁶-gate
 /// netlists with the structural/SCOAP rule subset linear. On a cyclic
 /// netlist only the fanout map is available — rules other than the
@@ -80,6 +82,7 @@ pub struct LintContext<'n> {
     scoap: OnceCell<Option<TestabilityReport>>,
     constants: OnceCell<Option<Vec<Logic>>>,
     framework: OnceCell<Option<(Vec<XWitness>, Dominators)>>,
+    reconvergence: OnceCell<Vec<Reconvergence>>,
     implications: OnceCell<Option<ImplicationEngine<'n>>>,
 }
 
@@ -95,6 +98,7 @@ impl<'n> LintContext<'n> {
             scoap: OnceCell::new(),
             constants: OnceCell::new(),
             framework: OnceCell::new(),
+            reconvergence: OnceCell::new(),
             implications: OnceCell::new(),
         }
     }
@@ -201,6 +205,14 @@ impl<'n> LintContext<'n> {
         self.framework().map(|(_, dom)| dom)
     }
 
+    /// Every reconvergent fanout stem with its shallowest meet gate
+    /// (empty on cyclic netlists). Computed on first access, then shared.
+    #[must_use]
+    pub fn reconvergence(&self) -> &[Reconvergence] {
+        self.reconvergence
+            .get_or_init(|| reconvergent_fanouts(self.netlist))
+    }
+
     /// The static implication engine with SOCRATES-style learned
     /// implications (`None` on cyclic netlists): implied constants that
     /// plain constant propagation misses, unsettable literals, and the
@@ -248,6 +260,8 @@ mod tests {
         assert!(ctx.constants().is_some());
         assert!(ctx.xprop().is_some());
         assert!(ctx.dominators().is_some());
+        assert_eq!(ctx.reconvergence(), reconvergent_fanouts(&n));
+        assert!(!ctx.reconvergence().is_empty());
         assert_eq!(ctx.fanout().len(), n.gate_count());
         assert_eq!(ctx.config().max_depth, 50);
     }
@@ -265,6 +279,7 @@ mod tests {
         assert!(ctx.constants().is_none());
         assert!(ctx.xprop().is_none());
         assert!(ctx.dominators().is_none());
+        assert!(ctx.reconvergence().is_empty());
         assert_eq!(ctx.fanout().len(), 3);
     }
 

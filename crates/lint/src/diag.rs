@@ -4,7 +4,8 @@ use std::fmt;
 
 use dft_netlist::GateId;
 
-use crate::fix::{rule_code, FixHint};
+use crate::fix::FixHint;
+use crate::registry::rule_code;
 
 /// How serious a diagnostic is.
 ///

@@ -1,4 +1,4 @@
-//! Machine-applicable fix hints and the stable rule-code table.
+//! Machine-applicable fix hints.
 //!
 //! A [`FixHint`] is the structured counterpart of a diagnostic's free-text
 //! `hint`: a rustc-suggestion-style description of a concrete netlist
@@ -147,124 +147,9 @@ impl fmt::Display for FixHint {
     }
 }
 
-/// The stable `DFT-NNN` code of a rule id.
-///
-/// Codes never change once assigned (tooling keys on them across
-/// versions, and severity-override configs may name them instead of the
-/// kebab-case id). Built-in netlist rules take `DFT-0NN`; the scan
-/// groundrules ported from `dft-scan` take `DFT-1NN`. Unknown rules map
-/// to `DFT-000`.
-#[must_use]
-pub fn rule_code(rule: &str) -> &'static str {
-    match rule {
-        "comb-feedback" => "DFT-001",
-        "unused-input" => "DFT-002",
-        "dead-logic" => "DFT-003",
-        "constant-output" => "DFT-004",
-        "excessive-fanout" => "DFT-005",
-        "deep-logic" => "DFT-006",
-        "latch-race" => "DFT-007",
-        "uninitializable-storage" => "DFT-008",
-        "hard-to-control" => "DFT-009",
-        "hard-to-observe" => "DFT-010",
-        "reconvergent-fanout" => "DFT-011",
-        "redundant-logic" => "DFT-012",
-        "constant-implied-net" => "DFT-013",
-        "deep-unobservable-cone" => "DFT-014",
-        "implication-dead-region" => "DFT-015",
-        "x-source-into-compare" => "DFT-016",
-        "observability-dominator-bottleneck" => "DFT-017",
-        "reconvergent-constant-mask" => "DFT-018",
-        "scan-comb-feedback" => "DFT-101",
-        "scan-coverage" => "DFT-102",
-        "scan-depth" => "DFT-103",
-        "scan-latch-race" => "DFT-104",
-        _ => "DFT-000",
-    }
-}
-
-/// Resolves a rule id *or* a `DFT-NNN` code to the canonical rule id
-/// (`None` for unknown names) — the lookup severity-override configs
-/// use, so both spellings work in `--rule-config` files.
-#[must_use]
-pub fn resolve_rule_name(name: &str) -> Option<&'static str> {
-    const IDS: [&str; 22] = [
-        "comb-feedback",
-        "unused-input",
-        "dead-logic",
-        "constant-output",
-        "excessive-fanout",
-        "deep-logic",
-        "latch-race",
-        "uninitializable-storage",
-        "hard-to-control",
-        "hard-to-observe",
-        "reconvergent-fanout",
-        "redundant-logic",
-        "constant-implied-net",
-        "deep-unobservable-cone",
-        "implication-dead-region",
-        "x-source-into-compare",
-        "observability-dominator-bottleneck",
-        "reconvergent-constant-mask",
-        "scan-comb-feedback",
-        "scan-coverage",
-        "scan-depth",
-        "scan-latch-race",
-    ];
-    IDS.iter()
-        .find(|&&id| id == name || rule_code(id) == name)
-        .copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codes_are_stable_unique_and_well_formed() {
-        let ids = [
-            "comb-feedback",
-            "unused-input",
-            "dead-logic",
-            "constant-output",
-            "excessive-fanout",
-            "deep-logic",
-            "latch-race",
-            "uninitializable-storage",
-            "hard-to-control",
-            "hard-to-observe",
-            "reconvergent-fanout",
-            "redundant-logic",
-            "constant-implied-net",
-            "deep-unobservable-cone",
-            "implication-dead-region",
-            "x-source-into-compare",
-            "observability-dominator-bottleneck",
-            "reconvergent-constant-mask",
-            "scan-comb-feedback",
-            "scan-coverage",
-            "scan-depth",
-            "scan-latch-race",
-        ];
-        let mut codes: Vec<&str> = ids.iter().map(|id| rule_code(id)).collect();
-        for code in &codes {
-            assert!(code.starts_with("DFT-") && code.len() == 7, "{code}");
-            assert_ne!(*code, "DFT-000", "every known rule has a real code");
-        }
-        codes.sort_unstable();
-        codes.dedup();
-        assert_eq!(codes.len(), ids.len(), "duplicate code");
-        assert_eq!(rule_code("no-such-rule"), "DFT-000");
-    }
-
-    #[test]
-    fn names_resolve_by_id_and_code() {
-        assert_eq!(resolve_rule_name("deep-logic"), Some("deep-logic"));
-        assert_eq!(resolve_rule_name("DFT-006"), Some("deep-logic"));
-        assert_eq!(resolve_rule_name("DFT-104"), Some("scan-latch-race"));
-        assert_eq!(resolve_rule_name("bogus"), None);
-    }
 
     #[test]
     fn hint_json_and_display() {

@@ -7,13 +7,16 @@
 //!
 //! # Architecture
 //!
-//! * [`Rule`] — one stateless design-rule check, identified by a stable
-//!   kebab-case id with a fixed [`Severity`] and [`Category`].
-//! * [`Registry`] — an ordered rule collection; [`Registry::run`] lints
-//!   a netlist and returns a [`LintReport`].
+//! * [`Rule`] — one entry of the rule table in [`rules`]: a stable
+//!   kebab-case id, a `DFT-NNN` code, a [`Category`], a default
+//!   [`Severity`], a description and a plain `fn` check. Each rule is
+//!   declared once, there; [`rule_code`] and [`resolve_rule_name`] look
+//!   rules up in the same table.
+//! * [`Registry`] — the table's netlist rules in run order;
+//!   [`Registry::run`] lints a netlist and returns a [`LintReport`].
 //! * [`LintContext`] — analyses shared by all rules (levelization,
-//!   fanout map, SCOAP measures, constant propagation), computed once
-//!   per run.
+//!   fanout map, SCOAP measures, constant propagation, reconvergence,
+//!   implications), each computed at most once per run.
 //! * [`Diagnostic`] — one finding, anchored to a
 //!   [`GateId`](dft_netlist::GateId) with optional related gates, a
 //!   free-text hint, a stable `DFT-NNN` [code](rule_code), and
@@ -24,7 +27,7 @@
 //!   from a TOML-subset file (`tessera-lint --rule-config`), applied to
 //!   finished reports.
 //!
-//! The built-in rules live in [`rules`]; thresholds in [`LintConfig`].
+//! The rule table lives in [`rules`]; thresholds in [`LintConfig`].
 //!
 //! # Example
 //!
@@ -51,8 +54,8 @@ pub mod rules;
 pub use config::{ConfigError, SeverityOverrides};
 pub use context::{LintConfig, LintContext};
 pub use diag::{Category, Diagnostic, LintReport, Severity};
-pub use fix::{resolve_rule_name, rule_code, FixHint};
-pub use registry::{Registry, Rule};
+pub use fix::FixHint;
+pub use registry::{resolve_rule_name, rule_code, Registry, Rule};
 
 use dft_netlist::Netlist;
 

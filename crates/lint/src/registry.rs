@@ -1,67 +1,122 @@
-//! The rule trait and the registry that runs rules over a netlist.
+//! The rule type, the lookups over the rule table, and the registry
+//! that runs rules over a netlist.
 
-use dft_netlist::Netlist;
+use dft_netlist::{GateId, Netlist};
 
 use crate::context::{LintConfig, LintContext};
-use crate::diag::{Category, LintReport, Severity};
-use crate::rules;
+use crate::diag::{Category, Diagnostic, LintReport, Severity};
+use crate::rules::RULES;
 
-/// One design-rule check.
+/// One design rule: its stable identity and, for a netlist rule, its
+/// check. Every rule is one entry of the table in [`crate::rules`].
 ///
-/// Rules are stateless: all shared analysis lives in [`LintContext`],
-/// and thresholds come from [`LintConfig`]. A rule appends zero or more
-/// [`crate::Diagnostic`]s to the report; it must tag them with its own
-/// [`Rule::id`] so report filtering and tooling stay consistent.
-pub trait Rule {
+/// Checks are stateless: all shared analysis lives in [`LintContext`],
+/// and thresholds come from [`LintConfig`]. A check tags every finding
+/// with its own entry through [`Rule::diagnostic`].
+#[derive(Debug)]
+pub struct Rule {
+    pub(crate) id: &'static str,
+    pub(crate) code: &'static str,
+    pub(crate) category: Category,
+    pub(crate) severity: Severity,
+    pub(crate) description: &'static str,
+    /// Appends the rule's findings on a netlist to the report; `None`
+    /// for the scan groundrules, which `dft-scan` checks over a scanned
+    /// design instead.
+    pub(crate) check: Option<fn(&Rule, &LintContext<'_>, &mut LintReport)>,
+}
+
+impl Rule {
     /// Stable kebab-case identifier (used in reports and CLI filters).
-    fn id(&self) -> &'static str;
+    #[must_use]
+    pub fn id(&self) -> &'static str {
+        self.id
+    }
+
     /// One-line description for `tessera-lint --list-rules`.
-    fn description(&self) -> &'static str;
+    #[must_use]
+    pub fn description(&self) -> &'static str {
+        self.description
+    }
+
     /// The aspect of the design this rule examines.
-    fn category(&self) -> Category;
-    /// Severity of this rule's findings.
-    fn severity(&self) -> Severity;
-    /// Runs the check, appending findings to `report`.
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport);
+    #[must_use]
+    pub fn category(&self) -> Category {
+        self.category
+    }
+
+    /// Default severity of this rule's findings.
+    #[must_use]
+    pub fn severity(&self) -> Severity {
+        self.severity
+    }
+
+    /// A finding of this rule at `gate`, with no related gates and no
+    /// hint.
+    #[must_use]
+    pub fn diagnostic(&self, gate: GateId, message: impl Into<String>) -> Diagnostic {
+        Diagnostic {
+            rule: self.id,
+            code: self.code,
+            severity: self.severity,
+            category: self.category,
+            gate,
+            related: Vec::new(),
+            message: message.into(),
+            hint: None,
+            fix: None,
+        }
+    }
+}
+
+/// The stable `DFT-NNN` code of a rule id.
+///
+/// Codes never change once assigned (tooling keys on them across
+/// versions, and severity-override configs may name them instead of the
+/// kebab-case id). Built-in netlist rules take `DFT-0NN`; the scan
+/// groundrules take `DFT-1NN`. Unknown rules map to `DFT-000`.
+#[must_use]
+pub fn rule_code(rule: &str) -> &'static str {
+    RULES
+        .iter()
+        .find(|r| r.id == rule)
+        .map_or("DFT-000", |r| r.code)
+}
+
+/// Resolves a rule id *or* a `DFT-NNN` code to the canonical rule id
+/// (`None` for unknown names) — the lookup severity-override configs
+/// use, so both spellings work in `--rule-config` files.
+#[must_use]
+pub fn resolve_rule_name(name: &str) -> Option<&'static str> {
+    RULES
+        .iter()
+        .find(|r| r.id == name || r.code == name)
+        .map(|r| r.id)
 }
 
 /// An ordered collection of rules that lints netlists.
-#[derive(Default)]
 pub struct Registry {
-    rules: Vec<Box<dyn Rule>>,
+    rules: Vec<&'static Rule>,
 }
 
 impl Registry {
-    /// A registry with no rules (build your own set with
-    /// [`Registry::register`]).
-    #[must_use]
-    pub fn empty() -> Self {
-        Registry::default()
-    }
-
-    /// The full built-in rule set — see [`rules`] for the list.
+    /// The full built-in netlist rule set — see [`crate::rules`] for the
+    /// list.
     #[must_use]
     pub fn with_default_rules() -> Self {
-        let mut r = Registry::empty();
-        for rule in rules::default_rules() {
-            r.register(rule);
+        Registry {
+            rules: RULES.iter().filter(|r| r.check.is_some()).collect(),
         }
-        r
-    }
-
-    /// Appends a rule. Rules run in registration order.
-    pub fn register(&mut self, rule: Box<dyn Rule>) {
-        self.rules.push(rule);
     }
 
     /// Removes the rule with the given id (no-op if absent).
     pub fn disable(&mut self, id: &str) {
-        self.rules.retain(|r| r.id() != id);
+        self.rules.retain(|r| r.id != id);
     }
 
     /// The registered rules, in run order.
-    pub fn rules(&self) -> impl Iterator<Item = &dyn Rule> {
-        self.rules.iter().map(AsRef::as_ref)
+    pub fn rules(&self) -> impl Iterator<Item = &'static Rule> + '_ {
+        self.rules.iter().copied()
     }
 
     /// Number of registered rules.
@@ -89,7 +144,9 @@ impl Registry {
         let ctx = LintContext::new(netlist, config);
         let mut report = LintReport::new(netlist.name());
         for rule in &self.rules {
-            rule.check(&ctx, &mut report);
+            if let Some(check) = rule.check {
+                check(rule, &ctx, &mut report);
+            }
         }
         report.sort();
         report
@@ -101,29 +158,92 @@ mod tests {
     use super::*;
     use dft_netlist::circuits::c17;
 
+    /// The rule table is a contract: tooling and `tessera-fix` plans key
+    /// on each rule's id and code, and `--list-rules` prints each
+    /// severity and category. Adding a rule appends a row here; changing
+    /// a row is a breaking change.
     #[test]
-    fn default_registry_carries_the_documented_rule_set() {
-        let r = Registry::with_default_rules();
-        assert!(r.len() >= 8, "the checker promises at least 8 rules");
-        let ids: Vec<&str> = r.rules().map(Rule::id).collect();
-        // Ids are unique and kebab-case.
-        let mut dedup = ids.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len(), "duplicate rule id");
-        for id in &ids {
+    fn rule_table_rows_are_pinned() {
+        use Category::{Scan, Structure, Testability, Timing};
+        use Severity::{Error, Info, Warning};
+        let netlist_rules = [
+            ("comb-feedback", "DFT-001", Error, Structure),
+            ("unused-input", "DFT-002", Warning, Structure),
+            ("dead-logic", "DFT-003", Warning, Testability),
+            ("constant-output", "DFT-004", Warning, Testability),
+            ("excessive-fanout", "DFT-005", Warning, Structure),
+            ("deep-logic", "DFT-006", Warning, Timing),
+            ("latch-race", "DFT-007", Warning, Timing),
+            ("uninitializable-storage", "DFT-008", Warning, Testability),
+            ("hard-to-control", "DFT-009", Warning, Testability),
+            ("hard-to-observe", "DFT-010", Warning, Testability),
+            ("reconvergent-fanout", "DFT-011", Info, Testability),
+            ("redundant-logic", "DFT-012", Warning, Testability),
+            ("constant-implied-net", "DFT-013", Warning, Testability),
+            ("deep-unobservable-cone", "DFT-014", Warning, Testability),
+            ("implication-dead-region", "DFT-015", Warning, Testability),
+            ("x-source-into-compare", "DFT-016", Warning, Testability),
+            (
+                "observability-dominator-bottleneck",
+                "DFT-017",
+                Warning,
+                Testability,
+            ),
+            (
+                "reconvergent-constant-mask",
+                "DFT-018",
+                Warning,
+                Testability,
+            ),
+        ];
+        let registry = Registry::with_default_rules();
+        let rows: Vec<_> = registry
+            .rules()
+            .map(|r| (r.id(), r.code, r.severity(), r.category()))
+            .collect();
+        assert_eq!(rows, netlist_rules, "the default set, in run order");
+
+        let scan_rules = [
+            ("scan-comb-feedback", "DFT-101"),
+            ("scan-coverage", "DFT-102"),
+            ("scan-depth", "DFT-103"),
+            ("scan-latch-race", "DFT-104"),
+        ];
+        let scan: Vec<_> = RULES
+            .iter()
+            .filter(|r| r.check.is_none())
+            .map(|r| (r.id(), r.code))
+            .collect();
+        assert_eq!(scan, scan_rules);
+        for r in RULES.iter().filter(|r| r.check.is_none()) {
+            assert_eq!(r.category(), Scan, "{}", r.id());
+        }
+
+        // Ids are unique and kebab-case; codes are unique, well formed
+        // and real; every rule is described; lookups agree with the rows.
+        let mut ids: Vec<&str> = RULES.iter().map(Rule::id).collect();
+        let mut codes: Vec<&str> = RULES.iter().map(|r| r.code).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(ids.len(), RULES.len(), "duplicate rule id");
+        assert_eq!(codes.len(), RULES.len(), "duplicate code");
+        for rule in &RULES {
+            let (id, code) = (rule.id(), rule.code);
             assert!(
                 id.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
                 "{id} is not kebab-case"
             );
+            assert!(code.starts_with("DFT-") && code.len() == 7, "{code}");
+            assert_ne!(code, "DFT-000", "every known rule has a real code");
+            assert!(!rule.description().is_empty(), "{id} lacks a description");
+            assert_eq!(rule_code(id), code);
+            assert_eq!(resolve_rule_name(id), Some(id));
+            assert_eq!(resolve_rule_name(code), Some(id));
         }
-        for rule in r.rules() {
-            assert!(
-                !rule.description().is_empty(),
-                "{} lacks a description",
-                rule.id()
-            );
-        }
+        assert_eq!(rule_code("no-such-rule"), "DFT-000");
+        assert_eq!(resolve_rule_name("bogus"), None);
     }
 
     #[test]
@@ -138,8 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_registry_reports_nothing() {
-        let report = Registry::empty().run(&c17());
+    fn a_registry_with_every_rule_disabled_reports_nothing() {
+        let mut r = Registry::with_default_rules();
+        for rule in &RULES {
+            r.disable(rule.id());
+        }
+        assert!(r.is_empty());
+        let report = r.run(&c17());
         assert!(report.diagnostics().is_empty());
         assert_eq!(report.design(), "c17");
     }

@@ -1,28 +1,13 @@
-//! The built-in rule set.
+//! The rule table: every built-in rule, declared once.
 //!
-//! Every rule here enforces (or measures) a condition the paper ties to
-//! testability:
-//!
-//! | rule id | checks | paper |
-//! |---------|--------|-------|
-//! | `comb-feedback` | no asynchronous feedback loops | §IV groundrules |
-//! | `unused-input` | every primary input drives logic | §I (modelling) |
-//! | `dead-logic` | every gate can reach a primary output | §III-B observability |
-//! | `constant-output` | no structurally-constant nets / tied pins | §I-A (untestable faults) |
-//! | `excessive-fanout` | fanout below a load bound | §III structure |
-//! | `deep-logic` | combinational depth below a settle bound | §IV-A timing rule |
-//! | `latch-race` | no direct latch-to-latch paths | §IV-B race rule |
-//! | `uninitializable-storage` | state reachable from power-up X | §III-B CLEAR/PRESET |
-//! | `hard-to-control` | SCOAP controllability below threshold | §II measures |
-//! | `hard-to-observe` | SCOAP observability below threshold | §II measures |
-//! | `reconvergent-fanout` | (info) reconvergent paths exist | §I-B sensitization |
-//! | `redundant-logic` | no gate has all its faults statically untestable | §I-B redundancy |
-//! | `constant-implied-net` | no net is constant only via implication learning | §I-B redundancy |
-//! | `deep-unobservable-cone` | no buried cone of high-observability-cost nets | §III-B test points |
-//! | `implication-dead-region` | no region feeding only implication-proven constants | §I-B redundancy |
-//! | `x-source-into-compare` | no XOR/XNOR consumes an unflushable power-up X | §III-B initialization |
-//! | `observability-dominator-bottleneck` | no poorly-observable net funnels a wide region | §III-B test points |
-//! | `reconvergent-constant-mask` | no reconvergence cancels into a constant meet | §I-B redundancy |
+//! Each entry holds a rule's stable id, its `DFT-NNN` code, category,
+//! default severity, description and check, so adding or renaming a rule
+//! edits one entry. The 18 netlist rules run in table order; `tessera-lint
+//! --list-rules` prints them, and DESIGN.md §2 maps each one to the paper
+//! section it enforces. The four scan groundrules ([`SCAN_COMB_FEEDBACK`],
+//! [`SCAN_COVERAGE`], [`SCAN_DEPTH`], [`SCAN_LATCH_RACE`]) have no netlist
+//! check: `dft-scan` checks them over a scanned design and builds each
+//! finding with [`Rule::diagnostic`].
 //!
 //! The implication-backed rules are powered by `dft-implic`'s static
 //! implication engine: they catch redundancy that needs reasoning across
@@ -33,78 +18,240 @@
 //! [`FixHint`] alongside the free-text hint; `tessera-fix` (the
 //! `dft-repair` crate) expands those into candidate netlist edits.
 
-use dft_netlist::cones::{exclusive_fanin_region, fanin_cone, reconvergent_fanouts};
+use dft_netlist::cones::{exclusive_fanin_region, fanin_cone};
 use dft_netlist::{GateId, GateKind, Netlist, Pin};
 use dft_testability::INFINITE;
 
 use crate::context::LintContext;
-use crate::diag::{Category, Diagnostic, LintReport, Severity};
+use crate::diag::{Category, LintReport, Severity};
 use crate::fix::FixHint;
 use crate::registry::Rule;
 
-/// The full built-in rule set, in run order.
-#[must_use]
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(CombFeedback),
-        Box::new(UnusedInput),
-        Box::new(DeadLogic),
-        Box::new(ConstantOutput),
-        Box::new(ExcessiveFanout),
-        Box::new(DeepLogic),
-        Box::new(LatchRace),
-        Box::new(UninitializableStorage),
-        Box::new(HardToControl),
-        Box::new(HardToObserve),
-        Box::new(ReconvergentFanout),
-        Box::new(RedundantLogic),
-        Box::new(ConstantImpliedNet),
-        Box::new(DeepUnobservableCone),
-        Box::new(ImplicationDeadRegion),
-        Box::new(XSourceIntoCompare),
-        Box::new(ObservabilityDominatorBottleneck),
-        Box::new(ReconvergentConstantMask),
-    ]
-}
+/// Every rule, in run order: the 18 netlist rules
+/// [`Registry::with_default_rules`](crate::Registry::with_default_rules)
+/// runs, then the four scan groundrules `dft-scan` checks over a scanned
+/// design. The rule-code and rule-name lookups read this table too.
+pub(crate) static RULES: [Rule; 22] = [
+    Rule {
+        id: "comb-feedback",
+        code: "DFT-001",
+        category: Category::Structure,
+        severity: Severity::Error,
+        description:
+            "combinational feedback loops (asynchronous behaviour the gate model cannot express)",
+        check: Some(comb_feedback),
+    },
+    Rule {
+        id: "unused-input",
+        code: "DFT-002",
+        category: Category::Structure,
+        severity: Severity::Warning,
+        description: "primary inputs with no readers (dead pins)",
+        check: Some(unused_input),
+    },
+    Rule {
+        id: "dead-logic",
+        code: "DFT-003",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "gates whose output can never reach a primary output (unobservable cones)",
+        check: Some(dead_logic),
+    },
+    Rule {
+        id: "constant-output",
+        code: "DFT-004",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description:
+            "nets constant under every input assignment, and pins tied to noncontrolling values",
+        check: Some(constant_output),
+    },
+    Rule {
+        id: "excessive-fanout",
+        code: "DFT-005",
+        category: Category::Structure,
+        severity: Severity::Warning,
+        description: "nets driving more input pins than the configured bound",
+        check: Some(excessive_fanout),
+    },
+    Rule {
+        id: "deep-logic",
+        code: "DFT-006",
+        category: Category::Timing,
+        severity: Severity::Warning,
+        description: "combinational depth beyond the configured settle bound",
+        check: Some(deep_logic),
+    },
+    Rule {
+        id: "latch-race",
+        code: "DFT-007",
+        category: Category::Timing,
+        severity: Severity::Warning,
+        description:
+            "storage data inputs driven directly by other storage (race without two-phase cells)",
+        check: Some(latch_race),
+    },
+    Rule {
+        id: "uninitializable-storage",
+        code: "DFT-008",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "storage elements that no input sequence can initialize (infinite SCOAP cost)",
+        check: Some(uninitializable_storage),
+    },
+    Rule {
+        id: "hard-to-control",
+        code: "DFT-009",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "nets with finite but excessive SCOAP controllability cost",
+        check: Some(hard_to_control),
+    },
+    Rule {
+        id: "hard-to-observe",
+        code: "DFT-010",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "nets with finite but excessive SCOAP observability cost",
+        check: Some(hard_to_observe),
+    },
+    Rule {
+        id: "reconvergent-fanout",
+        code: "DFT-011",
+        category: Category::Testability,
+        severity: Severity::Info,
+        description: "fanout branches that meet again (correlated paths; informational)",
+        check: Some(reconvergent_fanout),
+    },
+    Rule {
+        id: "redundant-logic",
+        code: "DFT-012",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description:
+            "gates all of whose stuck-at faults are statically untestable (provably redundant)",
+        check: Some(redundant_logic),
+    },
+    Rule {
+        id: "constant-implied-net",
+        code: "DFT-013",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description:
+            "nets fixed by the implication closure but invisible to plain constant propagation",
+        check: Some(constant_implied_net),
+    },
+    Rule {
+        id: "deep-unobservable-cone",
+        code: "DFT-014",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "cones of nets with excessive observability cost, reported at the cone exit",
+        check: Some(deep_unobservable_cone),
+    },
+    Rule {
+        id: "implication-dead-region",
+        code: "DFT-015",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description:
+            "maximal implication-proven-constant nets with the region that only feeds them",
+        check: Some(implication_dead_region),
+    },
+    Rule {
+        id: "x-source-into-compare",
+        code: "DFT-016",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "XOR/XNOR comparisons consuming a power-up X from uninitializable storage",
+        check: Some(x_source_into_compare),
+    },
+    Rule {
+        id: "observability-dominator-bottleneck",
+        code: "DFT-017",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "poorly observable nets that funnel every observation path of a wide region",
+        check: Some(observability_dominator_bottleneck),
+    },
+    Rule {
+        id: "reconvergent-constant-mask",
+        code: "DFT-018",
+        category: Category::Testability,
+        severity: Severity::Warning,
+        description: "reconvergent branches that cancel into a provably constant meet gate",
+        check: Some(reconvergent_constant_mask),
+    },
+    SCAN_COMB_FEEDBACK,
+    SCAN_COVERAGE,
+    SCAN_DEPTH,
+    SCAN_LATCH_RACE,
+];
+
+/// Scan groundrule: no combinational feedback loops (level-sensitive
+/// operation is impossible around an asynchronous loop).
+pub const SCAN_COMB_FEEDBACK: Rule = Rule {
+    id: "scan-comb-feedback",
+    code: "DFT-101",
+    category: Category::Scan,
+    severity: Severity::Error,
+    description: "no combinational feedback",
+    check: None,
+};
+
+/// Scan groundrule: every storage element is on the scan chain
+/// (full-scan discipline; partial access defeats the combinational
+/// reduction).
+pub const SCAN_COVERAGE: Rule = Rule {
+    id: "scan-coverage",
+    code: "DFT-102",
+    category: Category::Scan,
+    severity: Severity::Error,
+    description: "all storage elements scanned",
+    check: None,
+};
+
+/// Scan groundrule: combinational depth between storage stages is
+/// bounded (the level-sensitive timing rule: data must settle within the
+/// clock phase).
+pub const SCAN_DEPTH: Rule = Rule {
+    id: "scan-depth",
+    code: "DFT-103",
+    category: Category::Scan,
+    severity: Severity::Warning,
+    description: "bounded logic depth between latches",
+    check: None,
+};
+
+/// Scan groundrule: a storage element must not directly feed another
+/// storage element unless the style provides a two-phase (master/slave)
+/// cell — the race the Scan Path flip-flop narrows and LSSD eliminates.
+pub const SCAN_LATCH_RACE: Rule = Rule {
+    id: "scan-latch-race",
+    code: "DFT-104",
+    category: Category::Scan,
+    severity: Severity::Warning,
+    description: "no direct latch-to-latch path",
+    check: None,
+};
 
 /// Flags every combinational feedback loop (one diagnostic per strongly
 /// connected component).
-pub struct CombFeedback;
-
-impl Rule for CombFeedback {
-    fn id(&self) -> &'static str {
-        "comb-feedback"
+fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    if ctx.levelization().is_ok() {
+        return;
     }
-    fn description(&self) -> &'static str {
-        "combinational feedback loops (asynchronous behaviour the gate model cannot express)"
-    }
-    fn category(&self) -> Category {
-        Category::Structure
-    }
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        if ctx.levelization().is_ok() {
-            return;
-        }
-        for scc in combinational_sccs(ctx.netlist()) {
-            let gate = scc[0];
-            let related = scc[1..].to_vec();
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    gate,
-                    format!("combinational feedback loop through {} gate(s)", scc.len()),
-                )
-                .with_related(related)
-                .with_hint(
-                    "break the loop with a storage element or redesign the asynchronous latch",
-                ),
-            );
-        }
+    for scc in combinational_sccs(ctx.netlist()) {
+        let gate = scc[0];
+        let related = scc[1..].to_vec();
+        report.push(
+            rule.diagnostic(
+                gate,
+                format!("combinational feedback loop through {} gate(s)", scc.len()),
+            )
+            .with_related(related)
+            .with_hint("break the loop with a storage element or redesign the asynchronous latch"),
+        );
     }
 }
 
@@ -186,157 +333,94 @@ fn combinational_sccs(netlist: &Netlist) -> Vec<Vec<GateId>> {
 }
 
 /// Flags primary inputs that drive nothing.
-pub struct UnusedInput;
-
-impl Rule for UnusedInput {
-    fn id(&self) -> &'static str {
-        "unused-input"
-    }
-    fn description(&self) -> &'static str {
-        "primary inputs with no readers (dead pins)"
-    }
-    fn category(&self) -> Category {
-        Category::Structure
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let netlist = ctx.netlist();
-        for &pi in netlist.primary_inputs() {
-            let feeds_logic = !ctx.fanout()[pi.index()].is_empty();
-            let is_output = netlist.primary_outputs().iter().any(|&(g, _)| g == pi);
-            if !feeds_logic && !is_output {
-                let name = netlist.gate(pi).name().unwrap_or("?");
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        pi,
-                        format!("primary input '{name}' drives nothing"),
-                    )
+fn unused_input(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let netlist = ctx.netlist();
+    for &pi in netlist.primary_inputs() {
+        let feeds_logic = !ctx.fanout()[pi.index()].is_empty();
+        let is_output = netlist.primary_outputs().iter().any(|&(g, _)| g == pi);
+        if !feeds_logic && !is_output {
+            let name = netlist.gate(pi).name().unwrap_or("?");
+            report.push(
+                rule.diagnostic(pi, format!("primary input '{name}' drives nothing"))
                     .with_hint("connect the input or drop the pin"),
-                );
-            }
+            );
         }
     }
 }
 
 /// Flags gates from which no primary output is structurally reachable:
 /// their entire fanout cone — and every fault in it — is unobservable.
-pub struct DeadLogic;
-
-impl Rule for DeadLogic {
-    fn id(&self) -> &'static str {
-        "dead-logic"
-    }
-    fn description(&self) -> &'static str {
-        "gates whose output can never reach a primary output (unobservable cones)"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let netlist = ctx.netlist();
-        let roots: Vec<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
-        let observable = fanin_cone(netlist, &roots, true);
-        for (id, gate) in netlist.iter() {
-            // Inputs have their own rule; stray constants are harmless
-            // construction artifacts (placeholder ties).
-            if matches!(
-                gate.kind(),
-                GateKind::Input | GateKind::Const0 | GateKind::Const1
-            ) || observable.contains(&id)
-            {
-                continue;
-            }
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    "no primary output is structurally reachable from this gate",
-                )
-                .with_hint("mark an output or add an observation test point (§III-B)")
-                .with_fix(FixHint::ObservePoint { net: id }),
-            );
+fn dead_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let netlist = ctx.netlist();
+    let roots: Vec<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
+    let observable = fanin_cone(netlist, &roots, true);
+    for (id, gate) in netlist.iter() {
+        // Inputs have their own rule; stray constants are harmless
+        // construction artifacts (placeholder ties).
+        if matches!(
+            gate.kind(),
+            GateKind::Input | GateKind::Const0 | GateKind::Const1
+        ) || observable.contains(&id)
+        {
+            continue;
         }
+        report.push(
+            rule.diagnostic(
+                id,
+                "no primary output is structurally reachable from this gate",
+            )
+            .with_hint("mark an output or add an observation test point (§III-B)")
+            .with_fix(FixHint::ObservePoint { net: id }),
+        );
     }
 }
 
 /// Flags structurally-constant nets and tied noncontrolling pins — both
 /// make stuck-at faults provably untestable.
-pub struct ConstantOutput;
-
-impl Rule for ConstantOutput {
-    fn id(&self) -> &'static str {
-        "constant-output"
-    }
-    fn description(&self) -> &'static str {
-        "nets constant under every input assignment, and pins tied to noncontrolling values"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(constants) = ctx.constants() else {
-            return;
+fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(constants) = ctx.constants() else {
+        return;
+    };
+    let netlist = ctx.netlist();
+    for (id, gate) in netlist.iter() {
+        if gate.kind().is_source() {
+            continue;
+        }
+        if let Some(v) = constants[id.index()].to_bool() {
+            let v = u8::from(v);
+            report.push(
+                rule.diagnostic(
+                    id,
+                    format!(
+                        "output is constant {v} for every input assignment; \
+                         stuck-at-{v} here is untestable"
+                    ),
+                )
+                .with_hint("fold the constant into the fanout or remove the redundant logic"),
+            );
+            continue;
+        }
+        // Output not constant: a tied *noncontrolling* pin is still
+        // redundant (the pin never decides the output).
+        let Some(c) = gate.kind().controlling_value() else {
+            continue;
         };
-        let netlist = ctx.netlist();
-        for (id, gate) in netlist.iter() {
-            if gate.kind().is_source() {
-                continue;
-            }
-            if let Some(v) = constants[id.index()].to_bool() {
-                let v = u8::from(v);
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        id,
-                        format!(
-                            "output is constant {v} for every input assignment; \
-                             stuck-at-{v} here is untestable"
-                        ),
-                    )
-                    .with_hint("fold the constant into the fanout or remove the redundant logic"),
-                );
-                continue;
-            }
-            // Output not constant: a tied *noncontrolling* pin is still
-            // redundant (the pin never decides the output).
-            let Some(c) = gate.kind().controlling_value() else {
-                continue;
-            };
-            for (pin, &src) in gate.inputs().iter().enumerate() {
-                if let Some(v) = constants[src.index()].to_bool() {
-                    if v != c {
-                        let v = u8::from(v);
-                        report.push(
-                            Diagnostic::new(
-                                self.id(),
-                                self.severity(),
-                                self.category(),
-                                id,
-                                format!(
-                                    "input pin {pin} is always {v} (the noncontrolling value \
-                                     for {}): its stuck-at-{v} fault is untestable",
-                                    gate.kind()
-                                ),
-                            )
-                            .with_related(vec![src])
-                            .with_hint("drop the pin or the constant driver"),
-                        );
-                    }
+        for (pin, &src) in gate.inputs().iter().enumerate() {
+            if let Some(v) = constants[src.index()].to_bool() {
+                if v != c {
+                    let v = u8::from(v);
+                    report.push(
+                        rule.diagnostic(
+                            id,
+                            format!(
+                                "input pin {pin} is always {v} (the noncontrolling value \
+                                 for {}): its stuck-at-{v} fault is untestable",
+                                gate.kind()
+                            ),
+                        )
+                        .with_related(vec![src])
+                        .with_hint("drop the pin or the constant driver"),
+                    );
                 }
             }
         }
@@ -344,75 +428,34 @@ impl Rule for ConstantOutput {
 }
 
 /// Flags nets driving more input pins than the configured load bound.
-pub struct ExcessiveFanout;
-
-impl Rule for ExcessiveFanout {
-    fn id(&self) -> &'static str {
-        "excessive-fanout"
-    }
-    fn description(&self) -> &'static str {
-        "nets driving more input pins than the configured bound"
-    }
-    fn category(&self) -> Category {
-        Category::Structure
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let limit = ctx.config().max_fanout;
-        for id in ctx.netlist().ids() {
-            let pins = ctx.fanout()[id.index()].len();
-            if pins > limit {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        id,
-                        format!("net drives {pins} input pins (limit {limit})"),
-                    )
+fn excessive_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let limit = ctx.config().max_fanout;
+    for id in ctx.netlist().ids() {
+        let pins = ctx.fanout()[id.index()].len();
+        if pins > limit {
+            report.push(
+                rule.diagnostic(id, format!("net drives {pins} input pins (limit {limit})"))
                     .with_hint("buffer the net or split the load tree"),
-                );
-            }
+            );
         }
     }
 }
 
 /// Flags gates deeper than the configured logic-depth bound.
-pub struct DeepLogic;
-
-impl Rule for DeepLogic {
-    fn id(&self) -> &'static str {
-        "deep-logic"
-    }
-    fn description(&self) -> &'static str {
-        "combinational depth beyond the configured settle bound"
-    }
-    fn category(&self) -> Category {
-        Category::Timing
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Ok(lv) = ctx.levelization() else {
-            return;
-        };
-        let bound = ctx.config().max_depth;
-        for (id, gate) in ctx.netlist().iter() {
-            if !gate.kind().is_source() && lv.level(id) > bound {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        id,
-                        format!("logic level {} exceeds bound {bound}", lv.level(id)),
-                    )
-                    .with_hint("deep cones defeat the settle-time discipline; pipeline or retime"),
-                );
-            }
+fn deep_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Ok(lv) = ctx.levelization() else {
+        return;
+    };
+    let bound = ctx.config().max_depth;
+    for (id, gate) in ctx.netlist().iter() {
+        if !gate.kind().is_source() && lv.level(id) > bound {
+            report.push(
+                rule.diagnostic(
+                    id,
+                    format!("logic level {} exceeds bound {bound}", lv.level(id)),
+                )
+                .with_hint("deep cones defeat the settle-time discipline; pipeline or retime"),
+            );
         }
     }
 }
@@ -420,205 +463,108 @@ impl Rule for DeepLogic {
 /// Flags storage elements fed directly by other storage elements — the
 /// race the Scan Path flip-flop narrows and LSSD's two-phase SRL
 /// eliminates.
-pub struct LatchRace;
-
-impl Rule for LatchRace {
-    fn id(&self) -> &'static str {
-        "latch-race"
-    }
-    fn description(&self) -> &'static str {
-        "storage data inputs driven directly by other storage (race without two-phase cells)"
-    }
-    fn category(&self) -> Category {
-        Category::Timing
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let netlist = ctx.netlist();
-        for dff in netlist.storage_elements() {
-            let d = netlist.gate(dff).inputs()[0];
-            if netlist.gate(d).kind().is_storage() {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        dff,
-                        format!(
-                            "data input is driven directly by latch {d}: \
-                             a race unless the cell is two-phase"
-                        ),
-                    )
-                    .with_related(vec![d])
-                    .with_hint(
-                        "insert logic between the latches or use a master/slave (LSSD SRL) cell",
-                    )
-                    .with_fix(FixHint::ScanConvert { storage: dff }),
-                );
-            }
+fn latch_race(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let netlist = ctx.netlist();
+    for dff in netlist.storage_elements() {
+        let d = netlist.gate(dff).inputs()[0];
+        if netlist.gate(d).kind().is_storage() {
+            report.push(
+                rule.diagnostic(
+                    dff,
+                    format!(
+                        "data input is driven directly by latch {d}: \
+                         a race unless the cell is two-phase"
+                    ),
+                )
+                .with_related(vec![d])
+                .with_hint("insert logic between the latches or use a master/slave (LSSD SRL) cell")
+                .with_fix(FixHint::ScanConvert { storage: dff }),
+            );
         }
     }
 }
 
 /// Flags storage that can never be steered out of its power-up X state.
-pub struct UninitializableStorage;
-
-impl Rule for UninitializableStorage {
-    fn id(&self) -> &'static str {
-        "uninitializable-storage"
-    }
-    fn description(&self) -> &'static str {
-        "storage elements that no input sequence can initialize (infinite SCOAP cost)"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(scoap) = ctx.scoap() else {
-            return;
-        };
-        for dff in ctx.netlist().storage_elements() {
-            let m = scoap.measure(dff);
-            if m.cc0 >= INFINITE && m.cc1 >= INFINITE {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        dff,
-                        "storage element can never be initialized from the primary inputs",
-                    )
-                    .with_hint(
-                        "add a CLEAR/PRESET line (§III-B) or place the latch on a scan chain (§IV)",
-                    )
-                    .with_fix(FixHint::AddReset),
-                );
-            }
+fn uninitializable_storage(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(scoap) = ctx.scoap() else {
+        return;
+    };
+    for dff in ctx.netlist().storage_elements() {
+        let m = scoap.measure(dff);
+        if m.cc0 >= INFINITE && m.cc1 >= INFINITE {
+            report.push(
+                rule.diagnostic(
+                    dff,
+                    "storage element can never be initialized from the primary inputs",
+                )
+                .with_hint(
+                    "add a CLEAR/PRESET line (§III-B) or place the latch on a scan chain (§IV)",
+                )
+                .with_fix(FixHint::AddReset),
+            );
         }
     }
 }
 
 /// Flags nets whose (finite) SCOAP controllability exceeds the
 /// configured threshold.
-pub struct HardToControl;
-
-impl Rule for HardToControl {
-    fn id(&self) -> &'static str {
-        "hard-to-control"
-    }
-    fn description(&self) -> &'static str {
-        "nets with finite but excessive SCOAP controllability cost"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(scoap) = ctx.scoap() else {
-            return;
-        };
-        let limit = ctx.config().controllability_limit;
-        for id in ctx.netlist().ids() {
-            let m = scoap.measure(id);
-            let cc = m.cc0.min(m.cc1);
-            if cc < INFINITE && cc > limit {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        id,
-                        format!("controllability cost {cc} exceeds the limit {limit}"),
-                    )
-                    .with_hint("insert a control test point near this net (§III-B)")
-                    .with_fix(FixHint::ControlPoint { net: id }),
-                );
-            }
+fn hard_to_control(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(scoap) = ctx.scoap() else {
+        return;
+    };
+    let limit = ctx.config().controllability_limit;
+    for id in ctx.netlist().ids() {
+        let m = scoap.measure(id);
+        let cc = m.cc0.min(m.cc1);
+        if cc < INFINITE && cc > limit {
+            report.push(
+                rule.diagnostic(
+                    id,
+                    format!("controllability cost {cc} exceeds the limit {limit}"),
+                )
+                .with_hint("insert a control test point near this net (§III-B)")
+                .with_fix(FixHint::ControlPoint { net: id }),
+            );
         }
     }
 }
 
 /// Flags nets whose (finite) SCOAP observability exceeds the configured
 /// threshold.
-pub struct HardToObserve;
-
-impl Rule for HardToObserve {
-    fn id(&self) -> &'static str {
-        "hard-to-observe"
-    }
-    fn description(&self) -> &'static str {
-        "nets with finite but excessive SCOAP observability cost"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(scoap) = ctx.scoap() else {
-            return;
-        };
-        let limit = ctx.config().observability_limit;
-        for id in ctx.netlist().ids() {
-            let co = scoap.observability(id);
-            if co < INFINITE && co > limit {
-                report.push(
-                    Diagnostic::new(
-                        self.id(),
-                        self.severity(),
-                        self.category(),
-                        id,
-                        format!("observability cost {co} exceeds the limit {limit}"),
-                    )
-                    .with_hint("route the net to an observation test point or spare output pin")
-                    .with_fix(FixHint::ObservePoint { net: id }),
-                );
-            }
+fn hard_to_observe(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(scoap) = ctx.scoap() else {
+        return;
+    };
+    let limit = ctx.config().observability_limit;
+    for id in ctx.netlist().ids() {
+        let co = scoap.observability(id);
+        if co < INFINITE && co > limit {
+            report.push(
+                rule.diagnostic(
+                    id,
+                    format!("observability cost {co} exceeds the limit {limit}"),
+                )
+                .with_hint("route the net to an observation test point or spare output pin")
+                .with_fix(FixHint::ObservePoint { net: id }),
+            );
         }
     }
 }
 
 /// Notes every reconvergent fanout stem (informational).
-pub struct ReconvergentFanout;
-
-impl Rule for ReconvergentFanout {
-    fn id(&self) -> &'static str {
-        "reconvergent-fanout"
-    }
-    fn description(&self) -> &'static str {
-        "fanout branches that meet again (correlated paths; informational)"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Info
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        for rec in reconvergent_fanouts(ctx.netlist()) {
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    rec.stem,
-                    format!("fanout branches reconverge at {}", rec.meet),
-                )
-                .with_related(vec![rec.meet])
-                .with_hint(
-                    "correlated paths can mask faults; single-path sensitization \
-                     arguments do not hold at the meet gate",
-                ),
-            );
-        }
+fn reconvergent_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    for rec in ctx.reconvergence() {
+        report.push(
+            rule.diagnostic(
+                rec.stem,
+                format!("fanout branches reconverge at {}", rec.meet),
+            )
+            .with_related(vec![rec.meet])
+            .with_hint(
+                "correlated paths can mask faults; single-path sensitization \
+                 arguments do not hold at the meet gate",
+            ),
+        );
     }
 }
 
@@ -629,84 +575,65 @@ impl Rule for ReconvergentFanout {
 /// that needs implication reasoning (a gate masked because a side input
 /// is *implied* to its controlling value), not just structural
 /// unreachability.
-pub struct RedundantLogic;
-
-impl Rule for RedundantLogic {
-    fn id(&self) -> &'static str {
-        "redundant-logic"
-    }
-    fn description(&self) -> &'static str {
-        "gates all of whose stuck-at faults are statically untestable (provably redundant)"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(engine) = ctx.implications() else {
-            return;
+fn redundant_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(engine) = ctx.implications() else {
+        return;
+    };
+    let netlist = ctx.netlist();
+    // Every fault of a gate, in pin order: the output, then each
+    // input, each stuck-at-0 then stuck-at-1.
+    let faults_of = |id: GateId| {
+        let pins = std::iter::once(Pin::Output)
+            .chain((0..netlist.gate(id).fanin()).map(|p| Pin::Input(p as u8)));
+        pins.flat_map(move |pin| [(id, pin, false), (id, pin, true)])
+    };
+    // Almost every gate is testable on its first fault, so one batch
+    // screens each gate's output stuck-at-0 and a second decides the
+    // remaining faults of the gates that survive the screen.
+    let logic: Vec<GateId> = netlist
+        .iter()
+        .filter(|(_, g)| !g.kind().is_source())
+        .map(|(id, _)| id)
+        .collect();
+    let screen: Vec<_> = logic.iter().map(|&id| (id, Pin::Output, false)).collect();
+    let suspects: Vec<GateId> = logic
+        .iter()
+        .zip(engine.faults_untestable(&screen))
+        .filter_map(|(&id, v)| v.map(|_| id))
+        .collect();
+    let rest: Vec<_> = suspects
+        .iter()
+        .flat_map(|&id| faults_of(id).skip(1))
+        .collect();
+    let mut verdicts = engine.faults_untestable(&rest).into_iter();
+    for id in suspects {
+        let gate = netlist.gate(id);
+        let gate_verdicts: Vec<_> = verdicts.by_ref().take(2 * gate.fanin() + 1).collect();
+        // Redundant only if every fault is untestable; the witness is
+        // the last one (the last pin, stuck-at-1).
+        let Some(reasons) = gate_verdicts.into_iter().collect::<Option<Vec<_>>>() else {
+            continue;
         };
-        let netlist = ctx.netlist();
-        // Every fault of a gate, in pin order: the output, then each
-        // input, each stuck-at-0 then stuck-at-1.
-        let faults_of = |id: GateId| {
-            let pins = std::iter::once(Pin::Output)
-                .chain((0..netlist.gate(id).fanin()).map(|p| Pin::Input(p as u8)));
-            pins.flat_map(move |pin| [(id, pin, false), (id, pin, true)])
-        };
-        // Almost every gate is testable on its first fault, so one batch
-        // screens each gate's output stuck-at-0 and a second decides the
-        // remaining faults of the gates that survive the screen.
-        let logic: Vec<GateId> = netlist
-            .iter()
-            .filter(|(_, g)| !g.kind().is_source())
-            .map(|(id, _)| id)
-            .collect();
-        let screen: Vec<_> = logic.iter().map(|&id| (id, Pin::Output, false)).collect();
-        let suspects: Vec<GateId> = logic
-            .iter()
-            .zip(engine.faults_untestable(&screen))
-            .filter_map(|(&id, v)| v.map(|_| id))
-            .collect();
-        let rest: Vec<_> = suspects
-            .iter()
-            .flat_map(|&id| faults_of(id).skip(1))
-            .collect();
-        let mut verdicts = engine.faults_untestable(&rest).into_iter();
-        for id in suspects {
-            let gate = netlist.gate(id);
-            let gate_verdicts: Vec<_> = verdicts.by_ref().take(2 * gate.fanin() + 1).collect();
-            // Redundant only if every fault is untestable; the witness is
-            // the last one (the last pin, stuck-at-1).
-            let Some(reasons) = gate_verdicts.into_iter().collect::<Option<Vec<_>>>() else {
-                continue;
-            };
-            let reason = reasons[reasons.len() - 1];
-            // Both output stuck-at faults are untestable, so folding to
-            // either value preserves function (§I-B); prefer the value
-            // the closure proves the net holds, if it proves one.
-            let value = engine.implied_constant(id).unwrap_or(false);
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    format!(
-                        "every stuck-at fault on this {} gate is statically untestable \
-                         (e.g. {reason})",
-                        gate.kind()
-                    ),
-                )
-                .with_hint(
-                    "the gate is provably redundant: remove it, or add a control/observation \
-                     test point if it exists for a reason (§I-B, §III-B)",
-                )
-                .with_fix(FixHint::RemoveRedundant { gate: id, value }),
-            );
-        }
+        let reason = reasons[reasons.len() - 1];
+        // Both output stuck-at faults are untestable, so folding to
+        // either value preserves function (§I-B); prefer the value
+        // the closure proves the net holds, if it proves one.
+        let value = engine.implied_constant(id).unwrap_or(false);
+        report.push(
+            rule.diagnostic(
+                id,
+                format!(
+                    "every stuck-at fault on this {} gate is statically untestable \
+                     (e.g. {reason})",
+                    gate.kind()
+                ),
+            )
+            .with_hint(
+                "the gate is provably redundant: remove it, or add a control/observation \
+                 test point if it exists for a reason (§I-B, §III-B)",
+            )
+            .with_fix(FixHint::RemoveRedundant { gate: id, value }),
+        );
     }
 }
 
@@ -715,57 +642,39 @@ impl Rule for RedundantLogic {
 /// structure (`x AND NOT x`), not from a tied source, so the
 /// `constant-output` rule misses it. Stuck-at-the-constant faults on such
 /// nets are untestable.
-pub struct ConstantImpliedNet;
-
-impl Rule for ConstantImpliedNet {
-    fn id(&self) -> &'static str {
-        "constant-implied-net"
-    }
-    fn description(&self) -> &'static str {
-        "nets fixed by the implication closure but invisible to plain constant propagation"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let (Some(engine), Some(constants)) = (ctx.implications(), ctx.constants()) else {
-            return;
+fn constant_implied_net(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let (Some(engine), Some(constants)) = (ctx.implications(), ctx.constants()) else {
+        return;
+    };
+    for (id, gate) in ctx.netlist().iter() {
+        if gate.kind().is_source() || constants[id.index()].is_known() {
+            continue;
+        }
+        let Some(v) = engine.implied_constant(id) else {
+            continue;
         };
-        for (id, gate) in ctx.netlist().iter() {
-            if gate.kind().is_source() || constants[id.index()].is_known() {
-                continue;
-            }
-            let Some(v) = engine.implied_constant(id) else {
-                continue;
-            };
-            // The implication witness: driving the net to the opposite
-            // value contradicts itself somewhere — name that somewhere.
-            let conflict = engine.query(id, !v).conflict;
-            let value = v;
-            let v = u8::from(v);
-            let mut diag = Diagnostic::new(
-                self.id(),
-                self.severity(),
-                self.category(),
+        // The implication witness: driving the net to the opposite
+        // value contradicts itself somewhere — name that somewhere.
+        let conflict = engine.query(id, !v).conflict;
+        let value = v;
+        let v = u8::from(v);
+        let mut diag = rule
+            .diagnostic(
                 id,
                 format!(
                     "implication closure proves this net constant {v} (plain constant \
-                     propagation cannot); stuck-at-{v} here is untestable"
+                 propagation cannot); stuck-at-{v} here is untestable"
                 ),
             )
             .with_hint(
                 "the constant comes from reconvergent structure; simplify the logic or \
-                 accept the redundant faults (§I-B)",
+             accept the redundant faults (§I-B)",
             )
             .with_fix(FixHint::FoldConstant { net: id, value });
-            if let Some(at) = conflict {
-                diag = diag.with_related(vec![at]);
-            }
-            report.push(diag);
+        if let Some(at) = conflict {
+            diag = diag.with_related(vec![at]);
         }
+        report.push(diag);
     }
 }
 
@@ -777,67 +686,48 @@ impl Rule for ConstantImpliedNet {
 /// exactly the §III-B test-point placement argument — so the rule fires
 /// once per cone, at the place the point belongs, instead of once per
 /// buried net the way `hard-to-observe` would.
-pub struct DeepUnobservableCone;
-
-impl Rule for DeepUnobservableCone {
-    fn id(&self) -> &'static str {
-        "deep-unobservable-cone"
-    }
-    fn description(&self) -> &'static str {
-        "cones of nets with excessive observability cost, reported at the cone exit"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(scoap) = ctx.scoap() else {
-            return;
-        };
-        let netlist = ctx.netlist();
-        let limit = ctx.config().deep_cone_observability_limit;
-        let min_gates = ctx.config().deep_cone_min_gates;
-        let over = |id: GateId| {
-            let co = scoap.observability(id);
-            co < INFINITE && co > limit
-        };
-        for id in netlist.ids() {
-            if !over(id) || ctx.fanout()[id.index()].iter().any(|&(r, _)| over(r)) {
-                continue;
-            }
-            // `id` is a cone exit: over the limit, but everything it
-            // feeds is not. Count how much of its cone is buried with it.
-            let mut buried: Vec<GateId> = fanin_cone(netlist, &[id], false)
-                .into_iter()
-                .filter(|&g| g != id && over(g))
-                .collect();
-            if buried.len() + 1 < min_gates {
-                continue;
-            }
-            buried.sort();
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    format!(
-                        "observability cost {} exceeds {limit} and {} more net(s) in this \
-                         cone are over the limit too",
-                        scoap.observability(id),
-                        buried.len(),
-                    ),
-                )
-                .with_related(buried)
-                .with_hint(
-                    "one observation test point at the cone exit rescues the whole \
-                     buried region (§III-B)",
-                )
-                .with_fix(FixHint::ObservePoint { net: id }),
-            );
+fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(scoap) = ctx.scoap() else {
+        return;
+    };
+    let netlist = ctx.netlist();
+    let limit = ctx.config().deep_cone_observability_limit;
+    let min_gates = ctx.config().deep_cone_min_gates;
+    let over = |id: GateId| {
+        let co = scoap.observability(id);
+        co < INFINITE && co > limit
+    };
+    for id in netlist.ids() {
+        if !over(id) || ctx.fanout()[id.index()].iter().any(|&(r, _)| over(r)) {
+            continue;
         }
+        // `id` is a cone exit: over the limit, but everything it
+        // feeds is not. Count how much of its cone is buried with it.
+        let mut buried: Vec<GateId> = fanin_cone(netlist, &[id], false)
+            .into_iter()
+            .filter(|&g| g != id && over(g))
+            .collect();
+        if buried.len() + 1 < min_gates {
+            continue;
+        }
+        buried.sort();
+        report.push(
+            rule.diagnostic(
+                id,
+                format!(
+                    "observability cost {} exceeds {limit} and {} more net(s) in this \
+                     cone are over the limit too",
+                    scoap.observability(id),
+                    buried.len(),
+                ),
+            )
+            .with_related(buried)
+            .with_hint(
+                "one observation test point at the cone exit rescues the whole \
+                 buried region (§III-B)",
+            )
+            .with_fix(FixHint::ObservePoint { net: id }),
+        );
     }
 }
 
@@ -847,75 +737,56 @@ impl Rule for DeepUnobservableCone {
 /// *only* it. Folding the root to its constant and deleting the private
 /// region is the paper's §I-B redundancy-removal transform, and the
 /// attached fix says exactly that.
-pub struct ImplicationDeadRegion;
-
-impl Rule for ImplicationDeadRegion {
-    fn id(&self) -> &'static str {
-        "implication-dead-region"
-    }
-    fn description(&self) -> &'static str {
-        "maximal implication-proven-constant nets with the region that only feeds them"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(engine) = ctx.implications() else {
-            return;
-        };
-        let netlist = ctx.netlist();
-        let is_output: Vec<bool> = {
-            let mut v = vec![false; netlist.gate_count()];
-            for &(g, _) in netlist.primary_outputs() {
-                v[g.index()] = true;
-            }
-            v
-        };
-        for (id, gate) in netlist.iter() {
-            if gate.kind().is_source() {
-                continue;
-            }
-            let Some(value) = engine.implied_constant(id) else {
-                continue;
-            };
-            // Maximality: folding a constant net whose every reader is
-            // itself implied-constant would be subsumed by folding the
-            // reader, so report only the outermost net of the region.
-            let maximal = is_output[id.index()]
-                || ctx.fanout()[id.index()]
-                    .iter()
-                    .any(|&(r, _)| engine.implied_constant(r).is_none());
-            if !maximal {
-                continue;
-            }
-            let region = exclusive_fanin_region(netlist, id);
-            if region.is_empty() {
-                continue;
-            }
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    format!(
-                        "net is provably constant {} and {} gate(s) exist only to feed it",
-                        u8::from(value),
-                        region.len(),
-                    ),
-                )
-                .with_related(region)
-                .with_hint(
-                    "fold the net to its constant and delete the private region (§I-B \
-                     redundancy removal); function is preserved because the stuck-at \
-                     fault at the fold point is untestable",
-                )
-                .with_fix(FixHint::FoldConstant { net: id, value }),
-            );
+fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(engine) = ctx.implications() else {
+        return;
+    };
+    let netlist = ctx.netlist();
+    let is_output: Vec<bool> = {
+        let mut v = vec![false; netlist.gate_count()];
+        for &(g, _) in netlist.primary_outputs() {
+            v[g.index()] = true;
         }
+        v
+    };
+    for (id, gate) in netlist.iter() {
+        if gate.kind().is_source() {
+            continue;
+        }
+        let Some(value) = engine.implied_constant(id) else {
+            continue;
+        };
+        // Maximality: folding a constant net whose every reader is
+        // itself implied-constant would be subsumed by folding the
+        // reader, so report only the outermost net of the region.
+        let maximal = is_output[id.index()]
+            || ctx.fanout()[id.index()]
+                .iter()
+                .any(|&(r, _)| engine.implied_constant(r).is_none());
+        if !maximal {
+            continue;
+        }
+        let region = exclusive_fanin_region(netlist, id);
+        if region.is_empty() {
+            continue;
+        }
+        report.push(
+            rule.diagnostic(
+                id,
+                format!(
+                    "net is provably constant {} and {} gate(s) exist only to feed it",
+                    u8::from(value),
+                    region.len(),
+                ),
+            )
+            .with_related(region)
+            .with_hint(
+                "fold the net to its constant and delete the private region (§I-B \
+                 redundancy removal); function is preserved because the stuck-at \
+                 fault at the fold point is untestable",
+            )
+            .with_fix(FixHint::FoldConstant { net: id, value }),
+        );
     }
 }
 
@@ -926,60 +797,41 @@ impl Rule for ImplicationDeadRegion {
 /// the X actually does damage. The related nets name the uninitializable
 /// storage elements (the X sources), and the fix targets the first of
 /// them.
-pub struct XSourceIntoCompare;
-
-impl Rule for XSourceIntoCompare {
-    fn id(&self) -> &'static str {
-        "x-source-into-compare"
-    }
-    fn description(&self) -> &'static str {
-        "XOR/XNOR comparisons consuming a power-up X from uninitializable storage"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(taint) = ctx.xprop() else {
-            return;
-        };
-        for (id, gate) in ctx.netlist().iter() {
-            if !matches!(gate.kind(), GateKind::Xor | GateKind::Xnor) {
-                continue;
-            }
-            let mut sources: Vec<GateId> = gate
-                .inputs()
-                .iter()
-                .filter_map(|&s| taint[s.index()])
-                .collect();
-            if sources.is_empty() {
-                continue;
-            }
-            sources.sort();
-            sources.dedup();
-            let storage = sources[0];
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    format!(
-                        "{} comparison consumes a power-up X from uninitializable \
-                         storage {storage}; its result is undefined on every cycle",
-                        gate.kind(),
-                    ),
-                )
-                .with_related(sources)
-                .with_hint(
-                    "scan the uninitializable storage (§IV) or give it a CLEAR/PRESET \
-                     line so the comparison settles (§III-B)",
-                )
-                .with_fix(FixHint::ScanConvert { storage }),
-            );
+fn x_source_into_compare(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(taint) = ctx.xprop() else {
+        return;
+    };
+    for (id, gate) in ctx.netlist().iter() {
+        if !matches!(gate.kind(), GateKind::Xor | GateKind::Xnor) {
+            continue;
         }
+        let mut sources: Vec<GateId> = gate
+            .inputs()
+            .iter()
+            .filter_map(|&s| taint[s.index()])
+            .collect();
+        if sources.is_empty() {
+            continue;
+        }
+        sources.sort();
+        sources.dedup();
+        let storage = sources[0];
+        report.push(
+            rule.diagnostic(
+                id,
+                format!(
+                    "{} comparison consumes a power-up X from uninitializable \
+                     storage {storage}; its result is undefined on every cycle",
+                    gate.kind(),
+                ),
+            )
+            .with_related(sources)
+            .with_hint(
+                "scan the uninitializable storage (§IV) or give it a CLEAR/PRESET \
+                 line so the comparison settles (§III-B)",
+            )
+            .with_fix(FixHint::ScanConvert { storage }),
+        );
     }
 }
 
@@ -990,64 +842,45 @@ impl Rule for XSourceIntoCompare {
 /// value-per-pin placement §III-B argues for. Nested funnels are
 /// deduplicated to the outermost qualifying net so a deep chain reports
 /// once, not once per link.
-pub struct ObservabilityDominatorBottleneck;
-
-impl Rule for ObservabilityDominatorBottleneck {
-    fn id(&self) -> &'static str {
-        "observability-dominator-bottleneck"
-    }
-    fn description(&self) -> &'static str {
-        "poorly observable nets that funnel every observation path of a wide region"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let (Some(scoap), Some(dom)) = (ctx.scoap(), ctx.dominators()) else {
-            return;
-        };
-        let netlist = ctx.netlist();
-        let limit = ctx.config().observability_limit;
-        let min_gates = ctx.config().dominator_min_gates;
-        let qualifies = |id: GateId| {
-            let co = scoap.observability(id);
-            co < INFINITE && co > limit && dom.dominated_count(id) >= min_gates
-        };
-        for id in netlist.ids() {
-            if !qualifies(id) {
-                continue;
-            }
-            // Outermost dedup: a funnel whose own (non-storage) reader is
-            // a qualifying funnel too is subsumed by the reader.
-            let subsumed = ctx.fanout()[id.index()]
-                .iter()
-                .any(|&(r, _)| !netlist.gate(r).kind().is_storage() && qualifies(r));
-            if subsumed {
-                continue;
-            }
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    id,
-                    format!(
-                        "every observation path of {} gate(s) funnels through this net, \
-                         whose own observability cost {} exceeds the limit {limit}",
-                        dom.dominated_count(id),
-                        scoap.observability(id),
-                    ),
-                )
-                .with_hint(
-                    "an observation test point at the funnel rescues the whole dominated \
-                     region with one pin (§III-B)",
-                )
-                .with_fix(FixHint::ObservePoint { net: id }),
-            );
+fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let (Some(scoap), Some(dom)) = (ctx.scoap(), ctx.dominators()) else {
+        return;
+    };
+    let netlist = ctx.netlist();
+    let limit = ctx.config().observability_limit;
+    let min_gates = ctx.config().dominator_min_gates;
+    let qualifies = |id: GateId| {
+        let co = scoap.observability(id);
+        co < INFINITE && co > limit && dom.dominated_count(id) >= min_gates
+    };
+    for id in netlist.ids() {
+        if !qualifies(id) {
+            continue;
         }
+        // Outermost dedup: a funnel whose own (non-storage) reader is
+        // a qualifying funnel too is subsumed by the reader.
+        let subsumed = ctx.fanout()[id.index()]
+            .iter()
+            .any(|&(r, _)| !netlist.gate(r).kind().is_storage() && qualifies(r));
+        if subsumed {
+            continue;
+        }
+        report.push(
+            rule.diagnostic(
+                id,
+                format!(
+                    "every observation path of {} gate(s) funnels through this net, \
+                     whose own observability cost {} exceeds the limit {limit}",
+                    dom.dominated_count(id),
+                    scoap.observability(id),
+                ),
+            )
+            .with_hint(
+                "an observation test point at the funnel rescues the whole dominated \
+                 region with one pin (§III-B)",
+            )
+            .with_fix(FixHint::ObservePoint { net: id }),
+        );
     }
 }
 
@@ -1057,64 +890,44 @@ impl Rule for ObservabilityDominatorBottleneck {
 /// the stem are masked along these paths entirely. This is §I-B
 /// redundancy created specifically by reconvergence, reported at the
 /// stem with the constant meet as the witness.
-pub struct ReconvergentConstantMask;
-
-impl Rule for ReconvergentConstantMask {
-    fn id(&self) -> &'static str {
-        "reconvergent-constant-mask"
-    }
-    fn description(&self) -> &'static str {
-        "reconvergent branches that cancel into a provably constant meet gate"
-    }
-    fn category(&self) -> Category {
-        Category::Testability
-    }
-    fn severity(&self) -> Severity {
-        Severity::Warning
-    }
-    fn check(&self, ctx: &LintContext<'_>, report: &mut LintReport) {
-        let Some(constants) = ctx.constants() else {
-            return;
+fn reconvergent_constant_mask(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+    let Some(constants) = ctx.constants() else {
+        return;
+    };
+    // One diagnostic per constant meet, at its first stem: several
+    // stems can reconverge at the same dead gate.
+    let mut seen = std::collections::BTreeSet::new();
+    for rec in ctx.reconvergence() {
+        let value = constants[rec.meet.index()].to_bool().or_else(|| {
+            ctx.implications()
+                .and_then(|eng| eng.implied_constant(rec.meet))
+        });
+        let Some(value) = value else {
+            continue;
         };
-        let netlist = ctx.netlist();
-        // One diagnostic per constant meet, at its first stem: several
-        // stems can reconverge at the same dead gate.
-        let mut seen = std::collections::BTreeSet::new();
-        for rec in reconvergent_fanouts(netlist) {
-            let value = constants[rec.meet.index()].to_bool().or_else(|| {
-                ctx.implications()
-                    .and_then(|eng| eng.implied_constant(rec.meet))
-            });
-            let Some(value) = value else {
-                continue;
-            };
-            if !seen.insert(rec.meet) {
-                continue;
-            }
-            report.push(
-                Diagnostic::new(
-                    self.id(),
-                    self.severity(),
-                    self.category(),
-                    rec.stem,
-                    format!(
-                        "fanout branches reconverge at {}, which is provably constant {}: \
-                         stem faults are masked along these paths",
-                        rec.meet,
-                        u8::from(value),
-                    ),
-                )
-                .with_related(vec![rec.meet])
-                .with_hint(
-                    "the reconvergent structure cancels; fold the meet to its constant \
-                     or redesign the stem logic (§I-B)",
-                )
-                .with_fix(FixHint::FoldConstant {
-                    net: rec.meet,
-                    value,
-                }),
-            );
+        if !seen.insert(rec.meet) {
+            continue;
         }
+        report.push(
+            rule.diagnostic(
+                rec.stem,
+                format!(
+                    "fanout branches reconverge at {}, which is provably constant {}: \
+                     stem faults are masked along these paths",
+                    rec.meet,
+                    u8::from(value),
+                ),
+            )
+            .with_related(vec![rec.meet])
+            .with_hint(
+                "the reconvergent structure cancels; fold the meet to its constant \
+                 or redesign the stem logic (§I-B)",
+            )
+            .with_fix(FixHint::FoldConstant {
+                net: rec.meet,
+                value,
+            }),
+        );
     }
 }
 

@@ -21,9 +21,9 @@
 //!   fault mapping.
 //! * [`ScanSchedule`] — shift/capture cycle accounting ("an apparent
 //!   disadvantage is the serialization of the test").
-//! * [`check_rules`] / [`lint_scan_design`] — an LSSD-flavoured
-//!   design-rule check, reported as plain violations or as structured
-//!   `dft-lint` diagnostics.
+//! * [`lint_scan_design`] — an LSSD-flavoured design-rule check,
+//!   reported as `dft-lint` diagnostics of the four `scan-*` entries of
+//!   the `dft-lint` rule table.
 //!
 //! ```
 //! use dft_netlist::circuits::binary_counter;
@@ -55,5 +55,5 @@ pub use design::{insert_scan, ScanConfig, ScanDesign, ScanStyle};
 pub use extract::{extract_test_view, TestView};
 pub use monitor::{ScanSetMonitor, Snapshot};
 pub use overhead::{overhead, overhead_for, OverheadReport};
-pub use rules::{check_rules, lint_scan_design, RuleConfig, RuleViolation, ScanRule};
+pub use rules::{lint_scan_design, RuleConfig};
 pub use schedule::{ScanSchedule, ScanTestProgram};

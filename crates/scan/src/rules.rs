@@ -6,83 +6,19 @@
 //! compliance with testability groundrules", \[22\]). This checker
 //! enforces the structural rules expressible in this toolkit's model.
 
-use std::fmt;
-
-use dft_lint::{Category, Diagnostic, FixHint, LintReport, Severity};
+use dft_lint::rules::{SCAN_COMB_FEEDBACK, SCAN_COVERAGE, SCAN_DEPTH, SCAN_LATCH_RACE};
+use dft_lint::{FixHint, LintReport};
 use dft_netlist::GateId;
 
 use crate::ScanDesign;
 
-/// The individual rules [`check_rules`] enforces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanRule {
-    /// No combinational feedback loops (level-sensitive operation is
-    /// impossible around an asynchronous loop).
-    NoCombinationalFeedback,
-    /// Every storage element is on the scan chain (full-scan
-    /// discipline; partial access defeats the combinational reduction).
-    AllStorageScanned,
-    /// Combinational depth between storage stages is bounded (the
-    /// level-sensitive timing rule: data must settle within the clock
-    /// phase).
-    BoundedLogicDepth,
-    /// A storage element must not directly feed another storage element
-    /// without intervening logic *unless* the style provides a two-phase
-    /// (master/slave) cell — the race the Scan Path flip-flop narrows
-    /// and LSSD eliminates.
-    NoDirectStorageToStorage,
-}
-
-impl fmt::Display for ScanRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ScanRule::NoCombinationalFeedback => "no combinational feedback",
-            ScanRule::AllStorageScanned => "all storage elements scanned",
-            ScanRule::BoundedLogicDepth => "bounded logic depth between latches",
-            ScanRule::NoDirectStorageToStorage => "no direct latch-to-latch path",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One rule violation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RuleViolation {
-    /// The violated rule.
-    pub rule: ScanRule,
-    /// The offending gate.
-    pub gate: GateId,
-    /// Human-readable detail.
-    pub detail: String,
-    /// The stable `DFT-1NN` code shared with the `dft-lint` rule table.
-    pub code: &'static str,
-    /// How serious the violation is (same scale as lint diagnostics).
-    pub severity: Severity,
-    /// Machine-applicable repair, when the checker knows one.
-    pub fix: Option<FixHint>,
-}
-
-impl fmt::Display for RuleViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {} violated at {}: {}",
-            self.code, self.rule, self.gate, self.detail
-        )
-    }
-}
-
 /// Thresholds for the scan rule checker.
-///
-/// Replaces the old bare `max_depth: u32` parameter; construct with
-/// struct syntax or convert from a `u32` depth bound (`From<u32>`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleConfig {
     /// Bound on combinational depth between storage stages
-    /// ([`ScanRule::BoundedLogicDepth`]). Default 50 — generous enough
-    /// that depth only flags designs where the level-sensitive settle
-    /// discipline is in real doubt; tighten it when modelling a specific
-    /// clock budget.
+    /// ([`SCAN_DEPTH`]). Default 50 — generous enough that depth only
+    /// flags designs where the level-sensitive settle discipline is in
+    /// real doubt; tighten it when modelling a specific clock budget.
     pub max_depth: u32,
 }
 
@@ -92,14 +28,9 @@ impl Default for RuleConfig {
     }
 }
 
-impl From<u32> for RuleConfig {
-    fn from(max_depth: u32) -> Self {
-        RuleConfig { max_depth }
-    }
-}
-
 /// Checks `design` against the scan groundrules, reporting through the
-/// `dft-lint` diagnostic framework (`scan-*` rule ids, [`Category::Scan`]).
+/// `dft-lint` diagnostic framework: each finding carries its `scan-*`
+/// entry of the `dft-lint` rule table ([`dft_lint::rules`]).
 ///
 /// Diagnostics appear in checking order: feedback, coverage, depth,
 /// race. The latch-to-latch race rule is waived for LSSD (its L1/L2
@@ -116,14 +47,11 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
         Ok(lv) => lv,
         Err(e) => {
             report.push(
-                Diagnostic::new(
-                    "scan-comb-feedback",
-                    Severity::Error,
-                    Category::Scan,
-                    e.on_cycle,
-                    "combinational cycle",
-                )
-                .with_hint("level-sensitive operation is impossible around an asynchronous loop"),
+                SCAN_COMB_FEEDBACK
+                    .diagnostic(e.on_cycle, "combinational cycle")
+                    .with_hint(
+                        "level-sensitive operation is impossible around an asynchronous loop",
+                    ),
             );
             return report; // depth checks are meaningless with cycles
         }
@@ -135,15 +63,15 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
     for (k, dff) in netlist.storage_elements().into_iter().enumerate() {
         if !scanned.contains(&dff) || k >= accessible {
             report.push(
-                Diagnostic::new(
-                    "scan-coverage",
-                    Severity::Error,
-                    Category::Scan,
-                    dff,
-                    "storage element not accessible through the scan structure",
-                )
-                .with_hint("partial access defeats the combinational reduction; extend the chain")
-                .with_fix(FixHint::ScanConvert { storage: dff }),
+                SCAN_COVERAGE
+                    .diagnostic(
+                        dff,
+                        "storage element not accessible through the scan structure",
+                    )
+                    .with_hint(
+                        "partial access defeats the combinational reduction; extend the chain",
+                    )
+                    .with_fix(FixHint::ScanConvert { storage: dff }),
             );
         }
     }
@@ -152,14 +80,12 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
     for (id, gate) in netlist.iter() {
         if !gate.kind().is_source() && lv.level(id) > config.max_depth {
             report.push(
-                Diagnostic::new(
-                    "scan-depth",
-                    Severity::Warning,
-                    Category::Scan,
-                    id,
-                    format!("level {} exceeds bound {}", lv.level(id), config.max_depth),
-                )
-                .with_hint("data must settle within the clock phase; pipeline the cone"),
+                SCAN_DEPTH
+                    .diagnostic(
+                        id,
+                        format!("level {} exceeds bound {}", lv.level(id), config.max_depth),
+                    )
+                    .with_hint("data must settle within the clock phase; pipeline the cone"),
             );
         }
     }
@@ -171,16 +97,11 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
             let d = netlist.gate(dff).inputs()[0];
             if netlist.gate(d).kind().is_storage() {
                 report.push(
-                    Diagnostic::new(
-                        "scan-latch-race",
-                        Severity::Warning,
-                        Category::Scan,
-                        dff,
-                        format!("data input driven directly by latch {d}"),
-                    )
-                    .with_related(vec![d])
-                    .with_hint("use a two-phase (master/slave) cell or insert logic between")
-                    .with_fix(FixHint::ScanConvert { storage: dff }),
+                    SCAN_LATCH_RACE
+                        .diagnostic(dff, format!("data input driven directly by latch {d}"))
+                        .with_related(vec![d])
+                        .with_hint("use a two-phase (master/slave) cell or insert logic between")
+                        .with_fix(FixHint::ScanConvert { storage: dff }),
                 );
             }
         }
@@ -189,45 +110,20 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
     report
 }
 
-/// Checks `design` against the scan rules; returns all violations.
-///
-/// Compatibility shim over [`lint_scan_design`]: same checks, same
-/// order, same detail strings — only the carrier type differs. Accepts
-/// either a [`RuleConfig`] or a bare `u32` depth bound.
-#[must_use]
-pub fn check_rules(design: &ScanDesign, config: impl Into<RuleConfig>) -> Vec<RuleViolation> {
-    let config = config.into();
-    lint_scan_design(design, &config)
-        .diagnostics()
-        .iter()
-        .map(|d| RuleViolation {
-            rule: match d.rule {
-                "scan-comb-feedback" => ScanRule::NoCombinationalFeedback,
-                "scan-coverage" => ScanRule::AllStorageScanned,
-                "scan-depth" => ScanRule::BoundedLogicDepth,
-                _ => ScanRule::NoDirectStorageToStorage,
-            },
-            gate: d.gate,
-            detail: d.message.clone(),
-            code: d.code,
-            severity: d.severity,
-            fix: d.fix,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{insert_scan, ScanConfig, ScanStyle};
+    use dft_lint::{rule_code, Category, Severity};
     use dft_netlist::circuits::{binary_counter, shift_register};
 
     #[test]
     fn clean_counter_passes_under_lssd() {
         let n = binary_counter(4);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::Lssd)).unwrap();
-        assert!(check_rules(&d, RuleConfig::default()).is_empty());
-        assert!(lint_scan_design(&d, &RuleConfig::default()).is_clean());
+        let r = lint_scan_design(&d, &RuleConfig::default());
+        assert!(r.diagnostics().is_empty());
+        assert!(r.is_clean());
     }
 
     #[test]
@@ -236,61 +132,54 @@ mod tests {
         // flagged for the single-clock raceless cell.
         let n = shift_register(4);
         let lssd = insert_scan(&n, &ScanConfig::new(ScanStyle::Lssd)).unwrap();
-        assert!(check_rules(&lssd, RuleConfig::default()).is_empty());
+        assert!(lint_scan_design(&lssd, &RuleConfig::default())
+            .diagnostics()
+            .is_empty());
         let sp = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanPath)).unwrap();
-        let v = check_rules(&sp, RuleConfig::default());
-        assert_eq!(v.len(), 3, "three of four stages chain directly");
-        assert!(v
-            .iter()
-            .all(|x| x.rule == ScanRule::NoDirectStorageToStorage));
+        let r = lint_scan_design(&sp, &RuleConfig::default());
+        assert_eq!(
+            r.diagnostics().len(),
+            3,
+            "three of four stages chain directly"
+        );
+        assert_eq!(r.by_rule("scan-latch-race").count(), 3);
     }
 
     #[test]
     fn partial_scan_set_flags_unscanned_latches() {
         let n = binary_counter(8);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanSet { width: 3 })).unwrap();
-        let v = check_rules(&d, RuleConfig::default());
-        let missing = v
-            .iter()
-            .filter(|x| x.rule == ScanRule::AllStorageScanned)
-            .count();
-        assert_eq!(missing, 5);
+        let r = lint_scan_design(&d, &RuleConfig::default());
+        assert_eq!(r.by_rule("scan-coverage").count(), 5);
     }
 
     #[test]
     fn depth_bound_is_enforced() {
         let n = dft_netlist::circuits::ripple_carry_adder(16);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::Lssd)).unwrap();
-        // `From<u32>` keeps the old call shape working.
-        let deep = check_rules(&d, 5u32);
-        assert!(!deep.is_empty());
-        assert!(deep.iter().all(|x| x.rule == ScanRule::BoundedLogicDepth));
-        assert!(check_rules(&d, 100u32).is_empty());
-        // Violations render readably.
-        assert!(deep[0].to_string().contains("exceeds bound"));
+        let deep = lint_scan_design(&d, &RuleConfig { max_depth: 5 });
+        assert!(!deep.diagnostics().is_empty());
+        assert_eq!(deep.by_rule("scan-depth").count(), deep.diagnostics().len());
+        assert!(lint_scan_design(&d, &RuleConfig { max_depth: 100 })
+            .diagnostics()
+            .is_empty());
+        // Findings render readably.
+        assert!(deep.diagnostics()[0].to_string().contains("exceeds bound"));
     }
 
     #[test]
-    fn shim_mirrors_the_lint_report_exactly() {
+    fn findings_carry_their_scan_rule_entry() {
+        // Every finding is a scan-category diagnostic with a scan-* rule
+        // id and the stable DFT-1NN code of its rule-table entry.
         let n = binary_counter(8);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanSet { width: 3 })).unwrap();
-        let config = RuleConfig { max_depth: 5 };
-        let report = lint_scan_design(&d, &config);
-        let shim = check_rules(&d, config);
-        assert_eq!(report.diagnostics().len(), shim.len());
-        for (diag, violation) in report.diagnostics().iter().zip(&shim) {
-            assert_eq!(diag.gate, violation.gate);
-            assert_eq!(diag.message, violation.detail);
-            assert_eq!(diag.code, violation.code);
-            assert_eq!(diag.severity, violation.severity);
-            assert_eq!(diag.fix, violation.fix);
-        }
-        // The report side carries the extra structure: every finding is
-        // a scan-category diagnostic with a scan-* rule id and a stable
-        // DFT-1NN code from the shared table.
+        let report = lint_scan_design(&d, &RuleConfig { max_depth: 5 });
+        assert!(!report.diagnostics().is_empty());
         for diag in report.diagnostics() {
             assert!(diag.rule.starts_with("scan-"), "{}", diag.rule);
             assert!(diag.code.starts_with("DFT-1"), "{}", diag.code);
+            assert_eq!(diag.code, rule_code(diag.rule));
+            assert_eq!(diag.category, Category::Scan);
         }
     }
 
@@ -298,17 +187,17 @@ mod tests {
     fn violations_carry_codes_severities_and_fixes() {
         let n = binary_counter(8);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanSet { width: 3 })).unwrap();
-        let v = check_rules(&d, RuleConfig::default());
-        let missing: Vec<&RuleViolation> = v
-            .iter()
-            .filter(|x| x.rule == ScanRule::AllStorageScanned)
-            .collect();
+        let r = lint_scan_design(&d, &RuleConfig::default());
+        let missing: Vec<_> = r.by_rule("scan-coverage").collect();
         assert!(!missing.is_empty());
         for x in &missing {
             assert_eq!(x.code, "DFT-102");
             assert_eq!(x.severity, Severity::Error);
             assert_eq!(x.fix, Some(FixHint::ScanConvert { storage: x.gate }));
-            assert!(x.to_string().starts_with("[DFT-102]"), "{x}");
+            assert!(
+                x.to_string().starts_with("error[DFT-102 scan-coverage]"),
+                "{x}"
+            );
         }
     }
 }

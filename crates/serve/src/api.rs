@@ -232,7 +232,8 @@ pub struct ScoapSummary {
 pub enum PodemOutcome {
     /// A test cube was found.
     Test,
-    /// Proven untestable (by search or by the implication prefilter).
+    /// Proven untestable (by the static implication check, search or
+    /// the CDCL prover).
     Untestable,
     /// Backtrack limit hit.
     Aborted,
@@ -397,8 +398,8 @@ pub enum Response {
         outcome: PodemOutcome,
         /// Search backtracks (0 when prefiltered).
         backtracks: u64,
-        /// The implication prefilter proved the fault untestable with
-        /// zero search — the hot-artifact path.
+        /// The static implication check proved the fault untestable
+        /// with zero search.
         prefiltered: bool,
         /// The test cube as a `01X` string over the primary inputs.
         cube: Option<String>,

@@ -4,10 +4,8 @@
 //! [`AnalysisCache`]) plus every expensive product the daemon can
 //! reuse across requests: the lint report, the compiled simulation
 //! [`Kernel`], the stuck-at universe, one warm [`Podem`] solver per
-//! revision with the [`Prefilter`] computed from that solver's own
-//! implication engine, the latest fault-simulation figures and the
-//! latest [`FaultDictionary`] (both keyed by their `(patterns, seed)`
-//! recipe).
+//! revision, the latest fault-simulation figures and the latest
+//! [`FaultDictionary`] (both keyed by their `(patterns, seed)` recipe).
 //!
 //! Every artifact has two access paths, mirroring the `RwLock` the
 //! workspace wraps sessions in:
@@ -30,7 +28,7 @@ use std::sync::Arc;
 
 use dft_analyze::{AnalysisCache, NetlistDelta, INFINITE};
 use dft_atpg::{GenOutcome, Podem, PodemConfig, Prover};
-use dft_fault::{prefilter_with, universe, Fault, FaultDictionary, Ppsfp, Prefilter};
+use dft_fault::{universe, Fault, FaultDictionary, Ppsfp};
 use dft_lint::{lint, LintReport, Severity};
 use dft_netlist::{GateId, LevelizeError, Netlist, PortRef};
 use dft_sim::{Kernel, PatternSet};
@@ -58,7 +56,8 @@ pub struct PodemRun {
     /// PODEM search backtracks (0 when prefiltered): those before the
     /// CDCL proof when the CDCL prover settled the fault.
     pub backtracks: u64,
-    /// The implication prefilter answered without any search.
+    /// The static implication check proved the fault untestable before
+    /// any search ([`Prover::Static`]).
     pub prefiltered: bool,
     /// The CDCL prover settled the fault after the search spent its
     /// budget ([`Podem::settle`]).
@@ -89,9 +88,8 @@ pub struct DesignSession {
     kernel: Option<Kernel>,
     faults: Option<Vec<Fault>>,
     /// The revision's PODEM solver (owning a copy of the netlist, so it
-    /// outlives no borrow) and the prefilter computed from its
-    /// implication engine: implication learning runs once per revision.
-    podem: Option<(Podem<'static>, Prefilter)>,
+    /// outlives no borrow): implication learning runs once per revision.
+    podem: Option<Podem<'static>>,
     fault_sim: Vec<(SimKey, FaultSimFigures)>,
     dictionary: Option<(SimKey, FaultDictionary, DictionaryFigures)>,
 }
@@ -227,9 +225,8 @@ impl DesignSession {
     }
 
     /// Runs PODEM for one fault using only warm support artifacts
-    /// (universe + solver + prefilter + kernel). `None` means cold —
-    /// retry on the write path after
-    /// [`DesignSession::warm_podem_support`].
+    /// (solver + kernel). `None` means cold — retry on the write path
+    /// after [`DesignSession::warm_podem_support`].
     ///
     /// # Errors
     ///
@@ -241,16 +238,15 @@ impl DesignSession {
         pin: Option<u32>,
         stuck: bool,
     ) -> Option<Result<PodemRun, String>> {
-        let faults = self.faults.as_ref()?;
         let podem = self.podem.as_ref()?;
         let kernel = self.kernel.as_ref()?;
-        Some(self.podem_with(faults, podem, kernel, gate, pin, stuck))
+        Some(self.podem_with(podem, kernel, gate, pin, stuck))
     }
 
     /// Whether the PODEM support artifacts are all warm.
     #[must_use]
     pub fn podem_support_ready(&self) -> bool {
-        self.faults.is_some() && self.podem.is_some() && self.kernel.is_some()
+        self.podem.is_some() && self.kernel.is_some()
     }
 
     // ------------------------------------------------------------------
@@ -318,20 +314,14 @@ impl DesignSession {
         true
     }
 
-    /// Warms the PODEM support artifacts (universe, solver, prefilter,
-    /// kernel). Returns `true` if anything had to be built — once per
-    /// revision.
+    /// Warms the PODEM support artifacts (solver, kernel). Returns
+    /// `true` if anything had to be built — once per revision.
     pub fn warm_podem_support(&mut self) -> bool {
-        let mut built = self.ensure_faults();
+        let mut built = false;
         if self.podem.is_none() {
             let solver = Podem::from_owned(self.cache.netlist().clone(), PodemConfig::default())
                 .expect("session frame is acyclic by invariant");
-            let engine = solver
-                .implications()
-                .expect("the default PODEM config consults implications");
-            let faults = self.faults.as_ref().expect("just ensured");
-            let prefilter = prefilter_with(engine, faults);
-            self.podem = Some((solver, prefilter));
+            self.podem = Some(solver);
             built = true;
         }
         if self.kernel.is_none() {
@@ -434,8 +424,7 @@ impl DesignSession {
 
     fn podem_with(
         &self,
-        faults: &[Fault],
-        (solver, prefilter): &(Podem<'static>, Prefilter),
+        solver: &Podem<'static>,
         kernel: &Kernel,
         gate: usize,
         pin: Option<u32>,
@@ -467,22 +456,9 @@ impl DesignSession {
         let fault = Fault { site, stuck };
         let display = fault.to_string();
 
-        // The implication prefilter answers redundancy proofs with zero
-        // search — the hot path the stats' `podem.prefiltered` counts.
-        if let Some(idx) = faults.iter().position(|f| *f == fault) {
-            if prefilter.is_untestable(idx) {
-                return Ok(PodemRun {
-                    fault: display,
-                    outcome: PodemOutcome::Untestable,
-                    backtracks: 0,
-                    prefiltered: true,
-                    cdcl: false,
-                    cube: None,
-                    response: None,
-                });
-            }
-        }
-
+        // `settle`'s first rung is the static implication check: a
+        // redundancy proof with zero search, which the stats'
+        // `podem.prefiltered` counts.
         let (outcome, stats) = solver.settle(fault);
         let (verdict, cube, response) = match &outcome {
             GenOutcome::Test(cube) => {
@@ -505,7 +481,7 @@ impl DesignSession {
             fault: display,
             outcome: verdict,
             backtracks: u64::from(stats.backtracks),
-            prefiltered: false,
+            prefiltered: stats.prover == Prover::Static,
             cdcl: stats.prover == Prover::Cdcl,
             cube,
             response,
@@ -714,6 +690,26 @@ mod tests {
         let after = all_podem_runs(&s);
         assert_eq!(after, all_podem_runs(&reference));
         assert!(after.len() > before.len(), "the edit added fault sites");
+    }
+
+    #[test]
+    fn constant_gates_report_their_static_proofs() {
+        // A constant gate lies outside the fault universe, but its faults
+        // settle on the same static check as any other redundant fault.
+        let mut n = Netlist::new("tied");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let zero = n.add_const(false);
+        let g = n.add_gate(dft_netlist::GateKind::Or, &[a, zero]).unwrap();
+        let y = n.add_gate(dft_netlist::GateKind::And, &[g, b]).unwrap();
+        n.mark_output(y, "y").unwrap();
+        assert!(universe(&n).iter().all(|f| f.site.gate != zero));
+        let mut s = DesignSession::new(&n).unwrap();
+        assert!(s.warm_podem_support());
+        let run = s.try_podem(zero.index(), None, false).unwrap().unwrap();
+        assert_eq!(run.outcome, PodemOutcome::Untestable);
+        assert!(run.prefiltered);
+        assert_eq!(run.backtracks, 0);
     }
 
     fn pin_of(f: Fault) -> Option<u32> {

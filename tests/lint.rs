@@ -1,17 +1,20 @@
 //! Integration and property tests for `dft-lint`: the library circuits
 //! lint clean, each violation class is detectable from a seeded netlist,
-//! and the renderers / compatibility shims hold their contracts.
+//! and the renderers and the scan groundrule checker hold their
+//! contracts.
 
 use design_for_testability::core::{DftPlanner, Technique};
-use design_for_testability::lint::{lint, lint_with, LintConfig, Registry, Severity};
+use design_for_testability::lint::{
+    lint, lint_with, rule_code, Category, LintConfig, LintReport, Registry, Severity,
+};
 use design_for_testability::netlist::circuits::{
     barrel_shifter, binary_counter, c17, carry_lookahead_adder, comparator, decoder, full_adder,
     johnson_counter, majority, mux_tree, parity_tree, random_combinational, random_sequential,
     ripple_carry_adder, shift_register, sn74181, wallace_multiplier,
 };
-use design_for_testability::netlist::{GateKind, Netlist};
+use design_for_testability::netlist::{GateId, GateKind, Netlist};
 use design_for_testability::scan::{
-    check_rules, insert_scan, lint_scan_design, RuleConfig, ScanConfig, ScanStyle,
+    insert_scan, lint_scan_design, RuleConfig, ScanConfig, ScanStyle,
 };
 use proptest::prelude::*;
 
@@ -130,19 +133,19 @@ fn seeded_violations_are_all_detected() {
     assert!(lint(&c17()).by_rule("reconvergent-fanout").next().is_some());
 }
 
-/// The old `check_rules` entry point and the lint-based scan checker
-/// agree finding-for-finding.
+/// Scan groundrule findings carry the identity of their rule-table
+/// entry: a `scan-*` id, that id's `DFT-1NN` code and the scan category.
 #[test]
-fn scan_shim_agrees_with_lint_report() {
+fn scan_findings_carry_their_table_identity() {
     let n = binary_counter(8);
     let d = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanSet { width: 3 })).unwrap();
-    let config = RuleConfig { max_depth: 5 };
-    let report = lint_scan_design(&d, &config);
-    let violations = check_rules(&d, config);
-    assert_eq!(report.diagnostics().len(), violations.len());
-    for (diag, v) in report.diagnostics().iter().zip(&violations) {
-        assert_eq!(diag.gate, v.gate);
-        assert_eq!(diag.message, v.detail);
+    let report = lint_scan_design(&d, &RuleConfig { max_depth: 5 });
+    assert_eq!(report.by_rule("scan-coverage").count(), 5);
+    for diag in report.diagnostics() {
+        assert!(diag.rule.starts_with("scan-"), "{}", diag.rule);
+        assert_eq!(diag.code, rule_code(diag.rule));
+        assert!(diag.code.starts_with("DFT-1"), "{}", diag.code);
+        assert_eq!(diag.category, Category::Scan);
     }
     assert!(report.has_errors(), "unscanned latches are errors");
 }
@@ -211,18 +214,35 @@ proptest! {
         }
     }
 
-    /// The scan shim is a pure repackaging under any depth bound.
+    /// Under any depth bound, `scan-depth` flags exactly the logic gates
+    /// deeper than the bound, and the bound moves no other scan finding.
     #[test]
-    fn scan_shim_is_lossless(width in 1usize..8, depth in 1u32..80) {
-        let n = shift_register(width);
+    fn scan_depth_findings_follow_the_bound(
+        state_bits in 1usize..6,
+        gates in 8usize..60,
+        depth in 1u32..20,
+        seed: u64,
+    ) {
+        let n = random_sequential(4, state_bits, gates, 2, seed);
         let d = insert_scan(&n, &ScanConfig::new(ScanStyle::ScanPath)).unwrap();
-        let config = RuleConfig { max_depth: depth };
-        let report = lint_scan_design(&d, &config);
-        let shim = check_rules(&d, config);
-        prop_assert_eq!(report.diagnostics().len(), shim.len());
-        for (diag, v) in report.diagnostics().iter().zip(&shim) {
-            prop_assert_eq!(diag.gate, v.gate);
-            prop_assert_eq!(&diag.message, &v.detail);
-        }
+        let report = lint_scan_design(&d, &RuleConfig { max_depth: depth });
+        let lv = d.netlist().levelize().unwrap();
+        let deep: Vec<GateId> = d
+            .netlist()
+            .iter()
+            .filter(|&(id, g)| !g.kind().is_source() && lv.level(id) > depth)
+            .map(|(id, _)| id)
+            .collect();
+        let flagged: Vec<GateId> = report.by_rule("scan-depth").map(|x| x.gate).collect();
+        prop_assert_eq!(flagged, deep);
+        let unbounded = lint_scan_design(&d, &RuleConfig { max_depth: u32::MAX });
+        let others = |r: &LintReport| {
+            r.diagnostics()
+                .iter()
+                .filter(|x| x.rule != "scan-depth")
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(others(&report), others(&unbounded));
     }
 }

@@ -13,7 +13,7 @@ use design_for_testability::atpg::{
 use design_for_testability::fault::{
     engines, simulate_observed, universe, FaultSimEngine, SerialEngine, SerialOptions,
 };
-use design_for_testability::implic::{ImplicOptions, ImplicationEngine};
+use design_for_testability::implic::ImplicationEngine;
 use design_for_testability::netlist::circuits::{c17, random_combinational};
 use design_for_testability::obs::{NullCollector, Recorder};
 use design_for_testability::sim::PatternSet;
@@ -148,8 +148,7 @@ fn deterministic_phase_counters_add_up_on_rand_15x140() {
 fn implication_learning_counters_match_stats_on_c17() {
     let n = c17();
     let mut rec = Recorder::new();
-    let engine =
-        ImplicationEngine::with_options_observed(&n, ImplicOptions::default(), Some(&mut rec));
+    let engine = ImplicationEngine::new_observed(&n, Some(&mut rec));
     let report = rec.finish("implic_c17");
 
     let span = report.find("implic.learn").expect("span must exist");
