@@ -292,26 +292,6 @@ impl AnalysisCache {
         }
     }
 
-    /// The structural constants if computed and exact (see
-    /// [`AnalysisCache::scoap_ready`]).
-    #[must_use]
-    pub fn constants_ready(&self) -> Option<&[Logic]> {
-        match self.constants_dirty {
-            Dirty::Clean => self.constants.as_deref(),
-            _ => None,
-        }
-    }
-
-    /// The X-taint witnesses if computed and exact (see
-    /// [`AnalysisCache::scoap_ready`]).
-    #[must_use]
-    pub fn xprop_ready(&self) -> Option<&[XWitness]> {
-        match self.xprop_dirty {
-            Dirty::Clean => self.xprop.as_deref(),
-            _ => None,
-        }
-    }
-
     /// Structural constants, refreshed incrementally.
     pub fn constants(&mut self) -> &[Logic] {
         self.ensure_constants();

@@ -2,17 +2,16 @@
 //!
 //! Three-valued forward evaluation with every primary input and every
 //! storage output pinned at X: whatever comes out known is a value the
-//! net holds under *every* input assignment. This is the same pass
-//! `dft-lint` has always run (its `LintContext` is now a thin wrapper);
-//! porting it onto [`Analysis`] buys the incremental path for free —
-//! the DFF transfer ignores its input, so the value graph is acyclic
-//! even on sequential designs and the worklist re-solve is always
-//! exact.
+//! net holds under *every* input assignment. On [`Analysis`] the pass
+//! gets the incremental path for free — the DFF transfer ignores its
+//! input, so the value graph is acyclic even on sequential designs and
+//! the worklist re-solve is always exact. For the same reason any
+//! topological sweep order reaches the same values.
 
-use dft_netlist::{GateId, GateKind, Netlist};
+use dft_netlist::{GateId, GateKind};
 use dft_sim::Logic;
 
-use crate::solver::{order_by_level, output_mask, solve, Analysis, Direction, GraphView};
+use crate::solver::{Analysis, Direction, GraphView};
 
 /// Forward three-valued constant propagation.
 #[derive(Clone, Copy, Debug, Default)]
@@ -44,49 +43,5 @@ impl Analysis for Constants {
                 Logic::eval_gate(kind, &ins)
             }
         }
-    }
-}
-
-/// Computes the constant-propagation values from scratch.
-///
-/// The netlist must levelize (the `level` array is the caller's proof);
-/// use [`crate::AnalysisCache`] when you also want incrementality.
-#[must_use]
-pub fn compute(netlist: &Netlist, level: &[u32]) -> Vec<Logic> {
-    let fanout = netlist.fanout_map();
-    let is_output = output_mask(netlist);
-    let view = GraphView {
-        netlist,
-        level,
-        fanout: &fanout,
-        is_output: &is_output,
-    };
-    solve(&Constants, &view, &order_by_level(level))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dft_netlist::Netlist;
-
-    #[test]
-    fn finds_structural_constants() {
-        let mut n = Netlist::new("t");
-        let a = n.add_input("a");
-        let zero = n.add_const(false);
-        let dead = n.add_gate(GateKind::And, &[a, zero]).unwrap();
-        let live = n.add_gate(GateKind::Or, &[a, zero]).unwrap();
-        let inv = n.add_gate(GateKind::Not, &[dead]).unwrap();
-        n.mark_output(live, "y").unwrap();
-        n.mark_output(inv, "z").unwrap();
-        let lv = n.levelize().unwrap();
-        let level: Vec<u32> = (0..n.gate_count())
-            .map(|i| lv.level(GateId::from_index(i)))
-            .collect();
-        let c = compute(&n, &level);
-        assert_eq!(c[a.index()], Logic::X);
-        assert_eq!(c[dead.index()], Logic::Zero);
-        assert_eq!(c[live.index()], Logic::X);
-        assert_eq!(c[inv.index()], Logic::One);
     }
 }

@@ -20,8 +20,9 @@
 //!   enforce exactly that.
 //!
 //! The concrete analyses live in [`scoap`], [`constants`], [`xprop`] and
-//! [`dominators`]; `dft-testability` and `dft-lint` keep their public
-//! entry points as thin wrappers over them.
+//! [`dominators`]. [`ScoapResult`] is the toolkit's one SCOAP result
+//! (`dft-testability` only re-exports it), and `dft-lint` runs the same
+//! analyses from scratch over its own one-pass structural view.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +38,7 @@ pub mod xprop;
 pub use cache::AnalysisCache;
 pub use delta::{DeltaError, NetlistDelta};
 pub use dominators::Dominators;
-pub use scoap::{Observability, ScoapResult, INFINITE};
+pub use scoap::{Measure, Observability, ScoapResult, INFINITE};
 pub use solver::{
     order_by_level, output_mask, resolve, solve, solve_capped, Analysis, Direction, GraphView,
 };

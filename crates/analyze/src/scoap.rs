@@ -1,12 +1,13 @@
 //! SCOAP controllability/observability as framework analyses.
 //!
-//! This is the algorithm from `dft-testability` ported onto the
-//! [`Analysis`] trait: [`Controllability`] is the forward CC0/CC1 pass,
-//! [`Observability`] the backward CO pass (it borrows the finished CC
-//! arrays, since side-input costs enter the pin formulas). The legacy
-//! `dft_testability::analyze` entry point is now a thin wrapper over
-//! [`compute`], and the golden c17 test plus the cross-crate
-//! equivalence tests pin the port bit-for-bit.
+//! Goldstein's SCOAP measures (the paper's §II, reference \[70\]) on
+//! the [`Analysis`] trait: [`Controllability`] is the forward CC0/CC1
+//! pass, [`Observability`] the backward CO pass (it borrows the finished
+//! CC arrays, since side-input costs enter the pin formulas).
+//! [`ScoapResult`] is the toolkit's one SCOAP result: per-net
+//! [`Measure`] triples plus the rankings the test-point planner reads.
+//! `dft-testability` re-exports [`compute`] as `analyze`, and its golden
+//! c17 test pins the values.
 
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist};
 
@@ -181,7 +182,44 @@ impl Analysis for Observability<'_> {
     }
 }
 
+/// A testability measure triple for one net.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Measure {
+    /// Cost of driving the net to 0 (SCOAP CC0).
+    pub cc0: u32,
+    /// Cost of driving the net to 1 (SCOAP CC1).
+    pub cc1: u32,
+    /// Cost of observing the net at a primary output (SCOAP CO).
+    pub co: u32,
+}
+
+impl Measure {
+    /// Cost of controlling the net to `value`.
+    #[must_use]
+    pub fn control(&self, value: bool) -> u32 {
+        if value {
+            self.cc1
+        } else {
+            self.cc0
+        }
+    }
+
+    /// Combined difficulty of *testing* at this net: the cheaper
+    /// controllability plus the observability (a stuck-at fault needs the
+    /// complement value driven and the effect observed).
+    #[must_use]
+    pub fn difficulty(&self) -> u32 {
+        sat(self.cc0.min(self.cc1), self.co)
+    }
+}
+
 /// The full SCOAP result over one netlist.
+///
+/// Nets are identified by their driving gate. Storage elements add one
+/// unit of cost per crossing (a simplified sequential SCOAP: each clock
+/// cycle needed to steer or observe state costs like a gate level), and
+/// the relaxation iterates to a fixpoint so feedback loops are priced
+/// correctly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScoapResult {
     /// `(cc0, cc1)` per net.
@@ -211,12 +249,59 @@ impl ScoapResult {
         self.co[net.index()]
     }
 
-    /// Combined test difficulty at a net: the cheaper controllability
-    /// plus the observability.
+    /// The measure triple of a net.
+    #[must_use]
+    pub fn measure(&self, net: GateId) -> Measure {
+        let (cc0, cc1) = self.cc[net.index()];
+        Measure {
+            cc0,
+            cc1,
+            co: self.co[net.index()],
+        }
+    }
+
+    /// Combined test difficulty at a net ([`Measure::difficulty`]).
     #[must_use]
     pub fn difficulty(&self, net: GateId) -> u32 {
-        let (c0, c1) = self.cc[net.index()];
-        sat(c0.min(c1), self.co[net.index()])
+        self.measure(net).difficulty()
+    }
+
+    /// The `k` nets with the highest `key`, highest first (ties in
+    /// arena order).
+    fn hardest(&self, k: usize, key: impl Fn(Measure) -> u32) -> Vec<GateId> {
+        let mut ids: Vec<GateId> = (0..self.co.len()).map(GateId::from_index).collect();
+        ids.sort_by_key(|&id| std::cmp::Reverse(key(self.measure(id))));
+        ids.truncate(k);
+        ids
+    }
+
+    /// The `k` hardest-to-control nets (by the cheaper of CC0/CC1),
+    /// hardest first.
+    #[must_use]
+    pub fn hardest_to_control(&self, k: usize) -> Vec<GateId> {
+        self.hardest(k, |m| m.cc0.min(m.cc1))
+    }
+
+    /// The `k` hardest-to-observe nets, hardest first.
+    #[must_use]
+    pub fn hardest_to_observe(&self, k: usize) -> Vec<GateId> {
+        self.hardest(k, |m| m.co)
+    }
+
+    /// The `k` hardest-to-test nets by [`Measure::difficulty`],
+    /// hardest first — the candidates the test-point inserter targets.
+    #[must_use]
+    pub fn hardest_to_test(&self, k: usize) -> Vec<GateId> {
+        self.hardest(k, |m| m.difficulty())
+    }
+
+    /// Sum of every net's difficulty — a single scalar to compare a
+    /// design before and after a DFT transform (experiment E15).
+    #[must_use]
+    pub fn total_difficulty(&self) -> u64 {
+        (0..self.co.len())
+            .map(|i| u64::from(self.difficulty(GateId::from_index(i))))
+            .sum()
     }
 }
 

@@ -60,9 +60,7 @@ pub use compact::{compact, merge_cubes, reverse_order_drop};
 pub use dalg::{dalg, DalgConfig};
 pub use engine::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, FaultStatus};
 pub use parallel::{deterministic_phase, DetDriver, DetPhase, DetVerdict, WorkerStats};
-pub use podem::{
-    podem, podem_observed, GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube,
-};
+pub use podem::{podem, GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube};
 pub use random::{
     exhaustive_atpg, random_atpg, scoap_weights, weighted_random_atpg, RandomAtpgOutcome,
 };

@@ -5,7 +5,7 @@ use dft_implic::ImplicationEngine;
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin};
 use dft_obs::{Collector, Obs};
 use dft_sim::Logic;
-use dft_testability::{analyze, TestabilityReport};
+use dft_testability::{analyze, ScoapResult};
 
 use crate::cdcl::{Lit, Solver, Verdict};
 use crate::DVal;
@@ -495,7 +495,7 @@ fn encode_gate(sat: &mut Solver, one: Lit, kind: GateKind, ins: &[Lit]) -> Lit {
 #[derive(Debug)]
 pub struct Podem<'n> {
     net: Compiled,
-    report: TestabilityReport,
+    report: ScoapResult,
     config: PodemConfig,
     implic: Option<ImplicationEngine<'n>>,
 }
@@ -1125,7 +1125,7 @@ impl<'n> Podem<'n> {
             if !(0..fanin).any(|p| self.pin_val(s, sites, g, p).is_d()) {
                 continue;
             }
-            let co = self.report.observability(GateId::from_index(g as usize));
+            let co = self.report.co(GateId::from_index(g as usize));
             if best.is_some_and(|(c, _, _)| co >= c) {
                 continue;
             }
@@ -1270,25 +1270,7 @@ pub fn podem(
     fault: Fault,
     config: &PodemConfig,
 ) -> Result<GenOutcome, LevelizeError> {
-    podem_observed(netlist, fault, config, None)
-}
-
-/// [`podem`] feeding telemetry to an optional collector (both the
-/// solver build — `implic.learn` when implications are on — and the
-/// `atpg.podem` search span).
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-pub fn podem_observed(
-    netlist: &Netlist,
-    fault: Fault,
-    config: &PodemConfig,
-    obs: Option<&mut dyn Collector>,
-) -> Result<GenOutcome, LevelizeError> {
-    let mut obs = Obs::new(obs);
-    let solver = Podem::new_observed(netlist, *config, obs.as_option())?;
-    Ok(solver.solve_with(fault, obs.as_option()).0)
+    Ok(Podem::new(netlist, *config)?.solve(fault).0)
 }
 
 #[cfg(test)]

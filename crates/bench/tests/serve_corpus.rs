@@ -10,7 +10,8 @@
 //! built it.
 //!
 //! The same lines, mutated, check that the decoders and the service
-//! survive malformed and unexpected input without panicking.
+//! survive malformed and unexpected input without panicking, and that
+//! the service then still replays the clean corpus byte for byte.
 
 use dft_bench::resolve_circuit;
 use dft_json::Value;
@@ -140,7 +141,26 @@ fn mutated_corpus_lines_never_panic_the_decoders_or_the_service() {
         "{answered} of {mutants_seen} mutated requests decoded"
     );
 
-    for line in read("responses.golden.jsonl").lines() {
+    // Whatever the mutants did, the service must still answer the clean
+    // corpus exactly: drop every resident design, then replay it.
+    let Response::Designs { designs } = service.handle(&Request::Designs) else {
+        panic!("designs must answer");
+    };
+    for info in designs {
+        let dropped = service.handle(&Request::Drop { design: info.key });
+        assert!(matches!(dropped, Response::Dropped { .. }), "{dropped:?}");
+    }
+    let golden = read("responses.golden.jsonl");
+    for (line, want) in request_lines(&requests).into_iter().zip(golden.lines()) {
+        let req = decode_request(line).expect("corpus lines decode");
+        let got = encode_response(&service.handle(&req));
+        assert_eq!(
+            got, want,
+            "clean replay after the mutations diverged for {line}"
+        );
+    }
+
+    for line in golden.lines() {
         for mutant in mutants(line) {
             let _ = decode_response(&mutant);
         }

@@ -217,12 +217,6 @@ impl JsonWriter {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Writes a signed integer value.
-    pub fn i64(&mut self, v: i64) {
-        self.pre_value();
-        let _ = write!(self.out, "{v}");
-    }
-
     /// Writes a float value (`null` when non-finite).
     pub fn f64(&mut self, v: f64) {
         self.pre_value();
@@ -260,12 +254,6 @@ impl JsonWriter {
     pub fn kv_u64(&mut self, k: &str, v: u64) {
         self.key(k);
         self.u64(v);
-    }
-
-    /// Convenience: `key` + `i64`.
-    pub fn kv_i64(&mut self, k: &str, v: i64) {
-        self.key(k);
-        self.i64(v);
     }
 
     /// Convenience: `key` + `f64`.

@@ -2,12 +2,13 @@
 
 use std::cell::OnceCell;
 
-use dft_analyze::{Dominators, GraphView, XProp, XWitness};
+use dft_analyze::constants::Constants;
+use dft_analyze::scoap::{self, ScoapResult};
+use dft_analyze::{output_mask, solve, Dominators, GraphView, XProp, XWitness};
 use dft_implic::ImplicationEngine;
 use dft_netlist::cones::{reconvergent_fanouts, Reconvergence};
 use dft_netlist::{GateId, Levelization, LevelizeError, Netlist};
 use dft_sim::Logic;
-use dft_testability::TestabilityReport;
 
 /// Thresholds the built-in rules check against.
 ///
@@ -63,78 +64,71 @@ impl Default for LintConfig {
 /// Shared analyses handed to every rule in one run.
 ///
 /// Rules read, never compute — but the expensive analyses are computed
-/// *lazily*, on the first rule that asks. Levelization and the fanout
-/// map are cheap and eager; SCOAP, constant propagation, the
-/// X-propagation/dominator framework passes, the reconvergence walk and
-/// the implication engine each materialize once on first access and are
-/// shared by every later rule. A run whose rule set never touches the
-/// implication engine (quadratic in gate count: one learning propagation
-/// per literal) or the reconvergence walk (one DFS per fanout stem)
-/// never pays for it — which is what keeps linting 10⁵–10⁶-gate
-/// netlists with the structural/SCOAP rule subset linear. On a cyclic
-/// netlist only the fanout map is available — rules other than the
-/// feedback check bail out gracefully.
+/// *lazily*, on the first rule that asks. [`LintContext::new`] makes the
+/// run's one structure pass: the levelization, the fanout map, the level
+/// vector and the output mask. SCOAP, constant propagation,
+/// X-propagation, the observability dominators, the reconvergence walk
+/// and the implication engine each read that structure, materialize once
+/// on first access and are shared by every later rule. A run whose rule
+/// set never touches the implication engine (quadratic in gate count:
+/// one learning propagation per literal) or the reconvergence walk (one
+/// DFS per fanout stem) never pays for it — which is what keeps linting
+/// 10⁵–10⁶-gate netlists with the structural/SCOAP rule subset linear.
+/// On a cyclic netlist only the fanout map is available — rules other
+/// than the feedback check bail out gracefully.
 pub struct LintContext<'n> {
     netlist: &'n Netlist,
     config: LintConfig,
     levelization: Result<Levelization, LevelizeError>,
     fanout: Vec<Vec<(GateId, u8)>>,
-    scoap: OnceCell<Option<TestabilityReport>>,
+    /// Combinational level per gate (empty on cyclic netlists).
+    level: Vec<u32>,
+    is_output: Vec<bool>,
+    scoap: OnceCell<Option<ScoapResult>>,
     constants: OnceCell<Option<Vec<Logic>>>,
-    framework: OnceCell<Option<(Vec<XWitness>, Dominators)>>,
+    xprop: OnceCell<Option<Vec<XWitness>>>,
+    dominators: OnceCell<Option<Dominators>>,
     reconvergence: OnceCell<Vec<Reconvergence>>,
     implications: OnceCell<Option<ImplicationEngine<'n>>>,
 }
 
 impl<'n> LintContext<'n> {
-    /// Runs the shared analyses over `netlist`.
+    /// Makes the run's structure pass over `netlist`; each analysis
+    /// waits for the first rule that reads it.
     #[must_use]
     pub fn new(netlist: &'n Netlist, config: LintConfig) -> Self {
+        let levelization = netlist.levelize();
+        let level = levelization
+            .as_ref()
+            .map(|lv| netlist.ids().map(|id| lv.level(id)).collect())
+            .unwrap_or_default();
         LintContext {
             netlist,
             config,
-            levelization: netlist.levelize(),
+            levelization,
             fanout: netlist.fanout_map(),
+            level,
+            is_output: output_mask(netlist),
             scoap: OnceCell::new(),
             constants: OnceCell::new(),
-            framework: OnceCell::new(),
+            xprop: OnceCell::new(),
+            dominators: OnceCell::new(),
             reconvergence: OnceCell::new(),
             implications: OnceCell::new(),
         }
     }
 
-    /// The framework analyses share one graph view; they need the
-    /// finished SCOAP and constant facts as inputs, so asking for
-    /// either X-propagation or dominators forces both prerequisites.
-    fn framework(&self) -> Option<&(Vec<XWitness>, Dominators)> {
-        self.framework
-            .get_or_init(|| {
-                let lv = self.levelization.as_ref().ok()?;
-                let report = self.scoap()?;
-                let consts = self.constants()?;
-                let n = self.netlist.gate_count();
-                let level: Vec<u32> = (0..n).map(|i| lv.level(GateId::from_index(i))).collect();
-                let is_output = dft_analyze::output_mask(self.netlist);
-                let view = GraphView {
-                    netlist: self.netlist,
-                    level: &level,
-                    fanout: &self.fanout,
-                    is_output: &is_output,
-                };
-                let cc: Vec<(u32, u32)> = (0..n)
-                    .map(|i| {
-                        let m = report.measure(GateId::from_index(i));
-                        (m.cc0, m.cc1)
-                    })
-                    .collect();
-                let xp = XProp {
-                    constants: consts,
-                    cc: &cc,
-                };
-                let taint = dft_analyze::solve(&xp, &view, lv.order());
-                Some((taint, Dominators::compute(&view)))
-            })
-            .as_ref()
+    /// The structural view every framework analysis reads, with the
+    /// levelization's sweep order (`None` on cyclic netlists).
+    fn view(&self) -> Option<(GraphView<'_>, &[GateId])> {
+        let lv = self.levelization.as_ref().ok()?;
+        let view = GraphView {
+            netlist: self.netlist,
+            level: &self.level,
+            fanout: &self.fanout,
+            is_output: &self.is_output,
+        };
+        Some((view, lv.order()))
     }
 
     /// The netlist under analysis.
@@ -160,15 +154,19 @@ impl<'n> LintContext<'n> {
         &self.fanout
     }
 
+    /// Whether each gate drives a primary output.
+    pub(crate) fn is_output(&self) -> &[bool] {
+        &self.is_output
+    }
+
     /// SCOAP measures (`None` on cyclic netlists). Computed on first
     /// access, then shared.
     #[must_use]
-    pub fn scoap(&self) -> Option<&TestabilityReport> {
+    pub fn scoap(&self) -> Option<&ScoapResult> {
         self.scoap
             .get_or_init(|| {
-                self.levelization.is_ok().then(|| {
-                    dft_testability::analyze(self.netlist).expect("levelization succeeded")
-                })
+                let (view, order) = self.view()?;
+                Some(scoap::compute_with(&view, order))
             })
             .as_ref()
     }
@@ -181,20 +179,28 @@ impl<'n> LintContext<'n> {
     pub fn constants(&self) -> Option<&[Logic]> {
         self.constants
             .get_or_init(|| {
-                self.levelization
-                    .as_ref()
-                    .ok()
-                    .map(|lv| propagate_constants(self.netlist, lv))
+                let (view, order) = self.view()?;
+                Some(solve(&Constants, &view, order))
             })
             .as_deref()
     }
 
     /// Per-net X-propagation witnesses: the uninitializable storage
     /// element whose power-up X can reach the net, if any (`None` on
-    /// cyclic netlists). Computed on first access, then shared.
+    /// cyclic netlists). Computed on first access, with the SCOAP and
+    /// constant facts it reads, then shared.
     #[must_use]
     pub fn xprop(&self) -> Option<&[XWitness]> {
-        self.framework().map(|(taint, _)| taint.as_slice())
+        self.xprop
+            .get_or_init(|| {
+                let xp = XProp {
+                    constants: self.constants()?,
+                    cc: &self.scoap()?.cc,
+                };
+                let (view, order) = self.view()?;
+                Some(solve(&xp, &view, order))
+            })
+            .as_deref()
     }
 
     /// Structural observability dominators (`None` on cyclic netlists):
@@ -202,15 +208,19 @@ impl<'n> LintContext<'n> {
     /// Computed on first access, then shared.
     #[must_use]
     pub fn dominators(&self) -> Option<&Dominators> {
-        self.framework().map(|(_, dom)| dom)
+        self.dominators
+            .get_or_init(|| Some(Dominators::compute(&self.view()?.0)))
+            .as_ref()
     }
 
     /// Every reconvergent fanout stem with its shallowest meet gate
     /// (empty on cyclic netlists). Computed on first access, then shared.
     #[must_use]
     pub fn reconvergence(&self) -> &[Reconvergence] {
-        self.reconvergence
-            .get_or_init(|| reconvergent_fanouts(self.netlist))
+        self.reconvergence.get_or_init(|| match &self.levelization {
+            Ok(lv) => reconvergent_fanouts(self.netlist, lv, &self.fanout),
+            Err(_) => Vec::new(),
+        })
     }
 
     /// The static implication engine with SOCRATES-style learned
@@ -234,17 +244,6 @@ impl<'n> LintContext<'n> {
     }
 }
 
-/// Three-valued forward evaluation with all inputs and state unknown:
-/// whatever comes out known is structurally constant. Thin wrapper over
-/// the `dft-analyze` framework pass (bit-identical to the historical
-/// in-crate loop; the framework's equivalence tests pin this down).
-fn propagate_constants(netlist: &Netlist, lv: &Levelization) -> Vec<Logic> {
-    let level: Vec<u32> = (0..netlist.gate_count())
-        .map(|i| lv.level(GateId::from_index(i)))
-        .collect();
-    dft_analyze::constants::compute(netlist, &level)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,7 +259,10 @@ mod tests {
         assert!(ctx.constants().is_some());
         assert!(ctx.xprop().is_some());
         assert!(ctx.dominators().is_some());
-        assert_eq!(ctx.reconvergence(), reconvergent_fanouts(&n));
+        assert_eq!(
+            ctx.reconvergence(),
+            reconvergent_fanouts(&n, &n.levelize().unwrap(), &n.fanout_map())
+        );
         assert!(!ctx.reconvergence().is_empty());
         assert_eq!(ctx.fanout().len(), n.gate_count());
         assert_eq!(ctx.config().max_depth, 50);

@@ -18,9 +18,9 @@
 //! [`FixHint`] alongside the free-text hint; `tessera-fix` (the
 //! `dft-repair` crate) expands those into candidate netlist edits.
 
+use dft_analyze::INFINITE;
 use dft_netlist::cones::{exclusive_fanin_region, fanin_cone};
 use dft_netlist::{GateId, GateKind, Netlist, Pin};
-use dft_testability::INFINITE;
 
 use crate::context::LintContext;
 use crate::diag::{Category, LintReport, Severity};
@@ -241,7 +241,7 @@ fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     if ctx.levelization().is_ok() {
         return;
     }
-    for scc in combinational_sccs(ctx.netlist()) {
+    for scc in combinational_sccs(ctx.netlist(), ctx.fanout()) {
         let gate = scc[0];
         let related = scc[1..].to_vec();
         report.push(
@@ -258,9 +258,8 @@ fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
 /// Strongly connected components of the combinational dependency graph
 /// (edges driver → reader, both non-source). Only real cycles are
 /// returned: components of two or more gates, or a gate feeding itself.
-fn combinational_sccs(netlist: &Netlist) -> Vec<Vec<GateId>> {
+fn combinational_sccs(netlist: &Netlist, fanout: &[Vec<(GateId, u8)>]) -> Vec<Vec<GateId>> {
     let n = netlist.gate_count();
-    let fanout = netlist.fanout_map();
     let is_comb: Vec<bool> = netlist
         .ids()
         .map(|id| !netlist.gate(id).kind().is_source())
@@ -337,8 +336,7 @@ fn unused_input(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let netlist = ctx.netlist();
     for &pi in netlist.primary_inputs() {
         let feeds_logic = !ctx.fanout()[pi.index()].is_empty();
-        let is_output = netlist.primary_outputs().iter().any(|&(g, _)| g == pi);
-        if !feeds_logic && !is_output {
+        if !feeds_logic && !ctx.is_output()[pi.index()] {
             let name = netlist.gate(pi).name().unwrap_or("?");
             report.push(
                 rule.diagnostic(pi, format!("primary input '{name}' drives nothing"))
@@ -537,7 +535,7 @@ fn hard_to_observe(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
     };
     let limit = ctx.config().observability_limit;
     for id in ctx.netlist().ids() {
-        let co = scoap.observability(id);
+        let co = scoap.co(id);
         if co < INFINITE && co > limit {
             report.push(
                 rule.diagnostic(
@@ -694,7 +692,7 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
     let limit = ctx.config().deep_cone_observability_limit;
     let min_gates = ctx.config().deep_cone_min_gates;
     let over = |id: GateId| {
-        let co = scoap.observability(id);
+        let co = scoap.co(id);
         co < INFINITE && co > limit
     };
     for id in netlist.ids() {
@@ -717,7 +715,7 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
                 format!(
                     "observability cost {} exceeds {limit} and {} more net(s) in this \
                      cone are over the limit too",
-                    scoap.observability(id),
+                    scoap.co(id),
                     buried.len(),
                 ),
             )
@@ -742,13 +740,7 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         return;
     };
     let netlist = ctx.netlist();
-    let is_output: Vec<bool> = {
-        let mut v = vec![false; netlist.gate_count()];
-        for &(g, _) in netlist.primary_outputs() {
-            v[g.index()] = true;
-        }
-        v
-    };
+    let is_output = ctx.is_output();
     for (id, gate) in netlist.iter() {
         if gate.kind().is_source() {
             continue;
@@ -766,7 +758,7 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         if !maximal {
             continue;
         }
-        let region = exclusive_fanin_region(netlist, id);
+        let region = exclusive_fanin_region(netlist, id, ctx.fanout(), is_output);
         if region.is_empty() {
             continue;
         }
@@ -850,7 +842,7 @@ fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report
     let limit = ctx.config().observability_limit;
     let min_gates = ctx.config().dominator_min_gates;
     let qualifies = |id: GateId| {
-        let co = scoap.observability(id);
+        let co = scoap.co(id);
         co < INFINITE && co > limit && dom.dominated_count(id) >= min_gates
     };
     for id in netlist.ids() {
@@ -872,7 +864,7 @@ fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report
                     "every observation path of {} gate(s) funnels through this net, \
                      whose own observability cost {} exceeds the limit {limit}",
                     dom.dominated_count(id),
-                    scoap.observability(id),
+                    scoap.co(id),
                 ),
             )
             .with_hint(

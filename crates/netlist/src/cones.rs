@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use crate::{GateId, Netlist};
+use crate::{GateId, Levelization, Netlist};
 
 /// The transitive fan-in cone of `roots` (including the roots).
 ///
@@ -72,13 +72,18 @@ pub fn fanout_cone(netlist: &Netlist, roots: &[GateId], through_storage: bool) -
 /// proof), the region is exactly the set of gates that become dead and
 /// can be deleted without touching any kept connection.
 ///
-/// The walk stays inside the combinational frame (it does not cross
-/// storage). The root itself is not included; the result is sorted by
-/// arena order.
+/// `fanout` is the netlist's [`Netlist::fanout_map`] and `is_output`
+/// marks every gate that drives a primary output; callers that query
+/// many roots build both once. The walk stays inside the combinational
+/// frame (it does not cross storage). The root itself is not included;
+/// the result is sorted by arena order.
 #[must_use]
-pub fn exclusive_fanin_region(netlist: &Netlist, root: GateId) -> Vec<GateId> {
-    let fanout = netlist.fanout_map();
-    let is_output: HashSet<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
+pub fn exclusive_fanin_region(
+    netlist: &Netlist,
+    root: GateId,
+    fanout: &[Vec<(GateId, u8)>],
+    is_output: &[bool],
+) -> Vec<GateId> {
     let cone = fanin_cone(netlist, &[root], false);
     let mut candidates: Vec<GateId> = cone
         .into_iter()
@@ -87,7 +92,7 @@ pub fn exclusive_fanin_region(netlist: &Netlist, root: GateId) -> Vec<GateId> {
             g != root
                 && !kind.is_source()
                 && !kind.is_storage()
-                && !is_output.contains(&g)
+                && !is_output[g.index()]
                 && !fanout[g.index()].is_empty()
         })
         .collect();
@@ -139,23 +144,24 @@ pub struct Reconvergence {
 /// gate (ties broken by arena order). Branch walks stop at storage
 /// elements — reconvergence across clock cycles is a different (timing)
 /// phenomenon. Stems with more than 32 fanout branches are analyzed
-/// through their first 32. Returns an empty list for netlists whose
-/// combinational frame is cyclic (run [`Netlist::levelize`] first to
-/// diagnose the cycle itself).
+/// through their first 32. `lv` is the netlist's levelization (so the
+/// frame is acyclic) and `fanout` its [`Netlist::fanout_map`].
 ///
 /// ```
 /// use dft_netlist::{circuits::c17, cones::reconvergent_fanouts};
 ///
 /// // c17's branching NAND structure reconverges; a fanout-free tree
 /// // would yield an empty list.
-/// assert!(!reconvergent_fanouts(&c17()).is_empty());
+/// let c17 = c17();
+/// let lv = c17.levelize().unwrap();
+/// assert!(!reconvergent_fanouts(&c17, &lv, &c17.fanout_map()).is_empty());
 /// ```
 #[must_use]
-pub fn reconvergent_fanouts(netlist: &Netlist) -> Vec<Reconvergence> {
-    let Ok(lv) = netlist.levelize() else {
-        return Vec::new();
-    };
-    let fanout = netlist.fanout_map();
+pub fn reconvergent_fanouts(
+    netlist: &Netlist,
+    lv: &Levelization,
+    fanout: &[Vec<(GateId, u8)>],
+) -> Vec<Reconvergence> {
     let mut seen = vec![0u32; netlist.gate_count()];
     let mut touched: Vec<usize> = Vec::new();
     let mut out = Vec::new();
@@ -229,6 +235,18 @@ mod tests {
     use crate::circuits::{binary_counter, c17};
     use crate::{GateKind, Netlist as NL};
 
+    fn reconvergence(n: &NL) -> Vec<Reconvergence> {
+        reconvergent_fanouts(n, &n.levelize().unwrap(), &n.fanout_map())
+    }
+
+    fn exclusive_region(n: &NL, root: GateId) -> Vec<GateId> {
+        let mut is_output = vec![false; n.gate_count()];
+        for &(g, _) in n.primary_outputs() {
+            is_output[g.index()] = true;
+        }
+        exclusive_fanin_region(n, root, &n.fanout_map(), &is_output)
+    }
+
     #[test]
     fn c17_output_cone_is_its_support() {
         let n = c17();
@@ -267,7 +285,7 @@ mod tests {
     fn fanout_free_tree_has_no_reconvergence() {
         // A balanced XOR tree: every net has exactly one reader.
         let n = crate::circuits::parity_tree(8);
-        assert!(reconvergent_fanouts(&n).is_empty());
+        assert!(reconvergence(&n).is_empty());
     }
 
     #[test]
@@ -278,7 +296,7 @@ mod tests {
         let q = n.add_gate(GateKind::Buf, &[a]).unwrap();
         let j = n.add_gate(GateKind::And, &[p, q]).unwrap();
         n.mark_output(j, "y").unwrap();
-        let rec = reconvergent_fanouts(&n);
+        let rec = reconvergence(&n);
         assert_eq!(rec, vec![Reconvergence { stem: a, meet: j }]);
     }
 
@@ -288,7 +306,7 @@ mod tests {
         let a = n.add_input("a");
         let g = n.add_gate(GateKind::Xor, &[a, a]).unwrap();
         n.mark_output(g, "y").unwrap();
-        let rec = reconvergent_fanouts(&n);
+        let rec = reconvergence(&n);
         assert_eq!(rec, vec![Reconvergence { stem: a, meet: g }]);
     }
 
@@ -303,7 +321,7 @@ mod tests {
         let m1 = n.add_gate(GateKind::And, &[b, c]).unwrap();
         let m2 = n.add_gate(GateKind::Or, &[m1, c]).unwrap();
         n.mark_output(m2, "y").unwrap();
-        let rec = reconvergent_fanouts(&n);
+        let rec = reconvergence(&n);
         let of_a: Vec<_> = rec.iter().filter(|r| r.stem == a).collect();
         assert_eq!(of_a.len(), 1);
         assert_eq!(of_a[0].meet, m1);
@@ -319,18 +337,7 @@ mod tests {
         let j = n.add_gate(GateKind::And, &[d, a]).unwrap();
         n.mark_output(j, "y").unwrap();
         // a's branches: p (→ DFF, stops) and j directly — no comb meet.
-        assert!(reconvergent_fanouts(&n).iter().all(|r| r.stem != a));
-    }
-
-    #[test]
-    fn cyclic_netlists_yield_nothing() {
-        let mut n = NL::new("t");
-        let a = n.add_input("a");
-        let g1 = n.add_gate(GateKind::And, &[a, a]).unwrap();
-        let g2 = n.add_gate(GateKind::Or, &[g1, a]).unwrap();
-        n.reconnect_input(g1, 1, g2).unwrap();
-        assert!(n.levelize().is_err());
-        assert!(reconvergent_fanouts(&n).is_empty());
+        assert!(reconvergence(&n).iter().all(|r| r.stem != a));
     }
 
     #[test]
@@ -358,7 +365,7 @@ mod tests {
         let live = n.add_gate(GateKind::Xor, &[shared, b]).unwrap();
         n.mark_output(root, "r").unwrap();
         n.mark_output(live, "l").unwrap();
-        assert_eq!(exclusive_fanin_region(&n, root), vec![deeper, private]);
+        assert_eq!(exclusive_region(&n, root), vec![deeper, private]);
     }
 
     #[test]
@@ -371,6 +378,6 @@ mod tests {
         n.mark_output(root, "y").unwrap();
         // `observed` only feeds the root, but it is itself a primary
         // output, so it must survive a fold of the root.
-        assert!(exclusive_fanin_region(&n, root).is_empty());
+        assert!(exclusive_region(&n, root).is_empty());
     }
 }

@@ -12,6 +12,7 @@
 //! and `Netlist::replace_with_const` for §I-B redundancy removal.
 
 use dft_adhoc::{add_reset, apply_test_points, insert_degating, ResetKind, TestPointPlan};
+use dft_analyze::output_mask;
 use dft_lint::{Diagnostic, FixHint};
 use dft_netlist::cones::exclusive_fanin_region;
 use dft_netlist::{GateId, LevelizeError, Netlist, NetlistError};
@@ -237,7 +238,8 @@ pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, Edit
             // Recompute the private region against the *current* netlist:
             // earlier repairs may have grown new readers into what used to
             // be an exclusive cone.
-            for g in exclusive_fanin_region(netlist, net) {
+            let fanout = netlist.fanout_map();
+            for g in exclusive_fanin_region(netlist, net, &fanout, &output_mask(netlist)) {
                 // Dead feeders become constants too: `universe()` skips
                 // Const gates, so their (untestable) fault sites leave
                 // the universe instead of lingering as dead logic.

@@ -207,9 +207,6 @@ pub fn repair_observed(
     let mut applied_keys: Vec<String> = Vec::new();
     let mut records: Vec<RepairRecord> = Vec::new();
     let mut counters = PlanCounters::default();
-    // The current netlist's static measures: measured by round 1's
-    // ranking, then carried over from each round's winner.
-    let mut static_baseline = None;
 
     for round in 1..=options.max_rounds {
         obs.enter("repair.round");
@@ -232,7 +229,7 @@ pub fn repair_observed(
 
         obs.enter("repair.rank");
         counters.ranked += candidates.len();
-        let ranking = rank_candidates(&current, static_baseline, candidates, options.top_k);
+        let ranking = rank_candidates(&current, candidates, options.top_k);
         let (ranked, pruned) = (ranking.kept, ranking.pruned);
         counters.pruned += pruned;
         obs.count(
@@ -254,7 +251,7 @@ pub fn repair_observed(
         obs.count("repair.candidates.verified", ranked.len() as u64);
         // Verify in rank order; the accepted candidate with the best
         // measured coverage wins the round (first in rank order on ties).
-        let mut round_records: Vec<(RepairRecord, Netlist, StaticBaseline)> = Vec::new();
+        let mut round_records: Vec<(RepairRecord, Netlist)> = Vec::new();
         for rc in ranked {
             let after = measure_coverage(
                 &rc.edited.netlist,
@@ -285,7 +282,6 @@ pub fn repair_observed(
                     accepted: verdict.accepted,
                 },
                 rc.edited.netlist,
-                rc.after,
             ));
         }
         obs.exit();
@@ -305,7 +301,7 @@ pub fn repair_observed(
 
         match winner {
             Some(i) => {
-                for (j, (mut record, netlist, after)) in round_records.into_iter().enumerate() {
+                for (j, (mut record, netlist)) in round_records.into_iter().enumerate() {
                     // Only the applied repair counts as accepted in the
                     // plan; a passing runner-up is re-considered next
                     // round against the new baseline.
@@ -314,7 +310,6 @@ pub fn repair_observed(
                         applied_keys.push(record.edit.key());
                         current = netlist;
                         current_coverage = record.after;
-                        static_baseline = Some(after);
                     }
                     records.push(record);
                 }

@@ -163,9 +163,6 @@ pub struct RankedCandidate {
     /// The edit, already applied (reused by the verifier — edits are
     /// applied exactly once per round).
     pub edited: Edited,
-    /// The static measures of the edited netlist — the next round's
-    /// baseline if this candidate is accepted.
-    pub after: StaticBaseline,
     /// SCOAP difficulty drop (positive = easier to test).
     pub difficulty_delta: i128,
     /// Statically-untestable faults removed (positive = fewer).
@@ -204,26 +201,18 @@ impl Ranking {
     }
 }
 
-/// Applies and scores every candidate against `baseline`, sorts best
-/// first (score, then key for determinism), and keeps the first `top_k`.
+/// Applies and scores every candidate against `netlist`'s own static
+/// measures, sorts best first (score, then key for determinism), and
+/// keeps the first `top_k`.
 ///
-/// Each candidate is measured by rebasing the round's base — a warmed
-/// SCOAP cache and an implication engine with a recorded verdict batch,
-/// built once on `netlist` — onto the edited netlist.
-///
-/// `baseline` is the netlist's own measurement when the caller has it
-/// (the previous round's winner carries it as
-/// [`RankedCandidate::after`]); `None` reads it off the base. Candidates
-/// that fail to apply (a fold of a non-logic net, or a cyclic result)
-/// or to measure are dropped and counted as pruned — as is everything
-/// when `netlist` itself cannot be measured and no baseline is given.
+/// The round's base — a warmed SCOAP cache and an implication engine
+/// with a recorded verdict batch, built once on `netlist` — gives the
+/// baseline, and each candidate is measured by rebasing it onto the
+/// edited netlist. Candidates that fail to apply (a fold of a non-logic
+/// net, or a cyclic result) or to measure are dropped and counted as
+/// pruned — as is everything when `netlist` itself cannot be measured.
 #[must_use]
-pub fn rank_candidates(
-    netlist: &Netlist,
-    baseline: Option<StaticBaseline>,
-    candidates: Vec<Candidate>,
-    top_k: usize,
-) -> Ranking {
+pub fn rank_candidates(netlist: &Netlist, candidates: Vec<Candidate>, top_k: usize) -> Ranking {
     let mut ranking = Ranking {
         kept: Vec::with_capacity(candidates.len()),
         pruned: 0,
@@ -232,28 +221,18 @@ pub fn rank_candidates(
         rows_rebased: 0,
         verdicts_reused: 0,
     };
-    let mut base = Base::new(netlist);
-    if let Some(base) = &mut base {
-        ranking.tally(&base.baseline());
-    }
-    let baseline = match (baseline, &mut base) {
-        (Some(baseline), _) => baseline,
-        (None, Some(base)) => base.baseline(),
-        (None, None) => {
-            ranking.pruned = candidates.len();
-            return ranking;
-        }
+    let Some(mut base) = Base::new(netlist) else {
+        ranking.pruned = candidates.len();
+        return ranking;
     };
+    let baseline = base.baseline();
+    ranking.tally(&baseline);
     for candidate in candidates {
         let Ok(edited) = apply_edit(netlist, candidate.edit) else {
             ranking.pruned += 1;
             continue;
         };
-        let after = match &base {
-            Some(base) => base.measure(&edited.netlist),
-            None => StaticBaseline::measure(&edited.netlist),
-        };
-        let Some(after) = after else {
+        let Some(after) = base.measure(&edited.netlist) else {
             ranking.pruned += 1;
             continue;
         };
@@ -268,7 +247,6 @@ pub fn rank_candidates(
         ranking.kept.push(RankedCandidate {
             candidate,
             edited,
-            after,
             difficulty_delta,
             untestable_delta,
             score,
@@ -305,7 +283,7 @@ mod tests {
         let report = lint(&n);
         let cands = expand_hints(report.diagnostics(), &[]);
         let total = cands.len();
-        let ranking = rank_candidates(&n, None, cands, 2);
+        let ranking = rank_candidates(&n, cands, 2);
         let ranked = ranking.kept;
         assert_eq!(
             ranked.len() + ranking.pruned,
@@ -340,7 +318,7 @@ mod tests {
                     (folds + observes, folds, observes)
                 );
             }
-            let ranked = rank_candidates(&n, None, cands.clone(), usize::MAX).kept;
+            let ranked = rank_candidates(&n, cands.clone(), usize::MAX).kept;
             let mut reference: Vec<(String, i128, i128, i128)> = Vec::new();
             for candidate in cands {
                 let Ok(edited) = apply_edit(&n, candidate.edit) else {
@@ -385,47 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn given_and_measured_baselines_rank_alike() {
-        let n = redundant_fixture();
-        let report = lint(&n);
-        let cands = expand_hints(report.diagnostics(), &[]);
-        let keyed = |r: Ranking| {
-            r.kept
-                .iter()
-                .map(|c| (c.candidate.edit.key(), c.score))
-                .collect::<Vec<_>>()
-        };
-        let measured = rank_candidates(&n, None, cands.clone(), usize::MAX);
-        let given = rank_candidates(&n, StaticBaseline::measure(&n), cands, usize::MAX);
-        // Both calls build the round's base engine once, and the measured
-        // call reads its baseline off that engine: no extra learning pass.
-        assert_eq!(measured.propagations, given.propagations);
-        assert_eq!(keyed(measured), keyed(given));
-    }
-
-    #[test]
-    fn winner_measurement_equals_a_fresh_baseline() {
-        // The accepted candidate's `after` becomes the next round's
-        // baseline: it must equal measuring the edited netlist afresh.
-        let n = redundant_fixture();
-        let report = lint(&n);
-        let cands = expand_hints(report.diagnostics(), &[]);
-        for rc in rank_candidates(&n, None, cands, usize::MAX).kept {
-            let fresh = StaticBaseline::measure(&rc.edited.netlist).unwrap();
-            assert_eq!(
-                (
-                    rc.after.difficulty,
-                    rc.after.untestable,
-                    rc.after.fault_count
-                ),
-                (fresh.difficulty, fresh.untestable, fresh.fault_count),
-                "{}",
-                rc.candidate.edit.key()
-            );
-        }
-    }
-
-    #[test]
     fn unappliable_folds_are_pruned() {
         let n = redundant_fixture();
         let input = n.primary_inputs()[0];
@@ -444,7 +381,7 @@ mod tests {
                 value: true,
             }),
         ];
-        let ranking = rank_candidates(&n, None, cands, usize::MAX);
+        let ranking = rank_candidates(&n, cands, usize::MAX);
         assert!(ranking.kept.is_empty());
         assert_eq!(ranking.pruned, 2);
     }
@@ -453,10 +390,9 @@ mod tests {
     fn ranking_is_deterministic() {
         let n = redundant_fixture();
         let report = lint(&n);
-        let baseline = StaticBaseline::measure(&n).unwrap();
         let run = || {
             let cands = expand_hints(report.diagnostics(), &[]);
-            rank_candidates(&n, Some(baseline), cands, 8)
+            rank_candidates(&n, cands, 8)
                 .kept
                 .iter()
                 .map(|r| (r.candidate.edit.key(), r.score))

@@ -14,7 +14,7 @@ use dft_netlist::circuits::{
     binary_counter, johnson_counter, random_combinational, redundant_fixture,
 };
 use dft_netlist::Netlist;
-use dft_repair::{expand_hints, rank_candidates, repair, Ranking, RepairOptions, StaticBaseline};
+use dft_repair::{expand_hints, rank_candidates, repair, Ranking, RepairOptions};
 
 /// FNV-1a 64.
 struct Fnv(u64);
@@ -32,19 +32,14 @@ impl Fnv {
     }
 }
 
-/// Every candidate of one round, scored against `baseline` and sorted.
-fn rank_all(
-    current: &Netlist,
-    baseline: Option<StaticBaseline>,
-    options: &RepairOptions,
-    applied: &[String],
-) -> Option<Ranking> {
+/// Every candidate of one round, scored and sorted.
+fn rank_all(current: &Netlist, options: &RepairOptions, applied: &[String]) -> Option<Ranking> {
     let report = lint_with(current, options.lint_config.clone());
     let candidates = expand_hints(report.diagnostics(), applied);
     if candidates.is_empty() {
         return None;
     }
-    Some(rank_candidates(current, baseline, candidates, usize::MAX))
+    Some(rank_candidates(current, candidates, usize::MAX))
 }
 
 /// `[plan, ranked lists]` digests of one autopilot run.
@@ -55,19 +50,17 @@ fn digests(n: &Netlist, seed: u64) -> [u64; 2] {
     plan.eat(outcome.plan.to_json().as_bytes());
 
     // Replay the run's rounds with the full ranked list each time,
-    // advancing along the edits the plan accepted and carrying the
-    // winner's measurement over as the next baseline, as the autopilot
+    // advancing along the edits the plan accepted, as the autopilot
     // does.
     let mut ranked_digest = Fnv::new();
     let mut current = n.clone();
-    let mut baseline = None;
     let mut applied: Vec<String> = Vec::new();
     for round in 1..=options.max_rounds {
         let Some(Ranking {
             kept: ranked,
             pruned,
             ..
-        }) = rank_all(&current, baseline, &options, &applied)
+        }) = rank_all(&current, &options, &applied)
         else {
             break;
         };
@@ -95,7 +88,6 @@ fn digests(n: &Netlist, seed: u64) -> [u64; 2] {
             .find(|rc| rc.candidate.edit == accepted.edit)
             .expect("the accepted edit was ranked");
         applied.push(accepted.edit.key());
-        baseline = Some(winner.after);
         current = winner.edited.netlist;
     }
     assert_eq!(

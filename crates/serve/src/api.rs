@@ -172,26 +172,6 @@ pub fn parse_gate_kind(name: &str) -> Option<GateKind> {
     })
 }
 
-/// The wire name of a [`GateKind`] (inverse of [`parse_gate_kind`] on
-/// the kinds it covers).
-#[must_use]
-pub fn gate_kind_name(kind: GateKind) -> &'static str {
-    match kind {
-        GateKind::And => "and",
-        GateKind::Nand => "nand",
-        GateKind::Or => "or",
-        GateKind::Nor => "nor",
-        GateKind::Xor => "xor",
-        GateKind::Xnor => "xnor",
-        GateKind::Not => "not",
-        GateKind::Buf => "buf",
-        GateKind::Input => "input",
-        GateKind::Const0 => "const0",
-        GateKind::Const1 => "const1",
-        GateKind::Dff => "dff",
-    }
-}
-
 /// Identity and shape of one loaded session.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DesignInfo {

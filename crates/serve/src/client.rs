@@ -52,11 +52,14 @@ impl From<CodecError> for ClientError {
     }
 }
 
+/// The per-read socket timeout: analysis requests on large designs
+/// are slow on purpose.
+const READ_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// A blocking keep-alive client.
 #[derive(Debug)]
 pub struct Client {
     addr: SocketAddr,
-    timeout: Duration,
     stream: Option<TcpStream>,
 }
 
@@ -65,19 +68,7 @@ impl Client {
     /// request dials).
     #[must_use]
     pub fn new(addr: SocketAddr) -> Self {
-        Client {
-            addr,
-            timeout: Duration::from_secs(120),
-            stream: None,
-        }
-    }
-
-    /// Overrides the per-read socket timeout (default 120 s — analysis
-    /// requests on large designs are slow on purpose).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        Client { addr, stream: None }
     }
 
     /// Sends one request and decodes the response.
@@ -106,7 +97,7 @@ impl Client {
     fn round_trip(&mut self, wire: &str) -> Result<String, ClientError> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
+            stream.set_read_timeout(Some(READ_TIMEOUT))?;
             stream.set_nodelay(true)?;
             self.stream = Some(stream);
         }

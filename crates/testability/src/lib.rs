@@ -4,12 +4,15 @@
 //! toolkit — the "programs … which essentially give analytic measures of
 //! controllability and observability for different nets in a given
 //! sequential network" of the paper's §II (references \[69\]-\[73\]; the
-//! algorithm here follows Goldstein's SCOAP \[70\]).
+//! algorithm follows Goldstein's SCOAP \[70\]).
 //!
-//! After running [`analyze`], a designer (or the planner in `dft-core`)
-//! can rank nets by how hard they are to control or observe and decide
-//! where to apply the techniques the paper surveys: test points at
-//! unobservable nets, scan for deep state, degating for wide modules.
+//! The measures are computed by `dft-analyze`'s SCOAP pass; this crate
+//! re-exports its entry point as [`analyze`] and its one result type,
+//! [`ScoapResult`]. After running [`analyze`], a designer (or the
+//! planner in `dft-core`) can rank nets by how hard they are to control
+//! or observe and decide where to apply the techniques the paper
+//! surveys: test points at unobservable nets, scan for deep state,
+//! degating for wide modules.
 //!
 //! ```
 //! use dft_netlist::circuits::ripple_carry_adder;
@@ -20,13 +23,11 @@
 //! let report = analyze(&adder)?;
 //! // The deep carry chain is the hardest place to reach.
 //! let worst = report.hardest_to_observe(1)[0];
-//! assert!(report.observability(worst) > 0);
+//! assert!(report.co(worst) > 0);
 //! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
 
-mod scoap;
-
-pub use scoap::{analyze, Measure, TestabilityReport, INFINITE};
+pub use dft_analyze::scoap::{compute as analyze, Measure, ScoapResult, INFINITE};

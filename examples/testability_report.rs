@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = analyze(&design)?;
     println!(
         "\nSCOAP report ({} relaxation iterations):",
-        report.iterations()
+        report.iterations
     );
     println!("  total difficulty: {}", report.total_difficulty());
     println!("  hardest nets to test:");
