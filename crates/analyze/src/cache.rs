@@ -107,10 +107,9 @@ impl AnalysisCache {
     /// (the cache's invariant is an acyclic frame; deltas preserve it).
     pub fn new(netlist: &Netlist) -> Result<Self, LevelizeError> {
         let lv = netlist.levelize()?;
-        let n = netlist.gate_count();
         Ok(AnalysisCache {
             netlist: netlist.clone(),
-            level: (0..n).map(|i| lv.level(GateId::from_index(i))).collect(),
+            level: lv.levels().to_vec(),
             fanout: netlist.fanout_map(),
             is_output: output_mask(netlist),
             has_storage: !netlist.storage_elements().is_empty(),
@@ -246,7 +245,6 @@ impl AnalysisCache {
             return Ok(());
         };
         let lv = new_netlist.levelize()?;
-        let n = new_netlist.gate_count();
         let mut fwd = Vec::new();
         let mut bwd = Vec::new();
         for &id in &diff.rewritten {
@@ -262,7 +260,7 @@ impl AnalysisCache {
         }
         bwd.extend_from_slice(&diff.outputs);
         self.netlist = new_netlist.clone();
-        self.level = (0..n).map(|i| lv.level(GateId::from_index(i))).collect();
+        self.level = lv.levels().to_vec();
         self.fanout = new_netlist.fanout_map();
         self.is_output = output_mask(new_netlist);
         self.has_storage = !new_netlist.storage_elements().is_empty();

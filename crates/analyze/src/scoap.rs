@@ -312,13 +312,11 @@ impl ScoapResult {
 /// Returns [`LevelizeError`] if the combinational frame has a cycle.
 pub fn compute(netlist: &Netlist) -> Result<ScoapResult, LevelizeError> {
     let lv = netlist.levelize()?;
-    let n = netlist.gate_count();
-    let level: Vec<u32> = (0..n).map(|i| lv.level(GateId::from_index(i))).collect();
     let fanout = netlist.fanout_map();
     let is_output = output_mask(netlist);
     let view = GraphView {
         netlist,
-        level: &level,
+        level: lv.levels(),
         fanout: &fanout,
         is_output: &is_output,
     };

@@ -261,7 +261,7 @@ impl Compiled {
             fanout_start.push(fanout.len() as u32);
         }
 
-        let level: Vec<u32> = netlist.ids().map(|id| lv.level(id)).collect();
+        let level = lv.levels().to_vec();
         let mut level_start = vec![0u32; lv.depth() as usize + 2];
         for &l in &level {
             level_start[l as usize + 1] += 1;

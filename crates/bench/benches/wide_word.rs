@@ -45,7 +45,7 @@ fn sweep<const W: usize>(
     let mut blocks: Vec<Vec<[u64; W]>> = pi_groups
         .iter()
         .map(|pis| {
-            let mut vals = vec![[0u64; W]; kernel.gate_count()];
+            let mut vals = vec![[0u64; W]; kernel.slot_count()];
             kernel.init_constants_wide(&mut vals);
             for (&slot, &b) in kernel.pi_slots().iter().zip(pis) {
                 vals[slot as usize] = b;

@@ -297,6 +297,9 @@ struct ScaleRecord {
     enumerate_seconds: f64,
     /// Chunked streaming PPSFP over the class representatives.
     sim_seconds: f64,
+    /// The streamed run's `words_folded` counter: disturbed-gate folds
+    /// × lane width, the event loop's unit of work.
+    words_folded: u64,
     detected: usize,
     /// Streamed detection bit-identical to the materialized fault list.
     identical: bool,
@@ -340,9 +343,19 @@ fn scale_bench(cfg: &Config, records: &mut Vec<Record>) -> Vec<ScaleRecord> {
         let engine =
             dft_fault::Ppsfp::with_options(&netlist, PpsfpOptions::new().with_threads(cfg.threads))
                 .expect("scale circuits are combinational");
+        let mut rec = Recorder::new();
         let t = Instant::now();
-        let streamed = engine.run_streamed(&patterns, collapsed.representatives(), 1 << 16);
+        let streamed = engine.run_streamed_with(
+            &patterns,
+            collapsed.representatives(),
+            1 << 16,
+            Some(&mut rec),
+        );
         let sim_seconds = t.elapsed().as_secs_f64().max(1e-9);
+        let words_folded = rec
+            .finish("scale")
+            .find("fault_sim.ppsfp")
+            .map_or(0, |span| span.counter("words_folded"));
         // Identity check: the same representatives as a materialized
         // list must detect bit-identically.
         let reps: Vec<dft_fault::Fault> = collapsed.representatives().collect();
@@ -367,6 +380,7 @@ fn scale_bench(cfg: &Config, records: &mut Vec<Record>) -> Vec<ScaleRecord> {
             netlist_bytes_per_gate: footprint.bytes_per_gate(),
             enumerate_seconds,
             sim_seconds,
+            words_folded,
             detected: streamed.detected_count(),
             identical,
         });
@@ -501,6 +515,7 @@ fn main() -> ExitCode {
                         format!("{:.3}", r.sim_seconds),
                         eng(r.gates_per_sec()),
                         eng(r.fault_patterns_per_sec()),
+                        eng(r.words_folded as f64),
                         r.detected.to_string(),
                         r.identical.to_string(),
                     ]
@@ -518,6 +533,7 @@ fn main() -> ExitCode {
                     "sim_s",
                     "gate/s",
                     "f*pat/s",
+                    "words",
                     "detected",
                     "identical",
                 ],
@@ -1538,7 +1554,7 @@ fn to_json(
             "    {{\"circuit\": \"{}\", \"gates\": {}, \"universe\": {}, \"classes\": {}, \
              \"patterns\": {}, \"netlist_bytes_per_gate\": {:.1}, \"enumerate_seconds\": {:.6}, \
              \"sim_seconds\": {:.6}, \"gates_per_sec\": {:.1}, \"fault_patterns_per_sec\": {:.1}, \
-             \"detected\": {}, \"identical\": {}}}{}",
+             \"words_folded\": {}, \"detected\": {}, \"identical\": {}}}{}",
             r.circuit,
             r.gates,
             r.universe,
@@ -1549,6 +1565,7 @@ fn to_json(
             r.sim_seconds,
             r.gates_per_sec(),
             r.fault_patterns_per_sec(),
+            r.words_folded,
             r.detected,
             r.identical,
             if i + 1 == scale.len() { "" } else { "," }

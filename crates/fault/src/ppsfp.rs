@@ -6,15 +6,18 @@
 //! layout — and then refuses to do almost all of the work a naive engine
 //! would:
 //!
-//! * **Compiled kernel.** Good-machine responses come from the flat
-//!   SoA/CSR [`Kernel`](dft_sim::Kernel) shared with
+//! * **Compiled kernel.** Good-machine responses come from the flat op
+//!   program of [`Kernel`](dft_sim::Kernel) shared with
 //!   [`CompiledSim`](dft_sim::CompiledSim), evaluated once per pattern
-//!   block and cached for every gate (not just the outputs).
+//!   block and cached for every gate (not just the outputs). Every gate
+//!   fold — baseline sweep, injection and event propagation — reads one
+//!   fixed op record and runs the same straight-line word code whatever
+//!   the gate's kind or fan-in ([`Kernel::fold_op`]).
 //! * **Wide words.** Blocks are `[u64; W]` wide words carrying `64 × W`
 //!   patterns. The engine picks `W` from the workload's 64-pattern block
 //!   count: 256 lanes (`W = 4`) from 4 blocks up, plain 64-lane words
 //!   below that, where wide blocks would only fold empty tail words.
-//!   One op dispatch — kind match, CSR operand walk, event scheduling —
+//!   One op dispatch — record load, operand gather, event scheduling —
 //!   is amortized over the whole wide block, and the unrolled `W`-word
 //!   loops vectorize.
 //! * **Cache-blocked baseline sweep.** The good-machine pass partitions
@@ -27,20 +30,34 @@
 //!   global op-indexed CSR, built once per engine) into a levelized
 //!   event bitset, so each block folds exactly the gates an event
 //!   actually reached — inert faults cost one block compare per wide
-//!   block, and no per-fault cone is ever materialized.
-//! * **Site-group propagation memo.** Faults at one site that force the
-//!   same value onto it (any AND input stuck-at-0 collapses to the
-//!   output stuck-at-0, etc.) propagate identically within a block; the
-//!   engine memoizes per-block output differences by forced root value
-//!   and replays them with one wide compare.
+//!   block, and no per-fault cone is ever materialized. A count of the
+//!   pending events ends the scan at the last one.
+//! * **Observability memo.** Call a moment of a propagation a *collapse
+//!   point* when the gate just folded, `h`, changed on lanes `d` and no
+//!   other event is pending. Every other disturbed gate then has all of
+//!   its readers behind it, so no later fold reads anything disturbed
+//!   except `h` and what `h` disturbs: from here on the faulty machine
+//!   is the good machine with `h` flipped on `d`, lane by lane. The
+//!   output difference still to come is therefore `d & obs(h)`, where
+//!   `obs(h)` — the lanes on which flipping `h` reaches a primary output
+//!   — belongs to the good machine and the wide block alone, not to the
+//!   fault. Each worker keeps `obs(h)` per wide block on exactly the
+//!   lanes it has propagated through `h` (the memo stays lazy: it never
+//!   computes a lane no fault needed), and a later propagation that
+//!   collapses onto `h` on known lanes stops there instead of folding
+//!   `h`'s cone. The fault site's own disturbance is always a collapse
+//!   point, so this also covers faults at one site that force the same
+//!   lanes. Site groups run downstream-first, so a gate's own faults
+//!   tend to fill its entry before the faults upstream of it arrive.
 //! * **Fault dropping.** A fault detected in any lane leaves the active
 //!   list; remaining blocks are never simulated for it.
 //! * **Multi-threaded fault partitioning.** The collapsed fault list is
-//!   grouped by fault site (groups share one site load and memo) and the
-//!   groups are pulled from a shared atomic work queue by
-//!   `std::thread::scope` workers, each with private scratch state;
-//!   per-fault results are merged at the end. Results are deterministic
-//!   regardless of scheduling because faults are independent.
+//!   grouped by fault site (groups share one site load) and the groups
+//!   are pulled from a shared atomic work queue by `std::thread::scope`
+//!   workers. Each worker's baseline copy and memo live for the whole
+//!   run, across every streamed chunk; per-fault results are merged at
+//!   the end. Results are deterministic regardless of scheduling because
+//!   faults are independent and the memo is exact.
 //!
 //! Detection semantics are identical to [`crate::simulate`] and
 //! independent of lane width (first detecting pattern per fault;
@@ -48,12 +65,13 @@
 //! the width switch — tail lanes of a ragged final block are masked at
 //! detection only).
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dft_netlist::{GateId, LevelizeError, Netlist, Pin};
 use dft_obs::{Collector, Obs};
-use dft_sim::word::{fold_wide, stuck_wide};
+use dft_sim::word::stuck_wide;
 use dft_sim::{Kernel, PatternSet};
 
 use crate::{DetectionResult, Fault};
@@ -100,14 +118,15 @@ fn lane_words(block_count: usize) -> usize {
     }
 }
 
-/// Worker-local effort counters, merged across threads after the
-/// partitioned run (plain integer bumps in the hot loop; never shared
-/// while the workers are live, so there is no synchronization cost).
+/// Worker-local effort counters, merged across threads after the run
+/// (plain integer bumps in the hot loop; never shared while the workers
+/// are live, so there is no synchronization cost).
 #[derive(Clone, Copy, Debug, Default)]
 struct WorkCounters {
-    /// Fault-site groups loaded (one per distinct fault-site gate).
+    /// Fault-site groups loaded (one per distinct fault-site gate per
+    /// chunk).
     cones_loaded: u64,
-    /// Fault × wide-block injection attempts (`propagate` calls).
+    /// Fault × wide-block injection attempts.
     block_scans: u64,
     /// Injection attempts that actually disturbed the cone.
     excited_blocks: u64,
@@ -115,6 +134,11 @@ struct WorkCounters {
     /// lane width — the hot loop's unit of work, comparable across
     /// widths).
     words_folded: u64,
+    /// Collapse points reached (see the module docs), fault sites
+    /// included.
+    collapse_points: u64,
+    /// Collapse points the observability memo answered.
+    memo_hits: u64,
 }
 
 impl WorkCounters {
@@ -123,6 +147,8 @@ impl WorkCounters {
         self.block_scans += other.block_scans;
         self.excited_blocks += other.excited_blocks;
         self.words_folded += other.words_folded;
+        self.collapse_points += other.collapse_points;
+        self.memo_hits += other.memo_hits;
     }
 }
 
@@ -153,8 +179,8 @@ pub struct Ppsfp<'n> {
 
 /// Cached good-machine state for one pattern set, in wide blocks.
 struct Baseline<const W: usize> {
-    /// `blocks[wb][slot]`: packed good values of every gate in wide
-    /// block `wb` (`64 × W` patterns).
+    /// `blocks[wb][slot]`: packed good values of every kernel slot in
+    /// wide block `wb` (`64 × W` patterns).
     blocks: Vec<Vec<[u64; W]>>,
     /// Valid-lane mask per wide block: tail words of a ragged final
     /// block are zero, the last ragged word is a low-lane mask.
@@ -181,28 +207,32 @@ impl<'n> Ppsfp<'n> {
         options: PpsfpOptions,
     ) -> Result<Self, LevelizeError> {
         let kernel = Kernel::new(netlist)?;
-        let mut reader_start = Vec::with_capacity(netlist.gate_count() + 1);
-        let mut reader_pool: Vec<u32> = Vec::new();
-        let mut seen: Vec<u32> = Vec::new();
-        reader_start.push(0u32);
-        for readers in netlist.fanout_map() {
-            seen.clear();
-            for (reader, _pin) in readers {
-                // A storage reader captures into next state only; within
-                // the combinational frame its output cannot change.
-                if netlist.gate(reader).kind().is_storage() {
-                    continue;
-                }
-                let r = reader.index() as u32;
-                if seen.contains(&r) {
-                    continue;
-                }
-                seen.push(r);
-                if let Some(rop) = kernel.op_of_gate(reader) {
-                    reader_pool.push(rop as u32);
-                }
+        // The reader CSR by counting sort over the ops' distinct
+        // operands. Storage elements are sources, not ops: a storage
+        // reader captures into next state only, and within the
+        // combinational frame its output cannot change.
+        let distinct = |op: usize| {
+            let args = kernel.op_args(op);
+            (0..args.len())
+                .filter(move |&k| !args[..k].contains(&args[k]))
+                .map(move |k| args[k] as usize)
+        };
+        let mut reader_start = vec![0u32; netlist.gate_count() + 1];
+        for op in 0..kernel.op_count() {
+            for a in distinct(op) {
+                reader_start[a + 1] += 1;
             }
-            reader_start.push(reader_pool.len() as u32);
+        }
+        for g in 0..netlist.gate_count() {
+            reader_start[g + 1] += reader_start[g];
+        }
+        let mut fill = reader_start.clone();
+        let mut reader_pool = vec![0u32; reader_start[netlist.gate_count()] as usize];
+        for op in 0..kernel.op_count() {
+            for a in distinct(op) {
+                reader_pool[fill[a] as usize] = op as u32;
+                fill[a] += 1;
+            }
         }
         let mut output_of = vec![u16::MAX; netlist.gate_count()];
         assert!(
@@ -263,10 +293,13 @@ impl<'n> Ppsfp<'n> {
     /// `lane_words` (words per wide block: 1 below 4 blocks, else 4),
     /// `cones_loaded`, `block_scans`, `excited_blocks`, `words_folded`
     /// (disturbed-gate evaluations × lane width — the engine's unit of
-    /// hot-loop work), `detected`, `dropped`, plus a `coverage` gauge.
-    /// Workers count into private integers merged after the join, so
-    /// the hot loop never crosses a `dyn` boundary and `None` costs
-    /// nothing measurable.
+    /// hot-loop work), `collapse_points` and `memo_hits` (see the module
+    /// docs), `detected`, `dropped`, plus a `coverage` gauge. Two child
+    /// spans time the phases: `fault_sim.baseline` (the good-machine
+    /// sweep) and `fault_sim.propagate` (fault injection and
+    /// propagation). Workers count into private integers merged after
+    /// the run, so the hot loop never crosses a `dyn` boundary and
+    /// `None` costs nothing measurable.
     ///
     /// # Panics
     ///
@@ -278,16 +311,7 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> DetectionResult {
-        let mut obs = Obs::new(obs);
-        obs.enter("fault_sim.ppsfp");
-        let (result, work) = self.detect_chunks(patterns, |grade| grade(faults));
-        let detected = result.detected_count() as u64;
-        self.flush(&mut obs, faults.len(), patterns, &work);
-        obs.count("detected", detected);
-        obs.count("dropped", detected);
-        obs.gauge("coverage", result.coverage());
-        obs.exit();
-        result
+        self.grade(patterns, |grade| grade(faults), obs)
     }
 
     /// [`Ppsfp::run`] over a fault *stream*: faults are pulled from the
@@ -314,49 +338,87 @@ impl<'n> Ppsfp<'n> {
         faults: impl IntoIterator<Item = Fault>,
         chunk_faults: usize,
     ) -> DetectionResult {
+        self.run_streamed_with(patterns, faults, chunk_faults, None)
+    }
+
+    /// [`Ppsfp::run_streamed`] feeding telemetry to an optional
+    /// collector: the same `fault_sim.ppsfp` span, child spans and
+    /// counters as [`Ppsfp::run_with`], with `faults` counting the whole
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern width disagrees with the netlist or
+    /// `chunk_faults == 0`.
+    #[must_use]
+    pub fn run_streamed_with(
+        &self,
+        patterns: &PatternSet,
+        faults: impl IntoIterator<Item = Fault>,
+        chunk_faults: usize,
+        obs: Option<&mut dyn Collector>,
+    ) -> DetectionResult {
         assert!(chunk_faults > 0, "chunk size must be positive");
         let mut faults = faults.into_iter();
         let mut chunk: Vec<Fault> = Vec::with_capacity(chunk_faults);
-        let (result, _) = self.detect_chunks(patterns, |grade| loop {
-            chunk.clear();
-            chunk.extend(faults.by_ref().take(chunk_faults));
-            if chunk.is_empty() {
-                break;
-            }
-            grade(&chunk);
-        });
-        result
+        self.grade(
+            patterns,
+            |grade| loop {
+                chunk.clear();
+                chunk.extend(faults.by_ref().take(chunk_faults));
+                if chunk.is_empty() {
+                    break;
+                }
+                grade(&chunk);
+            },
+            obs,
+        )
     }
 
     /// The one detection driver behind [`Ppsfp::run_with`] and
-    /// [`Ppsfp::run_streamed`], dispatched on the lane width.
-    /// `feed` hands each fault chunk in order to the grading callback.
-    fn detect_chunks(
+    /// [`Ppsfp::run_streamed_with`]: opens the span, dispatches on the
+    /// lane width and flushes the counters. `feed` hands each fault
+    /// chunk in order to the grading callback.
+    fn grade(
         &self,
         patterns: &PatternSet,
         feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
-    ) -> (DetectionResult, WorkCounters) {
-        match lane_words(patterns.block_count()) {
-            4 => self.detect_chunks_width::<4>(patterns, feed),
-            _ => self.detect_chunks_width::<1>(patterns, feed),
-        }
+        obs: Option<&mut dyn Collector>,
+    ) -> DetectionResult {
+        let mut obs = Obs::new(obs);
+        obs.enter("fault_sim.ppsfp");
+        let (result, work) = match lane_words(patterns.block_count()) {
+            4 => self.grade_width::<4>(patterns, feed, &mut obs),
+            _ => self.grade_width::<1>(patterns, feed, &mut obs),
+        };
+        let detected = result.detected_count() as u64;
+        self.flush(&mut obs, result.first_detected.len(), patterns, &work);
+        obs.count("detected", detected);
+        obs.count("dropped", detected);
+        obs.gauge("coverage", result.coverage());
+        obs.exit();
+        result
     }
 
-    /// [`Ppsfp::detect_chunks`] monomorphized for one wide-block width:
-    /// builds the baseline once, then partitions each chunk across the
-    /// workers and concatenates the results in chunk order.
-    fn detect_chunks_width<const W: usize>(
+    /// [`Ppsfp::grade`] monomorphized for one wide-block width: builds
+    /// the baseline and the workers once, then partitions each chunk
+    /// across the workers and concatenates the results in chunk order.
+    fn grade_width<const W: usize>(
         &self,
         patterns: &PatternSet,
         feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
+        obs: &mut Obs<'_>,
     ) -> (DetectionResult, WorkCounters) {
+        obs.enter("fault_sim.baseline");
         let baseline = self.baseline::<W>(patterns);
+        obs.exit();
+        obs.enter("fault_sim.propagate");
+        let mut workers = Vec::new();
         let mut first_detected: Vec<Option<usize>> = Vec::new();
-        let mut work = WorkCounters::default();
         feed(&mut |chunk| {
-            let (detected, counters) = self
-                .run_partitioned::<W, _, _>(chunk, |worker, fault| worker.detect(fault, &baseline));
-            work.merge(counters);
+            let detected = self.run_partitioned(&mut workers, chunk, |worker, fault| {
+                worker.detect(fault, &baseline)
+            });
             // A single chunk (the slice path) moves in without a copy.
             if first_detected.is_empty() {
                 first_detected = detected;
@@ -364,11 +426,12 @@ impl<'n> Ppsfp<'n> {
                 first_detected.extend(detected);
             }
         });
+        obs.exit();
         let result = DetectionResult {
             first_detected,
             pattern_count: patterns.len(),
         };
-        (result, work)
+        (result, merged_counters(&workers))
     }
 
     /// Full-syndrome fault simulation: for every fault, the complete set
@@ -388,10 +451,11 @@ impl<'n> Ppsfp<'n> {
     }
 
     /// [`Ppsfp::run_syndromes`] feeding telemetry to an optional
-    /// collector (same `fault_sim.ppsfp` span and counters as
+    /// collector (the `fault_sim.ppsfp` span and work counters of
     /// [`Ppsfp::run_with`], plus `syndrome_bits` for the total
     /// observations collected; no `detected`/`dropped` since syndromes
-    /// never drop).
+    /// never drop, and no memo, since a syndrome needs every output's
+    /// difference rather than their union).
     ///
     /// # Panics
     ///
@@ -425,7 +489,11 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
     ) -> (Vec<BTreeSet<(u32, u16)>>, WorkCounters) {
         let baseline = self.baseline::<W>(patterns);
-        self.run_partitioned::<W, _, _>(faults, |worker, fault| worker.syndromes(fault, &baseline))
+        let mut workers = Vec::new();
+        let syndromes = self.run_partitioned(&mut workers, faults, |worker, fault| {
+            worker.syndromes(fault, &baseline)
+        });
+        (syndromes, merged_counters(&workers))
     }
 
     /// Flushes the merged worker counters into a collector.
@@ -444,6 +512,8 @@ impl<'n> Ppsfp<'n> {
         obs.count("block_scans", w.block_scans);
         obs.count("excited_blocks", w.excited_blocks);
         obs.count("words_folded", w.words_folded);
+        obs.count("collapse_points", w.collapse_points);
+        obs.count("memo_hits", w.memo_hits);
     }
 
     /// Computes the good-machine baseline in wide blocks, band-major:
@@ -460,7 +530,7 @@ impl<'n> Ppsfp<'n> {
         let mut blocks = Vec::with_capacity(wide_count);
         let mut lane_masks = Vec::with_capacity(wide_count);
         for wb in 0..wide_count {
-            let mut vals = vec![[0u64; W]; self.kernel.gate_count()];
+            let mut vals = vec![[0u64; W]; self.kernel.slot_count()];
             self.kernel.init_constants_wide(&mut vals);
             for (i, &slot) in self.kernel.pi_slots().iter().enumerate() {
                 let mut wide = [0u64; W];
@@ -492,62 +562,98 @@ impl<'n> Ppsfp<'n> {
         Baseline { blocks, lane_masks }
     }
 
-    /// Runs `per_fault` over every fault, partitioned by fault-site group
-    /// across the configured worker threads, returning results in fault
-    /// order plus the merged per-worker effort counters.
-    fn run_partitioned<const W: usize, R, F>(
-        &self,
+    /// Runs `per_fault` over every fault of one chunk, partitioned by
+    /// fault-site group across the configured worker threads (`0` = the
+    /// machine's available parallelism, capped by the chunk's group
+    /// count), returning results in fault order. Groups run
+    /// downstream-first: in descending op order of their site, sources
+    /// last. `workers` carries the run's workers from chunk to chunk and
+    /// grows to the largest thread count a chunk uses.
+    fn run_partitioned<'w, const W: usize, R, F>(
+        &'w self,
+        workers: &mut Vec<Worker<'w, W>>,
         faults: &[Fault],
         per_fault: F,
-    ) -> (Vec<R>, WorkCounters)
+    ) -> Vec<R>
     where
         R: Send,
-        F: Fn(&mut Worker<'_, W>, Fault) -> R + Sync,
+        F: Fn(&mut Worker<'w, W>, Fault) -> R + Sync,
     {
-        // Group faults sharing a site gate so each group computes its
-        // fanout cone exactly once.
-        let mut group_of: Vec<Option<usize>> = vec![None; self.netlist.gate_count()];
-        let mut groups: Vec<(u32, Vec<u32>)> = Vec::new();
-        for (fi, f) in faults.iter().enumerate() {
-            let root = f.site.gate.index();
-            let gi = *group_of[root].get_or_insert_with(|| {
-                groups.push((root as u32, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push(fi as u32);
+        // Sites numbered by first appearance, then a counting sort lays
+        // each site's fault indices out contiguously.
+        let mut site_of = vec![u32::MAX; self.netlist.gate_count()];
+        let mut roots: Vec<u32> = Vec::new();
+        let mut start = vec![0u32];
+        let sites: Vec<u32> = faults
+            .iter()
+            .map(|f| {
+                let site = &mut site_of[f.site.gate.index()];
+                if *site == u32::MAX {
+                    *site = roots.len() as u32;
+                    roots.push(f.site.gate.index() as u32);
+                    start.push(0);
+                }
+                start[*site as usize + 1] += 1;
+                *site
+            })
+            .collect();
+        for g in 1..start.len() {
+            start[g] += start[g - 1];
         }
+        let mut fill = start.clone();
+        let mut members = vec![0u32; faults.len()];
+        for (fi, &g) in sites.iter().enumerate() {
+            members[fill[g as usize] as usize] = fi as u32;
+            fill[g as usize] += 1;
+        }
+        let mut order: Vec<usize> = (0..roots.len()).collect();
+        order.sort_by_key(|&g| {
+            let site = GateId::from_index(roots[g] as usize);
+            Reverse(self.kernel.op_of_gate(site).map_or(-1, |op| op as i64))
+        });
+        // The `k`-th group to run: its site and its faults.
+        let group = |k: usize| {
+            order
+                .get(k)
+                .map(|&g| (roots[g], &members[start[g] as usize..start[g + 1] as usize]))
+        };
 
-        let threads = self.resolve_threads(groups.len());
+        let threads = if self.options.threads > 0 {
+            self.options.threads
+        } else {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }
+        .clamp(1, roots.len().max(1));
+        while workers.len() < threads {
+            workers.push(Worker::new(self));
+        }
         let mut merged: Vec<Option<R>> = (0..faults.len()).map(|_| None).collect();
-        let mut work = WorkCounters::default();
-        if threads <= 1 {
-            let mut worker = Worker::<W>::new(self);
-            for (root, fids) in &groups {
-                worker.load_group(*root);
+        if threads == 1 {
+            let worker = &mut workers[0];
+            for (root, fids) in (0..).map_while(group) {
+                worker.load_group(root);
                 for &fi in fids {
-                    merged[fi as usize] = Some(per_fault(&mut worker, faults[fi as usize]));
+                    merged[fi as usize] = Some(per_fault(worker, faults[fi as usize]));
                 }
             }
-            work = worker.counters;
         } else {
             let cursor = AtomicUsize::new(0);
-            let chunks = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut worker = Worker::<W>::new(self);
+            let (cursor, group, per_fault) = (&cursor, &group, &per_fault);
+            let outs = std::thread::scope(|s| {
+                let handles: Vec<_> = workers[..threads]
+                    .iter_mut()
+                    .map(|worker| {
+                        s.spawn(move || {
                             let mut out: Vec<(u32, R)> = Vec::new();
-                            loop {
-                                let g = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some((root, fids)) = groups.get(g) else {
-                                    break;
-                                };
-                                worker.load_group(*root);
+                            while let Some((root, fids)) =
+                                group(cursor.fetch_add(1, Ordering::Relaxed))
+                            {
+                                worker.load_group(root);
                                 for &fi in fids {
-                                    out.push((fi, per_fault(&mut worker, faults[fi as usize])));
+                                    out.push((fi, per_fault(worker, faults[fi as usize])));
                                 }
                             }
-                            (out, worker.counters)
+                            out
                         })
                     })
                     .collect();
@@ -556,29 +662,71 @@ impl<'n> Ppsfp<'n> {
                     .map(|h| h.join().expect("ppsfp worker panicked"))
                     .collect::<Vec<_>>()
             });
-            for (chunk, counters) in chunks {
-                work.merge(counters);
-                for (fi, r) in chunk {
-                    merged[fi as usize] = Some(r);
-                }
+            for (fi, r) in outs.into_iter().flatten() {
+                merged[fi as usize] = Some(r);
             }
         }
-        (
-            merged
-                .into_iter()
-                .map(|r| r.expect("every fault visited exactly once"))
-                .collect(),
-            work,
-        )
+        merged
+            .into_iter()
+            .map(|r| r.expect("every fault visited exactly once"))
+            .collect()
+    }
+}
+
+/// The workers' effort counters, summed.
+fn merged_counters<const W: usize>(workers: &[Worker<'_, W>]) -> WorkCounters {
+    let mut total = WorkCounters::default();
+    for w in workers {
+        total.merge(w.counters);
+    }
+    total
+}
+
+/// `a ^ b` word by word: the lanes on which two wide values differ.
+#[inline]
+fn differ<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|w| a[w] ^ b[w])
+}
+
+/// One wide block's observability memo: for each gate, the lanes whose
+/// observability is known and, within them, the observable ones (see the
+/// module docs). Allocated on the first collapse point it records.
+#[derive(Clone, Default)]
+struct ObsMemo<const W: usize> {
+    /// Gate index → entry index, `u32::MAX` if none.
+    entry_of: Vec<u32>,
+    /// `(known lanes, observable lanes ⊆ known)` per recorded gate.
+    entries: Vec<([u64; W], [u64; W])>,
+}
+
+impl<const W: usize> ObsMemo<W> {
+    /// `lanes & obs(gate)` if the memo knows every lane of `lanes`.
+    #[inline]
+    fn lookup(&self, gate: usize, lanes: [u64; W]) -> Option<[u64; W]> {
+        let &e = self.entry_of.get(gate)?;
+        let (known, obs) = self.entries.get(e as usize)?;
+        (0..W)
+            .all(|w| lanes[w] & !known[w] == 0)
+            .then(|| std::array::from_fn(|w| lanes[w] & obs[w]))
     }
 
-    fn resolve_threads(&self, group_count: usize) -> usize {
-        let t = if self.options.threads > 0 {
-            self.options.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        };
-        t.clamp(1, group_count.max(1))
+    /// Records that `obs ⊆ lanes` are the observable lanes of `gate`
+    /// among `lanes`.
+    fn record(&mut self, gate_count: usize, gate: usize, lanes: [u64; W], obs: [u64; W]) {
+        debug_assert!((0..W).all(|w| obs[w] & !lanes[w] == 0), "obs outside lanes");
+        if self.entry_of.is_empty() {
+            self.entry_of = vec![u32::MAX; gate_count];
+        }
+        let e = &mut self.entry_of[gate];
+        if *e == u32::MAX {
+            *e = self.entries.len() as u32;
+            self.entries.push(([0; W], [0; W]));
+        }
+        let (known, seen) = &mut self.entries[*e as usize];
+        for w in 0..W {
+            known[w] |= lanes[w];
+            seen[w] |= obs[w];
+        }
     }
 }
 
@@ -586,7 +734,7 @@ impl<'n> Ppsfp<'n> {
 /// mutable copy of the baseline that faulty values are written into
 /// directly and rolled back from an undo list after every block — so
 /// the hot loop reads one value array with no faulty/good merge branch.
-/// Monomorphized per wide-block width.
+/// Monomorphized per wide-block width; lives for a whole run.
 ///
 /// There is no explicit cone computation: the engine's global reader
 /// CSR ([`Ppsfp::reader_ops`]) restricts propagation to the fault's
@@ -610,18 +758,19 @@ struct Worker<'a, const W: usize> {
     undo: Vec<(u32, [u64; W])>,
     /// Event bitset over op indices: bit set = op has a disturbed
     /// driver and must be folded. Always all-zero between blocks (every
-    /// set bit is consumed by the propagate loop).
+    /// set bit is consumed by the propagate loop, and a memo answer
+    /// only ends the loop when no bit is pending).
     sched: Vec<u64>,
     /// `(slot, baseline value)` of primary outputs disturbed in the
     /// current block, collected while writing so detection touches only
     /// them instead of scanning every output in the cone.
     touched_outputs: Vec<(u32, [u64; W])>,
-    /// Per-block propagation memo for the current fault-site group:
-    /// `(forced root value, OR of output faulty-vs-baseline diffs)`.
-    /// Faults at one site often force identical root values, and equal
-    /// root values propagate identically within a block.
-    memo: Vec<Vec<([u64; W], [u64; W])>>,
-    /// Thread-private effort counters (merged by `run_partitioned`).
+    /// The current propagation's unanswered collapse points: `(gate,
+    /// changed lanes, touched_outputs.len() before the gate's write)`.
+    points: Vec<(u32, [u64; W], u32)>,
+    /// One observability memo per wide block.
+    memo: Vec<ObsMemo<W>>,
+    /// Thread-private effort counters.
     counters: WorkCounters,
 }
 
@@ -636,6 +785,7 @@ impl<'a, const W: usize> Worker<'a, W> {
             undo: Vec::new(),
             sched: vec![0; eng.kernel.op_count().div_ceil(64)],
             touched_outputs: Vec::new(),
+            points: Vec::new(),
             memo: Vec::new(),
             counters: WorkCounters::default(),
         }
@@ -658,28 +808,42 @@ impl<'a, const W: usize> Worker<'a, W> {
             .map(|&q| q as usize / 64)
             .min()
             .unwrap_or(0);
-        for m in &mut self.memo {
-            m.clear();
-        }
     }
 
-    /// Sets the event bits for a slice of op indices.
+    /// Sets the event bits of `slot`'s readers, returning how many were
+    /// not already pending.
     #[inline]
-    fn schedule(sched: &mut [u64], ops: &[u32]) {
-        for &q in ops {
-            let q = q as usize;
-            sched[q / 64] |= 1u64 << (q % 64);
+    fn schedule(&mut self, slot: usize) -> u32 {
+        let mut fresh = 0;
+        for &q in self.eng.reader_ops(slot) {
+            let (word, bit) = (q as usize / 64, 1u64 << (q % 64));
+            fresh += u32::from(self.sched[word] & bit == 0);
+            self.sched[word] |= bit;
         }
+        fresh
+    }
+
+    /// Overwrites `slot` with its faulty value, logging the baseline
+    /// value for [`Worker::revert`] (and for detection, if it is an
+    /// output).
+    #[inline]
+    fn write(&mut self, work: &mut [[u64; W]], slot: usize, value: [u64; W]) {
+        let old = work[slot];
+        self.undo.push((slot as u32, old));
+        if self.eng.output_of[slot] != u16::MAX {
+            self.touched_outputs.push((slot as u32, old));
+        }
+        work[slot] = value;
     }
 
     /// Clones the shared baseline into this worker's mutable working
-    /// copy. Runs at most once per worker per run: every propagate is
-    /// rolled back, so once cloned the copy stays equal to the baseline
-    /// between blocks.
+    /// copy and sizes the memo. Runs at most once per worker per run:
+    /// every propagate is rolled back, so once cloned the copy stays
+    /// equal to the baseline between blocks.
     fn ensure_work(&mut self, baseline: &Baseline<W>) {
         if self.work.len() != baseline.blocks.len() {
             self.work = baseline.blocks.clone();
-            self.memo = vec![Vec::new(); baseline.blocks.len()];
+            self.memo = vec![ObsMemo::default(); baseline.blocks.len()];
         }
     }
 
@@ -693,68 +857,42 @@ impl<'a, const W: usize> Worker<'a, W> {
     /// The wide value `fault` forces on its site gate's output in this
     /// block, or `None` when the fault is invisible to the combinational
     /// frame (a stuck data pin on a storage element corrupts the
-    /// *captured* state only). Two faults forcing the same value on the
-    /// same root propagate identically — the key the per-group memo
-    /// dedupes on.
+    /// *captured* state only).
     fn faulty_root(&self, fault: Fault, work: &[[u64; W]]) -> Option<[u64; W]> {
         match fault.site.pin {
-            Pin::Output => {
-                // Forced output block (source or logic gate alike). Tail
-                // lanes are forced too; they are masked at detection.
-                Some(stuck_wide::<W>(fault.stuck))
-            }
+            // Forced output block (source or logic gate alike). Tail
+            // lanes are forced too; they are masked at detection.
+            Pin::Output => Some(stuck_wide::<W>(fault.stuck)),
             Pin::Input(p) => self.root_op.map(|op| {
-                let kernel = &self.eng.kernel;
-                let op = op as usize;
-                let forced = usize::from(p);
-                fold_wide(
-                    kernel.op_kind(op),
-                    kernel.op_args(op).iter().enumerate().map(|(i, &a)| {
-                        if i == forced {
-                            stuck_wide::<W>(fault.stuck)
-                        } else {
-                            work[a as usize]
-                        }
-                    }),
+                self.eng.kernel.fold_op_forced(
+                    op as usize,
+                    work,
+                    usize::from(p),
+                    stuck_wide::<W>(fault.stuck),
                 )
             }),
         }
     }
 
-    /// Injects `fault` into the working block `work` (a baseline copy)
-    /// and event-propagates through the cone, overwriting disturbed
-    /// slots in place and logging their baseline values in `undo`.
-    /// Returns `true` if the fault was excited (some gate differs from
-    /// baseline in some lane this block); the caller must [`revert`]
-    /// before reusing the block.
+    /// Forces the root to `fw` (which must differ from its baseline
+    /// value) in the working block `work` and event-propagates through
+    /// the cone, overwriting disturbed slots in place and logging their
+    /// baseline values in `undo`; the caller must [`revert`].
+    ///
+    /// With `memo = Some(wb)`, every collapse point consults wide block
+    /// `wb`'s memo: an answer ends the propagation and is returned (the
+    /// output lanes the rest of the cone would have disturbed), and an
+    /// unanswered point is queued in `points` for [`Worker::observe`] to
+    /// record. With `None` the propagation always runs to the end and
+    /// returns zero.
     ///
     /// [`revert`]: Worker::revert
-    fn propagate(&mut self, fault: Fault, work: &mut [[u64; W]]) -> bool {
-        self.counters.block_scans += 1;
-        match self.faulty_root(fault, work) {
-            Some(fw) if fw != work[self.root as usize] => {
-                self.inject(fw, work);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Excites the root with the already-computed forced value `fw`
-    /// (which must differ from baseline) and runs the event loop.
-    fn inject(&mut self, fw: [u64; W], work: &mut [[u64; W]]) {
-        self.touched_outputs.clear();
+    fn propagate(&mut self, fw: [u64; W], work: &mut [[u64; W]], memo: Option<usize>) -> [u64; W] {
         debug_assert!(self.undo.is_empty(), "previous block not reverted");
-        let root = self.root as usize;
-        let eng = self.eng;
-        let kernel = &eng.kernel;
-        let old = work[root];
-        self.undo.push((self.root, old));
-        if eng.output_of[root] != u16::MAX {
-            self.touched_outputs.push((self.root, old));
-        }
-        work[root] = fw;
-        Self::schedule(&mut self.sched, eng.reader_ops(root));
+        self.touched_outputs.clear();
+        self.points.clear();
+        self.counters.excited_blocks += 1;
+        let kernel = &self.eng.kernel;
         // Event loop: always pop the lowest pending bit from the LIVE
         // bitset word (never a stale local copy, which could leapfrog an
         // event scheduled mid-word at a lower index). Ascending bit
@@ -767,51 +905,94 @@ impl<'a, const W: usize> Worker<'a, W> {
         // drivers already hold their final faulty value, everything else
         // is baseline — and `work[dst]` still holds baseline (each dst
         // has exactly one driver op, folded at most once), so the
-        // write-back doubles as the disturbance test. Telemetry stays in
-        // a register-resident local, folded into the worker counter once
-        // per block.
+        // compare with it is the disturbance test. `pending` counts the
+        // set bits, so the scan stops at the last event and a changed
+        // fold with nothing else pending is a collapse point. Telemetry
+        // stays in a register-resident local, folded into the worker
+        // counter once per block.
         let mut folded = 0u64;
-        let mut wi = self.root_word;
-        while wi < self.sched.len() {
-            let word = self.sched[wi];
-            if word == 0 {
-                wi += 1;
-                continue;
+        let root = self.root as usize;
+        let tail = 'events: {
+            if let Some(tail) = self.collapse(memo, root, differ(fw, work[root])) {
+                break 'events tail;
             }
-            self.sched[wi] = word & (word - 1);
-            let op = wi * 64 + word.trailing_zeros() as usize;
-            let out = fold_wide(
-                kernel.op_kind(op),
-                kernel.op_args(op).iter().map(|&a| work[a as usize]),
-            );
-            folded += 1;
-            let dst = kernel.op_dst(op) as usize;
-            if out != work[dst] {
-                let old = work[dst];
-                self.undo.push((dst as u32, old));
-                if eng.output_of[dst] != u16::MAX {
-                    self.touched_outputs.push((dst as u32, old));
+            self.write(work, root, fw);
+            let mut pending = self.schedule(root);
+            let mut wi = self.root_word;
+            while pending > 0 {
+                let word = self.sched[wi];
+                if word == 0 {
+                    wi += 1;
+                    continue;
                 }
-                work[dst] = out;
-                Self::schedule(&mut self.sched, eng.reader_ops(dst));
+                self.sched[wi] = word & (word - 1);
+                pending -= 1;
+                let op = wi * 64 + word.trailing_zeros() as usize;
+                let out = kernel.fold_op(op, work);
+                folded += 1;
+                let dst = kernel.op_dst(op) as usize;
+                if out == work[dst] {
+                    continue;
+                }
+                if pending == 0 {
+                    if let Some(tail) = self.collapse(memo, dst, differ(out, work[dst])) {
+                        break 'events tail;
+                    }
+                }
+                self.write(work, dst, out);
+                pending += self.schedule(dst);
             }
-        }
-        self.counters.excited_blocks += 1;
+            [0; W]
+        };
         self.counters.words_folded += folded * W as u64;
+        tail
+    }
+
+    /// A collapse point: the disturbance has narrowed to `gate` changing
+    /// on `lanes`, with no other event pending. Returns the memo's
+    /// answer, or queues the point and returns `None`.
+    #[inline]
+    fn collapse(&mut self, memo: Option<usize>, gate: usize, lanes: [u64; W]) -> Option<[u64; W]> {
+        let wb = memo?;
+        self.counters.collapse_points += 1;
+        if let Some(obs) = self.memo[wb].lookup(gate, lanes) {
+            self.counters.memo_hits += 1;
+            return Some(obs);
+        }
+        self.points
+            .push((gate as u32, lanes, self.touched_outputs.len() as u32));
+        None
+    }
+
+    /// The OR over primary outputs of the faulty-vs-good difference with
+    /// the root forced to `fw` in wide block `wb`, propagated through
+    /// the memo. Every unanswered collapse point learns its observable
+    /// lanes on the way out: the outputs touched after it, plus the
+    /// memo's answer that ended the propagation, if any.
+    fn observe(&mut self, wb: usize, fw: [u64; W], work: &mut [[u64; W]]) -> [u64; W] {
+        let mut diff = self.propagate(fw, work, Some(wb));
+        let mut t = self.touched_outputs.len();
+        let gate_count = self.eng.netlist.gate_count();
+        for &(gate, lanes, before) in self.points.iter().rev() {
+            while t > before as usize {
+                t -= 1;
+                let (slot, old) = self.touched_outputs[t];
+                let changed = differ(work[slot as usize], old);
+                for w in 0..W {
+                    diff[w] |= changed[w];
+                }
+            }
+            self.memo[wb].record(gate_count, gate as usize, lanes, diff);
+        }
+        debug_assert_eq!(t, 0, "the root is the first collapse point");
+        self.revert(work);
+        diff
     }
 
     /// First detecting pattern of `fault`, or `None`. The wide pattern
     /// index decomposes as `(wide_block × W + word) × 64 + lane`, so
     /// scanning blocks, then words, then trailing zeros yields the same
     /// "first detecting pattern" the 64-lane engine reports.
-    ///
-    /// Per-block propagation results are memoized by forced root value
-    /// within the current fault-site group (`memo` is cleared on
-    /// `load_group`): an input-pin fault frequently forces the same
-    /// output block a stuck-output fault already propagated (e.g. any
-    /// AND-input stuck-at-0 collapses to the output stuck-at-0 in every
-    /// lane that excites it), and the memo turns those repeat
-    /// propagations into one wide-word compare.
     fn detect(&mut self, fault: Fault, baseline: &Baseline<W>) -> Option<usize> {
         if !self.eng.reaches_output[self.root as usize] {
             return None; // no structural path to any output
@@ -827,24 +1008,7 @@ impl<'a, const W: usize> Worker<'a, W> {
             if fw == block[self.root as usize] {
                 continue; // not excited this block
             }
-            let diff = match self.memo[wb].iter().find(|(v, _)| *v == fw) {
-                Some(&(_, d)) => d,
-                None => {
-                    self.inject(fw, block);
-                    // OR the disturbed outputs' faulty-vs-baseline
-                    // differences.
-                    let mut diff = [0u64; W];
-                    for &(slot, ref old) in &self.touched_outputs {
-                        let f = &block[slot as usize];
-                        for w in 0..W {
-                            diff[w] |= f[w] ^ old[w];
-                        }
-                    }
-                    self.revert(block);
-                    self.memo[wb].push((fw, diff));
-                    diff
-                }
-            };
+            let diff = self.observe(wb, fw, block);
             let mask = &baseline.lane_masks[wb];
             for w in 0..W {
                 let d = diff[w] & mask[w];
@@ -870,9 +1034,14 @@ impl<'a, const W: usize> Worker<'a, W> {
         self.ensure_work(baseline);
         let mut blocks = std::mem::take(&mut self.work);
         for (wb, block) in blocks.iter_mut().enumerate() {
-            if !self.propagate(fault, block) {
+            self.counters.block_scans += 1;
+            let Some(fw) = self.faulty_root(fault, block) else {
+                break;
+            };
+            if fw == block[self.root as usize] {
                 continue;
             }
+            self.propagate(fw, block, None);
             for &(slot, ref old) in &self.touched_outputs {
                 let oi = self.eng.output_of[slot as usize];
                 let f = &block[slot as usize];
@@ -977,6 +1146,29 @@ mod tests {
     }
 
     #[test]
+    fn streamed_runs_report_their_work() {
+        let n = random_combinational(12, 220, 5);
+        let faults = universe(&n);
+        let mut rng = StdRng::seed_from_u64(0xBEEF);
+        let p = PatternSet::random(12, 300, &mut rng);
+        let eng = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(1)).unwrap();
+        let mut rec = dft_obs::Recorder::new();
+        let r = eng.run_streamed_with(&p, faults.iter().copied(), 97, Some(&mut rec));
+        assert_eq!(r, eng.run_streamed(&p, faults.iter().copied(), 97));
+        let report = rec.finish("streamed");
+        let span = report.find("fault_sim.ppsfp").expect("span must exist");
+        let phases: Vec<&str> = span.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(phases, ["fault_sim.baseline", "fault_sim.propagate"]);
+        assert_eq!(span.counter("faults"), faults.len() as u64);
+        assert_eq!(span.counter("detected"), r.detected_count() as u64);
+        assert!(span.counter("words_folded") > 0);
+        // Every excited block starts at a collapse point, its fault site.
+        let (points, hits) = (span.counter("collapse_points"), span.counter("memo_hits"));
+        assert!(points >= span.counter("excited_blocks"));
+        assert!(0 < hits && hits <= points, "{hits} hits of {points} points");
+    }
+
+    #[test]
     fn redundant_fault_stays_undetected() {
         let mut n = dft_netlist::Netlist::new("redundant");
         let a = n.add_input("a");
@@ -987,6 +1179,20 @@ mod tests {
         let fault = Fault::stuck_at_0(PortRef::output(g));
         let r = ppsfp(&n, &exhaustive_patterns(2), &[fault]).unwrap();
         assert_eq!(r.first_detected, vec![None]);
+    }
+
+    #[test]
+    fn pins_past_the_fanin_force_nothing_as_in_serial() {
+        let n = c17();
+        let g = n.primary_outputs()[0].0;
+        let faults = [
+            Fault::stuck_at_1(PortRef::input(g, 2)),
+            Fault::stuck_at_0(PortRef::input(g, 9)),
+        ];
+        let p = exhaustive_patterns(5);
+        let r = ppsfp(&n, &p, &faults).unwrap();
+        assert_eq!(r, simulate(&n, &p, &faults).unwrap());
+        assert_eq!(r.first_detected, vec![None, None]);
     }
 
     #[test]

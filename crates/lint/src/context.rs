@@ -65,11 +65,12 @@ impl Default for LintConfig {
 ///
 /// Rules read, never compute — but the expensive analyses are computed
 /// *lazily*, on the first rule that asks. [`LintContext::new`] makes the
-/// run's one structure pass: the levelization, the fanout map, the level
-/// vector and the output mask. SCOAP, constant propagation,
-/// X-propagation, the observability dominators, the reconvergence walk
-/// and the implication engine each read that structure, materialize once
-/// on first access and are shared by every later rule. A run whose rule
+/// run's one structure pass: the levelization (whose per-gate levels the
+/// analyses read in place), the fanout map and the output mask. SCOAP,
+/// constant propagation, X-propagation, the observability dominators,
+/// the reconvergence walk and the implication engine each read that
+/// structure, materialize once on first access and are shared by every
+/// later rule. A run whose rule
 /// set never touches the implication engine (quadratic in gate count:
 /// one learning propagation per literal) or the reconvergence walk (one
 /// DFS per fanout stem) never pays for it — which is what keeps linting
@@ -81,8 +82,6 @@ pub struct LintContext<'n> {
     config: LintConfig,
     levelization: Result<Levelization, LevelizeError>,
     fanout: Vec<Vec<(GateId, u8)>>,
-    /// Combinational level per gate (empty on cyclic netlists).
-    level: Vec<u32>,
     is_output: Vec<bool>,
     scoap: OnceCell<Option<ScoapResult>>,
     constants: OnceCell<Option<Vec<Logic>>>,
@@ -97,17 +96,11 @@ impl<'n> LintContext<'n> {
     /// waits for the first rule that reads it.
     #[must_use]
     pub fn new(netlist: &'n Netlist, config: LintConfig) -> Self {
-        let levelization = netlist.levelize();
-        let level = levelization
-            .as_ref()
-            .map(|lv| netlist.ids().map(|id| lv.level(id)).collect())
-            .unwrap_or_default();
         LintContext {
             netlist,
             config,
-            levelization,
+            levelization: netlist.levelize(),
             fanout: netlist.fanout_map(),
-            level,
             is_output: output_mask(netlist),
             scoap: OnceCell::new(),
             constants: OnceCell::new(),
@@ -124,7 +117,7 @@ impl<'n> LintContext<'n> {
         let lv = self.levelization.as_ref().ok()?;
         let view = GraphView {
             netlist: self.netlist,
-            level: &self.level,
+            level: lv.levels(),
             fanout: &self.fanout,
             is_output: &self.is_output,
         };

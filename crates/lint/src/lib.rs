@@ -14,11 +14,11 @@
 //!   rules up in the same table.
 //! * [`Registry`] — the table's netlist rules in run order;
 //!   [`Registry::run`] lints a netlist and returns a [`LintReport`].
-//! * [`LintContext`] — one structure pass per run (levelization, fanout
-//!   map, level vector, output mask) and the analyses every rule shares
-//!   over it (SCOAP measures, constant propagation, X-propagation,
-//!   dominators, reconvergence, implications), each computed at most
-//!   once per run.
+//! * [`LintContext`] — one structure pass per run (levelization with its
+//!   per-gate levels, fanout map, output mask) and the analyses every
+//!   rule shares over it (SCOAP measures, constant propagation,
+//!   X-propagation, dominators, reconvergence, implications), each
+//!   computed at most once per run.
 //! * [`Diagnostic`] — one finding, anchored to a
 //!   [`GateId`](dft_netlist::GateId) with optional related gates, a
 //!   free-text hint, a stable `DFT-NNN` [code](rule_code), and

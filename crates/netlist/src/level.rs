@@ -159,6 +159,12 @@ impl Levelization {
         self.level[id.index()]
     }
 
+    /// Logic level of every gate, indexed by [`GateId::index`].
+    #[must_use]
+    pub fn levels(&self) -> &[u32] {
+        &self.level
+    }
+
     /// Maximum combinational depth of the network.
     #[must_use]
     pub fn depth(&self) -> u32 {

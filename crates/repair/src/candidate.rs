@@ -207,6 +207,17 @@ pub fn expand_hints(diagnostics: &[Diagnostic], exclude: &[String]) -> Vec<Candi
 /// [`EditError::Target`] for a fold whose target is not a plain logic
 /// gate of `netlist`.
 pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, EditError> {
+    apply_edit_with(netlist, &netlist.fanout_map(), &output_mask(netlist), edit)
+}
+
+/// [`apply_edit`] against `netlist`'s reader map and output mask, built
+/// once by a caller that applies many edits to the same netlist.
+pub(crate) fn apply_edit_with(
+    netlist: &Netlist,
+    fanout: &[Vec<(GateId, u8)>],
+    is_output: &[bool],
+    edit: CandidateEdit,
+) -> Result<Edited, EditError> {
     let pins_before = port_count(netlist);
     let gates_before = netlist.logic_gate_count() as i64;
     let out = match edit {
@@ -238,8 +249,7 @@ pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, Edit
             // Recompute the private region against the *current* netlist:
             // earlier repairs may have grown new readers into what used to
             // be an exclusive cone.
-            let fanout = netlist.fanout_map();
-            for g in exclusive_fanin_region(netlist, net, &fanout, &output_mask(netlist)) {
+            for g in exclusive_fanin_region(netlist, net, fanout, is_output) {
                 // Dead feeders become constants too: `universe()` skips
                 // Const gates, so their (untestable) fault sites leave
                 // the universe instead of lingering as dead logic.

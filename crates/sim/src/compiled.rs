@@ -149,7 +149,7 @@ impl<'n> CompiledSim<'n> {
             let batch_end = (batch_start + GROUPS_PER_BATCH).min(full_groups);
             let mut blocks: Vec<Vec<[u64; W]>> = (batch_start..batch_end)
                 .map(|g| {
-                    let mut vals = vec![[0u64; W]; self.kernel.gate_count()];
+                    let mut vals = vec![[0u64; W]; self.kernel.slot_count()];
                     self.kernel.init_constants_wide(&mut vals);
                     for (i, &slot) in self.kernel.pi_slots().iter().enumerate() {
                         let mut wide = [0u64; W];
@@ -162,9 +162,10 @@ impl<'n> CompiledSim<'n> {
                 })
                 .collect();
             self.kernel.eval_blocks_banded(&bands, &mut blocks);
+            let gates = self.kernel.gate_count();
             for wide in &blocks {
                 for w in 0..W {
-                    values.push(wide.iter().map(|b| b[w]).collect());
+                    values.push(wide[..gates].iter().map(|b| b[w]).collect());
                 }
             }
         }

@@ -53,7 +53,7 @@ impl<'n> EventSim<'n> {
         let mut sim = EventSim {
             netlist,
             fanout: netlist.fanout_map(),
-            level: netlist.ids().map(|id| lv.level(id)).collect(),
+            level: lv.levels().to_vec(),
             values: vec![Logic::X; netlist.gate_count()],
             dirty: vec![false; netlist.gate_count()],
             queue: vec![Vec::new(); depth + 2],

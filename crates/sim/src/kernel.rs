@@ -1,12 +1,40 @@
 //! The compiled simulation kernel: a flattened, cache-friendly program.
 //!
-//! [`Kernel`] lowers a levelized netlist into structure-of-arrays form:
-//! one straight-line op stream in evaluation order, with every gate's
-//! operand slots stored contiguously in a CSR-style index pool. No graph
-//! traversal, no per-gate `Vec` rebuilding, no pointer chasing — the hot
-//! loop touches four flat arrays. It is the shared execution core behind
-//! [`CompiledSim`](crate::CompiledSim) (whole-netlist runs) and the PPSFP
-//! fault simulator in `dft-fault` (cone-restricted incremental runs).
+//! [`Kernel`] lowers a levelized netlist into one straight-line op
+//! stream in evaluation order. Each op is one fixed-size record: its
+//! destination slot, four operand slots, and the gate kind compiled to
+//! three mode bits. No graph traversal, no per-gate `Vec` rebuilding, no
+//! pointer chasing, and no branch on the gate kind or the fan-in — the
+//! fold reads one record and four operands and runs the same
+//! straight-line word code for every op. It is the shared execution
+//! core behind [`CompiledSim`](crate::CompiledSim) (whole-netlist runs)
+//! and the PPSFP fault simulator in `dft-fault` (cone-restricted
+//! incremental runs).
+//!
+//! **The record fold.** Every kind the kernel compiles is an AND or a
+//! parity of its operands with optional inversions:
+//!
+//! | kind        | invert in | invert out | parity |
+//! |-------------|-----------|------------|--------|
+//! | `Buf`/`And` |           |            |        |
+//! | `Not`/`Nand`|           | ✓          |        |
+//! | `Or`        | ✓         | ✓          |        |
+//! | `Nor`       | ✓         |            |        |
+//! | `Xor`       |           |            | ✓      |
+//! | `Xnor`      |           | ✓          | ✓      |
+//!
+//! The fold expands the three bits into all-zeros/all-ones masks and
+//! computes `out = ((AND of (xᵢ ^ in)) & !par | (XOR of xᵢ) & par) ^ out`
+//! word by word. An op with fewer than four operands pads its record
+//! with an *identity slot*: one of two constant slots that every value
+//! array carries after the gate slots (see [`Kernel::slot_count`]),
+//! all-ones where the padded operand feeds the AND unchanged, all-zeros
+//! where it is complemented first or feeds the parity. Ops with more
+//! than four operands keep the first four in the record and spill the
+//! rest to a CSR pool the fold walks after the record slots; that walk
+//! is empty, and its loop exits at once, for every narrower op.
+//! [`word::fold_wide`](crate::word::fold_wide) stays as the reference
+//! the records are tested against.
 //!
 //! Because ops are emitted in levelization order, an op's index is also a
 //! topological timestamp: any subset of ops replayed in ascending index
@@ -17,25 +45,78 @@ use std::ops::Range;
 
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist};
 
-use crate::word;
+/// Operand slots held inline in an op record.
+const SLOTS: usize = 4;
 
-/// A netlist compiled into a flat SoA op program over 64-lane words.
+/// Mode bit: complement every operand before the AND.
+const INVERT_IN: u8 = 1;
+/// Mode bit: complement the result.
+const INVERT_OUT: u8 = 2;
+/// Mode bit: the result is the operands' parity, not their AND.
+const PARITY: u8 = 4;
+
+/// One compiled op: a fixed record the fold reads without branching on
+/// the gate kind or the fan-in.
+#[derive(Clone, Copy, Debug)]
+struct Op {
+    /// Operand slots in pin order; past the fan-in, the identity slot of
+    /// the op's mode.
+    args: [u32; SLOTS],
+    /// Destination slot.
+    dst: u32,
+    /// Start in the spill pool of the operands past the fourth (`0`, with
+    /// nothing to read, for ops of fan-in four or less).
+    rest: u32,
+    /// Number of real operands.
+    fanin: u16,
+    /// `INVERT_IN | INVERT_OUT | PARITY` bits.
+    mode: u8,
+}
+
+impl Op {
+    /// The spill-pool range of the operands past the fourth.
+    #[inline]
+    fn rest(&self) -> Range<usize> {
+        let start = self.rest as usize;
+        start..start + usize::from(self.fanin).saturating_sub(SLOTS)
+    }
+}
+
+/// The mode bits of a compiled (non-source) kind.
+fn mode_of(kind: GateKind) -> u8 {
+    match kind {
+        GateKind::Buf | GateKind::And => 0,
+        GateKind::Not | GateKind::Nand => INVERT_OUT,
+        GateKind::Or => INVERT_IN | INVERT_OUT,
+        GateKind::Nor => INVERT_IN,
+        GateKind::Xor => PARITY,
+        GateKind::Xnor => PARITY | INVERT_OUT,
+        GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff => {
+            unreachable!("sources are not compiled to ops")
+        }
+    }
+}
+
+/// All-ones if `bit` is set in `mode`, else all-zeros.
+#[inline]
+fn mask(mode: u8, bit: u8) -> u64 {
+    0u64.wrapping_sub(u64::from(mode & bit != 0))
+}
+
+/// A netlist compiled into a flat op program over packed words.
 ///
-/// Value state lives outside the kernel in a caller-owned slot array of
-/// `gate_count` words (indexed by [`GateId::index`]), so one kernel can
+/// Value state lives outside the kernel in a caller-owned array of
+/// [`Kernel::slot_count`] words (gate slots indexed by
+/// [`GateId::index`], then the two identity slots), so one kernel can
 /// serve many concurrent evaluation contexts (one per thread) without
 /// aliasing.
 #[derive(Clone, Debug)]
 pub struct Kernel {
     gate_count: usize,
-    /// Per-op gate kind, in levelized evaluation order.
-    kinds: Vec<GateKind>,
-    /// Per-op destination slot.
-    dst: Vec<u32>,
-    /// CSR offsets into `args`: op `i` reads `args[arg_start[i]..arg_start[i+1]]`.
-    arg_start: Vec<u32>,
-    /// Flattened operand slot indices for every op.
-    args: Vec<u32>,
+    /// One record per op, in levelized evaluation order.
+    ops: Vec<Op>,
+    /// Every operand, in pin order, of each op with fan-in above four.
+    spill: Vec<u32>,
     /// Gate index → op index (`u32::MAX` for sources, which have no op).
     op_of_gate: Vec<u32>,
     /// Primary-input slots, in `Netlist::primary_inputs` order.
@@ -53,28 +134,46 @@ impl Kernel {
     pub fn new(netlist: &Netlist) -> Result<Self, LevelizeError> {
         let lv = netlist.levelize()?;
         let n = netlist.gate_count();
-        let mut kinds = Vec::new();
-        let mut dst = Vec::new();
-        let mut arg_start = vec![0u32];
-        let mut args = Vec::new();
+        let (zeros, ones) = (n as u32, n as u32 + 1);
+        let mut ops = Vec::new();
+        let mut spill = Vec::new();
         let mut op_of_gate = vec![u32::MAX; n];
         for &id in lv.order() {
             let gate = netlist.gate(id);
             if gate.kind().is_source() {
                 continue;
             }
-            op_of_gate[id.index()] = kinds.len() as u32;
-            kinds.push(gate.kind());
-            dst.push(id.index() as u32);
-            args.extend(gate.inputs().iter().map(|s| s.index() as u32));
-            arg_start.push(args.len() as u32);
+            let mode = mode_of(gate.kind());
+            let inputs = gate.inputs();
+            // The padding must leave the AND (after input inversion) or
+            // the parity unchanged.
+            let identity = if mode & (INVERT_IN | PARITY) == 0 {
+                ones
+            } else {
+                zeros
+            };
+            let mut args = [identity; SLOTS];
+            for (slot, src) in args.iter_mut().zip(inputs) {
+                *slot = src.index() as u32;
+            }
+            let mut rest = 0;
+            if inputs.len() > SLOTS {
+                rest = (spill.len() + SLOTS) as u32;
+                spill.extend(inputs.iter().map(|s| s.index() as u32));
+            }
+            op_of_gate[id.index()] = ops.len() as u32;
+            ops.push(Op {
+                args,
+                dst: id.index() as u32,
+                rest,
+                fanin: u16::try_from(inputs.len()).expect("fan-in is at most 256"),
+                mode,
+            });
         }
         Ok(Kernel {
             gate_count: n,
-            kinds,
-            dst,
-            arg_start,
-            args,
+            ops,
+            spill,
             op_of_gate,
             pi_slots: netlist
                 .primary_inputs()
@@ -89,16 +188,24 @@ impl Kernel {
         })
     }
 
-    /// Number of value slots (= gate count of the compiled netlist).
+    /// Number of gate slots (= gate count of the compiled netlist).
     #[must_use]
     pub fn gate_count(&self) -> usize {
         self.gate_count
     }
 
+    /// Length of a value array: the gate slots, then the all-zeros and
+    /// the all-ones identity slot that pad narrow op records. Zero-fill
+    /// plus [`Kernel::init_constants`] (or its wide twin) sets both.
+    #[must_use]
+    pub fn slot_count(&self) -> usize {
+        self.gate_count + 2
+    }
+
     /// Number of compiled ops (non-source gates).
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.kinds.len()
+        self.ops.len()
     }
 
     /// The op that computes `gate`, or `None` if it is a source (primary
@@ -111,22 +218,38 @@ impl Kernel {
         }
     }
 
-    /// Kind of op `i`.
+    /// Kind of op `i`, read back from its record's mode bits and fan-in.
     #[must_use]
     pub fn op_kind(&self, i: usize) -> GateKind {
-        self.kinds[i]
+        let op = &self.ops[i];
+        match (op.mode, op.fanin) {
+            (0, 1) => GateKind::Buf,
+            (INVERT_OUT, 1) => GateKind::Not,
+            (0, _) => GateKind::And,
+            (INVERT_OUT, _) => GateKind::Nand,
+            (m, _) if m == INVERT_IN | INVERT_OUT => GateKind::Or,
+            (INVERT_IN, _) => GateKind::Nor,
+            (PARITY, _) => GateKind::Xor,
+            _ => GateKind::Xnor,
+        }
     }
 
     /// Destination slot of op `i`.
     #[must_use]
     pub fn op_dst(&self, i: usize) -> u32 {
-        self.dst[i]
+        self.ops[i].dst
     }
 
-    /// Operand slots of op `i`.
+    /// Operand slots of op `i`, in pin order (no identity padding).
     #[must_use]
     pub fn op_args(&self, i: usize) -> &[u32] {
-        &self.args[self.arg_start[i] as usize..self.arg_start[i + 1] as usize]
+        let op = &self.ops[i];
+        let fanin = usize::from(op.fanin);
+        if fanin <= SLOTS {
+            &op.args[..fanin]
+        } else {
+            &self.spill[op.rest as usize - SLOTS..][..fanin]
+        }
     }
 
     /// Primary-input slots, in `Netlist::primary_inputs` order.
@@ -135,44 +258,101 @@ impl Kernel {
         &self.pi_slots
     }
 
-    /// Evaluates op `i` with operands supplied by `read` (slot → word).
-    ///
-    /// This is the cone-restricted entry point: a fault simulator reads
-    /// changed slots from its own overlay and unchanged slots from a
-    /// cached baseline.
+    /// Folds op `i` over the value array `vals` ([`Kernel::slot_count`]
+    /// wide blocks of `64 × W` lanes): the record fold of the module
+    /// docs.
     #[inline]
     #[must_use]
-    pub fn eval_op_with(&self, i: usize, mut read: impl FnMut(u32) -> u64) -> u64 {
-        word::fold_word(self.kinds[i], self.op_args(i).iter().map(|&a| read(a)))
+    pub fn fold_op<const W: usize>(&self, i: usize, vals: &[[u64; W]]) -> [u64; W] {
+        self.fold(i, vals, None)
     }
 
-    /// Writes the constant-source words into `vals` (`Const1` slots become
-    /// all-ones; `Const0` slots are left for the caller's zero-fill).
+    /// [`Kernel::fold_op`] with input pin `pin` of the op reading
+    /// `value` instead of its driver's slot — the value a stuck input
+    /// pin forces onto the gate's output. A `pin` past the op's fan-in
+    /// forces nothing, as in the serial engine's faulty frame.
+    #[must_use]
+    pub fn fold_op_forced<const W: usize>(
+        &self,
+        i: usize,
+        vals: &[[u64; W]],
+        pin: usize,
+        value: [u64; W],
+    ) -> [u64; W] {
+        let forced = (pin < usize::from(self.ops[i].fanin)).then_some((pin, value));
+        self.fold(i, vals, forced)
+    }
+
+    /// The one fold behind [`Kernel::fold_op`] and
+    /// [`Kernel::fold_op_forced`]; `forced` is a constant `None` on the
+    /// hot path, so its checks compile away there.
+    #[inline(always)]
+    fn fold<const W: usize>(
+        &self,
+        i: usize,
+        vals: &[[u64; W]],
+        forced: Option<(usize, [u64; W])>,
+    ) -> [u64; W] {
+        let op = &self.ops[i];
+        let inv_in = mask(op.mode, INVERT_IN);
+        let inv_out = mask(op.mode, INVERT_OUT);
+        let parity = mask(op.mode, PARITY);
+        let mut x = op.args.map(|a| vals[a as usize]);
+        if let Some((pin, value)) = forced {
+            if pin < SLOTS {
+                x[pin] = value;
+            }
+        }
+        let mut and = [0u64; W];
+        let mut xor = [0u64; W];
+        for w in 0..W {
+            and[w] =
+                (x[0][w] ^ inv_in) & (x[1][w] ^ inv_in) & (x[2][w] ^ inv_in) & (x[3][w] ^ inv_in);
+            xor[w] = x[0][w] ^ x[1][w] ^ x[2][w] ^ x[3][w];
+        }
+        for (k, &a) in self.spill[op.rest()].iter().enumerate() {
+            let v = match forced {
+                Some((pin, value)) if pin == SLOTS + k => value,
+                _ => vals[a as usize],
+            };
+            for w in 0..W {
+                and[w] &= v[w] ^ inv_in;
+                xor[w] ^= v[w];
+            }
+        }
+        let mut out = [0u64; W];
+        for w in 0..W {
+            out[w] = ((and[w] & !parity) | (xor[w] & parity)) ^ inv_out;
+        }
+        out
+    }
+
+    /// Writes the constant words into `vals`: `Const1` slots and the
+    /// all-ones identity slot become all-ones; `Const0` slots and the
+    /// all-zeros identity slot are left for the caller's zero-fill.
     /// Constants are sources in this netlist model, so they are not ops —
     /// call this (or zero-init plus it) before [`Kernel::eval_into`].
     pub fn init_constants(&self, vals: &mut [u64]) {
         for &slot in &self.const1_slots {
             vals[slot as usize] = u64::MAX;
         }
+        vals[self.gate_count + 1] = u64::MAX;
     }
 
     /// Runs the whole program over `vals` in place. Source slots (primary
     /// inputs, storage, constants — see [`Kernel::init_constants`]) must
-    /// already hold their words; every other slot is overwritten.
+    /// already hold their words; every other gate slot is overwritten.
     ///
     /// # Panics
     ///
-    /// Panics if `vals.len() != gate_count`.
+    /// Panics if `vals.len() != slot_count`.
     pub fn eval_into(&self, vals: &mut [u64]) {
-        assert_eq!(vals.len(), self.gate_count, "value array width mismatch");
-        for i in 0..self.kinds.len() {
-            let word = self.eval_op_with(i, |a| vals[a as usize]);
-            vals[self.dst[i] as usize] = word;
-        }
+        let (wide, _) = vals.as_chunks_mut::<1>();
+        self.eval_range_wide(0..self.op_count(), wide);
     }
 
     /// Evaluates one packed 64-lane block with storage held at 0,
-    /// returning a freshly allocated value array.
+    /// returning a freshly allocated value array of the gate slots.
     ///
     /// # Panics
     ///
@@ -184,35 +364,23 @@ impl Kernel {
             self.pi_slots.len(),
             "pattern width must match primary input count"
         );
-        let mut vals = vec![0u64; self.gate_count];
+        let mut vals = vec![0u64; self.slot_count()];
         self.init_constants(&mut vals);
         for (&slot, &w) in self.pi_slots.iter().zip(pi_words) {
             vals[slot as usize] = w;
         }
         self.eval_into(&mut vals);
+        vals.truncate(self.gate_count);
         vals
     }
 
-    /// Evaluates op `i` over wide blocks with operands supplied by `read`
-    /// (slot → `[u64; W]`): the lane-width-parametric twin of
-    /// [`Kernel::eval_op_with`], used by the wide fault engines' overlay
-    /// reads.
-    #[inline]
-    #[must_use]
-    pub fn eval_op_wide_with<const W: usize>(
-        &self,
-        i: usize,
-        mut read: impl FnMut(u32) -> [u64; W],
-    ) -> [u64; W] {
-        word::fold_wide(self.kinds[i], self.op_args(i).iter().map(|&a| read(a)))
-    }
-
-    /// Writes the constant-source wide blocks into `vals` (the wide twin
-    /// of [`Kernel::init_constants`]).
+    /// Writes the constant wide blocks into `vals` (the wide twin of
+    /// [`Kernel::init_constants`]).
     pub fn init_constants_wide<const W: usize>(&self, vals: &mut [[u64; W]]) {
         for &slot in &self.const1_slots {
             vals[slot as usize] = [u64::MAX; W];
         }
+        vals[self.gate_count + 1] = [u64::MAX; W];
     }
 
     /// Runs ops `range` over wide-block `vals` in place, assuming every
@@ -225,13 +393,13 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `vals.len() != gate_count` or `range` is out of bounds.
+    /// Panics if `vals.len() != slot_count` or `range` is out of bounds.
     pub fn eval_range_wide<const W: usize>(&self, range: Range<usize>, vals: &mut [[u64; W]]) {
-        assert_eq!(vals.len(), self.gate_count, "value array width mismatch");
-        assert!(range.end <= self.kinds.len(), "op range out of bounds");
+        assert_eq!(vals.len(), self.slot_count(), "value array width mismatch");
+        assert!(range.end <= self.ops.len(), "op range out of bounds");
         for i in range {
-            let block = self.eval_op_wide_with(i, |a| vals[a as usize]);
-            vals[self.dst[i] as usize] = block;
+            let block = self.fold_op(i, vals);
+            vals[self.ops[i].dst as usize] = block;
         }
     }
 
@@ -268,9 +436,9 @@ impl Kernel {
         let mut slot_seen = vec![0u32; self.gate_count];
         let mut epoch = 0u32;
         let mut band_slots = 0usize;
-        for i in 0..self.kinds.len() {
+        for i in 0..self.ops.len() {
             let mut op_new = 0usize;
-            let dst = self.dst[i] as usize;
+            let dst = self.ops[i].dst as usize;
             if slot_seen[dst] != epoch + 1 {
                 op_new += 1;
             }
@@ -297,8 +465,8 @@ impl Kernel {
                 }
             }
         }
-        if start < self.kinds.len() {
-            bands.push(start..self.kinds.len());
+        if start < self.ops.len() {
+            bands.push(start..self.ops.len());
         }
         bands
     }
@@ -306,7 +474,7 @@ impl Kernel {
     /// Evaluates many wide pattern blocks band-major: for each level band
     /// (see [`Kernel::level_bands`]), sweep that band across *all* blocks
     /// before moving on. Each entry of `blocks` is a full value array
-    /// (`gate_count` wide slots) with sources already loaded; on return it
+    /// (`slot_count` wide slots) with sources already loaded; on return it
     /// holds the fully evaluated values, identical to one
     /// `eval_range_wide(0..op_count)` sweep per block.
     ///
@@ -315,7 +483,7 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if any block's length differs from `gate_count`.
+    /// Panics if any block's length differs from `slot_count`.
     pub fn eval_blocks_banded<const W: usize>(
         &self,
         bands: &[Range<usize>],
@@ -337,7 +505,7 @@ mod tests {
 
     /// One full wide sweep over `pi_blocks` with storage held at 0.
     fn eval_wide<const W: usize>(k: &Kernel, pi_blocks: &[[u64; W]]) -> Vec<[u64; W]> {
-        let mut vals = vec![[0u64; W]; k.gate_count()];
+        let mut vals = vec![[0u64; W]; k.slot_count()];
         k.init_constants_wide(&mut vals);
         for (&slot, &b) in k.pi_slots().iter().zip(pi_blocks) {
             vals[slot as usize] = b;
@@ -438,7 +606,7 @@ mod tests {
             for pair in bands.windows(2) {
                 assert_eq!(pair[0].end, pair[1].start, "bands must tile the op stream");
             }
-            let mut vals = vec![[0u64; 4]; k.gate_count()];
+            let mut vals = vec![[0u64; 4]; k.slot_count()];
             k.init_constants_wide(&mut vals);
             for (&slot, &b) in k.pi_slots().iter().zip(&pi_blocks) {
                 vals[slot as usize] = b;
@@ -460,5 +628,104 @@ mod tests {
         let vals = k.eval_block(&[u64::MAX]);
         assert_eq!(vals[one.index()], u64::MAX);
         assert_eq!(vals[y.index()], u64::MAX);
+    }
+
+    /// Operand words for a fold test: distinct, irregular, and with each
+    /// lane pattern of two operands covered.
+    fn operand<const W: usize>(pin: usize) -> [u64; W] {
+        std::array::from_fn(|w| {
+            0x9E37_79B9_7F4A_7C15u64
+                .wrapping_mul(pin as u64 * 8 + w as u64 + 1)
+                .rotate_left(pin as u32 * 7)
+        })
+    }
+
+    /// Compiles one gate of `kind` over `fanin` fresh inputs and checks
+    /// its record fold, plain and with each pin forced, against
+    /// `GateKind::eval_word` and the `word::fold_wide` reference.
+    fn check_record<const W: usize>(kind: GateKind, fanin: usize) {
+        let mut n = dft_netlist::Netlist::new("t");
+        let ins: Vec<GateId> = (0..fanin).map(|i| n.add_input(format!("x{i}"))).collect();
+        let y = n.add_gate(kind, &ins).unwrap();
+        n.mark_output(y, "y").unwrap();
+        let k = Kernel::new(&n).unwrap();
+        assert_eq!(k.op_count(), 1);
+        assert_eq!(k.op_kind(0), kind, "kind reads back");
+        let args: Vec<u32> = ins.iter().map(|g| g.index() as u32).collect();
+        assert_eq!(k.op_args(0), &args[..], "operands read back");
+        let mut vals = vec![[0u64; W]; k.slot_count()];
+        k.init_constants_wide(&mut vals);
+        let words: Vec<[u64; W]> = (0..fanin).map(operand::<W>).collect();
+        for (g, &v) in ins.iter().zip(&words) {
+            vals[g.index()] = v;
+        }
+        let expect = |words: &[[u64; W]]| -> [u64; W] {
+            std::array::from_fn(|w| kind.eval_word(&words.iter().map(|v| v[w]).collect::<Vec<_>>()))
+        };
+        let folded = k.fold_op(0, &vals);
+        assert_eq!(folded, expect(&words), "{kind:?}/{fanin} W={W}");
+        assert_eq!(folded, crate::word::fold_wide(kind, words.iter().copied()));
+        for pin in 0..fanin {
+            let stuck = [u64::MAX; W];
+            let mut forced = words.clone();
+            forced[pin] = stuck;
+            assert_eq!(
+                k.fold_op_forced(0, &vals, pin, stuck),
+                expect(&forced),
+                "{kind:?}/{fanin} W={W} pin {pin} forced"
+            );
+        }
+        // A pin past the fan-in (a padded slot included) forces nothing.
+        for pin in fanin..fanin + 4 {
+            assert_eq!(k.fold_op_forced(0, &vals, pin, [!0; W]), folded);
+        }
+    }
+
+    #[test]
+    fn record_fold_matches_eval_word_for_every_kind_and_fanin() {
+        for fanin in 1..=9 {
+            for kind in GateKind::ALL {
+                let (lo, hi) = kind.fanin_range();
+                if kind.is_source() || fanin < lo || fanin > hi {
+                    continue;
+                }
+                check_record::<1>(kind, fanin);
+                check_record::<4>(kind, fanin);
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_operands_fold_per_pin() {
+        // One driver on several pins: forcing a pin must not force the
+        // others, and the parity must count every pin.
+        let mut n = dft_netlist::Netlist::new("t");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        for (kind, pins) in [
+            (GateKind::Xor, vec![a, a, b]),
+            (GateKind::And, vec![a, b, a, a, b, a]),
+            (GateKind::Xnor, vec![a, a, a, a, a]),
+        ] {
+            let mut n = n.clone();
+            let y = n.add_gate(kind, &pins).unwrap();
+            n.mark_output(y, "y").unwrap();
+            let k = Kernel::new(&n).unwrap();
+            let mut vals = vec![[0u64; 1]; k.slot_count()];
+            k.init_constants_wide(&mut vals);
+            vals[a.index()] = [0b1100];
+            vals[b.index()] = [0b1010];
+            let words: Vec<u64> = pins.iter().map(|g| vals[g.index()][0]).collect();
+            assert_eq!(k.fold_op(0, &vals)[0], kind.eval_word(&words), "{kind:?}");
+            for pin in 0..pins.len() {
+                let mut forced = words.clone();
+                forced[pin] = 0;
+                assert_eq!(
+                    k.fold_op_forced(0, &vals, pin, [0])[0],
+                    kind.eval_word(&forced),
+                    "{kind:?} pin {pin}"
+                );
+            }
+        }
     }
 }

@@ -1,21 +1,21 @@
 //! Shared word-evaluation primitives: 64-lane words and wide blocks.
 //!
-//! Every packed simulator in the workspace — the compiled
-//! [`Kernel`](crate::Kernel) and the fault simulators in `dft-fault` —
-//! evaluates gates over `u64` words where each bit lane is an independent
-//! pattern (or machine). This module is the single home for
-//! that per-gate fold and for the stuck-value words the fault engines
-//! inject, so the word semantics cannot drift between engines.
+//! Every packed simulator in the workspace evaluates gates over `u64`
+//! words where each bit lane is an independent pattern (or machine).
+//! This module holds the stuck-value words the fault engines inject and
+//! the reference per-gate fold: a `match` on the gate kind over an
+//! operand iterator. The compiled [`Kernel`](crate::Kernel) does not
+//! call it — it folds its own branch-free op records
+//! ([`Kernel::fold_op`](crate::Kernel::fold_op)) — but its tests pin
+//! every record kind and fan-in against [`fold_wide`], and the
+//! per-gate faulty-frame evaluator in `dft-fault` folds through
+//! [`fold_word`].
 //!
 //! The fold is lane-width-parametric: a *wide word* `[u64; W]` carries
 //! `64 × W` pattern lanes (`W = 4` → 256 lanes, `W = 8` → 512 lanes) and
-//! [`fold_wide`] folds a gate over all of them in one call. The unrolled
-//! fixed-`W` array loops compile to straight-line vector code (SSE2/AVX2/
-//! AVX-512 as the target allows), so one op dispatch — kind match, CSR
-//! operand walk, destination write — is amortized over `W` words instead
-//! of one. Callers pick `W` at compile time (PPSFP picks it per run from
-//! the workload's block count); the 64-lane [`fold_word`] is the `W = 1`
-//! instantiation, so the two can never disagree.
+//! [`fold_wide`] folds a gate over all of them in one call; the 64-lane
+//! [`fold_word`] is the `W = 1` instantiation, so the two can never
+//! disagree.
 
 use dft_netlist::GateKind;
 
