@@ -78,7 +78,7 @@ pub fn in_circuit_test(
     );
     // Outputs: group nets read outside the group, or marked as POs.
     let outputs: Vec<GateId> = {
-        let fanout = board.fanout_map();
+        let fanout = board.topology().readers();
         group
             .iter()
             .copied()

@@ -60,7 +60,7 @@ pub fn insert_degating(netlist: &Netlist, nets: &[GateId]) -> Result<Degated, Le
     let mut out = netlist.clone();
     out.set_name(format!("{}_degated", netlist.name()));
     let before = out.gate_count();
-    let fanout = out.fanout_map();
+    let fanout = netlist.topology().readers();
     let degate = fresh_input(&mut out, "degate");
     let degate_n = out.add_gate(GateKind::Not, &[degate]).expect("valid");
     let mut controls = Vec::with_capacity(nets.len());

@@ -129,7 +129,7 @@ pub fn break_loop(board: &Netlist, net: GateId) -> Result<Netlist, LevelizeError
     assert!(net.index() < board.gate_count(), "net out of range");
     let mut out = board.clone();
     out.set_name(format!("{}_jumpered", board.name()));
-    let fanout = out.fanout_map();
+    let fanout = board.topology().readers();
     let jumper = out.add_input("jumper0");
     for &(reader, pin) in &fanout[net.index()] {
         out.reconnect_input(reader, pin as usize, jumper)

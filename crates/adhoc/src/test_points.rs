@@ -88,7 +88,8 @@ pub fn apply_test_points(
         out.mark_output(net, name).expect("fresh test-point names");
     }
     if !plan.control.is_empty() {
-        let fanout = out.fanout_map();
+        // Marking outputs leaves every reader list as it was.
+        let fanout = netlist.topology().readers();
         let en = fresh_input(&mut out, "tp_en");
         let en_n = out.add_gate(GateKind::Not, &[en]).expect("valid");
         let mut val_index = 0usize;
@@ -140,7 +141,7 @@ pub fn apply_decoder_control(
     for &net in nets {
         assert!(net.index() < netlist.gate_count(), "net out of range");
     }
-    let fanout = out.fanout_map();
+    let fanout = netlist.topology().readers();
     let mode = fresh_input(&mut out, "tp_mode");
     let mut addr_index = 0usize;
     let addr: Vec<GateId> = (0..address_bits)

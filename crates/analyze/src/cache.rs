@@ -1,13 +1,18 @@
 //! [`AnalysisCache`]: one netlist, many analyses, incremental updates.
 //!
 //! The cache owns a netlist plus the structural facts every analysis
-//! shares (levels, fanout map, output mask) and the result vectors of
-//! each analysis it has been asked for. Applying a [`NetlistDelta`]
-//! mutates the netlist *through* the cache, which then:
+//! shares (levels, reader lists, output mask) and the result vectors of
+//! each analysis it has been asked for. The structure is copied from
+//! the netlist's memoized [`dft_netlist::Topology`] when the cache is
+//! built or rebased; after that the cache edits only its own copy — it
+//! is the one place a topology is patched in place rather than rebuilt.
+//! Applying a [`NetlistDelta`] mutates the netlist *through* the cache,
+//! which then:
 //!
 //! 1. validates the edit (including the combinational-cycle check),
-//! 2. patches the fanout map and re-levelizes the affected cone with a
-//!    worklist (no full Kahn pass),
+//! 2. patches the reader lists of the pins the edit touched and
+//!    re-levelizes the affected cone with a worklist (no Kahn pass, no
+//!    rebuilt reader table),
 //! 3. records per-analysis dirty seeds — the gates whose transfer
 //!    equations changed.
 //!
@@ -31,14 +36,14 @@
 
 use std::collections::VecDeque;
 
-use dft_netlist::{GateId, LevelizeError, Netlist, NetlistError};
+use dft_netlist::{GateId, LevelizeError, Netlist, NetlistError, Readers};
 use dft_sim::Logic;
 
 use crate::constants::Constants;
 use crate::delta::{DeltaError, NetlistDelta};
 use crate::dominators::Dominators;
 use crate::scoap::{self, Controllability, Observability, ScoapResult, INFINITE};
-use crate::solver::{order_by_level, output_mask, resolve, GraphView};
+use crate::solver::{order_by_level, resolve, GraphView};
 use crate::xprop::{XProp, XWitness};
 
 /// Dirty state of one analysis result.
@@ -85,7 +90,7 @@ impl Dirty {
 pub struct AnalysisCache {
     netlist: Netlist,
     level: Vec<u32>,
-    fanout: Vec<Vec<(GateId, u8)>>,
+    readers: Readers,
     is_output: Vec<bool>,
     has_storage: bool,
     scoap: Option<ScoapResult>,
@@ -106,12 +111,12 @@ impl AnalysisCache {
     /// Returns [`LevelizeError`] if the combinational frame has a cycle
     /// (the cache's invariant is an acyclic frame; deltas preserve it).
     pub fn new(netlist: &Netlist) -> Result<Self, LevelizeError> {
-        let lv = netlist.levelize()?;
+        let topology = netlist.topology();
         Ok(AnalysisCache {
             netlist: netlist.clone(),
-            level: lv.levels().to_vec(),
-            fanout: netlist.fanout_map(),
-            is_output: output_mask(netlist),
+            level: topology.levelization()?.levels().to_vec(),
+            readers: topology.readers().clone(),
+            is_output: topology.output_mask().to_vec(),
             has_storage: !netlist.storage_elements().is_empty(),
             scoap: None,
             constants: None,
@@ -157,10 +162,10 @@ impl AnalysisCache {
             NetlistDelta::AddGate { kind, inputs } => {
                 let id = self.netlist.add_gate(*kind, inputs)?;
                 self.level.push(0);
-                self.fanout.push(Vec::new());
+                self.readers.push_gate();
                 self.is_output.push(false);
                 for (pin, &src) in inputs.iter().enumerate() {
-                    self.fanout[src.index()].push((id, pin as u8));
+                    self.readers.append(src, (id, pin as u8));
                 }
                 self.level[id.index()] = self.compute_level(id);
                 if kind.is_storage() {
@@ -196,8 +201,9 @@ impl AnalysisCache {
                 self.netlist
                     .reconnect_input(gate, pin, new_src)
                     .expect("validated above");
-                self.fanout[old_src.index()].retain(|&(r, p)| !(r == gate && p as usize == pin));
-                self.fanout[new_src.index()].push((gate, pin as u8));
+                self.readers
+                    .retain(old_src, |&(r, p)| !(r == gate && p as usize == pin));
+                self.readers.append(new_src, (gate, pin as u8));
                 self.relevel_from(&[gate]);
                 let mut bwd: Vec<GateId> = self.netlist.gate(gate).inputs().to_vec();
                 bwd.push(old_src);
@@ -217,7 +223,7 @@ impl AnalysisCache {
                 self.netlist.replace_gate(gate, *kind, inputs)?;
                 self.drop_reader_entries(gate, &old_inputs);
                 for (pin, &src) in inputs.iter().enumerate() {
-                    self.fanout[src.index()].push((gate, pin as u8));
+                    self.readers.append(src, (gate, pin as u8));
                 }
                 self.relevel_from(&[gate]);
                 let mut bwd = old_inputs;
@@ -244,7 +250,8 @@ impl AnalysisCache {
             *self = AnalysisCache::new(new_netlist)?;
             return Ok(());
         };
-        let lv = new_netlist.levelize()?;
+        let topology = new_netlist.topology();
+        let level = topology.levelization()?.levels().to_vec();
         let mut fwd = Vec::new();
         let mut bwd = Vec::new();
         for &id in &diff.rewritten {
@@ -260,9 +267,9 @@ impl AnalysisCache {
         }
         bwd.extend_from_slice(&diff.outputs);
         self.netlist = new_netlist.clone();
-        self.level = lv.levels().to_vec();
-        self.fanout = new_netlist.fanout_map();
-        self.is_output = output_mask(new_netlist);
+        self.level = level;
+        self.readers = topology.readers().clone();
+        self.is_output = topology.output_mask().to_vec();
         self.has_storage = !new_netlist.storage_elements().is_empty();
         self.invalidate(&fwd, &bwd);
         Ok(())
@@ -320,7 +327,7 @@ impl AnalysisCache {
         GraphView {
             netlist: &self.netlist,
             level: &self.level,
-            fanout: &self.fanout,
+            readers: &self.readers,
             is_output: &self.is_output,
         }
     }
@@ -359,21 +366,21 @@ impl AnalysisCache {
             let new = self.compute_level(id);
             if new != self.level[id.index()] {
                 self.level[id.index()] = new;
-                for &(reader, _) in &self.fanout[id.index()] {
+                for &(reader, _) in &self.readers[id.index()] {
                     queue.push_back(reader);
                 }
             }
         }
     }
 
-    /// Removes every fanout entry recording `gate` as a reader of one
+    /// Removes every reader entry recording `gate` as a reader of one
     /// of `old_inputs`.
     fn drop_reader_entries(&mut self, gate: GateId, old_inputs: &[GateId]) {
         let mut srcs = old_inputs.to_vec();
         srcs.sort_unstable();
         srcs.dedup();
         for src in srcs {
-            self.fanout[src.index()].retain(|&(r, _)| r != gate);
+            self.readers.retain(src, |&(r, _)| r != gate);
         }
     }
 
@@ -412,7 +419,7 @@ impl AnalysisCache {
         let mut stack = vec![gate];
         visited[gate.index()] = true;
         while let Some(v) = stack.pop() {
-            for &(reader, _) in &self.fanout[v.index()] {
+            for &(reader, _) in &self.readers[v.index()] {
                 if targets.contains(&reader) {
                     return Err(DeltaError::WouldCycle {
                         gate,
@@ -493,22 +500,13 @@ impl AnalysisCache {
         // inputs enter the pin-cost formulas).
         let mut bwd = backward;
         for &x in cc_changed.iter().chain(forward.iter()) {
-            for &(reader, _) in &self.fanout[x.index()] {
+            for &(reader, _) in &self.readers[x.index()] {
                 bwd.extend_from_slice(self.netlist.gate(reader).inputs());
             }
         }
         bwd.sort_unstable();
         bwd.dedup();
-        {
-            let view = GraphView {
-                netlist: &self.netlist,
-                level: &self.level,
-                fanout: &self.fanout,
-                is_output: &self.is_output,
-            };
-            let obs = Observability { cc: &r.cc };
-            resolve(&obs, &view, &mut r.co, &bwd);
-        }
+        resolve(&Observability { cc: &r.cc }, &self.view(), &mut r.co, &bwd);
         self.scoap = Some(r);
     }
 
@@ -563,31 +561,20 @@ impl AnalysisCache {
             return;
         }
         let dirty = std::mem::replace(&mut self.xprop_dirty, Dirty::Clean);
-        let n = self.netlist.gate_count();
-        let full = self.xprop.is_none() || matches!(dirty, Dirty::Full);
-        let constants = self.constants.as_ref().expect("ensured");
-        let scoap = self.scoap.as_ref().expect("ensured");
+        let old = self.xprop.take();
         let xp = XProp {
-            constants,
-            cc: &scoap.cc,
+            constants: self.constants.as_ref().expect("ensured"),
+            cc: &self.scoap.as_ref().expect("ensured").cc,
         };
-        let view = GraphView {
-            netlist: &self.netlist,
-            level: &self.level,
-            fanout: &self.fanout,
-            is_output: &self.is_output,
+        let view = self.view();
+        let vals = match (old, dirty) {
+            (Some(mut vals), Dirty::Seeds { forward, .. }) => {
+                vals.resize(self.netlist.gate_count(), None);
+                resolve(&xp, &view, &mut vals, &forward);
+                vals
+            }
+            _ => crate::solver::solve(&xp, &view, &order_by_level(&self.level)),
         };
-        if full {
-            let vals = crate::solver::solve(&xp, &view, &order_by_level(&self.level));
-            self.xprop = Some(vals);
-            return;
-        }
-        let Dirty::Seeds { forward, .. } = dirty else {
-            unreachable!("full path handles Clean/Full")
-        };
-        let mut vals = self.xprop.take().expect("checked above");
-        vals.resize(n, None);
-        resolve(&xp, &view, &mut vals, &forward);
         self.xprop = Some(vals);
     }
 }

@@ -107,13 +107,13 @@ impl Dominators {
                 };
             };
             let directly_observed = view.is_output[v]
-                || view.fanout[v]
+                || view.readers[v]
                     .iter()
                     .any(|&(r, _)| view.netlist.gate(r).kind().is_storage());
             if directly_observed {
                 consider(root, &idom);
             }
-            for &(r, _) in &view.fanout[v] {
+            for &(r, _) in &view.readers[v] {
                 if !view.netlist.gate(r).kind().is_storage() {
                     consider(r.index(), &idom);
                 }

@@ -22,7 +22,8 @@
 //! The concrete analyses live in [`scoap`], [`constants`], [`xprop`] and
 //! [`dominators`]. [`ScoapResult`] is the toolkit's one SCOAP result
 //! (`dft-testability` only re-exports it), and `dft-lint` runs the same
-//! analyses from scratch over its own one-pass structural view.
+//! analyses from scratch over the netlist's memoized
+//! [`dft_netlist::Topology`] ([`GraphView::of`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,5 @@ pub use cache::AnalysisCache;
 pub use delta::{DeltaError, NetlistDelta};
 pub use dominators::Dominators;
 pub use scoap::{Measure, Observability, ScoapResult, INFINITE};
-pub use solver::{
-    order_by_level, output_mask, resolve, solve, solve_capped, Analysis, Direction, GraphView,
-};
+pub use solver::{order_by_level, resolve, solve, solve_capped, Analysis, Direction, GraphView};
 pub use xprop::{XProp, XWitness};

@@ -11,7 +11,7 @@
 
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist};
 
-use crate::solver::{output_mask, solve_capped, Analysis, Direction, GraphView};
+use crate::solver::{solve_capped, Analysis, Direction, GraphView};
 
 /// Sentinel for "cannot be controlled/observed at all" (for example the
 /// 1-controllability of a constant 0). Saturating arithmetic keeps sums
@@ -140,7 +140,7 @@ impl Analysis for Observability<'_> {
         } else {
             INFINITE
         };
-        for &(reader, pin) in &view.fanout[id.index()] {
+        for &(reader, pin) in &view.readers[id.index()] {
             let g = view.netlist.gate(reader);
             let out_co = co[reader.index()];
             let pin = pin as usize;
@@ -311,16 +311,8 @@ impl ScoapResult {
 ///
 /// Returns [`LevelizeError`] if the combinational frame has a cycle.
 pub fn compute(netlist: &Netlist) -> Result<ScoapResult, LevelizeError> {
-    let lv = netlist.levelize()?;
-    let fanout = netlist.fanout_map();
-    let is_output = output_mask(netlist);
-    let view = GraphView {
-        netlist,
-        level: lv.levels(),
-        fanout: &fanout,
-        is_output: &is_output,
-    };
-    Ok(compute_with(&view, lv.order()))
+    let (view, order) = GraphView::of(netlist)?;
+    Ok(compute_with(&view, order))
 }
 
 /// [`compute`] over a caller-maintained [`GraphView`] and topological

@@ -23,7 +23,7 @@
 
 use std::collections::BinaryHeap;
 
-use dft_netlist::{GateId, Netlist};
+use dft_netlist::{GateId, LevelizeError, Netlist, Readers};
 
 /// Which way values flow through the netlist.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,9 +38,11 @@ pub enum Direction {
 
 /// A read-only structural view of one netlist, shared by every analysis.
 ///
-/// The levels and fanout map are owned by the caller (usually an
-/// [`crate::AnalysisCache`], which maintains them incrementally across
-/// deltas) so that transfer functions never recompute structure.
+/// [`GraphView::of`] borrows the netlist's memoized
+/// [`dft_netlist::Topology`]; an [`crate::AnalysisCache`] instead points
+/// the view at its own copy of that structure, which it edits in place
+/// across deltas. Either way transfer functions never recompute
+/// structure.
 #[derive(Clone, Copy)]
 pub struct GraphView<'a> {
     /// The netlist under analysis.
@@ -48,9 +50,29 @@ pub struct GraphView<'a> {
     /// Combinational level per gate (sources at 0).
     pub level: &'a [u32],
     /// `(reader, pin)` pairs per driving gate.
-    pub fanout: &'a [Vec<(GateId, u8)>],
+    pub readers: &'a Readers,
     /// Whether each gate drives at least one primary output.
     pub is_output: &'a [bool],
+}
+
+impl<'a> GraphView<'a> {
+    /// The view of `netlist`'s [`Netlist::topology`], with its
+    /// levelized sweep order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LevelizeError`] if the combinational frame has a cycle.
+    pub fn of(netlist: &'a Netlist) -> Result<(Self, &'a [GateId]), LevelizeError> {
+        let topology = netlist.topology();
+        let lv = topology.levelization()?;
+        let view = GraphView {
+            netlist,
+            level: lv.levels(),
+            readers: topology.readers(),
+            is_output: topology.output_mask(),
+        };
+        Ok((view, lv.order()))
+    }
 }
 
 /// A monotone dataflow analysis over the combinational frame.
@@ -187,7 +209,7 @@ pub fn resolve<A: Analysis>(
         }
         match analysis.direction() {
             Direction::Forward => {
-                for &(reader, _) in &view.fanout[idx] {
+                for &(reader, _) in &view.readers[idx] {
                     let r = reader.index();
                     if !queued[r] {
                         queued[r] = true;
@@ -217,14 +239,4 @@ pub fn order_by_level(level: &[u32]) -> Vec<GateId> {
     let mut ids: Vec<GateId> = (0..level.len()).map(GateId::from_index).collect();
     ids.sort_by_key(|id| (level[id.index()], id.index()));
     ids
-}
-
-/// Builds the per-gate "drives a primary output" mask.
-#[must_use]
-pub fn output_mask(netlist: &Netlist) -> Vec<bool> {
-    let mut mask = vec![false; netlist.gate_count()];
-    for &(g, _) in netlist.primary_outputs() {
-        mask[g.index()] = true;
-    }
-    mask
 }

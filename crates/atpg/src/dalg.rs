@@ -142,7 +142,7 @@ fn dalg_search<'n>(
 
     let mut solver = DalgSolver {
         netlist,
-        order: lv.order().to_vec(),
+        order: lv.order(),
         unknown_state: vec![Logic::X; view.storage().len()],
         view,
         fault,
@@ -166,7 +166,7 @@ fn dalg_search<'n>(
 
 struct DalgSolver<'a, 'n> {
     netlist: &'n Netlist,
-    order: Vec<GateId>,
+    order: &'n [GateId],
     /// Faulty-frame evaluator for [`DalgSolver::faulty_values`] and
     /// [`DalgSolver::verify`].
     view: FaultyView<'n>,
@@ -201,7 +201,7 @@ impl DalgSolver<'_, '_> {
         loop {
             let mut changed = false;
             // Forward.
-            for &id in &self.order {
+            for &id in self.order {
                 let gate = self.netlist.gate(id);
                 if gate.kind().is_source() {
                     match gate.kind() {

@@ -1,8 +1,10 @@
 //! PODEM: path-oriented decision making over primary-input assignments.
 
+use std::sync::Arc;
+
 use dft_fault::Fault;
 use dft_implic::ImplicationEngine;
-use dft_netlist::{GateId, GateKind, LevelizeError, Netlist, Pin};
+use dft_netlist::{GateId, GateKind, Levelization, LevelizeError, Netlist, Pin, Topology};
 use dft_obs::{Collector, Obs};
 use dft_sim::Logic;
 use dft_testability::{analyze, ScoapResult};
@@ -204,22 +206,22 @@ const PIN_SITE: u8 = 2;
 ///
 /// `dft_sim::Kernel`'s op CSR is indexed by op and omits sources; the
 /// search reads fan-in by gate on every pin access, so it keeps a
-/// gate-indexed CSR of its own.
+/// gate-indexed CSR of its own. Order, levels and the output mask are
+/// read from the netlist's memoized [`Topology`].
 #[derive(Debug)]
 struct Compiled {
+    topology: Arc<Topology>,
     kinds: Vec<GateKind>,
     /// Gate `g` reads `fanin[fanin_start[g]..fanin_start[g + 1]]`.
     fanin_start: Vec<u32>,
     fanin: Vec<u32>,
     /// Gate `g`'s combinational readers are
-    /// `fanout[fanout_start[g]..fanout_start[g + 1]]`. Storage readers
-    /// are left out: a `Dff` output is a constant `X` in the test view,
-    /// so no event or fault effect ever enters one.
+    /// `fanout[fanout_start[g]..fanout_start[g + 1]]`, in the
+    /// topology's reader order. Storage readers are left out: a `Dff`
+    /// output is a constant `X` in the test view, so no event or fault
+    /// effect ever enters one.
     fanout_start: Vec<u32>,
     fanout: Vec<u32>,
-    /// Levelized evaluation order (the first forward pass of a search).
-    order: Vec<u32>,
-    level: Vec<u32>,
     /// Level `l` owns the event-bucket slots
     /// `level_start[l]..level_start[l + 1]`, one per gate at that level,
     /// so a bucket can never overflow.
@@ -229,14 +231,14 @@ struct Compiled {
     pi_pos: Vec<u32>,
     /// Primary-output drivers, in output order.
     po_gate: Vec<u32>,
-    is_po: Vec<bool>,
     /// [`Podem::settle`]'s search budget in gate evaluations.
     budget: u64,
 }
 
 impl Compiled {
     fn new(netlist: &Netlist) -> Result<Self, LevelizeError> {
-        let lv = netlist.levelize()?;
+        let topology = Arc::clone(netlist.topology());
+        let lv = topology.levelization()?;
         let n = netlist.gate_count();
         let mut kinds = Vec::with_capacity(n);
         let mut fanin_start = Vec::with_capacity(n + 1);
@@ -251,9 +253,10 @@ impl Compiled {
         let mut fanout_start = Vec::with_capacity(n + 1);
         let mut fanout = Vec::new();
         fanout_start.push(0);
-        for readers in netlist.fanout_map() {
+        let readers = topology.readers();
+        for g in 0..n {
             fanout.extend(
-                readers
+                readers[g]
                     .iter()
                     .filter(|(r, _)| !kinds[r.index()].is_storage())
                     .map(|(r, _)| r.index() as u32),
@@ -261,9 +264,8 @@ impl Compiled {
             fanout_start.push(fanout.len() as u32);
         }
 
-        let level = lv.levels().to_vec();
         let mut level_start = vec![0u32; lv.depth() as usize + 2];
-        for &l in &level {
+        for &l in lv.levels() {
             level_start[l as usize + 1] += 1;
         }
         for l in 1..level_start.len() {
@@ -284,30 +286,35 @@ impl Compiled {
             .iter()
             .map(|(g, _)| g.index() as u32)
             .collect();
-        let mut is_po = vec![false; n];
-        for &g in &po_gate {
-            is_po[g as usize] = true;
-        }
         let logic = kinds.iter().filter(|k| !k.is_source()).count() as u64;
         Ok(Compiled {
+            topology,
             kinds,
             fanin_start,
             fanin,
             fanout_start,
             fanout,
-            order: lv.order().iter().map(|g| g.index() as u32).collect(),
-            level,
             level_start,
             pi_gate,
             pi_pos,
             po_gate,
-            is_po,
             budget: GATE_EVALS_PER_GATE * logic,
         })
     }
 
     fn gate_count(&self) -> usize {
         self.kinds.len()
+    }
+
+    fn lv(&self) -> &Levelization {
+        self.topology
+            .levelization()
+            .expect("the build checked the frame is acyclic")
+    }
+
+    /// Levelized evaluation order (the first forward pass of a search).
+    fn order(&self) -> impl Iterator<Item = u32> + '_ {
+        self.lv().order().iter().map(|g| g.index() as u32)
     }
 
     fn fanin(&self, g: u32) -> &[u32] {
@@ -860,12 +867,7 @@ impl<'n> Podem<'n> {
         let site_output = |g: u32| (g == site && faulty_pin.is_none()).then(|| one.is(fault.stuck));
         // Sources first: the levelized order places a `Dff` after its data
         // driver, which may come after the `Dff`'s own readers.
-        let support = || {
-            net.order
-                .iter()
-                .copied()
-                .filter(|&g| in_support[g as usize])
-        };
+        let support = || net.order().filter(|&g| in_support[g as usize]);
         for g in support().filter(|&g| net.kinds[g as usize].is_source()) {
             let good_lit = encode_gate(&mut sat, one, net.kinds[g as usize], &[]);
             good[g as usize] = Some(good_lit);
@@ -913,7 +915,7 @@ impl<'n> Podem<'n> {
             sat.add_clause(&[!d, gl, fl]);
             sat.add_clause(&[!d, !gl, !fl]);
             diff[g as usize] = Some(d);
-            if net.is_po[g as usize] {
+            if net.topology.output_mask()[g as usize] {
                 outputs.push(d);
             }
         }
@@ -922,7 +924,7 @@ impl<'n> Podem<'n> {
         sat.add_clause(&[diff_of(site)]);
         let mut path = Vec::new();
         for &g in &cone {
-            if !net.is_po[g as usize] {
+            if !net.topology.output_mask()[g as usize] {
                 path.clear();
                 path.push(!diff_of(g));
                 path.extend(net.readers(g).iter().map(|&r| diff_of(r)));
@@ -1020,7 +1022,7 @@ impl<'n> Podem<'n> {
             for i in 0..net.pi_gate.len() {
                 s.vals[net.pi_gate[i] as usize] = self.pi_val(s, sites, i);
             }
-            for &g in &net.order {
+            for g in net.order() {
                 if net.kinds[g as usize] != GateKind::Input {
                     s.vals[g as usize] = self.eval(s, sites, g);
                     stats.gate_evals += 1;
@@ -1061,13 +1063,14 @@ impl<'n> Podem<'n> {
     /// Queues `g`'s combinational readers in their level buckets,
     /// widening the `lo..=hi` level window to cover them.
     fn schedule_readers(&self, s: &mut Scratch, g: u32, lo: &mut usize, hi: &mut usize) {
+        let level = self.net.lv().levels();
         for &r in self.net.readers(g) {
             let ri = r as usize;
             if s.queued[ri] {
                 continue;
             }
             s.queued[ri] = true;
-            let l = self.net.level[ri] as usize;
+            let l = level[ri] as usize;
             s.bucket[self.net.level_start[l] as usize + s.fill[l] as usize] = r;
             s.fill[l] += 1;
             *lo = (*lo).min(l);
@@ -1159,7 +1162,7 @@ impl<'n> Podem<'n> {
         s.stack.push(from);
         s.seen[from as usize] = epoch;
         while let Some(g) = s.stack.pop() {
-            if self.net.is_po[g as usize] {
+            if self.net.topology.output_mask()[g as usize] {
                 return true;
             }
             for &r in self.net.readers(g) {
@@ -1305,7 +1308,7 @@ mod tests {
             output_sites(pi, &mut v);
             vals[pi as usize] = v;
         }
-        for &g in &net.order {
+        for g in net.order() {
             let mut v = match net.kinds[g as usize] {
                 GateKind::Input => continue,
                 GateKind::Const0 => DVal::ZERO,

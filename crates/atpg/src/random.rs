@@ -158,7 +158,7 @@ fn grade_and_drop(
 /// Returns [`LevelizeError`] on combinational cycles.
 pub fn scoap_weights(netlist: &Netlist) -> Result<Vec<f64>, LevelizeError> {
     let report = analyze(netlist)?;
-    let fanout = netlist.fanout_map();
+    let fanout = netlist.topology().readers();
     Ok(netlist
         .primary_inputs()
         .iter()

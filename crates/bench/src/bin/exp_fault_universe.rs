@@ -25,11 +25,12 @@ fn thousand_two_input_gates() -> Netlist {
             .expect("two-input gates are valid");
         pool.push(g);
     }
-    // Expose unread nets so nothing dangles.
-    let fan = n.fanout_map();
+    // Expose unread nets so nothing dangles. The loop marks outputs, so
+    // it holds this revision's topology.
+    let topology = std::sync::Arc::clone(n.topology());
     let mut k = 0;
     for id in n.ids().collect::<Vec<_>>() {
-        if fan[id.index()].is_empty() && !n.gate(id).kind().is_source() {
+        if topology.readers()[id.index()].is_empty() && !n.gate(id).kind().is_source() {
             n.mark_output(id, format!("y{k}")).expect("fresh");
             k += 1;
         }

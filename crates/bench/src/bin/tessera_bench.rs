@@ -293,7 +293,8 @@ struct ScaleRecord {
     /// `Netlist::memory_footprint().bytes_per_gate()` — the interned
     /// SoA core's storage cost.
     netlist_bytes_per_gate: f64,
-    /// Building `CollapsedUniverse` (fan-out census + union-find).
+    /// Building `CollapsedUniverse` (union-find over the memoized reader
+    /// lists).
     enumerate_seconds: f64,
     /// Chunked streaming PPSFP over the class representatives.
     sim_seconds: f64,

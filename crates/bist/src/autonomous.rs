@@ -154,7 +154,7 @@ impl MuxPartition {
         let mut out = netlist.clone();
         out.set_name(format!("{}_muxpart", netlist.name()));
         let original_gate_count = netlist.gate_count();
-        let fanout = out.fanout_map();
+        let fanout = netlist.topology().readers();
         let sel = out.add_input("test_sel");
         let sel_n = out.add_gate(GateKind::Not, &[sel]).expect("valid");
         let mut cut_inputs = Vec::with_capacity(cut_nets.len());

@@ -18,7 +18,7 @@
 //! [`dominance_collapse`] reduces its representatives further to the ATPG
 //! target list.
 
-use dft_netlist::{GateId, GateKind, Netlist, Pin, PortRef};
+use dft_netlist::{GateKind, Netlist, Pin, PortRef};
 
 use crate::stream::CollapsedUniverse;
 use crate::Fault;
@@ -60,46 +60,12 @@ impl UnionFind {
     }
 }
 
-/// The per-gate structural facts the equivalence rules read, from one
-/// flat pass over the fan-in lists: fan-out edge count, the sole
-/// `(reader, pin)` edge of a single-fanout driver, and primary-output
-/// membership.
-pub(crate) struct Census {
-    fan_count: Vec<u32>,
-    sole_reader: Vec<(GateId, u8)>,
-    is_po: Vec<bool>,
-}
-
-impl Census {
-    pub(crate) fn new(netlist: &Netlist) -> Self {
-        let mut fan_count = vec![0u32; netlist.gate_count()];
-        let mut sole_reader = vec![(GateId::from_index(0), 0u8); netlist.gate_count()];
-        for (id, gate) in netlist.iter() {
-            for (pin, &src) in gate.inputs().iter().enumerate() {
-                fan_count[src.index()] += 1;
-                sole_reader[src.index()] = (id, u8::try_from(pin).expect("pin fits u8"));
-            }
-        }
-        let mut is_po = vec![false; netlist.gate_count()];
-        for &(g, _) in netlist.primary_outputs() {
-            is_po[g.index()] = true;
-        }
-        Census {
-            fan_count,
-            sole_reader,
-            is_po,
-        }
-    }
-}
-
 /// Calls `merge(a, b)` for every pair of faults the three structural
 /// equivalence rules declare equivalent. Pairs are named whether or not
 /// the caller's universe holds both faults; the caller skips the rest.
-pub(crate) fn for_each_equivalence(
-    netlist: &Netlist,
-    census: &Census,
-    mut merge: impl FnMut(Fault, Fault),
-) {
+pub(crate) fn for_each_equivalence(netlist: &Netlist, mut merge: impl FnMut(Fault, Fault)) {
+    let topology = netlist.topology();
+    let (readers, is_po) = (topology.readers(), topology.output_mask());
     for (id, gate) in netlist.iter() {
         // Rule 1: controlling-value equivalence through the gate.
         if let Some(c) = gate.kind().controlling_value() {
@@ -133,8 +99,7 @@ pub(crate) fn for_each_equivalence(
         // Rule 3: fanout-free stem — driver output fault ≡ sole reader's
         // input fault (unless the stem is also observed as a primary
         // output, where the faults differ in observability).
-        if census.fan_count[id.index()] == 1 && !census.is_po[id.index()] {
-            let (reader, pin) = census.sole_reader[id.index()];
+        if let (&[(reader, pin)], false) = (&readers[id.index()], is_po[id.index()]) {
             for v in [false, true] {
                 let stem = Fault {
                     site: PortRef::output(id),
@@ -166,7 +131,7 @@ pub(crate) fn for_each_equivalence(
 /// input faults in observability.
 #[must_use]
 pub fn dominance_collapse(netlist: &Netlist) -> Vec<Fault> {
-    let is_po = Census::new(netlist).is_po;
+    let is_po = netlist.topology().output_mask();
     let dominates_inputs = |f: &Fault| {
         let kind = netlist.gate(f.site.gate).kind();
         f.site.pin == Pin::Output

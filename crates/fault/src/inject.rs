@@ -9,13 +9,14 @@ use crate::Fault;
 /// injectable fault site.
 ///
 /// This is the paper's "faulty machine" of Fig. 1 made executable. The
-/// evaluator shares the good machine's levelization; injection happens
-/// inline (an output fault forces the driven word after evaluation, an
-/// input-pin fault substitutes one operand of one gate).
+/// evaluator borrows the good machine's memoized levelization;
+/// injection happens inline (an output fault forces the driven word
+/// after evaluation, an input-pin fault substitutes one operand of one
+/// gate).
 #[derive(Debug)]
 pub struct FaultyView<'n> {
     netlist: &'n Netlist,
-    lv: Levelization,
+    lv: &'n Levelization,
     storage: Vec<dft_netlist::GateId>,
 }
 

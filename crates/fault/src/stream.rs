@@ -36,7 +36,7 @@
 
 use dft_netlist::{GateId, GateKind, Netlist, Pin, PortRef};
 
-use crate::collapse::{for_each_equivalence, Census, UnionFind};
+use crate::collapse::{for_each_equivalence, UnionFind};
 use crate::Fault;
 
 /// A constant-space view of the single-stuck-at fault universe.
@@ -168,8 +168,8 @@ fn site(id: GateId, p: u32, pins: u32) -> PortRef {
 ///
 /// Applies the three structural rules — controlling-value equivalence,
 /// inverter/buffer mapping, fanout-free stems — over fault *indices*, so
-/// the whole computation is one `u32` union-find plus a flat fan-out
-/// census. Each class is represented by its smallest universe index.
+/// the whole computation is one `u32` union-find over the netlist's
+/// memoized reader lists. Each class is represented by its smallest universe index.
 #[derive(Clone, Debug)]
 pub struct CollapsedUniverse<'n> {
     universe: FaultUniverse<'n>,
@@ -185,7 +185,7 @@ impl<'n> CollapsedUniverse<'n> {
         let universe = FaultUniverse::new(netlist);
         let n = universe.len();
         let mut uf = UnionFind::new(n);
-        for_each_equivalence(netlist, &Census::new(netlist), |a, b| {
+        for_each_equivalence(netlist, |a, b| {
             if let (Some(a), Some(b)) = (universe.index_of(a), universe.index_of(b)) {
                 uf.union(a as u32, b as u32);
             }

@@ -243,7 +243,7 @@ pub fn simulate_stuck_open(
         "stuck-open simulation expects a combinational network"
     );
     let sim = ThreeValueSim::new(netlist)?;
-    let order: Vec<GateId> = netlist.levelize()?.order().to_vec();
+    let order = netlist.levelize()?.order();
     let outputs: Vec<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
 
     // Good responses: the good machine has no memory.
@@ -260,7 +260,7 @@ pub fn simulate_stuck_open(
     for (fi, fault) in faults.iter().enumerate() {
         let mut memory = Logic::X;
         for (k, row) in rows.iter().enumerate() {
-            let vals = eval_faulty(netlist, &order, row, fault, &mut memory);
+            let vals = eval_faulty(netlist, order, row, fault, &mut memory);
             if k == 0 {
                 continue; // nothing initialized yet: pair index starts at 1
             }

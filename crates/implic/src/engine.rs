@@ -31,7 +31,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use dft_netlist::{GateId, GateKind, Netlist};
+use dft_netlist::{GateId, GateKind, Netlist, Readers};
 use dft_obs::{Collector, Obs};
 use dft_sim::justify::forced_inputs_into;
 use dft_sim::Logic;
@@ -185,7 +185,7 @@ impl Prop {
 /// Borrowed view of everything propagation reads.
 pub(crate) struct Ctx<'a> {
     netlist: &'a Netlist,
-    fanout: &'a [Vec<(GateId, u8)>],
+    fanout: &'a Readers,
     fixed: &'a [Logic],
     definite: &'a [bool],
     learned: &'a [Vec<Literal>],
@@ -303,8 +303,6 @@ fn drain(ctx: &Ctx<'_>, prop: &mut Prop) -> Result<(), GateId> {
 #[derive(Debug)]
 pub struct ImplicationEngine<'n> {
     netlist: Cow<'n, Netlist>,
-    pub(crate) fanout: Vec<Vec<(GateId, u8)>>,
-    pub(crate) is_po: Vec<bool>,
     definite: Vec<bool>,
     pub(crate) fixed: Vec<Logic>,
     unsettable: Vec<bool>,
@@ -434,7 +432,7 @@ impl<'n> ImplicationEngine<'n> {
             if scratch.on_trace(x) {
                 return false;
             }
-            let around = std::iter::once(x).chain(self.fanout[x].iter().map(|(r, _)| r.index()));
+            let around = std::iter::once(x).chain(self.readers()[x].iter().map(|(r, _)| r.index()));
             for q in around {
                 let gate = self.netlist.gate(GateId::from_index(q));
                 let queued = scratch.on_trace(q)
@@ -517,11 +515,7 @@ impl<'n> ImplicationEngine<'n> {
         learn: impl FnOnce(&mut Self, &mut Prop, usize),
     ) -> Self {
         let n = netlist.gate_count();
-        let fanout = netlist.fanout_map();
-        let mut is_po = vec![false; n];
-        for &(g, _) in netlist.primary_outputs() {
-            is_po[g.index()] = true;
-        }
+        let fanout = netlist.topology().readers();
 
         // Non-definite nets: anything downstream of a storage element.
         let mut definite = vec![true; n];
@@ -543,8 +537,6 @@ impl<'n> ImplicationEngine<'n> {
 
         let mut engine = ImplicationEngine {
             netlist,
-            fanout,
-            is_po,
             definite,
             fixed: vec![Logic::X; n],
             unsettable: vec![false; 2 * n],
@@ -579,10 +571,15 @@ impl<'n> ImplicationEngine<'n> {
         engine
     }
 
+    /// The netlist's reader lists, from its memoized topology.
+    pub(crate) fn readers(&self) -> &Readers {
+        self.netlist.topology().readers()
+    }
+
     pub(crate) fn ctx(&self) -> Ctx<'_> {
         Ctx {
             netlist: &self.netlist,
-            fanout: &self.fanout,
+            fanout: self.readers(),
             fixed: &self.fixed,
             definite: &self.definite,
             learned: &self.learned,
@@ -590,13 +587,7 @@ impl<'n> ImplicationEngine<'n> {
     }
 
     fn seed_structural_constants(&mut self, prop: &mut Prop) {
-        let ctx = Ctx {
-            netlist: &self.netlist,
-            fanout: &self.fanout,
-            fixed: &self.fixed,
-            definite: &self.definite,
-            learned: &self.learned,
-        };
+        let ctx = self.ctx();
         begin_epoch(prop);
         for i in 0..self.netlist.gate_count() {
             prop.queued[i] = prop.epoch;
@@ -625,14 +616,7 @@ impl<'n> ImplicationEngine<'n> {
             return;
         }
         self.stats.propagations += 1;
-        let ctx = Ctx {
-            netlist: &self.netlist,
-            fanout: &self.fanout,
-            fixed: &self.fixed,
-            definite: &self.definite,
-            learned: &self.learned,
-        };
-        if propagate(&ctx, prop, &[(net as u32, value)]).is_ok() {
+        if propagate(&self.ctx(), prop, &[(net as u32, value)]).is_ok() {
             for &i in &prop.trail {
                 self.fixed[i as usize] = prop.val[i as usize];
                 fixes.push((i, prop.val[i as usize]));
@@ -1279,11 +1263,10 @@ impl<'p> Replay<'p> {
     /// Finishes the structural diff against the edited build's fanout
     /// and definiteness, and seeds V from its structural constants.
     fn start(&mut self, edited: &ImplicationEngine<'_>) {
+        let (prior, now) = (self.prior.readers(), edited.readers());
         for x in 0..self.prior_n {
-            let live = self.prior.fanout[x]
-                .iter()
-                .filter(|(r, _)| !self.dead[r.index()]);
-            if !live.eq(&edited.fanout[x]) {
+            let live = prior[x].iter().filter(|(r, _)| !self.dead[r.index()]);
+            if !live.eq(&now[x]) {
                 self.walks[x] = true;
                 set_net(&mut self.structure, x);
             }
@@ -1358,12 +1341,13 @@ impl<'p> Replay<'p> {
     /// Rebuilds the V part of the mask from `differ`.
     fn rebuild(&mut self) {
         let netlist: &Netlist = &self.prior.netlist;
-        let fanout = &self.prior.fanout;
+        let fanout = self.prior.readers();
         let premises = self.prior.premises();
         self.values.fill(0);
         self.closure.fill(0);
         self.known_nets.clear();
-        for (x, readers) in fanout.iter().enumerate().take(self.prior_n) {
+        for x in 0..self.prior_n {
+            let readers = &fanout[x];
             let inputs = netlist.gate(GateId::from_index(x)).inputs();
             if self.dead[x] && self.fixed[x].is_known() {
                 // Where the prior evaluates a dead gate it knows the value

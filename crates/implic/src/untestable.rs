@@ -827,6 +827,8 @@ impl ImplicationEngine<'_> {
         footprint: &mut F,
     ) -> Option<GateId> {
         let value = |i: usize| prop.get(&self.fixed, i);
+        let topology = self.netlist().topology();
+        let (readers, is_po) = (topology.readers(), topology.output_mask());
         marks.begin();
         let epoch = marks.epoch;
         // The structural cone the effect could live in is only consulted
@@ -836,10 +838,10 @@ impl ImplicationEngine<'_> {
         marks.stack.push(origin);
         while let Some(g) = marks.stack.pop() {
             footprint.node(g);
-            if self.is_po[g.index()] {
+            if is_po[g.index()] {
                 return Some(g);
             }
-            for &(reader, _) in &self.fanout[g.index()] {
+            for &(reader, _) in &readers[g.index()] {
                 let r = reader.index();
                 if marks.reach[r] == epoch {
                     continue;
@@ -883,9 +885,10 @@ impl ImplicationEngine<'_> {
             *built = true;
             marks.cone[origin.index()] = epoch;
             marks.cone_stack.push(origin);
+            let readers = self.readers();
             while let Some(g) = marks.cone_stack.pop() {
                 footprint.node(g);
-                for &(reader, _) in &self.fanout[g.index()] {
+                for &(reader, _) in &readers[g.index()] {
                     footprint.node(reader);
                     let r = reader.index();
                     if marks.cone[r] != epoch && !self.netlist().gate(reader).kind().is_storage() {
@@ -944,7 +947,7 @@ impl ImplicationEngine<'_> {
         cone[gate.index()] = true;
         let mut stack = vec![gate];
         while let Some(g) = stack.pop() {
-            for &(reader, _) in &self.fanout[g.index()] {
+            for &(reader, _) in &self.readers()[g.index()] {
                 let r = reader.index();
                 if !cone[r] && !self.netlist().gate(reader).kind().is_storage() {
                     cone[r] = true;
@@ -956,10 +959,10 @@ impl ImplicationEngine<'_> {
         reach[gate.index()] = true;
         let mut stack = vec![gate];
         while let Some(g) = stack.pop() {
-            if self.is_po[g.index()] {
+            if self.netlist().topology().output_mask()[g.index()] {
                 return None;
             }
-            for &(reader, _) in &self.fanout[g.index()] {
+            for &(reader, _) in &self.readers()[g.index()] {
                 let r = reader.index();
                 if reach[r] {
                     continue;

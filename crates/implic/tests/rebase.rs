@@ -59,11 +59,7 @@ fn logic_gates(n: &Netlist) -> Vec<GateId> {
 fn fold(n: &Netlist, net: GateId, value: bool) -> Netlist {
     let mut out = n.clone();
     out.replace_with_const(net, value).unwrap();
-    let mut is_output = vec![false; n.gate_count()];
-    for &(g, _) in n.primary_outputs() {
-        is_output[g.index()] = true;
-    }
-    for g in exclusive_fanin_region(n, net, &n.fanout_map(), &is_output) {
+    for g in exclusive_fanin_region(n, net, n.topology()) {
         out.replace_with_const(g, false).unwrap();
     }
     out

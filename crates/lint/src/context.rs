@@ -4,10 +4,10 @@ use std::cell::OnceCell;
 
 use dft_analyze::constants::Constants;
 use dft_analyze::scoap::{self, ScoapResult};
-use dft_analyze::{output_mask, solve, Dominators, GraphView, XProp, XWitness};
+use dft_analyze::{solve, Dominators, GraphView, XProp, XWitness};
 use dft_implic::ImplicationEngine;
 use dft_netlist::cones::{reconvergent_fanouts, Reconvergence};
-use dft_netlist::{GateId, Levelization, LevelizeError, Netlist};
+use dft_netlist::{GateId, Levelization, LevelizeError, Netlist, Topology};
 use dft_sim::Logic;
 
 /// Thresholds the built-in rules check against.
@@ -64,25 +64,24 @@ impl Default for LintConfig {
 /// Shared analyses handed to every rule in one run.
 ///
 /// Rules read, never compute — but the expensive analyses are computed
-/// *lazily*, on the first rule that asks. [`LintContext::new`] makes the
-/// run's one structure pass: the levelization (whose per-gate levels the
-/// analyses read in place), the fanout map and the output mask. SCOAP,
-/// constant propagation, X-propagation, the observability dominators,
-/// the reconvergence walk and the implication engine each read that
-/// structure, materialize once on first access and are shared by every
-/// later rule. A run whose rule
+/// *lazily*, on the first rule that asks. [`LintContext::new`] borrows
+/// the netlist's memoized [`Topology`] — the levelization (whose
+/// per-gate levels the analyses read in place), the reader lists and the
+/// output mask — so a netlist that was already levelized costs the run
+/// no structure pass at all. SCOAP, constant propagation,
+/// X-propagation, the observability dominators, the reconvergence walk
+/// and the implication engine each read that structure, materialize
+/// once on first access and are shared by every later rule. A run whose rule
 /// set never touches the implication engine (quadratic in gate count:
 /// one learning propagation per literal) or the reconvergence walk (one
 /// DFS per fanout stem) never pays for it — which is what keeps linting
 /// 10⁵–10⁶-gate netlists with the structural/SCOAP rule subset linear.
-/// On a cyclic netlist only the fanout map is available — rules other
-/// than the feedback check bail out gracefully.
+/// On a cyclic netlist only the reader lists and output mask are
+/// available — rules other than the feedback check bail out gracefully.
 pub struct LintContext<'n> {
     netlist: &'n Netlist,
     config: LintConfig,
-    levelization: Result<Levelization, LevelizeError>,
-    fanout: Vec<Vec<(GateId, u8)>>,
-    is_output: Vec<bool>,
+    topology: &'n Topology,
     scoap: OnceCell<Option<ScoapResult>>,
     constants: OnceCell<Option<Vec<Logic>>>,
     xprop: OnceCell<Option<Vec<XWitness>>>,
@@ -92,16 +91,15 @@ pub struct LintContext<'n> {
 }
 
 impl<'n> LintContext<'n> {
-    /// Makes the run's structure pass over `netlist`; each analysis
-    /// waits for the first rule that reads it.
+    /// A context over `netlist`'s [`Netlist::topology`] (built here if
+    /// no earlier caller asked for it); each analysis waits for the
+    /// first rule that reads it.
     #[must_use]
     pub fn new(netlist: &'n Netlist, config: LintConfig) -> Self {
         LintContext {
             netlist,
             config,
-            levelization: netlist.levelize(),
-            fanout: netlist.fanout_map(),
-            is_output: output_mask(netlist),
+            topology: netlist.topology(),
             scoap: OnceCell::new(),
             constants: OnceCell::new(),
             xprop: OnceCell::new(),
@@ -113,15 +111,8 @@ impl<'n> LintContext<'n> {
 
     /// The structural view every framework analysis reads, with the
     /// levelization's sweep order (`None` on cyclic netlists).
-    fn view(&self) -> Option<(GraphView<'_>, &[GateId])> {
-        let lv = self.levelization.as_ref().ok()?;
-        let view = GraphView {
-            netlist: self.netlist,
-            level: lv.levels(),
-            fanout: &self.fanout,
-            is_output: &self.is_output,
-        };
-        Some((view, lv.order()))
+    fn view(&self) -> Option<(GraphView<'n>, &'n [GateId])> {
+        GraphView::of(self.netlist).ok()
     }
 
     /// The netlist under analysis.
@@ -137,19 +128,19 @@ impl<'n> LintContext<'n> {
     }
 
     /// Levelization of the combinational frame, or the cycle error.
-    pub fn levelization(&self) -> Result<&Levelization, LevelizeError> {
-        self.levelization.as_ref().map_err(|&e| e)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LevelizeError`] on a combinational cycle.
+    pub fn levelization(&self) -> Result<&'n Levelization, LevelizeError> {
+        self.topology.levelization()
     }
 
-    /// `(reader, pin)` pairs per driving gate.
+    /// The netlist's memoized structure: levelization, `(reader, pin)`
+    /// lists and output mask.
     #[must_use]
-    pub fn fanout(&self) -> &[Vec<(GateId, u8)>] {
-        &self.fanout
-    }
-
-    /// Whether each gate drives a primary output.
-    pub(crate) fn is_output(&self) -> &[bool] {
-        &self.is_output
+    pub fn topology(&self) -> &'n Topology {
+        self.topology
     }
 
     /// SCOAP measures (`None` on cyclic netlists). Computed on first
@@ -210,10 +201,8 @@ impl<'n> LintContext<'n> {
     /// (empty on cyclic netlists). Computed on first access, then shared.
     #[must_use]
     pub fn reconvergence(&self) -> &[Reconvergence] {
-        self.reconvergence.get_or_init(|| match &self.levelization {
-            Ok(lv) => reconvergent_fanouts(self.netlist, lv, &self.fanout),
-            Err(_) => Vec::new(),
-        })
+        self.reconvergence
+            .get_or_init(|| reconvergent_fanouts(self.netlist, self.topology))
     }
 
     /// The static implication engine with SOCRATES-style learned
@@ -229,7 +218,7 @@ impl<'n> LintContext<'n> {
     pub fn implications(&self) -> Option<&ImplicationEngine<'n>> {
         self.implications
             .get_or_init(|| {
-                self.levelization
+                self.levelization()
                     .is_ok()
                     .then(|| ImplicationEngine::new(self.netlist))
             })
@@ -252,17 +241,14 @@ mod tests {
         assert!(ctx.constants().is_some());
         assert!(ctx.xprop().is_some());
         assert!(ctx.dominators().is_some());
-        assert_eq!(
-            ctx.reconvergence(),
-            reconvergent_fanouts(&n, &n.levelize().unwrap(), &n.fanout_map())
-        );
+        assert_eq!(ctx.reconvergence(), reconvergent_fanouts(&n, n.topology()));
         assert!(!ctx.reconvergence().is_empty());
-        assert_eq!(ctx.fanout().len(), n.gate_count());
+        assert!(std::ptr::eq(ctx.topology(), &**n.topology()));
         assert_eq!(ctx.config().max_depth, 50);
     }
 
     #[test]
-    fn cyclic_designs_only_get_the_fanout_map() {
+    fn cyclic_designs_only_get_the_reader_lists() {
         let mut n = NL::new("t");
         let a = n.add_input("a");
         let g1 = n.add_gate(GateKind::And, &[a, a]).unwrap();
@@ -275,7 +261,7 @@ mod tests {
         assert!(ctx.xprop().is_none());
         assert!(ctx.dominators().is_none());
         assert!(ctx.reconvergence().is_empty());
-        assert_eq!(ctx.fanout().len(), 3);
+        assert_eq!(ctx.topology().readers().len(), 3);
     }
 
     #[test]

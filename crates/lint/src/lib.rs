@@ -14,9 +14,10 @@
 //!   rules up in the same table.
 //! * [`Registry`] — the table's netlist rules in run order;
 //!   [`Registry::run`] lints a netlist and returns a [`LintReport`].
-//! * [`LintContext`] — one structure pass per run (levelization with its
-//!   per-gate levels, fanout map, output mask) and the analyses every
-//!   rule shares over it (SCOAP measures, constant propagation,
+//! * [`LintContext`] — the netlist's memoized
+//!   [`Topology`](dft_netlist::Topology) (levelization with its per-gate
+//!   levels, reader lists, output mask) and the analyses every rule
+//!   shares over it (SCOAP measures, constant propagation,
 //!   X-propagation, dominators, reconvergence, implications), each
 //!   computed at most once per run.
 //! * [`Diagnostic`] — one finding, anchored to a

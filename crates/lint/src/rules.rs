@@ -20,7 +20,7 @@
 
 use dft_analyze::INFINITE;
 use dft_netlist::cones::{exclusive_fanin_region, fanin_cone};
-use dft_netlist::{GateId, GateKind, Netlist, Pin};
+use dft_netlist::{GateId, GateKind, Netlist, Pin, Readers};
 
 use crate::context::LintContext;
 use crate::diag::{Category, LintReport, Severity};
@@ -241,7 +241,7 @@ fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     if ctx.levelization().is_ok() {
         return;
     }
-    for scc in combinational_sccs(ctx.netlist(), ctx.fanout()) {
+    for scc in combinational_sccs(ctx.netlist(), ctx.topology().readers()) {
         let gate = scc[0];
         let related = scc[1..].to_vec();
         report.push(
@@ -258,7 +258,7 @@ fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
 /// Strongly connected components of the combinational dependency graph
 /// (edges driver → reader, both non-source). Only real cycles are
 /// returned: components of two or more gates, or a gate feeding itself.
-fn combinational_sccs(netlist: &Netlist, fanout: &[Vec<(GateId, u8)>]) -> Vec<Vec<GateId>> {
+fn combinational_sccs(netlist: &Netlist, fanout: &Readers) -> Vec<Vec<GateId>> {
     let n = netlist.gate_count();
     let is_comb: Vec<bool> = netlist
         .ids()
@@ -335,8 +335,9 @@ fn combinational_sccs(netlist: &Netlist, fanout: &[Vec<(GateId, u8)>]) -> Vec<Ve
 fn unused_input(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let netlist = ctx.netlist();
     for &pi in netlist.primary_inputs() {
-        let feeds_logic = !ctx.fanout()[pi.index()].is_empty();
-        if !feeds_logic && !ctx.is_output()[pi.index()] {
+        let topology = ctx.topology();
+        let feeds_logic = !topology.readers()[pi.index()].is_empty();
+        if !feeds_logic && !topology.output_mask()[pi.index()] {
             let name = netlist.gate(pi).name().unwrap_or("?");
             report.push(
                 rule.diagnostic(pi, format!("primary input '{name}' drives nothing"))
@@ -429,7 +430,7 @@ fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
 fn excessive_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let limit = ctx.config().max_fanout;
     for id in ctx.netlist().ids() {
-        let pins = ctx.fanout()[id.index()].len();
+        let pins = ctx.topology().readers()[id.index()].len();
         if pins > limit {
             report.push(
                 rule.diagnostic(id, format!("net drives {pins} input pins (limit {limit})"))
@@ -689,6 +690,7 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
         return;
     };
     let netlist = ctx.netlist();
+    let readers = ctx.topology().readers();
     let limit = ctx.config().deep_cone_observability_limit;
     let min_gates = ctx.config().deep_cone_min_gates;
     let over = |id: GateId| {
@@ -696,7 +698,7 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
         co < INFINITE && co > limit
     };
     for id in netlist.ids() {
-        if !over(id) || ctx.fanout()[id.index()].iter().any(|&(r, _)| over(r)) {
+        if !over(id) || readers[id.index()].iter().any(|&(r, _)| over(r)) {
             continue;
         }
         // `id` is a cone exit: over the limit, but everything it
@@ -740,7 +742,7 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         return;
     };
     let netlist = ctx.netlist();
-    let is_output = ctx.is_output();
+    let topology = ctx.topology();
     for (id, gate) in netlist.iter() {
         if gate.kind().is_source() {
             continue;
@@ -751,14 +753,14 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         // Maximality: folding a constant net whose every reader is
         // itself implied-constant would be subsumed by folding the
         // reader, so report only the outermost net of the region.
-        let maximal = is_output[id.index()]
-            || ctx.fanout()[id.index()]
+        let maximal = topology.output_mask()[id.index()]
+            || topology.readers()[id.index()]
                 .iter()
                 .any(|&(r, _)| engine.implied_constant(r).is_none());
         if !maximal {
             continue;
         }
-        let region = exclusive_fanin_region(netlist, id, ctx.fanout(), is_output);
+        let region = exclusive_fanin_region(netlist, id, topology);
         if region.is_empty() {
             continue;
         }
@@ -851,7 +853,7 @@ fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report
         }
         // Outermost dedup: a funnel whose own (non-storage) reader is
         // a qualifying funnel too is subsumed by the reader.
-        let subsumed = ctx.fanout()[id.index()]
+        let subsumed = ctx.topology().readers()[id.index()]
             .iter()
             .any(|&(r, _)| !netlist.gate(r).kind().is_storage() && qualifies(r));
         if subsumed {

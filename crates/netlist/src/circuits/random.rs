@@ -383,7 +383,7 @@ mod tests {
         assert_eq!(lev.depth(), 2_000u32.div_ceil(64), "depth = ⌈gates/width⌉");
         // Every non-output signal has a reader (round-robin first pins +
         // straggler outputs).
-        let fan = n.fanout_map();
+        let fan = n.topology().readers();
         let outs: Vec<_> = n.primary_outputs().iter().map(|&(g, _)| g).collect();
         for (id, _) in n.iter() {
             assert!(
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn every_non_output_gate_has_a_reader() {
         let n = RandomCircuit::new(8, 100).seed(3).build();
-        let fan = n.fanout_map();
+        let fan = n.topology().readers();
         let outs: Vec<_> = n.primary_outputs().iter().map(|&(g, _)| g).collect();
         for (id, g) in n.iter() {
             if g.kind().is_source() {

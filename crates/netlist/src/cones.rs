@@ -1,13 +1,14 @@
-//! Structural cone queries: fan-in and fan-out closures.
+//! Structural cone queries: fan-in closures, exclusive fan-in regions
+//! and reconvergent fanout.
 //!
 //! Test reasoning constantly asks "what feeds this net" (justification,
-//! edge-connector diagnosis) and "what does this net reach" (X-paths,
-//! observation planning). These helpers compute both closures, with or
-//! without crossing storage boundaries.
+//! edge-connector diagnosis) and "which branches of this net meet
+//! again" (correlated sensitization). The fan-out side of every query
+//! reads the netlist's memoized [`Topology`].
 
 use std::collections::HashSet;
 
-use crate::{GateId, Levelization, Netlist};
+use crate::{GateId, Netlist, Topology};
 
 /// The transitive fan-in cone of `roots` (including the roots).
 ///
@@ -40,28 +41,6 @@ pub fn fanin_cone(netlist: &Netlist, roots: &[GateId], through_storage: bool) ->
     cone
 }
 
-/// The transitive fan-out cone of `roots` (including the roots).
-///
-/// With `through_storage = false` the walk stops at storage data inputs.
-#[must_use]
-pub fn fanout_cone(netlist: &Netlist, roots: &[GateId], through_storage: bool) -> HashSet<GateId> {
-    let fanout = netlist.fanout_map();
-    let mut cone = HashSet::new();
-    let mut stack: Vec<GateId> = roots.to_vec();
-    while let Some(g) = stack.pop() {
-        if !cone.insert(g) {
-            continue;
-        }
-        for &(reader, _) in &fanout[g.index()] {
-            if netlist.gate(reader).kind().is_storage() && !through_storage {
-                continue;
-            }
-            stack.push(reader);
-        }
-    }
-    cone
-}
-
 /// Gates whose every fanout path dies at `root`: the logic that exists
 /// *only* to compute that net.
 ///
@@ -72,18 +51,13 @@ pub fn fanout_cone(netlist: &Netlist, roots: &[GateId], through_storage: bool) -
 /// proof), the region is exactly the set of gates that become dead and
 /// can be deleted without touching any kept connection.
 ///
-/// `fanout` is the netlist's [`Netlist::fanout_map`] and `is_output`
-/// marks every gate that drives a primary output; callers that query
-/// many roots build both once. The walk stays inside the combinational
-/// frame (it does not cross storage). The root itself is not included;
-/// the result is sorted by arena order.
+/// `topology` is the netlist's [`Netlist::topology`] (its reader lists
+/// and output mask). The walk stays inside the combinational frame (it
+/// does not cross storage). The root itself is not included; the result
+/// is sorted by arena order.
 #[must_use]
-pub fn exclusive_fanin_region(
-    netlist: &Netlist,
-    root: GateId,
-    fanout: &[Vec<(GateId, u8)>],
-    is_output: &[bool],
-) -> Vec<GateId> {
+pub fn exclusive_fanin_region(netlist: &Netlist, root: GateId, topology: &Topology) -> Vec<GateId> {
+    let (fanout, is_output) = (topology.readers(), topology.output_mask());
     let cone = fanin_cone(netlist, &[root], false);
     let mut candidates: Vec<GateId> = cone
         .into_iter()
@@ -144,8 +118,9 @@ pub struct Reconvergence {
 /// gate (ties broken by arena order). Branch walks stop at storage
 /// elements — reconvergence across clock cycles is a different (timing)
 /// phenomenon. Stems with more than 32 fanout branches are analyzed
-/// through their first 32. `lv` is the netlist's levelization (so the
-/// frame is acyclic) and `fanout` its [`Netlist::fanout_map`].
+/// through their first 32. `topology` is the netlist's
+/// [`Netlist::topology`]; a cyclic netlist has no levels to rank meets
+/// by and yields an empty list.
 ///
 /// ```
 /// use dft_netlist::{circuits::c17, cones::reconvergent_fanouts};
@@ -153,15 +128,14 @@ pub struct Reconvergence {
 /// // c17's branching NAND structure reconverges; a fanout-free tree
 /// // would yield an empty list.
 /// let c17 = c17();
-/// let lv = c17.levelize().unwrap();
-/// assert!(!reconvergent_fanouts(&c17, &lv, &c17.fanout_map()).is_empty());
+/// assert!(!reconvergent_fanouts(&c17, c17.topology()).is_empty());
 /// ```
 #[must_use]
-pub fn reconvergent_fanouts(
-    netlist: &Netlist,
-    lv: &Levelization,
-    fanout: &[Vec<(GateId, u8)>],
-) -> Vec<Reconvergence> {
+pub fn reconvergent_fanouts(netlist: &Netlist, topology: &Topology) -> Vec<Reconvergence> {
+    let Ok(lv) = topology.levelization() else {
+        return Vec::new();
+    };
+    let fanout = topology.readers();
     let mut seen = vec![0u32; netlist.gate_count()];
     let mut touched: Vec<usize> = Vec::new();
     let mut out = Vec::new();
@@ -215,36 +189,18 @@ pub fn reconvergent_fanouts(
     out
 }
 
-/// Primary outputs structurally reachable from `net` within the
-/// combinational frame — the observation candidates a test for a fault
-/// on `net` can use.
-#[must_use]
-pub fn observing_outputs(netlist: &Netlist, net: GateId) -> Vec<GateId> {
-    let cone = fanout_cone(netlist, &[net], false);
-    netlist
-        .primary_outputs()
-        .iter()
-        .map(|&(g, _)| g)
-        .filter(|g| cone.contains(g))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuits::{binary_counter, c17};
+    use crate::circuits::c17;
     use crate::{GateKind, Netlist as NL};
 
     fn reconvergence(n: &NL) -> Vec<Reconvergence> {
-        reconvergent_fanouts(n, &n.levelize().unwrap(), &n.fanout_map())
+        reconvergent_fanouts(n, n.topology())
     }
 
     fn exclusive_region(n: &NL, root: GateId) -> Vec<GateId> {
-        let mut is_output = vec![false; n.gate_count()];
-        for &(g, _) in n.primary_outputs() {
-            is_output[g.index()] = true;
-        }
-        exclusive_fanin_region(n, root, &n.fanout_map(), &is_output)
+        exclusive_fanin_region(n, root, n.topology())
     }
 
     #[test]
@@ -257,28 +213,6 @@ mod tests {
         // Input "7" is not in g22's cone.
         let in7 = n.find_input("7").unwrap();
         assert!(!cone.contains(&in7));
-    }
-
-    #[test]
-    fn fanout_cone_reaches_outputs() {
-        let n = c17();
-        let in7 = n.find_input("7").unwrap();
-        let obs = observing_outputs(&n, in7);
-        let g23 = n.find_output("23").unwrap();
-        assert_eq!(obs, vec![g23], "input 7 only reaches g23");
-    }
-
-    #[test]
-    fn storage_boundary_is_respected() {
-        let n = binary_counter(4);
-        let en = n.find_input("en").unwrap();
-        let frame = fanout_cone(&n, &[en], false);
-        let multi = fanout_cone(&n, &[en], true);
-        assert!(frame.len() < multi.len());
-        // Through storage, enable reaches every counter bit.
-        for q in n.storage_elements() {
-            assert!(multi.contains(&q));
-        }
     }
 
     #[test]

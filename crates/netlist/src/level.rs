@@ -1,9 +1,10 @@
 //! Levelization (topological ordering) of the combinational frame.
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
-use crate::{GateId, Netlist};
+use crate::{GateId, Netlist, Readers};
 
 /// A combinational cycle was found during levelization.
 ///
@@ -32,6 +33,10 @@ impl Error for LevelizeError {}
 /// [`Levelization::order`] evaluates each gate after all of its drivers —
 /// the backbone of every simulator in the workspace.
 ///
+/// Each netlist revision is levelized once, inside its memoized
+/// [`crate::Topology`]: [`Netlist::levelize`] borrows that levelization,
+/// and [`Levelization::compute`] clones it.
+///
 /// ```
 /// use dft_netlist::{Netlist, GateKind};
 ///
@@ -56,20 +61,20 @@ pub struct Levelization {
 }
 
 impl Levelization {
-    /// Computes the levelization of `netlist`'s combinational frame.
+    /// The levelization of `netlist`'s combinational frame: a copy of
+    /// the one its [`Netlist::topology`] memoizes (building that on
+    /// first use).
     ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] if a cycle of combinational gates exists.
     pub fn compute(netlist: &Netlist) -> Result<Self, LevelizeError> {
-        let n = netlist.gate_count();
-        let mut level = vec![0u32; n];
-        let mut indegree = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
-        let fanout = netlist.fanout_map();
+        netlist.levelize().cloned()
+    }
 
-        // Kahn's algorithm over the combinational dependency graph.
-        //
+    /// Kahn's pass over the combinational dependency graph, reading the
+    /// reader table built in the same [`crate::Topology`] pass.
+    pub(crate) fn kahn(netlist: &Netlist, readers: &Readers) -> Result<Self, LevelizeError> {
         // Source gates (primary inputs, constants, DFF *outputs*) have their
         // values available before the frame is evaluated, so an edge whose
         // driver is a source does not gate the reader. A DFF gate itself is
@@ -77,28 +82,29 @@ impl Levelization {
         // gates in order also computes correct next-state values. Feedback
         // through storage is therefore legal; feedback through plain gates
         // is a cycle error.
-        let is_source: Vec<bool> = netlist
-            .ids()
-            .map(|id| netlist.gate(id).kind().is_source())
+        let is_source: Vec<bool> = netlist.iter().map(|(_, g)| g.kind().is_source()).collect();
+        let mut indegree: Vec<u32> = netlist
+            .iter()
+            .map(|(_, g)| g.inputs().iter().filter(|s| !is_source[s.index()]).count() as u32)
             .collect();
-        for (id, gate) in netlist.iter() {
-            indegree[id.index()] = gate
-                .inputs()
-                .iter()
-                .filter(|src| !is_source[src.index()])
-                .count() as u32;
-        }
-        let mut queue: std::collections::VecDeque<GateId> = netlist
+        let mut queue: VecDeque<GateId> = netlist
             .ids()
             .filter(|id| indegree[id.index()] == 0)
             .collect();
-
+        let n = netlist.gate_count();
+        let (mut order, mut level, mut depth) = (Vec::with_capacity(n), vec![0u32; n], 0);
         while let Some(id) = queue.pop_front() {
             order.push(id);
             if is_source[id.index()] {
-                continue; // source edges never gated anyone
+                continue; // level 0, and source edges never gated anyone
             }
-            for &(reader, _pin) in &fanout[id.index()] {
+            // Every non-source driver is ordered, so its level is final;
+            // source drivers sit at level 0.
+            let inputs = netlist.gate(id).inputs();
+            let lvl = 1 + inputs.iter().map(|s| level[s.index()]).max().unwrap_or(0);
+            level[id.index()] = lvl;
+            depth = depth.max(lvl);
+            for &(reader, _pin) in &readers[id.index()] {
                 let ri = reader.index();
                 indegree[ri] -= 1;
                 if indegree[ri] == 0 {
@@ -106,7 +112,6 @@ impl Levelization {
                 }
             }
         }
-
         if order.len() != n {
             let on_cycle = netlist
                 .ids()
@@ -114,31 +119,6 @@ impl Levelization {
                 .expect("missing gates imply a positive indegree");
             return Err(LevelizeError { on_cycle });
         }
-
-        // Levels: sources are 0; every other gate is one past its deepest
-        // driver (source drivers contribute level 0 by definition).
-        let mut depth = 0;
-        for &id in &order {
-            if is_source[id.index()] {
-                continue;
-            }
-            let lvl = 1 + netlist
-                .gate(id)
-                .inputs()
-                .iter()
-                .map(|src| {
-                    if is_source[src.index()] {
-                        0
-                    } else {
-                        level[src.index()]
-                    }
-                })
-                .max()
-                .unwrap_or(0);
-            level[id.index()] = lvl;
-            depth = depth.max(lvl);
-        }
-
         Ok(Levelization {
             order,
             level,

@@ -29,10 +29,17 @@
 //!
 //! ## Contents
 //!
-//! * [`Netlist`] — arena-based circuit graph with validation, levelization
-//!   and structural statistics. Storage is struct-of-arrays with an
+//! * [`Netlist`] — arena-based circuit graph with validation and
+//!   structural statistics. Storage is struct-of-arrays with an
 //!   interned name arena ([`Netlist::memory_footprint`] reports the
 //!   bytes/gate), sized for 10⁵–10⁶-gate industrial netlists.
+//! * [`Topology`] — one netlist revision's structure: the
+//!   [`Levelization`] (or its [`LevelizeError`]), every gate's
+//!   [`Readers`] list and the primary-output mask. [`Netlist::topology`]
+//!   builds it on first use and keeps it until the next structural edit,
+//!   so every analysis, simulator and generator borrows one copy.
+//! * [`cones`] — fan-in closures, exclusive fan-in regions and
+//!   reconvergent fanout stems over a [`Topology`].
 //! * [`bench_format`] — a `.bench`-style (ISCAS-85 flavoured) text
 //!   parser/writer so circuits can be stored and exchanged.
 //! * [`blif`] — a Berkeley Logic Interchange Format parser/writer
@@ -55,9 +62,11 @@ mod id;
 mod level;
 #[allow(clippy::module_inception)]
 mod netlist;
+mod topology;
 
 pub use error::{NetlistError, ParseBenchError, ParseBlifError};
 pub use gate::{Gate, GateKind};
 pub use id::{GateId, Pin, PortRef};
 pub use level::{Levelization, LevelizeError};
 pub use netlist::{ArenaDiff, MemoryFootprint, Netlist, NetlistStats};
+pub use topology::{Readers, Topology};

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use crate::{Gate, GateId, GateKind, Levelization, LevelizeError, NetlistError};
+use crate::{Gate, GateId, GateKind, Levelization, LevelizeError, NetlistError, Topology};
 
 /// Sentinel in the per-gate name-span table for "unnamed".
 const NO_NAME: u32 = u32::MAX;
@@ -23,6 +24,10 @@ const NO_NAME: u32 = u32::MAX;
 /// assembles a cheap [`Gate`] view on access; the construction and
 /// query API is unchanged. [`Netlist::memory_footprint`] reports the
 /// resulting bytes/gate.
+///
+/// The revision's [`Topology`] (levelization, reader lists, output mask)
+/// is built on the first [`Netlist::topology`] call and kept until the
+/// next structural edit; clones share it.
 ///
 /// ```
 /// use dft_netlist::{Netlist, GateKind};
@@ -60,6 +65,9 @@ pub struct Netlist {
     name_bytes: Vec<u8>,
     inputs: Vec<GateId>,
     outputs: Vec<(GateId, String)>,
+    /// This revision's structure, built on first use; every structural
+    /// mutator drops it.
+    topology: OnceLock<Arc<Topology>>,
 }
 
 impl Netlist {
@@ -77,6 +85,7 @@ impl Netlist {
             name_bytes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            topology: OnceLock::new(),
         }
     }
 
@@ -86,9 +95,15 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
+    /// Renames the design. The name is not structure: the memoized
+    /// [`Topology`] survives.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
+    }
+
+    /// Drops the memoized topology ahead of a structural edit.
+    fn edit(&mut self) {
+        self.topology.take();
     }
 
     /// Appends one gate row to the SoA tables.
@@ -98,6 +113,7 @@ impl Netlist {
     /// Panics if an arena index overflows `u32` (a netlist with over
     /// 4 × 10⁹ pins or name bytes is out of this model's scope).
     fn push_gate(&mut self, kind: GateKind, inputs: &[GateId], name: Option<&str>) -> GateId {
+        self.edit();
         let id = GateId::from_index(self.kinds.len());
         self.kinds.push(kind);
         self.edge_off
@@ -270,6 +286,7 @@ impl Netlist {
         if self.outputs.iter().any(|(_, n)| *n == name) {
             return Err(NetlistError::DuplicateOutputName(name));
         }
+        self.edit();
         self.outputs.push((gate, name));
         Ok(())
     }
@@ -410,6 +427,7 @@ impl Netlist {
         if pin >= fanin {
             return Err(NetlistError::InvalidPin { gate, pin, fanin });
         }
+        self.edit();
         self.edges[self.edge_off[i] as usize + pin] = new_src;
         Ok(())
     }
@@ -435,6 +453,7 @@ impl Netlist {
         if kind.is_source() || kind.is_storage() {
             return Err(NetlistError::NotALogicGate { gate: id, kind });
         }
+        self.edit();
         let i = id.index();
         self.kinds[i] = if value {
             GateKind::Const1
@@ -493,6 +512,7 @@ impl Netlist {
                 return Err(NetlistError::UnknownGate(src));
             }
         }
+        self.edit();
         let i = id.index();
         self.kinds[i] = kind;
         let old_len = self.edge_len[i] as usize;
@@ -507,32 +527,6 @@ impl Netlist {
         }
         self.edge_len[i] = u32::try_from(inputs.len()).expect("edge arena overflow");
         Ok(())
-    }
-
-    /// Number of input pins reading `id`'s output net.
-    ///
-    /// A pin count, not a reader count: a gate consuming the net on two
-    /// pins contributes two. Each call scans every pin in the netlist;
-    /// for bulk queries build [`Netlist::fanout_map`] once instead.
-    #[must_use]
-    pub fn fanout_count(&self, id: GateId) -> usize {
-        (0..self.kinds.len())
-            .flat_map(|i| self.gate_inputs(i))
-            .filter(|&&src| src == id)
-            .count()
-    }
-
-    /// Computes, for every gate, the list of `(reader gate, input pin)`
-    /// pairs that consume its output.
-    #[must_use]
-    pub fn fanout_map(&self) -> Vec<Vec<(GateId, u8)>> {
-        let mut map = vec![Vec::new(); self.kinds.len()];
-        for (id, gate) in self.iter() {
-            for (pin, &src) in gate.inputs.iter().enumerate() {
-                map[src.index()].push((id, pin as u8));
-            }
-        }
-        map
     }
 
     /// Diffs `edited` against `self`, an earlier snapshot of the same
@@ -570,13 +564,26 @@ impl Netlist {
         })
     }
 
-    /// Levelizes the combinational frame of the netlist.
+    /// This revision's structure: the levelization (or its cycle
+    /// error), every gate's reader list and the output mask. Built on
+    /// first use and kept until the next structural edit — appending a
+    /// gate, [`Netlist::mark_output`], [`Netlist::reconnect_input`],
+    /// [`Netlist::replace_gate`] or [`Netlist::replace_with_const`];
+    /// [`Netlist::set_name`] keeps it. Clones share it, and concurrent
+    /// first calls build it once.
+    pub fn topology(&self) -> &Arc<Topology> {
+        self.topology
+            .get_or_init(|| Arc::new(Topology::build(self)))
+    }
+
+    /// The levelization of the combinational frame, from
+    /// [`Netlist::topology`].
     ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] if a combinational cycle exists.
-    pub fn levelize(&self) -> Result<Levelization, LevelizeError> {
-        Levelization::compute(self)
+    pub fn levelize(&self) -> Result<&Levelization, LevelizeError> {
+        self.topology().levelization()
     }
 
     /// Structural statistics: gate counts by kind, pin totals, I/O counts.
@@ -604,7 +611,9 @@ impl Netlist {
     /// Accounting is by live length (`len × element size`), not reserved
     /// capacity, so the number is allocation-order independent; orphaned
     /// edge slots left behind by fan-in-growing [`Netlist::replace_gate`]
-    /// calls *are* counted (they are real bytes). The headline number is
+    /// calls *are* counted (they are real bytes), the memoized
+    /// [`Topology`] is not (it is a cache, shared between clones). The
+    /// headline number is
     /// [`MemoryFootprint::bytes_per_gate`] — the scale benchmarks gate on
     /// it not regressing.
     #[must_use]
@@ -633,7 +642,8 @@ impl Netlist {
 impl PartialEq for Netlist {
     /// Logical equality: same design name, same per-gate
     /// (kind, inputs, name) rows, same primary I/O. Orphaned edge spans
-    /// (an artifact of in-place edit history) do not participate, so two
+    /// (an artifact of in-place edit history) and the memoized
+    /// [`Topology`] do not participate, so two
     /// netlists that answer every query identically compare equal even
     /// if their edit histories differ.
     fn eq(&self, other: &Self) -> bool {
@@ -857,32 +867,14 @@ mod tests {
     }
 
     #[test]
-    fn fanout_map_tracks_pins() {
+    fn topology_readers_track_pins() {
         let (n, g) = and_net();
-        let fan = n.fanout_map();
+        let readers = n.topology().readers();
         let a = n.primary_inputs()[0];
         let b = n.primary_inputs()[1];
-        assert_eq!(fan[a.index()], vec![(g, 0)]);
-        assert_eq!(fan[b.index()], vec![(g, 1)]);
-        assert!(fan[g.index()].is_empty());
-    }
-
-    #[test]
-    fn fanout_count_counts_pins_not_readers() {
-        let mut n = Netlist::new("t");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let g = n.add_gate(GateKind::And, &[a, a]).unwrap();
-        let h = n.add_gate(GateKind::Or, &[a, b]).unwrap();
-        assert_eq!(n.fanout_count(a), 3, "two pins of g plus one of h");
-        assert_eq!(n.fanout_count(b), 1);
-        assert_eq!(n.fanout_count(g), 0);
-        assert_eq!(n.fanout_count(h), 0);
-        // Agrees with the bulk map.
-        let fan = n.fanout_map();
-        for id in n.ids() {
-            assert_eq!(n.fanout_count(id), fan[id.index()].len());
-        }
+        assert_eq!(readers[a.index()], [(g, 0)]);
+        assert_eq!(readers[b.index()], [(g, 1)]);
+        assert!(readers[g.index()].is_empty());
     }
 
     #[test]
@@ -995,9 +987,10 @@ mod tests {
         n.replace_gate(g, GateKind::Nand, &[c, a]).unwrap();
         assert_eq!(n.gate(g).inputs(), &[c, a]);
         assert_eq!(n.gate(g).fanin(), 2);
-        // Fanout queries never see orphaned slots: b is no longer read.
-        assert_eq!(n.fanout_count(b), 0);
-        assert_eq!(n.fanout_count(a), 1);
+        // Reader lists never see orphaned slots: b is no longer read.
+        let readers = n.topology().readers();
+        assert!(readers[b.index()].is_empty());
+        assert_eq!(readers[a.index()], [(g, 1)]);
     }
 
     #[test]

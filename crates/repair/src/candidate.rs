@@ -12,7 +12,6 @@
 //! and `Netlist::replace_with_const` for §I-B redundancy removal.
 
 use dft_adhoc::{add_reset, apply_test_points, insert_degating, ResetKind, TestPointPlan};
-use dft_analyze::output_mask;
 use dft_lint::{Diagnostic, FixHint};
 use dft_netlist::cones::exclusive_fanin_region;
 use dft_netlist::{GateId, LevelizeError, Netlist, NetlistError};
@@ -207,17 +206,6 @@ pub fn expand_hints(diagnostics: &[Diagnostic], exclude: &[String]) -> Vec<Candi
 /// [`EditError::Target`] for a fold whose target is not a plain logic
 /// gate of `netlist`.
 pub fn apply_edit(netlist: &Netlist, edit: CandidateEdit) -> Result<Edited, EditError> {
-    apply_edit_with(netlist, &netlist.fanout_map(), &output_mask(netlist), edit)
-}
-
-/// [`apply_edit`] against `netlist`'s reader map and output mask, built
-/// once by a caller that applies many edits to the same netlist.
-pub(crate) fn apply_edit_with(
-    netlist: &Netlist,
-    fanout: &[Vec<(GateId, u8)>],
-    is_output: &[bool],
-    edit: CandidateEdit,
-) -> Result<Edited, EditError> {
     let pins_before = port_count(netlist);
     let gates_before = netlist.logic_gate_count() as i64;
     let out = match edit {
@@ -249,7 +237,7 @@ pub(crate) fn apply_edit_with(
             // Recompute the private region against the *current* netlist:
             // earlier repairs may have grown new readers into what used to
             // be an exclusive cone.
-            for g in exclusive_fanin_region(netlist, net, fanout, is_output) {
+            for g in exclusive_fanin_region(netlist, net, netlist.topology()) {
                 // Dead feeders become constants too: `universe()` skips
                 // Const gates, so their (untestable) fault sites leave
                 // the universe instead of lingering as dead logic.

@@ -27,12 +27,12 @@
 //! changed. What remains per candidate is the work around the edit plus
 //! each build's setup and contrapose passes.
 
-use dft_analyze::{output_mask, AnalysisCache};
+use dft_analyze::AnalysisCache;
 use dft_fault::{prefilter_with, universe, Fault};
 use dft_implic::{ImplicationEngine, LearnStats, VerdictRecord};
 use dft_netlist::{GateId, GateKind, Netlist, Pin};
 
-use crate::candidate::{apply_edit_with, Candidate, Edited};
+use crate::candidate::{apply_edit, Candidate, Edited};
 
 /// Weight of one removed-untestable-fault against one point of SCOAP
 /// difficulty. Untestable faults are coverage poison (they cap the
@@ -227,11 +227,8 @@ pub fn rank_candidates(netlist: &Netlist, candidates: Vec<Candidate>, top_k: usi
     };
     let baseline = base.baseline();
     ranking.tally(&baseline);
-    // Every fold of the round reads the same structure.
-    let fanout = netlist.fanout_map();
-    let is_output = output_mask(netlist);
     for candidate in candidates {
-        let Ok(edited) = apply_edit_with(netlist, &fanout, &is_output, candidate.edit) else {
+        let Ok(edited) = apply_edit(netlist, candidate.edit) else {
             ranking.pruned += 1;
             continue;
         };
@@ -268,7 +265,7 @@ pub fn rank_candidates(netlist: &Netlist, candidates: Vec<Candidate>, top_k: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{apply_edit, expand_hints};
+    use crate::candidate::expand_hints;
     use dft_lint::lint;
     use dft_netlist::circuits::{random_combinational, redundant_fixture};
 

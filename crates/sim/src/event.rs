@@ -1,6 +1,6 @@
 //! Selective-trace event-driven simulation.
 
-use dft_netlist::{GateId, LevelizeError, Netlist};
+use dft_netlist::{GateId, LevelizeError, Netlist, Readers};
 
 use crate::Logic;
 
@@ -32,8 +32,9 @@ use crate::Logic;
 #[derive(Debug)]
 pub struct EventSim<'n> {
     netlist: &'n Netlist,
-    fanout: Vec<Vec<(GateId, u8)>>,
-    level: Vec<u32>,
+    /// Reader lists and levels, borrowed from the netlist's topology.
+    readers: &'n Readers,
+    level: &'n [u32],
     values: Vec<Logic>,
     dirty: Vec<bool>,
     /// Gates pending evaluation, bucketed by level.
@@ -52,8 +53,8 @@ impl<'n> EventSim<'n> {
         let depth = lv.depth() as usize;
         let mut sim = EventSim {
             netlist,
-            fanout: netlist.fanout_map(),
-            level: lv.levels().to_vec(),
+            readers: netlist.topology().readers(),
+            level: lv.levels(),
             values: vec![Logic::X; netlist.gate_count()],
             dirty: vec![false; netlist.gate_count()],
             queue: vec![Vec::new(); depth + 2],
@@ -122,7 +123,7 @@ impl<'n> EventSim<'n> {
     }
 
     fn schedule_fanout(&mut self, id: GateId) {
-        for &(reader, _pin) in &self.fanout[id.index()] {
+        for &(reader, _pin) in &self.readers[id.index()] {
             if self.netlist.gate(reader).kind().is_source() {
                 continue; // DFF data input: not evaluated until clocked
             }

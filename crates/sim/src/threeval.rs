@@ -29,7 +29,8 @@ use crate::Logic;
 #[derive(Debug)]
 pub struct ThreeValueSim<'n> {
     netlist: &'n Netlist,
-    order: Vec<GateId>,
+    /// The levelized order, borrowed from the netlist's topology.
+    order: &'n [GateId],
     storage: Vec<GateId>,
 }
 
@@ -40,10 +41,9 @@ impl<'n> ThreeValueSim<'n> {
     ///
     /// Returns [`LevelizeError`] on combinational cycles.
     pub fn new(netlist: &'n Netlist) -> Result<Self, LevelizeError> {
-        let lv = netlist.levelize()?;
         Ok(ThreeValueSim {
             netlist,
-            order: lv.order().to_vec(),
+            order: netlist.levelize()?.order(),
             storage: netlist.storage_elements(),
         })
     }
@@ -89,7 +89,7 @@ impl<'n> ThreeValueSim<'n> {
     /// values. Storage slots keep their present-state value.
     pub fn eval_into(&self, vals: &mut [Logic]) {
         let mut buf: Vec<Logic> = Vec::with_capacity(8);
-        for &id in &self.order {
+        for &id in self.order {
             let gate = self.netlist.gate(id);
             if gate.kind().is_source() {
                 continue;
