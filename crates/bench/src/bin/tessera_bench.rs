@@ -736,7 +736,7 @@ fn main() -> ExitCode {
     if cfg.format == Format::Json {
         // The envelope's payload is byte-identical to the artifact
         // written at --out.
-        print!("{}", envelope("tessera-bench", &fault_sim_json));
+        print!("{}", envelope("tessera-bench", fault_sim_json.trim_end()));
     }
     ExitCode::from(ToolExit::Success)
 }

@@ -256,7 +256,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     .collect();
                 format!("[\n{}\n]", bodies.join(",\n"))
             };
-            print!("{}", envelope("tessera-fix", &payload));
+            print!("{}", envelope("tessera-fix", payload.trim_end()));
         }
     }
 

@@ -9,6 +9,8 @@
 //! warnings and notes report but do not fail the run (exit 2 is a usage
 //! error).
 
+use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use dft_bench::cli::{envelope, Format, ToolExit};
@@ -202,24 +204,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .map(|netlist| lint_one(netlist, &cli))
         .collect::<Result<Vec<_>, _>>()?;
 
-    match cli.format {
-        Format::Text => {
-            for report in &reports {
-                print!("{}", report.to_text());
-            }
-        }
-        Format::Json => {
-            let payload = if reports.len() == 1 {
-                reports[0].to_json()
-            } else {
-                let bodies: Vec<String> = reports
-                    .iter()
-                    .map(|r| r.to_json().trim_end().to_owned())
-                    .collect();
-                format!("[\n{}\n]", bodies.join(",\n"))
-            };
-            print!("{}", envelope("tessera-lint", &payload));
-        }
+    let mut out = BufWriter::new(io::stdout().lock());
+    if let Err(e) = write_reports(&mut out, &reports, cli.format) {
+        eprintln!("tessera-lint: cannot write the report: {e}");
+        return Ok(ExitCode::from(ToolExit::Usage));
     }
 
     if reports.iter().any(LintReport::has_errors) {
@@ -227,6 +215,35 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     } else {
         Ok(ExitCode::from(ToolExit::Success))
     }
+}
+
+/// Streams the reports into `out`: text one after another, or JSON as one
+/// `tessera/1` envelope around the report (or an array of reports).
+fn write_reports(out: &mut impl Write, reports: &[LintReport], format: Format) -> io::Result<()> {
+    match format {
+        Format::Text => {
+            for report in reports {
+                write!(out, "{}", report.text())?;
+            }
+        }
+        Format::Json if reports.len() == 1 => {
+            write!(out, "{}", envelope("tessera-lint", reports[0].json()))?;
+        }
+        Format::Json => {
+            let array = fmt::from_fn(|f| {
+                f.write_str("[\n")?;
+                for (i, report) in reports.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",\n")?;
+                    }
+                    write!(f, "{}", report.json())?;
+                }
+                f.write_str("\n]")
+            });
+            write!(out, "{}", envelope("tessera-lint", array))?;
+        }
+    }
+    out.flush()
 }
 
 fn main() -> ExitCode {

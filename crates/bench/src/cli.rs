@@ -14,6 +14,7 @@
 //! *verbatim* (modulo the trailing newline) — existing payload schemas
 //! (`tessera-fix/1` plans, lint reports, `BENCH_*.json`) are unchanged.
 
+use std::fmt;
 use std::process::ExitCode;
 
 /// The exit-code contract every `tessera-*` tool follows.
@@ -68,18 +69,22 @@ impl Format {
     }
 }
 
-/// Wraps a tool's JSON payload in the shared `tessera/1` envelope.
+/// A tool's JSON payload wrapped in the shared `tessera/1` envelope, as
+/// a `Display` value ending in a newline: print it, or write it straight
+/// into an output stream without building the document as a `String`.
 ///
-/// `payload` must itself be a JSON value; it is embedded verbatim after
-/// trimming trailing whitespace, so the payload bytes inside the
-/// envelope are exactly the tool's pre-envelope output.
-#[must_use]
-pub fn envelope(tool: &str, payload: &str) -> String {
-    format!(
-        "{{\"schema\": \"tessera/1\", \"tool\": {}, \"payload\": {}}}\n",
-        dft_json::escaped(tool),
-        payload.trim_end()
-    )
+/// `payload` must render one JSON value with no trailing whitespace
+/// (trim a rendered payload with `str::trim_end`); its bytes are embedded
+/// verbatim, so the payload inside the envelope is exactly the tool's
+/// pre-envelope output.
+pub fn envelope<'a>(tool: &'a str, payload: impl fmt::Display + 'a) -> impl fmt::Display + 'a {
+    fmt::from_fn(move |f| {
+        writeln!(
+            f,
+            "{{\"schema\": \"tessera/1\", \"tool\": {}, \"payload\": {payload}}}",
+            dft_json::escaped(tool)
+        )
+    })
 }
 
 #[cfg(test)]
@@ -89,7 +94,7 @@ mod tests {
     #[test]
     fn envelope_embeds_payload_bytes_verbatim() {
         let payload = "{\n  \"design\": \"c17\",\n  \"clean\": true\n}\n";
-        let wrapped = envelope("tessera-lint", payload);
+        let wrapped = envelope("tessera-lint", payload.trim_end()).to_string();
         assert!(wrapped
             .starts_with("{\"schema\": \"tessera/1\", \"tool\": \"tessera-lint\", \"payload\": "));
         assert!(wrapped.contains(payload.trim_end()));

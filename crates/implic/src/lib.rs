@@ -65,3 +65,8 @@ mod untestable;
 
 pub use engine::{ImplicationEngine, Implications, LearnStats, Literal};
 pub use untestable::{UntestableReason, VerdictRecord};
+
+/// The telemetry crate whose [`Collector`](dft_obs::Collector)
+/// [`ImplicationEngine::new_observed`] takes, re-exported so a dependent
+/// can name the collector (and observe its own work) through this crate.
+pub use dft_obs as obs;

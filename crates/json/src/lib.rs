@@ -42,4 +42,4 @@ mod writer;
 
 pub use parser::{parse, JsonError, MAX_DEPTH};
 pub use value::Value;
-pub use writer::{escape_into, escaped, write_f64, JsonWriter, Style};
+pub use writer::{escape_into, escaped, write_f64, EscapeWriter, JsonWriter, Style};

@@ -9,29 +9,44 @@ use crate::value::{Value, EXACT_INT_LIMIT};
 /// This is byte-for-byte the escaping every tessera emitter has always
 /// used: `"` `\` and the C0 controls are escaped (`\n` `\r` `\t` get
 /// their short forms, the rest `\u00xx`), everything else passes
-/// through verbatim. Each escape-free run is copied with one
-/// `push_str`: every byte that needs an escape is ASCII, so the runs
-/// between them split `s` at char boundaries.
+/// through verbatim. [`EscapeWriter`] holds the one implementation.
 pub fn escape_into(out: &mut String, s: &str) {
-    let mut run_start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run_start..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            c => {
-                let _ = write!(out, "\\u{c:04x}");
+    // Writing into a `String` cannot fail.
+    let _ = EscapeWriter(out).write_str(s);
+}
+
+/// A [`fmt::Write`](std::fmt::Write) adapter that writes everything
+/// passed through it into `W` as JSON string content (no surrounding
+/// quotes), escaped as [`escape_into`] documents.
+///
+/// `write!(EscapeWriter(&mut out), "{value}")` escapes a `Display` value
+/// without rendering it to a `String` first. Each escape-free run is
+/// copied with one `write_str`: every byte that needs an escape is ASCII,
+/// so the runs between them split the text at char boundaries, and the
+/// escaping is the same however the text arrives in pieces.
+pub struct EscapeWriter<W>(pub W);
+
+impl<W: std::fmt::Write> std::fmt::Write for EscapeWriter<W> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let out = &mut self.0;
+        let mut run_start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
             }
+            out.write_str(&s[run_start..i])?;
+            match b {
+                b'"' => out.write_str("\\\"")?,
+                b'\\' => out.write_str("\\\\")?,
+                b'\n' => out.write_str("\\n")?,
+                b'\r' => out.write_str("\\r")?,
+                b'\t' => out.write_str("\\t")?,
+                c => write!(out, "\\u{c:04x}")?,
+            }
+            run_start = i + 1;
         }
-        run_start = i + 1;
+        out.write_str(&s[run_start..])
     }
-    out.push_str(&s[run_start..]);
 }
 
 /// `s` as a complete JSON string literal, quotes included.

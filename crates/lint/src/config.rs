@@ -138,7 +138,7 @@ impl SeverityOverrides {
             return;
         }
         report.diagnostics_mut().retain_mut(|d| {
-            match self.entries.iter().find(|&&(r, _)| r == d.rule) {
+            match self.entries.iter().find(|&&(r, _)| r == d.rule()) {
                 Some(&(_, Action::Off)) => false,
                 Some(&(_, Action::Rank(sev))) => {
                     d.severity = sev;
@@ -180,25 +180,19 @@ impl Error for ConfigError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::{Category, Diagnostic};
+    use crate::diag::Diagnostic;
+    use crate::rules::RULES;
     use dft_netlist::GateId;
 
     fn sample_report() -> LintReport {
         let mut r = LintReport::new("demo");
-        r.push(Diagnostic::new(
-            "deep-logic",
-            Severity::Warning,
-            Category::Timing,
-            GateId::from_index(1),
-            "deep",
-        ));
-        r.push(Diagnostic::new(
-            "reconvergent-fanout",
-            Severity::Info,
-            Category::Testability,
-            GateId::from_index(2),
-            "note",
-        ));
+        for (index, (id, text)) in [("deep-logic", "deep"), ("reconvergent-fanout", "note")]
+            .into_iter()
+            .enumerate()
+        {
+            let rule = RULES.iter().find(|r| r.id() == id).unwrap();
+            r.push(Diagnostic::new(rule, GateId::from_index(index + 1), text));
+        }
         r
     }
 
@@ -219,7 +213,7 @@ mod tests {
         let mut r = sample_report();
         o.apply(&mut r);
         assert_eq!(r.diagnostics().len(), 1);
-        assert_eq!(r.diagnostics()[0].rule, "deep-logic");
+        assert_eq!(r.diagnostics()[0].rule(), "deep-logic");
         assert_eq!(r.diagnostics()[0].severity, Severity::Error);
         assert!(r.has_errors(), "exit-code logic sees the new ranking");
     }

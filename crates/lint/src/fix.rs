@@ -98,24 +98,29 @@ impl FixHint {
         }
     }
 
-    /// Renders the hint as a JSON object (no trailing whitespace).
+    /// The hint as a JSON object (no trailing whitespace), as a
+    /// `Display` value, so a report writes it without building a
+    /// `String`.
+    #[must_use]
+    pub fn json(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            write!(f, "{{ \"kind\": \"{}\"", self.kind())?;
+            if let Some(t) = self.target() {
+                write!(f, ", \"target\": \"{t}\", \"target_index\": {}", t.index())?;
+            }
+            if let FixHint::FoldConstant { value, .. } | FixHint::RemoveRedundant { value, .. } =
+                self
+            {
+                write!(f, ", \"value\": {}", u8::from(*value))?;
+            }
+            f.write_str(" }")
+        })
+    }
+
+    /// Renders [`FixHint::json`] into a `String`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{ \"kind\": \"{}\"", self.kind());
-        if let Some(t) = self.target() {
-            out.push_str(&format!(
-                ", \"target\": \"{t}\", \"target_index\": {}",
-                t.index()
-            ));
-        }
-        match self {
-            FixHint::FoldConstant { value, .. } | FixHint::RemoveRedundant { value, .. } => {
-                out.push_str(&format!(", \"value\": {}", u8::from(*value)));
-            }
-            _ => {}
-        }
-        out.push_str(" }");
-        out
+        self.json().to_string()
     }
 }
 

@@ -21,11 +21,14 @@
 //!   X-propagation, dominators, reconvergence, implications), each
 //!   computed at most once per run.
 //! * [`Diagnostic`] — one finding, anchored to a
-//!   [`GateId`](dft_netlist::GateId) with optional related gates, a
-//!   free-text hint, a stable `DFT-NNN` [code](rule_code), and
-//!   optionally a machine-applicable [`FixHint`] a repair tool can
-//!   expand into a concrete netlist edit. Reports render as text
-//!   ([`LintReport::to_text`]) or JSON ([`LintReport::to_json`]).
+//!   [`GateId`](dft_netlist::GateId) with optional related gates, its
+//!   rule's entry (id, stable `DFT-NNN` [code](rule_code), category),
+//!   a [`Message`] template holding the values it prints (the template
+//!   also fixes the hint), and optionally a machine-applicable
+//!   [`FixHint`] a repair tool can expand into a concrete netlist edit.
+//!   Reports render as text ([`LintReport::text`]) or JSON
+//!   ([`LintReport::json`]) into any writer, through `Message`'s one
+//!   formatter.
 //! * [`SeverityOverrides`] — per-rule severity configuration parsed
 //!   from a TOML-subset file (`tessera-lint --rule-config`), applied to
 //!   finished reports.
@@ -56,7 +59,7 @@ pub mod rules;
 
 pub use config::{ConfigError, SeverityOverrides};
 pub use context::{LintConfig, LintContext};
-pub use diag::{Category, Diagnostic, LintReport, Severity};
+pub use diag::{Category, Diagnostic, LintReport, Message, Severity};
 pub use fix::FixHint;
 pub use registry::{resolve_rule_name, rule_code, Registry, Rule};
 

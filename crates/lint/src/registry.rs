@@ -1,10 +1,11 @@
 //! The rule type, the lookups over the rule table, and the registry
 //! that runs rules over a netlist.
 
+use dft_implic::obs::{Collector, Obs};
 use dft_netlist::{GateId, Netlist};
 
 use crate::context::{LintConfig, LintContext};
-use crate::diag::{Category, Diagnostic, LintReport, Severity};
+use crate::diag::{Category, Diagnostic, LintReport, Message, Severity};
 use crate::rules::RULES;
 
 /// One design rule: its stable identity and, for a netlist rule, its
@@ -12,7 +13,8 @@ use crate::rules::RULES;
 ///
 /// Checks are stateless: all shared analysis lives in [`LintContext`],
 /// and thresholds come from [`LintConfig`]. A check tags every finding
-/// with its own entry through [`Rule::diagnostic`].
+/// with its own entry through [`Rule::diagnostic`]. Two entries are
+/// equal when their ids are (ids are unique).
 #[derive(Debug)]
 pub struct Rule {
     pub(crate) id: &'static str,
@@ -23,7 +25,7 @@ pub struct Rule {
     /// Appends the rule's findings on a netlist to the report; `None`
     /// for the scan groundrules, which `dft-scan` checks over a scanned
     /// design instead.
-    pub(crate) check: Option<fn(&Rule, &LintContext<'_>, &mut LintReport)>,
+    pub(crate) check: Option<fn(&'static Rule, &LintContext<'_>, &mut LintReport)>,
 }
 
 impl Rule {
@@ -51,23 +53,23 @@ impl Rule {
         self.severity
     }
 
-    /// A finding of this rule at `gate`, with no related gates and no
-    /// hint.
+    /// A finding of this rule at `gate` saying `message`, at the rule's
+    /// default severity, with no related gates and no fix. The finding
+    /// keeps a reference to this entry, so it carries the rule's id, code
+    /// and category without copying them.
     #[must_use]
-    pub fn diagnostic(&self, gate: GateId, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            rule: self.id,
-            code: self.code,
-            severity: self.severity,
-            category: self.category,
-            gate,
-            related: Vec::new(),
-            message: message.into(),
-            hint: None,
-            fix: None,
-        }
+    pub fn diagnostic(&'static self, gate: GateId, message: Message) -> Diagnostic {
+        Diagnostic::of(self, gate, message)
     }
 }
+
+impl PartialEq for Rule {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+    }
+}
+
+impl Eq for Rule {}
 
 /// The stable `DFT-NNN` code of a rule id.
 ///
@@ -141,14 +143,40 @@ impl Registry {
     /// most-severe first.
     #[must_use]
     pub fn run_with(&self, netlist: &Netlist, config: LintConfig) -> LintReport {
+        self.run_observed(netlist, config, None)
+    }
+
+    /// [`Registry::run_with`], observed: a `lint.rules` span with one
+    /// child span per rule run, named by the rule id, whose `findings`
+    /// counter is the number of findings the rule reported.
+    ///
+    /// The shared analyses in [`LintContext`] are computed when a rule
+    /// first reads them, so a rule's span includes every shared analysis
+    /// it is the first in the run to read (for example the first SCOAP
+    /// rule's span holds the SCOAP computation). The report is the same
+    /// with or without a collector.
+    #[must_use]
+    pub fn run_observed(
+        &self,
+        netlist: &Netlist,
+        config: LintConfig,
+        obs: Option<&mut dyn Collector>,
+    ) -> LintReport {
+        let mut obs = Obs::new(obs);
+        obs.enter("lint.rules");
         let ctx = LintContext::new(netlist, config);
         let mut report = LintReport::new(netlist.name());
-        for rule in &self.rules {
+        for &rule in &self.rules {
             if let Some(check) = rule.check {
+                obs.enter(rule.id);
+                let before = report.diagnostics().len();
                 check(rule, &ctx, &mut report);
+                obs.count("findings", (report.diagnostics().len() - before) as u64);
+                obs.exit();
             }
         }
         report.sort();
+        obs.exit();
         report
     }
 }

@@ -23,7 +23,7 @@ use dft_netlist::cones::{exclusive_fanin_region, fanin_cone};
 use dft_netlist::{GateId, GateKind, Netlist, Pin, Readers};
 
 use crate::context::LintContext;
-use crate::diag::{Category, LintReport, Severity};
+use crate::diag::{Category, LintReport, Message, Severity};
 use crate::fix::FixHint;
 use crate::registry::Rule;
 
@@ -237,7 +237,7 @@ pub const SCAN_LATCH_RACE: Rule = Rule {
 
 /// Flags every combinational feedback loop (one diagnostic per strongly
 /// connected component).
-fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn comb_feedback(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     if ctx.levelization().is_ok() {
         return;
     }
@@ -245,12 +245,8 @@ fn comb_feedback(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
         let gate = scc[0];
         let related = scc[1..].to_vec();
         report.push(
-            rule.diagnostic(
-                gate,
-                format!("combinational feedback loop through {} gate(s)", scc.len()),
-            )
-            .with_related(related)
-            .with_hint("break the loop with a storage element or redesign the asynchronous latch"),
+            rule.diagnostic(gate, Message::FeedbackLoop { gates: scc.len() })
+                .with_related(related),
         );
     }
 }
@@ -332,24 +328,21 @@ fn combinational_sccs(netlist: &Netlist, fanout: &Readers) -> Vec<Vec<GateId>> {
 }
 
 /// Flags primary inputs that drive nothing.
-fn unused_input(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn unused_input(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let netlist = ctx.netlist();
     for &pi in netlist.primary_inputs() {
         let topology = ctx.topology();
         let feeds_logic = !topology.readers()[pi.index()].is_empty();
         if !feeds_logic && !topology.output_mask()[pi.index()] {
-            let name = netlist.gate(pi).name().unwrap_or("?");
-            report.push(
-                rule.diagnostic(pi, format!("primary input '{name}' drives nothing"))
-                    .with_hint("connect the input or drop the pin"),
-            );
+            let name = netlist.gate(pi).name().unwrap_or("?").into();
+            report.push(rule.diagnostic(pi, Message::UnusedInput { name }));
         }
     }
 }
 
 /// Flags gates from which no primary output is structurally reachable:
 /// their entire fanout cone — and every fault in it — is unobservable.
-fn dead_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn dead_logic(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let netlist = ctx.netlist();
     let roots: Vec<GateId> = netlist.primary_outputs().iter().map(|&(g, _)| g).collect();
     let observable = fanin_cone(netlist, &roots, true);
@@ -364,19 +357,15 @@ fn dead_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
             continue;
         }
         report.push(
-            rule.diagnostic(
-                id,
-                "no primary output is structurally reachable from this gate",
-            )
-            .with_hint("mark an output or add an observation test point (§III-B)")
-            .with_fix(FixHint::ObservePoint { net: id }),
+            rule.diagnostic(id, Message::Unreachable)
+                .with_fix(FixHint::ObservePoint { net: id }),
         );
     }
 }
 
 /// Flags structurally-constant nets and tied noncontrolling pins — both
 /// make stuck-at faults provably untestable.
-fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn constant_output(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(constants) = ctx.constants() else {
         return;
     };
@@ -385,18 +374,8 @@ fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
         if gate.kind().is_source() {
             continue;
         }
-        if let Some(v) = constants[id.index()].to_bool() {
-            let v = u8::from(v);
-            report.push(
-                rule.diagnostic(
-                    id,
-                    format!(
-                        "output is constant {v} for every input assignment; \
-                         stuck-at-{v} here is untestable"
-                    ),
-                )
-                .with_hint("fold the constant into the fanout or remove the redundant logic"),
-            );
+        if let Some(value) = constants[id.index()].to_bool() {
+            report.push(rule.diagnostic(id, Message::ConstantOutput { value }));
             continue;
         }
         // Output not constant: a tied *noncontrolling* pin is still
@@ -405,20 +384,12 @@ fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
             continue;
         };
         for (pin, &src) in gate.inputs().iter().enumerate() {
-            if let Some(v) = constants[src.index()].to_bool() {
-                if v != c {
-                    let v = u8::from(v);
+            if let Some(value) = constants[src.index()].to_bool() {
+                if value != c {
+                    let kind = gate.kind();
                     report.push(
-                        rule.diagnostic(
-                            id,
-                            format!(
-                                "input pin {pin} is always {v} (the noncontrolling value \
-                                 for {}): its stuck-at-{v} fault is untestable",
-                                gate.kind()
-                            ),
-                        )
-                        .with_related(vec![src])
-                        .with_hint("drop the pin or the constant driver"),
+                        rule.diagnostic(id, Message::TiedPin { pin, value, kind })
+                            .with_related(vec![src]),
                     );
                 }
             }
@@ -427,34 +398,26 @@ fn constant_output(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
 }
 
 /// Flags nets driving more input pins than the configured load bound.
-fn excessive_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn excessive_fanout(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let limit = ctx.config().max_fanout;
     for id in ctx.netlist().ids() {
         let pins = ctx.topology().readers()[id.index()].len();
         if pins > limit {
-            report.push(
-                rule.diagnostic(id, format!("net drives {pins} input pins (limit {limit})"))
-                    .with_hint("buffer the net or split the load tree"),
-            );
+            report.push(rule.diagnostic(id, Message::Fanout { pins, limit }));
         }
     }
 }
 
 /// Flags gates deeper than the configured logic-depth bound.
-fn deep_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn deep_logic(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Ok(lv) = ctx.levelization() else {
         return;
     };
     let bound = ctx.config().max_depth;
     for (id, gate) in ctx.netlist().iter() {
-        if !gate.kind().is_source() && lv.level(id) > bound {
-            report.push(
-                rule.diagnostic(
-                    id,
-                    format!("logic level {} exceeds bound {bound}", lv.level(id)),
-                )
-                .with_hint("deep cones defeat the settle-time discipline; pipeline or retime"),
-            );
+        let level = lv.level(id);
+        if !gate.kind().is_source() && level > bound {
+            report.push(rule.diagnostic(id, Message::DeepLogic { level, bound }));
         }
     }
 }
@@ -462,29 +425,22 @@ fn deep_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
 /// Flags storage elements fed directly by other storage elements — the
 /// race the Scan Path flip-flop narrows and LSSD's two-phase SRL
 /// eliminates.
-fn latch_race(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn latch_race(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let netlist = ctx.netlist();
     for dff in netlist.storage_elements() {
         let d = netlist.gate(dff).inputs()[0];
         if netlist.gate(d).kind().is_storage() {
             report.push(
-                rule.diagnostic(
-                    dff,
-                    format!(
-                        "data input is driven directly by latch {d}: \
-                         a race unless the cell is two-phase"
-                    ),
-                )
-                .with_related(vec![d])
-                .with_hint("insert logic between the latches or use a master/slave (LSSD SRL) cell")
-                .with_fix(FixHint::ScanConvert { storage: dff }),
+                rule.diagnostic(dff, Message::LatchRace { driver: d })
+                    .with_related(vec![d])
+                    .with_fix(FixHint::ScanConvert { storage: dff }),
             );
         }
     }
 }
 
 /// Flags storage that can never be steered out of its power-up X state.
-fn uninitializable_storage(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn uninitializable_storage(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(scoap) = ctx.scoap() else {
         return;
     };
@@ -492,14 +448,8 @@ fn uninitializable_storage(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         let m = scoap.measure(dff);
         if m.cc0 >= INFINITE && m.cc1 >= INFINITE {
             report.push(
-                rule.diagnostic(
-                    dff,
-                    "storage element can never be initialized from the primary inputs",
-                )
-                .with_hint(
-                    "add a CLEAR/PRESET line (§III-B) or place the latch on a scan chain (§IV)",
-                )
-                .with_fix(FixHint::AddReset),
+                rule.diagnostic(dff, Message::Uninitializable)
+                    .with_fix(FixHint::AddReset),
             );
         }
     }
@@ -507,22 +457,18 @@ fn uninitializable_storage(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
 
 /// Flags nets whose (finite) SCOAP controllability exceeds the
 /// configured threshold.
-fn hard_to_control(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn hard_to_control(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(scoap) = ctx.scoap() else {
         return;
     };
     let limit = ctx.config().controllability_limit;
     for id in ctx.netlist().ids() {
         let m = scoap.measure(id);
-        let cc = m.cc0.min(m.cc1);
-        if cc < INFINITE && cc > limit {
+        let cost = m.cc0.min(m.cc1);
+        if cost < INFINITE && cost > limit {
             report.push(
-                rule.diagnostic(
-                    id,
-                    format!("controllability cost {cc} exceeds the limit {limit}"),
-                )
-                .with_hint("insert a control test point near this net (§III-B)")
-                .with_fix(FixHint::ControlPoint { net: id }),
+                rule.diagnostic(id, Message::HardToControl { cost, limit })
+                    .with_fix(FixHint::ControlPoint { net: id }),
             );
         }
     }
@@ -530,39 +476,28 @@ fn hard_to_control(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
 
 /// Flags nets whose (finite) SCOAP observability exceeds the configured
 /// threshold.
-fn hard_to_observe(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn hard_to_observe(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(scoap) = ctx.scoap() else {
         return;
     };
     let limit = ctx.config().observability_limit;
     for id in ctx.netlist().ids() {
-        let co = scoap.co(id);
-        if co < INFINITE && co > limit {
+        let cost = scoap.co(id);
+        if cost < INFINITE && cost > limit {
             report.push(
-                rule.diagnostic(
-                    id,
-                    format!("observability cost {co} exceeds the limit {limit}"),
-                )
-                .with_hint("route the net to an observation test point or spare output pin")
-                .with_fix(FixHint::ObservePoint { net: id }),
+                rule.diagnostic(id, Message::HardToObserve { cost, limit })
+                    .with_fix(FixHint::ObservePoint { net: id }),
             );
         }
     }
 }
 
 /// Notes every reconvergent fanout stem (informational).
-fn reconvergent_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn reconvergent_fanout(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     for rec in ctx.reconvergence() {
         report.push(
-            rule.diagnostic(
-                rec.stem,
-                format!("fanout branches reconverge at {}", rec.meet),
-            )
-            .with_related(vec![rec.meet])
-            .with_hint(
-                "correlated paths can mask faults; single-path sensitization \
-                 arguments do not hold at the meet gate",
-            ),
+            rule.diagnostic(rec.stem, Message::Reconverges { meet: rec.meet })
+                .with_related(vec![rec.meet]),
         );
     }
 }
@@ -574,7 +509,7 @@ fn reconvergent_fanout(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintRepo
 /// that needs implication reasoning (a gate masked because a side input
 /// is *implied* to its controlling value), not just structural
 /// unreachability.
-fn redundant_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn redundant_logic(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(engine) = ctx.implications() else {
         return;
     };
@@ -613,25 +548,15 @@ fn redundant_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
         let Some(reasons) = gate_verdicts.into_iter().collect::<Option<Vec<_>>>() else {
             continue;
         };
-        let reason = reasons[reasons.len() - 1];
+        let witness = reasons[reasons.len() - 1];
         // Both output stuck-at faults are untestable, so folding to
         // either value preserves function (§I-B); prefer the value
         // the closure proves the net holds, if it proves one.
         let value = engine.implied_constant(id).unwrap_or(false);
+        let kind = gate.kind();
         report.push(
-            rule.diagnostic(
-                id,
-                format!(
-                    "every stuck-at fault on this {} gate is statically untestable \
-                     (e.g. {reason})",
-                    gate.kind()
-                ),
-            )
-            .with_hint(
-                "the gate is provably redundant: remove it, or add a control/observation \
-                 test point if it exists for a reason (§I-B, §III-B)",
-            )
-            .with_fix(FixHint::RemoveRedundant { gate: id, value }),
+            rule.diagnostic(id, Message::Redundant { kind, witness })
+                .with_fix(FixHint::RemoveRedundant { gate: id, value }),
         );
     }
 }
@@ -641,7 +566,7 @@ fn redundant_logic(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) 
 /// structure (`x AND NOT x`), not from a tied source, so the
 /// `constant-output` rule misses it. Stuck-at-the-constant faults on such
 /// nets are untestable.
-fn constant_implied_net(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn constant_implied_net(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let (Some(engine), Some(constants)) = (ctx.implications(), ctx.constants()) else {
         return;
     };
@@ -655,21 +580,9 @@ fn constant_implied_net(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintRep
         // The implication witness: driving the net to the opposite
         // value contradicts itself somewhere — name that somewhere.
         let conflict = engine.query(id, !v).conflict;
-        let value = v;
-        let v = u8::from(v);
         let mut diag = rule
-            .diagnostic(
-                id,
-                format!(
-                    "implication closure proves this net constant {v} (plain constant \
-                 propagation cannot); stuck-at-{v} here is untestable"
-                ),
-            )
-            .with_hint(
-                "the constant comes from reconvergent structure; simplify the logic or \
-             accept the redundant faults (§I-B)",
-            )
-            .with_fix(FixHint::FoldConstant { net: id, value });
+            .diagnostic(id, Message::ImpliedConstant { value: v })
+            .with_fix(FixHint::FoldConstant { net: id, value: v });
         if let Some(at) = conflict {
             diag = diag.with_related(vec![at]);
         }
@@ -685,7 +598,7 @@ fn constant_implied_net(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintRep
 /// exactly the §III-B test-point placement argument — so the rule fires
 /// once per cone, at the place the point belongs, instead of once per
 /// buried net the way `hard-to-observe` would.
-fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn deep_unobservable_cone(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(scoap) = ctx.scoap() else {
         return;
     };
@@ -711,22 +624,15 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
             continue;
         }
         buried.sort();
+        let message = Message::BuriedCone {
+            cost: scoap.co(id),
+            limit,
+            buried: buried.len(),
+        };
         report.push(
-            rule.diagnostic(
-                id,
-                format!(
-                    "observability cost {} exceeds {limit} and {} more net(s) in this \
-                     cone are over the limit too",
-                    scoap.co(id),
-                    buried.len(),
-                ),
-            )
-            .with_related(buried)
-            .with_hint(
-                "one observation test point at the cone exit rescues the whole \
-                 buried region (§III-B)",
-            )
-            .with_fix(FixHint::ObservePoint { net: id }),
+            rule.diagnostic(id, message)
+                .with_related(buried)
+                .with_fix(FixHint::ObservePoint { net: id }),
         );
     }
 }
@@ -737,7 +643,7 @@ fn deep_unobservable_cone(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintR
 /// *only* it. Folding the root to its constant and deleting the private
 /// region is the paper's §I-B redundancy-removal transform, and the
 /// attached fix says exactly that.
-fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn implication_dead_region(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(engine) = ctx.implications() else {
         return;
     };
@@ -764,22 +670,11 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
         if region.is_empty() {
             continue;
         }
+        let gates = region.len();
         report.push(
-            rule.diagnostic(
-                id,
-                format!(
-                    "net is provably constant {} and {} gate(s) exist only to feed it",
-                    u8::from(value),
-                    region.len(),
-                ),
-            )
-            .with_related(region)
-            .with_hint(
-                "fold the net to its constant and delete the private region (§I-B \
-                 redundancy removal); function is preserved because the stuck-at \
-                 fault at the fold point is untestable",
-            )
-            .with_fix(FixHint::FoldConstant { net: id, value }),
+            rule.diagnostic(id, Message::DeadRegion { value, gates })
+                .with_related(region)
+                .with_fix(FixHint::FoldConstant { net: id, value }),
         );
     }
 }
@@ -791,7 +686,7 @@ fn implication_dead_region(rule: &Rule, ctx: &LintContext<'_>, report: &mut Lint
 /// the X actually does damage. The related nets name the uninitializable
 /// storage elements (the X sources), and the fix targets the first of
 /// them.
-fn x_source_into_compare(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn x_source_into_compare(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(taint) = ctx.xprop() else {
         return;
     };
@@ -810,21 +705,11 @@ fn x_source_into_compare(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintRe
         sources.sort();
         sources.dedup();
         let storage = sources[0];
+        let kind = gate.kind();
         report.push(
-            rule.diagnostic(
-                id,
-                format!(
-                    "{} comparison consumes a power-up X from uninitializable \
-                     storage {storage}; its result is undefined on every cycle",
-                    gate.kind(),
-                ),
-            )
-            .with_related(sources)
-            .with_hint(
-                "scan the uninitializable storage (§IV) or give it a CLEAR/PRESET \
-                 line so the comparison settles (§III-B)",
-            )
-            .with_fix(FixHint::ScanConvert { storage }),
+            rule.diagnostic(id, Message::XIntoCompare { kind, storage })
+                .with_related(sources)
+                .with_fix(FixHint::ScanConvert { storage }),
         );
     }
 }
@@ -836,7 +721,11 @@ fn x_source_into_compare(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintRe
 /// value-per-pin placement §III-B argues for. Nested funnels are
 /// deduplicated to the outermost qualifying net so a deep chain reports
 /// once, not once per link.
-fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn observability_dominator_bottleneck(
+    rule: &'static Rule,
+    ctx: &LintContext<'_>,
+    report: &mut LintReport,
+) {
     let (Some(scoap), Some(dom)) = (ctx.scoap(), ctx.dominators()) else {
         return;
     };
@@ -859,21 +748,14 @@ fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report
         if subsumed {
             continue;
         }
+        let message = Message::Funnel {
+            gates: dom.dominated_count(id),
+            cost: scoap.co(id),
+            limit,
+        };
         report.push(
-            rule.diagnostic(
-                id,
-                format!(
-                    "every observation path of {} gate(s) funnels through this net, \
-                     whose own observability cost {} exceeds the limit {limit}",
-                    dom.dominated_count(id),
-                    scoap.co(id),
-                ),
-            )
-            .with_hint(
-                "an observation test point at the funnel rescues the whole dominated \
-                 region with one pin (§III-B)",
-            )
-            .with_fix(FixHint::ObservePoint { net: id }),
+            rule.diagnostic(id, message)
+                .with_fix(FixHint::ObservePoint { net: id }),
         );
     }
 }
@@ -884,7 +766,7 @@ fn observability_dominator_bottleneck(rule: &Rule, ctx: &LintContext<'_>, report
 /// the stem are masked along these paths entirely. This is §I-B
 /// redundancy created specifically by reconvergence, reported at the
 /// stem with the constant meet as the witness.
-fn reconvergent_constant_mask(rule: &Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
+fn reconvergent_constant_mask(rule: &'static Rule, ctx: &LintContext<'_>, report: &mut LintReport) {
     let Some(constants) = ctx.constants() else {
         return;
     };
@@ -902,25 +784,11 @@ fn reconvergent_constant_mask(rule: &Rule, ctx: &LintContext<'_>, report: &mut L
         if !seen.insert(rec.meet) {
             continue;
         }
+        let meet = rec.meet;
         report.push(
-            rule.diagnostic(
-                rec.stem,
-                format!(
-                    "fanout branches reconverge at {}, which is provably constant {}: \
-                     stem faults are masked along these paths",
-                    rec.meet,
-                    u8::from(value),
-                ),
-            )
-            .with_related(vec![rec.meet])
-            .with_hint(
-                "the reconvergent structure cancels; fold the meet to its constant \
-                 or redesign the stem logic (§I-B)",
-            )
-            .with_fix(FixHint::FoldConstant {
-                net: rec.meet,
-                value,
-            }),
+            rule.diagnostic(rec.stem, Message::ConstantMeet { meet, value })
+                .with_related(vec![meet])
+                .with_fix(FixHint::FoldConstant { net: meet, value }),
         );
     }
 }
@@ -997,12 +865,8 @@ mod tests {
         n.mark_output(g, "y").unwrap();
         let r = lint(&n);
         assert_eq!(count(&r, "unused-input"), 1);
-        assert!(r
-            .by_rule("unused-input")
-            .next()
-            .unwrap()
-            .message
-            .contains("'nc'"));
+        let d = r.by_rule("unused-input").next().unwrap();
+        assert_eq!(*d.message(), Message::UnusedInput { name: "nc".into() });
     }
 
     #[test]
@@ -1060,8 +924,7 @@ mod tests {
         assert_eq!(count(&r, "constant-output"), 1);
         let d = r.by_rule("constant-output").next().unwrap();
         assert_eq!(d.gate, g);
-        assert!(d.message.contains("constant 0"));
-        assert!(d.message.contains("stuck-at-0"));
+        assert_eq!(*d.message(), Message::ConstantOutput { value: false });
     }
 
     #[test]
@@ -1074,8 +937,15 @@ mod tests {
         let r = lint(&n);
         assert_eq!(count(&r, "constant-output"), 1);
         let d = r.by_rule("constant-output").next().unwrap();
-        assert!(d.message.contains("pin 1"));
-        assert!(d.message.contains("noncontrolling"));
+        let kind = GateKind::Or;
+        assert_eq!(
+            *d.message(),
+            Message::TiedPin {
+                pin: 1,
+                value: false,
+                kind
+            }
+        );
         assert_eq!(d.related, vec![zero]);
     }
 
@@ -1102,12 +972,8 @@ mod tests {
         let r = lint_with(&n, tight);
         // a and b each drive 3 pins.
         assert_eq!(count(&r, "excessive-fanout"), 2);
-        assert!(r
-            .by_rule("excessive-fanout")
-            .next()
-            .unwrap()
-            .message
-            .contains("drives 3 input pins (limit 2)"));
+        let d = r.by_rule("excessive-fanout").next().unwrap();
+        assert_eq!(*d.message(), Message::Fanout { pins: 3, limit: 2 });
     }
 
     #[test]
@@ -1126,12 +992,8 @@ mod tests {
         };
         let r = lint_with(&ripple_carry_adder(16), tight);
         assert!(count(&r, "deep-logic") > 0);
-        assert!(r
-            .by_rule("deep-logic")
-            .next()
-            .unwrap()
-            .message
-            .contains("exceeds bound 5"));
+        let d = r.by_rule("deep-logic").next().unwrap();
+        assert!(matches!(d.message(), Message::DeepLogic { bound: 5, .. }));
     }
 
     #[test]
@@ -1148,7 +1010,12 @@ mod tests {
         assert_eq!(count(&r, "latch-race"), 3);
         let d = r.by_rule("latch-race").next().unwrap();
         assert_eq!(d.related.len(), 1);
-        assert!(d.message.contains("race"));
+        assert_eq!(
+            *d.message(),
+            Message::LatchRace {
+                driver: d.related[0]
+            }
+        );
     }
 
     #[test]
@@ -1185,12 +1052,11 @@ mod tests {
         };
         let r = lint_with(&ripple_carry_adder(16), tight);
         assert!(count(&r, "hard-to-control") > 0);
-        assert!(r
-            .by_rule("hard-to-control")
-            .next()
-            .unwrap()
-            .message
-            .contains("exceeds the limit 5"));
+        let d = r.by_rule("hard-to-control").next().unwrap();
+        assert!(matches!(
+            d.message(),
+            Message::HardToControl { limit: 5, .. }
+        ));
     }
 
     #[test]
@@ -1250,7 +1116,7 @@ mod tests {
         assert!(count(&r, "redundant-logic") > 0, "{}", r.to_text());
         let d = r.by_rule("redundant-logic").next().unwrap();
         assert_eq!(d.severity, Severity::Warning);
-        assert!(d.message.contains("statically untestable"));
+        assert!(matches!(d.message(), Message::Redundant { .. }));
     }
 
     #[test]
@@ -1291,8 +1157,10 @@ mod tests {
                     let Some(FixHint::RemoveRedundant { gate, value }) = d.fix else {
                         panic!("redundant-logic carries a removal hint");
                     };
-                    let witness = d.message.split("(e.g. ").nth(1).unwrap();
-                    (gate, witness.trim_end_matches(')').to_owned(), value)
+                    let Message::Redundant { witness, .. } = d.message() else {
+                        panic!("redundant-logic names its witness");
+                    };
+                    (gate, witness.to_string(), value)
                 })
                 .collect();
             assert_eq!(got, want, "{}", n.name());
@@ -1311,7 +1179,7 @@ mod tests {
         assert_eq!(count(&r, "constant-output"), 0, "{}", r.to_text());
         assert!(count(&r, "constant-implied-net") > 0, "{}", r.to_text());
         let d = r.by_rule("constant-implied-net").next().unwrap();
-        assert!(d.message.contains("constant 0"));
+        assert_eq!(*d.message(), Message::ImpliedConstant { value: false });
     }
 
     #[test]
@@ -1420,7 +1288,7 @@ mod tests {
         let d = r.by_rule("x-source-into-compare").next().unwrap();
         assert!(!d.related.is_empty(), "the X sources are the witnesses");
         assert!(matches!(d.fix, Some(FixHint::ScanConvert { .. })));
-        assert_eq!(d.code, "DFT-016");
+        assert_eq!(d.code(), "DFT-016");
     }
 
     #[test]
@@ -1454,7 +1322,7 @@ mod tests {
             .next()
             .unwrap();
         assert_eq!(d.fix, Some(FixHint::ObservePoint { net: d.gate }));
-        assert_eq!(d.code, "DFT-017");
+        assert_eq!(d.code(), "DFT-017");
     }
 
     #[test]
@@ -1505,7 +1373,7 @@ mod tests {
         let d = r.by_rule("reconvergent-constant-mask").next().unwrap();
         assert_eq!(d.related.len(), 1, "the constant meet is the witness");
         assert!(matches!(d.fix, Some(FixHint::FoldConstant { .. })));
-        assert_eq!(d.code, "DFT-018");
+        assert_eq!(d.code(), "DFT-018");
     }
 
     #[test]
@@ -1544,7 +1412,7 @@ mod tests {
         let r = lint(&n);
         let d = r.by_rule("dead-logic").next().unwrap();
         assert_eq!(d.fix, Some(FixHint::ObservePoint { net: dead }));
-        assert_eq!(d.code, "DFT-003");
+        assert_eq!(d.code(), "DFT-003");
     }
 
     // --- whole-registry smoke --------------------------------------------

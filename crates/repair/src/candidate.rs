@@ -188,8 +188,8 @@ pub fn expand_hints(diagnostics: &[Diagnostic], exclude: &[String]) -> Vec<Candi
             seen.push(key);
             out.push(Candidate {
                 edit,
-                rule: d.rule,
-                code: d.code,
+                rule: d.rule(),
+                code: d.code(),
             });
         }
     }
@@ -283,16 +283,14 @@ mod tests {
 
     #[test]
     fn control_hints_expand_to_both_realizations() {
-        let d = Diagnostic::new(
-            "hard-to-control",
-            dft_lint::Severity::Warning,
-            dft_lint::Category::Testability,
-            GateId::from_index(3),
-            "hard",
-        )
-        .with_fix(FixHint::ControlPoint {
-            net: GateId::from_index(3),
-        });
+        let rule = dft_lint::Registry::with_default_rules()
+            .rules()
+            .find(|r| r.id() == "hard-to-control")
+            .unwrap();
+        let d =
+            Diagnostic::new(rule, GateId::from_index(3), "hard").with_fix(FixHint::ControlPoint {
+                net: GateId::from_index(3),
+            });
         let cands = expand_hints(&[d], &[]);
         let kinds: Vec<&str> = cands.iter().map(|c| c.edit.kind()).collect();
         assert_eq!(kinds, vec!["control-mux", "degate"]);

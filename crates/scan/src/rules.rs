@@ -7,7 +7,7 @@
 //! enforces the structural rules expressible in this toolkit's model.
 
 use dft_lint::rules::{SCAN_COMB_FEEDBACK, SCAN_COVERAGE, SCAN_DEPTH, SCAN_LATCH_RACE};
-use dft_lint::{FixHint, LintReport};
+use dft_lint::{FixHint, LintReport, Message};
 use dft_netlist::GateId;
 
 use crate::ScanDesign;
@@ -46,13 +46,7 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
     let lv = match netlist.levelize() {
         Ok(lv) => lv,
         Err(e) => {
-            report.push(
-                SCAN_COMB_FEEDBACK
-                    .diagnostic(e.on_cycle, "combinational cycle")
-                    .with_hint(
-                        "level-sensitive operation is impossible around an asynchronous loop",
-                    ),
-            );
+            report.push(SCAN_COMB_FEEDBACK.diagnostic(e.on_cycle, Message::ScanCycle));
             return report; // depth checks are meaningless with cycles
         }
     };
@@ -64,13 +58,7 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
         if !scanned.contains(&dff) || k >= accessible {
             report.push(
                 SCAN_COVERAGE
-                    .diagnostic(
-                        dff,
-                        "storage element not accessible through the scan structure",
-                    )
-                    .with_hint(
-                        "partial access defeats the combinational reduction; extend the chain",
-                    )
+                    .diagnostic(dff, Message::Unscanned)
                     .with_fix(FixHint::ScanConvert { storage: dff }),
             );
         }
@@ -78,15 +66,9 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
 
     // Rule 3: bounded depth.
     for (id, gate) in netlist.iter() {
-        if !gate.kind().is_source() && lv.level(id) > config.max_depth {
-            report.push(
-                SCAN_DEPTH
-                    .diagnostic(
-                        id,
-                        format!("level {} exceeds bound {}", lv.level(id), config.max_depth),
-                    )
-                    .with_hint("data must settle within the clock phase; pipeline the cone"),
-            );
+        let (level, bound) = (lv.level(id), config.max_depth);
+        if !gate.kind().is_source() && level > bound {
+            report.push(SCAN_DEPTH.diagnostic(id, Message::ScanDepth { level, bound }));
         }
     }
 
@@ -98,9 +80,8 @@ pub fn lint_scan_design(design: &ScanDesign, config: &RuleConfig) -> LintReport 
             if netlist.gate(d).kind().is_storage() {
                 report.push(
                     SCAN_LATCH_RACE
-                        .diagnostic(dff, format!("data input driven directly by latch {d}"))
+                        .diagnostic(dff, Message::ScanLatchRace { driver: d })
                         .with_related(vec![d])
-                        .with_hint("use a two-phase (master/slave) cell or insert logic between")
                         .with_fix(FixHint::ScanConvert { storage: dff }),
                 );
             }
@@ -176,10 +157,10 @@ mod tests {
         let report = lint_scan_design(&d, &RuleConfig { max_depth: 5 });
         assert!(!report.diagnostics().is_empty());
         for diag in report.diagnostics() {
-            assert!(diag.rule.starts_with("scan-"), "{}", diag.rule);
-            assert!(diag.code.starts_with("DFT-1"), "{}", diag.code);
-            assert_eq!(diag.code, rule_code(diag.rule));
-            assert_eq!(diag.category, Category::Scan);
+            assert!(diag.rule().starts_with("scan-"), "{}", diag.rule());
+            assert!(diag.code().starts_with("DFT-1"), "{}", diag.code());
+            assert_eq!(diag.code(), rule_code(diag.rule()));
+            assert_eq!(diag.category(), Category::Scan);
         }
     }
 
@@ -191,7 +172,7 @@ mod tests {
         let missing: Vec<_> = r.by_rule("scan-coverage").collect();
         assert!(!missing.is_empty());
         for x in &missing {
-            assert_eq!(x.code, "DFT-102");
+            assert_eq!(x.code(), "DFT-102");
             assert_eq!(x.severity, Severity::Error);
             assert_eq!(x.fix, Some(FixHint::ScanConvert { storage: x.gate }));
             assert!(

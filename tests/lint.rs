@@ -142,10 +142,10 @@ fn scan_findings_carry_their_table_identity() {
     let report = lint_scan_design(&d, &RuleConfig { max_depth: 5 });
     assert_eq!(report.by_rule("scan-coverage").count(), 5);
     for diag in report.diagnostics() {
-        assert!(diag.rule.starts_with("scan-"), "{}", diag.rule);
-        assert_eq!(diag.code, rule_code(diag.rule));
-        assert!(diag.code.starts_with("DFT-1"), "{}", diag.code);
-        assert_eq!(diag.category, Category::Scan);
+        assert!(diag.rule().starts_with("scan-"), "{}", diag.rule());
+        assert_eq!(diag.code(), rule_code(diag.rule()));
+        assert!(diag.code().starts_with("DFT-1"), "{}", diag.code());
+        assert_eq!(diag.category(), Category::Scan);
     }
     assert!(report.has_errors(), "unscanned latches are errors");
 }
@@ -210,7 +210,7 @@ proptest! {
         let registry = Registry::with_default_rules();
         let known: Vec<&str> = registry.rules().map(|r| r.id()).collect();
         for d in report.diagnostics() {
-            prop_assert!(known.contains(&d.rule), "unknown rule id {}", d.rule);
+            prop_assert!(known.contains(&d.rule()), "unknown rule id {}", d.rule());
         }
     }
 
@@ -239,7 +239,7 @@ proptest! {
         let others = |r: &LintReport| {
             r.diagnostics()
                 .iter()
-                .filter(|x| x.rule != "scan-depth")
+                .filter(|x| x.rule() != "scan-depth")
                 .cloned()
                 .collect::<Vec<_>>()
         };

@@ -14,7 +14,8 @@ use design_for_testability::fault::{
     engines, simulate_observed, universe, FaultSimEngine, SerialEngine, SerialOptions,
 };
 use design_for_testability::implic::ImplicationEngine;
-use design_for_testability::netlist::circuits::{c17, random_combinational};
+use design_for_testability::lint::{LintConfig, Registry};
+use design_for_testability::netlist::circuits::{c17, random_combinational, redundant_fixture};
 use design_for_testability::obs::{NullCollector, Recorder};
 use design_for_testability::sim::PatternSet;
 use proptest::prelude::*;
@@ -193,6 +194,39 @@ fn recording_collector_sees_every_engine_span() {
     }
 }
 
+/// A lint run opens one `lint.rules` span with one child per rule it
+/// runs, named by the rule id, and the children's `findings` counters
+/// count the report's findings rule by rule.
+#[test]
+fn lint_spans_name_each_rule_and_count_its_findings() {
+    for n in [c17(), redundant_fixture()] {
+        let mut registry = Registry::with_default_rules();
+        registry.disable("deep-logic");
+        let mut rec = Recorder::new();
+        let report = registry.run_observed(&n, LintConfig::default(), Some(&mut rec));
+        let run = rec.finish("lint");
+        let rules = run.find("lint.rules").expect("the run opens lint.rules");
+        let spans: Vec<&str> = rules.children.iter().map(|s| s.name.as_str()).collect();
+        let enabled: Vec<&str> = registry.rules().map(|r| r.id()).collect();
+        assert_eq!(spans, enabled, "{}: one span per enabled rule", n.name());
+        for span in &rules.children {
+            let findings = report.by_rule(&span.name).count() as u64;
+            assert_eq!(span.counter("findings"), findings, "{}", span.name);
+        }
+        assert_eq!(
+            rules.counter_total("findings"),
+            report.diagnostics().len() as u64,
+            "{}",
+            n.name()
+        );
+        assert!(
+            !report.diagnostics().is_empty(),
+            "{} has findings",
+            n.name()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -217,6 +251,13 @@ proptest! {
             prop_assert_eq!(&nulled, &plain, "{}: NullCollector changed the result", eng.name());
             prop_assert_eq!(&recorded, &plain, "{}: recording changed the result", eng.name());
         }
+        let registry = Registry::with_default_rules();
+        let plain = registry.run(&n).to_json();
+        let mut rec = Recorder::new();
+        let recorded = registry
+            .run_observed(&n, LintConfig::default(), Some(&mut rec))
+            .to_json();
+        prop_assert_eq!(recorded, plain, "recording changed the lint report");
     }
 
     /// The serial engine's counters stay consistent with its result on
