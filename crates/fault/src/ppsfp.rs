@@ -32,23 +32,34 @@
 //!   actually reached — inert faults cost one block compare per wide
 //!   block, and no per-fault cone is ever materialized. A count of the
 //!   pending events ends the scan at the last one.
-//! * **Observability memo.** Call a moment of a propagation a *collapse
-//!   point* when the gate just folded, `h`, changed on lanes `d` and no
-//!   other event is pending. Every other disturbed gate then has all of
-//!   its readers behind it, so no later fold reads anything disturbed
-//!   except `h` and what `h` disturbs: from here on the faulty machine
-//!   is the good machine with `h` flipped on `d`, lane by lane. The
-//!   output difference still to come is therefore `d & obs(h)`, where
-//!   `obs(h)` — the lanes on which flipping `h` reaches a primary output
-//!   — belongs to the good machine and the wide block alone, not to the
-//!   fault. Each worker keeps `obs(h)` per wide block on exactly the
-//!   lanes it has propagated through `h` (the memo stays lazy: it never
-//!   computes a lane no fault needed), and a later propagation that
-//!   collapses onto `h` on known lanes stops there instead of folding
-//!   `h`'s cone. The fault site's own disturbance is always a collapse
-//!   point, so this also covers faults at one site that force the same
-//!   lanes. Site groups run downstream-first, so a gate's own faults
-//!   tend to fill its entry before the faults upstream of it arrive.
+//! * **Observability table, then memo.** Call a moment of a propagation
+//!   a *collapse point* when the gate just folded, `h`, changed on lanes
+//!   `d` and no other event is pending. Every other disturbed gate then
+//!   has all of its readers behind it, so no later fold reads anything
+//!   disturbed except `h` and what `h` disturbs: from here on the faulty
+//!   machine is the good machine with `h` flipped on `d`, lane by lane.
+//!   The output difference still to come is therefore `d & obs(h)`,
+//!   where `obs(h)` — the lanes on which flipping `h` reaches a primary
+//!   output — belongs to the good machine and the wide block alone, not
+//!   to the fault. The fault site's own disturbance is always a collapse
+//!   point.
+//!
+//!   Wide block 0, where every fault is still alive, gets a dense
+//!   *table* of `obs` before any fault runs: once every gate reading a
+//!   gate is tabled, the engine flips the gate on every lane and runs
+//!   the event loop to its first collapse point past the gate itself,
+//!   whose gate is downstream and tabled already — critical-path
+//!   tracing with stem analysis (Abramovici, Menon & Miller, DAC 1983)
+//!   on the engine's own fold. A fault then costs one lookup in block 0,
+//!   `d & obs(site)`. Later blocks see only the faults block 0 left
+//!   undetected, so there each worker keeps a *lazy memo* instead: `obs`
+//!   on exactly the lanes it has propagated through `h`, and a later
+//!   propagation that collapses onto `h` on known lanes stops there
+//!   instead of folding `h`'s cone. Site groups run downstream-first, so
+//!   a gate's own faults tend to fill its entry before the faults
+//!   upstream of it arrive. The table pays only when the run grades at
+//!   least 1.5 faults per gate (the measured crossover lies between 1
+//!   and 2); below that, block 0 takes the lazy memo too.
 //! * **Fault dropping.** A fault detected in any lane leaves the active
 //!   list; remaining blocks are never simulated for it.
 //! * **Multi-threaded fault partitioning.** The collapsed fault list is
@@ -56,8 +67,13 @@
 //!   are pulled from a shared atomic work queue by `std::thread::scope`
 //!   workers. Each worker's baseline copy and memo live for the whole
 //!   run, across every streamed chunk; per-fault results are merged at
-//!   the end. Results are deterministic regardless of scheduling because
-//!   faults are independent and the memo is exact.
+//!   the end. The table is built once per run and shared read-only.
+//!   Its build splits the same way: gates whose readers are all tabled
+//!   are independent (every gate of a level is, once the deeper levels
+//!   are done), so the workers pull them from one shared ready list,
+//!   each folding on its own working copy. Results are deterministic
+//!   regardless of scheduling because faults are independent and the
+//!   table and memo are exact.
 //!
 //! Detection semantics are identical to [`crate::simulate`] and
 //! independent of lane width (first detecting pattern per fault;
@@ -67,7 +83,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use dft_netlist::{GateId, LevelizeError, Netlist, Pin};
 use dft_obs::{Collector, Obs};
@@ -118,6 +135,29 @@ fn lane_words(block_count: usize) -> usize {
     }
 }
 
+/// Whether a run grading `faults` faults on a netlist of `gates` gates
+/// tables wide block 0's observability before any fault runs (see the
+/// module docs): from 1.5 faults per gate. The table costs about one
+/// propagation to a first collapse point per gate; the lazy memo costs
+/// one per fault until the entries it needs fill, so the table wins
+/// once faults outnumber gates by enough. The measured crossover lies
+/// between 1 and 2 faults per gate (about 1.2 on `rand_16x300`, about
+/// 2 on `layered_64x5000`, 256 patterns). A fixed rule, not an option:
+/// below it the table ran up to 3× slower, above it up to 2× faster.
+fn tables_block_zero(faults: usize, gates: usize) -> bool {
+    faults.saturating_mul(2) >= gates.saturating_mul(3)
+}
+
+/// Gates of the block-0 table build per worker thread: a netlist
+/// smaller than this is tabled on one thread, whose spawn would cost
+/// more than the share of the build it takes over.
+const TABLE_GATES_PER_WORKER: usize = 128;
+
+/// Wide block 0's observability table (see the module docs): `obs(g)`
+/// on every lane, indexed by gate. Atomic words, so the workers that
+/// build it share it without locks; once built it is only read.
+type ObsTable<const W: usize> = Vec<[AtomicU64; W]>;
+
 /// Worker-local effort counters, merged across threads after the run
 /// (plain integer bumps in the hot loop; never shared while the workers
 /// are live, so there is no synchronization cost).
@@ -134,10 +174,10 @@ struct WorkCounters {
     /// lane width — the hot loop's unit of work, comparable across
     /// widths).
     words_folded: u64,
-    /// Collapse points reached (see the module docs), fault sites
-    /// included.
+    /// Collapse points reached by faults (see the module docs), fault
+    /// sites included; the table build's are not counted.
     collapse_points: u64,
-    /// Collapse points the observability memo answered.
+    /// Collapse points the block-0 table or a lazy memo answered.
     memo_hits: u64,
 }
 
@@ -172,8 +212,9 @@ pub struct Ppsfp<'n> {
     /// unreachable sites are structurally undetectable; the per-fault
     /// loop exits before touching any pattern block.
     reaches_output: Vec<bool>,
-    /// Gate index → primary-output position, `u16::MAX` if not a PO.
-    output_of: Vec<u16>,
+    /// Whether gate `g` is a primary output: the netlist's memoized
+    /// [`dft_netlist::Topology::output_mask`].
+    is_output: &'n [bool],
     options: PpsfpOptions,
 }
 
@@ -234,17 +275,10 @@ impl<'n> Ppsfp<'n> {
                 fill[a] += 1;
             }
         }
-        let mut output_of = vec![u16::MAX; netlist.gate_count()];
-        assert!(
-            netlist.primary_outputs().len() < usize::from(u16::MAX),
-            "more than 65534 primary outputs"
-        );
-        for (oi, &(g, _)) in netlist.primary_outputs().iter().enumerate() {
-            output_of[g.index()] = oi as u16;
-        }
+        let is_output = netlist.topology().output_mask();
         // Reverse levelized sweep: a gate reaches an output iff it is one
         // or drives (through combinational ops) a gate that does.
-        let mut reaches_output: Vec<bool> = output_of.iter().map(|&o| o != u16::MAX).collect();
+        let mut reaches_output = is_output.to_vec();
         for op in (0..kernel.op_count()).rev() {
             if reaches_output[kernel.op_dst(op) as usize] {
                 for &a in kernel.op_args(op) {
@@ -258,7 +292,7 @@ impl<'n> Ppsfp<'n> {
             reader_start,
             reader_pool,
             reaches_output,
-            output_of,
+            is_output,
             options,
         })
     }
@@ -294,12 +328,16 @@ impl<'n> Ppsfp<'n> {
     /// `cones_loaded`, `block_scans`, `excited_blocks`, `words_folded`
     /// (disturbed-gate evaluations × lane width — the engine's unit of
     /// hot-loop work), `collapse_points` and `memo_hits` (see the module
-    /// docs), `detected`, `dropped`, plus a `coverage` gauge. Two child
-    /// spans time the phases: `fault_sim.baseline` (the good-machine
-    /// sweep) and `fault_sim.propagate` (fault injection and
-    /// propagation). Workers count into private integers merged after
-    /// the run, so the hot loop never crosses a `dyn` boundary and
-    /// `None` costs nothing measurable.
+    /// docs; block-0 table lookups count as answered collapse points),
+    /// `detected`, `dropped`, plus a `coverage` gauge. Three child spans
+    /// time the phases: `fault_sim.baseline` (the good-machine sweep),
+    /// `fault_sim.observability` (the block-0 table build, with a
+    /// `tabled_gates` counter, 0 when the run grades too few faults to
+    /// build it) and `fault_sim.propagate` (fault injection and
+    /// propagation). `words_folded` includes the table build's folds.
+    /// Workers count into private integers merged after the run, so the
+    /// hot loop never crosses a `dyn` boundary and `None` costs nothing
+    /// measurable.
     ///
     /// # Panics
     ///
@@ -311,7 +349,8 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> DetectionResult {
-        self.grade(patterns, |grade| grade(faults), obs)
+        let tabled = tables_block_zero(faults.len(), self.netlist.gate_count());
+        self.grade(patterns, tabled, |grade| grade(faults), obs)
     }
 
     /// [`Ppsfp::run`] over a fault *stream*: faults are pulled from the
@@ -325,12 +364,18 @@ impl<'n> Ppsfp<'n> {
     ///
     /// Detection is **bit-identical** to [`Ppsfp::run`] on the
     /// materialized list: faults are independent, dropping is per-fault,
-    /// and results concatenate in stream order.
+    /// and results concatenate in stream order. `chunk_faults == 0`
+    /// grades in chunks of one.
+    ///
+    /// Whether block 0's observability is tabled up front is decided
+    /// from the stream's `size_hint` lower bound; both enumerators above
+    /// report their exact length. A stream that cannot tell its length
+    /// grades with the lazy memo on every block: the same detections,
+    /// at the speed of a run below the table's threshold.
     ///
     /// # Panics
     ///
-    /// Panics if the pattern width disagrees with the netlist or
-    /// `chunk_faults == 0`.
+    /// Panics if the pattern width disagrees with the netlist.
     #[must_use]
     pub fn run_streamed(
         &self,
@@ -348,8 +393,7 @@ impl<'n> Ppsfp<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if the pattern width disagrees with the netlist or
-    /// `chunk_faults == 0`.
+    /// Panics if the pattern width disagrees with the netlist.
     #[must_use]
     pub fn run_streamed_with(
         &self,
@@ -358,11 +402,13 @@ impl<'n> Ppsfp<'n> {
         chunk_faults: usize,
         obs: Option<&mut dyn Collector>,
     ) -> DetectionResult {
-        assert!(chunk_faults > 0, "chunk size must be positive");
+        let chunk_faults = chunk_faults.max(1);
         let mut faults = faults.into_iter();
-        let mut chunk: Vec<Fault> = Vec::with_capacity(chunk_faults);
+        let tabled = tables_block_zero(faults.size_hint().0, self.netlist.gate_count());
+        let mut chunk: Vec<Fault> = Vec::new();
         self.grade(
             patterns,
+            tabled,
             |grade| loop {
                 chunk.clear();
                 chunk.extend(faults.by_ref().take(chunk_faults));
@@ -377,19 +423,21 @@ impl<'n> Ppsfp<'n> {
 
     /// The one detection driver behind [`Ppsfp::run_with`] and
     /// [`Ppsfp::run_streamed_with`]: opens the span, dispatches on the
-    /// lane width and flushes the counters. `feed` hands each fault
+    /// lane width and flushes the counters. `tabled` says whether block
+    /// 0's observability is tabled up front; `feed` hands each fault
     /// chunk in order to the grading callback.
     fn grade(
         &self,
         patterns: &PatternSet,
+        tabled: bool,
         feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
         obs: Option<&mut dyn Collector>,
     ) -> DetectionResult {
         let mut obs = Obs::new(obs);
         obs.enter("fault_sim.ppsfp");
         let (result, work) = match lane_words(patterns.block_count()) {
-            4 => self.grade_width::<4>(patterns, feed, &mut obs),
-            _ => self.grade_width::<1>(patterns, feed, &mut obs),
+            4 => self.grade_width::<4>(patterns, tabled, feed, &mut obs),
+            _ => self.grade_width::<1>(patterns, tabled, feed, &mut obs),
         };
         let detected = result.detected_count() as u64;
         self.flush(&mut obs, result.first_detected.len(), patterns, &work);
@@ -401,23 +449,31 @@ impl<'n> Ppsfp<'n> {
     }
 
     /// [`Ppsfp::grade`] monomorphized for one wide-block width: builds
-    /// the baseline and the workers once, then partitions each chunk
-    /// across the workers and concatenates the results in chunk order.
+    /// the baseline, the workers and (if `tabled`) the block-0 table
+    /// once, then partitions each chunk across the workers and
+    /// concatenates the results in chunk order.
     fn grade_width<const W: usize>(
         &self,
         patterns: &PatternSet,
+        tabled: bool,
         feed: impl FnOnce(&mut dyn FnMut(&[Fault])),
         obs: &mut Obs<'_>,
     ) -> (DetectionResult, WorkCounters) {
         obs.enter("fault_sim.baseline");
         let baseline = self.baseline::<W>(patterns);
         obs.exit();
-        obs.enter("fault_sim.propagate");
+        obs.enter("fault_sim.observability");
         let mut workers = Vec::new();
+        let table = (tabled && !baseline.blocks.is_empty())
+            .then(|| self.observability_table(&mut workers, &baseline));
+        obs.count("tabled_gates", table.as_ref().map_or(0, Vec::len) as u64);
+        obs.exit();
+        obs.enter("fault_sim.propagate");
+        let table = table.as_deref();
         let mut first_detected: Vec<Option<usize>> = Vec::new();
         feed(&mut |chunk| {
             let detected = self.run_partitioned(&mut workers, chunk, |worker, fault| {
-                worker.detect(fault, &baseline)
+                worker.detect(fault, &baseline, table)
             });
             // A single chunk (the slice path) moves in without a copy.
             if first_detected.is_empty() {
@@ -440,7 +496,9 @@ impl<'n> Ppsfp<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if the pattern width disagrees with the netlist.
+    /// Panics if the pattern width disagrees with the netlist, or if the
+    /// netlist has more than 65,534 primary outputs: a syndrome stores
+    /// output positions as `u16`.
     #[must_use]
     pub fn run_syndromes(
         &self,
@@ -454,12 +512,14 @@ impl<'n> Ppsfp<'n> {
     /// collector (the `fault_sim.ppsfp` span and work counters of
     /// [`Ppsfp::run_with`], plus `syndrome_bits` for the total
     /// observations collected; no `detected`/`dropped` since syndromes
-    /// never drop, and no memo, since a syndrome needs every output's
-    /// difference rather than their union).
+    /// never drop, and no table or memo, since a syndrome needs every
+    /// output's difference rather than their union).
     ///
     /// # Panics
     ///
-    /// Panics if the pattern width disagrees with the netlist.
+    /// Panics if the pattern width disagrees with the netlist, or if the
+    /// netlist has more than 65,534 primary outputs: a syndrome stores
+    /// output positions as `u16`.
     #[must_use]
     pub fn run_syndromes_with(
         &self,
@@ -467,6 +527,10 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
         obs: Option<&mut dyn Collector>,
     ) -> Vec<BTreeSet<(u32, u16)>> {
+        assert!(
+            self.netlist.primary_outputs().len() < usize::from(u16::MAX),
+            "more than 65534 primary outputs"
+        );
         let mut obs = Obs::new(obs);
         obs.enter("fault_sim.ppsfp");
         let (syndromes, work) = match lane_words(patterns.block_count()) {
@@ -489,9 +553,14 @@ impl<'n> Ppsfp<'n> {
         faults: &[Fault],
     ) -> (Vec<BTreeSet<(u32, u16)>>, WorkCounters) {
         let baseline = self.baseline::<W>(patterns);
+        // Gate index → primary-output position (`u16::MAX` if none).
+        let mut output_of = vec![u16::MAX; self.netlist.gate_count()];
+        for (oi, &(g, _)) in self.netlist.primary_outputs().iter().enumerate() {
+            output_of[g.index()] = oi as u16;
+        }
         let mut workers = Vec::new();
         let syndromes = self.run_partitioned(&mut workers, faults, |worker, fault| {
-            worker.syndromes(fault, &baseline)
+            worker.syndromes(fault, &baseline, &output_of)
         });
         (syndromes, merged_counters(&workers))
     }
@@ -618,15 +687,7 @@ impl<'n> Ppsfp<'n> {
                 .map(|&g| (roots[g], &members[start[g] as usize..start[g + 1] as usize]))
         };
 
-        let threads = if self.options.threads > 0 {
-            self.options.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-        .clamp(1, roots.len().max(1));
-        while workers.len() < threads {
-            workers.push(Worker::new(self));
-        }
+        let threads = self.hire(workers, roots.len());
         let mut merged: Vec<Option<R>> = (0..faults.len()).map(|_| None).collect();
         if threads == 1 {
             let worker = &mut workers[0];
@@ -671,6 +732,101 @@ impl<'n> Ppsfp<'n> {
             .map(|r| r.expect("every fault visited exactly once"))
             .collect()
     }
+
+    /// The worker count for `tasks` independent tasks — the configured
+    /// thread count (`0` = the machine's available parallelism), capped
+    /// by `tasks` — with `workers` grown to at least that many.
+    fn hire<'w, const W: usize>(&'w self, workers: &mut Vec<Worker<'w, W>>, tasks: usize) -> usize {
+        let threads = if self.options.threads > 0 {
+            self.options.threads
+        } else {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        }
+        .clamp(1, tasks.max(1));
+        while workers.len() < threads {
+            workers.push(Worker::new(self));
+        }
+        threads
+    }
+
+    /// Wide block 0's observability table: `obs(g)` on every lane, for
+    /// every gate (see the module docs). A gate is tabled once every op
+    /// reading it is, so its propagation ends at its first collapse
+    /// point past the gate, whose gate is downstream and tabled already.
+    /// Gates whose readers are all tabled are independent of each other
+    /// — every gate of a level is, once the deeper levels are done — so
+    /// at `threads > 1` the workers pull them from one shared ready
+    /// list, each folding on its own working copy. The table and the
+    /// folds counted into `words_folded` are the same whatever the
+    /// order.
+    fn observability_table<'w, const W: usize>(
+        &'w self,
+        workers: &mut Vec<Worker<'w, W>>,
+        baseline: &Baseline<W>,
+    ) -> ObsTable<W> {
+        let n = self.netlist.gate_count();
+        let table: ObsTable<W> = (0..n)
+            .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+            .collect();
+        // Per gate, the reader ops not yet tabled; the gates no op reads
+        // are ready from the start.
+        let untabled: Vec<AtomicU32> = (0..n)
+            .map(|g| AtomicU32::new(self.reader_ops(g).len() as u32))
+            .collect();
+        let ready = Mutex::new(
+            (0..n as u32)
+                .filter(|&g| self.reader_ops(g as usize).is_empty())
+                .collect::<Vec<_>>(),
+        );
+        let left = AtomicUsize::new(n);
+        let build = |worker: &mut Worker<'w, W>| {
+            worker.ensure_work(baseline);
+            while left.load(Ordering::Acquire) > 0 {
+                let next = ready
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .pop();
+                let Some(g) = next else {
+                    std::thread::yield_now(); // another worker holds the rest
+                    continue;
+                };
+                let entry = worker.tabulate(&table, g);
+                for (word, value) in table[g as usize].iter().zip(entry) {
+                    word.store(value, Ordering::Relaxed);
+                }
+                if let Some(op) = self.kernel.op_of_gate(GateId::from_index(g as usize)) {
+                    let args = self.kernel.op_args(op);
+                    for (k, &a) in args.iter().enumerate() {
+                        if !args[..k].contains(&a)
+                            && untabled[a as usize].fetch_sub(1, Ordering::AcqRel) == 1
+                        {
+                            ready
+                                .lock()
+                                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                                .push(a);
+                        }
+                    }
+                }
+                left.fetch_sub(1, Ordering::Release);
+            }
+        };
+        let threads = self.hire(workers, n / TABLE_GATES_PER_WORKER);
+        let (own, others) = workers[..threads]
+            .split_first_mut()
+            .expect("hire returns at least one worker");
+        if others.is_empty() {
+            build(own);
+        } else {
+            let build = &build;
+            std::thread::scope(|s| {
+                for worker in others {
+                    s.spawn(move || build(worker));
+                }
+                build(own);
+            });
+        }
+        table
+    }
 }
 
 /// The workers' effort counters, summed.
@@ -688,9 +844,35 @@ fn differ<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
     std::array::from_fn(|w| a[w] ^ b[w])
 }
 
-/// One wide block's observability memo: for each gate, the lanes whose
-/// observability is known and, within them, the observable ones (see the
-/// module docs). Allocated on the first collapse point it records.
+/// `a & b` word by word.
+#[inline]
+fn and<const W: usize>(a: [u64; W], b: [u64; W]) -> [u64; W] {
+    std::array::from_fn(|w| a[w] & b[w])
+}
+
+/// A table entry's value.
+#[inline]
+fn load<const W: usize>(entry: &[AtomicU64; W]) -> [u64; W] {
+    std::array::from_fn(|w| entry[w].load(Ordering::Relaxed))
+}
+
+/// Where [`Worker::propagate`] looks up its collapse points.
+#[derive(Clone, Copy)]
+enum Lookup<'t, const W: usize> {
+    /// Nowhere: the propagation runs to its end (syndromes).
+    Nowhere,
+    /// Wide block `wb`'s lazy memo, which records the points it cannot
+    /// answer.
+    Memo(usize),
+    /// The block-0 table being built: it answers every collapse point
+    /// past the root, whose gates are all tabled already.
+    Table(&'t [[AtomicU64; W]]),
+}
+
+/// One wide block's lazy observability memo: for each gate, the lanes
+/// whose observability is known and, within them, the observable ones
+/// (see the module docs). Allocated on the first collapse point it
+/// records.
 #[derive(Clone, Default)]
 struct ObsMemo<const W: usize> {
     /// Gate index → entry index, `u32::MAX` if none.
@@ -707,7 +889,7 @@ impl<const W: usize> ObsMemo<W> {
         let (known, obs) = self.entries.get(e as usize)?;
         (0..W)
             .all(|w| lanes[w] & !known[w] == 0)
-            .then(|| std::array::from_fn(|w| lanes[w] & obs[w]))
+            .then(|| and(lanes, *obs))
     }
 
     /// Records that `obs ⊆ lanes` are the observable lanes of `gate`
@@ -740,6 +922,12 @@ impl<const W: usize> ObsMemo<W> {
 /// CSR ([`Ppsfp::reader_ops`]) restricts propagation to the fault's
 /// structural fanout cone implicitly, because only readers of disturbed
 /// slots are ever scheduled.
+///
+/// Workers sit side by side in one vector and each bumps its counters
+/// and root per fault, so the struct is aligned to 128 bytes (two cache
+/// lines, the span adjacent-line prefetch pairs): no two workers' hot
+/// fields share a line.
+#[repr(align(128))]
 struct Worker<'a, const W: usize> {
     eng: &'a Ppsfp<'a>,
     root: u32,
@@ -768,7 +956,8 @@ struct Worker<'a, const W: usize> {
     /// The current propagation's unanswered collapse points: `(gate,
     /// changed lanes, touched_outputs.len() before the gate's write)`.
     points: Vec<(u32, [u64; W], u32)>,
-    /// One observability memo per wide block.
+    /// One lazy observability memo per wide block (block 0's stays
+    /// empty when the run tables that block).
     memo: Vec<ObsMemo<W>>,
     /// Thread-private effort counters.
     counters: WorkCounters,
@@ -795,6 +984,11 @@ impl<'a, const W: usize> Worker<'a, W> {
     /// all propagation structure is global and precomputed.
     fn load_group(&mut self, root: u32) {
         self.counters.cones_loaded += 1;
+        self.point_at(root);
+    }
+
+    /// Makes `root` the gate that [`Worker::propagate`] forces.
+    fn point_at(&mut self, root: u32) {
         self.root = root;
         self.root_op = self
             .eng
@@ -830,7 +1024,7 @@ impl<'a, const W: usize> Worker<'a, W> {
     fn write(&mut self, work: &mut [[u64; W]], slot: usize, value: [u64; W]) {
         let old = work[slot];
         self.undo.push((slot as u32, old));
-        if self.eng.output_of[slot] != u16::MAX {
+        if self.eng.is_output[slot] {
             self.touched_outputs.push((slot as u32, old));
         }
         work[slot] = value;
@@ -879,19 +1073,21 @@ impl<'a, const W: usize> Worker<'a, W> {
     /// the cone, overwriting disturbed slots in place and logging their
     /// baseline values in `undo`; the caller must [`revert`].
     ///
-    /// With `memo = Some(wb)`, every collapse point consults wide block
-    /// `wb`'s memo: an answer ends the propagation and is returned (the
-    /// output lanes the rest of the cone would have disturbed), and an
-    /// unanswered point is queued in `points` for [`Worker::observe`] to
-    /// record. With `None` the propagation always runs to the end and
-    /// returns zero.
+    /// Every collapse point consults `lookup` (see [`Worker::collapse`]):
+    /// an answer ends the propagation and is returned (the output lanes
+    /// the rest of the cone would have disturbed). Without one the
+    /// propagation runs to the end and returns zero.
     ///
     /// [`revert`]: Worker::revert
-    fn propagate(&mut self, fw: [u64; W], work: &mut [[u64; W]], memo: Option<usize>) -> [u64; W] {
+    fn propagate(
+        &mut self,
+        fw: [u64; W],
+        work: &mut [[u64; W]],
+        lookup: Lookup<'_, W>,
+    ) -> [u64; W] {
         debug_assert!(self.undo.is_empty(), "previous block not reverted");
         self.touched_outputs.clear();
         self.points.clear();
-        self.counters.excited_blocks += 1;
         let kernel = &self.eng.kernel;
         // Event loop: always pop the lowest pending bit from the LIVE
         // bitset word (never a stale local copy, which could leapfrog an
@@ -913,7 +1109,7 @@ impl<'a, const W: usize> Worker<'a, W> {
         let mut folded = 0u64;
         let root = self.root as usize;
         let tail = 'events: {
-            if let Some(tail) = self.collapse(memo, root, differ(fw, work[root])) {
+            if let Some(tail) = self.collapse(lookup, root, differ(fw, work[root])) {
                 break 'events tail;
             }
             self.write(work, root, fw);
@@ -935,7 +1131,7 @@ impl<'a, const W: usize> Worker<'a, W> {
                     continue;
                 }
                 if pending == 0 {
-                    if let Some(tail) = self.collapse(memo, dst, differ(out, work[dst])) {
+                    if let Some(tail) = self.collapse(lookup, dst, differ(out, work[dst])) {
                         break 'events tail;
                     }
                 }
@@ -949,32 +1145,47 @@ impl<'a, const W: usize> Worker<'a, W> {
     }
 
     /// A collapse point: the disturbance has narrowed to `gate` changing
-    /// on `lanes`, with no other event pending. Returns the memo's
-    /// answer, or queues the point and returns `None`.
+    /// on `lanes`, with no other event pending. Returns `lanes &
+    /// obs(gate)` if `lookup` knows it; a memo that does not queues the
+    /// point for [`Worker::observe`] to record. The table being built
+    /// answers every point but the root's own, whose entry is the one
+    /// being computed.
     #[inline]
-    fn collapse(&mut self, memo: Option<usize>, gate: usize, lanes: [u64; W]) -> Option<[u64; W]> {
-        let wb = memo?;
-        self.counters.collapse_points += 1;
-        if let Some(obs) = self.memo[wb].lookup(gate, lanes) {
-            self.counters.memo_hits += 1;
-            return Some(obs);
+    fn collapse(
+        &mut self,
+        lookup: Lookup<'_, W>,
+        gate: usize,
+        lanes: [u64; W],
+    ) -> Option<[u64; W]> {
+        match lookup {
+            Lookup::Nowhere => None,
+            Lookup::Table(table) => {
+                (gate != self.root as usize).then(|| and(lanes, load(&table[gate])))
+            }
+            Lookup::Memo(wb) => {
+                self.counters.collapse_points += 1;
+                if let Some(obs) = self.memo[wb].lookup(gate, lanes) {
+                    self.counters.memo_hits += 1;
+                    return Some(obs);
+                }
+                self.points
+                    .push((gate as u32, lanes, self.touched_outputs.len() as u32));
+                None
+            }
         }
-        self.points
-            .push((gate as u32, lanes, self.touched_outputs.len() as u32));
-        None
     }
 
     /// The OR over primary outputs of the faulty-vs-good difference with
-    /// the root forced to `fw` in wide block `wb`, propagated through
-    /// the memo. Every unanswered collapse point learns its observable
-    /// lanes on the way out: the outputs touched after it, plus the
-    /// memo's answer that ended the propagation, if any.
-    fn observe(&mut self, wb: usize, fw: [u64; W], work: &mut [[u64; W]]) -> [u64; W] {
-        let mut diff = self.propagate(fw, work, Some(wb));
+    /// the root forced to `fw` in the working block `work`, propagated
+    /// through `lookup`. Every queued collapse point learns its
+    /// observable lanes on the way out: the outputs touched after it,
+    /// plus the answer that ended the propagation, if any.
+    fn observe(&mut self, lookup: Lookup<'_, W>, fw: [u64; W], work: &mut [[u64; W]]) -> [u64; W] {
+        let mut diff = self.propagate(fw, work, lookup);
         let mut t = self.touched_outputs.len();
         let gate_count = self.eng.netlist.gate_count();
-        for &(gate, lanes, before) in self.points.iter().rev() {
-            while t > before as usize {
+        let mut learn = |diff: &mut [u64; W], before: usize| {
+            while t > before {
                 t -= 1;
                 let (slot, old) = self.touched_outputs[t];
                 let changed = differ(work[slot as usize], old);
@@ -982,19 +1193,48 @@ impl<'a, const W: usize> Worker<'a, W> {
                     diff[w] |= changed[w];
                 }
             }
-            self.memo[wb].record(gate_count, gate as usize, lanes, diff);
+        };
+        if let Lookup::Memo(wb) = lookup {
+            for &(gate, lanes, before) in self.points.iter().rev() {
+                learn(&mut diff, before as usize);
+                self.memo[wb].record(gate_count, gate as usize, lanes, diff);
+            }
         }
-        debug_assert_eq!(t, 0, "the root is the first collapse point");
+        // The memo's root is its first point; the table's is none.
+        learn(&mut diff, 0);
         self.revert(work);
         diff
     }
 
-    /// First detecting pattern of `fault`, or `None`. The wide pattern
-    /// index decomposes as `(wide_block × W + word) × 64 + lane`, so
-    /// scanning blocks, then words, then trailing zeros yields the same
-    /// "first detecting pattern" the 64-lane engine reports.
-    fn detect(&mut self, fault: Fault, baseline: &Baseline<W>) -> Option<usize> {
-        if !self.eng.reaches_output[self.root as usize] {
+    /// `obs(gate)` on every lane of wide block 0, for the table: the
+    /// gate flipped on all lanes, propagated to its first collapse point
+    /// past itself. Every gate at a higher level must be in `table`.
+    fn tabulate(&mut self, table: &[[AtomicU64; W]], gate: u32) -> [u64; W] {
+        if !self.eng.reaches_output[gate as usize] {
+            return [0; W];
+        }
+        self.point_at(gate);
+        let mut blocks = std::mem::take(&mut self.work);
+        let block = &mut blocks[0];
+        let flipped = block[gate as usize].map(|v| !v);
+        let obs = self.observe(Lookup::Table(table), flipped, block);
+        self.work = blocks;
+        obs
+    }
+
+    /// First detecting pattern of `fault`, or `None`. Block 0 answers
+    /// from `table` when the run built one. The wide pattern index
+    /// decomposes as `(wide_block × W + word) × 64 + lane`, so scanning
+    /// blocks, then words, then trailing zeros yields the same "first
+    /// detecting pattern" the 64-lane engine reports.
+    fn detect(
+        &mut self,
+        fault: Fault,
+        baseline: &Baseline<W>,
+        table: Option<&[[AtomicU64; W]]>,
+    ) -> Option<usize> {
+        let root = self.root as usize;
+        if !self.eng.reaches_output[root] {
             return None; // no structural path to any output
         }
         self.ensure_work(baseline);
@@ -1005,10 +1245,19 @@ impl<'a, const W: usize> Worker<'a, W> {
             let Some(fw) = self.faulty_root(fault, block) else {
                 break; // frame-invisible: true for every block
             };
-            if fw == block[self.root as usize] {
+            let lanes = differ(fw, block[root]);
+            if lanes == [0; W] {
                 continue; // not excited this block
             }
-            let diff = self.observe(wb, fw, block);
+            self.counters.excited_blocks += 1;
+            let diff = match table {
+                Some(table) if wb == 0 => {
+                    self.counters.collapse_points += 1;
+                    self.counters.memo_hits += 1;
+                    and(lanes, load(&table[root]))
+                }
+                _ => self.observe(Lookup::Memo(wb), fw, block),
+            };
             let mask = &baseline.lane_masks[wb];
             for w in 0..W {
                 let d = diff[w] & mask[w];
@@ -1025,8 +1274,14 @@ impl<'a, const W: usize> Worker<'a, W> {
         first
     }
 
-    /// Every `(pattern, output)` observation `fault` corrupts.
-    fn syndromes(&mut self, fault: Fault, baseline: &Baseline<W>) -> BTreeSet<(u32, u16)> {
+    /// Every `(pattern, output)` observation `fault` corrupts, naming
+    /// outputs by their position in `output_of` (gate index → position).
+    fn syndromes(
+        &mut self,
+        fault: Fault,
+        baseline: &Baseline<W>,
+        output_of: &[u16],
+    ) -> BTreeSet<(u32, u16)> {
         let mut syn = BTreeSet::new();
         if !self.eng.reaches_output[self.root as usize] {
             return syn;
@@ -1041,9 +1296,10 @@ impl<'a, const W: usize> Worker<'a, W> {
             if fw == block[self.root as usize] {
                 continue;
             }
-            self.propagate(fw, block, None);
+            self.counters.excited_blocks += 1;
+            self.propagate(fw, block, Lookup::Nowhere);
             for &(slot, ref old) in &self.touched_outputs {
-                let oi = self.eng.output_of[slot as usize];
+                let oi = output_of[slot as usize];
                 let f = &block[slot as usize];
                 for w in 0..W {
                     let mut diff = (f[w] ^ old[w]) & baseline.lane_masks[wb][w];
@@ -1158,14 +1414,181 @@ mod tests {
         let report = rec.finish("streamed");
         let span = report.find("fault_sim.ppsfp").expect("span must exist");
         let phases: Vec<&str> = span.children.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(phases, ["fault_sim.baseline", "fault_sim.propagate"]);
+        assert_eq!(
+            phases,
+            [
+                "fault_sim.baseline",
+                "fault_sim.observability",
+                "fault_sim.propagate"
+            ]
+        );
         assert_eq!(span.counter("faults"), faults.len() as u64);
         assert_eq!(span.counter("detected"), r.detected_count() as u64);
         assert!(span.counter("words_folded") > 0);
+        // The universe holds more than 1.5 faults per gate, and the
+        // slice stream says how many: block 0 is tabled.
+        let table = &span.children[1];
+        assert_eq!(table.counter("tabled_gates"), n.gate_count() as u64);
         // Every excited block starts at a collapse point, its fault site.
         let (points, hits) = (span.counter("collapse_points"), span.counter("memo_hits"));
         assert!(points >= span.counter("excited_blocks"));
         assert!(0 < hits && hits <= points, "{hits} hits of {points} points");
+
+        // A stream that cannot tell its length grades lazily, with the
+        // same detections.
+        let mut rec = dft_obs::Recorder::new();
+        let unsized_stream = faults.iter().copied().filter(|_| true);
+        let lazy = eng.run_streamed_with(&p, unsized_stream, 97, Some(&mut rec));
+        assert_eq!(lazy, r);
+        let report = rec.finish("lazy");
+        let span = report.find("fault_sim.ppsfp").expect("span must exist");
+        let table = span
+            .find("fault_sim.observability")
+            .expect("span must exist");
+        assert_eq!(table.counter("tabled_gates"), 0);
+    }
+
+    #[test]
+    fn zero_sized_chunks_grade_one_fault_at_a_time() {
+        let n = random_combinational(10, 120, 4);
+        let faults = universe(&n);
+        let p = PatternSet::random(10, 200, &mut StdRng::seed_from_u64(4));
+        let eng = Ppsfp::new(&n).unwrap();
+        let one = eng.run_streamed(&p, faults.iter().copied(), 0);
+        assert_eq!(one, eng.run_streamed(&p, faults.iter().copied(), 1));
+        assert_eq!(one, simulate(&n, &p, &faults).unwrap());
+    }
+
+    #[test]
+    fn any_output_count_grades_and_only_syndromes_refuse_past_u16() {
+        // One input fanning out to 65,535 inverters, each a primary
+        // output: one more than a syndrome's `u16` position holds.
+        let mut n = dft_netlist::Netlist::new("wide");
+        let a = n.add_input("a");
+        for i in 0..usize::from(u16::MAX) {
+            let g = n.add_gate(GateKind::Not, &[a]).unwrap();
+            n.mark_output(g, format!("y{i}")).unwrap();
+        }
+        let faults = universe(&n);
+        let eng = Ppsfp::new(&n).unwrap();
+        let p = exhaustive_patterns(1);
+        let r = eng.run(&p, &faults);
+        assert_eq!(
+            r.detected_count(),
+            faults.len(),
+            "every fault is detectable"
+        );
+        // The lazy path agrees with the tabled one.
+        let lazy = eng.run_streamed(&p, faults.iter().copied().filter(|_| true), 4096);
+        assert_eq!(lazy, r);
+        let refused = std::panic::catch_unwind(|| eng.run_syndromes(&p, &faults[..1]));
+        let message = refused.expect_err("syndromes store u16 output positions");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"more than 65534 primary outputs")
+        );
+    }
+
+    /// The block-0 table of `eng` over `p` at width `W`, its build's
+    /// `words_folded` and the number of workers the build hired.
+    fn table_of<const W: usize>(eng: &Ppsfp<'_>, p: &PatternSet) -> (Vec<[u64; W]>, u64, usize) {
+        let baseline = eng.baseline::<W>(p);
+        let mut workers = Vec::new();
+        let table = eng.observability_table(&mut workers, &baseline);
+        let folded = merged_counters(&workers).words_folded;
+        (table.iter().map(load).collect(), folded, workers.len())
+    }
+
+    /// `obs(g)` on every lane of wide block 0 by brute force: `g`
+    /// flipped and propagated to the end, no table or memo.
+    fn brute_force_obs<const W: usize>(eng: &Ppsfp<'_>, p: &PatternSet) -> Vec<[u64; W]> {
+        let baseline = eng.baseline::<W>(p);
+        let mut worker = Worker::new(eng);
+        worker.ensure_work(&baseline);
+        let mut block = std::mem::take(&mut worker.work[0]);
+        (0..eng.netlist.gate_count())
+            .map(|g| {
+                worker.point_at(g as u32);
+                let flipped = block[g].map(|v| !v);
+                worker.observe(Lookup::Nowhere, flipped, &mut block)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_table_is_exact_and_the_same_at_every_thread_count() {
+        let circuits = [
+            random_combinational(12, 600, 3),
+            dft_netlist::circuits::layered_random(24, 700, 9),
+        ];
+        for n in &circuits {
+            let mut rng = StdRng::seed_from_u64(7);
+            let narrow = PatternSet::random(n.primary_inputs().len(), 50, &mut rng);
+            let wide = PatternSet::random(n.primary_inputs().len(), 250, &mut rng);
+            let engine = |threads| {
+                Ppsfp::with_options(n, PpsfpOptions::new().with_threads(threads)).unwrap()
+            };
+            let (one, two, three) = (engine(1), engine(2), engine(3));
+            let reference = table_of::<1>(&one, &narrow);
+            assert_eq!(
+                reference.0,
+                brute_force_obs::<1>(&one, &narrow),
+                "{}",
+                n.name()
+            );
+            assert_eq!(reference.2, 1);
+            for (threads, eng) in [(2, &two), (3, &three)] {
+                let got = table_of::<1>(eng, &narrow);
+                assert_eq!(got.2, threads, "{} hires {threads} workers", n.name());
+                assert_eq!((&got.0, got.1), (&reference.0, reference.1), "{}", n.name());
+            }
+            let reference = table_of::<4>(&one, &wide);
+            assert_eq!(
+                reference.0,
+                brute_force_obs::<4>(&one, &wide),
+                "{}",
+                n.name()
+            );
+            for eng in [&two, &three] {
+                let got = table_of::<4>(eng, &wide);
+                assert_eq!((&got.0, got.1), (&reference.0, reference.1), "{}", n.name());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Block 0 tabled, block 0 lazy, the public entry points (which
+        /// choose by fault count) and the serial reference agree: fault
+        /// lists on both sides of the table's threshold, both lane
+        /// widths with ragged tails, 1–4 threads, any chunking.
+        #[test]
+        fn tabled_lazy_and_serial_agree(
+            seed in 0u64..1_000,
+            gates in 20usize..400,
+            patterns in 1usize..600,
+            quarter_faults_per_gate in 0usize..13,
+            threads in 1usize..=4,
+            chunk in 1usize..800,
+        ) {
+            use rand::Rng;
+            let n = random_combinational(10, gates, seed);
+            let all = universe(&n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let count = n.gate_count() * quarter_faults_per_gate / 4;
+            let faults: Vec<Fault> = (0..count).map(|_| all[rng.gen_range(0..all.len())]).collect();
+            let p = PatternSet::random(10, patterns, &mut rng);
+            let serial = simulate(&n, &p, &faults).unwrap();
+            let eng = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(threads)).unwrap();
+            for tabled in [false, true] {
+                let r = eng.grade(&p, tabled, |grade| faults.chunks(chunk).for_each(grade), None);
+                proptest::prop_assert_eq!(&r, &serial, "tabled {}", tabled);
+            }
+            proptest::prop_assert_eq!(&eng.run(&p, &faults), &serial);
+            let streamed = eng.run_streamed(&p, faults.iter().copied(), chunk);
+            proptest::prop_assert_eq!(&streamed, &serial);
+        }
     }
 
     #[test]

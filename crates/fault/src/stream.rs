@@ -140,18 +140,48 @@ impl<'n> FaultUniverse<'n> {
         Some(self.offset[g] as usize + within)
     }
 
-    /// Streams every fault in universe order, allocation-free.
-    pub fn iter(&self) -> impl Iterator<Item = Fault> + '_ {
-        self.offset.windows(2).enumerate().flat_map(|(g, w)| {
+    /// Streams every fault in universe order, allocation-free. The
+    /// stream knows its exact length, so
+    /// [`Ppsfp::run_streamed`](crate::Ppsfp::run_streamed) can size its
+    /// run from it.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Fault> + '_ {
+        let faults = self.offset.windows(2).enumerate().flat_map(|(g, w)| {
             let id = GateId::from_index(g);
             let pins = (w[1] - w[0]) / 2;
             (0..pins).flat_map(move |p| {
                 let site = site(id, p, pins);
                 [false, true].map(|stuck| Fault { site, stuck })
             })
-        })
+        });
+        Counted {
+            inner: faults,
+            left: self.len(),
+        }
     }
 }
+
+/// An iterator that yields exactly `left` more items and says so in its
+/// `size_hint`.
+struct Counted<I> {
+    inner: I,
+    left: usize,
+}
+
+impl<I: Iterator> Iterator for Counted<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let item = self.inner.next()?;
+        self.left -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<I: Iterator> ExactSizeIterator for Counted<I> {}
 
 /// Pin `p` of a gate with `pins` enumerated pins: its input pins in
 /// order, then its output.
@@ -251,13 +281,19 @@ impl<'n> CollapsedUniverse<'n> {
     }
 
     /// Streams one representative fault per class, in universe order,
-    /// without materializing the list.
-    pub fn representatives(&self) -> impl Iterator<Item = Fault> + '_ {
-        self.rep_of
+    /// without materializing the list. The stream knows its exact
+    /// length, [`CollapsedUniverse::class_count`].
+    pub fn representatives(&self) -> impl ExactSizeIterator<Item = Fault> + '_ {
+        let reps = self
+            .rep_of
             .iter()
             .enumerate()
             .filter(|&(i, &r)| i == r as usize)
-            .map(|(i, _)| self.universe.fault(i))
+            .map(|(i, _)| self.universe.fault(i));
+        Counted {
+            inner: reps,
+            left: self.class_count,
+        }
     }
 }
 
@@ -281,6 +317,24 @@ mod tests {
             for (i, f) in u.iter().enumerate() {
                 assert_eq!(u.fault(i), f);
                 assert_eq!(u.index_of(f), Some(i));
+            }
+        }
+    }
+
+    #[test]
+    fn streams_report_their_exact_length() {
+        for n in [c17(), circuits::layered_random(32, 2_000, 3)] {
+            let u = FaultUniverse::new(&n);
+            let col = CollapsedUniverse::new(&n);
+            let mut all = u.iter();
+            let mut reps = col.representatives();
+            for left in (0..=u.len()).rev() {
+                assert_eq!(all.size_hint(), (left, Some(left)));
+                assert_eq!(all.next().is_some(), left > 0);
+            }
+            for left in (0..=col.class_count()).rev() {
+                assert_eq!(reps.len(), left);
+                assert_eq!(reps.next().is_some(), left > 0);
             }
         }
     }
