@@ -1,0 +1,73 @@
+//! The `--report` pass: one fully observed run written as a
+//! `tessera-obs/1` span/counter tree.
+
+use dft_atpg::{generate_tests_observed, AtpgConfig};
+use dft_bench::exhaustive_patterns;
+use dft_fault::{universe, FaultSimEngine, PpsfpEngine, PpsfpOptions, SerialEngine};
+use dft_obs::{Recorder, RunReport};
+
+use crate::circuit;
+
+/// One fully observed pass: the reference serial engine, the PPSFP
+/// engine, and the complete ATPG flow (whose deterministic phase nests
+/// the implication-engine build) all feed a single recorder, so the tree
+/// covers the `fault_sim.*`, `atpg.*` and `implic.learn` phases in one
+/// report. Runs on c17: the report documents the flow's shape, not its
+/// throughput. Every recorded counter is asserted against the stats the
+/// engines returned for the same runs, so a written report is a
+/// cross-checked one.
+pub fn observed_run(quick: bool, threads: usize) -> RunReport {
+    let n = circuit("c17");
+    let faults = universe(&n);
+    let patterns = exhaustive_patterns(5);
+    let serial = SerialEngine::default();
+    let ppsfp = PpsfpEngine {
+        options: PpsfpOptions::new().with_threads(threads),
+    };
+
+    let mut rec = Recorder::new();
+    let serial_result = serial
+        .run_with(&n, &patterns, &faults, Some(&mut rec))
+        .expect("c17 levelizes");
+    let ppsfp_result = ppsfp
+        .run_with(&n, &patterns, &faults, Some(&mut rec))
+        .expect("c17 levelizes");
+    let atpg_run = generate_tests_observed(&n, &faults, &AtpgConfig::default(), Some(&mut rec))
+        .expect("c17 levelizes");
+    let report = rec.finish(if quick {
+        "tessera-bench --quick"
+    } else {
+        "tessera-bench"
+    });
+
+    let serial_span = report.find("fault_sim.serial").expect("serial span");
+    assert_eq!(
+        serial_span.counter("detected"),
+        serial_result.detected_count() as u64,
+        "serial telemetry disagrees with DetectionResult"
+    );
+    let ppsfp_span = report.find("fault_sim.ppsfp").expect("ppsfp span");
+    assert_eq!(
+        ppsfp_span.counter("detected"),
+        ppsfp_result.detected_count() as u64,
+        "ppsfp telemetry disagrees with DetectionResult"
+    );
+    let det = report
+        .find("atpg.deterministic")
+        .expect("deterministic ATPG span");
+    assert_eq!(
+        det.counter("backtracks"),
+        atpg_run.backtracks,
+        "ATPG telemetry disagrees with AtpgRun"
+    );
+    assert_eq!(
+        det.counter("forward_evals"),
+        atpg_run.forward_evals,
+        "ATPG telemetry disagrees with AtpgRun"
+    );
+    assert!(
+        report.find("implic.learn").is_some(),
+        "implication-engine build missing from the report"
+    );
+    report
+}

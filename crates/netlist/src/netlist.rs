@@ -1,13 +1,34 @@
 //! The netlist arena and its construction/query API.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use crate::{Gate, GateId, GateKind, Levelization, LevelizeError, NetlistError, Topology};
 
 /// Sentinel in the per-gate name-span table for "unnamed".
 const NO_NAME: u32 = u32::MAX;
+
+/// The 64-bit hash a primary input or output name is indexed under.
+fn name_hash(name: &str) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
+}
+
+/// A set of [`name_hash`] values. The hasher has fixed keys, so `Debug`
+/// lists a netlist's hashes in the same order on every run.
+type HashIndex = HashSet<u64, BuildHasherDefault<DefaultHasher>>;
+
+/// [`name_hash`] of every primary input name and of every primary output
+/// name. A duplicate check compares names only on a hash match, so adding
+/// n inputs or outputs costs O(n) string compares, not O(n²).
+#[derive(Clone, Debug, Default)]
+struct NameHashes {
+    inputs: HashIndex,
+    outputs: HashIndex,
+}
 
 /// A gate-level logic network.
 ///
@@ -65,6 +86,9 @@ pub struct Netlist {
     name_bytes: Vec<u8>,
     inputs: Vec<GateId>,
     outputs: Vec<(GateId, String)>,
+    /// The primary I/O name hashes, shared by clones until one adds a
+    /// name: repair clones the netlist for every candidate.
+    name_hashes: Arc<NameHashes>,
     /// This revision's structure, built on first use; every structural
     /// mutator drops it.
     topology: OnceLock<Arc<Topology>>,
@@ -85,6 +109,7 @@ impl Netlist {
             name_bytes: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
+            name_hashes: Arc::default(),
             topology: OnceLock::new(),
         }
     }
@@ -174,15 +199,18 @@ impl Netlist {
     /// Returns [`NetlistError::DuplicateInputName`] if the name is taken.
     pub fn try_add_input(&mut self, name: impl Into<String>) -> Result<GateId, NetlistError> {
         let name = name.into();
-        if self
-            .inputs
-            .iter()
-            .any(|&id| self.gate_name(id.index()) == Some(name.as_str()))
+        let hash = name_hash(&name);
+        if self.name_hashes.inputs.contains(&hash)
+            && self
+                .inputs
+                .iter()
+                .any(|&id| self.gate_name(id.index()) == Some(name.as_str()))
         {
             return Err(NetlistError::DuplicateInputName(name));
         }
         let id = self.push_gate(GateKind::Input, &[], Some(&name));
         self.inputs.push(id);
+        Arc::make_mut(&mut self.name_hashes).inputs.insert(hash);
         Ok(id)
     }
 
@@ -283,11 +311,14 @@ impl Netlist {
             return Err(NetlistError::UnknownGate(gate));
         }
         let name = name.into();
-        if self.outputs.iter().any(|(_, n)| *n == name) {
+        let hash = name_hash(&name);
+        if self.name_hashes.outputs.contains(&hash) && self.outputs.iter().any(|(_, n)| *n == name)
+        {
             return Err(NetlistError::DuplicateOutputName(name));
         }
         self.edit();
         self.outputs.push((gate, name));
+        Arc::make_mut(&mut self.name_hashes).outputs.insert(hash);
         Ok(())
     }
 
@@ -628,7 +659,8 @@ impl Netlist {
         let name_bytes = self.name_bytes.len();
         let io_bytes = self.inputs.len() * size_of::<GateId>()
             + self.outputs.len() * size_of::<(GateId, String)>()
-            + self.outputs.iter().map(|(_, n)| n.len()).sum::<usize>();
+            + self.outputs.iter().map(|(_, n)| n.len()).sum::<usize>()
+            + (self.name_hashes.inputs.len() + self.name_hashes.outputs.len()) * size_of::<u64>();
         MemoryFootprint {
             gate_count: self.kinds.len(),
             gate_bytes,
@@ -642,7 +674,8 @@ impl Netlist {
 impl PartialEq for Netlist {
     /// Logical equality: same design name, same per-gate
     /// (kind, inputs, name) rows, same primary I/O. Orphaned edge spans
-    /// (an artifact of in-place edit history) and the memoized
+    /// (an artifact of in-place edit history), the name-hash sets (a
+    /// function of the primary I/O) and the memoized
     /// [`Topology`] do not participate, so two
     /// netlists that answer every query identically compare equal even
     /// if their edit histories differ.
@@ -864,6 +897,37 @@ mod tests {
         ));
         // Same gate under a second name is fine.
         assert!(n.mark_output(a, "y2").is_ok());
+    }
+
+    #[test]
+    fn duplicate_checks_scale_to_many_names() {
+        const N: usize = 1 << 17;
+        let mut n = Netlist::new("wide");
+        for i in 0..N {
+            let id = n.add_input(format!("i{i}"));
+            n.mark_output(id, format!("o{i}")).unwrap();
+        }
+        assert_eq!(n.primary_inputs().len(), N);
+        assert_eq!(n.primary_outputs().len(), N);
+        let first = n.primary_inputs()[0];
+        for name in ["i0", &format!("i{}", N - 1)] {
+            assert_eq!(
+                n.try_add_input(name),
+                Err(NetlistError::DuplicateInputName(name.to_owned()))
+            );
+        }
+        for name in ["o0", &format!("o{}", N - 1)] {
+            assert_eq!(
+                n.mark_output(first, name),
+                Err(NetlistError::DuplicateOutputName(name.to_owned()))
+            );
+        }
+        // A clone checks against the same names, and still equals its source.
+        let mut copy = n.clone();
+        assert!(copy.try_add_input("i7").is_err());
+        assert_eq!(copy, n);
+        assert!(copy.try_add_input("fresh").is_ok());
+        assert_eq!(n.find_input("fresh"), None);
     }
 
     #[test]
