@@ -215,7 +215,11 @@ pub struct Ppsfp<'n> {
     /// Whether gate `g` is a primary output: the netlist's memoized
     /// [`dft_netlist::Topology::output_mask`].
     is_output: &'n [bool],
-    options: PpsfpOptions,
+    /// The worker count before any task cap: [`PpsfpOptions::threads`],
+    /// or the machine's available parallelism when that is 0, asked once
+    /// at construction rather than per chunk (the query can read cgroup
+    /// files).
+    threads: usize,
 }
 
 /// Cached good-machine state for one pattern set, in wide blocks.
@@ -293,7 +297,10 @@ impl<'n> Ppsfp<'n> {
             reader_pool,
             reaches_output,
             is_output,
-            options,
+            threads: match options.threads {
+                0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+                n => n,
+            },
         })
     }
 
@@ -737,12 +744,7 @@ impl<'n> Ppsfp<'n> {
     /// thread count (`0` = the machine's available parallelism), capped
     /// by `tasks` — with `workers` grown to at least that many.
     fn hire<'w, const W: usize>(&'w self, workers: &mut Vec<Worker<'w, W>>, tasks: usize) -> usize {
-        let threads = if self.options.threads > 0 {
-            self.options.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        }
-        .clamp(1, tasks.max(1));
+        let threads = self.threads.clamp(1, tasks.max(1));
         while workers.len() < threads {
             workers.push(Worker::new(self));
         }

@@ -65,13 +65,9 @@ impl<'n> FaultUniverse<'n> {
         let mut total = 0u32;
         offset.push(0);
         for (_, gate) in netlist.iter() {
-            let here = match gate.kind() {
-                GateKind::Const0 | GateKind::Const1 => 0,
-                GateKind::Input => 2,
-                _ => 2 * gate.fanin() + 2,
-            };
+            let here = 2 * fault_pins(gate.kind(), gate.fanin());
             total = total
-                .checked_add(u32::try_from(here).expect("fan-in fits u32"))
+                .checked_add(here)
                 .expect("fault universe exceeds u32 index space");
             offset.push(total);
         }
@@ -157,6 +153,32 @@ impl<'n> FaultUniverse<'n> {
             inner: faults,
             left: self.len(),
         }
+    }
+}
+
+/// The faults `gate` contributes to the universe of `netlist`, in
+/// universe order: what [`FaultUniverse::iter`] yields for that gate.
+///
+/// # Panics
+///
+/// Panics if `gate` is not a gate of `netlist`.
+pub fn gate_faults(netlist: &Netlist, gate: GateId) -> impl Iterator<Item = Fault> {
+    let g = netlist.gate(gate);
+    let pins = fault_pins(g.kind(), g.fanin());
+    (0..pins).flat_map(move |p| {
+        let site = site(gate, p, pins);
+        [false, true].map(|stuck| Fault { site, stuck })
+    })
+}
+
+/// The pins a gate of `kind` with `fanin` inputs carries faults on:
+/// none for a constant, the output of an input, and every pin of the
+/// rest.
+fn fault_pins(kind: GateKind, fanin: usize) -> u32 {
+    match kind {
+        GateKind::Const0 | GateKind::Const1 => 0,
+        GateKind::Input => 1,
+        _ => u32::try_from(fanin + 1).expect("fan-in fits u32"),
     }
 }
 

@@ -64,7 +64,7 @@ mod engine;
 mod untestable;
 
 pub use engine::{ImplicationEngine, Implications, LearnStats, Literal};
-pub use untestable::{UntestableReason, VerdictRecord};
+pub use untestable::{RebasedCount, UntestableReason, VerdictRecord};
 
 /// The telemetry crate whose [`Collector`](dft_obs::Collector)
 /// [`ImplicationEngine::new_observed`] takes, re-exported so a dependent

@@ -24,11 +24,12 @@
 //! rather than implication chains.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use dft_netlist::{GateId, GateKind, Pin};
 use dft_sim::Logic;
 
-use crate::engine::{propagate, reaches, ImplicationEngine, Prop, RebaseDiff, TraceValues};
+use crate::engine::{propagate, reaches, Csr, ImplicationEngine, Prop, RebaseDiff, TraceValues};
 
 /// Why a fault is statically untestable (the diagnostic witness carried
 /// into lint findings and prefilter reports).
@@ -159,6 +160,9 @@ trait Footprint {
     fn side(&mut self, net: GateId);
     /// The walk queued `to` as a reader of `from`.
     fn step(&mut self, from: GateId, to: GateId);
+    /// The cone walk added `to`, a reader of `from`, to the origin's
+    /// structural cone.
+    fn cone_step(&mut self, from: GateId, to: GateId);
     /// The walk from `origin` reached the output `po`: narrow the
     /// footprint to the witness path if that proves observability alone.
     fn observed(
@@ -169,9 +173,9 @@ trait Footprint {
         po: GateId,
         value: &dyn Fn(usize) -> Logic,
     );
-    /// Appends the fault's footprint to `record`'s pools; returns
-    /// whether it is a witness path.
-    fn flush(&self, record: &mut VerdictRecord) -> bool;
+    /// Appends the fault's footprint to `record`'s pools; returns the
+    /// length of its witness path, if it is a witness.
+    fn flush(&self, record: &mut VerdictRecord) -> Option<u32>;
 }
 
 /// The plain batch keeps no footprint.
@@ -187,6 +191,9 @@ impl Footprint for () {
     #[inline(always)]
     fn step(&mut self, _: GateId, _: GateId) {}
 
+    #[inline(always)]
+    fn cone_step(&mut self, _: GateId, _: GateId) {}
+
     fn observed(
         &mut self,
         _: &ImplicationEngine<'_>,
@@ -197,8 +204,8 @@ impl Footprint for () {
     ) {
     }
 
-    fn flush(&self, _: &mut VerdictRecord) -> bool {
-        false
+    fn flush(&self, _: &mut VerdictRecord) -> Option<u32> {
+        None
     }
 }
 
@@ -218,15 +225,23 @@ impl NetSet {
     }
 }
 
-/// The node and side footprints of one fault, plus the walk's parent
-/// links for witness paths.
+/// The node and side footprints of one fault, plus the walk's and the
+/// cone walk's parent links for witness paths.
 struct Footprints {
     epoch: u32,
     nodes: NetSet,
     sides: NetSet,
     parent: Vec<GateId>,
-    /// `nodes` holds a witness path rather than a walk's reads.
+    /// `cone_parent[x]` links `x` towards the origin when `cone[x]` holds
+    /// the current epoch.
+    cone: Vec<u32>,
+    cone_parent: Vec<GateId>,
+    /// The witness's blocking side inputs that lie in the origin's cone.
+    exempt: Vec<u32>,
+    /// `nodes` holds a witness — its path's `path_len` gates first, then
+    /// the cone paths of `exempt` — rather than a walk's reads.
     witness: bool,
+    path_len: u32,
 }
 
 impl Footprints {
@@ -240,7 +255,11 @@ impl Footprints {
             nodes: set(),
             sides: set(),
             parent: vec![GateId::from_index(0); n],
+            cone: vec![0; n],
+            cone_parent: vec![GateId::from_index(0); n],
+            exempt: Vec::new(),
             witness: false,
+            path_len: 0,
         }
     }
 }
@@ -251,10 +270,12 @@ impl Footprint for Footprints {
         if self.epoch == 0 {
             self.nodes.seen.fill(0);
             self.sides.seen.fill(0);
+            self.cone.fill(0);
             self.epoch = 1;
         }
         self.nodes.nets.clear();
         self.sides.nets.clear();
+        self.exempt.clear();
         self.witness = false;
     }
 
@@ -270,16 +291,23 @@ impl Footprint for Footprints {
         self.parent[to.index()] = from;
     }
 
-    /// A path origin → … → `po` on which every gate passed because none
-    /// of its off-path side inputs blocks proves the fault observable by
-    /// itself, whatever else the walk read. It is kept as the footprint:
-    /// the path's gates after the origin, in order (the origin alone when
-    /// it is an output), and the side inputs it passed. A later batch
-    /// copies the verdict when those sides read as before, or checks the
-    /// path again under its own values
-    /// ([`ImplicationEngine::witness_holds`]). When some gate passed only
-    /// because a blocking side input lies in the origin's cone, the
-    /// walk's reads stay the footprint.
+    fn cone_step(&mut self, from: GateId, to: GateId) {
+        self.cone[to.index()] = self.epoch;
+        self.cone_parent[to.index()] = from;
+    }
+
+    /// The path origin → … → `po` the walk took proves the fault
+    /// observable by itself, whatever else the walk read: each of its
+    /// gates passed because every side input that blocks lies in the
+    /// origin's structural cone (and so may carry the effect). It is kept
+    /// as the footprint: the path's gates after the origin, in order (the
+    /// origin alone when it is an output), then, for each blocking side
+    /// input on the path, the cone walk's chain from that input back to
+    /// the origin, which proves it in the cone; the sides are the ones
+    /// the path passed. A later batch keeps the verdict when the path and
+    /// the chains are intact and no side blocks under its own values
+    /// unless it is one of those cone inputs
+    /// ([`ImplicationEngine::witness_holds`]).
     fn observed(
         &mut self,
         engine: &ImplicationEngine<'_>,
@@ -296,20 +324,43 @@ impl Footprint for Footprints {
         if path.len() > 1 {
             path.remove(0);
         }
-        if engine.witness_holds(origin, pin, path.iter().copied(), value) {
-            self.begin();
-            for &x in &path {
-                self.node(x);
+        let mut chains: Vec<GateId> = Vec::new();
+        let mut exempt: Vec<u32> = Vec::new();
+        let mut holds = true;
+        engine.witness_sides(origin, pin, path.iter().copied(), |kind, s, on_path| {
+            if holds && engine.side_blocks(kind, s, value, &mut ()) {
+                if on_path && (s == origin || self.cone[s.index()] == self.epoch) {
+                    exempt.push(s.index() as u32);
+                    let mut x = s;
+                    while x != origin {
+                        chains.push(x);
+                        x = self.cone_parent[x.index()];
+                    }
+                } else {
+                    holds = false;
+                }
             }
-            engine.witness_sides(origin, pin, path.iter().copied(), |_, s| self.side(s));
-            self.witness = true;
+        });
+        if !holds {
+            return;
         }
+        self.begin();
+        for &x in path.iter().chain(&chains) {
+            self.node(x);
+        }
+        self.path_len = path.len() as u32;
+        engine.witness_sides(origin, pin, path.iter().copied(), |_, s, _| self.side(s));
+        exempt.sort_unstable();
+        exempt.dedup();
+        self.exempt = exempt;
+        self.witness = true;
     }
 
-    fn flush(&self, record: &mut VerdictRecord) -> bool {
+    fn flush(&self, record: &mut VerdictRecord) -> Option<u32> {
         record.nodes.extend_from_slice(&self.nodes.nets);
         record.sides.extend_from_slice(&self.sides.nets);
-        self.witness
+        record.exempt.extend_from_slice(&self.exempt);
+        self.witness.then_some(self.path_len)
     }
 }
 
@@ -335,6 +386,44 @@ pub struct VerdictRecord {
     nodes: Vec<u32>,
     /// Each fault's side footprint, back to back.
     sides: Vec<u32>,
+    /// Each witness's blocking side inputs in the origin's cone, back to
+    /// back.
+    exempt: Vec<u32>,
+    /// What each verdict read, built on the first rebased count.
+    index: OnceLock<VerdictIndex>,
+}
+
+/// A [`VerdictRecord`] indexed by what each verdict read, so that a
+/// rebased count visits only the groups and faults an edit can reach.
+#[derive(Clone, Debug, Default)]
+struct VerdictIndex {
+    /// Groups by the literals [`reaches`] tests: the seed, every literal
+    /// the excitation assigned, and the conflict net's first literal.
+    groups: Csr,
+    /// Faults by the nets of their node footprint.
+    nodes: Csr,
+    /// Faults by the nets of their side footprint.
+    sides: Csr,
+    /// Faults by site gate.
+    gates: Csr,
+    /// Each fault's group.
+    group_of: Vec<u32>,
+    /// Faults with an untestable verdict.
+    untestable: usize,
+}
+
+/// The measures of an edited fault universe that a rebased count
+/// ([`ImplicationEngine::untestable_count_rebased`]) reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RebasedCount {
+    /// Faults of the edited universe proven untestable.
+    pub untestable: usize,
+    /// Faults in the edited universe.
+    pub faults: usize,
+    /// Verdicts decided afresh: an excitation or an observation walk
+    /// ran for them. Every other verdict of the edited universe is the
+    /// base record's.
+    pub decided: usize,
 }
 
 /// One excitation literal of a [`VerdictRecord`]. The `*_end` fields
@@ -354,10 +443,12 @@ struct Group {
 struct FaultRecord {
     site: (GateId, Pin, bool),
     verdict: Option<UntestableReason>,
-    /// The node footprint is a witness path (see [`Footprints`]).
-    witness: bool,
+    /// The node footprint is a witness whose path is its first this many
+    /// nodes (see [`Footprints`]).
+    witness: Option<u32>,
     nodes_end: u32,
     sides_end: u32,
+    exempt_end: u32,
 }
 
 impl VerdictRecord {
@@ -367,16 +458,58 @@ impl VerdictRecord {
         &self.verdicts
     }
 
-    /// The group of excitation literal `lit`, with its spans of `lits`
-    /// and `faults`.
-    fn group(&self, lit: usize) -> Option<(Group, Range<usize>, Range<usize>)> {
-        let k = (*self.by_lit.get(lit)? as usize).checked_sub(1)?;
-        let g = self.groups[k];
+    /// The group index of excitation literal `lit`.
+    fn group(&self, lit: usize) -> Option<u32> {
+        (*self.by_lit.get(lit)?).checked_sub(1)
+    }
+
+    /// The spans of `groups[k]` in `lits` and `faults`.
+    fn spans(&self, k: usize) -> (Range<usize>, Range<usize>) {
         let (lits, faults) = k.checked_sub(1).map_or((0, 0), |j| {
             let p = &self.groups[j];
             (p.lits_end as usize, p.faults_end as usize)
         });
-        Some((g, lits..g.lits_end as usize, faults..g.faults_end as usize))
+        let g = &self.groups[k];
+        (lits..g.lits_end as usize, faults..g.faults_end as usize)
+    }
+
+    /// The record's index, built on first use.
+    fn index(&self) -> &VerdictIndex {
+        self.index.get_or_init(|| {
+            let n = self.by_lit.len() / 2;
+            let group_of: Vec<u32> = (0..self.groups.len())
+                .flat_map(|k| self.spans(k).1.map(move |_| k as u32))
+                .collect();
+            let faults = |emit: &mut dyn FnMut(usize, u32), pool: fn(&Self, usize) -> &[u32]| {
+                for k in 0..self.faults.len() {
+                    for &x in pool(self, k) {
+                        emit(x as usize, k as u32);
+                    }
+                }
+            };
+            VerdictIndex {
+                groups: Csr::build(2 * n, |emit| {
+                    for (k, g) in self.groups.iter().enumerate() {
+                        emit(g.lit as usize, k as u32);
+                        for &l in &self.lits[self.spans(k).0] {
+                            emit(l as usize, k as u32);
+                        }
+                        if let Err(UntestableReason::Unexcitable { conflict, .. }) = g.excited {
+                            emit(2 * conflict.index(), k as u32);
+                        }
+                    }
+                }),
+                nodes: Csr::build(n, |emit| faults(emit, |r, k| r.footprint(k).0)),
+                sides: Csr::build(n, |emit| faults(emit, |r, k| r.footprint(k).1)),
+                gates: Csr::build(n, |emit| {
+                    for (k, f) in self.faults.iter().enumerate() {
+                        emit(f.site.0.index(), k as u32);
+                    }
+                }),
+                group_of,
+                untestable: self.faults.iter().filter(|f| f.verdict.is_some()).count(),
+            }
+        })
     }
 
     /// The node and side footprints of `faults[k]`.
@@ -390,6 +523,14 @@ impl VerdictRecord {
             &self.nodes[nodes..f.nodes_end as usize],
             &self.sides[sides..f.sides_end as usize],
         )
+    }
+
+    /// The cone inputs `faults[k]`'s witness may pass while they block.
+    fn exempt(&self, k: usize) -> &[u32] {
+        let from = k
+            .checked_sub(1)
+            .map_or(0, |j| self.faults[j].exempt_end as usize);
+        &self.exempt[from..self.faults[k].exempt_end as usize]
     }
 }
 
@@ -461,8 +602,8 @@ impl ImplicationEngine<'_> {
     }
 
     /// [`ImplicationEngine::faults_untestable`], keeping the record a
-    /// rebased engine copies verdicts from
-    /// ([`ImplicationEngine::faults_untestable_rebased`]).
+    /// rebased engine counts from
+    /// ([`ImplicationEngine::untestable_count_rebased`]).
     ///
     /// # Panics
     ///
@@ -476,14 +617,7 @@ impl ImplicationEngine<'_> {
             engine: self.serial,
             ..VerdictRecord::default()
         };
-        let (verdicts, _) = self.batch(
-            faults,
-            &mut scratch,
-            &mut footprint,
-            Some(&mut record),
-            None,
-        );
-        record.verdicts = verdicts;
+        record.verdicts = self.batch(faults, &mut scratch, &mut footprint, Some(&mut record));
         record.by_lit = vec![0; 2 * n];
         for (k, g) in record.groups.iter().enumerate() {
             record.by_lit[g.lit as usize] = k as u32 + 1;
@@ -491,43 +625,205 @@ impl ImplicationEngine<'_> {
         record
     }
 
-    /// [`ImplicationEngine::faults_untestable`] on an engine built by
-    /// [`ImplicationEngine::rebase`], copying from `base` — a batch
-    /// recorded by the engine this one was rebased from — every verdict
-    /// the edit cannot reach. Returns the verdicts, aligned with
-    /// `faults`, and how many were copied.
+    /// Counts the untestable faults of an edited fault universe on an
+    /// engine built by [`ImplicationEngine::rebase`], from `base` — a
+    /// batch that the engine this one was rebased from recorded over its
+    /// netlist's whole universe — and `added`, the edited universe's
+    /// faults at the gates the edit rewrote or appended. The edited
+    /// universe is `base`'s minus its faults at rewritten gates, plus
+    /// `added`. Returns `None` when `base` was not recorded by this
+    /// engine's prior (the caller then decides the universe afresh).
     ///
-    /// A fault copies its prior verdict, witness included, when its
-    /// gate is unchanged and either
+    /// The count is the base count, minus the removed faults' verdicts,
+    /// plus the verdicts of `added`, plus what the edit flips. Only
+    /// verdicts a changed read can flip are decided again; the rest keep
+    /// the base verdict. A base fault is re-decided when its gate
+    /// survives the edit and
     ///
-    /// * its excitation propagation read nothing the edit changed, and
-    ///   its observation walk read no changed gate record, reader list or
-    ///   output flag of a net it stood on or passed, and no changed
-    ///   implied value or storage flag of a side input; or
-    /// * its prior verdict was observable along a witness path whose gates
-    ///   and output are unchanged and whose side inputs still do not block
-    ///   under this engine's excitation values.
+    /// * its excitation may not repeat: its recorded trace meets the
+    ///   rebase's trace or closure mask, or its literal's unsettable flag
+    ///   changed; or
+    /// * its observation walk read a net whose gate record, reader list or
+    ///   output flag changed where it stood on or passed it, or whose
+    ///   implied value or storage flag changed where it was a side input;
+    ///   or its own gate's reader list or output flag changed.
     ///
-    /// An excitation that repeats restores its implied values from the
-    /// record instead of propagating. Without a matching rebase every
-    /// verdict is computed afresh.
+    /// The record's index (each literal to the groups whose excitation
+    /// assigned it, each net to the faults whose walk read it) is built
+    /// on the first count, so a count visits only what the rebase marked
+    /// as changed. A re-decided fault needs no walk when its literal is
+    /// unsettable or its excitation repeats with an error (it stays
+    /// untestable), or when its observable verdict's witness still holds:
+    /// the gates of its path, and of the cone paths that put its exempt
+    /// side inputs in the origin's cone, keep their records, the path
+    /// still ends at an output, and no side input on the path blocks
+    /// under this engine's excitation values except an exempt one (see
+    /// the recording batch). An excitation that repeats restores its
+    /// implied values from the record instead of propagating.
     ///
     /// # Panics
     ///
-    /// As [`ImplicationEngine::faults_untestable`].
+    /// As [`ImplicationEngine::faults_untestable`], for a fault of
+    /// `added`.
     #[must_use]
-    pub fn faults_untestable_rebased(
+    pub fn untestable_count_rebased(
         &self,
         base: &VerdictRecord,
-        faults: &[(GateId, Pin, bool)],
-    ) -> (Vec<Option<UntestableReason>>, usize) {
+        added: &[(GateId, Pin, bool)],
+    ) -> Option<RebasedCount> {
+        let diff = self.rebased.as_ref().filter(|d| d.prior == base.engine)?;
+        let index = base.index();
         let mut scratch = VerdictScratch::new(self.netlist().gate_count());
-        let reuse = self
-            .rebased
-            .as_ref()
-            .filter(|diff| diff.prior == base.engine)
-            .map(|diff| (base, diff));
-        self.batch(faults, &mut scratch, &mut (), None, reuse)
+
+        // Groups whose excitation may not repeat, then those that do not.
+        let mut changed: Vec<u32> = Vec::new();
+        for mask in [&diff.traces, &diff.closure] {
+            for (w, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    changed.extend_from_slice(
+                        index.groups.get(w * 64 + bits.trailing_zeros() as usize),
+                    );
+                    bits &= bits - 1;
+                }
+            }
+        }
+        changed.extend(
+            diff.unsettable
+                .iter()
+                .filter_map(|&l| base.group(l as usize)),
+        );
+        changed.sort_unstable();
+        changed.dedup();
+        changed.retain(|&k| !self.repeats(base, diff, k as usize, &mut scratch.values));
+
+        // The base faults a changed read reaches, and the removed ones.
+        let mut visit: Vec<u32> = Vec::new();
+        for &k in &changed {
+            visit.extend(base.spans(k as usize).1.map(|f| f as u32));
+        }
+        for (x, _) in diff.walks.iter().enumerate().filter(|(_, &w)| w) {
+            visit.extend_from_slice(index.nodes.get(x));
+            visit.extend_from_slice(index.gates.get(x));
+        }
+        for (x, _) in diff.sides.iter().enumerate().filter(|(_, &s)| s) {
+            visit.extend_from_slice(index.sides.get(x));
+        }
+        let mut removed = 0usize;
+        let mut untestable = index.untestable;
+        for &g in &diff.rewritten {
+            for &k in index.gates.get(g.index()) {
+                removed += 1;
+                untestable -= usize::from(base.faults[k as usize].verdict.is_some());
+            }
+        }
+        visit.sort_unstable();
+        visit.dedup();
+        visit.retain(|&k| {
+            diff.rewritten
+                .binary_search(&base.faults[k as usize].site.0)
+                .is_err()
+        });
+
+        // One excitation per literal, shared by its base and added faults.
+        const ADDED: u32 = 1 << 31;
+        let is_po = self.netlist().topology().output_mask();
+        let mut work: Vec<(u32, u32)> = visit
+            .iter()
+            .map(|&k| (base.groups[index.group_of[k as usize] as usize].lit, k))
+            .collect();
+        work.extend(added.iter().enumerate().map(|(i, &(gate, pin, stuck))| {
+            let lit = self.activation(gate, pin).index() * 2 + usize::from(!stuck);
+            (lit as u32, i as u32 | ADDED)
+        }));
+        work.sort_unstable();
+        let mut decided = 0usize;
+        for chunk in work.chunk_by(|a, b| a.0 == b.0) {
+            let lit = chunk[0].0 as usize;
+            let (net, required) = (GateId::from_index(lit / 2), lit % 2 == 1);
+            let prior = base.group(lit).map(|k| k as usize);
+            let repeats = prior.is_some_and(|k| changed.binary_search(&(k as u32)).is_err());
+            let trace = prior
+                .map(|k| &base.lits[base.spans(k).0])
+                .filter(|_| repeats);
+            // A repeated excitation error decides every fault of the
+            // group, and so does an unsettable literal: its excitation
+            // fails whatever the propagation finds.
+            let unexcitable = prior.is_some_and(|k| repeats && base.groups[k].excited.is_err())
+                || self.is_unsettable(net, required);
+            let mut excited: Option<bool> = None;
+            for &(_, tag) in chunk {
+                let (before, site, witness) = if tag & ADDED != 0 {
+                    (false, added[(tag & !ADDED) as usize], None)
+                } else {
+                    let f = &base.faults[tag as usize];
+                    let nodes = base.footprint(tag as usize).0;
+                    // The witness's path and cone chains keep their gate
+                    // records, and the path still ends at an output.
+                    let witness = f.witness.map(|len| &nodes[..len as usize]).filter(|path| {
+                        nodes.iter().all(|&x| {
+                            diff.rewritten
+                                .binary_search(&GateId::from_index(x as usize))
+                                .is_err()
+                        }) && path.last().is_some_and(|&x| is_po[x as usize])
+                    });
+                    (
+                        f.verdict.is_some(),
+                        f.site,
+                        witness.map(|path| (path, base.exempt(tag as usize))),
+                    )
+                };
+                let (gate, pin, _) = site;
+                let after = unexcitable || {
+                    let ok = *excited.get_or_insert_with(|| {
+                        self.excite_or_restore(net, required, trace, &mut scratch)
+                            .is_ok()
+                    });
+                    let value = |i: usize| scratch.prop.get(&self.fixed, i);
+                    let held = witness.is_some_and(|(path, exempt)| {
+                        let path = path.iter().map(|&x| GateId::from_index(x as usize));
+                        ok && self.witness_holds(gate, pin, path, &value, exempt)
+                    });
+                    !held && {
+                        decided += 1;
+                        !ok || self
+                            .observation_verdict(gate, pin, &mut scratch, &mut ())
+                            .is_some()
+                    }
+                };
+                untestable += usize::from(after);
+                untestable -= usize::from(before);
+            }
+        }
+        Some(RebasedCount {
+            untestable,
+            faults: base.faults.len() - removed + added.len(),
+            decided,
+        })
+    }
+
+    /// Whether `base`'s group `k` repeats its excitation on this rebased
+    /// engine: its literal's unsettable flag is unchanged and its trace
+    /// misses the rebase's masks, or meets only the closure mask of a
+    /// consistent propagation that still closes.
+    fn repeats(
+        &self,
+        base: &VerdictRecord,
+        diff: &RebaseDiff,
+        k: usize,
+        values: &mut TraceValues,
+    ) -> bool {
+        let g = base.groups[k];
+        let lit = g.lit as usize;
+        let conflict = match g.excited {
+            Err(UntestableReason::Unexcitable { conflict, .. }) => Some(conflict),
+            _ => None,
+        };
+        let trace = &base.lits[base.spans(k).0];
+        g.unsettable == self.is_unsettable(GateId::from_index(lit / 2), lit % 2 == 1)
+            && !reaches(&diff.traces, lit, trace, conflict)
+            && (!reaches(&diff.closure, lit, trace, conflict)
+                || conflict.is_none() && self.closes(&diff.known, trace, values))
     }
 
     pub(crate) fn verdicts_with(
@@ -535,103 +831,35 @@ impl ImplicationEngine<'_> {
         faults: &[(GateId, Pin, bool)],
         scratch: &mut VerdictScratch,
     ) -> Vec<Option<UntestableReason>> {
-        self.batch(faults, scratch, &mut (), None, None).0
+        self.batch(faults, scratch, &mut (), None)
     }
 
     /// The verdict batch: one excitation per distinct literal, then one
     /// observation walk per fault. With `record`, each group's
-    /// excitation and each fault's walk footprint are kept; with
-    /// `reuse`, each fault first tries the prior record. Returns the
-    /// verdicts and how many were copied.
+    /// excitation and each fault's walk footprint are kept.
     fn batch<F: Footprint>(
         &self,
         faults: &[(GateId, Pin, bool)],
         scratch: &mut VerdictScratch,
         footprint: &mut F,
         mut record: Option<&mut VerdictRecord>,
-        reuse: Option<(&VerdictRecord, &RebaseDiff)>,
-    ) -> (Vec<Option<UntestableReason>>, usize) {
+    ) -> Vec<Option<UntestableReason>> {
         let lits: Vec<usize> = faults
             .iter()
             .map(|&(gate, pin, stuck)| self.activation(gate, pin).index() * 2 + usize::from(!stuck))
             .collect();
         let order = order_by_key(&lits, 2 * self.netlist().gate_count());
         let mut verdicts = vec![None; faults.len()];
-        let mut copied = 0usize;
         for group in order.chunk_by(|&a, &b| lits[a] == lits[b]) {
             let lit = lits[group[0]];
             let (net, required) = (GateId::from_index(lit / 2), lit % 2 == 1);
-            // The prior group, and whether its excitation provably repeats.
-            let prior = reuse.and_then(|(base, diff)| {
-                let (g, lits, faults) = base.group(lit)?;
-                let conflict = match g.excited {
-                    Err(UntestableReason::Unexcitable { conflict, .. }) => Some(conflict),
-                    _ => None,
-                };
-                let trace = &base.lits[lits];
-                let repeats = g.unsettable == self.is_unsettable(net, required)
-                    && !reaches(&diff.traces, lit, trace, conflict)
-                    && (!reaches(&diff.closure, lit, trace, conflict)
-                        || conflict.is_none()
-                            && self.closes(&diff.known, trace, &mut scratch.values));
-                Some((base, diff, g, trace, faults, repeats))
-            });
-            // The excitation's outcome, its implied values left in
-            // `scratch.prop` once a fault needs them.
-            let mut excited: Option<Result<(), UntestableReason>> = None;
+            let excited = self.excite(net, required, &mut scratch.prop);
             for &i in group {
                 let (gate, pin, _) = faults[i];
-                let mut walk = true;
-                let verdict = match &prior {
-                    &Some((base, diff, g, trace, ref span, repeats)) => {
-                        let k = span
-                            .clone()
-                            .find(|&k| base.faults[k].site == faults[i])
-                            .filter(|_| !diff.walks[gate.index()]);
-                        if repeats && g.excited.is_err() {
-                            walk = false;
-                            g.excited.err()
-                        } else if let Some(k) = k {
-                            let f = &base.faults[k];
-                            let (nodes, sides) = base.footprint(k);
-                            let nodes_clean = nodes.iter().all(|&x| !diff.walks[x as usize]);
-                            let sides_clean = sides.iter().all(|&x| !diff.sides[x as usize]);
-                            walk = !(repeats && nodes_clean && sides_clean);
-                            if walk && f.witness && nodes_clean {
-                                // An observable verdict holds while its
-                                // witness path does, under today's values.
-                                let ex = *excited.get_or_insert_with(|| {
-                                    self.excite_or_restore(
-                                        net,
-                                        required,
-                                        repeats.then_some(trace),
-                                        scratch,
-                                    )
-                                });
-                                let value = |i: usize| scratch.prop.get(&self.fixed, i);
-                                let path = nodes.iter().map(|&x| GateId::from_index(x as usize));
-                                walk = !(ex.is_ok() && self.witness_holds(gate, pin, path, &value));
-                            }
-                            f.verdict
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                };
                 footprint.begin();
-                verdicts[i] = if walk {
-                    let ex = *excited.get_or_insert_with(|| {
-                        let trace = prior.as_ref().filter(|p| p.5).map(|p| p.3);
-                        self.excite_or_restore(net, required, trace, scratch)
-                    });
-                    match ex {
-                        Err(reason) => Some(reason),
-                        Ok(()) => self.observation_verdict(gate, pin, scratch, footprint),
-                    }
-                } else {
-                    copied += 1;
-                    verdict
+                verdicts[i] = match excited {
+                    Err(reason) => Some(reason),
+                    Ok(()) => self.observation_verdict(gate, pin, scratch, footprint),
                 };
                 if let Some(record) = record.as_deref_mut() {
                     let witness = footprint.flush(record);
@@ -641,6 +869,7 @@ impl ImplicationEngine<'_> {
                         witness,
                         nodes_end: record.nodes.len() as u32,
                         sides_end: record.sides.len() as u32,
+                        exempt_end: record.exempt.len() as u32,
                     });
                 }
             }
@@ -649,13 +878,13 @@ impl ImplicationEngine<'_> {
                 record.groups.push(Group {
                     lit: lit as u32,
                     unsettable: self.is_unsettable(net, required),
-                    excited: excited.expect("a recorded group walks every fault"),
+                    excited,
                     lits_end: record.lits.len() as u32,
                     faults_end: record.faults.len() as u32,
                 });
             }
         }
-        (verdicts, copied)
+        verdicts
     }
 
     /// The excitation of `net = required`: restored from a prior trace
@@ -679,39 +908,46 @@ impl ImplicationEngine<'_> {
     /// Whether `path` — the gates after `origin` on a way to an output,
     /// in order, or `origin` alone when it is an output — still carries
     /// the effect of the fault at `(origin, pin)`: no side input of the
-    /// faulted pin's gate and no off-path side input along the path
-    /// blocks under `value`. The caller vouches that the path's gate
-    /// records and its end's output flag are unchanged.
+    /// faulted pin's gate blocks under `value`, and no off-path side
+    /// input along the path does unless it is one of `exempt`. The caller
+    /// vouches that the path's gate records and its end's output flag are
+    /// unchanged, and that each net of `exempt` lies in `origin`'s
+    /// structural cone (the walk passes a gate whose blocking inputs all
+    /// do).
     fn witness_holds(
         &self,
         origin: GateId,
         pin: Pin,
         path: impl Iterator<Item = GateId>,
         value: &dyn Fn(usize) -> Logic,
+        exempt: &[u32],
     ) -> bool {
         let mut open = true;
-        self.witness_sides(origin, pin, path, |kind, s| {
-            open = open && !self.side_blocks(kind, s, value, &mut ());
+        self.witness_sides(origin, pin, path, |kind, s, on_path| {
+            open = open
+                && (!self.side_blocks(kind, s, value, &mut ())
+                    || on_path && exempt.contains(&(s.index() as u32)));
         });
         open
     }
 
     /// The side inputs a witness path passes, each with the kind of the
-    /// gate it feeds: the faulted pin's siblings, then every off-path
-    /// input along the path.
+    /// gate it feeds and whether it is off the path (rather than a
+    /// sibling of the faulted pin): the faulted pin's siblings, then
+    /// every off-path input along the path.
     fn witness_sides(
         &self,
         origin: GateId,
         pin: Pin,
         path: impl Iterator<Item = GateId>,
-        mut side: impl FnMut(GateKind, GateId),
+        mut side: impl FnMut(GateKind, GateId, bool),
     ) {
         let netlist = self.netlist();
         if let Pin::Input(p) = pin {
             let gate = netlist.gate(origin);
             for (q, &s) in gate.inputs().iter().enumerate() {
                 if q != p as usize {
-                    side(gate.kind(), s);
+                    side(gate.kind(), s, false);
                 }
             }
         }
@@ -720,7 +956,7 @@ impl ImplicationEngine<'_> {
             let gate = netlist.gate(cur);
             for &s in gate.inputs() {
                 if s != prev {
-                    side(gate.kind(), s);
+                    side(gate.kind(), s, true);
                 }
             }
             prev = cur;
@@ -894,6 +1130,7 @@ impl ImplicationEngine<'_> {
                     if marks.cone[r] != epoch && !self.netlist().gate(reader).kind().is_storage() {
                         marks.cone[r] = epoch;
                         marks.cone_stack.push(reader);
+                        footprint.cone_step(g, reader);
                     }
                 }
             }

@@ -162,15 +162,23 @@ impl Registry {
         config: LintConfig,
         obs: Option<&mut dyn Collector>,
     ) -> LintReport {
+        self.run_in(&LintContext::new(netlist, config), obs)
+    }
+
+    /// [`Registry::run_observed`] over a context the caller built, so
+    /// the caller can go on reading the analyses the rules computed: the
+    /// repair autopilot ranks a round's candidates with the implication
+    /// engine its lint run built.
+    #[must_use]
+    pub fn run_in(&self, ctx: &LintContext<'_>, obs: Option<&mut dyn Collector>) -> LintReport {
         let mut obs = Obs::new(obs);
         obs.enter("lint.rules");
-        let ctx = LintContext::new(netlist, config);
-        let mut report = LintReport::new(netlist.name());
+        let mut report = LintReport::new(ctx.netlist().name());
         for &rule in &self.rules {
             if let Some(check) = rule.check {
                 obs.enter(rule.id);
                 let before = report.diagnostics().len();
-                check(rule, &ctx, &mut report);
+                check(rule, ctx, &mut report);
                 obs.count("findings", (report.diagnostics().len() - before) as u64);
                 obs.exit();
             }

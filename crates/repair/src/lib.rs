@@ -47,10 +47,10 @@ pub mod verify;
 
 pub use candidate::{apply_edit, expand_hints, Candidate, CandidateEdit, EditError, Edited};
 pub use plan::{PlanCounters, RepairPlan, RepairRecord};
-pub use rank::{rank_candidates, RankedCandidate, Ranking, StaticBaseline};
+pub use rank::{rank_candidates, rank_candidates_in, RankedCandidate, Ranking, StaticBaseline};
 pub use verify::{judge, measure_coverage, CoverageStat, RepairEconomics, Verdict};
 
-use dft_lint::{lint_with, LintConfig};
+use dft_lint::{LintConfig, LintContext, Registry};
 use dft_netlist::{LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
 
@@ -183,10 +183,11 @@ pub fn repair(netlist: &Netlist, options: &RepairOptions) -> Result<RepairOutcom
 /// * `repair.rank.propagations` — learning propagations run;
 /// * `repair.rank.rows_reused` — propagations skipped because a
 ///   literal's row from the previous round repeats;
-/// * `repair.rank.rows_rebased` — propagations copied from the base
+/// * `repair.rank.rows_rebased` — propagations taken from the base
 ///   engine because the candidate's edit cannot reach them;
-/// * `repair.rank.verdicts_reused` — untestability verdicts copied from
-///   the base engine's recorded batch.
+/// * `repair.rank.verdicts_reused` — verdicts of the candidates' fault
+///   universes for which no excitation and no observation walk ran: the
+///   base engine's recorded verdict stood.
 ///
 /// # Errors
 ///
@@ -212,7 +213,10 @@ pub fn repair_observed(
         obs.enter("repair.round");
 
         obs.enter("repair.lint");
-        let report = lint_with(&current, options.lint_config.clone());
+        // One context per round: rank reads the implication engine the
+        // lint rules built.
+        let context = LintContext::new(&current, options.lint_config.clone());
+        let report = Registry::with_default_rules().run_in(&context, None);
         obs.count("repair.diagnostics", report.diagnostics().len() as u64);
         obs.exit();
 
@@ -229,7 +233,7 @@ pub fn repair_observed(
 
         obs.enter("repair.rank");
         counters.ranked += candidates.len();
-        let ranking = rank_candidates(&current, candidates, options.top_k);
+        let ranking = rank_candidates_in(&context, candidates, options.top_k);
         let (ranked, pruned) = (ranking.kept, ranking.pruned);
         counters.pruned += pruned;
         obs.count(
