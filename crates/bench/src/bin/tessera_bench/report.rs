@@ -52,6 +52,36 @@ pub fn observed_run(quick: bool, threads: usize) -> RunReport {
         ppsfp_result.detected_count() as u64,
         "ppsfp telemetry disagrees with DetectionResult"
     );
+    // c17's 32 patterns fill one block, which the observability table
+    // answers, so every fold of the run is the table build's. The build
+    // resolves each lane of a tabled gate's flip at most once, and only
+    // at a clean cut, which lies between two of the engine's ops.
+    let table = ppsfp_span
+        .find("fault_sim.observability")
+        .expect("observability span");
+    assert_eq!(
+        table.counter("tabled_gates"),
+        n.gate_count() as u64,
+        "c17 grades enough faults to table every gate"
+    );
+    assert_eq!(
+        table.counter("words_folded"),
+        ppsfp_span.counter("words_folded"),
+        "the table build's folds disagree with the run's"
+    );
+    let lanes = 64 * ppsfp_span.counter("lane_words");
+    assert!(
+        table.counter("lanes_resolved") <= table.counter("tabled_gates") * lanes,
+        "more lanes resolved than the tabled flips carry"
+    );
+    assert!(
+        table.counter("clean_cuts") < n.logic_gate_count() as u64,
+        "more clean cuts than gaps between ops"
+    );
+    assert!(
+        table.counter("clean_cuts") > 0 || table.counter("lanes_resolved") == 0,
+        "lanes resolved without a clean cut"
+    );
     let det = report
         .find("atpg.deterministic")
         .expect("deterministic ATPG span");

@@ -51,7 +51,27 @@
 //!   whose gate is downstream and tabled already — critical-path
 //!   tracing with stem analysis (Abramovici, Menon & Miller, DAC 1983)
 //!   on the engine's own fold. A fault then costs one lookup in block 0,
-//!   `d & obs(site)`. Later blocks see only the faults block 0 left
+//!   `d & obs(site)`.
+//!
+//!   The build also stops lane by lane, at *clean cuts*: op indices
+//!   before which no logic gate has reader ops on both sides (sources
+//!   are left out, since only the root can be a disturbed source).
+//!   Every level boundary of a layered netlist is one; a sliding-window
+//!   random netlist has almost none. Once the root's last reader is
+//!   folded, at each clean cut the event loop crosses, every other
+//!   disturbed gate has had all of its readers folded, so it can change
+//!   nothing still to come, or none: it is *live*. The faulty machine
+//!   past the cut is the good machine with the live gates flipped on
+//!   their changed lanes, and folds are lane-independent, so on a lane
+//!   where exactly one live gate `h` differs, the difference still to
+//!   come is `obs(h)` on that lane. The build answers such a lane from
+//!   the table, restores it to its good value, and drops the pending
+//!   events once no lane is left disturbed. Every entry is the same as
+//!   without the cuts; only the folds are fewer. Only gates whose
+//!   readers lie past the next cut are recorded as they are written,
+//!   so the rule costs one compare per event where there are no cuts.
+//!
+//!   Later blocks see only the faults block 0 left
 //!   undetected, so there each worker keeps a *lazy memo* instead: `obs`
 //!   on exactly the lanes it has propagated through `h`, and a later
 //!   propagation that collapses onto `h` on known lanes stops there
@@ -179,6 +199,8 @@ struct WorkCounters {
     collapse_points: u64,
     /// Collapse points the block-0 table or a lazy memo answered.
     memo_hits: u64,
+    /// Lanes the table build answered at clean cuts ([`Worker::resolve`]).
+    lanes_resolved: u64,
 }
 
 impl WorkCounters {
@@ -189,6 +211,7 @@ impl WorkCounters {
         self.words_folded += other.words_folded;
         self.collapse_points += other.collapse_points;
         self.memo_hits += other.memo_hits;
+        self.lanes_resolved += other.lanes_resolved;
     }
 }
 
@@ -215,6 +238,15 @@ pub struct Ppsfp<'n> {
     /// Whether gate `g` is a primary output: the netlist's memoized
     /// [`dft_netlist::Topology::output_mask`].
     is_output: &'n [bool],
+    /// The clean cuts, ascending: op indices `c` in `1..op_count` such
+    /// that no logic gate has reader ops both below `c` and at or above
+    /// it (see the module docs). Sources are left out: only the root of
+    /// a propagation can be a disturbed source.
+    cuts: Vec<u32>,
+    /// Whether logic gate `g` has readers and they all lie past the first
+    /// clean cut after its own op: a disturbed `g` is then live at that
+    /// cut. False for sources.
+    past_cut: Vec<bool>,
     /// The worker count before any task cap: [`PpsfpOptions::threads`],
     /// or the machine's available parallelism when that is 0, asked once
     /// at construction rather than per chunk (the query can read cgroup
@@ -290,6 +322,38 @@ impl<'n> Ppsfp<'n> {
                 }
             }
         }
+        // Clean cuts: a logic gate whose first and last reader ops are
+        // `lo < hi` rules out every cut in `lo + 1..=hi`. Each gate's
+        // readers are in ascending op order, so they are the ends of its
+        // CSR span.
+        let readers =
+            |g: usize| &reader_pool[reader_start[g] as usize..reader_start[g + 1] as usize];
+        let op_count = kernel.op_count();
+        let mut straddling = vec![0i32; op_count + 1];
+        for op in 0..op_count {
+            if let [lo, .., hi] = *readers(kernel.op_dst(op) as usize) {
+                straddling[lo as usize + 1] += 1;
+                straddling[hi as usize + 1] -= 1;
+            }
+        }
+        let mut cuts = Vec::new();
+        let mut open = 0;
+        for (c, step) in straddling.iter().enumerate().take(op_count).skip(1) {
+            open += step;
+            if open == 0 {
+                cuts.push(c as u32);
+            }
+        }
+        let mut past_cut = vec![false; netlist.gate_count()];
+        let mut next = 0;
+        for op in 0..op_count {
+            while cuts.get(next).is_some_and(|&c| c as usize <= op) {
+                next += 1;
+            }
+            let g = kernel.op_dst(op) as usize;
+            past_cut[g] =
+                matches!((readers(g).first(), cuts.get(next)), (Some(lo), Some(c)) if lo >= c);
+        }
         Ok(Ppsfp {
             netlist,
             kernel,
@@ -297,6 +361,8 @@ impl<'n> Ppsfp<'n> {
             reader_pool,
             reaches_output,
             is_output,
+            cuts,
+            past_cut,
             threads: match options.threads {
                 0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
                 n => n,
@@ -338,10 +404,12 @@ impl<'n> Ppsfp<'n> {
     /// docs; block-0 table lookups count as answered collapse points),
     /// `detected`, `dropped`, plus a `coverage` gauge. Three child spans
     /// time the phases: `fault_sim.baseline` (the good-machine sweep),
-    /// `fault_sim.observability` (the block-0 table build, with a
-    /// `tabled_gates` counter, 0 when the run grades too few faults to
-    /// build it) and `fault_sim.propagate` (fault injection and
-    /// propagation). `words_folded` includes the table build's folds.
+    /// `fault_sim.observability` (the block-0 table build, with counters
+    /// `tabled_gates`, 0 when the run grades too few faults to build it,
+    /// the build's own `words_folded`, the engine's `clean_cuts` and the
+    /// `lanes_resolved` at them) and `fault_sim.propagate` (fault
+    /// injection and propagation). `words_folded` on the
+    /// `fault_sim.ppsfp` span includes the table build's folds.
     /// Workers count into private integers merged after the run, so the
     /// hot loop never crosses a `dyn` boundary and `None` costs nothing
     /// measurable.
@@ -473,21 +541,26 @@ impl<'n> Ppsfp<'n> {
         let mut workers = Vec::new();
         let table = (tabled && !baseline.blocks.is_empty())
             .then(|| self.observability_table(&mut workers, &baseline));
+        let build = merged_counters(&workers);
         obs.count("tabled_gates", table.as_ref().map_or(0, Vec::len) as u64);
+        obs.count("words_folded", build.words_folded);
+        obs.count("clean_cuts", self.cuts.len() as u64);
+        obs.count("lanes_resolved", build.lanes_resolved);
         obs.exit();
         obs.enter("fault_sim.propagate");
         let table = table.as_deref();
+        let mut site_of = vec![u32::MAX; self.netlist.gate_count()];
         let mut first_detected: Vec<Option<usize>> = Vec::new();
         feed(&mut |chunk| {
-            let detected = self.run_partitioned(&mut workers, chunk, |worker, fault| {
-                worker.detect(fault, &baseline, table)
-            });
-            // A single chunk (the slice path) moves in without a copy.
-            if first_detected.is_empty() {
-                first_detected = detected;
-            } else {
-                first_detected.extend(detected);
-            }
+            let at = first_detected.len();
+            first_detected.resize(at + chunk.len(), None);
+            self.run_partitioned(
+                &mut workers,
+                &mut site_of,
+                chunk,
+                &mut first_detected[at..],
+                |worker, fault| worker.detect(fault, &baseline, table),
+            );
         });
         obs.exit();
         let result = DetectionResult {
@@ -566,9 +639,15 @@ impl<'n> Ppsfp<'n> {
             output_of[g.index()] = oi as u16;
         }
         let mut workers = Vec::new();
-        let syndromes = self.run_partitioned(&mut workers, faults, |worker, fault| {
-            worker.syndromes(fault, &baseline, &output_of)
-        });
+        let mut site_of = vec![u32::MAX; self.netlist.gate_count()];
+        let mut syndromes = vec![BTreeSet::new(); faults.len()];
+        self.run_partitioned(
+            &mut workers,
+            &mut site_of,
+            faults,
+            &mut syndromes,
+            |worker, fault| worker.syndromes(fault, &baseline, &output_of),
+        );
         (syndromes, merged_counters(&workers))
     }
 
@@ -641,23 +720,26 @@ impl<'n> Ppsfp<'n> {
     /// Runs `per_fault` over every fault of one chunk, partitioned by
     /// fault-site group across the configured worker threads (`0` = the
     /// machine's available parallelism, capped by the chunk's group
-    /// count), returning results in fault order. Groups run
-    /// downstream-first: in descending op order of their site, sources
-    /// last. `workers` carries the run's workers from chunk to chunk and
-    /// grows to the largest thread count a chunk uses.
+    /// count), writing each fault's result to its position in `out`.
+    /// Groups run downstream-first: in descending op order of their
+    /// site, sources last. `workers` carries the run's workers from chunk
+    /// to chunk and grows to the largest thread count a chunk uses;
+    /// `site_of`, the run's gate-indexed site map, is all `u32::MAX`
+    /// between chunks.
     fn run_partitioned<'w, const W: usize, R, F>(
         &'w self,
         workers: &mut Vec<Worker<'w, W>>,
+        site_of: &mut [u32],
         faults: &[Fault],
+        out: &mut [R],
         per_fault: F,
-    ) -> Vec<R>
-    where
+    ) where
         R: Send,
         F: Fn(&mut Worker<'w, W>, Fault) -> R + Sync,
     {
+        debug_assert_eq!(out.len(), faults.len(), "one result per fault");
         // Sites numbered by first appearance, then a counting sort lays
         // each site's fault indices out contiguously.
-        let mut site_of = vec![u32::MAX; self.netlist.gate_count()];
         let mut roots: Vec<u32> = Vec::new();
         let mut start = vec![0u32];
         let sites: Vec<u32> = faults
@@ -673,6 +755,9 @@ impl<'n> Ppsfp<'n> {
                 *site
             })
             .collect();
+        for &root in &roots {
+            site_of[root as usize] = u32::MAX;
+        }
         for g in 1..start.len() {
             start[g] += start[g - 1];
         }
@@ -682,26 +767,34 @@ impl<'n> Ppsfp<'n> {
             members[fill[g as usize] as usize] = fi as u32;
             fill[g as usize] += 1;
         }
-        let mut order: Vec<usize> = (0..roots.len()).collect();
-        order.sort_by_key(|&g| {
-            let site = GateId::from_index(roots[g] as usize);
-            Reverse(self.kernel.op_of_gate(site).map_or(-1, |op| op as i64))
-        });
+        // Keyed by first appearance too, so the unstable sort keeps the
+        // sources in that order.
+        let mut order: Vec<(Reverse<i64>, usize)> = roots
+            .iter()
+            .enumerate()
+            .map(|(g, &root)| {
+                let site = GateId::from_index(root as usize);
+                (
+                    Reverse(self.kernel.op_of_gate(site).map_or(-1, |op| op as i64)),
+                    g,
+                )
+            })
+            .collect();
+        order.sort_unstable();
         // The `k`-th group to run: its site and its faults.
         let group = |k: usize| {
             order
                 .get(k)
-                .map(|&g| (roots[g], &members[start[g] as usize..start[g + 1] as usize]))
+                .map(|&(_, g)| (roots[g], &members[start[g] as usize..start[g + 1] as usize]))
         };
 
         let threads = self.hire(workers, roots.len());
-        let mut merged: Vec<Option<R>> = (0..faults.len()).map(|_| None).collect();
         if threads == 1 {
             let worker = &mut workers[0];
             for (root, fids) in (0..).map_while(group) {
                 worker.load_group(root);
                 for &fi in fids {
-                    merged[fi as usize] = Some(per_fault(worker, faults[fi as usize]));
+                    out[fi as usize] = per_fault(worker, faults[fi as usize]);
                 }
             }
         } else {
@@ -731,13 +824,9 @@ impl<'n> Ppsfp<'n> {
                     .collect::<Vec<_>>()
             });
             for (fi, r) in outs.into_iter().flatten() {
-                merged[fi as usize] = Some(r);
+                out[fi as usize] = r;
             }
         }
-        merged
-            .into_iter()
-            .map(|r| r.expect("every fault visited exactly once"))
-            .collect()
     }
 
     /// The worker count for `tasks` independent tasks — the configured
@@ -958,6 +1047,11 @@ struct Worker<'a, const W: usize> {
     /// The current propagation's unanswered collapse points: `(gate,
     /// changed lanes, touched_outputs.len() before the gate's write)`.
     points: Vec<(u32, [u64; W], u32)>,
+    /// `undo` positions of the gates the table build wrote whose readers
+    /// lie past the first clean cut after them ([`Ppsfp::past_cut`]):
+    /// the candidates for the live gates at the next cut the event loop
+    /// crosses, which drops those no longer live.
+    live: Vec<u32>,
     /// One lazy observability memo per wide block (block 0's stays
     /// empty when the run tables that block).
     memo: Vec<ObsMemo<W>>,
@@ -977,6 +1071,7 @@ impl<'a, const W: usize> Worker<'a, W> {
             sched: vec![0; eng.kernel.op_count().div_ceil(64)],
             touched_outputs: Vec::new(),
             points: Vec::new(),
+            live: Vec::new(),
             memo: Vec::new(),
             counters: WorkCounters::default(),
         }
@@ -1078,7 +1173,9 @@ impl<'a, const W: usize> Worker<'a, W> {
     /// Every collapse point consults `lookup` (see [`Worker::collapse`]):
     /// an answer ends the propagation and is returned (the output lanes
     /// the rest of the cone would have disturbed). Without one the
-    /// propagation runs to the end and returns zero.
+    /// propagation runs to the end and returns zero. The table build
+    /// also answers lanes at clean cuts ([`Worker::resolve`]); those
+    /// answers are part of the return value.
     ///
     /// [`revert`]: Worker::revert
     fn propagate(
@@ -1090,7 +1187,9 @@ impl<'a, const W: usize> Worker<'a, W> {
         debug_assert!(self.undo.is_empty(), "previous block not reverted");
         self.touched_outputs.clear();
         self.points.clear();
-        let kernel = &self.eng.kernel;
+        self.live.clear();
+        let eng = self.eng;
+        let kernel = &eng.kernel;
         // Event loop: always pop the lowest pending bit from the LIVE
         // bitset word (never a stale local copy, which could leapfrog an
         // event scheduled mid-word at a lower index). Ascending bit
@@ -1110,6 +1209,19 @@ impl<'a, const W: usize> Worker<'a, W> {
         // counter once per block.
         let mut folded = 0u64;
         let root = self.root as usize;
+        // The table build also resolves lanes at every clean cut past the
+        // root's last reader (see [`Worker::resolve`]): `next` indexes
+        // the first of them in `eng.cuts`, and `cut` is its op index, or
+        // `usize::MAX` once none is left and for every other lookup.
+        let mut next = match lookup {
+            Lookup::Table(_) => eng
+                .reader_ops(root)
+                .last()
+                .map_or(eng.cuts.len(), |&hi| eng.cuts.partition_point(|&c| c <= hi)),
+            _ => eng.cuts.len(),
+        };
+        let mut cut = eng.cuts.get(next).map_or(usize::MAX, |&c| c as usize);
+        let mut answered = [0; W];
         let tail = 'events: {
             if let Some(tail) = self.collapse(lookup, root, differ(fw, work[root])) {
                 break 'events tail;
@@ -1126,6 +1238,28 @@ impl<'a, const W: usize> Worker<'a, W> {
                 self.sched[wi] = word & (word - 1);
                 pending -= 1;
                 let op = wi * 64 + word.trailing_zeros() as usize;
+                if op >= cut {
+                    if let Lookup::Table(table) = lookup {
+                        // Every event below the last cut at or before
+                        // `op` is folded.
+                        while eng.cuts.get(next + 1).is_some_and(|&c| c as usize <= op) {
+                            next += 1;
+                        }
+                        let left =
+                            self.resolve(table, eng.cuts[next] as usize, work, &mut answered);
+                        next += 1;
+                        cut = eng.cuts.get(next).map_or(usize::MAX, |&c| c as usize);
+                        if !left {
+                            // Every pending event would fold to baseline.
+                            while pending > 0 {
+                                pending -= self.sched[wi].count_ones();
+                                self.sched[wi] = 0;
+                                wi += 1;
+                            }
+                            break 'events [0; W];
+                        }
+                    }
+                }
                 let out = kernel.fold_op(op, work);
                 folded += 1;
                 let dst = kernel.op_dst(op) as usize;
@@ -1138,12 +1272,63 @@ impl<'a, const W: usize> Worker<'a, W> {
                     }
                 }
                 self.write(work, dst, out);
+                if cut != usize::MAX && eng.past_cut[dst] {
+                    self.live.push(self.undo.len() as u32 - 1);
+                }
                 pending += self.schedule(dst);
             }
             [0; W]
         };
         self.counters.words_folded += folded * W as u64;
-        tail
+        std::array::from_fn(|w| tail[w] | answered[w])
+    }
+
+    /// The table build's step at clean cut `cut`, which the event loop
+    /// has just crossed past the root's last reader. Every gate written
+    /// so far has had all of its readers folded, and can change nothing
+    /// still to come, or none: it is *live*. Past the cut the faulty
+    /// machine is the good machine with the live gates flipped on their
+    /// changed lanes, and folds are lane-independent, so on a lane where
+    /// exactly one live gate `h` differs, the output difference still to
+    /// come is `obs(h)` on that lane. Such a lane is answered from
+    /// `table` into `answered` and restored to its good value in `h`, so
+    /// the rest of the propagation no longer carries it. Returns whether
+    /// any live gate still differs on some lane.
+    fn resolve(
+        &mut self,
+        table: &[[AtomicU64; W]],
+        cut: usize,
+        work: &mut [[u64; W]],
+        answered: &mut [u64; W],
+    ) -> bool {
+        let (eng, undo) = (self.eng, &self.undo);
+        self.live
+            .retain(|&u| eng.reader_ops(undo[u as usize].0 as usize)[0] as usize >= cut);
+        let (mut once, mut twice) = ([0u64; W], [0u64; W]);
+        for &u in &self.live {
+            let (slot, old) = undo[u as usize];
+            let d = differ(work[slot as usize], old);
+            for w in 0..W {
+                twice[w] |= once[w] & d[w];
+                once[w] |= d[w];
+            }
+        }
+        let single: [u64; W] = std::array::from_fn(|w| once[w] & !twice[w]);
+        if single != [0; W] {
+            for &u in &self.live {
+                let (slot, old) = undo[u as usize];
+                let lanes = and(differ(work[slot as usize], old), single);
+                if lanes != [0; W] {
+                    let obs = load(&table[slot as usize]);
+                    for w in 0..W {
+                        answered[w] |= lanes[w] & obs[w];
+                        work[slot as usize][w] ^= lanes[w];
+                        self.counters.lanes_resolved += u64::from(lanes[w].count_ones());
+                    }
+                }
+            }
+        }
+        twice != [0; W]
     }
 
     /// A collapse point: the disturbance has narrowed to `gate` changing
@@ -1344,7 +1529,10 @@ pub fn ppsfp(
 mod tests {
     use super::*;
     use crate::{simulate, universe};
-    use dft_netlist::circuits::{c17, full_adder, majority, parity_tree, random_combinational};
+    use dft_netlist::circuits::{
+        binary_counter, c17, full_adder, layered_random, majority, parity_tree,
+        random_combinational, LayeredCircuit,
+    };
     use dft_netlist::{GateKind, PortRef};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1558,16 +1746,117 @@ mod tests {
         }
     }
 
+    /// The clean cuts and `past_cut` by their definitions, with each
+    /// logic gate's reader ops read off the kernel's op records instead
+    /// of the engine's reader CSR.
+    #[test]
+    fn clean_cuts_follow_their_definition() {
+        let circuits = [
+            c17(),
+            random_combinational(12, 600, 3),
+            layered_random(24, 700, 9),
+            LayeredCircuit::new(8, 300).width(11).seed(4).build(),
+            binary_counter(6),
+        ];
+        for n in &circuits {
+            let eng = Ppsfp::new(n).unwrap();
+            let k = &eng.kernel;
+            let mut readers = vec![Vec::new(); n.gate_count()];
+            for op in 0..k.op_count() {
+                for &a in k.op_args(op) {
+                    let logic = k.op_of_gate(GateId::from_index(a as usize)).is_some();
+                    if logic && readers[a as usize].last() != Some(&op) {
+                        readers[a as usize].push(op);
+                    }
+                }
+            }
+            let clean = |c: usize| {
+                readers
+                    .iter()
+                    .all(|r| r.iter().all(|&q| q < c) || r.iter().all(|&q| q >= c))
+            };
+            let cuts: Vec<u32> = (1..k.op_count())
+                .filter(|&c| clean(c))
+                .map(|c| c as u32)
+                .collect();
+            assert_eq!(eng.cuts, cuts, "{}", n.name());
+            for op in 0..k.op_count() {
+                let g = k.op_dst(op) as usize;
+                let past = cuts.iter().find(|&&c| c as usize > op).is_some_and(|&c| {
+                    !readers[g].is_empty() && readers[g].iter().all(|&q| q >= c as usize)
+                });
+                assert_eq!(eng.past_cut[g], past, "{} gate {g}", n.name());
+            }
+        }
+    }
+
+    /// The `fault_sim.observability` span of `eng` grading `faults`
+    /// against `p`, after checking the run against the serial engine.
+    fn table_span(eng: &Ppsfp<'_>, p: &PatternSet, faults: &[Fault]) -> dft_obs::SpanNode {
+        let mut rec = dft_obs::Recorder::new();
+        let r = eng.run_with(p, faults, Some(&mut rec));
+        assert_eq!(r, simulate(eng.netlist, p, faults).unwrap());
+        let report = rec.finish("table");
+        let span = report.find("fault_sim.ppsfp").expect("span must exist");
+        let table = span
+            .find("fault_sim.observability")
+            .expect("span must exist");
+        assert!(table.counter("words_folded") <= span.counter("words_folded"));
+        assert_eq!(table.counter("clean_cuts"), eng.cuts.len() as u64);
+        table.clone()
+    }
+
+    #[test]
+    fn a_source_root_waits_for_its_last_reader() {
+        // `a` is read at levels 1 and 3. Every op boundary is a clean
+        // cut, since sources are left out; resolving `a`'s flip at one
+        // before `y2` folds would answer every lane from `obs(g1)` and
+        // drop `a`'s direct reader.
+        let mut n = dft_netlist::Netlist::new("straddle");
+        let [a, b, c] = ["a", "b", "c"].map(|name| n.add_input(name));
+        let g1 = n.add_gate(GateKind::Not, &[a]).unwrap();
+        let h1 = n.add_gate(GateKind::Buf, &[c]).unwrap();
+        let g2 = n.add_gate(GateKind::Not, &[g1]).unwrap();
+        let h2 = n.add_gate(GateKind::Buf, &[h1]).unwrap();
+        let y1 = n.add_gate(GateKind::And, &[g2, b]).unwrap();
+        let y2 = n.add_gate(GateKind::And, &[a, h2]).unwrap();
+        let z = n.add_gate(GateKind::Or, &[y1, y2]).unwrap();
+        n.mark_output(z, "z").unwrap();
+        let eng = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(1)).unwrap();
+        assert_eq!(eng.cuts, [1, 2, 3, 4, 5, 6]);
+        let p = exhaustive_patterns(3);
+        assert_eq!(table_of::<1>(&eng, &p).0, brute_force_obs::<1>(&eng, &p));
+        // Only `a`'s flip meets a cut with two live gates: past `y2`,
+        // where `y1` and `y2` differ on the lanes of `b` and `c`. The 4
+        // of 8 patterns with `b != c` resolve there.
+        let table = table_span(&eng, &p, &universe(&n));
+        assert_eq!(table.counter("lanes_resolved"), 4);
+    }
+
+    #[test]
+    fn a_layered_table_build_resolves_lanes_at_its_cuts() {
+        let n = layered_random(24, 700, 9);
+        let p = PatternSet::random(24, 250, &mut StdRng::seed_from_u64(7));
+        let eng = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(1)).unwrap();
+        let table = table_span(&eng, &p, &universe(&n));
+        assert_eq!(table.counter("tabled_gates"), n.gate_count() as u64);
+        assert!(table.counter("clean_cuts") >= 2, "three layers");
+        assert!(table.counter("lanes_resolved") > 0);
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// Block 0 tabled, block 0 lazy, the public entry points (which
-        /// choose by fault count) and the serial reference agree: fault
-        /// lists on both sides of the table's threshold, both lane
-        /// widths with ragged tails, 1–4 threads, any chunking.
+        /// choose by fault count) and the serial reference agree: random
+        /// circuits, which have almost no clean cuts, or narrow layered
+        /// ones, whose level boundaries all are; fault lists on both
+        /// sides of the table's threshold, both lane widths with ragged
+        /// tails, 1–4 threads, any chunking.
         #[test]
         fn tabled_lazy_and_serial_agree(
             seed in 0u64..1_000,
+            layered in proptest::prelude::any::<bool>(),
             gates in 20usize..400,
             patterns in 1usize..600,
             quarter_faults_per_gate in 0usize..13,
@@ -1575,7 +1864,11 @@ mod tests {
             chunk in 1usize..800,
         ) {
             use rand::Rng;
-            let n = random_combinational(10, gates, seed);
+            let n = if layered {
+                LayeredCircuit::new(10, gates).width(10 + seed as usize % 8).seed(seed).build()
+            } else {
+                random_combinational(10, gates, seed)
+            };
             let all = universe(&n);
             let mut rng = StdRng::seed_from_u64(seed);
             let count = n.gate_count() * quarter_faults_per_gate / 4;

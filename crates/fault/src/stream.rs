@@ -106,6 +106,11 @@ impl<'n> FaultUniverse<'n> {
         );
         // First gate whose span ends beyond i.
         let g = self.offset.partition_point(|&o| o <= i) - 1;
+        self.decode(g, i)
+    }
+
+    /// Fault `i` of the universe, which gate `g`'s span holds.
+    fn decode(&self, g: usize, i: u32) -> Fault {
         let within = i - self.offset[g];
         let pins = (self.offset[g + 1] - self.offset[g]) / 2;
         Fault {
@@ -306,12 +311,22 @@ impl<'n> CollapsedUniverse<'n> {
     /// without materializing the list. The stream knows its exact
     /// length, [`CollapsedUniverse::class_count`].
     pub fn representatives(&self) -> impl ExactSizeIterator<Item = Fault> + '_ {
+        // Representatives come in ascending index order, so a cursor
+        // walks the gate offsets forward instead of searching them.
+        let offset = &self.universe.offset;
+        let mut g = 0;
         let reps = self
             .rep_of
             .iter()
             .enumerate()
             .filter(|&(i, &r)| i == r as usize)
-            .map(|(i, _)| self.universe.fault(i));
+            .map(move |(i, _)| {
+                let i = i as u32;
+                while offset[g + 1] <= i {
+                    g += 1;
+                }
+                self.universe.decode(g, i)
+            });
         Counted {
             inner: reps,
             left: self.class_count,
