@@ -7,7 +7,7 @@ use dft_obs::{Collector, Obs};
 use dft_sim::PatternSet;
 
 use crate::compact::reverse_order_drop;
-use crate::parallel::{deterministic_phase, DetVerdict};
+use crate::parallel::{DetDriver, DetVerdict};
 use crate::random::random_atpg;
 
 /// Configuration for [`generate_tests`].
@@ -119,10 +119,6 @@ pub struct AtpgRun {
     pub patterns: PatternSet,
     /// Per-fault outcome, aligned with the input fault list.
     pub status: Vec<FaultStatus>,
-    /// Total deterministic backtracks.
-    pub backtracks: u64,
-    /// Total forward implications (effort proxy for Eq. (1)).
-    pub forward_evals: u64,
 }
 
 impl AtpgRun {
@@ -205,18 +201,11 @@ pub fn generate_tests(
 /// Opens an `atpg.generate` span with one child span per flow phase —
 /// `atpg.random`, `atpg.deterministic` (which also nests the solver's
 /// `implic.learn` build), `atpg.compact` — flushing each phase's effort
-/// counters once. The deterministic phase
-/// aggregates its per-fault [`crate::SolveStats`] into phase totals
-/// (`attempts`, `reused`, `backtracks`, `forward_evals`,
-/// `implication_conflicts`, `gate_evals`, `tests`, `untestable`,
-/// `proved_static`, `proved_search`, `proved_cdcl`, `cdcl_calls`,
-/// `cdcl_conflicts`, `aborted`, `collateral_drops`) rather than emitting
-/// one span per fault, keeping reports bounded on large fault lists.
-/// `attempts + reused + collateral_drops` is the deterministic queue's
-/// length, and `reused` plus the three `proved_*` counts is
-/// `untestable`. The returned
-/// [`AtpgRun`] counters are unchanged, so the legacy view and the
-/// collector always agree.
+/// counters once. The deterministic phase's span carries the totals
+/// [`DetDriver::run`] flushes (search effort such as `backtracks` and
+/// `forward_evals`, the effort proxy of Eq. (1), and the verdict
+/// counts) rather than one span per fault, keeping reports bounded on
+/// large fault lists. The span is the only place these totals are kept.
 ///
 /// # Errors
 ///
@@ -232,8 +221,6 @@ pub fn generate_tests_observed(
     obs.count("faults", faults.len() as u64);
     let mut status = vec![FaultStatus::Aborted; faults.len()];
     let mut random_rows: Vec<Vec<bool>> = Vec::new();
-    let mut backtracks = 0u64;
-    let mut forward_evals = 0u64;
 
     // Phase 1: random with dropping.
     let mut remaining: Vec<usize> = (0..faults.len()).collect();
@@ -275,7 +262,8 @@ pub fn generate_tests_observed(
     // Phase 2: deterministic top-off via the threaded batch driver
     // (crate::parallel) — identical output for any thread count.
     obs.enter("atpg.deterministic");
-    let det = deterministic_phase(netlist, faults, &remaining, config, obs.as_option())?;
+    let driver = DetDriver::new_observed(netlist, config, obs.as_option())?;
+    let det = driver.run(faults, &remaining, obs.as_option());
     for (qp, &fi) in remaining.iter().enumerate() {
         status[fi] = match det.verdicts[qp] {
             DetVerdict::Test | DetVerdict::Collateral => FaultStatus::DetectedDeterministic,
@@ -283,23 +271,6 @@ pub fn generate_tests_observed(
             DetVerdict::Aborted => FaultStatus::Aborted,
         };
     }
-    backtracks += det.backtracks;
-    forward_evals += det.forward_evals;
-    obs.count("attempts", det.attempts);
-    obs.count("reused", det.reused);
-    obs.count("backtracks", det.backtracks);
-    obs.count("forward_evals", det.forward_evals);
-    obs.count("implication_conflicts", det.implication_conflicts);
-    obs.count("gate_evals", det.gate_evals);
-    obs.count("tests", det.tests);
-    obs.count("untestable", det.untestable);
-    obs.count("proved_static", det.proved_static);
-    obs.count("proved_search", det.proved_search);
-    obs.count("proved_cdcl", det.proved_cdcl);
-    obs.count("cdcl_calls", det.cdcl_calls);
-    obs.count("cdcl_conflicts", det.cdcl_conflicts);
-    obs.count("aborted", det.aborted);
-    obs.count("collateral_drops", det.collateral);
     obs.exit();
 
     // Phase 3: assemble + compact. The deterministic rows are already
@@ -316,7 +287,8 @@ pub fn generate_tests_observed(
     } else {
         set
     };
-    obs.count("cubes", det.cubes);
+    let cubes = det.verdicts.iter().filter(|&&v| v == DetVerdict::Test);
+    obs.count("cubes", cubes.count() as u64);
     obs.count("patterns", patterns.len() as u64);
     obs.exit();
 
@@ -332,12 +304,7 @@ pub fn generate_tests_observed(
         })
     });
 
-    let run = AtpgRun {
-        patterns,
-        status,
-        backtracks,
-        forward_evals,
-    };
+    let run = AtpgRun { patterns, status };
     obs.gauge("coverage", run.coverage());
     obs.exit();
     Ok(run)
@@ -348,6 +315,7 @@ mod tests {
     use super::*;
     use dft_fault::universe;
     use dft_netlist::circuits::{c17, comparator, random_combinational};
+    use dft_obs::Recorder;
 
     #[test]
     fn full_flow_covers_c17() {
@@ -403,7 +371,10 @@ mod tests {
             random_budget: 0,
             ..AtpgConfig::default()
         };
-        let run = generate_tests(&n, &faults, &cfg).unwrap();
-        assert!(run.forward_evals > 0);
+        let mut rec = Recorder::new();
+        generate_tests_observed(&n, &faults, &cfg, Some(&mut rec)).unwrap();
+        let report = rec.finish("effort");
+        let det = report.find("atpg.deterministic").unwrap();
+        assert!(det.counter("forward_evals") > 0);
     }
 }

@@ -26,8 +26,10 @@
 //! * [`compact`] — static cube merging plus reverse-order pattern
 //!   dropping.
 //! * [`generate_tests`] — the production flow: random phase, then PODEM
-//!   top-off, then compaction; returns patterns, per-fault status and
-//!   effort counters (used by the Eq. (1) scaling experiment).
+//!   top-off, then compaction; returns patterns and per-fault status
+//!   (used by the Eq. (1) scaling experiment).
+//!   [`generate_tests_observed`] reports the flow's effort counters on
+//!   `dft-obs` spans.
 //!
 //! ```
 //! use dft_netlist::circuits::c17;
@@ -59,7 +61,7 @@ mod v5;
 pub use compact::{compact, merge_cubes, reverse_order_drop};
 pub use dalg::{dalg, DalgConfig};
 pub use engine::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, FaultStatus};
-pub use parallel::{deterministic_phase, DetDriver, DetPhase, DetVerdict, WorkerStats};
+pub use parallel::{DetDriver, DetPhase, DetVerdict};
 pub use podem::{podem, GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube};
 pub use random::{
     exhaustive_atpg, random_atpg, scoap_weights, weighted_random_atpg, RandomAtpgOutcome,

@@ -28,7 +28,8 @@
 //! rounds are fixed by the batch and the verdicts before it, and results
 //! are reduced in slot order after the batch joins — so the thread count
 //! changes *who* computes a slot, never *what* is computed, and the
-//! final [`DetPhase`] is byte-identical for any `threads` setting.
+//! final [`DetPhase`] and the phase's effort totals are byte-identical
+//! for any `threads` setting.
 
 use dft_fault::stream::CollapsedUniverse;
 use dft_fault::{Fault, Ppsfp};
@@ -45,7 +46,7 @@ use crate::podem::{GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube}
 /// set — never depend on the thread count.
 const BATCH: usize = 64;
 
-/// How one queued fault was disposed of by [`deterministic_phase`].
+/// How one queued fault was disposed of by [`DetDriver::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DetVerdict {
     /// A solver produced a test cube for it.
@@ -60,20 +61,8 @@ pub enum DetVerdict {
     Aborted,
 }
 
-/// Effort accumulated by one worker across every batch it served in.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerStats {
-    /// Faults this worker ran a solver on.
-    pub solved: u64,
-    /// Backtracks across those solves.
-    pub backtracks: u64,
-    /// Forward implications across those solves.
-    pub forward_evals: u64,
-    /// Conflicts caught by the static implication store.
-    pub implication_conflicts: u64,
-}
-
-/// The result of the threaded deterministic phase.
+/// The result of the threaded deterministic phase. Its effort totals
+/// live on the caller's span ([`DetDriver::run`]).
 #[derive(Clone, Debug)]
 pub struct DetPhase {
     /// Per-queued-fault disposition, aligned with the input queue.
@@ -83,51 +72,42 @@ pub struct DetPhase {
     /// [`DetVerdict::Collateral`] credits, so they must reach the final
     /// pattern set (a greedy reverse-order drop keeps every detection).
     pub rows: Vec<Vec<bool>>,
-    /// Cubes generated before merging (one per [`DetVerdict::Test`]).
-    pub cubes: u64,
-    /// Resolved worker count.
-    pub workers: usize,
-    /// Per-worker effort, indexed by worker id.
-    pub worker_stats: Vec<WorkerStats>,
-    /// Solver attempts: the queue length minus collateral drops and
-    /// reused verdicts.
-    pub attempts: u64,
-    /// Faults settled `Untestable` without a solve, because an earlier
-    /// member of their equivalence class was proven untestable.
-    pub reused: u64,
-    /// Total backtracks (sum over workers).
-    pub backtracks: u64,
-    /// Total forward implications.
-    pub forward_evals: u64,
-    /// Total implication-store conflicts.
-    pub implication_conflicts: u64,
-    /// Total gate evaluations inside PODEM's forward implication
-    /// ([`SolveStats::gate_evals`]).
-    pub gate_evals: u64,
-    /// [`DetVerdict::Test`] count.
-    pub tests: u64,
-    /// [`DetVerdict::Untestable`] count: `reused` plus the three
-    /// `proved_*` counts.
-    pub untestable: u64,
-    /// Untestable verdicts the static implication engine proved.
-    pub proved_static: u64,
-    /// Untestable verdicts the PODEM search proved.
-    pub proved_search: u64,
-    /// Untestable verdicts the CDCL prover proved.
-    pub proved_cdcl: u64,
-    /// CDCL proofs attempted ([`SolveStats::cdcl_calls`]).
-    pub cdcl_calls: u64,
-    /// Conflicts across those proofs.
-    pub cdcl_conflicts: u64,
-    /// [`DetVerdict::Aborted`] count.
-    pub aborted: u64,
-    /// [`DetVerdict::Collateral`] count.
-    pub collateral: u64,
-    /// Batches processed.
-    pub batches: u64,
-    /// Inter-batch [`Ppsfp`] passes run (skipped when a batch yields no
-    /// cubes or the queue is exhausted).
-    pub drop_sims: u64,
+}
+
+/// Search effort summed over one worker's solves, with the untestable
+/// verdicts each prover reached; the phase's totals are the sums over
+/// its workers.
+#[derive(Clone, Default)]
+struct Effort {
+    solved: u64,
+    backtracks: u64,
+    forward_evals: u64,
+    implication_conflicts: u64,
+    gate_evals: u64,
+    cdcl_calls: u64,
+    cdcl_conflicts: u64,
+    proved_static: u64,
+    proved_search: u64,
+    proved_cdcl: u64,
+}
+
+impl Effort {
+    fn add(&mut self, outcome: &GenOutcome, stats: &SolveStats) {
+        if let GenOutcome::Untestable = outcome {
+            *match stats.prover {
+                Prover::Static => &mut self.proved_static,
+                Prover::Search => &mut self.proved_search,
+                Prover::Cdcl => &mut self.proved_cdcl,
+            } += 1;
+        }
+        self.solved += 1;
+        self.backtracks += u64::from(stats.backtracks);
+        self.forward_evals += stats.forward_evals;
+        self.implication_conflicts += u64::from(stats.implication_conflicts);
+        self.gate_evals += stats.gate_evals;
+        self.cdcl_calls += u64::from(stats.cdcl_calls);
+        self.cdcl_conflicts += stats.cdcl_conflicts;
+    }
 }
 
 /// Resolves a `threads` knob: 0 means all available cores, and more
@@ -209,10 +189,20 @@ impl<'n> DetDriver<'n> {
     /// Emits one `atpg.worker` span per worker (counters `solved`,
     /// `backtracks`, `forward_evals`, `implication_conflicts`; gauge
     /// `index`) and an `atpg.drop` span (counters `batches`,
-    /// `drop_sims`, `dropped`, `rows`) under the caller's current span.
+    /// `drop_sims`, `dropped`, `rows`) under the caller's current span,
+    /// then flushes the phase totals onto that span: `attempts`,
+    /// `reused`, `backtracks`, `forward_evals`, `implication_conflicts`,
+    /// `gate_evals`, `tests`, `untestable`, `proved_static`,
+    /// `proved_search`, `proved_cdcl`, `cdcl_calls`, `cdcl_conflicts`,
+    /// `aborted` and `collateral_drops`. `attempts` counts solver runs
+    /// and `reused` the faults settled `Untestable` without one, because
+    /// an earlier member of their equivalence class was proven
+    /// untestable. So `attempts + reused + collateral_drops` is the
+    /// queue's length, and `reused` plus the three `proved_*` counts (one
+    /// per [`Prover`]) is `untestable`.
     ///
-    /// The output is identical for every `threads` value; see the
-    /// module docs for the argument.
+    /// The output and every total are identical for every `threads`
+    /// value; see the module docs for the argument.
     ///
     /// # Panics
     ///
@@ -224,60 +214,13 @@ impl<'n> DetDriver<'n> {
         queue: &[usize],
         obs: Option<&mut dyn Collector>,
     ) -> DetPhase {
-        self.run_inner(faults, queue, Obs::new(obs))
-    }
-}
-
-/// Builds a [`DetDriver`] from `config` and runs it over `queue`
-/// (indices into `faults`) in one call — the flow entry point used by
-/// [`crate::generate_tests`].
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
-/// # Panics
-///
-/// Panics if a queue index is out of range for `faults`.
-pub fn deterministic_phase(
-    netlist: &Netlist,
-    faults: &[Fault],
-    queue: &[usize],
-    config: &AtpgConfig,
-    obs: Option<&mut dyn Collector>,
-) -> Result<DetPhase, LevelizeError> {
-    let mut obs = Obs::new(obs);
-    let driver = DetDriver::new_observed(netlist, config, obs.as_option())?;
-    Ok(driver.run_inner(faults, queue, obs))
-}
-
-impl DetDriver<'_> {
-    fn run_inner(&self, faults: &[Fault], queue: &[usize], mut obs: Obs<'_>) -> DetPhase {
         let n_pi = self.netlist.primary_inputs().len();
         let mut phase = DetPhase {
             verdicts: vec![DetVerdict::Aborted; queue.len()],
             rows: Vec::new(),
-            cubes: 0,
-            workers: self.workers,
-            worker_stats: vec![WorkerStats::default(); self.workers],
-            attempts: 0,
-            reused: 0,
-            backtracks: 0,
-            forward_evals: 0,
-            implication_conflicts: 0,
-            gate_evals: 0,
-            tests: 0,
-            untestable: 0,
-            proved_static: 0,
-            proved_search: 0,
-            proved_cdcl: 0,
-            cdcl_calls: 0,
-            cdcl_conflicts: 0,
-            aborted: 0,
-            collateral: 0,
-            batches: 0,
-            drop_sims: 0,
         };
+        let mut efforts = vec![Effort::default(); self.workers];
+        let (mut reused, mut batches, mut drop_sims) = (0u64, 0u64, 0u64);
         // Each queued fault's equivalence class; a fault outside the
         // netlist's universe is a class of its own (`None`: no reuse).
         let universe = self.classes.universe();
@@ -297,7 +240,7 @@ impl DetDriver<'_> {
         while !pending.is_empty() {
             let take = pending.len().min(BATCH);
             let batch: Vec<usize> = pending.drain(..take).collect();
-            let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; batch.len()];
+            let mut results: Vec<Option<GenOutcome>> = vec![None; batch.len()];
             // Round one: the first slot of each class not yet known
             // untestable. Round two: the followers whose leader did not
             // come back untestable.
@@ -320,55 +263,32 @@ impl DetDriver<'_> {
                     .into_iter()
                     .filter(|&slot| !known_untestable(&untestable_class, batch[slot]))
                     .collect();
-                let solved =
-                    self.solve_slots(faults, queue, &batch, &round, &mut phase.worker_stats);
-                for (slot, result) in round.into_iter().zip(solved) {
-                    if let (GenOutcome::Untestable, Some(c)) = (&result.0, class[batch[slot]]) {
+                let solved = self.solve_slots(faults, queue, &batch, &round, &mut efforts);
+                for (slot, outcome) in round.into_iter().zip(solved) {
+                    if let (GenOutcome::Untestable, Some(c)) = (&outcome, class[batch[slot]]) {
                         untestable_class[c] = true;
                     }
-                    results[slot] = Some(result);
+                    results[slot] = Some(outcome);
                 }
             }
             // Deterministic reduction: slot order, regardless of which
             // worker finished when.
             let mut batch_cubes: Vec<TestCube> = Vec::new();
             for (slot, result) in results.into_iter().enumerate() {
-                let Some((outcome, stats)) = result else {
-                    phase.reused += 1;
-                    phase.untestable += 1;
-                    phase.verdicts[batch[slot]] = DetVerdict::Untestable;
-                    continue;
-                };
-                phase.attempts += 1;
-                phase.backtracks += u64::from(stats.backtracks);
-                phase.forward_evals += stats.forward_evals;
-                phase.implication_conflicts += u64::from(stats.implication_conflicts);
-                phase.gate_evals += stats.gate_evals;
-                phase.cdcl_calls += u64::from(stats.cdcl_calls);
-                phase.cdcl_conflicts += stats.cdcl_conflicts;
-                phase.verdicts[batch[slot]] = match outcome {
-                    GenOutcome::Test(cube) => {
-                        batch_cubes.push(cube);
-                        phase.tests += 1;
-                        DetVerdict::Test
-                    }
-                    GenOutcome::Untestable => {
-                        phase.untestable += 1;
-                        *match stats.prover {
-                            Prover::Static => &mut phase.proved_static,
-                            Prover::Search => &mut phase.proved_search,
-                            Prover::Cdcl => &mut phase.proved_cdcl,
-                        } += 1;
+                phase.verdicts[batch[slot]] = match result {
+                    None => {
+                        reused += 1;
                         DetVerdict::Untestable
                     }
-                    GenOutcome::Aborted => {
-                        phase.aborted += 1;
-                        DetVerdict::Aborted
+                    Some(GenOutcome::Test(cube)) => {
+                        batch_cubes.push(cube);
+                        DetVerdict::Test
                     }
+                    Some(GenOutcome::Untestable) => DetVerdict::Untestable,
+                    Some(GenOutcome::Aborted) => DetVerdict::Aborted,
                 };
             }
-            phase.batches += 1;
-            phase.cubes += batch_cubes.len() as u64;
+            batches += 1;
             let merged = merge_cubes(&batch_cubes);
             let batch_rows: Vec<Vec<bool>> = merged.iter().map(|c| c.filled(false)).collect();
             if let Some(engine) = &self.dropper {
@@ -376,14 +296,13 @@ impl DetDriver<'_> {
                     let set = PatternSet::from_rows(n_pi, &batch_rows);
                     let tail: Vec<Fault> = pending.iter().map(|&qp| faults[queue[qp]]).collect();
                     let r = engine.run(&set, &tail);
-                    phase.drop_sims += 1;
+                    drop_sims += 1;
                     let mut j = 0;
                     pending.retain(|&qp| {
                         let detected = r.first_detected[j].is_some();
                         j += 1;
                         if detected {
                             phase.verdicts[qp] = DetVerdict::Collateral;
-                            phase.collateral += 1;
                         }
                         !detected
                     });
@@ -392,44 +311,63 @@ impl DetDriver<'_> {
             phase.rows.extend(batch_rows);
         }
 
-        for (w, ws) in phase.worker_stats.iter().enumerate() {
+        let mut obs = Obs::new(obs);
+        for (w, e) in efforts.iter().enumerate() {
             obs.enter("atpg.worker");
             obs.gauge("index", w as f64);
-            obs.count("solved", ws.solved);
-            obs.count("backtracks", ws.backtracks);
-            obs.count("forward_evals", ws.forward_evals);
-            obs.count("implication_conflicts", ws.implication_conflicts);
+            obs.count("solved", e.solved);
+            obs.count("backtracks", e.backtracks);
+            obs.count("forward_evals", e.forward_evals);
+            obs.count("implication_conflicts", e.implication_conflicts);
             obs.exit();
         }
+        let verdicts = |v: DetVerdict| phase.verdicts.iter().filter(|&&x| x == v).count() as u64;
         obs.enter("atpg.drop");
-        obs.count("batches", phase.batches);
-        obs.count("drop_sims", phase.drop_sims);
-        obs.count("dropped", phase.collateral);
+        obs.count("batches", batches);
+        obs.count("drop_sims", drop_sims);
+        obs.count("dropped", verdicts(DetVerdict::Collateral));
         obs.count("rows", phase.rows.len() as u64);
         obs.exit();
+        let total = |field: fn(&Effort) -> u64| efforts.iter().map(field).sum();
+        obs.count("attempts", total(|e| e.solved));
+        obs.count("reused", reused);
+        obs.count("backtracks", total(|e| e.backtracks));
+        obs.count("forward_evals", total(|e| e.forward_evals));
+        obs.count("implication_conflicts", total(|e| e.implication_conflicts));
+        obs.count("gate_evals", total(|e| e.gate_evals));
+        obs.count("tests", verdicts(DetVerdict::Test));
+        obs.count("untestable", verdicts(DetVerdict::Untestable));
+        obs.count("proved_static", total(|e| e.proved_static));
+        obs.count("proved_search", total(|e| e.proved_search));
+        obs.count("proved_cdcl", total(|e| e.proved_cdcl));
+        obs.count("cdcl_calls", total(|e| e.cdcl_calls));
+        obs.count("cdcl_conflicts", total(|e| e.cdcl_conflicts));
+        obs.count("aborted", verdicts(DetVerdict::Aborted));
+        obs.count("collateral_drops", verdicts(DetVerdict::Collateral));
         phase
     }
 
     /// Settles the batch slots listed in `slots`: the `k`-th listed slot
     /// goes to worker `k % workers`, every worker walks its strided
-    /// share in order, and the results come back in `slots` order. With
-    /// one worker the slots are solved inline (no spawn).
+    /// share in order, and the outcomes come back in `slots` order, each
+    /// solve's effort added to its worker's. With one worker the slots
+    /// are solved inline (no spawn).
     fn solve_slots(
         &self,
         faults: &[Fault],
         queue: &[usize],
         batch: &[usize],
         slots: &[usize],
-        worker_stats: &mut [WorkerStats],
-    ) -> Vec<(GenOutcome, SolveStats)> {
+        efforts: &mut [Effort],
+    ) -> Vec<GenOutcome> {
         let solve = |k: usize| self.solver.settle(faults[queue[batch[slots[k]]]]);
         let active = self.workers.min(slots.len());
-        let mut results: Vec<Option<(GenOutcome, SolveStats)>> = vec![None; slots.len()];
+        let mut results: Vec<Option<GenOutcome>> = vec![None; slots.len()];
         if active <= 1 {
             for (k, out) in results.iter_mut().enumerate() {
                 let (outcome, stats) = solve(k);
-                tally(&mut worker_stats[0], &stats);
-                *out = Some((outcome, stats));
+                efforts[0].add(&outcome, &stats);
+                *out = Some(outcome);
             }
         } else {
             let shards = std::thread::scope(|s| {
@@ -455,8 +393,8 @@ impl DetDriver<'_> {
             });
             for (w, shard) in shards.into_iter().enumerate() {
                 for (k, outcome, stats) in shard {
-                    tally(&mut worker_stats[w], &stats);
-                    results[k] = Some((outcome, stats));
+                    efforts[w].add(&outcome, &stats);
+                    results[k] = Some(outcome);
                 }
             }
         }
@@ -467,36 +405,33 @@ impl DetDriver<'_> {
     }
 }
 
-fn tally(ws: &mut WorkerStats, stats: &SolveStats) {
-    ws.solved += 1;
-    ws.backtracks += u64::from(stats.backtracks);
-    ws.forward_evals += stats.forward_evals;
-    ws.implication_conflicts += u64::from(stats.implication_conflicts);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dft_fault::{simulate, universe};
     use dft_netlist::circuits::{c17, random_combinational};
+    use dft_obs::{Recorder, RunReport};
 
-    fn run(n: &Netlist, config: &AtpgConfig) -> DetPhase {
+    /// The phase over the whole universe, with the totals it flushed.
+    fn run(n: &Netlist, config: &AtpgConfig) -> (DetPhase, RunReport) {
         let faults = universe(n);
         let queue: Vec<usize> = (0..faults.len()).collect();
-        deterministic_phase(n, &faults, &queue, config, None).unwrap()
+        let driver = DetDriver::new(n, config).unwrap();
+        let mut rec = Recorder::new();
+        let phase = driver.run(&faults, &queue, Some(&mut rec));
+        (phase, rec.finish("phase"))
     }
 
     #[test]
     fn phase_is_identical_across_thread_counts() {
         let n = random_combinational(10, 60, 7);
-        let base = run(&n, &AtpgConfig::new().with_threads(1));
+        let (base, totals) = run(&n, &AtpgConfig::new().with_threads(1));
+        assert!(totals.root.counter("gate_evals") > 0);
         for t in [2, 3, 8] {
-            let other = run(&n, &AtpgConfig::new().with_threads(t));
+            let (other, other_totals) = run(&n, &AtpgConfig::new().with_threads(t));
             assert_eq!(base.verdicts, other.verdicts, "verdicts differ at {t}");
             assert_eq!(base.rows, other.rows, "rows differ at {t}");
-            assert_eq!(base.backtracks, other.backtracks);
-            assert_eq!(base.forward_evals, other.forward_evals);
-            assert_eq!(base.gate_evals, other.gate_evals);
+            assert_eq!(totals.root.counters, other_totals.root.counters);
         }
     }
 
@@ -506,22 +441,17 @@ mod tests {
         let n = random_combinational(10, 60, 7);
         let faults = universe(&n);
         assert!(faults.len() > super::BATCH, "need a multi-batch queue");
-        let queue: Vec<usize> = (0..faults.len()).collect();
-        let phase = deterministic_phase(
-            &n,
-            &faults,
-            &queue,
-            &AtpgConfig::new().with_threads(2),
-            None,
-        )
-        .unwrap();
-        assert!(phase.collateral > 0, "batches must drop collaterally");
+        let (phase, _) = run(&n, &AtpgConfig::new().with_threads(2));
+        assert!(
+            phase.verdicts.contains(&DetVerdict::Collateral),
+            "batches must drop collaterally"
+        );
         let set = PatternSet::from_rows(n.primary_inputs().len(), &phase.rows);
         let r = simulate(&n, &set, &faults).unwrap();
         for (qp, v) in phase.verdicts.iter().enumerate() {
             if matches!(v, DetVerdict::Test | DetVerdict::Collateral) {
                 assert!(
-                    r.first_detected[queue[qp]].is_some(),
+                    r.first_detected[qp].is_some(),
                     "verdict {v:?} for fault {qp} not backed by the rows"
                 );
             }
@@ -532,8 +462,12 @@ mod tests {
     fn dropping_off_attempts_every_fault() {
         let n = c17();
         let cfg = AtpgConfig::new().with_collateral_dropping(false);
-        let phase = run(&n, &cfg);
-        assert_eq!(phase.collateral, 0);
-        assert_eq!(phase.attempts as usize, phase.verdicts.len());
+        let (phase, totals) = run(&n, &cfg);
+        assert!(!phase.verdicts.contains(&DetVerdict::Collateral));
+        assert_eq!(totals.root.counter("collateral_drops"), 0);
+        assert_eq!(
+            totals.root.counter("attempts") as usize,
+            phase.verdicts.len()
+        );
     }
 }

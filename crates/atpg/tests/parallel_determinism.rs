@@ -1,13 +1,17 @@
 //! The threaded deterministic driver's contract: the thread count is a
 //! throughput knob, never a result knob. `generate_tests` must hand back
-//! an identical run — patterns, order, statuses, effort counters — for
-//! every `threads` setting, and full compaction must never cost patterns
-//! or coverage.
+//! an identical run — patterns, order, statuses — and the
+//! `atpg.deterministic` span identical effort counters, for every
+//! `threads` setting, and full compaction must never cost patterns or
+//! coverage.
 
-use dft_atpg::{generate_tests, AtpgConfig};
+use std::collections::BTreeMap;
+
+use dft_atpg::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun};
 use dft_fault::{simulate, universe};
 use dft_netlist::circuits::{c17, random_combinational, redundant_fixture};
 use dft_netlist::Netlist;
+use dft_obs::Recorder;
 
 fn roster() -> Vec<Netlist> {
     vec![
@@ -21,15 +25,24 @@ fn roster() -> Vec<Netlist> {
     ]
 }
 
+/// The flow's run and every counter of its `atpg.deterministic` span.
+fn observed(n: &Netlist, cfg: &AtpgConfig) -> (AtpgRun, BTreeMap<String, u64>) {
+    let mut rec = Recorder::new();
+    let run = generate_tests_observed(n, &universe(n), cfg, Some(&mut rec)).unwrap();
+    let report = rec.finish(n.name());
+    let span = report.find("atpg.deterministic").expect("the phase span");
+    (run, span.counters.clone())
+}
+
 #[test]
 fn test_set_is_identical_for_any_thread_count() {
     for n in roster() {
-        let faults = universe(&n);
         // random_budget 0: every fault reaches the threaded phase.
         let cfg = AtpgConfig::new().with_random_budget(0).with_threads(1);
-        let base = generate_tests(&n, &faults, &cfg).unwrap();
+        let (base, base_counters) = observed(&n, &cfg);
+        assert!(base_counters["attempts"] > 0, "{}", n.name());
         for t in [2, 8] {
-            let run = generate_tests(&n, &faults, &cfg.clone().with_threads(t)).unwrap();
+            let (run, counters) = observed(&n, &cfg.clone().with_threads(t));
             assert_eq!(
                 base.patterns,
                 run.patterns,
@@ -37,8 +50,12 @@ fn test_set_is_identical_for_any_thread_count() {
                 n.name()
             );
             assert_eq!(base.status, run.status, "statuses differ at {t} threads");
-            assert_eq!(base.backtracks, run.backtracks);
-            assert_eq!(base.forward_evals, run.forward_evals);
+            assert_eq!(
+                base_counters,
+                counters,
+                "effort counters differ at {t} threads on {}",
+                n.name()
+            );
             assert!((base.coverage() - run.coverage()).abs() < 1e-12);
         }
     }

@@ -11,6 +11,7 @@ use dft_atpg::{generate_tests, AtpgConfig, DetDriver, GenOutcome, Podem, PodemCo
 use dft_fault::{dominance_collapse, prefilter_untestable, universe};
 use dft_json::Value;
 use dft_netlist::Netlist;
+use dft_obs::Recorder;
 use dft_sim::PatternSet;
 
 use crate::circuit;
@@ -127,7 +128,8 @@ fn pruning_record(name: &str) -> Value {
 /// Times the deterministic phase of the full `generate_tests` flow
 /// (random budget 0, so that phase dominates) over the flow roster, once
 /// per configuration. Solver compile stays outside the timer; the
-/// patterns come from the full flow, untimed. Returns the last (t8)
+/// patterns come from the full flow, untimed, and `attempts` from the
+/// totals the phase flushes onto its caller's span. Returns the last (t8)
 /// configuration's per-circuit flow records and one row per
 /// configuration; `pattern_hash` is FNV-1a over every final pattern bit,
 /// roster order.
@@ -149,9 +151,11 @@ fn flow_scaling(quick: bool) -> (Vec<Value>, Vec<Value>) {
             let faults = universe(n);
             let queue: Vec<usize> = (0..faults.len()).collect();
             let driver = DetDriver::new(n, &atpg).expect("roster circuits levelize");
+            let mut rec = Recorder::new();
             let t = Instant::now();
-            attempts += driver.run(&faults, &queue, None).attempts;
+            let _ = driver.run(&faults, &queue, Some(&mut rec));
             seconds += t.elapsed().as_secs_f64();
+            attempts += rec.finish(name).root.counter("attempts");
             let run = generate_tests(n, &faults, &atpg).expect("roster circuits levelize");
             patterns += run.patterns.len();
             hash_patterns(&mut hash, &run.patterns);

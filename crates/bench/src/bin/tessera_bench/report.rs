@@ -1,7 +1,7 @@
 //! The `--report` pass: one fully observed run written as a
 //! `tessera-obs/1` span/counter tree.
 
-use dft_atpg::{generate_tests_observed, AtpgConfig};
+use dft_atpg::{generate_tests_observed, AtpgConfig, FaultStatus};
 use dft_bench::exhaustive_patterns;
 use dft_fault::{universe, FaultSimEngine, PpsfpEngine, PpsfpOptions, SerialEngine};
 use dft_obs::{Recorder, RunReport};
@@ -13,8 +13,8 @@ use crate::circuit;
 /// the implication-engine build) all feed a single recorder, so the tree
 /// covers the `fault_sim.*`, `atpg.*` and `implic.learn` phases in one
 /// report. Runs on c17: the report documents the flow's shape, not its
-/// throughput. Every recorded counter is asserted against the stats the
-/// engines returned for the same runs, so a written report is a
+/// throughput. The recorded counters are asserted against the results
+/// the engines returned for the same runs, so a written report is a
 /// cross-checked one.
 pub fn observed_run(quick: bool, threads: usize) -> RunReport {
     let n = circuit("c17");
@@ -85,14 +85,15 @@ pub fn observed_run(quick: bool, threads: usize) -> RunReport {
     let det = report
         .find("atpg.deterministic")
         .expect("deterministic ATPG span");
+    let statuses = |s| atpg_run.status.iter().filter(|&&x| x == s).count() as u64;
     assert_eq!(
-        det.counter("backtracks"),
-        atpg_run.backtracks,
+        det.counter("tests") + det.counter("collateral_drops"),
+        statuses(FaultStatus::DetectedDeterministic),
         "ATPG telemetry disagrees with AtpgRun"
     );
     assert_eq!(
-        det.counter("forward_evals"),
-        atpg_run.forward_evals,
+        det.counter("untestable"),
+        statuses(FaultStatus::Untestable),
         "ATPG telemetry disagrees with AtpgRun"
     );
     assert!(

@@ -41,7 +41,9 @@ impl FaultDictionary {
     ///
     /// # Panics
     ///
-    /// Panics if the pattern width disagrees with the netlist.
+    /// Panics if the pattern width disagrees with the netlist, or if the
+    /// netlist has 65,535 or more primary outputs: a syndrome stores
+    /// output positions as `u16` ([`Ppsfp::run_syndromes_with`]).
     pub fn build(
         netlist: &Netlist,
         patterns: &PatternSet,

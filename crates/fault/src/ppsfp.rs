@@ -274,7 +274,9 @@ impl<'n> Ppsfp<'n> {
         Ppsfp::with_options(netlist, PpsfpOptions::default())
     }
 
-    /// Compiles the engine for `netlist` with explicit options.
+    /// Compiles the engine for `netlist` with explicit options. A
+    /// [`PpsfpOptions::threads`] of 0 resolves here, once, to the
+    /// machine's available parallelism.
     ///
     /// # Errors
     ///
@@ -718,9 +720,9 @@ impl<'n> Ppsfp<'n> {
     }
 
     /// Runs `per_fault` over every fault of one chunk, partitioned by
-    /// fault-site group across the configured worker threads (`0` = the
-    /// machine's available parallelism, capped by the chunk's group
-    /// count), writing each fault's result to its position in `out`.
+    /// fault-site group across the engine's worker count (resolved by
+    /// [`Ppsfp::with_options`], capped by the chunk's group count),
+    /// writing each fault's result to its position in `out`.
     /// Groups run downstream-first: in descending op order of their
     /// site, sources last. `workers` carries the run's workers from chunk
     /// to chunk and grows to the largest thread count a chunk uses;
@@ -829,9 +831,9 @@ impl<'n> Ppsfp<'n> {
         }
     }
 
-    /// The worker count for `tasks` independent tasks — the configured
-    /// thread count (`0` = the machine's available parallelism), capped
-    /// by `tasks` — with `workers` grown to at least that many.
+    /// The worker count for `tasks` independent tasks — the engine's
+    /// worker count, resolved once by [`Ppsfp::with_options`], capped by
+    /// `tasks` — with `workers` grown to at least that many.
     fn hire<'w, const W: usize>(&'w self, workers: &mut Vec<Worker<'w, W>>, tasks: usize) -> usize {
         let threads = self.threads.clamp(1, tasks.max(1));
         while workers.len() < threads {

@@ -174,20 +174,9 @@ pub fn repair(netlist: &Netlist, options: &RepairOptions) -> Result<RepairOutcom
 /// [`repair`] with telemetry: spans `repair.autopilot` >
 /// `repair.round` > (`repair.lint`, `repair.expand`, `repair.rank`,
 /// `repair.verify`), counters `repair.candidates.{expanded,ranked,
-/// pruned,verified}`, the ranking's implication work on `repair.rank`,
-/// and `repair.accepted`, gauges `repair.coverage.{baseline,final}`.
-///
-/// The `repair.rank` work counters sum over the round's base engine and
-/// every candidate's rebase of it:
-///
-/// * `repair.rank.propagations` — learning propagations run;
-/// * `repair.rank.rows_reused` — propagations skipped because a
-///   literal's row from the previous round repeats;
-/// * `repair.rank.rows_rebased` — propagations taken from the base
-///   engine because the candidate's edit cannot reach them;
-/// * `repair.rank.verdicts_reused` — verdicts of the candidates' fault
-///   universes for which no excitation and no observation walk ran: the
-///   base engine's recorded verdict stood.
+/// pruned,verified}`, the ranking's implication work on `repair.rank`
+/// (`repair.rank.*`, counted by [`rank_candidates_in`]), and
+/// `repair.accepted`, gauges `repair.coverage.{baseline,final}`.
 ///
 /// # Errors
 ///
@@ -233,21 +222,16 @@ pub fn repair_observed(
 
         obs.enter("repair.rank");
         counters.ranked += candidates.len();
-        let ranking = rank_candidates_in(&context, candidates, options.top_k);
-        let (ranked, pruned) = (ranking.kept, ranking.pruned);
+        let Ranking {
+            kept: ranked,
+            pruned,
+        } = rank_candidates_in(&context, candidates, options.top_k, obs.as_option());
         counters.pruned += pruned;
         obs.count(
             "repair.candidates.ranked",
             ranked.len() as u64 + pruned as u64,
         );
         obs.count("repair.candidates.pruned", pruned as u64);
-        obs.count("repair.rank.propagations", ranking.propagations as u64);
-        obs.count("repair.rank.rows_reused", ranking.rows_reused as u64);
-        obs.count("repair.rank.rows_rebased", ranking.rows_rebased as u64);
-        obs.count(
-            "repair.rank.verdicts_reused",
-            ranking.verdicts_reused as u64,
-        );
         obs.exit();
 
         obs.enter("repair.verify");

@@ -42,9 +42,10 @@
 use dft_analyze::AnalysisCache;
 use dft_fault::stream::gate_faults;
 use dft_fault::{prefilter_with, universe, Fault};
-use dft_implic::{ImplicationEngine, LearnStats, VerdictRecord};
+use dft_implic::{ImplicationEngine, VerdictRecord};
 use dft_lint::{LintConfig, LintContext};
 use dft_netlist::{GateId, GateKind, Netlist, Pin};
+use dft_obs::{Collector, Obs};
 
 use crate::candidate::{apply_edit, Candidate, Edited};
 
@@ -56,7 +57,7 @@ const UNTESTABLE_WEIGHT: i128 = 10_000;
 
 /// Static baseline measures of a netlist, computed once per round and
 /// shared by every candidate scored against it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StaticBaseline {
     /// SCOAP total difficulty.
     pub difficulty: u64,
@@ -64,12 +65,6 @@ pub struct StaticBaseline {
     pub untestable: usize,
     /// Total faults in the universe.
     pub fault_count: usize,
-    /// What the measurement's implication engine did while learning —
-    /// work counters for the trace, not part of the score.
-    pub learn: LearnStats,
-    /// Verdicts the measurement kept from the round's base batch instead
-    /// of deciding afresh (0 for a from-scratch measurement).
-    pub verdicts_reused: usize,
 }
 
 impl StaticBaseline {
@@ -88,8 +83,6 @@ impl StaticBaseline {
             difficulty: difficulty(&mut cache),
             untestable: prefilter_with(&engine, &faults).untestable_count(),
             fault_count: faults.len(),
-            learn: engine.stats(),
-            verdicts_reused: 0,
         })
     }
 }
@@ -113,6 +106,35 @@ fn sites(faults: impl IntoIterator<Item = Fault>) -> Vec<(GateId, Pin, bool)> {
         .collect()
 }
 
+/// The ranking's implication work, summed over the round's base engine
+/// and every candidate's rebase of it, and flushed once onto the
+/// caller's span ([`rank_candidates_in`]).
+#[derive(Default)]
+struct Work {
+    propagations: usize,
+    rows_reused: usize,
+    rows_rebased: usize,
+    verdicts_reused: usize,
+}
+
+impl Work {
+    /// Adds what `engine` did while learning, and `verdicts_reused`.
+    fn add(&mut self, engine: &ImplicationEngine<'_>, verdicts_reused: usize) {
+        let learn = engine.stats();
+        self.propagations += learn.propagations;
+        self.rows_reused += learn.rows_reused;
+        self.rows_rebased += learn.rows_rebased;
+        self.verdicts_reused += verdicts_reused;
+    }
+
+    fn flush(&self, obs: &mut Obs<'_>) {
+        obs.count("repair.rank.propagations", self.propagations as u64);
+        obs.count("repair.rank.rows_reused", self.rows_reused as u64);
+        obs.count("repair.rank.rows_rebased", self.rows_rebased as u64);
+        obs.count("repair.rank.verdicts_reused", self.verdicts_reused as u64);
+    }
+}
+
 /// One round's base: a warmed cache, the round's implication engine and
 /// the verdict batch it recorded over the round's netlist. Every
 /// candidate is measured by rebasing the cache and the engine onto its
@@ -129,7 +151,6 @@ impl<'a> Base<'a> {
     fn new(engine: &'a ImplicationEngine<'a>) -> Option<Self> {
         let netlist = engine.netlist();
         let mut cache = AnalysisCache::new(netlist).ok()?;
-        cache.constants();
         let difficulty = difficulty(&mut cache);
         let verdicts = engine.faults_untestable_recorded(&sites(universe(netlist)));
         Some(Base {
@@ -146,14 +167,13 @@ impl<'a> Base<'a> {
             difficulty: self.difficulty,
             untestable: self.verdicts.verdicts().iter().flatten().count(),
             fault_count: self.verdicts.verdicts().len(),
-            learn: self.engine.stats(),
-            verdicts_reused: 0,
         }
     }
 
-    /// Measures `edited` — an edit of the base netlist — by rebasing;
-    /// `None` if it is cyclic.
-    fn measure(&self, edited: &Edited) -> Option<StaticBaseline> {
+    /// Measures `edited` — an edit of the base netlist — by rebasing,
+    /// adding the rebase's implication work to `work`; `None` if it is
+    /// cyclic.
+    fn measure(&self, edited: &Edited, work: &mut Work) -> Option<StaticBaseline> {
         let (netlist, diff) = (&edited.netlist, &edited.diff);
         let mut cache = self.cache.clone();
         cache.rebase(netlist, diff).ok()?;
@@ -169,12 +189,11 @@ impl<'a> Base<'a> {
                     (untestable, faults.len(), 0)
                 }
             };
+        work.add(&engine, verdicts_reused);
         Some(StaticBaseline {
             difficulty: difficulty(&mut cache),
             untestable,
             fault_count,
-            learn: engine.stats(),
-            verdicts_reused,
         })
     }
 }
@@ -203,26 +222,6 @@ pub struct Ranking {
     /// Candidates dropped: not applicable, not measurable, or ranked
     /// below `top_k`.
     pub pruned: usize,
-    /// Implication propagations the round's learning passes ran, summed
-    /// over the round's base engine and every candidate's rebase.
-    pub propagations: usize,
-    /// Literal propagations those passes skipped by reusing rows.
-    pub rows_reused: usize,
-    /// Literal propagations the candidates' rebases took from the
-    /// round's base engine.
-    pub rows_rebased: usize,
-    /// Untestability verdicts of the candidates' fault universes kept
-    /// from the base engine's recorded batch rather than decided afresh.
-    pub verdicts_reused: usize,
-}
-
-impl Ranking {
-    fn tally(&mut self, measured: &StaticBaseline) {
-        self.propagations += measured.learn.propagations;
-        self.rows_reused += measured.learn.rows_reused;
-        self.rows_rebased += measured.learn.rows_rebased;
-        self.verdicts_reused += measured.verdicts_reused;
-    }
 }
 
 /// Applies and scores every candidate against `netlist`'s own static
@@ -235,6 +234,7 @@ pub fn rank_candidates(netlist: &Netlist, candidates: Vec<Candidate>, top_k: usi
         &LintContext::new(netlist, LintConfig::default()),
         candidates,
         top_k,
+        None,
     )
 }
 
@@ -250,19 +250,29 @@ pub fn rank_candidates(netlist: &Netlist, candidates: Vec<Candidate>, top_k: usi
 /// itself cannot be measured. Only the best `top_k` scored so far are
 /// kept while scoring, so the edited netlists of the rest are dropped
 /// as soon as they are scored.
+///
+/// Counts the ranking's implication work onto the caller's current span
+/// of `obs`, each summed over the round's base engine and every
+/// candidate's rebase of it:
+///
+/// * `repair.rank.propagations` — learning propagations run;
+/// * `repair.rank.rows_reused` — propagations skipped because a
+///   literal's row from the previous round repeats;
+/// * `repair.rank.rows_rebased` — propagations taken from the base
+///   engine because the candidate's edit cannot reach them;
+/// * `repair.rank.verdicts_reused` — verdicts of the candidates' fault
+///   universes for which no excitation and no observation walk ran: the
+///   base engine's recorded verdict stood.
 #[must_use]
 pub fn rank_candidates_in(
     context: &LintContext<'_>,
     candidates: Vec<Candidate>,
     top_k: usize,
+    obs: Option<&mut dyn Collector>,
 ) -> Ranking {
     let mut ranking = Ranking {
         kept: Vec::new(),
         pruned: 0,
-        propagations: 0,
-        rows_reused: 0,
-        rows_rebased: 0,
-        verdicts_reused: 0,
     };
     let Some(base) = context.implications().and_then(Base::new) else {
         ranking.pruned = candidates.len();
@@ -270,7 +280,8 @@ pub fn rank_candidates_in(
     };
     let netlist = context.netlist();
     let baseline = base.baseline();
-    ranking.tally(&baseline);
+    let mut work = Work::default();
+    work.add(base.engine, 0);
     // The best `top_k` so far, best first (score descending, then key
     // ascending), each with its key.
     let mut best: Vec<(String, RankedCandidate)> = Vec::new();
@@ -279,11 +290,10 @@ pub fn rank_candidates_in(
             ranking.pruned += 1;
             continue;
         };
-        let Some(after) = base.measure(&edited) else {
+        let Some(after) = base.measure(&edited, &mut work) else {
             ranking.pruned += 1;
             continue;
         };
-        ranking.tally(&after);
         let difficulty_delta = i128::from(baseline.difficulty) - i128::from(after.difficulty);
         let untestable_delta = baseline.untestable as i128 - after.untestable as i128;
         // Benefit per unit of hardware: pins are the scarce resource
@@ -319,6 +329,7 @@ pub fn rank_candidates_in(
         }
     }
     ranking.kept = best.into_iter().map(|(_, r)| r).collect();
+    work.flush(&mut Obs::new(obs));
     ranking
 }
 
@@ -332,11 +343,6 @@ mod tests {
         random_combinational, random_sequential, redundant_fixture, LayeredCircuit, RandomCircuit,
     };
     use proptest::prelude::*;
-
-    /// The score inputs of a measurement.
-    fn measures(m: &StaticBaseline) -> (u64, usize, usize) {
-        (m.difficulty, m.untestable, m.fault_count)
-    }
 
     /// One candidate of every edit kind on the nets a `pick` draws.
     fn every_kind(netlist: &Netlist, pick: u64) -> Vec<Candidate> {
@@ -409,13 +415,13 @@ mod tests {
                 candidates.extend(every_kind(&current, seed ^ round as u64));
                 let base = Base::new(context.implications().unwrap()).unwrap();
                 let own = StaticBaseline::measure(&current).unwrap();
-                prop_assert_eq!(measures(&base.baseline()), measures(&own));
+                prop_assert_eq!(base.baseline(), own);
                 for candidate in candidates {
                     let Ok(edited) = apply_edit(&current, candidate.edit) else {
                         continue;
                     };
-                    let want = StaticBaseline::measure(&edited.netlist).map(|m| measures(&m));
-                    let got = base.measure(&edited).map(|m| measures(&m));
+                    let want = StaticBaseline::measure(&edited.netlist);
+                    let got = base.measure(&edited, &mut Work::default());
                     prop_assert_eq!(got, want, "round {} {}", round, candidate.edit.key());
                 }
                 let Some(accepted) = outcome

@@ -57,7 +57,9 @@ pub enum Request {
         seed: u64,
     },
     /// Build (or reuse) the full-response fault dictionary and report
-    /// its diagnostic resolution.
+    /// its diagnostic resolution. A design with [`MAX_DICTIONARY_OUTPUTS`]
+    /// or more primary outputs is rejected with
+    /// [`ErrorCode::BadRequest`].
     Dictionary {
         /// Design name or content key.
         design: String,
@@ -248,6 +250,12 @@ impl PodemOutcome {
 /// write lock, so a larger count is rejected with
 /// [`ErrorCode::BadRequest`] before any session is touched.
 pub const MAX_PATTERNS: usize = 65_536;
+
+/// The primary-output count at which a `dictionary` request is
+/// rejected with [`ErrorCode::BadRequest`]: a dictionary stores output
+/// positions as `u16`, so [`dft_fault::FaultDictionary::build`] panics on
+/// a design with this many outputs or more.
+pub const MAX_DICTIONARY_OUTPUTS: usize = u16::MAX as usize;
 
 /// Stable machine-readable error classes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

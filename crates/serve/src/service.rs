@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use dft_obs::{Obs, Recorder};
 
-use crate::api::{ErrorCode, Request, Response, MAX_PATTERNS};
+use crate::api::{ErrorCode, Request, Response, MAX_DICTIONARY_OUTPUTS, MAX_PATTERNS};
 use crate::session::{DesignSession, PodemRun};
 use crate::stats::ServeStats;
 use crate::workspace::{LoadError, Resolver, SessionHandle, Workspace};
@@ -181,6 +181,20 @@ impl Service {
                 patterns,
                 seed,
             } => self.with_session(design, |h| {
+                let outputs = h
+                    .read()
+                    .expect("session lock poisoned")
+                    .netlist()
+                    .primary_outputs()
+                    .len();
+                if outputs >= MAX_DICTIONARY_OUTPUTS {
+                    let cap = MAX_DICTIONARY_OUTPUTS - 1;
+                    return Response::Error {
+                        code: ErrorCode::BadRequest,
+                        message: format!("'{design}' has {outputs} outputs, over the cap of {cap}"),
+                        available: Vec::new(),
+                    };
+                }
                 let warm = |s: &mut DesignSession| s.ensure_dictionary(patterns, seed);
                 let counters = ("dictionary_hits", "dictionary_builds");
                 read_then_warm(h, obs, counters, warm, |s, _| {
@@ -319,7 +333,7 @@ mod tests {
     use super::*;
     use crate::api::EcoEdit;
     use dft_json::Value;
-    use dft_netlist::circuits;
+    use dft_netlist::{circuits, GateKind, Netlist};
 
     fn test_service() -> Service {
         Service::new(Box::new(|name| match name {
@@ -530,6 +544,76 @@ mod tests {
         };
         assert!(detected > 0);
         assert!(!svc.handle(&fault_sim(MAX_PATTERNS)).is_error());
+    }
+
+    /// A dictionary on a design with 65,535 outputs is refused before
+    /// anything is built, and a session whose lock a panicking request
+    /// poisoned still shows in the workspace's listings and can be
+    /// dropped.
+    #[test]
+    fn oversized_dictionaries_are_rejected_and_poisoned_sessions_still_list() {
+        let svc = Service::new(Box::new(|name| match name {
+            "c17" => Ok(circuits::c17()),
+            "wide" => {
+                // 65,535 inputs, each driving one output buffer.
+                let mut n = Netlist::new("wide");
+                for i in 0..MAX_DICTIONARY_OUTPUTS {
+                    let a = n.add_input(format!("i{i}"));
+                    let y = n.add_gate(GateKind::Buf, &[a]).unwrap();
+                    n.mark_output(y, format!("o{i}")).unwrap();
+                }
+                Ok(n)
+            }
+            other => Err(LoadError {
+                message: format!("unknown circuit '{other}'"),
+                available: vec!["c17".into(), "wide".into()],
+            }),
+        }));
+        for circuit in ["c17", "wide"] {
+            let load = Request::Load {
+                circuit: circuit.into(),
+            };
+            assert!(!svc.handle(&load).is_error());
+        }
+        let Response::Error { code, .. } = svc.handle(&Request::Dictionary {
+            design: "wide".into(),
+            patterns: 64,
+            seed: 1,
+        }) else {
+            panic!("a 65,535-output dictionary must be rejected")
+        };
+        assert_eq!(code, ErrorCode::BadRequest);
+        assert_eq!(artifact(&svc, "dictionary_builds"), 0, "nothing built");
+
+        // Poison c17's session: a panic while its write lock is held.
+        let handle = svc.workspace().find("c17").unwrap();
+        let poisoner = std::thread::spawn(move || {
+            let _session = handle.write().unwrap();
+            panic!("a request failed under the write lock");
+        });
+        assert!(poisoner.join().is_err());
+
+        let Response::Designs { designs } = svc.handle(&Request::Designs) else {
+            panic!("designs must answer beside a poisoned session")
+        };
+        let mut names: Vec<String> = designs.into_iter().map(|d| d.design).collect();
+        names.sort();
+        assert_eq!(names, ["c17", "wide"]);
+        for design in ["wide", "c17"] {
+            assert!(svc.workspace().find(design).is_some(), "{design}");
+        }
+        let Response::Error { available, .. } = svc.handle(&Request::Lint {
+            design: "c99".into(),
+        }) else {
+            panic!("an unknown design is an error")
+        };
+        assert_eq!(available.len(), 2);
+        // And it can be dropped.
+        let drop = Request::Drop {
+            design: "c17".into(),
+        };
+        assert!(!svc.handle(&drop).is_error());
+        assert!(svc.workspace().find("c17").is_none());
     }
 
     #[test]

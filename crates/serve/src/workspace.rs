@@ -11,9 +11,16 @@
 //! failed resolve produces a [`LoadError`] carrying the available names
 //! — the structured what-exists error the CLIs and the `/load` endpoint
 //! share.
+//!
+//! A request that panics under a session's write lock poisons that
+//! lock. The read-only listings (name lookup, `design_names`, `infos`)
+//! and `drop_design` read a poisoned session's key, name and info
+//! anyway: plain values that stay readable whatever step the panic
+//! interrupted, so one failed request never takes the workspace's
+//! listings down with it.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use dft_netlist::Netlist;
 
@@ -107,7 +114,7 @@ impl Workspace {
             return Some(Arc::clone(h));
         }
         map.values()
-            .find(|h| h.read().expect("session lock poisoned").name() == design)
+            .find(|h| h.read().unwrap_or_else(PoisonError::into_inner).name() == design)
             .map(Arc::clone)
     }
 
@@ -117,7 +124,7 @@ impl Workspace {
     pub fn drop_design(&self, design: &str) -> Option<String> {
         let handle = self.find(design)?;
         let (key, name) = {
-            let s = handle.read().expect("session lock poisoned");
+            let s = handle.read().unwrap_or_else(PoisonError::into_inner);
             (s.key().to_owned(), s.name().to_owned())
         };
         let mut map = self.sessions.write().expect("workspace lock poisoned");
@@ -130,7 +137,12 @@ impl Workspace {
     pub fn design_names(&self) -> Vec<String> {
         let map = self.sessions.read().expect("workspace lock poisoned");
         map.values()
-            .map(|h| h.read().expect("session lock poisoned").name().to_owned())
+            .map(|h| {
+                h.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .name()
+                    .to_owned()
+            })
             .collect()
     }
 
@@ -139,7 +151,7 @@ impl Workspace {
     pub fn infos(&self) -> Vec<crate::api::DesignInfo> {
         let map = self.sessions.read().expect("workspace lock poisoned");
         map.values()
-            .map(|h| h.read().expect("session lock poisoned").info())
+            .map(|h| h.read().unwrap_or_else(PoisonError::into_inner).info())
             .collect()
     }
 

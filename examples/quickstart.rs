@@ -5,10 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use design_for_testability::atpg::{generate_tests, AtpgConfig};
+use design_for_testability::atpg::{generate_tests_observed, AtpgConfig};
 use design_for_testability::fault::stream::CollapsedUniverse;
 use design_for_testability::fault::{simulate, universe};
 use design_for_testability::netlist::{GateKind, Netlist};
+use design_for_testability::obs::Recorder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A one-bit comparator cell: eq = XNOR(a, b), gt = AND(a, NOT b).
@@ -32,13 +33,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         col.ratio() * 100.0
     );
 
-    // Generate tests (random phase + PODEM top-off + compaction).
-    let run = generate_tests(&n, &faults, &AtpgConfig::default())?;
+    // Generate tests (random phase + PODEM top-off + compaction); the
+    // search effort is read off the recorded deterministic phase.
+    let mut rec = Recorder::new();
+    let run = generate_tests_observed(&n, &faults, &AtpgConfig::default(), Some(&mut rec))?;
+    let report = rec.finish("quickstart");
+    let backtracks = report
+        .find("atpg.deterministic")
+        .map_or(0, |span| span.counter("backtracks"));
     println!(
-        "ATPG: {} patterns, coverage {:.1}% ({} backtracks)",
+        "ATPG: {} patterns, coverage {:.1}% ({backtracks} backtracks)",
         run.patterns.len(),
         run.coverage() * 100.0,
-        run.backtracks
     );
     for p in 0..run.patterns.len() {
         let row = run.patterns.get(p);

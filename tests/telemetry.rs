@@ -2,13 +2,15 @@
 //!
 //! The observability layer (`dft-obs`) must be a *view*, never an
 //! influence: recording a run changes no engine result, and the counters
-//! it reports must agree exactly with the legacy stats structs the
-//! engines already return. Both properties are checked here — the first
-//! by property test across the whole engine roster, the second by exact
-//! counter assertions on c17, whose telemetry is fully predictable.
+//! it reports must agree exactly with the results and per-call stats the
+//! engines return. Both properties are checked here — the first by
+//! property test across the whole engine roster, the second by exact
+//! counter assertions on c17, whose telemetry is fully predictable, and
+//! by the ATPG phase's counter identities on rand_15x140.
 
 use design_for_testability::atpg::{
-    deterministic_phase, generate_tests_observed, AtpgConfig, GenOutcome, Podem, PodemConfig,
+    generate_tests_observed, AtpgConfig, DetDriver, DetVerdict, FaultStatus, GenOutcome, Podem,
+    PodemConfig,
 };
 use design_for_testability::fault::{
     engines, simulate_observed, universe, FaultSimEngine, SerialEngine, SerialOptions,
@@ -78,7 +80,7 @@ fn podem_counters_match_solve_stats_on_c17() {
     let report = rec.finish("podem_c17");
 
     // One atpg.podem span per attempt, all children of the root; the
-    // roll-up must agree exactly with the summed legacy SolveStats.
+    // roll-up must agree exactly with the summed per-call SolveStats.
     let root = &report.root;
     assert_eq!(root.children.len(), faults.len());
     assert_eq!(root.counter_total("attempts"), faults.len() as u64);
@@ -105,32 +107,37 @@ fn deterministic_phase_counters_add_up_on_rand_15x140() {
     let faults = universe(&n);
     let cfg = AtpgConfig::new().with_random_budget(0).with_threads(1);
     let mut rec = Recorder::new();
-    generate_tests_observed(&n, &faults, &cfg, Some(&mut rec)).unwrap();
+    let run = generate_tests_observed(&n, &faults, &cfg, Some(&mut rec)).unwrap();
     let report = rec.finish("flow_rand_15x140");
     let span = report.find("atpg.deterministic").expect("span must exist");
-    let queue: Vec<usize> = (0..faults.len()).collect();
-    let det = deterministic_phase(&n, &faults, &queue, &cfg, None).unwrap();
 
-    for (name, field) in [
-        ("attempts", det.attempts),
-        ("reused", det.reused),
-        ("backtracks", det.backtracks),
-        ("forward_evals", det.forward_evals),
-        ("implication_conflicts", det.implication_conflicts),
-        ("gate_evals", det.gate_evals),
-        ("tests", det.tests),
-        ("untestable", det.untestable),
-        ("proved_static", det.proved_static),
-        ("proved_search", det.proved_search),
-        ("proved_cdcl", det.proved_cdcl),
-        ("cdcl_calls", det.cdcl_calls),
-        ("cdcl_conflicts", det.cdcl_conflicts),
-        ("aborted", det.aborted),
-        ("collateral_drops", det.collateral),
-    ] {
-        assert_eq!(span.counter(name), field, "counter {name}");
-    }
+    // The driver on its own flushes the same totals onto its caller's
+    // span, and its verdict counts are the span's.
+    let queue: Vec<usize> = (0..faults.len()).collect();
+    let mut rec = Recorder::new();
+    let det = DetDriver::new(&n, &cfg)
+        .unwrap()
+        .run(&faults, &queue, Some(&mut rec));
+    assert_eq!(rec.finish("driver").root.counters, span.counters);
     let c = |name| span.counter(name);
+    let verdicts = |v| det.verdicts.iter().filter(|&&x| x == v).count() as u64;
+    for (name, verdict) in [
+        ("tests", DetVerdict::Test),
+        ("untestable", DetVerdict::Untestable),
+        ("aborted", DetVerdict::Aborted),
+        ("collateral_drops", DetVerdict::Collateral),
+    ] {
+        assert_eq!(c(name), verdicts(verdict), "counter {name}");
+    }
+    // So are the flow's statuses.
+    let statuses = |s| run.status.iter().filter(|&&x| x == s).count() as u64;
+    assert_eq!(
+        c("tests") + c("collateral_drops"),
+        statuses(FaultStatus::DetectedDeterministic)
+    );
+    assert_eq!(c("untestable"), statuses(FaultStatus::Untestable));
+    assert_eq!(c("aborted"), statuses(FaultStatus::Aborted));
+
     assert_eq!(
         c("attempts") + c("reused") + c("collateral_drops"),
         queue.len() as u64
@@ -142,6 +149,7 @@ fn deterministic_phase_counters_add_up_on_rand_15x140() {
     // The circuit's redundant tail exercises every rung.
     assert!(c("reused") > 0 && c("proved_cdcl") > 0 && c("proved_static") > 0);
     assert!(c("cdcl_calls") >= c("proved_cdcl"));
+    assert!(c("backtracks") > 0 && c("gate_evals") > c("forward_evals"));
     assert_eq!(c("aborted"), 0);
 }
 
