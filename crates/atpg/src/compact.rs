@@ -7,7 +7,6 @@
 //! drop patterns that detect nothing new in a reverse-order pass.
 
 use dft_fault::{Fault, Ppsfp};
-use dft_netlist::{LevelizeError, Netlist};
 use dft_sim::PatternSet;
 
 use crate::podem::TestCube;
@@ -38,8 +37,8 @@ pub fn merge_cubes(cubes: &[TestCube]) -> Vec<TestCube> {
 /// [`reverse_order_drop`]).
 const DROP_WINDOW: usize = 256;
 
-/// Reverse-order pattern dropping: fault-simulate the set in reverse and
-/// keep only patterns that detect a not-yet-detected fault.
+/// Reverse-order pattern dropping: fault-simulate the set in reverse on
+/// `engine` and keep only patterns that detect a not-yet-detected fault.
 ///
 /// Patterns late in a deterministically grown set tend to target hard
 /// faults and incidentally cover the easy ones, so reversing maximizes
@@ -56,23 +55,19 @@ const DROP_WINDOW: usize = 256;
 /// O(patterns × full-set sims) loop into O(patterns / window)
 /// cone-restricted passes with cross-window fault dropping.
 ///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-///
 /// # Panics
 ///
 /// Panics if the pattern width disagrees with the netlist.
+#[must_use]
 pub fn reverse_order_drop(
-    netlist: &Netlist,
+    engine: &Ppsfp<'_>,
     patterns: &PatternSet,
     faults: &[Fault],
-) -> Result<PatternSet, LevelizeError> {
+) -> PatternSet {
     let n_pi = patterns.input_count();
     if patterns.is_empty() || faults.is_empty() {
-        return Ok(PatternSet::new(n_pi));
+        return PatternSet::new(n_pi);
     }
-    let engine = Ppsfp::new(netlist)?;
     let mut live: Vec<Fault> = faults.to_vec();
     let mut kept: Vec<usize> = Vec::new();
     let mut end = patterns.len();
@@ -101,24 +96,7 @@ pub fn reverse_order_drop(
     }
     kept.sort_unstable();
     let rows: Vec<Vec<bool>> = kept.iter().map(|&p| patterns.get(p)).collect();
-    Ok(PatternSet::from_rows(n_pi, &rows))
-}
-
-/// Full compaction pipeline for deterministic cubes: merge, fill
-/// don't-cares with 0, then reverse-order drop against `faults`.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-pub fn compact(
-    netlist: &Netlist,
-    cubes: &[TestCube],
-    faults: &[Fault],
-) -> Result<PatternSet, LevelizeError> {
-    let merged = merge_cubes(cubes);
-    let rows: Vec<Vec<bool>> = merged.iter().map(|c| c.filled(false)).collect();
-    let set = PatternSet::from_rows(netlist.primary_inputs().len(), &rows);
-    reverse_order_drop(netlist, &set, faults)
+    PatternSet::from_rows(n_pi, &rows)
 }
 
 #[cfg(test)]
@@ -171,7 +149,12 @@ mod tests {
             })
             .collect();
         assert_eq!(cubes.len(), faults.len(), "c17 is fully testable");
-        let compacted = compact(&n, &cubes, &faults).unwrap();
+        let rows: Vec<Vec<bool>> = merge_cubes(&cubes)
+            .iter()
+            .map(|c| c.filled(false))
+            .collect();
+        let set = PatternSet::from_rows(n.primary_inputs().len(), &rows);
+        let compacted = reverse_order_drop(&Ppsfp::new(&n).unwrap(), &set, &faults);
         assert!(
             compacted.len() < cubes.len(),
             "compaction must shrink {} cubes (got {})",
@@ -242,7 +225,7 @@ mod tests {
         cases.push((fixture, p));
         for (n, p) in cases {
             let faults = universe(&n);
-            let fast = reverse_order_drop(&n, &p, &faults).unwrap();
+            let fast = reverse_order_drop(&Ppsfp::new(&n).unwrap(), &p, &faults);
             let naive = naive_reverse_order_drop(&n, &p, &faults);
             assert_eq!(fast, naive, "kept sets differ on {}", n.name());
         }
@@ -258,7 +241,7 @@ mod tests {
             .collect();
         rows.extend(rows.clone());
         let set = PatternSet::from_rows(5, &rows);
-        let dropped = reverse_order_drop(&n, &set, &faults).unwrap();
+        let dropped = reverse_order_drop(&Ppsfp::new(&n).unwrap(), &set, &faults);
         assert!(
             dropped.len() <= 10,
             "64 patterns → few: got {}",

@@ -1,7 +1,7 @@
 //! The production ATPG flow: random phase, deterministic top-off,
 //! compaction.
 
-use dft_fault::{simulate, Fault};
+use dft_fault::{simulate, Fault, Ppsfp, PpsfpOptions};
 use dft_netlist::{LevelizeError, Netlist};
 use dft_obs::{Collector, Obs};
 use dft_sim::PatternSet;
@@ -27,8 +27,11 @@ pub struct AtpgConfig {
     pub backtrack_limit: u32,
     /// Run compaction on the final set.
     pub compact: bool,
-    /// Worker threads for the deterministic phase (0 = all cores). The
-    /// result is identical for every value — see [`crate::parallel`].
+    /// Worker threads for every phase (0 = all cores): the flow compiles
+    /// one [`Ppsfp`] engine with this thread count, which grades the
+    /// random phase, drops collateral detections, compacts, and sets the
+    /// deterministic phase's PODEM worker count. The result is identical
+    /// for every value — see [`crate::parallel`].
     pub threads: usize,
     /// Fault-simulate each batch's fresh cubes over the unattempted
     /// queue tail and drop the faults they already detect, so no solver
@@ -175,7 +178,8 @@ impl AtpgRun {
 }
 
 /// Runs the full ATPG flow on a combinational netlist (or the
-/// combinational test view extracted by `dft-scan`).
+/// combinational test view extracted by `dft-scan`). Every phase runs on
+/// one [`Ppsfp`] engine, compiled once with [`AtpgConfig::threads`].
 ///
 /// 1. Random phase: up to `random_budget` patterns with fault dropping.
 /// 2. Deterministic phase: per surviving fault, PODEM with its static
@@ -216,6 +220,7 @@ pub fn generate_tests_observed(
     config: &AtpgConfig,
     obs: Option<&mut dyn Collector>,
 ) -> Result<AtpgRun, LevelizeError> {
+    let engine = Ppsfp::with_options(netlist, PpsfpOptions::new().with_threads(config.threads))?;
     let mut obs = Obs::new(obs);
     obs.enter("atpg.generate");
     obs.count("faults", faults.len() as u64);
@@ -226,7 +231,7 @@ pub fn generate_tests_observed(
     let mut remaining: Vec<usize> = (0..faults.len()).collect();
     if config.random_budget > 0 {
         obs.enter("atpg.random");
-        let r = random_atpg(netlist, faults, config.random_budget, 1.0, config.seed)?;
+        let r = random_atpg(&engine, faults, config.random_budget, 1.0, config.seed);
         // Keep only the useful prefix patterns (those that detected
         // something first).
         let mut used: Vec<usize> = r
@@ -262,7 +267,7 @@ pub fn generate_tests_observed(
     // Phase 2: deterministic top-off via the threaded batch driver
     // (crate::parallel) — identical output for any thread count.
     obs.enter("atpg.deterministic");
-    let driver = DetDriver::new_observed(netlist, config, obs.as_option())?;
+    let driver = DetDriver::new_observed(&engine, config, obs.as_option())?;
     let det = driver.run(faults, &remaining, obs.as_option());
     for (qp, &fi) in remaining.iter().enumerate() {
         status[fi] = match det.verdicts[qp] {
@@ -283,7 +288,7 @@ pub fn generate_tests_observed(
     all_rows.extend(det.rows);
     let set = PatternSet::from_rows(n_pi, &all_rows);
     let patterns = if config.compact {
-        reverse_order_drop(netlist, &set, faults)?
+        reverse_order_drop(&engine, &set, faults)
     } else {
         set
     };

@@ -21,13 +21,15 @@
 //!   does not run it.
 //! * [`random_atpg`] / [`weighted_random_atpg`] — random-pattern
 //!   generation with fault dropping (references \[87\], \[95\], \[98\]).
-//! * [`exhaustive_atpg`] — all-2ⁿ application for small cones, graded
-//!   by PPSFP.
-//! * [`compact`] — static cube merging plus reverse-order pattern
-//!   dropping.
+//! * [`exhaustive_atpg`] — all-2ⁿ application for small cones.
+//! * [`merge_cubes`] / [`reverse_order_drop`] — static cube merging plus
+//!   reverse-order pattern dropping.
 //! * [`generate_tests`] — the production flow: random phase, then PODEM
 //!   top-off, then compaction; returns patterns and per-fault status
-//!   (used by the Eq. (1) scaling experiment).
+//!   (used by the Eq. (1) scaling experiment). It compiles one
+//!   [`dft_fault::Ppsfp`] engine at [`AtpgConfig::threads`] and runs
+//!   every phase on it: the generators above, [`reverse_order_drop`]
+//!   and [`DetDriver`] take a compiled engine.
 //!   [`generate_tests_observed`] reports the flow's effort counters on
 //!   `dft-obs` spans.
 //!
@@ -58,13 +60,11 @@ mod random;
 mod timeframe;
 mod v5;
 
-pub use compact::{compact, merge_cubes, reverse_order_drop};
+pub use compact::{merge_cubes, reverse_order_drop};
 pub use dalg::{dalg, DalgConfig};
 pub use engine::{generate_tests, generate_tests_observed, AtpgConfig, AtpgRun, FaultStatus};
 pub use parallel::{DetDriver, DetPhase, DetVerdict};
 pub use podem::{podem, GenOutcome, Podem, PodemConfig, Prover, SolveStats, TestCube};
-pub use random::{
-    exhaustive_atpg, random_atpg, scoap_weights, weighted_random_atpg, RandomAtpgOutcome,
-};
+pub use random::{exhaustive_atpg, random_atpg, weighted_random_atpg, RandomAtpgOutcome};
 pub use timeframe::{sequential_podem, Unrolled};
 pub use v5::DVal;

@@ -7,9 +7,10 @@
 //! 64-fault batches whose slots are strided across scoped worker
 //! threads, each running PODEM against one shared read-only solver.
 //! *Work avoidance*: after every batch the freshly generated cubes are
-//! merged, zero-filled, and fault-simulated with [`Ppsfp`] over the
-//! not-yet-attempted tail of the queue, so faults the new tests already
-//! cover are dropped before any worker wastes a search on them.
+//! merged, zero-filled, and fault-simulated on the driver's [`Ppsfp`]
+//! engine over the not-yet-attempted tail of the queue, so faults the
+//! new tests already cover are dropped before any worker wastes a search
+//! on them. The engine's thread count is also the worker count.
 //!
 //! *Verdict reuse*: every queued fault belongs to a structural
 //! equivalence class ([`CollapsedUniverse`]), and equivalent faults share
@@ -29,7 +30,7 @@
 //! are reduced in slot order after the batch joins — so the thread count
 //! changes *who* computes a slot, never *what* is computed, and the
 //! final [`DetPhase`] and the phase's effort totals are byte-identical
-//! for any `threads` setting.
+//! for any worker count.
 
 use dft_fault::stream::CollapsedUniverse;
 use dft_fault::{Fault, Ppsfp};
@@ -110,75 +111,67 @@ impl Effort {
     }
 }
 
-/// Resolves a `threads` knob: 0 means all available cores, and more
-/// workers than batch slots would sit idle.
-fn resolve_workers(threads: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    t.clamp(1, BATCH)
-}
-
 /// Compiled, shareable state for the threaded deterministic phase: the
 /// PODEM solver (with its implication store), the inter-batch [`Ppsfp`]
-/// dropper, and the resolved worker count. Build once with
-/// [`DetDriver::new`], then [`DetDriver::run`] any number of queues —
-/// the split lets callers (and the bench) separate the one-time compile
-/// cost from the phase itself.
+/// dropper, and the worker count. Build once with [`DetDriver::new`],
+/// then [`DetDriver::run`] any number of queues — the split lets callers
+/// (and the bench) separate the one-time compile cost from the phase
+/// itself.
 pub struct DetDriver<'n> {
     netlist: &'n Netlist,
     solver: Podem<'n>,
     classes: CollapsedUniverse<'n>,
-    dropper: Option<Ppsfp<'n>>,
+    dropper: Option<&'n Ppsfp<'n>>,
     workers: usize,
 }
 
 impl<'n> DetDriver<'n> {
-    /// Compiles the driver per `config` (see [`DetDriver::new_observed`]
-    /// for the collector-fed variant).
+    /// Compiles the driver for `engine`'s netlist per `config` (see
+    /// [`DetDriver::new_observed`] for the collector-fed variant).
     ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] on combinational cycles.
-    pub fn new(netlist: &'n Netlist, config: &AtpgConfig) -> Result<Self, LevelizeError> {
-        DetDriver::new_observed(netlist, config, None)
+    pub fn new(engine: &'n Ppsfp<'n>, config: &AtpgConfig) -> Result<Self, LevelizeError> {
+        DetDriver::new_observed(engine, config, None)
     }
 
     /// [`DetDriver::new`] with the solver build feeding `obs` (the
     /// `implic.learn` span nests under the caller's current span).
     ///
+    /// The driver borrows `engine` as its inter-batch dropper when
+    /// [`AtpgConfig::collateral_dropping`] is on, and runs
+    /// [`Ppsfp::threads`] PODEM workers, at most one per batch slot. It
+    /// does not read [`AtpgConfig::threads`]: the engine was compiled
+    /// with it.
+    ///
     /// # Errors
     ///
     /// Returns [`LevelizeError`] on combinational cycles.
     pub fn new_observed(
-        netlist: &'n Netlist,
+        engine: &'n Ppsfp<'n>,
         config: &AtpgConfig,
         obs: Option<&mut dyn Collector>,
     ) -> Result<Self, LevelizeError> {
         let mut obs = Obs::new(obs);
+        let netlist = engine.netlist();
         // Shared read-only solver state: PODEM compiles once, including
         // its implication store.
         let podem_cfg = PodemConfig::new().with_backtrack_limit(config.backtrack_limit);
         let solver = Podem::new_observed(netlist, podem_cfg, obs.as_option())?;
-        // The inter-batch sets are at most one 64-pattern block (one
-        // batch of merged cubes), so the engine's block-count width rule
-        // keeps the narrow 64-lane path here — wide blocks would only
-        // pad empty tail words. The wide paths engage where the ATPG
-        // flow has real pattern volume: the random phase's 256-pattern
-        // chunks and compaction's 256-pattern reverse windows.
-        let dropper = if config.collateral_dropping {
-            Some(Ppsfp::new(netlist)?)
-        } else {
-            None
-        };
         Ok(DetDriver {
             netlist,
             solver,
             classes: CollapsedUniverse::new(netlist),
-            dropper,
-            workers: resolve_workers(config.threads),
+            // The inter-batch sets are at most one 64-pattern block (one
+            // batch of merged cubes), so the engine's block-count width
+            // rule keeps the narrow 64-lane path here — wide blocks would
+            // only pad empty tail words. The wide paths engage where the
+            // ATPG flow has real pattern volume: the random phase's
+            // 256-pattern chunks and compaction's 256-pattern reverse
+            // windows.
+            dropper: config.collateral_dropping.then_some(engine),
+            workers: engine.threads().clamp(1, BATCH),
         })
     }
 
@@ -201,8 +194,8 @@ impl<'n> DetDriver<'n> {
     /// queue's length, and `reused` plus the three `proved_*` counts (one
     /// per [`Prover`]) is `untestable`.
     ///
-    /// The output and every total are identical for every `threads`
-    /// value; see the module docs for the argument.
+    /// The output and every total are identical for every worker count;
+    /// see the module docs for the argument.
     ///
     /// # Panics
     ///
@@ -291,7 +284,7 @@ impl<'n> DetDriver<'n> {
             batches += 1;
             let merged = merge_cubes(&batch_cubes);
             let batch_rows: Vec<Vec<bool>> = merged.iter().map(|c| c.filled(false)).collect();
-            if let Some(engine) = &self.dropper {
+            if let Some(engine) = self.dropper {
                 if !batch_rows.is_empty() && !pending.is_empty() {
                     let set = PatternSet::from_rows(n_pi, &batch_rows);
                     let tail: Vec<Fault> = pending.iter().map(|&qp| faults[queue[qp]]).collect();
@@ -408,27 +401,38 @@ impl<'n> DetDriver<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dft_fault::{simulate, universe};
+    use dft_fault::{simulate, universe, PpsfpOptions};
     use dft_netlist::circuits::{c17, random_combinational};
     use dft_obs::{Recorder, RunReport};
 
-    /// The phase over the whole universe, with the totals it flushed.
-    fn run(n: &Netlist, config: &AtpgConfig) -> (DetPhase, RunReport) {
+    /// The phase over the whole universe on an engine of `threads`
+    /// workers, with the totals it flushed.
+    fn run(n: &Netlist, threads: usize, config: &AtpgConfig) -> (DetPhase, RunReport) {
         let faults = universe(n);
         let queue: Vec<usize> = (0..faults.len()).collect();
-        let driver = DetDriver::new(n, config).unwrap();
+        let engine = Ppsfp::with_options(n, PpsfpOptions::new().with_threads(threads)).unwrap();
+        let driver = DetDriver::new(&engine, config).unwrap();
         let mut rec = Recorder::new();
         let phase = driver.run(&faults, &queue, Some(&mut rec));
         (phase, rec.finish("phase"))
     }
 
+    fn worker_spans(report: &RunReport) -> usize {
+        let spans = report.root.children.iter();
+        spans.filter(|c| c.name == "atpg.worker").count()
+    }
+
+    /// The engine sets the worker count: the config's `threads` stays 1.
     #[test]
     fn phase_is_identical_across_thread_counts() {
         let n = random_combinational(10, 60, 7);
-        let (base, totals) = run(&n, &AtpgConfig::new().with_threads(1));
+        let config = AtpgConfig::new().with_threads(1);
+        let (base, totals) = run(&n, 1, &config);
         assert!(totals.root.counter("gate_evals") > 0);
+        assert_eq!(worker_spans(&totals), 1);
         for t in [2, 3, 8] {
-            let (other, other_totals) = run(&n, &AtpgConfig::new().with_threads(t));
+            let (other, other_totals) = run(&n, t, &config);
+            assert_eq!(worker_spans(&other_totals), t, "workers at {t}");
             assert_eq!(base.verdicts, other.verdicts, "verdicts differ at {t}");
             assert_eq!(base.rows, other.rows, "rows differ at {t}");
             assert_eq!(totals.root.counters, other_totals.root.counters);
@@ -441,7 +445,7 @@ mod tests {
         let n = random_combinational(10, 60, 7);
         let faults = universe(&n);
         assert!(faults.len() > super::BATCH, "need a multi-batch queue");
-        let (phase, _) = run(&n, &AtpgConfig::new().with_threads(2));
+        let (phase, _) = run(&n, 2, &AtpgConfig::new());
         assert!(
             phase.verdicts.contains(&DetVerdict::Collateral),
             "batches must drop collaterally"
@@ -462,7 +466,7 @@ mod tests {
     fn dropping_off_attempts_every_fault() {
         let n = c17();
         let cfg = AtpgConfig::new().with_collateral_dropping(false);
-        let (phase, totals) = run(&n, &cfg);
+        let (phase, totals) = run(&n, 0, &cfg);
         assert!(!phase.verdicts.contains(&DetVerdict::Collateral));
         assert_eq!(totals.root.counter("collateral_drops"), 0);
         assert_eq!(

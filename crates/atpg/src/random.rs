@@ -6,9 +6,7 @@
 //! with the PLA exception quantified in experiment E11.
 
 use dft_fault::{DetectionResult, Fault, Ppsfp};
-use dft_netlist::{LevelizeError, Netlist};
 use dft_sim::PatternSet;
-use dft_testability::analyze;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,25 +28,24 @@ impl RandomAtpgOutcome {
 }
 
 /// Applies up to `budget` uniform random patterns (with fault dropping),
-/// stopping early once `target_coverage` is reached.
+/// grading them on `engine`, and stops early once `target_coverage` is
+/// reached.
 ///
 /// Patterns are generated in wide 256-pattern chunks, so when
 /// stopping at a partial coverage target a few more than the exact
 /// stopping point may be applied; a run that detects *every* fault is
-/// trimmed to the last useful pattern. Deterministic in `seed`.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
+/// trimmed to the last useful pattern. Deterministic in `seed`, whatever
+/// the engine's thread count.
+#[must_use]
 pub fn random_atpg(
-    netlist: &Netlist,
+    engine: &Ppsfp<'_>,
     faults: &[Fault],
     budget: usize,
     target_coverage: f64,
     seed: u64,
-) -> Result<RandomAtpgOutcome, LevelizeError> {
-    let weights = vec![0.5; netlist.primary_inputs().len()];
-    weighted_random_atpg(netlist, faults, &weights, budget, target_coverage, seed)
+) -> RandomAtpgOutcome {
+    let weights = vec![0.5; engine.netlist().primary_inputs().len()];
+    weighted_random_atpg(engine, faults, &weights, budget, target_coverage, seed)
 }
 
 /// Patterns graded per engine call during random generation: 4 blocks
@@ -61,44 +58,32 @@ pub fn random_atpg(
 const RANDOM_CHUNK: usize = 256;
 
 /// Weighted-random generation (the paper's reference \[95\]): input *i* is
-/// driven to 1 with probability `weights[i]`.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
+/// driven to 1 with probability `weights[i]`; otherwise as
+/// [`random_atpg`].
 ///
 /// # Panics
 ///
 /// Panics if `weights.len()` differs from the input count.
+#[must_use]
 pub fn weighted_random_atpg(
-    netlist: &Netlist,
+    engine: &Ppsfp<'_>,
     faults: &[Fault],
     weights: &[f64],
     budget: usize,
     target_coverage: f64,
     seed: u64,
-) -> Result<RandomAtpgOutcome, LevelizeError> {
-    assert_eq!(weights.len(), netlist.primary_inputs().len());
+) -> RandomAtpgOutcome {
+    assert_eq!(weights.len(), engine.netlist().primary_inputs().len());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut applied = PatternSet::new(weights.len());
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     let mut live: Vec<usize> = (0..faults.len()).collect();
-    // Compile the PPSFP engine once for the whole campaign; each
-    // 64-pattern batch is then a single `run` with no recompilation.
-    let engine = Ppsfp::new(netlist)?;
 
     while applied.len() < budget && !live.is_empty() {
         let chunk = RANDOM_CHUNK.min(budget - applied.len());
         let base = applied.len();
         let batch = PatternSet::weighted_random(weights, chunk, &mut rng);
-        grade_and_drop(
-            &engine,
-            &batch,
-            base,
-            faults,
-            &mut live,
-            &mut first_detected,
-        );
+        grade_and_drop(engine, &batch, base, faults, &mut live, &mut first_detected);
         applied.extend_from(&batch);
         let covered = (faults.len() - live.len()) as f64 / faults.len().max(1) as f64;
         if covered >= target_coverage {
@@ -117,13 +102,13 @@ pub fn weighted_random_atpg(
         }
     }
 
-    Ok(RandomAtpgOutcome {
+    RandomAtpgOutcome {
         detection: DetectionResult {
             first_detected,
             pattern_count: applied.len(),
         },
         patterns: applied,
-    })
+    }
 }
 
 /// Grades `batch` — patterns `base..base + batch.len()` of a campaign —
@@ -149,86 +134,40 @@ fn grade_and_drop(
     });
 }
 
-/// Derives per-input weights from SCOAP controllabilities: inputs that
-/// feed logic needing mostly 1s get a higher 1-probability. A cheap
-/// stand-in for the adaptive schemes of \[87\]/\[95\].
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
-pub fn scoap_weights(netlist: &Netlist) -> Result<Vec<f64>, LevelizeError> {
-    let report = analyze(netlist)?;
-    let fanout = netlist.topology().readers();
-    Ok(netlist
-        .primary_inputs()
-        .iter()
-        .map(|&pi| {
-            // Look at what the input feeds: AND-ish consumers want 1s to
-            // open paths, OR-ish want 0s. Approximate with the consumer
-            // gates' output controllability imbalance.
-            let mut want1 = 1.0f64;
-            let mut want0 = 1.0f64;
-            for &(reader, _) in &fanout[pi.index()] {
-                let m = report.measure(reader);
-                // Harder-to-1 consumers pull the weight toward 1.
-                want1 += f64::from(m.cc1.min(1_000));
-                want0 += f64::from(m.cc0.min(1_000));
-            }
-            (want1 / (want0 + want1)).clamp(0.1, 0.9)
-        })
-        .collect())
-}
-
 /// Exhaustive patterns graded per [`Ppsfp`] call: 64 blocks, so the
 /// engine runs its 256-lane path and a fault detected early stops
 /// costing work at the next chunk boundary.
 const EXHAUSTIVE_CHUNK: usize = 4096;
 
 /// Applies every one of the 2ⁿ input patterns (n ≤ 30) with fault
-/// dropping — "exhaustive" functional testing, §I-B. Pattern *p* drives
-/// input *i* to bit *i* of *p*; the sequence is graded by [`Ppsfp`] in
-/// consecutive chunks, dropping detected faults between chunks, so the
-/// result equals [`dft_fault::simulate`] over the explicit sequence.
-///
-/// # Errors
-///
-/// Returns [`LevelizeError`] on combinational cycles.
+/// dropping — "exhaustive" functional testing, §I-B. The sequence is
+/// [`PatternSet::exhaustive`]'s (pattern *p* drives input *i* to bit *i*
+/// of *p*), graded on `engine` in consecutive chunks, dropping detected
+/// faults between chunks, so the result equals [`dft_fault::simulate`]
+/// over the explicit sequence.
 ///
 /// # Panics
 ///
 /// Panics if the input count exceeds
 /// [`dft_sim::exhaustive::MAX_EXHAUSTIVE_INPUTS`].
-pub fn exhaustive_atpg(
-    netlist: &Netlist,
-    faults: &[Fault],
-) -> Result<DetectionResult, LevelizeError> {
-    let n = netlist.primary_inputs().len();
+#[must_use]
+pub fn exhaustive_atpg(engine: &Ppsfp<'_>, faults: &[Fault]) -> DetectionResult {
+    let n = engine.netlist().primary_inputs().len();
     let total =
         dft_sim::exhaustive::block_count(n) as usize * dft_sim::exhaustive::lanes(n) as usize;
-    let engine = Ppsfp::new(netlist)?;
     let mut first_detected: Vec<Option<usize>> = vec![None; faults.len()];
     let mut live: Vec<usize> = (0..faults.len()).collect();
     for base in (0..total).step_by(EXHAUSTIVE_CHUNK) {
         if live.is_empty() {
             break;
         }
-        let rows: Vec<Vec<bool>> = (base..total.min(base + EXHAUSTIVE_CHUNK))
-            .map(|p| (0..n).map(|i| p >> i & 1 == 1).collect())
-            .collect();
-        let batch = PatternSet::from_rows(n, &rows);
-        grade_and_drop(
-            &engine,
-            &batch,
-            base,
-            faults,
-            &mut live,
-            &mut first_detected,
-        );
+        let batch = PatternSet::exhaustive(n, base..total.min(base + EXHAUSTIVE_CHUNK));
+        grade_and_drop(engine, &batch, base, faults, &mut live, &mut first_detected);
     }
-    Ok(DetectionResult {
+    DetectionResult {
         first_detected,
         pattern_count: total,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -242,7 +181,7 @@ mod tests {
     fn random_covers_easy_logic_quickly() {
         let n = c17();
         let faults = universe(&n);
-        let r = random_atpg(&n, &faults, 512, 1.0, 1).unwrap();
+        let r = random_atpg(&Ppsfp::new(&n).unwrap(), &faults, 512, 1.0, 1);
         assert_eq!(r.coverage(), 1.0);
         assert!(r.patterns.len() <= 192, "c17 should fall fast");
     }
@@ -251,8 +190,9 @@ mod tests {
     fn early_stop_at_target_coverage() {
         let n = random_combinational(10, 80, 2);
         let faults = universe(&n);
-        let partial = random_atpg(&n, &faults, 10_000, 0.5, 3).unwrap();
-        let full = random_atpg(&n, &faults, 10_000, 1.0, 3).unwrap();
+        let engine = Ppsfp::new(&n).unwrap();
+        let partial = random_atpg(&engine, &faults, 10_000, 0.5, 3);
+        let full = random_atpg(&engine, &faults, 10_000, 1.0, 3);
         assert!(partial.patterns.len() <= full.patterns.len());
         assert!(partial.coverage() >= 0.5);
     }
@@ -263,7 +203,7 @@ mod tests {
         // probability 2⁻²⁰ — random patterns all but never test it.
         let pla = random_pattern_resistant_pla(22, 6, 20, 2, 4).synthesize("hard_pla");
         let faults = universe(&pla);
-        let r = random_atpg(&pla, &faults, 2_000, 1.0, 5).unwrap();
+        let r = random_atpg(&Ppsfp::new(&pla).unwrap(), &faults, 2_000, 1.0, 5);
         assert!(
             r.coverage() < 0.9,
             "2000 random patterns must miss wide AND terms (got {})",
@@ -275,7 +215,7 @@ mod tests {
     fn exhaustive_matches_random_limit_on_small_circuit() {
         let n = majority();
         let faults = universe(&n);
-        let ex = exhaustive_atpg(&n, &faults).unwrap();
+        let ex = exhaustive_atpg(&Ppsfp::new(&n).unwrap(), &faults);
         assert_eq!(ex.coverage(), 1.0);
         assert_eq!(ex.pattern_count, 8);
     }
@@ -300,20 +240,12 @@ mod tests {
             let reference = dft_fault::simulate(&n, &patterns, &faults).unwrap();
             assert!(reference.detected_count() > 0, "{}", n.name());
             assert_eq!(
-                exhaustive_atpg(&n, &faults).unwrap(),
+                exhaustive_atpg(&Ppsfp::new(&n).unwrap(), &faults),
                 reference,
                 "{}",
                 n.name()
             );
         }
-    }
-
-    #[test]
-    fn scoap_weights_are_probabilities() {
-        let n = random_combinational(8, 60, 9);
-        let w = scoap_weights(&n).unwrap();
-        assert_eq!(w.len(), 8);
-        assert!(w.iter().all(|&p| (0.1..=0.9).contains(&p)));
     }
 
     #[test]
@@ -326,8 +258,9 @@ mod tests {
         let g = n.add_gate(GateKind::And, &ins).unwrap();
         n.mark_output(g, "y").unwrap();
         let faults = universe(&n);
-        let uniform = random_atpg(&n, &faults, 1_000, 1.0, 7).unwrap();
-        let weighted = weighted_random_atpg(&n, &faults, &[0.9; 12], 1_000, 1.0, 7).unwrap();
+        let engine = Ppsfp::new(&n).unwrap();
+        let uniform = random_atpg(&engine, &faults, 1_000, 1.0, 7);
+        let weighted = weighted_random_atpg(&engine, &faults, &[0.9; 12], 1_000, 1.0, 7);
         assert!(weighted.coverage() >= uniform.coverage());
         assert!(weighted.coverage() > 0.9);
     }

@@ -5,7 +5,7 @@
 use dft_atpg::exhaustive_atpg;
 use dft_bench::{eng, print_table};
 use dft_bist::SelfTestSession;
-use dft_fault::universe;
+use dft_fault::{universe, Ppsfp};
 use dft_netlist::circuits::{random_combinational, random_pattern_resistant_pla};
 
 fn main() {
@@ -22,10 +22,8 @@ fn main() {
         let faults = universe(cln);
         // Baseline: what any test could ever detect (deep random logic
         // carries redundant faults; they are nobody's fault).
-        let detectable = exhaustive_atpg(cln, &faults)
-            .expect("combinational")
-            .detected_count()
-            .max(1) as f64;
+        let engine = Ppsfp::new(cln).expect("combinational");
+        let detectable = exhaustive_atpg(&engine, &faults).detected_count().max(1) as f64;
         let session = SelfTestSession::new(cln, partner);
         for patterns in [64u64, 256, 1024, 4096] {
             let rep = session.run_phase(patterns, 1, &faults).expect("runs");

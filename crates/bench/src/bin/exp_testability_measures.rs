@@ -4,7 +4,7 @@
 use dft_adhoc::{apply_test_points, select_test_points};
 use dft_atpg::random_atpg;
 use dft_bench::print_table;
-use dft_fault::universe;
+use dft_fault::{universe, Ppsfp};
 use dft_netlist::circuits::ripple_carry_adder;
 use dft_testability::analyze;
 
@@ -50,8 +50,9 @@ fn main() {
 
     let faults = universe(&deep);
     let budget = 2048;
-    let before = random_atpg(&deep, &faults, budget, 1.0, 11).expect("combinational");
-    let after = random_atpg(&observed, &faults, budget, 1.0, 11).expect("combinational");
+    let engine = |n| Ppsfp::new(n).expect("combinational");
+    let before = random_atpg(&engine(&deep), &faults, budget, 1.0, 11);
+    let after = random_atpg(&engine(&observed), &faults, budget, 1.0, 11);
 
     print_table(
         "Observation points on deep 2-output random logic (300 gates)",

@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use dft_atpg::{generate_tests, AtpgConfig, DetDriver, GenOutcome, Podem, PodemConfig};
-use dft_fault::{dominance_collapse, prefilter_untestable, universe};
+use dft_fault::{dominance_collapse, prefilter_untestable, universe, Ppsfp, PpsfpOptions};
 use dft_json::Value;
 use dft_netlist::Netlist;
 use dft_obs::Recorder;
@@ -127,7 +127,8 @@ fn pruning_record(name: &str) -> Value {
 
 /// Times the deterministic phase of the full `generate_tests` flow
 /// (random budget 0, so that phase dominates) over the flow roster, once
-/// per configuration. Solver compile stays outside the timer; the
+/// per configuration, on a PPSFP engine of the configuration's thread
+/// count. Engine and solver compiles stay outside the timer; the
 /// patterns come from the full flow, untimed, and `attempts` from the
 /// totals the phase flushes onto its caller's span. Returns the last (t8)
 /// configuration's per-circuit flow records and one row per
@@ -150,7 +151,9 @@ fn flow_scaling(quick: bool) -> (Vec<Value>, Vec<Value>) {
         for &(name, ref n) in &roster {
             let faults = universe(n);
             let queue: Vec<usize> = (0..faults.len()).collect();
-            let driver = DetDriver::new(n, &atpg).expect("roster circuits levelize");
+            let engine = Ppsfp::with_options(n, PpsfpOptions::new().with_threads(threads))
+                .expect("roster circuits levelize");
+            let driver = DetDriver::new(&engine, &atpg).expect("roster circuits levelize");
             let mut rec = Recorder::new();
             let t = Instant::now();
             let _ = driver.run(&faults, &queue, Some(&mut rec));

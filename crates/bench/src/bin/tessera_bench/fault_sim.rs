@@ -6,7 +6,6 @@
 use std::time::Instant;
 
 use dft_bench::cli::ToolExit;
-use dft_bench::exhaustive_patterns;
 use dft_fault::stream::CollapsedUniverse;
 use dft_fault::{
     universe, DetectionResult, Fault, FaultSimEngine, Ppsfp, PpsfpEngine, PpsfpOptions,
@@ -52,7 +51,7 @@ pub fn run(quick: bool, threads: usize, scale: &[String]) -> Value {
     for &(name, set, slow_baselines) in &ROSTER[..if quick { 2 } else { ROSTER.len() }] {
         let n = circuit(name);
         let patterns = set.map_or_else(
-            || exhaustive_patterns(5),
+            || PatternSet::exhaustive(5, 0..32),
             |(count, seed)| random_patterns(n.primary_inputs().len(), count, seed),
         );
         let faults = universe(&n);

@@ -2,9 +2,9 @@
 //! `tessera-obs/1` span/counter tree.
 
 use dft_atpg::{generate_tests_observed, AtpgConfig, FaultStatus};
-use dft_bench::exhaustive_patterns;
 use dft_fault::{universe, FaultSimEngine, PpsfpEngine, PpsfpOptions, SerialEngine};
 use dft_obs::{Recorder, RunReport};
+use dft_sim::PatternSet;
 
 use crate::circuit;
 
@@ -12,14 +12,17 @@ use crate::circuit;
 /// engine, and the complete ATPG flow (whose deterministic phase nests
 /// the implication-engine build) all feed a single recorder, so the tree
 /// covers the `fault_sim.*`, `atpg.*` and `implic.learn` phases in one
-/// report. Runs on c17: the report documents the flow's shape, not its
-/// throughput. The recorded counters are asserted against the results
-/// the engines returned for the same runs, so a written report is a
-/// cross-checked one.
+/// report. The report documents the flows' shape, not their throughput:
+/// the fault simulators run on c17, and the ATPG flow, at `threads`, on
+/// rand_12x80, whose random phase leaves a deterministic phase that
+/// searches, proves faults untestable and drops collateral detections.
+/// The recorded counters are asserted against the results the engines
+/// returned for the same runs, so a written report is a cross-checked
+/// one.
 pub fn observed_run(quick: bool, threads: usize) -> RunReport {
     let n = circuit("c17");
     let faults = universe(&n);
-    let patterns = exhaustive_patterns(5);
+    let patterns = PatternSet::exhaustive(5, 0..32);
     let serial = SerialEngine::default();
     let ppsfp = PpsfpEngine {
         options: PpsfpOptions::new().with_threads(threads),
@@ -32,8 +35,14 @@ pub fn observed_run(quick: bool, threads: usize) -> RunReport {
     let ppsfp_result = ppsfp
         .run_with(&n, &patterns, &faults, Some(&mut rec))
         .expect("c17 levelizes");
-    let atpg_run = generate_tests_observed(&n, &faults, &AtpgConfig::default(), Some(&mut rec))
-        .expect("c17 levelizes");
+    let atpg_net = circuit("rand_12x80");
+    let atpg_run = generate_tests_observed(
+        &atpg_net,
+        &universe(&atpg_net),
+        &AtpgConfig::new().with_threads(threads),
+        Some(&mut rec),
+    )
+    .expect("rand_12x80 levelizes");
     let report = rec.finish(if quick {
         "tessera-bench --quick"
     } else {
@@ -85,6 +94,12 @@ pub fn observed_run(quick: bool, threads: usize) -> RunReport {
     let det = report
         .find("atpg.deterministic")
         .expect("deterministic ATPG span");
+    for counter in ["attempts", "untestable", "collateral_drops"] {
+        assert!(
+            det.counter(counter) > 0,
+            "rand_12x80's deterministic phase reads no {counter}"
+        );
+    }
     let statuses = |s| atpg_run.status.iter().filter(|&&x| x == s).count() as u64;
     assert_eq!(
         det.counter("tests") + det.counter("collateral_drops"),

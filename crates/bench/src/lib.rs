@@ -15,7 +15,6 @@
 use std::fmt;
 
 use dft_netlist::{bench_format, circuits, Netlist};
-use dft_sim::PatternSet;
 
 pub mod cli;
 
@@ -229,20 +228,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// All 2ⁿ patterns over `n` inputs (n ≤ 20 to stay sane).
-///
-/// # Panics
-///
-/// Panics if `n > 20`.
-#[must_use]
-pub fn exhaustive_patterns(n: usize) -> PatternSet {
-    assert!(n <= 20, "exhaustive pattern materialization capped at 2^20");
-    let rows: Vec<Vec<bool>> = (0..1usize << n)
-        .map(|v| (0..n).map(|i| v >> i & 1 == 1).collect())
-        .collect();
-    PatternSet::from_rows(n, &rows)
-}
-
 /// Formats a float with engineering-friendly precision.
 #[must_use]
 pub fn eng(x: f64) -> String {
@@ -260,13 +245,6 @@ pub fn eng(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exhaustive_patterns_enumerate() {
-        let p = exhaustive_patterns(3);
-        assert_eq!(p.len(), 8);
-        assert_eq!(p.get(5), vec![true, false, true]);
-    }
 
     #[test]
     fn resolve_errors_carry_the_menu() {

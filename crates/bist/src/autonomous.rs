@@ -11,7 +11,7 @@
 //! * sensitized partitioning (Figs. 33–34) — demonstrated on the SN74181
 //!   by [`sensitized_partition_74181`].
 
-use dft_fault::{simulate, universe, Fault};
+use dft_fault::{simulate, universe};
 use dft_lfsr::{Misr, Polynomial};
 use dft_netlist::{GateId, GateKind, LevelizeError, Netlist};
 use dft_sim::{exhaustive, PatternSet};
@@ -283,7 +283,7 @@ pub fn sensitized_partition_74181() -> Result<Sensitized74181Report, LevelizeErr
     let sens = simulate(&alu, &patterns, &faults)?;
 
     // Exhaustive reference (2^14 = 16384 patterns).
-    let ex = dft_atpg_free_exhaustive(&alu, &faults)?;
+    let ex = simulate(&alu, &PatternSet::exhaustive(n, 0..1 << n), &faults)?;
 
     // N1-slice fault subset: faults on gates in the x/y cones (the
     // per-bit input slices). Identify them as gates at levels feeding
@@ -324,19 +324,6 @@ pub fn sensitized_partition_74181() -> Result<Sensitized74181Report, LevelizeErr
         total_coverage: sens.coverage(),
         exhaustive_total_coverage: ex.coverage(),
     })
-}
-
-/// Exhaustive fault simulation without depending on `dft-atpg`.
-fn dft_atpg_free_exhaustive(
-    netlist: &Netlist,
-    faults: &[Fault],
-) -> Result<dft_fault::DetectionResult, LevelizeError> {
-    let n = netlist.primary_inputs().len();
-    let rows: Vec<Vec<bool>> = (0..1usize << n)
-        .map(|v| (0..n).map(|i| v >> i & 1 == 1).collect())
-        .collect();
-    let p = PatternSet::from_rows(n, &rows);
-    simulate(netlist, &p, faults)
 }
 
 #[cfg(test)]

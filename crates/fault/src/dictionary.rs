@@ -151,10 +151,7 @@ mod tests {
     use dft_netlist::circuits::c17;
 
     fn exhaustive() -> PatternSet {
-        let rows: Vec<Vec<bool>> = (0..32u8)
-            .map(|v| (0..5).map(|i| v >> i & 1 == 1).collect())
-            .collect();
-        PatternSet::from_rows(5, &rows)
+        PatternSet::exhaustive(5, 0..32)
     }
 
     #[test]

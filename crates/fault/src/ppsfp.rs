@@ -216,8 +216,8 @@ impl WorkCounters {
 }
 
 /// A PPSFP engine compiled for one netlist, reusable across pattern
-/// batches (the random-ATPG grading loop calls [`Ppsfp::run`] once per
-/// 64-pattern chunk without recompiling).
+/// batches (the ATPG flow compiles one and grades its random chunks,
+/// collateral drops and compaction windows on it).
 #[derive(Debug)]
 pub struct Ppsfp<'n> {
     netlist: &'n Netlist,
@@ -382,6 +382,14 @@ impl<'n> Ppsfp<'n> {
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
         self.netlist
+    }
+
+    /// The engine's worker count: [`PpsfpOptions::threads`], or the
+    /// machine's available parallelism when that was 0. A run hires at
+    /// most this many workers.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Fault-simulates `faults` against `patterns`, producing the same
@@ -1540,10 +1548,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn exhaustive_patterns(n: usize) -> PatternSet {
-        let rows: Vec<Vec<bool>> = (0..1usize << n)
-            .map(|v| (0..n).map(|i| v >> i & 1 == 1).collect())
-            .collect();
-        PatternSet::from_rows(n, &rows)
+        PatternSet::exhaustive(n, 0..1 << n)
     }
 
     #[test]
@@ -1572,6 +1577,15 @@ mod tests {
                 assert_eq!(r, reference, "seed {seed} threads {threads}");
             }
         }
+    }
+
+    #[test]
+    fn threads_resolve_once_at_construction() {
+        let n = c17();
+        let engine = |t| Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(t)).unwrap();
+        assert_eq!(engine(3).threads(), 3);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(engine(0).threads(), cores);
     }
 
     #[test]

@@ -107,10 +107,7 @@ mod tests {
     use dft_sim::PatternSet;
 
     fn exhaustive(width: usize) -> PatternSet {
-        let rows: Vec<Vec<bool>> = (0..1u32 << width)
-            .map(|v| (0..width).map(|i| v >> i & 1 == 1).collect())
-            .collect();
-        PatternSet::from_rows(width, &rows)
+        PatternSet::exhaustive(width, 0..1 << width)
     }
 
     #[test]

@@ -247,10 +247,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn exhaustive_patterns(n: usize) -> PatternSet {
-        let rows: Vec<Vec<bool>> = (0..1usize << n)
-            .map(|v| (0..n).map(|i| v >> i & 1 == 1).collect())
-            .collect();
-        PatternSet::from_rows(n, &rows)
+        PatternSet::exhaustive(n, 0..1 << n)
     }
 
     #[test]

@@ -42,13 +42,6 @@ fn digest(r: &DetectionResult) -> (u64, usize) {
     (h, r.detected_count())
 }
 
-fn exhaustive(n: usize) -> PatternSet {
-    let rows: Vec<Vec<bool>> = (0..1usize << n)
-        .map(|v| (0..n).map(|i| v >> i & 1 == 1).collect())
-        .collect();
-    PatternSet::from_rows(n, &rows)
-}
-
 fn random(inputs: usize, count: usize, seed: u64) -> PatternSet {
     PatternSet::random(inputs, count, &mut StdRng::seed_from_u64(seed))
 }
@@ -84,7 +77,7 @@ fn c17_exhaustive_is_pinned() {
     check(
         "c17",
         &n,
-        &exhaustive(5),
+        &PatternSet::exhaustive(5, 0..32),
         &universe(&n),
         (0x6914e1ba567520af, 46),
     );

@@ -1,6 +1,10 @@
 //! Packed pattern sets: 64 test patterns per machine word.
 
+use std::ops::Range;
+
 use rand::Rng;
+
+use crate::exhaustive::{block_count, input_words, lanes};
 
 /// A set of input patterns packed bit-parallel: for each primary input
 /// there is one `u64` per block of 64 patterns, bit *j* holding pattern
@@ -81,6 +85,43 @@ impl PatternSet {
             p.push(&buf);
         }
         p
+    }
+
+    /// Patterns `range` of the counting sequence over `input_count`
+    /// inputs, in order: pattern *p* drives input *i* to bit *i* of *p*,
+    /// so `0..1 << input_count` applies every input combination once.
+    /// Packed block by block from [`input_words`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_count` exceeds
+    /// [`MAX_EXHAUSTIVE_INPUTS`](crate::exhaustive::MAX_EXHAUSTIVE_INPUTS)
+    /// or `range` ends past pattern 2^`input_count`.
+    #[must_use]
+    pub fn exhaustive(input_count: usize, range: Range<usize>) -> Self {
+        let total = block_count(input_count) * u64::from(lanes(input_count));
+        assert!(range.end as u64 <= total, "range past the sequence's end");
+        let len = range.len();
+        // Block b holds patterns start + 64b.. : the sequence's blocks at
+        // and after it, shifted down by the start's lane.
+        let (first, shift) = ((range.start / 64) as u64, range.start % 64);
+        let words = (0..len.div_ceil(64))
+            .map(|b| {
+                let mask = u64::MAX >> (64 - (len - 64 * b).min(64));
+                let at = first + b as u64;
+                let lo = input_words(input_count, at);
+                let hi = input_words(input_count, at + 1);
+                lo.iter()
+                    .zip(&hi)
+                    .map(|(&l, &h)| ((u128::from(h) << 64 | u128::from(l)) >> shift) as u64 & mask)
+                    .collect()
+            })
+            .collect();
+        PatternSet {
+            input_count,
+            len,
+            words,
+        }
     }
 
     /// Builds a set from explicit pattern rows.
@@ -237,6 +278,29 @@ mod tests {
         assert_eq!(p.len(), 3);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(&p.get(i), r);
+        }
+    }
+
+    /// The counting sequence built row by row.
+    fn counted(n: usize, range: Range<usize>) -> PatternSet {
+        let rows: Vec<Vec<bool>> = range
+            .map(|p| (0..n).map(|i| p >> i & 1 == 1).collect())
+            .collect();
+        PatternSet::from_rows(n, &rows)
+    }
+
+    #[test]
+    fn exhaustive_packs_the_counting_sequence() {
+        for n in 0..=8 {
+            assert_eq!(PatternSet::exhaustive(n, 0..1 << n), counted(n, 0..1 << n));
+        }
+        // Block-aligned and unaligned starts, ragged ends.
+        for range in [128..300, 100..700, 1000..1001, 1023..1024, 64..64] {
+            assert_eq!(
+                PatternSet::exhaustive(10, range.clone()),
+                counted(10, range.clone()),
+                "{range:?}"
+            );
         }
     }
 

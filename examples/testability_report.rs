@@ -8,7 +8,7 @@
 
 use design_for_testability::adhoc::{apply_test_points, select_test_points};
 use design_for_testability::atpg::random_atpg;
-use design_for_testability::fault::universe;
+use design_for_testability::fault::{universe, Ppsfp};
 use design_for_testability::netlist::circuits::RandomCircuit;
 use design_for_testability::testability::analyze;
 
@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The payoff in actual coverage under a fixed random-pattern budget
     // (the regime a cheap tester lives in).
     let faults = universe(&design);
-    let before_run = random_atpg(&design, &faults, 2048, 1.0, 11)?;
-    let after_run = random_atpg(&improved, &faults, 2048, 1.0, 11)?;
+    let before_run = random_atpg(&Ppsfp::new(&design)?, &faults, 2048, 1.0, 11);
+    let after_run = random_atpg(&Ppsfp::new(&improved)?, &faults, 2048, 1.0, 11);
     println!(
         "\nrandom-pattern coverage (2048 patterns): {:.1}% before, {:.1}% after",
         before_run.coverage() * 100.0,

@@ -13,7 +13,8 @@ use design_for_testability::atpg::{
     PodemConfig,
 };
 use design_for_testability::fault::{
-    engines, simulate_observed, universe, FaultSimEngine, SerialEngine, SerialOptions,
+    engines, simulate_observed, universe, FaultSimEngine, Ppsfp, PpsfpOptions, SerialEngine,
+    SerialOptions,
 };
 use design_for_testability::implic::ImplicationEngine;
 use design_for_testability::lint::{LintConfig, Registry};
@@ -114,8 +115,9 @@ fn deterministic_phase_counters_add_up_on_rand_15x140() {
     // The driver on its own flushes the same totals onto its caller's
     // span, and its verdict counts are the span's.
     let queue: Vec<usize> = (0..faults.len()).collect();
+    let engine = Ppsfp::with_options(&n, PpsfpOptions::new().with_threads(1)).unwrap();
     let mut rec = Recorder::new();
-    let det = DetDriver::new(&n, &cfg)
+    let det = DetDriver::new(&engine, &cfg)
         .unwrap()
         .run(&faults, &queue, Some(&mut rec));
     assert_eq!(rec.finish("driver").root.counters, span.counters);
